@@ -20,8 +20,10 @@ type ScaleFreeConfig struct {
 	MaxDegree  int     // degree cap; 0 means N-1
 }
 
+// validate also rejects populations whose ids 0..N-1 do not fit in 31 bits,
+// since the generators install rows without going through AddNode.
 func (c ScaleFreeConfig) validate() error {
-	if c.N < 2 {
+	if c.N < 2 || c.N > maxID+1 {
 		return fmt.Errorf("%w: N=%d", ErrBadParam, c.N)
 	}
 	if c.Alpha <= 0 {
@@ -50,57 +52,9 @@ func ScaleFree(cfg ScaleFreeConfig, r *xrand.RNG) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("degree sampler: %w", err)
 	}
-
-	g := NewGraph()
-	g.grow(cfg.N)
-	degrees := make([]int, cfg.N)
-	total := 0
-	for i := 0; i < cfg.N; i++ {
-		if err := g.AddNode(i); err != nil {
-			return nil, err
-		}
-		degrees[i] = pl.Sample(r)
-		total += degrees[i]
-	}
-	// Carve every node's adjacency out of one slab sized by its drawn
-	// degree; stub losses only shrink realized degrees, so building an
-	// N-node overlay is O(edges) with O(1) slab allocations.
-	g.reserveAdjacency(degrees)
-	// Stub list: node i appears degrees[i] times.
-	stubs := make([]int, 0, total+1)
-	for i, d := range degrees {
-		for k := 0; k < d; k++ {
-			stubs = append(stubs, i)
-		}
-	}
-	if len(stubs)%2 == 1 {
-		stubs = append(stubs, r.Intn(cfg.N)) // make the stub count even
-	}
-	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-
-	// Pair stubs; re-draw partners a few times on conflicts, then give up on
-	// that pair (slight degree shortfall is acceptable for an overlay).
-	const retries = 20
-	for i := 0; i+1 < len(stubs); i += 2 {
-		a, b := stubs[i], stubs[i+1]
-		ok := a != b && !g.HasEdge(a, b)
-		// Swap stub b with a random later stub to retry the match.
-		for attempt := 0; !ok && attempt < retries && i+2 < len(stubs); attempt++ {
-			k := i + 2 + r.Intn(len(stubs)-i-2)
-			stubs[i+1], stubs[k] = stubs[k], stubs[i+1]
-			b = stubs[i+1]
-			ok = a != b && !g.HasEdge(a, b)
-		}
-		if ok {
-			if err := g.AddEdge(a, b); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := EnsureConnected(g, r); err != nil {
-		return nil, err
-	}
-	return g, nil
+	// Conflicting pairs re-draw a few times, then give up on that pair
+	// (slight degree shortfall is acceptable for an overlay).
+	return configModel(cfg.N, 20, func() int { return pl.Sample(r) }, r)
 }
 
 // RandomRegular generates a connected random d-regular-ish graph by stub
@@ -108,47 +62,114 @@ func ScaleFree(cfg ScaleFreeConfig, r *xrand.RNG) (*Graph, error) {
 // same number of neighbors, so uniform routing yields a doubly stochastic
 // transfer matrix and u = (1,...,1) (Sec. V-C1).
 func RandomRegular(n, d int, r *xrand.RNG) (*Graph, error) {
-	if n < 2 || d < 1 || d >= n {
+	if n < 2 || n > maxID+1 || d < 1 || d >= n {
 		return nil, fmt.Errorf("%w: n=%d d=%d", ErrBadParam, n, d)
 	}
 	if n*d%2 == 1 {
 		return nil, fmt.Errorf("%w: n*d must be even", ErrBadParam)
 	}
-	g := NewGraph()
-	g.grow(n)
-	degrees := make([]int, n)
-	for i := 0; i < n; i++ {
-		if err := g.AddNode(i); err != nil {
-			return nil, err
-		}
-		degrees[i] = d
+	return configModel(n, 50, func() int { return d }, r)
+}
+
+// configModel draws a connected simple graph over nodes 0..n-1 by stub
+// matching. Node i gets degree() stubs, drawn in id order; an odd stub
+// total gains one stub on a uniform node. The stubs are shuffled and
+// consecutive pairs become edges. A pair that would be a self-loop or a
+// duplicate edge swaps its second stub with a random later one up to
+// retries times and is dropped if it still conflicts. Leftover components
+// are stitched by EnsureConnected.
+//
+// The graph is built directly in CSR form, not edge by edge through
+// AddEdge, whose sorted-row upkeep (a binary search and a shifting insert
+// per endpoint) would dominate generation. Each node's row is carved from
+// one slab at its stub offset, since a node gains at most one edge per
+// stub, and edges append to it unsorted. The duplicate check scans the
+// shorter of the two rows, so it answers exactly as HasEdge would and the
+// retries and RNG draws are those of matching through the Graph API. A
+// final transpose into the by-then-free stub buffer walks sources in
+// ascending order, so every row comes out sorted without a sort.
+func configModel(n, retries int, degree func() int, r *xrand.RNG) (*Graph, error) {
+	// off[i+1] holds node i's stub count until the prefix sum below turns
+	// off into row offsets: row i spans off[i]..off[i+1].
+	off := make([]int, n+1)
+	total := 0
+	for i := 1; i <= n; i++ {
+		off[i] = degree()
+		total += off[i]
 	}
-	g.reserveAdjacency(degrees)
-	stubs := make([]int, 0, n*d)
+	stubs := make([]int32, 0, total+1)
 	for i := 0; i < n; i++ {
-		for k := 0; k < d; k++ {
-			stubs = append(stubs, i)
+		for k := 0; k < off[i+1]; k++ {
+			stubs = append(stubs, int32(i))
 		}
+	}
+	if len(stubs)%2 == 1 {
+		x := r.Intn(n) // make the stub count even
+		stubs = append(stubs, int32(x))
+		off[x+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
 	}
 	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	const retries = 50
+
+	adj := make([]int32, len(stubs)) // unsorted rows
+	deg := make([]int32, n)
+	linked := func(a, b int32) bool {
+		if deg[b] < deg[a] {
+			a, b = b, a
+		}
+		for _, v := range adj[off[a] : off[a]+int(deg[a])] {
+			if v == b {
+				return true
+			}
+		}
+		return false
+	}
+	edges := 0
 	for i := 0; i+1 < len(stubs); i += 2 {
 		a, b := stubs[i], stubs[i+1]
-		ok := a != b && !g.HasEdge(a, b)
+		ok := a != b && !linked(a, b)
 		for attempt := 0; !ok && attempt < retries && i+2 < len(stubs); attempt++ {
 			k := i + 2 + r.Intn(len(stubs)-i-2)
 			stubs[i+1], stubs[k] = stubs[k], stubs[i+1]
 			b = stubs[i+1]
-			ok = a != b && !g.HasEdge(a, b)
+			ok = a != b && !linked(a, b)
 		}
 		if ok {
-			if err := g.AddEdge(a, b); err != nil {
-				return nil, err
-			}
+			adj[off[a]+int(deg[a])] = b
+			deg[a]++
+			adj[off[b]+int(deg[b])] = a
+			deg[b]++
+			edges++
 		}
 	}
-	if err := EnsureConnected(g, r); err != nil {
-		return nil, err
+
+	// Transpose into stubs: u lands in row v once per v in row u, and u
+	// ascends, so each row fills in ascending order. The graph is simple
+	// and symmetric, so the transpose has the same rows, now sorted.
+	rows, fill := stubs, make([]int32, n)
+	for u := 0; u < n; u++ {
+		for _, v := range adj[off[u] : off[u]+int(deg[u])] {
+			rows[off[v]+int(fill[v])] = int32(u)
+			fill[v]++
+		}
+	}
+	g := &Graph{
+		idSlot: make([]int32, n),
+		nodes:  make([]nodeSlot, n),
+		n:      n,
+		edges:  edges,
+		nextID: n,
+	}
+	for i := range g.nodes {
+		g.idSlot[i] = int32(i + 1)
+		g.nodes[i] = nodeSlot{id: int32(i), nbrs: rows[off[i] : off[i]+int(deg[i]) : off[i+1]]}
+	}
+	if !g.IsConnected() {
+		if err := EnsureConnected(g, r); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }

@@ -89,6 +89,7 @@ func TestScaleFreeValidation(t *testing.T) {
 		{N: 10, Alpha: 0, MeanDegree: 3},
 		{N: 10, Alpha: 2.5, MeanDegree: 0.5},
 		{N: 10, Alpha: 2.5, MeanDegree: 50},
+		{N: math.MaxInt32 + 1, Alpha: 2.5, MeanDegree: 20}, // ids past 31 bits
 	}
 	for _, cfg := range bad {
 		if _, err := ScaleFree(cfg, r); err == nil {
@@ -120,6 +121,9 @@ func TestRandomRegularOddProductRejected(t *testing.T) {
 	r := xrand.New(1)
 	if _, err := RandomRegular(5, 3, r); err == nil {
 		t.Error("odd n*d accepted")
+	}
+	if _, err := RandomRegular(math.MaxInt32+1, 2, r); err == nil {
+		t.Error("ids past 31 bits accepted")
 	}
 }
 
@@ -344,6 +348,18 @@ func BenchmarkScaleFree100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := xrand.New(int64(i))
 		if _, err := ScaleFree(ScaleFreeConfig{N: 100_000, Alpha: 2.5, MeanDegree: 20}, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScaleFree100kCapped generates the overlay cmd/benchrun builds:
+// hubs capped at 2000 neighbors.
+func BenchmarkScaleFree100kCapped(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := xrand.New(int64(i))
+		if _, err := ScaleFree(ScaleFreeConfig{N: 100_000, Alpha: 2.5, MeanDegree: 20, MaxDegree: 2000}, r); err != nil {
 			b.Fatal(err)
 		}
 	}

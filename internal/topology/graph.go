@@ -97,40 +97,6 @@ func (g *Graph) NewNodeID() int {
 	return id
 }
 
-// grow pre-sizes the id table and node slab for ids 0..n-1, so bulk
-// generation performs O(1) slab allocations instead of O(log n) regrowths.
-func (g *Graph) grow(n int) {
-	if n > len(g.idSlot) {
-		t := make([]int32, n)
-		copy(t, g.idSlot)
-		g.idSlot = t
-	}
-	if n > cap(g.nodes) {
-		t := make([]nodeSlot, len(g.nodes), n)
-		copy(t, g.nodes)
-		g.nodes = t
-	}
-}
-
-// reserveAdjacency carves each node i's neighbor slice (capacity degrees[i])
-// out of one shared slab. Generators call it right after adding nodes
-// 0..len(degrees)-1 with no edges yet; a node that later outgrows its
-// reservation regrows individually.
-func (g *Graph) reserveAdjacency(degrees []int) {
-	total := 0
-	for _, d := range degrees {
-		total += d
-	}
-	slab := make([]int32, total)
-	off := 0
-	for i, d := range degrees {
-		if s := g.slotOf(i); s >= 0 && len(g.nodes[s].nbrs) == 0 {
-			g.nodes[s].nbrs = slab[off : off : off+d]
-		}
-		off += d
-	}
-}
-
 // AddNode inserts an isolated node.
 func (g *Graph) AddNode(id int) error {
 	if id < 0 || id > maxID {
@@ -371,12 +337,30 @@ func (g *Graph) Components() [][]int {
 }
 
 // IsConnected reports whether the graph has exactly one component (empty
-// graphs are trivially connected).
+// graphs are trivially connected). It walks breadth-first from one live
+// slot and counts what it reaches, building none of Components' lists.
 func (g *Graph) IsConnected() bool {
 	if g.n == 0 {
 		return true
 	}
-	return len(g.Components()) == 1
+	seen := make([]bool, len(g.nodes))
+	queue := make([]int32, 0, g.n) // slots
+	for s := range g.nodes {
+		if g.nodes[s].id >= 0 {
+			queue = append(queue, int32(s))
+			seen[s] = true
+			break
+		}
+	}
+	for h := 0; h < len(queue); h++ {
+		for _, nb := range g.nodes[queue[h]].nbrs {
+			if ns := g.idSlot[nb] - 1; !seen[ns] {
+				seen[ns] = true
+				queue = append(queue, ns)
+			}
+		}
+	}
+	return len(queue) == g.n
 }
 
 // Clone returns a deep copy of the graph.

@@ -133,6 +133,31 @@ func TestComponentsAndConnectivity(t *testing.T) {
 	}
 }
 
+// TestIsConnectedMatchesComponents checks IsConnected's slot walk against
+// Components on churned graphs, whose free slots (slot 0 included) the walk
+// must skip when it picks its start.
+func TestIsConnectedMatchesComponents(t *testing.T) {
+	r := xrand.New(5)
+	for trial := 0; trial < 50; trial++ {
+		g, err := ErdosRenyi(30, 3, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int{0, 1 + r.Intn(29), 1 + r.Intn(29)} {
+			if err := g.RemoveNode(id); err != nil && !errors.Is(err, ErrNoNode) {
+				t.Fatal(err)
+			}
+		}
+		// An attachment with m=0 leaves an isolated peer.
+		if err := AttachRandom(g, g.NewNodeID(), r.Intn(3), r); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := g.IsConnected(), len(g.Components()) == 1; got != want {
+			t.Fatalf("trial %d: IsConnected = %v, Components gives %d", trial, got, len(g.Components()))
+		}
+	}
+}
+
 func TestMeanDegreeAndSequence(t *testing.T) {
 	g := newPath(t, 4) // degrees 1,2,2,1
 	if md := g.MeanDegree(); md != 1.5 {
