@@ -441,7 +441,11 @@ func (q *calendarQueue) retune() {
 	if !(q.invWidth > 0) || math.IsInf(q.invWidth, 1) {
 		q.width, q.invWidth = 1, 1
 	}
-	if buckets == len(q.heads) {
+	// Reslice within the old capacity when it suffices: a fill/drain cycle
+	// grows and shrinks the wheel every lap, and a fresh make per retune
+	// was the steady state's only allocation.
+	if buckets <= cap(q.heads) {
+		q.heads = q.heads[:buckets]
 		clear(q.heads)
 	} else {
 		q.heads = make([]int32, buckets)
@@ -451,7 +455,10 @@ func (q *calendarQueue) retune() {
 	for _, e := range all {
 		sl := &q.slots[e.slot-1]
 		day := q.dayOf(e.time)
-		sl.day = day
+		// The key is rewritten, not just the link: an entry spliced into
+		// the drain batch never had it stored in its slot, which may still
+		// hold a previous occupant's (time, seq).
+		sl.time, sl.seq, sl.day = e.time, e.seq, day
 		if day < minDay {
 			minDay = day
 		}

@@ -365,16 +365,20 @@ func (s *Scheduler) CheckIntegrity() error {
 	return s.checkQueueSeqs()
 }
 
-// checkQueueSeqs verifies every queued entry's seq against the slab's
-// per-slot record — the invariant the derived-pending restore path relies
-// on.
+// checkQueueSeqs verifies every queued entry's (time, seq) key against the
+// slab's per-slot record — the invariant the derived-pending restore path
+// relies on, and the one a stale calendar re-chain breaks (an entry keyed
+// by its slot's previous occupant is delivered at the wrong time).
 func (s *Scheduler) checkQueueSeqs() error {
-	check := func(seq uint64, slot int32) error {
+	check := func(t float64, seq uint64, slot int32) error {
 		if slot < 1 || int(slot) > len(s.slab) {
 			return fmt.Errorf("des: queued entry references slot %d outside the %d-slot slab", slot, len(s.slab))
 		}
 		if got := s.seqOf[slot-1]; got != seq {
 			return fmt.Errorf("des: queued entry for slot %d carries seq %d but the slab records %d", slot, seq, got)
+		}
+		if got := s.slab[slot-1].time; got != t {
+			return fmt.Errorf("des: queued entry for slot %d carries time %v but the slab records %v", slot, t, got)
 		}
 		return nil
 	}
@@ -382,20 +386,20 @@ func (s *Scheduler) checkQueueSeqs() error {
 		q := s.cal
 		for _, head := range q.heads {
 			for sl := head; sl != 0; sl = q.slots[sl-1].next {
-				if err := check(q.slots[sl-1].seq, sl); err != nil {
+				if err := check(q.slots[sl-1].time, q.slots[sl-1].seq, sl); err != nil {
 					return err
 				}
 			}
 		}
 		for _, e := range q.drain[q.pos:] {
-			if err := check(e.seq, e.slot); err != nil {
+			if err := check(e.time, e.seq, e.slot); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	for _, e := range s.heap {
-		if err := check(e.seq, e.slot); err != nil {
+		if err := check(e.time, e.seq, e.slot); err != nil {
 			return err
 		}
 	}
