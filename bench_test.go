@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"creditp2p/internal/core"
-	"creditp2p/internal/des"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/queueing"
@@ -310,7 +309,6 @@ func BenchmarkMarketSimLarge(b *testing.B) {
 			InitialWealth:   20,
 			DefaultMu:       1,
 			Horizon:         20,
-			Queue:           QueueCalendar,
 			IncrementalGini: true,
 			Seed:            8,
 		})
@@ -388,7 +386,6 @@ func benchWeightedMarket(b *testing.B, routing Routing, fast bool) {
 			Routing:         routing,
 			FastSampling:    fast,
 			Horizon:         20,
-			Queue:           QueueCalendar,
 			IncrementalGini: true,
 			Seed:            8,
 		})
@@ -430,7 +427,6 @@ func benchDegreeChurnMarket(b *testing.B, fast bool) {
 			Routing:         RouteDegreeWeighted,
 			FastSampling:    fast,
 			Horizon:         20,
-			Queue:           QueueCalendar,
 			IncrementalGini: true,
 			Churn: &ChurnConfig{
 				ArrivalRate:  200,
@@ -483,7 +479,6 @@ func BenchmarkMarketSimXLarge(b *testing.B) {
 			InitialWealth:   20,
 			DefaultMu:       1,
 			Horizon:         5,
-			Queue:           QueueCalendar,
 			IncrementalGini: true,
 			FastSampling:    true, // inert for RouteUniform; pins the xlarge engine config
 			Seed:            8,
@@ -575,7 +570,6 @@ func benchShardMarket(b *testing.B, g *topology.Graph, peers, shards int, horizo
 			Horizon:       horizon,
 			Seed:          8,
 			InitialWealth: 20,
-			Queue:         des.Calendar,
 			Workload:      w,
 		})
 		if err != nil {
@@ -633,7 +627,6 @@ func benchShardMarketPolicy(b *testing.B, g *topology.Graph, peers, shards int, 
 			Horizon:       horizon,
 			Seed:          8,
 			InitialWealth: 20,
-			Queue:         des.Calendar,
 			Policies:      []policy.Policy{it, policy.NewRedistribute()},
 			PolicyEpoch:   horizon / 5,
 			Workload:      w,
@@ -724,7 +717,6 @@ func benchShardMarketRouted(b *testing.B, rc shard.RoutingConfig) {
 			Horizon:       5,
 			Seed:          8,
 			InitialWealth: 20,
-			Queue:         des.Calendar,
 			Churn:         shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5},
 			Routing:       rc,
 			Workload:      w,
@@ -779,7 +771,6 @@ func benchRoutingPick(b *testing.B, naive bool) {
 		Horizon:       20,
 		Seed:          8,
 		InitialWealth: 20,
-		Queue:         des.Calendar,
 		Churn:         shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5},
 		Routing:       shard.RoutingConfig{Mode: shard.RouteAvailability, NaiveRescan: naive},
 		Workload:      w,
@@ -874,7 +865,6 @@ func benchShardCheckpoint(b *testing.B, pipelined, delta bool) {
 			Window:        1e-4,
 			Seed:          8,
 			InitialWealth: 20,
-			Queue:         des.Calendar,
 			Workload:      w,
 		})
 		if err != nil {

@@ -7,10 +7,9 @@
 // writes a snapshot, and a third process-fresh simulation restores the
 // snapshot and runs to completion. The printed hashes are the resumed
 // runs'; diffing them against the default mode's (scenario lines excluded)
-// asserts byte-identical resume for every mechanism combo. -queue and
-// -fast override the event-queue backend and the sampling mode across the
-// market combos, so the same drill covers {heap, calendar} x {exact,
-// fast-sampling} without extra case tables.
+// asserts byte-identical resume for every mechanism combo. -fast
+// overrides the sampling mode across the market combos, so the same drill
+// covers exact and fast sampling without extra case tables.
 package main
 
 import (
@@ -19,11 +18,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
 	"sort"
 
 	"creditp2p/internal/credit"
-	"creditp2p/internal/des"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/scenario"
@@ -418,22 +415,10 @@ func shardLines(shards int, resume, deltaResume bool) {
 func main() {
 	resume := flag.Bool("resume", false, "run every combo through the crash/snapshot/restore drill and print the resumed hashes (scenario lines omitted)")
 	deltaResume := flag.Bool("delta-resume", false, "run only the shard/* combos, through the delta-chain crash/resume drill: checkpoint via a pipelined base+deltas chain, crash a third in, restore the chain (asserting byte-identity with a full snapshot) and finish")
-	queue := flag.String("queue", "", "override the market event-queue backend: heap or calendar")
 	fast := flag.Bool("fast", false, "override the market combos to Fenwick-backed fast sampling")
 	shards := flag.Int("shards", 1, "lane count for the shard/* lines; the sharded kernel's invariance contract makes the printed hashes identical for any value")
 	flag.Parse()
 
-	var queueKind des.QueueKind
-	switch *queue {
-	case "":
-	case "heap":
-		queueKind = des.Heap
-	case "calendar":
-		queueKind = des.Calendar
-	default:
-		fmt.Fprintf(os.Stderr, "goldenhash: unknown -queue %q (want heap or calendar)\n", *queue)
-		os.Exit(2)
-	}
 	if *deltaResume {
 		// Only the sharded kernel has delta chains; print just its lines,
 		// in the default mode's format, for the default-vs-delta diff.
@@ -441,13 +426,10 @@ func main() {
 		return
 	}
 
-	// override applies the -queue/-fast sweep axes to a market config.
+	// override applies the -fast sweep axis to a market config.
 	override := func(mk func() market.Config) func() market.Config {
 		return func() market.Config {
 			cfg := mk()
-			if *queue != "" {
-				cfg.Queue = queueKind
-			}
 			if *fast {
 				cfg.FastSampling = true
 			}
@@ -493,7 +475,7 @@ func main() {
 			return market.Config{Graph: scaleFree(200, 15), InitialWealth: 15, DefaultMu: 1, Horizon: 300, FreeRiderFrac: 0.25, Seed: 16}
 		}},
 		{"calendar+incgini", func() market.Config {
-			return market.Config{Graph: scaleFree(400, 17), InitialWealth: 15, DefaultMu: 1, Horizon: 300, Queue: des.Calendar, IncrementalGini: true, Churn: fastChurn, Seed: 18}
+			return market.Config{Graph: scaleFree(400, 17), InitialWealth: 15, DefaultMu: 1, Horizon: 300, IncrementalGini: true, Churn: fastChurn, Seed: 18}
 		}},
 		{"dynamic", func() market.Config {
 			return market.Config{Graph: marketGraph(80, 8, 19), InitialWealth: 20, DefaultMu: 1, Horizon: 400, Spending: credit.DynamicSpending{M: 20}, Seed: 20}

@@ -24,7 +24,6 @@ import (
 
 	"creditp2p/internal/core"
 	"creditp2p/internal/credit"
-	"creditp2p/internal/des"
 	"creditp2p/internal/experiments"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
@@ -64,8 +63,6 @@ type (
 	MarketResult = market.Result
 	// ChurnConfig enables open-network peer dynamics.
 	ChurnConfig = market.ChurnConfig
-	// QueueKind selects the DES event-queue backend (heap or calendar).
-	QueueKind = des.QueueKind
 
 	// StreamingConfig configures the mesh-pull streaming market.
 	StreamingConfig = streaming.Config
@@ -167,23 +164,11 @@ const (
 	// Full runs paper-scale configurations.
 	Full = experiments.Full
 	// Large runs 100k-peer configurations on the scale engine
-	// (calendar-queue scheduler, incremental Gini sampling).
+	// (incremental Gini sampling).
 	Large = experiments.Large
 	// XLarge runs million-peer configurations on the scale engine plus
 	// the fast-sampling routing mode (a few GB of RSS, minutes per run).
 	XLarge = experiments.XLarge
-)
-
-// Event-queue kinds for MarketConfig.Queue. Both deliver the identical
-// event order — simulation Results are byte-identical — and differ only in
-// cost: the heap is O(log n) per event with the lowest constants at small
-// N; the calendar queue is O(1) amortized and pays off at large pending
-// sets (N ≳ 100k armed spends).
-const (
-	// QueueHeap is the 4-ary min-heap (the default, zero value).
-	QueueHeap = des.Heap
-	// QueueCalendar is the bucketed calendar queue.
-	QueueCalendar = des.Calendar
 )
 
 // NewRNG returns a deterministic random source.

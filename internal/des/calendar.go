@@ -9,7 +9,7 @@ import (
 // of Brown, CACM 1988) over the scheduler's (time, seq, slot) entries. For
 // the roughly stationary event-time distributions both simulators produce —
 // exponential inter-event gaps at an aggregate rate that changes slowly —
-// enqueue and dequeue are O(1) amortized, versus O(log n) for the heap.
+// enqueue and dequeue are O(1) amortized.
 //
 // Storage is allocation-free in steady state: entries live in per-slot
 // parallel arrays that grow in lockstep with the scheduler's slab, and each
@@ -23,8 +23,9 @@ import (
 // and served by cursor, amortizing the bucket walk and min-scan across the
 // day's whole batch. A rare push landing inside the day being drained is
 // spliced into the buffer at its sorted position, so the delivered order is
-// exactly the heap's (time, seq) order and simulation results are
-// byte-identical across queue kinds (Scheduler tests assert this). Bucket
+// exactly (time, seq) order (tests replay scripts against a sorting
+// oracle). A spliced entry's key lives only in the buffer until a retune
+// re-chains it, which is why retune writes keys as well as links. Bucket
 // membership is computed once per entry as an integer day number, never
 // re-derived from float arithmetic, so window qualification cannot drift
 // across laps.
@@ -78,10 +79,11 @@ type calendarQueue struct {
 	warm   uint32
 }
 
-// calEntry is one drained pending event.
+// calEntry is one pending event's ordering key and slab slot: the drain
+// batch's element, and what pop serves from its head.
 type calEntry struct {
 	time float64
-	seq  uint64
+	seq  uint64 // FIFO tie-break for simultaneous events
 	slot int32
 }
 
@@ -117,8 +119,8 @@ const (
 	calMaxDay = math.MaxInt64 / 4
 )
 
-func newCalendarQueue() *calendarQueue {
-	return &calendarQueue{
+func newCalendarQueue() calendarQueue {
+	return calendarQueue{
 		heads:    make([]int32, calMinBuckets),
 		mask:     calMinBuckets - 1,
 		width:    1,
@@ -180,15 +182,16 @@ func (q *calendarQueue) push(t float64, seq uint64, slot int32) {
 	}
 }
 
-// peek locates the minimum (time, seq) entry without removing it, batching
-// its whole calendar day into the drain buffer on the way.
-func (q *calendarQueue) peek() (heapEntry, bool) {
+// peek puts the minimum (time, seq) entry at the drain cursor,
+// q.drain[q.pos], without removing it — batching its whole calendar day
+// into the drain buffer when the buffer is spent. It reports false when the
+// queue is empty.
+func (q *calendarQueue) peek() bool {
 	if q.draining() {
-		e := q.drain[q.pos]
-		return heapEntry{time: e.time, seq: e.seq, slot: e.slot}, true
+		return true
 	}
 	if q.count == 0 {
-		return heapEntry{}, false
+		return false
 	}
 	// Scan one lap of the wheel from the current day forward and drain the
 	// first day that owns entries. Chains mix laps, so each is filtered by
@@ -197,7 +200,7 @@ func (q *calendarQueue) peek() (heapEntry, bool) {
 	for i := int64(0); i < nb; i++ {
 		day := q.curDay + i
 		if q.drainDayInto(day) {
-			return q.peekDrained()
+			return true
 		}
 	}
 	// Sparse queue: nothing within a lap. Directly scan every chained entry
@@ -212,15 +215,7 @@ func (q *calendarQueue) peek() (heapEntry, bool) {
 			s = sl.next
 		}
 	}
-	if !q.drainDayInto(minDay) {
-		return heapEntry{}, false // unreachable while count > 0
-	}
-	return q.peekDrained()
-}
-
-func (q *calendarQueue) peekDrained() (heapEntry, bool) {
-	e := q.drain[q.pos]
-	return heapEntry{time: e.time, seq: e.seq, slot: e.slot}, true
+	return q.drainDayInto(minDay) // always true while count > 0
 }
 
 // drainDayInto unlinks every entry of the given absolute day into the drain
@@ -387,7 +382,7 @@ func siftDrain(d []calEntry, root, end int) {
 // removeHead deletes the entry located by the immediately preceding peek.
 func (q *calendarQueue) removeHead() {
 	if !q.draining() {
-		if _, ok := q.peek(); !ok {
+		if !q.peek() {
 			return
 		}
 	}
@@ -442,8 +437,8 @@ func (q *calendarQueue) retune() {
 		q.width, q.invWidth = 1, 1
 	}
 	// Reslice within the old capacity when it suffices: a fill/drain cycle
-	// grows and shrinks the wheel every lap, and a fresh make per retune
-	// was the steady state's only allocation.
+	// grows and shrinks the wheel every lap, and allocating here would be
+	// the steady state's only allocation.
 	if buckets <= cap(q.heads) {
 		q.heads = q.heads[:buckets]
 		clear(q.heads)

@@ -9,82 +9,6 @@ import (
 	"creditp2p/internal/xrand"
 )
 
-// runBoth drives a heap scheduler and a calendar scheduler through the same
-// scripted workload and asserts they deliver the byte-identical event
-// sequence. The script is driven by a shared seed so schedule times, cancel
-// choices and horizon advances coincide exactly.
-func runBoth(t *testing.T, seed int64, rounds, batch int, spread float64, cancelFrac float64) {
-	t.Helper()
-	type delivered struct {
-		time    float64
-		kind    uint16
-		actor   int32
-		payload int64
-	}
-	script := func(s *Scheduler, r *xrand.RNG) []delivered {
-		var out []delivered
-		var handles []Handle
-		for round := 0; round < rounds; round++ {
-			for i := 0; i < batch; i++ {
-				h, err := s.Schedule(r.Float64()*spread, uint16(round%7), int32(i), int64(round*batch+i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				handles = append(handles, h)
-			}
-			nCancel := int(float64(len(handles)) * cancelFrac)
-			for i := 0; i < nCancel; i++ {
-				s.Cancel(handles[r.Intn(len(handles))])
-			}
-			s.RunUntil(s.Now()+spread/3, func(ev Event) {
-				out = append(out, delivered{ev.Time, ev.Kind, ev.Actor, ev.Payload})
-			})
-		}
-		s.Drain(func(ev Event) {
-			out = append(out, delivered{ev.Time, ev.Kind, ev.Actor, ev.Payload})
-		})
-		return out
-	}
-	a := script(NewSchedulerKind(Heap), xrand.New(seed))
-	b := script(NewSchedulerKind(Calendar), xrand.New(seed))
-	if len(a) != len(b) {
-		t.Fatalf("delivered %d events on heap vs %d on calendar", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("event %d differs: heap %+v vs calendar %+v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestCalendarMatchesHeap(t *testing.T) {
-	// Dense queue with churn and cancellations across many resizes.
-	runBoth(t, 1, 60, 40, 10, 0.2)
-	// Sparse far-apart events: exercises the direct-scan fallback.
-	runBoth(t, 2, 20, 2, 1e6, 0.1)
-	// Heavy ties: coarse times force (time, seq) tie-breaking.
-	runBoth(t, 3, 30, 30, 4, 0)
-}
-
-func TestCalendarMatchesHeapProperty(t *testing.T) {
-	f := func(seed int64, batchSeed uint8) bool {
-		batch := int(batchSeed%30) + 1
-		ok := true
-		func() {
-			defer func() {
-				if recover() != nil {
-					ok = false
-				}
-			}()
-			runBoth(t, seed, 15, batch, 50, 0.15)
-		}()
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // oracle mirrors a scheduler's pending set as a plain slice and predicts
 // every delivery by sorting it on (time, seq) — the specification the
 // calendar queue must reproduce exactly. Each event's payload is its seq,
@@ -120,7 +44,7 @@ func cmpOracle(a, b oracleEntry) int {
 }
 
 func newOracle(t *testing.T) *oracle {
-	return &oracle{t: t, s: NewSchedulerKind(Calendar)}
+	return &oracle{t: t, s: NewScheduler()}
 }
 
 // schedule arms an event at absolute time at and returns its seq.
@@ -293,7 +217,7 @@ func randomScript(o *oracle, r *xrand.RNG, ops int, shape int) {
 // still unserved.
 func TestCalendarSpliceSurvivesRetune(t *testing.T) {
 	o := newOracle(t)
-	q := o.s.cal
+	q := &o.s.cal
 	r := xrand.New(5)
 	for i := 0; i < 8; i++ {
 		o.schedule(1 + float64(i)/16)
@@ -436,7 +360,7 @@ func TestCalendarMatchesOracleProperty(t *testing.T) {
 }
 
 func TestCalendarTiesFIFO(t *testing.T) {
-	s := NewSchedulerKind(Calendar)
+	s := NewScheduler()
 	for i := 0; i < 100; i++ {
 		if _, err := s.ScheduleAt(5, 0, int32(i), 0); err != nil {
 			t.Fatal(err)
@@ -457,7 +381,7 @@ func TestCalendarTiesFIFO(t *testing.T) {
 func TestCalendarScheduleBehindScanPosition(t *testing.T) {
 	// A far-future event advances the calendar's scan day; an event then
 	// scheduled much earlier (but after now) must still fire first.
-	s := NewSchedulerKind(Calendar)
+	s := NewScheduler()
 	if _, err := s.ScheduleAt(1e6, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +399,7 @@ func TestCalendarScheduleBehindScanPosition(t *testing.T) {
 }
 
 func TestCalendarShrinksAfterDrain(t *testing.T) {
-	s := NewSchedulerKind(Calendar)
+	s := NewScheduler()
 	r := xrand.New(4)
 	for i := 0; i < 4096; i++ {
 		if _, err := s.Schedule(r.Float64()*100, 0, 0, 0); err != nil {
@@ -495,27 +419,10 @@ func TestCalendarShrinksAfterDrain(t *testing.T) {
 	}
 }
 
-func BenchmarkCalendarScheduleAndFire(b *testing.B) {
-	s := NewSchedulerKind(Calendar)
-	r := xrand.New(1)
-	nop := func(Event) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Schedule(r.Float64(), 0, 0, 0); err != nil {
-			b.Fatal(err)
-		}
-		if i%64 == 63 {
-			s.Drain(nop)
-		}
-	}
-	s.Drain(nop)
-}
-
-// BenchmarkQueueLargePending compares the two queue kinds at a large
-// steady pending set (the million-peer regime: one armed spend per peer).
-func benchLargePending(b *testing.B, kind QueueKind, pending int) {
-	s := NewSchedulerKind(kind)
+// benchLargePending measures the hold model at a large steady pending set
+// (the million-peer regime: one armed spend per peer).
+func benchLargePending(b *testing.B, pending int) {
+	s := NewScheduler()
 	r := xrand.New(2)
 	for i := 0; i < pending; i++ {
 		if _, err := s.Schedule(1+r.Float64(), 0, 0, 0); err != nil {
@@ -534,7 +441,5 @@ func benchLargePending(b *testing.B, kind QueueKind, pending int) {
 	}
 }
 
-func BenchmarkHeapPending100k(b *testing.B)     { benchLargePending(b, Heap, 100_000) }
-func BenchmarkCalendarPending100k(b *testing.B) { benchLargePending(b, Calendar, 100_000) }
-func BenchmarkHeapPending1M(b *testing.B)       { benchLargePending(b, Heap, 1_000_000) }
-func BenchmarkCalendarPending1M(b *testing.B)   { benchLargePending(b, Calendar, 1_000_000) }
+func BenchmarkCalendarPending100k(b *testing.B) { benchLargePending(b, 100_000) }
+func BenchmarkCalendarPending1M(b *testing.B)   { benchLargePending(b, 1_000_000) }

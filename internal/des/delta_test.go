@@ -48,72 +48,62 @@ func churn(t *testing.T, s *des.Scheduler, rng *xrand.RNG, pool *[]des.Handle, o
 	}
 }
 
-// TestSchedulerDeltaRoundTrip pins the scheduler's delta format on both
-// queue backends: after a base capture and a second burst of mutations, a
-// clone built from base + delta + RebuildQueue must serialize to the
-// exact bytes of a full snapshot taken at the same point, pass the
-// integrity audit, and drain the identical event sequence.
+// TestSchedulerDeltaRoundTrip pins the scheduler's delta format: after a
+// base capture and a second burst of mutations, a clone built from base +
+// delta + RebuildQueue must serialize to the exact bytes of a full
+// snapshot taken at the same point, pass the integrity audit, and drain
+// the identical event sequence.
 func TestSchedulerDeltaRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		kind des.QueueKind
-	}{
-		{"heap", des.Heap},
-		{"calendar", des.Calendar},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := xrand.New(99)
-			s := des.NewSchedulerKind(tc.kind)
-			var pool []des.Handle
-			churn(t, s, rng, &pool, 3000)
-			base := captureFull(t, s) // clears the dirty map: deltas start here
-			churn(t, s, rng, &pool, 800)
-			delta := captureDelta(t, s)
-			full := captureFull(t, s) // reference bytes at the same point
+	rng := xrand.New(99)
+	s := des.NewScheduler()
+	var pool []des.Handle
+	churn(t, s, rng, &pool, 3000)
+	base := captureFull(t, s) // clears the dirty map: deltas start here
+	churn(t, s, rng, &pool, 800)
+	delta := captureDelta(t, s)
+	full := captureFull(t, s) // reference bytes at the same point
 
-			c := des.NewSchedulerKind(tc.kind)
-			r, err := snapshot.Open(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.LoadState(r); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r, err = snapshot.Open(delta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.ApplyDelta(r); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
-			c.RebuildQueue()
+	c := des.NewScheduler()
+	r, err := snapshot.Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LoadState(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err = snapshot.Open(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ApplyDelta(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c.RebuildQueue()
 
-			if err := c.CheckIntegrity(); err != nil {
-				t.Fatalf("restored scheduler fails its audit: %v", err)
-			}
-			if got := captureFull(t, c); !bytes.Equal(got, full) {
-				t.Fatalf("base+delta restore serializes to %d bytes, full snapshot to %d — states diverge",
-					len(got), len(full))
-			}
+	if err := c.CheckIntegrity(); err != nil {
+		t.Fatalf("restored scheduler fails its audit: %v", err)
+	}
+	if got := captureFull(t, c); !bytes.Equal(got, full) {
+		t.Fatalf("base+delta restore serializes to %d bytes, full snapshot to %d — states diverge",
+			len(got), len(full))
+	}
 
-			var want, got []des.Event
-			s.Drain(func(ev des.Event) { want = append(want, ev) })
-			c.Drain(func(ev des.Event) { got = append(got, ev) })
-			if len(want) != len(got) {
-				t.Fatalf("restored scheduler drains %d events, original %d", len(got), len(want))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("drain diverges at event %d: %+v vs %+v", i, got[i], want[i])
-				}
-			}
-		})
+	var want, got []des.Event
+	s.Drain(func(ev des.Event) { want = append(want, ev) })
+	c.Drain(func(ev des.Event) { got = append(got, ev) })
+	if len(want) != len(got) {
+		t.Fatalf("restored scheduler drains %d events, original %d", len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("drain diverges at event %d: %+v vs %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -122,13 +112,13 @@ func TestSchedulerDeltaRoundTrip(t *testing.T) {
 // links out of order must error, not silently truncate.
 func TestSchedulerDeltaRejectsShrunkSlab(t *testing.T) {
 	rng := xrand.New(7)
-	s := des.NewSchedulerKind(des.Heap)
+	s := des.NewScheduler()
 	var pool []des.Handle
 	churn(t, s, rng, &pool, 200)
 	captureFull(t, s)
 	delta := captureDelta(t, s) // delta at 200 ops
 
-	grown := des.NewSchedulerKind(des.Heap)
+	grown := des.NewScheduler()
 	var pool2 []des.Handle
 	rng2 := xrand.New(8)
 	churn(t, grown, rng2, &pool2, 2000) // far larger slab

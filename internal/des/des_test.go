@@ -348,7 +348,7 @@ func TestSlotReuseKeepsQueueConsistent(t *testing.T) {
 	}
 }
 
-func TestHeapOrderingProperty(t *testing.T) {
+func TestOrderingProperty(t *testing.T) {
 	// Property: random schedules always fire in non-decreasing time order
 	// and exactly once each.
 	f := func(seed int64, nSeed uint8) bool {
@@ -374,11 +374,12 @@ func TestHeapOrderingProperty(t *testing.T) {
 }
 
 func TestSteadyStateDoesNotAllocate(t *testing.T) {
-	// The tentpole guarantee: once the slab and heap are warm, scheduling
-	// and firing events allocates nothing.
+	// The tentpole guarantee: once the slab and calendar are warm,
+	// scheduling and firing events allocates nothing — the wheel growing
+	// and shrinking every cycle included.
 	s := NewScheduler()
 	r := xrand.New(1)
-	for i := 0; i < 1024; i++ { // warm the slab, heap and free list
+	for i := 0; i < 1024; i++ { // warm the slab, calendar and free list
 		if _, err := s.Schedule(r.Float64(), 0, 0, 0); err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"creditp2p/internal/credit"
-	"creditp2p/internal/des"
 	"creditp2p/internal/market"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/trace"
@@ -121,9 +120,8 @@ type marketScale struct {
 	horizon float64
 	sample  float64
 	tailK   int
-	// queue and incGini select the scale engine (calendar-queue scheduler,
-	// incremental Gini sampler); outputs are byte-identical either way.
-	queue   des.QueueKind
+	// incGini selects the incremental Gini sampler; outputs are
+	// byte-identical either way.
 	incGini bool
 	// uniformIncomeMu builds asymmetric mu maps through the O(n)
 	// uniform-income shortcut instead of the dense Lemma 1 solve; valid on
@@ -139,12 +137,12 @@ func scaleOf(p Preset) marketScale {
 	case Large:
 		return marketScale{
 			n: 100_000, degree: 20, horizon: 400, sample: 10, tailK: 10,
-			queue: des.Calendar, incGini: true, uniformIncomeMu: true,
+			incGini: true, uniformIncomeMu: true,
 		}
 	case XLarge:
 		return marketScale{
 			n: 1_000_000, degree: 20, horizon: 40, sample: 2, tailK: 5,
-			queue: des.Calendar, incGini: true, uniformIncomeMu: true,
+			incGini: true, uniformIncomeMu: true,
 		}
 	default:
 		return marketScale{n: 120, degree: 12, horizon: 4000, sample: 100, tailK: 10}
@@ -190,7 +188,6 @@ func asymmetricConfigLo(s marketScale, wealth int64, seed int64, lo float64) (ma
 		Horizon:         s.horizon,
 		SampleEvery:     s.sample,
 		Seed:            seed + 2,
-		Queue:           s.queue,
 		IncrementalGini: s.incGini,
 	}, nil
 }
@@ -207,7 +204,6 @@ func symmetricConfig(s marketScale, wealth int64, seed int64) (market.Config, er
 		Horizon:         s.horizon,
 		SampleEvery:     s.sample,
 		Seed:            seed + 2,
-		Queue:           s.queue,
 		IncrementalGini: s.incGini,
 	}, nil
 }

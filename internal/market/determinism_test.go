@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"creditp2p/internal/credit"
-	"creditp2p/internal/des"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/xrand"
 )
@@ -154,12 +153,12 @@ func TestGoldenDeterminism(t *testing.T) {
 }
 
 // TestEngineVariantsGoldenPaperScale pins the scale tentpole's guarantee:
-// at paper scale (N=500 scale-free overlay, mean degree 20) the calendar-
-// queue scheduler and the incremental Gini sampler each produce Results
-// byte-identical to the heap/sorting engine, with taxation, injection and
-// churn all active (and one all-mechanisms run for their interaction).
+// at paper scale (N=500 scale-free overlay, mean degree 20) the
+// incremental Gini sampler produces Results byte-identical to the sorting
+// sampler, with taxation, injection and churn all active (and one
+// all-mechanisms run for their interaction).
 func TestEngineVariantsGoldenPaperScale(t *testing.T) {
-	build := func(mechanism string, queue des.QueueKind, incremental bool) Config {
+	build := func(mechanism string, incremental bool) Config {
 		g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 500, Alpha: 2.5, MeanDegree: 20}, xrand.New(2024))
 		if err != nil {
 			t.Fatal(err)
@@ -172,7 +171,6 @@ func TestEngineVariantsGoldenPaperScale(t *testing.T) {
 			SampleEvery:     10,
 			SnapshotTimes:   []float64{100, 250},
 			Seed:            2025,
-			Queue:           queue,
 			IncrementalGini: incremental,
 		}
 		switch mechanism {
@@ -209,25 +207,15 @@ func TestEngineVariantsGoldenPaperScale(t *testing.T) {
 	}
 	for _, mechanism := range []string{"taxation", "injection", "churn", "all"} {
 		t.Run(mechanism, func(t *testing.T) {
-			base, err := Run(build(mechanism, des.Heap, false))
+			base, err := Run(build(mechanism, false))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range []struct {
-				name        string
-				queue       des.QueueKind
-				incremental bool
-			}{
-				{"calendar-queue", des.Calendar, false},
-				{"incremental-gini", des.Heap, true},
-				{"calendar+incremental", des.Calendar, true},
-			} {
-				res, err := Run(build(mechanism, v.queue, v.incremental))
-				if err != nil {
-					t.Fatalf("%s: %v", v.name, err)
-				}
-				t.Run(v.name, func(t *testing.T) { identicalResults(t, base, res) })
+			res, err := Run(build(mechanism, true))
+			if err != nil {
+				t.Fatalf("incremental-gini: %v", err)
 			}
+			t.Run("incremental-gini", func(t *testing.T) { identicalResults(t, base, res) })
 		})
 	}
 }

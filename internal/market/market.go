@@ -172,11 +172,6 @@ type Config struct {
 	Inject *InjectConfig
 	// Horizon is the simulated duration in seconds.
 	Horizon float64
-	// Queue selects the DES event-queue backend; the zero value is the
-	// 4-ary heap. des.Calendar is O(1) amortized per event and pays off
-	// once the pending set is large (N ≳ 100k armed spends); both kinds
-	// deliver the identical event order, so Results are byte-identical.
-	Queue des.QueueKind
 	// IncrementalGini switches periodic wealth-Gini sampling to the
 	// Fenwick-backed incremental sampler: O(log maxBalance) bookkeeping
 	// per credit movement and O(1) per sample, instead of re-sorting all N
@@ -425,7 +420,6 @@ func newSimulation(cfg Config) (*simulation, error) {
 		InitialWealth:   cfg.InitialWealth,
 		Horizon:         cfg.Horizon,
 		Seed:            cfg.Seed,
-		Queue:           cfg.Queue,
 		IncrementalGini: cfg.IncrementalGini,
 		SampleEvery:     cfg.SampleEvery,
 		SnapshotTimes:   cfg.SnapshotTimes,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"creditp2p/internal/credit"
-	"creditp2p/internal/des"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/xrand"
 )
@@ -14,7 +13,7 @@ import (
 // resumeCfg builds one all-mechanisms configuration (taxation, injection,
 // churn, snapshots). Fresh per call: the graph mutates under churn and the
 // tax policy accumulates counters.
-func resumeCfg(t *testing.T, queue des.QueueKind) Config {
+func resumeCfg(t *testing.T) Config {
 	t.Helper()
 	g, err := topology.RandomRegular(60, 6, xrand.New(511))
 	if err != nil {
@@ -34,7 +33,6 @@ func resumeCfg(t *testing.T, queue des.QueueKind) Config {
 		Tax:           tax,
 		Inject:        &InjectConfig{Amount: 1, Period: 60},
 		Churn:         &ChurnConfig{ArrivalRate: 0.4, MeanLifespan: 150, AttachDegree: 4, FastAttach: true},
-		Queue:         queue,
 		Seed:          512,
 	}
 }
@@ -81,10 +79,10 @@ func crashAt(t *testing.T, cfg Config, at int) []byte {
 // before the end — restores each snapshot into a fresh simulation, and
 // demands the resumed Result byte-identical to the uninterrupted run's.
 func TestResumeParityAtArbitraryIndices(t *testing.T) {
-	events, want := countEvents(t, resumeCfg(t, des.Heap))
+	events, want := countEvents(t, resumeCfg(t))
 	for _, at := range []int{0, 1, events / 4, events / 2, 3 * events / 4, events - 1} {
-		data := crashAt(t, resumeCfg(t, des.Heap), at)
-		m, err := RestoreSim(resumeCfg(t, des.Heap), data)
+		data := crashAt(t, resumeCfg(t), at)
+		m, err := RestoreSim(resumeCfg(t), data)
 		if err != nil {
 			t.Fatalf("restore at event %d: %v", at, err)
 		}
@@ -97,31 +95,12 @@ func TestResumeParityAtArbitraryIndices(t *testing.T) {
 	}
 }
 
-// TestCrossBackendRestore writes the snapshot under the binary-heap
-// scheduler and restores it into a calendar-queue kernel: the pending-event
-// serialization is canonical, so the resumed run must still match the
-// uninterrupted heap run byte for byte.
-func TestCrossBackendRestore(t *testing.T) {
-	events, want := countEvents(t, resumeCfg(t, des.Heap))
-	data := crashAt(t, resumeCfg(t, des.Heap), events/2)
-	m, err := RestoreSim(resumeCfg(t, des.Calendar), data)
-	if err != nil {
-		t.Fatalf("cross-backend restore: %v", err)
-	}
-	m.Run()
-	got, err := m.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	identicalResults(t, want, got)
-}
-
 // TestSnapshotIdempotence asserts snapshot → restore → snapshot reproduces
 // the exact bytes: restoring must not perturb any serialized state.
 func TestSnapshotIdempotence(t *testing.T) {
-	events, _ := countEvents(t, resumeCfg(t, des.Heap))
-	data := crashAt(t, resumeCfg(t, des.Heap), events/2)
-	m, err := RestoreSim(resumeCfg(t, des.Heap), data)
+	events, _ := countEvents(t, resumeCfg(t))
+	data := crashAt(t, resumeCfg(t), events/2)
+	m, err := RestoreSim(resumeCfg(t), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +113,7 @@ func TestSnapshotIdempotence(t *testing.T) {
 // TestRestoreRejectsAlteredConfig alters one configuration knob per case
 // and demands the digest guard refuse the restore.
 func TestRestoreRejectsAlteredConfig(t *testing.T) {
-	data := crashAt(t, resumeCfg(t, des.Heap), 100)
+	data := crashAt(t, resumeCfg(t), 100)
 	cases := map[string]func(*Config){
 		"seed":    func(c *Config) { c.Seed++ },
 		"horizon": func(c *Config) { c.Horizon *= 2 },
@@ -144,7 +123,7 @@ func TestRestoreRejectsAlteredConfig(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
-			cfg := resumeCfg(t, des.Heap)
+			cfg := resumeCfg(t)
 			mutate(&cfg)
 			if _, err := RestoreSim(cfg, data); err == nil {
 				t.Fatal("restore into an altered configuration was accepted")

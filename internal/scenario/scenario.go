@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"creditp2p/internal/credit"
-	"creditp2p/internal/des"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/shard"
@@ -351,7 +350,6 @@ type dims struct {
 	// popFactor is n/sc.Topology.N — population-linear declared
 	// quantities (arrival rates, source seeds) scale by it.
 	popFactor    float64
-	queue        des.QueueKind
 	incGini      bool
 	fastSampling bool
 }
@@ -382,7 +380,6 @@ func (sc *Scenario) dims(scale Scale) (dims, error) {
 				d.horizon = 20
 			}
 		}
-		d.queue = des.Calendar
 		d.incGini = true
 	case ScaleXLarge:
 		d.n = xlargeN
@@ -394,7 +391,6 @@ func (sc *Scenario) dims(scale Scale) (dims, error) {
 				d.horizon = 8
 			}
 		}
-		d.queue = des.Calendar
 		d.incGini = true
 		d.fastSampling = true
 	default:
@@ -503,7 +499,6 @@ func (sc Scenario) MarketConfig(scale Scale) (market.Config, error) {
 		FastSampling:    d.fastSampling,
 		FreeRiderFrac:   sc.Market.FreeRiderFrac,
 		Horizon:         d.horizon,
-		Queue:           d.queue,
 		IncrementalGini: d.incGini,
 		Seed:            sc.Seed + 1,
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"creditp2p/internal/des"
 )
 
 // fingerprint reduces an outcome to a hash of every number it carries, so
@@ -314,7 +313,7 @@ func TestXLargeDims(t *testing.T) {
 	if d.horizon != 8 {
 		t.Errorf("market xlarge horizon = %v, want 8", d.horizon)
 	}
-	if !d.incGini || !d.fastSampling || d.queue != des.Calendar {
+	if !d.incGini || !d.fastSampling {
 		t.Errorf("xlarge scale engine not selected: %+v", d)
 	}
 	stream, err := Get("seeder-drain")

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"creditp2p/internal/des"
 	"creditp2p/internal/fault"
 	"creditp2p/internal/market"
 	"creditp2p/internal/shard"
@@ -148,8 +147,7 @@ func TestDeltaChainParity(t *testing.T) {
 }
 
 // TestDeltaChainParityStreaming repeats the parity property on the
-// streaming workload — span-wise workload deltas over the heap queue
-// backend instead of the calendar.
+// streaming workload — span-wise workload deltas.
 func TestDeltaChainParityStreaming(t *testing.T) {
 	const deltas = 3
 	straight, err := shard.Run(streamingConfig(t, 4, taxPipeline(t)))
@@ -374,7 +372,6 @@ func deltaGuardConfig(t *testing.T) shard.Config {
 		Window:        1e-4,
 		Seed:          9,
 		InitialWealth: 30,
-		Queue:         des.Calendar,
 		Workload:      w,
 	}
 }

@@ -177,7 +177,11 @@ type Config struct {
 	// SampleEvery is the metrics cadence, quantized up to barriers;
 	// 0 selects Horizon/100.
 	SampleEvery float64
-	// Queue selects each lane's scheduler backend.
+	// Queue selects nothing: every lane runs the calendar queue. It is
+	// still folded into the checkpoint config digest, so checkpoints that
+	// recorded a value restore only under the same value.
+	//
+	// Deprecated: leave unset; kept only so existing callers compile.
 	Queue des.QueueKind
 	// Churn enables the peer lifecycle process.
 	Churn ChurnConfig
@@ -439,7 +443,7 @@ func New(cfg Config) (*Engine, error) {
 			S:     s,
 			lo:    lo,
 			hi:    hi,
-			sched: des.NewSchedulerKind(cfg.Queue),
+			sched: des.NewScheduler(),
 			out:   make([]des.MergeBuffer, e.p),
 			liveN: int(hi - lo),
 		}

@@ -138,8 +138,6 @@ type Config struct {
 	Horizon float64
 	// Seed drives all randomness.
 	Seed int64
-	// Queue selects the DES event-queue backend.
-	Queue des.QueueKind
 	// IncrementalGini selects the Fenwick-backed O(1) Gini sampler.
 	IncrementalGini bool
 	// SampleEvery is the periodic sampling interval; 0 disables kernel
@@ -223,7 +221,7 @@ func NewKernel(cfg Config, w Workload) (*Kernel, error) {
 	return &Kernel{
 		cfg:     cfg,
 		w:       w,
-		Sched:   des.NewSchedulerKind(cfg.Queue),
+		Sched:   des.NewScheduler(),
 		RNG:     xrand.New(cfg.Seed),
 		Ledger:  credit.NewLedger(),
 		Metrics: newMetrics(cfg.IncrementalGini, 4*cfg.InitialWealth),

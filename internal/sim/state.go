@@ -263,9 +263,9 @@ func (k *Kernel) configDigest() uint64 {
 // pipeline's state. The workload's own state is serialized by the workload
 // around this call.
 //
-// The queue backend is deliberately NOT part of the state: both backends
-// deliver the identical (time, seq) order, so a heap-written snapshot
-// restores into a calendar kernel (and vice versa) byte-identically.
+// The calendar's internal layout (bucket count, day width) is deliberately
+// NOT part of the state: restore rebuilds the queue from the slab, and
+// delivery depends only on the (time, seq) keys.
 func (k *Kernel) SaveState(w *snapshot.Writer) {
 	w.Section("kernel")
 	w.U64(k.configDigest())

@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"testing"
 
-	"creditp2p/internal/des"
 	"creditp2p/internal/market"
 	"creditp2p/internal/shard"
 	"creditp2p/internal/topology"
@@ -47,7 +46,6 @@ func TestMarketMemoryPerPeerCeiling(t *testing.T) {
 			InitialWealth:   20,
 			DefaultMu:       1,
 			Horizon:         4,
-			Queue:           QueueCalendar,
 			IncrementalGini: true,
 			Seed:            8,
 		}); err != nil {
@@ -115,7 +113,6 @@ func TestShardRoutingMemoryPerPeerCeiling(t *testing.T) {
 			Horizon:       5,
 			Seed:          8,
 			InitialWealth: 20,
-			Queue:         des.Calendar,
 			Churn:         shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5},
 			Routing:       shard.RoutingConfig{Mode: shard.RouteAvailability},
 			Workload:      w,
