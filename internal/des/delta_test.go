@@ -48,63 +48,65 @@ func churn(t *testing.T, s *des.Scheduler, rng *xrand.RNG, pool *[]des.Handle, o
 	}
 }
 
-// TestSchedulerDeltaRoundTrip pins the scheduler's delta format: after a
-// base capture and a second burst of mutations, a clone built from base +
-// delta + RebuildQueue must serialize to the exact bytes of a full
-// snapshot taken at the same point, pass the integrity audit, and drain
-// the identical event sequence.
+// TestSchedulerDeltaRoundTrip pins the scheduler's delta format on the
+// calendar queue: after a base capture and a second burst of mutations, a
+// clone built from base + delta + RebuildQueue must serialize to the
+// exact bytes of a full snapshot taken at the same point, pass the
+// integrity audit, and drain the identical event sequence.
 func TestSchedulerDeltaRoundTrip(t *testing.T) {
-	rng := xrand.New(99)
-	s := des.NewScheduler()
-	var pool []des.Handle
-	churn(t, s, rng, &pool, 3000)
-	base := captureFull(t, s) // clears the dirty map: deltas start here
-	churn(t, s, rng, &pool, 800)
-	delta := captureDelta(t, s)
-	full := captureFull(t, s) // reference bytes at the same point
+	t.Run("calendar", func(t *testing.T) {
+		rng := xrand.New(99)
+		s := des.NewScheduler()
+		var pool []des.Handle
+		churn(t, s, rng, &pool, 3000)
+		base := captureFull(t, s) // clears the dirty map: deltas start here
+		churn(t, s, rng, &pool, 800)
+		delta := captureDelta(t, s)
+		full := captureFull(t, s) // reference bytes at the same point
 
-	c := des.NewScheduler()
-	r, err := snapshot.Open(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.LoadState(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err = snapshot.Open(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ApplyDelta(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c.RebuildQueue()
-
-	if err := c.CheckIntegrity(); err != nil {
-		t.Fatalf("restored scheduler fails its audit: %v", err)
-	}
-	if got := captureFull(t, c); !bytes.Equal(got, full) {
-		t.Fatalf("base+delta restore serializes to %d bytes, full snapshot to %d — states diverge",
-			len(got), len(full))
-	}
-
-	var want, got []des.Event
-	s.Drain(func(ev des.Event) { want = append(want, ev) })
-	c.Drain(func(ev des.Event) { got = append(got, ev) })
-	if len(want) != len(got) {
-		t.Fatalf("restored scheduler drains %d events, original %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("drain diverges at event %d: %+v vs %+v", i, got[i], want[i])
+		c := des.NewScheduler()
+		r, err := snapshot.Open(base)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if err := c.LoadState(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err = snapshot.Open(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ApplyDelta(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c.RebuildQueue()
+
+		if err := c.CheckIntegrity(); err != nil {
+			t.Fatalf("restored scheduler fails its audit: %v", err)
+		}
+		if got := captureFull(t, c); !bytes.Equal(got, full) {
+			t.Fatalf("base+delta restore serializes to %d bytes, full snapshot to %d — states diverge",
+				len(got), len(full))
+		}
+
+		var want, got []des.Event
+		s.Drain(func(ev des.Event) { want = append(want, ev) })
+		c.Drain(func(ev des.Event) { got = append(got, ev) })
+		if len(want) != len(got) {
+			t.Fatalf("restored scheduler drains %d events, original %d", len(got), len(want))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("drain diverges at event %d: %+v vs %+v", i, got[i], want[i])
+			}
+		}
+	})
 }
 
 // TestSchedulerDeltaRejectsShrunkSlab pins ApplyDelta's refusal to apply

@@ -156,7 +156,8 @@ func TestGoldenDeterminism(t *testing.T) {
 // at paper scale (N=500 scale-free overlay, mean degree 20) the
 // incremental Gini sampler produces Results byte-identical to the sorting
 // sampler, with taxation, injection and churn all active (and one
-// all-mechanisms run for their interaction).
+// all-mechanisms run for their interaction), also when the incremental
+// run is crashed mid-way and resumed on a rebuilt calendar queue.
 func TestEngineVariantsGoldenPaperScale(t *testing.T) {
 	build := func(mechanism string, incremental bool) Config {
 		g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 500, Alpha: 2.5, MeanDegree: 20}, xrand.New(2024))
@@ -216,6 +217,22 @@ func TestEngineVariantsGoldenPaperScale(t *testing.T) {
 				t.Fatalf("incremental-gini: %v", err)
 			}
 			t.Run("incremental-gini", func(t *testing.T) { identicalResults(t, base, res) })
+			// The incremental run crashed halfway and resumed: the calendar
+			// queue is rebuilt from the snapshot and the incremental Gini
+			// state restored, and the Result must still match the base.
+			t.Run("calendar+incremental", func(t *testing.T) {
+				data := crashAt(t, build(mechanism, true), int(res.SpendEvents/2))
+				m, err := RestoreSim(build(mechanism, true), data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Run()
+				got, err := m.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				identicalResults(t, base, got)
+			})
 		})
 	}
 }
