@@ -285,7 +285,7 @@ func BenchmarkStreamingSim(b *testing.B) {
 }
 
 // The Large benchmarks run 100k-peer populations on the scale engine:
-// CSR scale-free overlay, calendar-queue scheduler, incremental Gini
+// CSR scale-free overlay, calendar-queue scheduler, balance-histogram Gini
 // sampling. Memory stays O(N+E) and the per-event / per-chunk cost must
 // stay within ~2x of the N=100 benchmarks above (BENCH_2.json records the
 // trajectory). The overlay is built once outside the timed loop, matching
@@ -305,12 +305,11 @@ func BenchmarkMarketSimLarge(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		res, err := RunMarket(MarketConfig{
-			Graph:           g,
-			InitialWealth:   20,
-			DefaultMu:       1,
-			Horizon:         20,
-			IncrementalGini: true,
-			Seed:            8,
+			Graph:         g,
+			InitialWealth: 20,
+			DefaultMu:     1,
+			Horizon:       20,
+			Seed:          8,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -339,16 +338,15 @@ func BenchmarkStreamingSimLarge(b *testing.B) {
 	var chunks uint64
 	for i := 0; i < b.N; i++ {
 		res, err := RunStreaming(StreamingConfig{
-			Graph:           g,
-			StreamRate:      1,
-			DelaySeconds:    10,
-			UploadCap:       1,
-			DownloadCap:     2,
-			SourceSeeds:     30,
-			InitialWealth:   12,
-			HorizonSeconds:  40,
-			IncrementalGini: true,
-			Seed:            10,
+			Graph:          g,
+			StreamRate:     1,
+			DelaySeconds:   10,
+			UploadCap:      1,
+			DownloadCap:    2,
+			SourceSeeds:    30,
+			InitialWealth:  12,
+			HorizonSeconds: 40,
+			Seed:           10,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -380,14 +378,13 @@ func benchWeightedMarket(b *testing.B, routing Routing, fast bool) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		res, err := RunMarket(MarketConfig{
-			Graph:           g,
-			InitialWealth:   20,
-			DefaultMu:       1,
-			Routing:         routing,
-			FastSampling:    fast,
-			Horizon:         20,
-			IncrementalGini: true,
-			Seed:            8,
+			Graph:         g,
+			InitialWealth: 20,
+			DefaultMu:     1,
+			Routing:       routing,
+			FastSampling:  fast,
+			Horizon:       20,
+			Seed:          8,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -421,13 +418,12 @@ func benchDegreeChurnMarket(b *testing.B, fast bool) {
 		graph := g.Clone() // churn mutates the overlay
 		b.StartTimer()
 		res, err := RunMarket(MarketConfig{
-			Graph:           graph,
-			InitialWealth:   20,
-			DefaultMu:       1,
-			Routing:         RouteDegreeWeighted,
-			FastSampling:    fast,
-			Horizon:         20,
-			IncrementalGini: true,
+			Graph:         graph,
+			InitialWealth: 20,
+			DefaultMu:     1,
+			Routing:       RouteDegreeWeighted,
+			FastSampling:  fast,
+			Horizon:       20,
 			Churn: &ChurnConfig{
 				ArrivalRate:  200,
 				MeanLifespan: 50,
@@ -475,13 +471,12 @@ func BenchmarkMarketSimXLarge(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		res, err := RunMarket(MarketConfig{
-			Graph:           g,
-			InitialWealth:   20,
-			DefaultMu:       1,
-			Horizon:         5,
-			IncrementalGini: true,
-			FastSampling:    true, // inert for RouteUniform; pins the xlarge engine config
-			Seed:            8,
+			Graph:         g,
+			InitialWealth: 20,
+			DefaultMu:     1,
+			Horizon:       5,
+			FastSampling:  true, // inert for RouteUniform; pins the xlarge engine config
+			Seed:          8,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -516,16 +511,15 @@ func BenchmarkStreamingSimXLarge(b *testing.B) {
 	var chunks uint64
 	for i := 0; i < b.N; i++ {
 		res, err := RunStreaming(StreamingConfig{
-			Graph:           g,
-			StreamRate:      1,
-			DelaySeconds:    10,
-			UploadCap:       1,
-			DownloadCap:     2,
-			SourceSeeds:     300,
-			InitialWealth:   12,
-			HorizonSeconds:  16,
-			IncrementalGini: true,
-			Seed:            10,
+			Graph:          g,
+			StreamRate:     1,
+			DelaySeconds:   10,
+			UploadCap:      1,
+			DownloadCap:    2,
+			SourceSeeds:    300,
+			InitialWealth:  12,
+			HorizonSeconds: 16,
+			Seed:           10,
 		})
 		if err != nil {
 			b.Fatal(err)

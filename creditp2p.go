@@ -163,8 +163,7 @@ const (
 	Quick = experiments.Quick
 	// Full runs paper-scale configurations.
 	Full = experiments.Full
-	// Large runs 100k-peer configurations on the scale engine
-	// (incremental Gini sampling).
+	// Large runs 100k-peer configurations on the scale engine.
 	Large = experiments.Large
 	// XLarge runs million-peer configurations on the scale engine plus
 	// the fast-sampling routing mode (a few GB of RSS, minutes per run).

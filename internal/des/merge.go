@@ -1,9 +1,6 @@
 package des
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // XEvent is one buffered cross-lane effect in the sharded kernel: a credit
 // delivery (or other workload-defined effect) produced inside a shard
@@ -138,19 +135,6 @@ func (b *MergeBuffer) Trim() {
 // owned by the buffer and valid until the next Add, Reset or Trim.
 func (b *MergeBuffer) Events() []XEvent { return b.ev }
 
-// Collect merges the lanes' epoch buffers into dst in canonical
-// (Time, Src, Seq) order by a global sort and returns the extended slice.
-// It is the straight-line reference the Merger's loser tree is
-// property-tested against; the sharded kernel's hot path uses the Merger,
-// which does O(M log K) work instead of O(M log M).
-func Collect(dst []XEvent, lanes []*MergeBuffer) []XEvent {
-	for _, b := range lanes {
-		dst = append(dst, b.ev...)
-	}
-	slices.SortFunc(dst, xeventBefore)
-	return dst
-}
-
 // sentinelSrc marks an exhausted run's head; combined with +Inf time it
 // sorts after every real event (no emission happens at infinite time).
 const sentinelSrc = int32(math.MaxInt32)
@@ -262,9 +246,9 @@ func (m *Merger) Next() (ev XEvent, ok bool) {
 	return ev, true
 }
 
-// Merge appends the canonical merge of runs to dst and returns the
-// extended slice — Collect's contract, at loser-tree cost. Pass dst[:0]
-// of a reused scratch slice for allocation-free steady state.
+// Merge appends the canonical (Time, Src, Seq) merge of runs to dst and
+// returns the extended slice. Pass dst[:0] of a reused scratch slice for
+// allocation-free steady state.
 func (m *Merger) Merge(dst []XEvent, runs [][]XEvent) []XEvent {
 	m.Init(runs)
 	if len(m.runs) == 1 {

@@ -1,8 +1,21 @@
 package des
 
 import (
+	"slices"
 	"testing"
 )
+
+// Collect merges the lanes' epoch buffers into dst in canonical
+// (Time, Src, Seq) order by a global sort and returns the extended slice:
+// the straight-line reference the Merger's loser tree is property-tested
+// against.
+func Collect(dst []XEvent, lanes []*MergeBuffer) []XEvent {
+	for _, b := range lanes {
+		dst = append(dst, b.ev...)
+	}
+	slices.SortFunc(dst, xeventBefore)
+	return dst
+}
 
 // TestCollectCanonicalOrder verifies the (Time, Src, Seq) merge order and
 // that the result is independent of how events were distributed over

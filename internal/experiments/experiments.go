@@ -27,9 +27,8 @@ const (
 	Quick Preset = iota + 1
 	// Full runs the paper-scale configuration.
 	Full
-	// Large runs a 100k-peer configuration on the scale engine: calendar-
-	// queue scheduling, incremental Gini sampling, and O(n) asymmetric-mu
-	// construction. It exists to exercise production-scale populations;
+	// Large runs a 100k-peer configuration on the scale engine with O(n)
+	// asymmetric-mu construction. It exists to exercise production-scale populations;
 	// expect tens of seconds per figure point.
 	Large
 	// XLarge runs a million-peer configuration on the scale engine plus

@@ -120,9 +120,6 @@ type marketScale struct {
 	horizon float64
 	sample  float64
 	tailK   int
-	// incGini selects the incremental Gini sampler; outputs are
-	// byte-identical either way.
-	incGini bool
 	// uniformIncomeMu builds asymmetric mu maps through the O(n)
 	// uniform-income shortcut instead of the dense Lemma 1 solve; valid on
 	// the regular overlays these experiments use and required above ~10k
@@ -137,12 +134,12 @@ func scaleOf(p Preset) marketScale {
 	case Large:
 		return marketScale{
 			n: 100_000, degree: 20, horizon: 400, sample: 10, tailK: 10,
-			incGini: true, uniformIncomeMu: true,
+			uniformIncomeMu: true,
 		}
 	case XLarge:
 		return marketScale{
 			n: 1_000_000, degree: 20, horizon: 40, sample: 2, tailK: 5,
-			incGini: true, uniformIncomeMu: true,
+			uniformIncomeMu: true,
 		}
 	default:
 		return marketScale{n: 120, degree: 12, horizon: 4000, sample: 100, tailK: 10}
@@ -181,14 +178,13 @@ func asymmetricConfigLo(s marketScale, wealth int64, seed int64, lo float64) (ma
 		return market.Config{}, err
 	}
 	return market.Config{
-		Graph:           g,
-		InitialWealth:   wealth,
-		DefaultMu:       1,
-		BaseMu:          mu,
-		Horizon:         s.horizon,
-		SampleEvery:     s.sample,
-		Seed:            seed + 2,
-		IncrementalGini: s.incGini,
+		Graph:         g,
+		InitialWealth: wealth,
+		DefaultMu:     1,
+		BaseMu:        mu,
+		Horizon:       s.horizon,
+		SampleEvery:   s.sample,
+		Seed:          seed + 2,
 	}, nil
 }
 
@@ -198,13 +194,12 @@ func symmetricConfig(s marketScale, wealth int64, seed int64) (market.Config, er
 		return market.Config{}, err
 	}
 	return market.Config{
-		Graph:           g,
-		InitialWealth:   wealth,
-		DefaultMu:       1,
-		Horizon:         s.horizon,
-		SampleEvery:     s.sample,
-		Seed:            seed + 2,
-		IncrementalGini: s.incGini,
+		Graph:         g,
+		InitialWealth: wealth,
+		DefaultMu:     1,
+		Horizon:       s.horizon,
+		SampleEvery:   s.sample,
+		Seed:          seed + 2,
 	}, nil
 }
 

@@ -43,7 +43,8 @@ func demurrage(t testing.TB) *policy.Demurrage {
 }
 
 // marketCombos spans the market mechanism space: routing modes, churn,
-// taxation, incremental Gini, both sampling modes, and the policy engine.
+// taxation, both sampling modes, and the policy engine. The
+// calendar+incgini+fast combo keeps its historical name.
 func marketCombos(t testing.TB) map[string]func() market.Config {
 	churn := &market.ChurnConfig{ArrivalRate: 0.5, MeanLifespan: 120, AttachDegree: 4, FastAttach: true}
 	return map[string]func() market.Config{
@@ -55,7 +56,7 @@ func marketCombos(t testing.TB) map[string]func() market.Config {
 		},
 		"calendar+incgini+fast": func() market.Config {
 			return market.Config{Graph: graph(t, 80, 6, 5), InitialWealth: 15, DefaultMu: 1, Horizon: 200,
-				IncrementalGini: true, FastSampling: true, Churn: churn, Seed: 6}
+				FastSampling: true, Churn: churn, Seed: 6}
 		},
 		"policies": func() market.Config {
 			return market.Config{Graph: graph(t, 60, 6, 7), InitialWealth: 20, DefaultMu: 1, Horizon: 200,

@@ -172,12 +172,6 @@ type Config struct {
 	Inject *InjectConfig
 	// Horizon is the simulated duration in seconds.
 	Horizon float64
-	// IncrementalGini switches periodic wealth-Gini sampling to the
-	// Fenwick-backed incremental sampler: O(log maxBalance) bookkeeping
-	// per credit movement and O(1) per sample, instead of re-sorting all N
-	// balances every sample. Results are byte-identical to the sorting
-	// sampler.
-	IncrementalGini bool
 	// SampleEvery is the Gini sampling interval; zero means Horizon/100.
 	SampleEvery float64
 	// SnapshotTimes lists times at which full sorted wealth snapshots are
@@ -416,13 +410,12 @@ func newSimulation(cfg Config) (*simulation, error) {
 		s.invAts = make([]float64, 0, n)
 	}
 	kcfg := sim.Config{
-		Graph:           cfg.Graph,
-		InitialWealth:   cfg.InitialWealth,
-		Horizon:         cfg.Horizon,
-		Seed:            cfg.Seed,
-		IncrementalGini: cfg.IncrementalGini,
-		SampleEvery:     cfg.SampleEvery,
-		SnapshotTimes:   cfg.SnapshotTimes,
+		Graph:         cfg.Graph,
+		InitialWealth: cfg.InitialWealth,
+		Horizon:       cfg.Horizon,
+		Seed:          cfg.Seed,
+		SampleEvery:   cfg.SampleEvery,
+		SnapshotTimes: cfg.SnapshotTimes,
 	}
 	if cfg.Churn != nil {
 		kcfg.Churn = &sim.Churn{

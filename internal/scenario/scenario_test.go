@@ -293,8 +293,8 @@ func TestScalesCompile(t *testing.T) {
 }
 
 // TestXLargeDims pins the million-peer scale's compiled dimensions without
-// paying for a 1M-node topology: population, scale-engine knobs (calendar
-// queue, incremental Gini, fast sampling) and the default horizons.
+// paying for a 1M-node topology: population, the fast-sampling knob and
+// the default horizons.
 func TestXLargeDims(t *testing.T) {
 	if ScaleXLarge.String() != "xlarge" {
 		t.Errorf("ScaleXLarge.String() = %q", ScaleXLarge.String())
@@ -313,7 +313,7 @@ func TestXLargeDims(t *testing.T) {
 	if d.horizon != 8 {
 		t.Errorf("market xlarge horizon = %v, want 8", d.horizon)
 	}
-	if !d.incGini || !d.fastSampling {
+	if !d.fastSampling {
 		t.Errorf("xlarge scale engine not selected: %+v", d)
 	}
 	stream, err := Get("seeder-drain")

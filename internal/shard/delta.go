@@ -253,7 +253,7 @@ func (ln *Lane) applyDelta(r *snapshot.Reader) error {
 		ln.hist[i] = 0
 	}
 	if len(hist) > 0 {
-		ln.growHist(int64(len(hist) - 1))
+		ln.hist.Grow(int64(len(hist) - 1))
 		copy(ln.hist, hist)
 	}
 	maxSeg := (int(ln.hi-ln.lo) + peerSegSize - 1) >> peerSegShift

@@ -59,7 +59,7 @@ func (h *engineHost) Collect(px int32, amount int64) bool {
 	pre := e.bal[px]
 	e.bal[px] = pre - amount
 	ln.markPeer(px)
-	ln.histMove(pre, pre-amount)
+	ln.hist.Move(pre, pre-amount)
 	ln.supply -= amount
 	e.pot += amount
 	return true
@@ -77,7 +77,7 @@ func (h *engineHost) Pay(px int32, amount int64) bool {
 	pre := e.bal[px]
 	e.bal[px] = pre + amount
 	ln.markPeer(px)
-	ln.histMove(pre, pre+amount)
+	ln.hist.Move(pre, pre+amount)
 	ln.supply += amount
 	e.pot -= amount
 	return true
@@ -93,7 +93,7 @@ func (h *engineHost) Mint(px int32, amount int64) bool {
 	pre := e.bal[px]
 	e.bal[px] = pre + amount
 	ln.markPeer(px)
-	ln.histMove(pre, pre+amount)
+	ln.hist.Move(pre, pre+amount)
 	ln.supply += amount
 	ln.minted += amount
 	return true

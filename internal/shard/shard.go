@@ -64,6 +64,7 @@ import (
 	"creditp2p/internal/des"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/snapshot"
+	"creditp2p/internal/stats"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/trace"
 	"creditp2p/internal/xrand"
@@ -232,7 +233,7 @@ type Lane struct {
 	// hist is the lane's balance histogram over its live peers: hist[b]
 	// live peers hold exactly b credits. Merged across lanes at barriers
 	// for the exact global Gini.
-	hist []int64
+	hist stats.BalanceHist
 	// liveN / supply track the lane's live-peer count and balance sum.
 	liveN  int
 	supply int64
@@ -319,6 +320,7 @@ type Engine struct {
 	mergeAll    []des.XEvent
 	mergeHW     int
 	runScratch  [][]des.XEvent
+	histScratch []stats.BalanceHist
 	merger      des.Merger
 	host        engineHost
 	// warmActor is the workload's optional per-actor prefetch hook.
@@ -449,7 +451,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		ln.supply = int64(hi-lo) * cfg.InitialWealth
 		ln.minted = ln.supply
-		ln.growHist(cfg.InitialWealth)
+		ln.hist.Grow(cfg.InitialWealth)
 		ln.hist[cfg.InitialWealth] = int64(hi - lo)
 		// Pre-size the dirty map so hot-path marks never allocate,
 		// preserving the zero-alloc barrier contract.
@@ -744,8 +746,7 @@ func (ln *Lane) rejoin(ev des.Event) {
 	e.flags[g] |= aliveBit
 	w := e.cfg.InitialWealth
 	e.bal[g] = w
-	ln.growHist(w)
-	ln.hist[w]++
+	ln.hist.Add(w)
 	ln.liveN++
 	ln.supply += w
 	ln.minted += w
@@ -794,29 +795,6 @@ func (ln *Lane) Cancel(h des.Handle) { ln.sched.Cancel(h) }
 // Now returns the lane's current virtual time.
 func (ln *Lane) Now() float64 { return ln.sched.Now() }
 
-// growHist widens the lane histogram to cover balance b.
-func (ln *Lane) growHist(b int64) {
-	for int64(len(ln.hist)) <= b {
-		nw := int64(len(ln.hist)) * 2
-		if nw < 64 {
-			nw = 64
-		}
-		if nw <= b {
-			nw = b + 1
-		}
-		t := make([]int64, nw)
-		copy(t, ln.hist)
-		ln.hist = t
-	}
-}
-
-// histMove mirrors one balance change of a live peer on this lane.
-func (ln *Lane) histMove(before, after int64) {
-	ln.hist[before]--
-	ln.growHist(after)
-	ln.hist[after]++
-}
-
 // Spend moves amount credits from the live local peer src toward dst:
 // src's balance is debited immediately, and the credit is buffered to
 // land in dst's balance at the next barrier (or burn if dst is gone by
@@ -831,7 +809,7 @@ func (ln *Lane) Spend(t float64, src, dst int32, seq uint32, amount int64) bool 
 	pre := e.bal[src]
 	e.bal[src] = pre - amount
 	ln.markPeer(src)
-	ln.histMove(pre, pre-amount)
+	ln.hist.Move(pre, pre-amount)
 	ln.supply -= amount
 	ln.out[e.part.ShardOf(dst)].Add(des.XEvent{
 		Time: t, Src: src, Dst: dst, Seq: seq, Amount: amount, Kind: KindUser,
@@ -874,7 +852,7 @@ func (ln *Lane) deliver(xev des.XEvent) {
 	pre := e.bal[g]
 	e.bal[g] = pre + xev.Amount
 	ln.markPeer(g)
-	ln.histMove(pre, pre+xev.Amount)
+	ln.hist.Move(pre, pre+xev.Amount)
 	ln.supply += xev.Amount
 }
 
@@ -928,7 +906,7 @@ func (e *Engine) applyMerged() {
 		pre := e.bal[xev.Dst]
 		e.bal[xev.Dst] = pre + xev.Amount
 		dst.markPeer(xev.Dst)
-		dst.histMove(pre, pre+xev.Amount)
+		dst.hist.Move(pre, pre+xev.Amount)
 		dst.supply += xev.Amount
 		e.engine.Income(h, xev.Dst, pre, xev.Amount)
 	}
@@ -1067,43 +1045,14 @@ func (e *Engine) sample(t float64) {
 	e.supply.Add(t, float64(sup+e.pot))
 }
 
-// giniNow computes the exact wealth Gini over all live peers by a single
-// ascending walk over the lanes' balance histograms: with cumulative
-// count n< and mass m< below value v, each of the c_v peers at v
-// contributes v·n< − m< to the pairwise-difference sum D, and
-// G = D / (n·S). All accumulation is exact int64; the final division
-// matches stats.GiniInPlace bit-for-bit on the same population.
+// giniNow computes the exact wealth Gini over all live peers in one
+// ascending walk over the lanes' balance histograms (stats.HistGini).
 func (e *Engine) giniNow() (float64, bool) {
-	maxLen := 0
+	e.histScratch = e.histScratch[:0]
 	for _, ln := range e.lanes {
-		if len(ln.hist) > maxLen {
-			maxLen = len(ln.hist)
-		}
+		e.histScratch = append(e.histScratch, ln.hist)
 	}
-	var d, cum, mass, n, total int64
-	for v := 0; v < maxLen; v++ {
-		var c int64
-		for _, ln := range e.lanes {
-			if v < len(ln.hist) {
-				c += ln.hist[v]
-			}
-		}
-		if c == 0 {
-			continue
-		}
-		d += c * (int64(v)*cum - mass)
-		cum += c
-		mass += c * int64(v)
-	}
-	n = cum
-	total = mass
-	if n == 0 {
-		return 0, false
-	}
-	if total == 0 {
-		return 0, true
-	}
-	return float64(d) / (float64(n) * float64(total)), true
+	return stats.HistGini(e.histScratch...)
 }
 
 // Finish verifies conservation and assembles the result.

@@ -258,7 +258,7 @@ func (e *Engine) LoadState(r *snapshot.Reader) error {
 			ln.hist[i] = 0
 		}
 		if len(hist) > 0 {
-			ln.growHist(int64(len(hist) - 1))
+			ln.hist.Grow(int64(len(hist) - 1))
 			copy(ln.hist, hist)
 		}
 		if err := ln.loadRouting(r); err != nil {

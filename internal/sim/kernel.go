@@ -5,7 +5,7 @@
 // binding of peers to dense credit slots, the churn process (Poisson
 // arrivals / exponential lifetimes, with a rate-shape hook for flash-crowd
 // and diurnal arrival patterns), and the metrics pipeline (periodic
-// Gini/population/supply sampling, incremental-Gini mirroring, wealth
+// Gini/population/supply sampling off a mirrored balance histogram, wealth
 // snapshots).
 //
 // A simulator plugs in as a Workload: OnJoin/OnDepart install and tear down
@@ -138,8 +138,6 @@ type Config struct {
 	Horizon float64
 	// Seed drives all randomness.
 	Seed int64
-	// IncrementalGini selects the Fenwick-backed O(1) Gini sampler.
-	IncrementalGini bool
 	// SampleEvery is the periodic sampling interval; 0 disables kernel
 	// sample events (round-based workloads sample from their tick).
 	SampleEvery float64
@@ -175,7 +173,7 @@ type Kernel struct {
 
 	// external are ledger slots that belong to system accounts (taxation
 	// pots, ...) rather than peers; they are excluded from the wealth
-	// distribution and from the incremental-sampler sync check.
+	// distribution and from the histogram sync check.
 	external []int32
 
 	// engine, when bound, is the economic policy pipeline the kernel
@@ -224,7 +222,7 @@ func NewKernel(cfg Config, w Workload) (*Kernel, error) {
 		Sched:   des.NewScheduler(),
 		RNG:     xrand.New(cfg.Seed),
 		Ledger:  credit.NewLedger(),
-		Metrics: newMetrics(cfg.IncrementalGini, 4*cfg.InitialWealth),
+		Metrics: newMetrics(),
 	}, nil
 }
 
@@ -337,7 +335,7 @@ func (h *kernelHost) Gini() (float64, bool) { return h.k.GiniNow() }
 
 // OpenExternal opens a system ledger account (a taxation pot, an escrow)
 // that is not a peer: excluded from the wealth distribution and from the
-// sampler sync check.
+// histogram sync check.
 func (k *Kernel) OpenExternal(id int, initial int64) (int32, error) {
 	slot, err := k.Ledger.OpenSlot(id, initial)
 	if err != nil {
@@ -348,22 +346,22 @@ func (k *Kernel) OpenExternal(id int, initial int64) (int32, error) {
 }
 
 // Join interns id as a peer: opens its ledger account with the initial
-// endowment, mirrors the endowment into the sampler, and hands the fresh
-// index to the workload's OnJoin. A workload veto (OnJoin error) unwinds
-// the join completely.
+// endowment, mirrors the endowment into the balance histogram, and hands
+// the fresh index to the workload's OnJoin. A workload veto (OnJoin error)
+// unwinds the join completely.
 func (k *Kernel) Join(id int) (int32, error) {
 	acct, err := k.Ledger.OpenSlot(id, k.cfg.InitialWealth)
 	if err != nil {
 		return 0, err
 	}
-	k.Metrics.insert(k.cfg.InitialWealth)
+	k.Metrics.hist.Add(k.cfg.InitialWealth)
 	px := k.Peers.Intern(id, acct)
 	if err := k.w.OnJoin(px); err != nil {
 		// Unwind: burn the endowment and recycle the slot. The mint+burn
 		// pair leaves the supply and conservation intact.
 		k.Peers.Release(px)
 		if burned, cerr := k.Ledger.Close(id); cerr == nil {
-			k.Metrics.remove(burned)
+			k.Metrics.hist[burned]--
 		}
 		return 0, err
 	}
@@ -600,7 +598,7 @@ func (k *Kernel) removePeer(px int32, mutateGraph bool) {
 	if err != nil {
 		return
 	}
-	k.Metrics.remove(burned)
+	k.Metrics.hist[burned]--
 	if mutateGraph && k.cfg.Graph != nil {
 		if err := k.cfg.Graph.RemoveNode(id); err != nil {
 			return
@@ -617,14 +615,14 @@ func (k *Kernel) Balance(px int32) int64 {
 }
 
 // Transfer moves amount credits between two live peers, mirroring both
-// sides into the sampler. It reports success (an insufficient payer balance
-// is a normal outcome, not an error).
+// sides into the balance histogram. It reports success (an insufficient
+// payer balance is a normal outcome, not an error).
 func (k *Kernel) Transfer(from, to int32, amount int64) bool {
 	return k.TransferAcct(k.Peers.At(from).Acct, k.Peers.At(to).Acct, amount)
 }
 
 // TransferAcct moves amount credits between two live peers addressed by
-// their ledger slots, mirroring both sides into the sampler — the variant
+// their ledger slots, mirroring both sides into the histogram — the variant
 // of Transfer for workloads that mirror peer accounts in their own dense
 // state and skip the peer-table read on the hot path.
 func (k *Kernel) TransferAcct(fa, ta int32, amount int64) bool {
@@ -636,12 +634,10 @@ func (k *Kernel) TransferAcct(fa, ta int32, amount int64) bool {
 	if !k.Ledger.TryTransferAt(fa, ta, amount) {
 		return false
 	}
-	if k.Metrics.inc != nil {
-		fb := k.Ledger.BalanceAt(fa)
-		k.Metrics.inc.Update(fb+amount, fb)
-		tb := k.Ledger.BalanceAt(ta)
-		k.Metrics.inc.Update(tb-amount, tb)
-	}
+	fb := k.Ledger.BalanceAt(fa)
+	k.Metrics.hist.Move(fb+amount, fb)
+	tb := k.Ledger.BalanceAt(ta)
+	k.Metrics.hist.Move(tb-amount, tb)
 	return true
 }
 
@@ -652,10 +648,8 @@ func (k *Kernel) TransferOut(from int32, toSlot int32, amount int64) bool {
 	if !k.Ledger.TryTransferAt(fa, toSlot, amount) {
 		return false
 	}
-	if k.Metrics.inc != nil {
-		fb := k.Ledger.BalanceAt(fa)
-		k.Metrics.inc.Update(fb+amount, fb)
-	}
+	fb := k.Ledger.BalanceAt(fa)
+	k.Metrics.hist.Move(fb+amount, fb)
 	return true
 }
 
@@ -666,24 +660,20 @@ func (k *Kernel) TransferIn(fromSlot int32, to int32, amount int64) bool {
 	if !k.Ledger.TryTransferAt(fromSlot, ta, amount) {
 		return false
 	}
-	if k.Metrics.inc != nil {
-		tb := k.Ledger.BalanceAt(ta)
-		k.Metrics.inc.Update(tb-amount, tb)
-	}
+	tb := k.Ledger.BalanceAt(ta)
+	k.Metrics.hist.Move(tb-amount, tb)
 	return true
 }
 
 // Deposit mints amount credits into a live peer's account (credit
-// injection), mirroring the sampler.
+// injection), mirroring the histogram.
 func (k *Kernel) Deposit(px int32, amount int64) error {
 	acct := k.Peers.At(px).Acct
 	if err := k.Ledger.DepositAt(acct, amount); err != nil {
 		return err
 	}
-	if k.Metrics.inc != nil {
-		b := k.Ledger.BalanceAt(acct)
-		k.Metrics.inc.Update(b-amount, b)
-	}
+	b := k.Ledger.BalanceAt(acct)
+	k.Metrics.hist.Move(b-amount, b)
 	return nil
 }
 
@@ -712,26 +702,11 @@ func (k *Kernel) RecordSample(now float64) {
 	k.Metrics.Supply.Add(now, float64(k.Ledger.Total()))
 }
 
-// GiniNow returns the current wealth Gini over live peers: O(1) from the
-// incremental sampler when active, otherwise by sorting the balance vector.
-// Both paths produce the bit-identical value. ok is false for an empty
-// population.
+// GiniNow returns the current wealth Gini over live peers, walked off the
+// balance histogram (bit-identical to sorting the balances). ok is false
+// for an empty population.
 func (k *Kernel) GiniNow() (float64, bool) {
-	m := &k.Metrics
-	if m.inc != nil {
-		if m.inc.Count() == 0 {
-			return 0, false
-		}
-		g, err := m.inc.Gini()
-		return g, err == nil
-	}
-	bals := k.balanceVector()
-	if len(bals) == 0 {
-		return 0, false
-	}
-	g, buf, err := stats.GiniIntsInPlace(bals, m.wealthBuf)
-	m.wealthBuf = buf
-	return g, err == nil
+	return stats.HistGini(k.Metrics.hist)
 }
 
 // RecordSnapshot stores the sorted wealth distribution labeled time at.
@@ -772,26 +747,35 @@ func (k *Kernel) balanceVector() []int64 {
 }
 
 // Finish validates the run's invariants: credit conservation over the whole
-// ledger, and — when the incremental sampler is active — that it mirrored
-// every live-peer balance change (drift means a mutation hook is missing).
-// It also orders the recorded snapshots by time.
+// ledger, and that the balance histogram mirrored every live-peer balance
+// change (drift means a mutation hook is missing). It also orders the
+// recorded snapshots by time.
 func (k *Kernel) Finish() error {
 	if err := k.Ledger.CheckConservation(); err != nil {
 		return fmt.Errorf("sim: conservation violated: %w", err)
 	}
-	if inc := k.Metrics.inc; inc != nil {
-		var pots int64
-		for _, slot := range k.external {
-			pots += k.Ledger.BalanceAt(slot)
-		}
-		want := k.Ledger.Total() - pots
-		if inc.Count() != k.Peers.Live() || inc.Total() != want {
-			return fmt.Errorf("sim: incremental Gini sampler out of sync: tracks %d peers / %d credits, expected %d live peers / %d credits (ledger total %d minus %d held by %d system pots, off by %+d) — a balance mutation bypassed the sampler mirror",
-				inc.Count(), inc.Total(), k.Peers.Live(), want, k.Ledger.Total(), pots, len(k.external), inc.Total()-want)
-		}
+	if err := k.checkHist(); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	snaps := k.Metrics.Snapshots
 	sortSnapshots(snaps)
+	return nil
+}
+
+// checkHist verifies the balance histogram against the ledger: it must
+// count exactly the live peers and hold exactly the credits outside the
+// system pots.
+func (k *Kernel) checkHist() error {
+	var pots int64
+	for _, slot := range k.external {
+		pots += k.Ledger.BalanceAt(slot)
+	}
+	want := k.Ledger.Total() - pots
+	n, total := k.Metrics.hist.Sums()
+	if n != int64(k.Peers.Live()) || total != want {
+		return fmt.Errorf("wealth histogram out of sync: tracks %d peers / %d credits, expected %d live peers / %d credits (ledger total %d minus %d held by %d system pots, off by %+d) — a balance mutation bypassed the histogram mirror",
+			n, total, k.Peers.Live(), want, k.Ledger.Total(), pots, len(k.external), total-want)
+	}
 	return nil
 }
 

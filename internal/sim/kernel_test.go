@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"creditp2p/internal/des"
@@ -109,7 +110,7 @@ func (w *vetoWorkload) OnJoin(int32) error {
 
 func TestJoinUnwindOnVeto(t *testing.T) {
 	w := &vetoWorkload{}
-	k, err := NewKernel(Config{InitialWealth: 9, Horizon: 10, IncrementalGini: true}, w)
+	k, err := NewKernel(Config{InitialWealth: 9, Horizon: 10}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +129,70 @@ func TestJoinUnwindOnVeto(t *testing.T) {
 	}
 	if err := k.Finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bypassWorkload pays a system pot straight through the kernel's ledger
+// on its one event, skipping the kernel's transfer methods and so the
+// balance-histogram mirror.
+type bypassWorkload struct {
+	fuzzWorkload
+	k        *Kernel
+	from     int32
+	pot      int32
+	amount   int64
+	bypassed bool
+}
+
+func (w *bypassWorkload) OnEvent(ev des.Event) {
+	if ev.Kind != KindUser {
+		return
+	}
+	if err := w.k.Ledger.TransferAt(w.k.Peers.At(w.from).Acct, w.pot, w.amount); err != nil {
+		panic(err)
+	}
+	w.bypassed = true
+}
+
+// TestBypassedMirrorDetected: credits moved through k.Ledger directly leave
+// the ledger conserved but the balance histogram stale, and both the
+// mid-run Audit and Finish must report the histogram out of sync.
+func TestBypassedMirrorDetected(t *testing.T) {
+	w := &bypassWorkload{amount: 4}
+	k, err := NewKernel(Config{InitialWealth: 9, Horizon: 10}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.k = k
+	if w.pot, err = k.OpenExternal(-1, 0); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 3; id++ {
+		if _, err := k.Join(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Audit(); err != nil {
+		t.Fatalf("audit before the bypass: %v", err)
+	}
+	if err := k.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Sched.Schedule(1, KindUser, w.from, 0); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	if !w.bypassed {
+		t.Fatal("the bypassing event never fired")
+	}
+	if err := k.Ledger.CheckConservation(); err != nil {
+		t.Fatalf("the bypass broke conservation, not just the mirror: %v", err)
+	}
+	for name, check := range map[string]func() error{"Audit": k.Audit, "Finish": k.Finish} {
+		err := check()
+		if err == nil || !strings.Contains(err.Error(), "out of sync") {
+			t.Errorf("%s after a bypassed mirror = %v, want the out-of-sync error", name, err)
+		}
 	}
 }
 

@@ -12,9 +12,9 @@ type Snapshot struct {
 }
 
 // Metrics is the kernel's measurement pipeline: the periodic wealth-Gini /
-// population / supply series, requested wealth snapshots, and the optional
-// incremental Gini sampler that mirrors every live-peer balance change so
-// sampling is O(1) instead of a re-sort.
+// population / supply series, requested wealth snapshots, and the balance
+// histogram that mirrors every live-peer balance change so a Gini sample
+// is one walk over the balance domain instead of a re-sort.
 type Metrics struct {
 	// Gini is the wealth-Gini time series.
 	Gini *trace.Series
@@ -25,46 +25,19 @@ type Metrics struct {
 	// Snapshots are the recorded sorted wealth distributions.
 	Snapshots []Snapshot
 
-	// inc is the incremental sampler; nil selects the sorting sampler.
-	inc *stats.IncGini
-	// wealthBuf and balBuf are reused scratch vectors for sampling and
-	// snapshots.
+	// hist counts live peers by balance. It is derived state: snapshots
+	// omit it and restore rebuilds it from the live balances.
+	hist stats.BalanceHist
+	// wealthBuf and balBuf are reused scratch vectors for snapshots and
+	// the audit's sorting reference.
 	wealthBuf []float64
 	balBuf    []int64
 }
 
-func newMetrics(incremental bool, domainHint int64) Metrics {
-	m := Metrics{
+func newMetrics() Metrics {
+	return Metrics{
 		Gini:       trace.NewSeries("gini"),
 		Population: trace.NewSeries("population"),
 		Supply:     trace.NewSeries("supply"),
-	}
-	if incremental {
-		m.inc = stats.NewIncGini(domainHint)
-	}
-	return m
-}
-
-// Incremental reports whether the O(1) sampler is active.
-func (m *Metrics) Incremental() bool { return m.inc != nil }
-
-// insert mirrors a peer joining with the given balance.
-func (m *Metrics) insert(balance int64) {
-	if m.inc != nil {
-		m.inc.Insert(balance)
-	}
-}
-
-// remove mirrors a peer departing with the given balance.
-func (m *Metrics) remove(balance int64) {
-	if m.inc != nil {
-		m.inc.Remove(balance)
-	}
-}
-
-// move mirrors one balance changing from old to new.
-func (m *Metrics) move(oldBal, newBal int64) {
-	if m.inc != nil {
-		m.inc.Update(oldBal, newBal)
 	}
 }

@@ -148,68 +148,65 @@ func TestBindPoliciesValidation(t *testing.T) {
 
 // TestPolicyPipelineConservesUnderChurn drives a full pipeline — income
 // tax, pot-funded subsidy, redistribution — under churn and leans on
-// Finish's conservation and sampler sync checks, for both Gini engines.
+// Finish's conservation and histogram sync checks.
 func TestPolicyPipelineConservesUnderChurn(t *testing.T) {
-	for _, incGini := range []bool{false, true} {
-		g := ring(t, 20)
-		w := &wakeWorkload{}
-		k, err := NewKernel(Config{
-			Graph:           g,
-			InitialWealth:   10,
-			Horizon:         200,
-			Seed:            5,
-			IncrementalGini: incGini,
-			SampleEvery:     20,
-			Churn: &Churn{
-				ArrivalRate:  0.3,
-				MeanLifespan: 60,
-				AttachDegree: 2,
-			},
-		}, w)
+	g := ring(t, 20)
+	w := &wakeWorkload{}
+	k, err := NewKernel(Config{
+		Graph:         g,
+		InitialWealth: 10,
+		Horizon:       200,
+		Seed:          5,
+		SampleEvery:   20,
+		Churn: &Churn{
+			ArrivalRate:  0.3,
+			MeanLifespan: 60,
+			AttachDegree: 2,
+		},
+	}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pot, err := k.OpenExternal(-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tax, err := policy.NewIncomeTax(0.5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := policy.NewNewcomerSubsidy(4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := policy.NewEngine(tax, sub, policy.NewRedistribute())
+	if err := k.BindPolicies(eng, pot, 25); err != nil {
+		t.Fatal(err)
+	}
+	var pxs []int32
+	for _, id := range g.Nodes() {
+		px, err := k.Join(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pot, err := k.OpenExternal(-1, 0)
-		if err != nil {
-			t.Fatal(err)
+		pxs = append(pxs, px)
+	}
+	if err := k.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Feed incomes through the pipeline by hand: transfer between
+	// peers, then route the hook as a workload would.
+	for i := 0; i+1 < len(pxs); i += 2 {
+		from, to := pxs[i], pxs[i+1]
+		if !k.Peers.At(from).Alive || !k.Peers.At(to).Alive {
+			continue
 		}
-		tax, err := policy.NewIncomeTax(0.5, 5)
-		if err != nil {
-			t.Fatal(err)
+		if k.Transfer(from, to, 3) {
+			k.PolicyIncome(to, k.Balance(to)-3, 3)
 		}
-		sub, err := policy.NewNewcomerSubsidy(4, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := policy.NewEngine(tax, sub, policy.NewRedistribute())
-		if err := k.BindPolicies(eng, pot, 25); err != nil {
-			t.Fatal(err)
-		}
-		var pxs []int32
-		for _, id := range g.Nodes() {
-			px, err := k.Join(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pxs = append(pxs, px)
-		}
-		if err := k.Start(); err != nil {
-			t.Fatal(err)
-		}
-		// Feed incomes through the pipeline by hand: transfer between
-		// peers, then route the hook as a workload would.
-		for i := 0; i+1 < len(pxs); i += 2 {
-			from, to := pxs[i], pxs[i+1]
-			if !k.Peers.At(from).Alive || !k.Peers.At(to).Alive {
-				continue
-			}
-			if k.Transfer(from, to, 3) {
-				k.PolicyIncome(to, k.Balance(to)-3, 3)
-			}
-		}
-		k.Run()
-		if err := k.Finish(); err != nil {
-			t.Fatalf("incGini=%v: %v", incGini, err)
-		}
+	}
+	k.Run()
+	if err := k.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -160,8 +160,9 @@ func loadSeries(r *snapshot.Reader, s *trace.Series) {
 	s.Values = r.F64s(0)
 }
 
-// SaveState serializes the recorded series, snapshots, and the incremental
-// sampler (when active). Scratch buffers are skipped — capacity only.
+// SaveState serializes the recorded series and snapshots. The balance
+// histogram is derived state and scratch buffers are capacity only, so
+// both are skipped.
 func (m *Metrics) SaveState(w *snapshot.Writer) {
 	w.Section("metrics")
 	saveSeries(w, m.Gini)
@@ -171,10 +172,6 @@ func (m *Metrics) SaveState(w *snapshot.Writer) {
 	for _, s := range m.Snapshots {
 		w.F64(s.Time)
 		w.F64s(s.Sorted)
-	}
-	w.Bool(m.inc != nil)
-	if m.inc != nil {
-		m.inc.SaveState(w)
 	}
 }
 
@@ -199,17 +196,7 @@ func (m *Metrics) LoadState(r *snapshot.Reader) error {
 		sorted := r.F64s(0)
 		m.Snapshots = append(m.Snapshots, Snapshot{Time: t, Sorted: sorted})
 	}
-	hasInc := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasInc != (m.inc != nil) {
-		return fmt.Errorf("sim: snapshot incremental-sampler presence %v but the reconstructed kernel has %v — config mismatch", hasInc, m.inc != nil)
-	}
-	if m.inc != nil {
-		return m.inc.LoadState(r)
-	}
-	return nil
+	return r.Err()
 }
 
 // --- kernel state ---
@@ -234,9 +221,6 @@ func (k *Kernel) configDigest() uint64 {
 	put(uint64(k.cfg.MinPopulation))
 	put(uint64(len(k.cfg.SnapshotTimes)))
 	var flags uint64
-	if k.cfg.IncrementalGini {
-		flags |= 1
-	}
 	if k.cfg.Churn != nil {
 		flags |= 2
 	}
@@ -324,6 +308,9 @@ func (k *Kernel) LoadState(r *snapshot.Reader, maxPeers int) error {
 	if err := k.Metrics.LoadState(r); err != nil {
 		return err
 	}
+	if err := k.rebuildHist(); err != nil {
+		return err
+	}
 	if k.cfg.Graph != nil {
 		if err := k.cfg.Graph.LoadState(r, maxPeers); err != nil {
 			return err
@@ -335,14 +322,36 @@ func (k *Kernel) LoadState(r *snapshot.Reader, maxPeers int) error {
 	return r.Err()
 }
 
+// rebuildHist recomputes the derived balance histogram from the restored
+// live balances, refusing any balance a histogram cannot index.
+func (k *Kernel) rebuildHist() error {
+	m := &k.Metrics
+	clear(m.hist)
+	total := k.Ledger.Total()
+	for px := range k.Peers.peers {
+		p := &k.Peers.peers[px]
+		if !p.Alive {
+			continue
+		}
+		if slot, err := k.Ledger.Slot(int(p.ID)); err != nil || slot != p.Acct {
+			return fmt.Errorf("sim: live peer %d claims ledger slot %d, but the ledger disagrees", p.ID, p.Acct)
+		}
+		b := k.Ledger.BalanceAt(p.Acct)
+		if b < 0 || b > total {
+			return fmt.Errorf("sim: live peer %d holds %d credits, outside the ledger's [0, %d]", p.ID, b, total)
+		}
+		m.hist.Add(b)
+	}
+	return nil
+}
+
 // --- periodic invariant auditor ---
 
 // Audit verifies the run's invariants mid-run: credit conservation,
-// scheduler and peer-table slab/free-list integrity, and — when the
-// incremental Gini sampler is active — both its aggregate sync with the
-// ledger and its agreement with the exact sorting sampler (bit-identical
-// by contract). The fault-injection harness calls it periodically; it
-// returns errors, never panics.
+// scheduler and peer-table slab/free-list integrity, the balance
+// histogram's sync with the ledger, and its Gini's agreement with the
+// sorting reference (bit-identical by contract). The fault-injection
+// harness calls it periodically; it returns errors, never panics.
 func (k *Kernel) Audit() error {
 	if err := k.Ledger.CheckConservation(); err != nil {
 		return fmt.Errorf("sim: audit: %w", err)
@@ -353,29 +362,18 @@ func (k *Kernel) Audit() error {
 	if err := k.Peers.CheckIntegrity(); err != nil {
 		return fmt.Errorf("sim: audit: %w", err)
 	}
-	if inc := k.Metrics.inc; inc != nil {
-		var pots int64
-		for _, slot := range k.external {
-			pots += k.Ledger.BalanceAt(slot)
+	if err := k.checkHist(); err != nil {
+		return fmt.Errorf("sim: audit: %w", err)
+	}
+	if gHist, ok := k.GiniNow(); ok {
+		bals := k.balanceVector()
+		gExact, buf, err := stats.GiniIntsInPlace(bals, k.Metrics.wealthBuf)
+		k.Metrics.wealthBuf = buf
+		if err != nil {
+			return fmt.Errorf("sim: audit: exact Gini: %w", err)
 		}
-		want := k.Ledger.Total() - pots
-		if inc.Count() != k.Peers.Live() || inc.Total() != want {
-			return fmt.Errorf("sim: audit: incremental Gini sampler tracks %d peers / %d credits, expected %d live peers / %d credits", inc.Count(), inc.Total(), k.Peers.Live(), want)
-		}
-		if inc.Count() > 0 {
-			gInc, err := inc.Gini()
-			if err != nil {
-				return fmt.Errorf("sim: audit: incremental Gini: %w", err)
-			}
-			bals := k.balanceVector()
-			gExact, buf, err := stats.GiniIntsInPlace(bals, k.Metrics.wealthBuf)
-			k.Metrics.wealthBuf = buf
-			if err != nil {
-				return fmt.Errorf("sim: audit: exact Gini: %w", err)
-			}
-			if gInc != gExact {
-				return fmt.Errorf("sim: audit: incremental Gini %v != exact Gini %v over %d live peers — the samplers diverged", gInc, gExact, len(bals))
-			}
+		if gHist != gExact {
+			return fmt.Errorf("sim: audit: histogram Gini %v != exact Gini %v over %d live peers", gHist, gExact, len(bals))
 		}
 	}
 	return nil

@@ -1,6 +1,9 @@
 package streaming
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"creditp2p/internal/credit"
@@ -115,32 +118,43 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestIncrementalGiniGoldenPaperScale pins the sampler swap at paper scale:
-// a same-seed run on the N=500 scale-free overlay must produce byte-
-// identical Results with the incremental Gini sampler on and off, including
-// every WealthGini series sample.
-func TestIncrementalGiniGoldenPaperScale(t *testing.T) {
-	run := func(incremental bool) *Result {
-		g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 500, Alpha: 2.5, MeanDegree: 20}, xrand.New(601))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(Config{
-			Graph:           g,
-			StreamRate:      2,
-			DelaySeconds:    8,
-			UploadCap:       1,
-			DownloadCap:     3,
-			SourceSeeds:     4,
-			InitialWealth:   15,
-			HorizonSeconds:  250,
-			Seed:            602,
-			IncrementalGini: incremental,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+// TestWealthGiniGoldenPaperScale pins the wealth-Gini output at paper
+// scale: a run on the N=500 scale-free overlay must reproduce the chunk
+// count and every WealthGini sample (digested over their exact float
+// bits) that the sorting sampler produced, so the balance-histogram
+// sampler is held to the sorted reference.
+func TestWealthGiniGoldenPaperScale(t *testing.T) {
+	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 500, Alpha: 2.5, MeanDegree: 20}, xrand.New(601))
+	if err != nil {
+		t.Fatal(err)
 	}
-	identicalResults(t, run(false), run(true))
+	res, err := Run(Config{
+		Graph:          g,
+		StreamRate:     2,
+		DelaySeconds:   8,
+		UploadCap:      1,
+		DownloadCap:    3,
+		SourceSeeds:    4,
+		InitialWealth:  15,
+		HorizonSeconds: 250,
+		Seed:           602,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	for i := range res.WealthGini.Values {
+		put(res.WealthGini.Times[i])
+		put(res.WealthGini.Values[i])
+	}
+	put(res.GiniWealth)
+	const wantTraded, wantDigest = 104142, 0xc0597a9ddfa8be78
+	if res.ChunksTraded != wantTraded || h.Sum64() != wantDigest {
+		t.Errorf("traded %d, wealth-Gini digest %016x; the sorting sampler gave %d, %016x", res.ChunksTraded, h.Sum64(), wantTraded, uint64(wantDigest))
+	}
 }

@@ -42,12 +42,11 @@ func TestMarketMemoryPerPeerCeiling(t *testing.T) {
 	}
 	grown := measureHeapGrowth(t, func() {
 		if _, err := RunMarket(MarketConfig{
-			Graph:           g,
-			InitialWealth:   20,
-			DefaultMu:       1,
-			Horizon:         4,
-			IncrementalGini: true,
-			Seed:            8,
+			Graph:         g,
+			InitialWealth: 20,
+			DefaultMu:     1,
+			Horizon:       4,
+			Seed:          8,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -68,16 +67,15 @@ func TestStreamingMemoryPerPeerCeiling(t *testing.T) {
 	}
 	grown := measureHeapGrowth(t, func() {
 		if _, err := RunStreaming(StreamingConfig{
-			Graph:           g,
-			StreamRate:      1,
-			DelaySeconds:    10,
-			UploadCap:       1,
-			DownloadCap:     2,
-			SourceSeeds:     6,
-			InitialWealth:   12,
-			HorizonSeconds:  20,
-			IncrementalGini: true,
-			Seed:            10,
+			Graph:          g,
+			StreamRate:     1,
+			DelaySeconds:   10,
+			UploadCap:      1,
+			DownloadCap:    2,
+			SourceSeeds:    6,
+			InitialWealth:  12,
+			HorizonSeconds: 20,
+			Seed:           10,
 		}); err != nil {
 			t.Fatal(err)
 		}
