@@ -19,54 +19,62 @@ func sortGini(t *testing.T, balances []int64) (float64, bool) {
 	return g, true
 }
 
-// TestHistGiniMatchesSort is the bit-identity contract the simulators'
-// Result series rest on: after every mutation of a randomized balance
-// population — ±1 and ±k moves, joins, departs, domain growth far past
-// the initial buckets — the histogram Gini must equal the sorted
-// recomputation exactly (==, not within epsilon), both over one histogram
-// and over the same population split across several (the sharded engine's
-// per-lane layout). The edge cases ride along: an empty population, a
-// single member, an all-zero population, and a 20k-member population whose
-// aggregates stress the final float division.
-func TestHistGiniMatchesSort(t *testing.T) {
-	check := func(step string, balances []int64, hists ...BalanceHist) {
-		t.Helper()
-		want, wantOK := sortGini(t, balances)
-		got, ok := HistGini(hists...)
-		if got != want || ok != wantOK {
-			t.Fatalf("%s: histogram Gini %v (ok %v) != sorted %v (ok %v) over %d members", step, got, ok, want, wantOK, len(balances))
-		}
-		var n, s int64
-		for _, h := range hists {
-			c, m := h.Sums()
-			n += c
-			s += m
-		}
-		var total int64
-		for _, b := range balances {
-			total += b
-		}
-		if n != int64(len(balances)) || s != total {
-			t.Fatalf("%s: Sums = %d members / %d credits, want %d / %d", step, n, s, len(balances), total)
-		}
+// checkHistGini fails the test unless the Gini read off hists equals the
+// sorted recomputation over balances exactly (==, not within epsilon) and
+// the histograms' Sums count the same members and credits.
+func checkHistGini(t *testing.T, step string, balances []int64, hists ...BalanceHist) {
+	t.Helper()
+	want, wantOK := sortGini(t, balances)
+	got, ok := HistGini(hists...)
+	if got != want || ok != wantOK {
+		t.Fatalf("%s: histogram Gini %v (ok %v) != sorted %v (ok %v) over %d members", step, got, ok, want, wantOK, len(balances))
 	}
+	var n, s int64
+	for _, h := range hists {
+		c, m := h.Sums()
+		n += c
+		s += m
+	}
+	var total int64
+	for _, b := range balances {
+		total += b
+	}
+	if n != int64(len(balances)) || s != total {
+		t.Fatalf("%s: Sums = %d members / %d credits, want %d / %d", step, n, s, len(balances), total)
+	}
+}
 
+// TestIncGiniEmptyAndZero covers the incremental (histogram) Gini sampler's
+// edge cases: an empty population (no Gini), a single member, and an
+// all-zero population (Gini 0).
+func TestIncGiniEmptyAndZero(t *testing.T) {
 	var empty BalanceHist
-	check("empty", nil, empty)
-	check("no histograms", nil)
+	checkHistGini(t, "empty", nil, empty)
+	checkHistGini(t, "no histograms", nil)
 
 	var single BalanceHist
 	single.Add(7)
-	check("single member", []int64{7}, single)
+	checkHistGini(t, "single member", []int64{7}, single)
 	single.Move(7, 0)
-	check("single member at zero", []int64{0}, single)
+	checkHistGini(t, "single member at zero", []int64{0}, single)
 
 	var zeros BalanceHist
-	zeros.Add(0)
-	zeros.Add(0)
-	zeros.Add(0)
-	check("all zero", []int64{0, 0, 0}, zeros)
+	for i := 0; i < 5; i++ {
+		zeros.Add(0)
+	}
+	checkHistGini(t, "all zero", []int64{0, 0, 0, 0, 0}, zeros)
+	if g, ok := HistGini(zeros); !ok || g != 0 {
+		t.Errorf("all-zero Gini = %v (ok %v), want 0", g, ok)
+	}
+}
 
+// TestIncGiniMatchesSort is the bit-identity contract the simulators'
+// Result series rest on: after every mutation of a randomized balance
+// population — ±1 and ±k moves, joins, departs, domain growth far past
+// the initial buckets — the histogram Gini must equal the sorted
+// recomputation exactly, both over one histogram and over the same
+// population split across several (the sharded engine's per-lane layout).
+func TestIncGiniMatchesSort(t *testing.T) {
 	r := xrand.New(71)
 	const lanes = 3
 	var whole BalanceHist
@@ -87,7 +95,7 @@ func TestHistGiniMatchesSort(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		add(int64(r.Intn(30)))
 	}
-	check("initial", balances, whole)
+	checkHistGini(t, "initial", balances, whole)
 	for step := 0; step < 3000; step++ {
 		switch r.Intn(10) {
 		case 0: // join
@@ -117,20 +125,26 @@ func TestHistGiniMatchesSort(t *testing.T) {
 			move(to, balances[to]+1)
 		}
 		if step%50 == 0 {
-			check("random step", balances, whole)
-			check("random step, split", balances, split...)
+			checkHistGini(t, "random step", balances, whole)
+			checkHistGini(t, "random step, split", balances, split...)
 		}
 	}
-	check("final", balances, whole)
-	check("final, split", balances, split...)
+	checkHistGini(t, "final", balances, whole)
+	checkHistGini(t, "final, split", balances, split...)
+}
 
-	var large BalanceHist
-	balances = make([]int64, 20000)
+// TestIncGiniLargeScaleExactness: at 20k members the aggregates D and n·S
+// stay far below 2^53, so the final float division must still match the
+// sorting path exactly.
+func TestIncGiniLargeScaleExactness(t *testing.T) {
+	r := xrand.New(5)
+	var h BalanceHist
+	balances := make([]int64, 20000)
 	for i := range balances {
 		balances[i] = int64(r.Intn(4000))
-		large.Add(balances[i])
+		h.Add(balances[i])
 	}
-	check("20k members", balances, large)
+	checkHistGini(t, "20k members", balances, h)
 }
 
 func BenchmarkHistMove(b *testing.B) {
