@@ -37,18 +37,18 @@
 // -checkpoint-every N snapshots a -scenario run's full state to the
 // -checkpoint file every N events; -restore resumes a crashed run from such
 // a file and produces byte-identical output to the uninterrupted run. Both
-// compose with -shards (sharded snapshots land at the first window barrier
-// after each cadence mark). All snapshot files are written
+// compose with -shards: sharded snapshots land at the first window barrier
+// after each cadence mark, and their seal and file I/O overlap with the
+// simulation. All snapshot files are written
 // write-to-temp / fsync / rename / fsync-directory, so a crash or power
 // cut mid-checkpoint always leaves a complete snapshot behind.
 //
 // -checkpoint-delta (sharded runs only) switches checkpointing to
 // base+delta chains: full snapshots anchor the chain, and between them
 // only the dirty segments of the run's state are written (run.snap plus
-// run.snap.d001, run.snap.d002, ...), with the seal and file I/O
-// overlapped with the simulation. -rebase-every bounds the chain length.
-// -restore with -checkpoint-delta loads and validates the whole chain;
-// the resumed run is byte-identical either way.
+// run.snap.d001, run.snap.d002, ...). -rebase-every bounds the chain
+// length. -restore with -checkpoint-delta loads and validates the whole
+// chain; the resumed run is byte-identical either way.
 //
 // -timing prints the sharded kernel's phase-level barrier-pipeline
 // breakdown (dispatch / merge / apply / churn / publish) after the report.
@@ -98,7 +98,7 @@ func run(args []string) error {
 	restorePath := fs.String("restore", "", "with -scenario: resume from this snapshot file instead of starting fresh")
 	shards := fs.Int("shards", 1, "with -scenario: run on the sharded multi-core kernel with this many lanes (1 = the classic single-threaded engines)")
 	timing := fs.Bool("timing", false, "with -scenario -shards > 1: print the phase-level barrier-pipeline timing breakdown after the report")
-	checkpointDelta := fs.Bool("checkpoint-delta", false, "with -scenario -shards > 1: write base+delta checkpoint chains with overlapped I/O instead of synchronous full snapshots")
+	checkpointDelta := fs.Bool("checkpoint-delta", false, "with -scenario -shards > 1: write base+delta checkpoint chains (run.snap plus run.snap.dNNN) instead of a full snapshot at every checkpoint")
 	rebaseEvery := fs.Int("rebase-every", 0, "with -checkpoint-delta: deltas per base before the chain re-anchors (0 = default)")
 	routing := fs.String("routing", "", "with -scenario -shards > 1: override the preset's destination-sampling mode (uniform, degree or availability)")
 	if err := fs.Parse(args); err != nil {

@@ -2,6 +2,7 @@ package des_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"creditp2p/internal/des"
@@ -130,5 +131,41 @@ func TestSchedulerDeltaRejectsShrunkSlab(t *testing.T) {
 	}
 	if err := grown.ApplyDelta(r); err == nil {
 		t.Fatal("delta with a shrunken slab applied without error")
+	}
+}
+
+// TestSchedulerDeltaRejectsUncoveredGrowth pins the decoder's allocation
+// bound: a link may grow the slab only by slots it carries. A hand-built
+// 91-byte link declaring a 1<<24-slot slab and no segments must be
+// refused without allocating the slab it declares.
+func TestSchedulerDeltaRejectsUncoveredGrowth(t *testing.T) {
+	w := snapshot.NewWriter(128)
+	w.Section("dsched")
+	w.F64(0)       // now
+	w.U64(0)       // seq
+	w.U64(0)       // fired
+	w.U64(0)       // dropped
+	w.Int(0)       // live
+	w.Int(1 << 24) // slab length
+	w.I32s(nil)    // free list
+	w.Int(0)       // segments carried
+	link := w.Finish()
+	if len(link) != 91 {
+		t.Fatalf("crafted link is %d bytes, want 91", len(link))
+	}
+	r, err := snapshot.Open(link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := des.NewScheduler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = s.ApplyDelta(r)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("link growing the slab by 1<<24 uncovered slots applied without error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing the link allocated %d bytes", grew)
 	}
 }

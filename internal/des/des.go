@@ -181,7 +181,7 @@ func (s *Scheduler) Schedule(delay float64, kind uint16, actor int32, payload in
 // O(1); the dead slot is discarded lazily when it surfaces in the queue.
 // It reports whether a pending event was actually cancelled.
 func (s *Scheduler) Cancel(h Handle) bool {
-	if h.slot == 0 {
+	if h.slot < 1 || int(h.slot) > len(s.slab) {
 		return false
 	}
 	nd := &s.slab[h.slot-1]
@@ -197,7 +197,7 @@ func (s *Scheduler) Cancel(h Handle) bool {
 // Cancelled reports whether the handle no longer refers to a pending event
 // (it was cancelled, already fired, or never issued).
 func (s *Scheduler) Cancelled(h Handle) bool {
-	if h.slot == 0 {
+	if h.slot < 1 || int(h.slot) > len(s.slab) {
 		return true
 	}
 	nd := &s.slab[h.slot-1]

@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"creditp2p/internal/snapshot"
@@ -18,8 +19,8 @@ func UnpackHandle(v uint64) Handle {
 	return Handle{slot: int32(uint32(v)), gen: uint32(v >> 32)}
 }
 
-// encScratch holds the recycled per-field extraction buffers SaveState and
-// SaveDelta transpose slab segments through: the slab is AoS in memory but
+// encScratch holds the recycled per-field extraction buffers slab segments
+// are transposed through on capture: the slab is AoS in memory but
 // per-field on disk (layout independent of struct packing), and recycling
 // the transpose buffers keeps periodic checkpoints allocation-free in
 // steady state.
@@ -32,31 +33,30 @@ type encScratch struct {
 	states   []uint8
 }
 
-func (s *Scheduler) scratch(n int) *encScratch {
+// slotBytes is the payload one carried slot takes: time, payload, actor,
+// gen, kind, state and seq.
+const slotBytes = 8 + 8 + 4 + 4 + 2 + 1 + 8
+
+// transpose extracts slab[lo:hi] into the recycled per-field buffers.
+func (s *Scheduler) transpose(lo, hi int) *encScratch {
 	if s.enc == nil {
-		s.enc = &encScratch{}
+		s.enc = &encScratch{
+			times:    make([]float64, slabSegSize),
+			payloads: make([]int64, slabSegSize),
+			actors:   make([]int32, slabSegSize),
+			gens:     make([]uint32, slabSegSize),
+			kinds:    make([]uint16, slabSegSize),
+			states:   make([]uint8, slabSegSize),
+		}
 	}
 	e := s.enc
-	if cap(e.times) < n {
-		e.times = make([]float64, n)
-		e.payloads = make([]int64, n)
-		e.actors = make([]int32, n)
-		e.gens = make([]uint32, n)
-		e.kinds = make([]uint16, n)
-		e.states = make([]uint8, n)
-	}
+	n := hi - lo
 	e.times = e.times[:n]
 	e.payloads = e.payloads[:n]
 	e.actors = e.actors[:n]
 	e.gens = e.gens[:n]
 	e.kinds = e.kinds[:n]
 	e.states = e.states[:n]
-	return e
-}
-
-// transpose extracts slab[lo:hi] into the scratch's per-field buffers.
-func (s *Scheduler) transpose(lo, hi int) *encScratch {
-	e := s.scratch(hi - lo)
 	for i := lo; i < hi; i++ {
 		nd := &s.slab[i]
 		j := i - lo
@@ -70,39 +70,22 @@ func (s *Scheduler) transpose(lo, hi int) *encScratch {
 	return e
 }
 
-// SaveState serializes the scheduler: virtual time, counters, the full slab
-// (per-field plus each slot's seq, so the layout on disk is independent of
-// struct packing and of the queue's internal layout), and the free list. The
-// pending multiset is NOT stored: it is exactly the non-free slots, ordered
-// by their seq — restore derives it, moving the sort from every checkpoint
-// to the rare restore. Cancelled-but-unpopped entries are included via
-// their slot state; their lazy recycling order is part of the deterministic
-// free-list evolution. Capturing clears the slab's dirty map: the snapshot
-// is a fresh delta base.
+// SaveState serializes the whole scheduler: the all-segments case of
+// SaveDelta, so a state capture is a delta that carries every slab
+// segment and restores onto an empty scheduler.
 func (s *Scheduler) SaveState(w *snapshot.Writer) {
-	w.Section("sched")
-	w.F64(s.now)
-	w.U64(s.seq)
-	w.U64(s.fired)
-	w.U64(s.dropped)
-	w.Int(s.live)
-
-	e := s.transpose(0, len(s.slab))
-	w.F64s(e.times)
-	w.I64s(e.payloads)
-	w.I32s(e.actors)
-	w.U32s(e.gens)
-	w.U16s(e.kinds)
-	w.U8s(e.states)
-	w.U64s(s.seqOf)
-	w.I32s(s.free)
-	s.dirty.Clear()
+	s.dirty.MarkAll()
+	s.SaveDelta(w)
 }
 
-// SaveDelta serializes only the slab segments touched since the last
-// capture (full or delta), plus the scalars and the free list — the
-// incremental complement of SaveState. The dirty map is cleared: the delta
-// extends the chain, and the next delta is relative to this one.
+// SaveDelta serializes the virtual time, counters and free list plus the
+// slab segments touched since the last capture, each per-field with its
+// slots' seqs (the on-disk layout is independent of struct packing and of
+// the queue's internal layout). The pending multiset is NOT stored: it is
+// exactly the non-free slots ordered by seq, and restore derives it.
+// Cancelled-but-unpopped entries ride along via their slot state; their
+// lazy recycling order is part of the deterministic free-list evolution.
+// The dirty map is cleared: the next delta is relative to this capture.
 func (s *Scheduler) SaveDelta(w *snapshot.Writer) {
 	w.Section("dsched")
 	w.F64(s.now)
@@ -115,10 +98,7 @@ func (s *Scheduler) SaveDelta(w *snapshot.Writer) {
 	w.Int(s.dirty.Count())
 	s.dirty.Walk(func(seg int) {
 		lo := seg << slabSegShift
-		hi := lo + slabSegSize
-		if hi > len(s.slab) {
-			hi = len(s.slab)
-		}
+		hi := min(lo+slabSegSize, len(s.slab))
 		w.U32(uint32(seg))
 		e := s.transpose(lo, hi)
 		w.F64s(e.times)
@@ -132,11 +112,16 @@ func (s *Scheduler) SaveDelta(w *snapshot.Writer) {
 	s.dirty.Clear()
 }
 
-// ApplyDelta patches a delta serialized by SaveDelta into the receiver,
-// which must already hold the chain's preceding state. The queue is NOT
-// rebuilt — apply every delta in the chain, then call RebuildQueue
-// once. Chain-order integrity (base id, link index, predecessor CRC) is the
-// caller's concern via snapshot.ValidateChain.
+// ApplyDelta patches a capture written by SaveDelta (or SaveState) into
+// the receiver, which must hold the chain's preceding state — or be empty,
+// for a base. Segments must ascend, and every slot the slab grows by must
+// lie in a segment the capture carries: a base applied to an empty
+// scheduler must carry every segment, and the slab never grows past the
+// bytes actually read. Queued slots must hold a valid state and a time no
+// earlier than the capture's. The queue is NOT rebuilt:
+// apply every link of a chain, then call RebuildQueue once. Chain-order
+// integrity (base id, link index, predecessor CRC) is the caller's concern
+// via snapshot.ValidateChain.
 func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 	r.Section("dsched")
 	now := r.F64()
@@ -150,12 +135,11 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if slabLen < len(s.slab) {
-		return fmt.Errorf("des: delta shrinks the slab from %d to %d slots", len(s.slab), slabLen)
+	if math.IsNaN(now) {
+		return fmt.Errorf("des: delta virtual time is NaN")
 	}
-	for len(s.slab) < slabLen {
-		s.slab = append(s.slab, node{})
-		s.seqOf = append(s.seqOf, 0)
+	if slabLen < len(s.slab) || slabLen > math.MaxInt32 {
+		return fmt.Errorf("des: delta resizes the slab from %d to %d slots", len(s.slab), slabLen)
 	}
 	for _, sl := range free {
 		if sl < 1 || int(sl) > slabLen {
@@ -163,18 +147,33 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 		}
 	}
 	maxSeg := (slabLen + slabSegSize - 1) >> slabSegShift
+	if segs < 0 || segs > maxSeg {
+		return fmt.Errorf("des: delta carries %d segments of a %d-segment slab", segs, maxSeg)
+	}
+	// Every slot the slab grows by is carried at slotBytes of payload or
+	// more, so reserving the grown slab up front stays within a constant
+	// factor of the bytes actually present.
+	if grow := slabLen - len(s.slab); grow > 0 {
+		if grow > r.Remaining()/slotBytes {
+			return fmt.Errorf("des: delta grows the slab by %d slots but holds %d payload bytes", grow, r.Remaining())
+		}
+		s.slab = slices.Grow(s.slab, grow)
+		s.seqOf = slices.Grow(s.seqOf, grow)
+	}
+	prev := -1
 	for k := 0; k < segs; k++ {
 		seg := int(r.U32())
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if seg < 0 || seg >= maxSeg {
-			return fmt.Errorf("des: delta segment %d outside the %d-segment slab", seg, maxSeg)
+		if seg <= prev || seg >= maxSeg {
+			return fmt.Errorf("des: delta segment %d out of order or outside the %d-segment slab", seg, maxSeg)
 		}
+		prev = seg
 		lo := seg << slabSegShift
-		hi := lo + slabSegSize
-		if hi > slabLen {
-			hi = slabLen
+		hi := min(lo+slabSegSize, slabLen)
+		if lo > len(s.slab) {
+			return fmt.Errorf("des: delta grows the slab to %d slots but leaves slots [%d,%d) uncovered", slabLen, len(s.slab), lo)
 		}
 		n := hi - lo
 		times := r.F64s(n)
@@ -192,6 +191,14 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 			return fmt.Errorf("des: delta segment %d spans %d/%d/%d/%d/%d/%d/%d slots, want %d",
 				seg, len(times), len(payloads), len(actors), len(gens), len(kinds), len(states), len(seqs), n)
 		}
+		for i, st := range states {
+			if st > slotDead || st != slotFree && !(times[i] >= now) {
+				return fmt.Errorf("des: delta slot %d has state %d at time %v (now %v)", lo+i+1, st, times[i], now)
+			}
+		}
+		if hi > len(s.slab) {
+			s.slab, s.seqOf = s.slab[:hi], s.seqOf[:hi]
+		}
 		for i := 0; i < n; i++ {
 			s.slab[lo+i] = node{
 				time:    times[i],
@@ -203,6 +210,9 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 			}
 		}
 		copy(s.seqOf[lo:hi], seqs)
+	}
+	if len(s.slab) < slabLen {
+		return fmt.Errorf("des: delta grows the slab to %d slots but carries only the first %d", slabLen, len(s.slab))
 	}
 	s.now = now
 	s.seq = seq
@@ -259,61 +269,32 @@ func (s *Scheduler) RebuildQueue() {
 	s.warmPos = 0
 }
 
-// LoadState restores a scheduler serialized by SaveState into the receiver:
-// the pending set is derived from the slot states and rebuilt into the
-// calendar.
+// LoadState restores a scheduler serialized by SaveState into the
+// receiver: it empties the slab, applies the capture as a base and
+// rebuilds the calendar from the slot states.
 func (s *Scheduler) LoadState(r *snapshot.Reader) error {
-	r.Section("sched")
-	now := r.F64()
-	seq := r.U64()
-	fired := r.U64()
-	dropped := r.U64()
-	live := r.Int()
-
-	times := r.F64s(0)
-	payloads := r.I64s(0)
-	actors := r.I32s(0)
-	gens := r.U32s(0)
-	kinds := r.U16s(0)
-	states := r.U8s(0)
-	seqs := r.U64s(0)
-	free := r.I32s(0)
-	if err := r.Err(); err != nil {
+	s.slab, s.seqOf = s.slab[:0], s.seqOf[:0]
+	s.dirty = snapshot.DirtyBits{}
+	if err := s.ApplyDelta(r); err != nil {
 		return err
 	}
-	n := len(times)
-	if len(payloads) != n || len(actors) != n || len(gens) != n || len(kinds) != n ||
-		len(states) != n || len(seqs) != n {
-		return fmt.Errorf("des: slab field lengths disagree (%d/%d/%d/%d/%d/%d/%d)",
-			n, len(payloads), len(actors), len(gens), len(kinds), len(states), len(seqs))
-	}
-	for _, sl := range free {
-		if sl < 1 || int(sl) > n {
-			return fmt.Errorf("des: free list references slot %d outside the %d-slot slab", sl, n)
-		}
-	}
-
-	s.now = now
-	s.seq = seq
-	s.fired = fired
-	s.dropped = dropped
-	s.live = live
-	s.slab = make([]node, n)
-	for i := range s.slab {
-		s.slab[i] = node{
-			time:    times[i],
-			payload: payloads[i],
-			actor:   actors[i],
-			gen:     gens[i],
-			kind:    kinds[i],
-			state:   states[i],
-		}
-	}
-	s.seqOf = seqs
-	s.free = free
-	s.dirty.Grow((n + slabSegSize - 1) >> slabSegShift)
-	s.dirty.Clear()
 	s.RebuildQueue()
+	return nil
+}
+
+// EachQueued calls fn with the event held by every queued slot — live and
+// cancelled alike — in slab order, stopping at the first error. Restores
+// use it to vet decoded events against their owner's invariants.
+func (s *Scheduler) EachQueued(fn func(Event) error) error {
+	for i := range s.slab {
+		nd := &s.slab[i]
+		if nd.state == slotFree {
+			continue
+		}
+		if err := fn(Event{Time: nd.time, Kind: nd.kind, Actor: nd.actor, Payload: nd.payload}); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -44,7 +44,7 @@ type ShardMarket struct {
 	fr []uint64
 	// pend holds each live peer's next attempt event for churn retire.
 	pend []des.Handle
-	// hscratch is the recycled handle-packing buffer for delta captures.
+	// hscratch is the recycled handle-packing buffer for checkpoint captures.
 	hscratch []uint64
 	// per-lane counters, summed into Result.Counters at finish.
 	lanes []shardMarketCounters
@@ -174,32 +174,13 @@ func (m *ShardMarket) Digest() uint64 {
 	return h
 }
 
-// SaveState serializes pending handles and counters; the free-rider map
-// is replayed from the stream prefixes at rebuild and needs no bytes.
-func (m *ShardMarket) SaveState(w *snapshot.Writer) {
+// SaveSpans serializes the pending handles of the peers in spans (a
+// peer's handle changes only when one of its own events fires, which
+// dirties its segment) plus the per-lane counters, a few words per shard.
+// The free-rider map replays from the stream prefixes at rebuild and needs
+// no bytes.
+func (m *ShardMarket) SaveSpans(w *snapshot.Writer, spans []shard.PeerSpan) {
 	w.Section("mkshard")
-	hs := make([]uint64, len(m.pend))
-	for i, h := range m.pend {
-		hs[i] = h.Pack()
-	}
-	w.U64s(hs)
-	w.Int(len(m.lanes))
-	for _, c := range m.lanes {
-		w.U64(c.attempts)
-		w.U64(c.purchases)
-		w.U64(c.failInsolvent)
-		w.U64(c.failOffline)
-		w.U64(c.failFreeRider)
-		w.U64(c.failIsolated)
-	}
-}
-
-// SaveDelta implements shard.DeltaWorkload: only the pending handles of
-// the peers in the dirty spans are serialized (a peer's handle changes
-// only when one of its own events fires, which dirties its segment), plus
-// the per-lane counters, which are a few words per shard.
-func (m *ShardMarket) SaveDelta(w *snapshot.Writer, spans []shard.PeerSpan) {
-	w.Section("dmkshard")
 	for _, sp := range spans {
 		n := int(sp.Hi - sp.Lo)
 		if cap(m.hscratch) < n {
@@ -222,9 +203,9 @@ func (m *ShardMarket) SaveDelta(w *snapshot.Writer, spans []shard.PeerSpan) {
 	}
 }
 
-// LoadDelta applies a delta written by SaveDelta with the same spans.
-func (m *ShardMarket) LoadDelta(r *snapshot.Reader, spans []shard.PeerSpan) error {
-	r.Section("dmkshard")
+// LoadSpans applies a section written by SaveSpans with the same spans.
+func (m *ShardMarket) LoadSpans(r *snapshot.Reader, spans []shard.PeerSpan) error {
+	r.Section("mkshard")
 	for _, sp := range spans {
 		n := int(sp.Hi - sp.Lo)
 		hs := r.U64s(n)
@@ -232,39 +213,11 @@ func (m *ShardMarket) LoadDelta(r *snapshot.Reader, spans []shard.PeerSpan) erro
 			return err
 		}
 		if len(hs) != n {
-			return fmt.Errorf("market: shard delta span [%d,%d) carries %d handles, want %d", sp.Lo, sp.Hi, len(hs), n)
+			return fmt.Errorf("market: shard snapshot span [%d,%d) carries %d handles, want %d", sp.Lo, sp.Hi, len(hs), n)
 		}
 		for i, v := range hs {
 			m.pend[sp.Lo+int32(i)] = des.UnpackHandle(v)
 		}
-	}
-	if got := r.Int(); got != len(m.lanes) {
-		return fmt.Errorf("market: shard delta has %d lane counter sets, want %d", got, len(m.lanes))
-	}
-	for i := range m.lanes {
-		c := &m.lanes[i]
-		c.attempts = r.U64()
-		c.purchases = r.U64()
-		c.failInsolvent = r.U64()
-		c.failOffline = r.U64()
-		c.failFreeRider = r.U64()
-		c.failIsolated = r.U64()
-	}
-	return r.Err()
-}
-
-// LoadState restores the workload at the same shard count.
-func (m *ShardMarket) LoadState(r *snapshot.Reader) error {
-	r.Section("mkshard")
-	hs := r.U64s(len(m.pend))
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(hs) != len(m.pend) {
-		return fmt.Errorf("market: shard snapshot has %d pending handles, want %d", len(hs), len(m.pend))
-	}
-	for i, v := range hs {
-		m.pend[i] = des.UnpackHandle(v)
 	}
 	if got := r.Int(); got != len(m.lanes) {
 		return fmt.Errorf("market: shard snapshot has %d lane counter sets, want %d", got, len(m.lanes))

@@ -15,13 +15,15 @@ type Resume struct {
 	// CheckpointEvery emits a snapshot to Sink every N delivered events;
 	// zero disables periodic checkpointing.
 	CheckpointEvery int
-	// Sink receives each periodic snapshot — the legacy synchronous path:
-	// a full snapshot is encoded and handed over inline at the barrier.
+	// Sink receives each periodic snapshot, a complete restorable file.
+	// The single-threaded engines hand it over inline; a sharded run
+	// routes it through the pipelined checkpointer with deltas off, so
+	// Sink runs on the checkpointer's writer goroutine, one call at a
+	// time, on a copy it may keep.
 	Sink func(data []byte) error
-	// ChainSink, when non-nil, replaces Sink with the pipelined
-	// checkpointer (sharded runs only): per-lane parallel encode at the
-	// barrier, seal and write overlapped with the following windows, and —
-	// with Delta — dirty-segment delta links between bases.
+	// ChainSink, when non-nil, replaces Sink (sharded runs only): it
+	// receives the pipelined checkpointer's links as they are sealed —
+	// with Delta, dirty-segment delta links between bases.
 	ChainSink shard.ChainSink
 	// Delta enables dirty-segment delta checkpoints on the ChainSink path.
 	Delta bool

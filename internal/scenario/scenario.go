@@ -281,6 +281,46 @@ func (c Credit) compilePolicies(horizon float64) ([]policy.Policy, float64, erro
 	return pols, c.PolicyEpoch * horizon, nil
 }
 
+// enginePipeline compiles the policy pipeline of the engine-driven
+// workloads (streaming, sharded): the declarative TaxRate/Inject* knobs
+// become engine stages — binomial IncomeTax + Redistribute, Injection —
+// ahead of the declared pipeline, all sharing the engine's one epoch
+// clock. The legacy market keeps its own Tax/Inject fields instead.
+func (c Credit) enginePipeline(horizon float64) ([]policy.Policy, float64, error) {
+	var pols []policy.Policy
+	epoch := 0.0
+	if c.TaxRate > 0 {
+		it, err := policy.NewIncomeTax(c.TaxRate, c.TaxThreshold)
+		if err != nil {
+			return nil, 0, err
+		}
+		pols = append(pols, it, policy.NewRedistribute())
+	}
+	if c.InjectAmount > 0 {
+		if c.InjectPeriod <= 0 || c.InjectPeriod > 1 {
+			return nil, 0, fmt.Errorf("%w: injection period %v (fraction of horizon)", ErrBadScenario, c.InjectPeriod)
+		}
+		inj, err := policy.NewInjection(c.InjectAmount)
+		if err != nil {
+			return nil, 0, err
+		}
+		pols = append(pols, inj)
+		epoch = c.InjectPeriod * horizon
+	}
+	declared, depoch, err := c.compilePolicies(horizon)
+	if err != nil {
+		return nil, 0, err
+	}
+	pols = append(pols, declared...)
+	if depoch > 0 {
+		if epoch > 0 && depoch != epoch {
+			return nil, 0, fmt.Errorf("%w: policy epoch %v conflicts with injection period %v (the engine has one epoch clock)", ErrBadScenario, depoch, epoch)
+		}
+		epoch = depoch
+	}
+	return pols, epoch, nil
+}
+
 // WorkloadKind selects the simulator a scenario compiles to.
 type WorkloadKind int
 
@@ -572,42 +612,10 @@ func (sc Scenario) StreamingConfig(scale Scale) (streaming.Config, error) {
 		Seed:           sc.Seed + 1,
 	}
 	// The streaming workload runs every countermeasure through the shared
-	// policy engine: the declarative TaxRate/Inject* knobs compile to
-	// engine stages (binomial IncomeTax + Redistribute, Injection) ahead
-	// of the declared pipeline.
-	var pols []policy.Policy
-	epoch := 0.0
-	if sc.Credit.TaxRate > 0 {
-		it, err := policy.NewIncomeTax(sc.Credit.TaxRate, sc.Credit.TaxThreshold)
-		if err != nil {
-			return streaming.Config{}, err
-		}
-		pols = append(pols, it, policy.NewRedistribute())
-	}
-	if sc.Credit.InjectAmount > 0 {
-		if sc.Credit.InjectPeriod <= 0 || sc.Credit.InjectPeriod > 1 {
-			return streaming.Config{}, fmt.Errorf("%w: injection period %v (fraction of horizon)", ErrBadScenario, sc.Credit.InjectPeriod)
-		}
-		inj, err := policy.NewInjection(sc.Credit.InjectAmount)
-		if err != nil {
-			return streaming.Config{}, err
-		}
-		pols = append(pols, inj)
-		epoch = sc.Credit.InjectPeriod * d.horizon
-	}
-	declared, depoch, err := sc.Credit.compilePolicies(d.horizon)
-	if err != nil {
+	// policy engine.
+	if cfg.Policies, cfg.PolicyEpoch, err = sc.Credit.enginePipeline(d.horizon); err != nil {
 		return streaming.Config{}, err
 	}
-	pols = append(pols, declared...)
-	if depoch > 0 {
-		if epoch > 0 && depoch != epoch {
-			return streaming.Config{}, fmt.Errorf("%w: policy epoch %v conflicts with injection period %v (the engine has one epoch clock)", ErrBadScenario, depoch, epoch)
-		}
-		epoch = depoch
-	}
-	cfg.Policies = pols
-	cfg.PolicyEpoch = epoch
 	if st.SeederFrac > 0 {
 		if st.SeederFrac >= 1 || st.SeederUploadCap < 1 {
 			return streaming.Config{}, fmt.Errorf("%w: seeders %+v", ErrBadScenario, st)

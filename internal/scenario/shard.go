@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"creditp2p/internal/market"
-	"creditp2p/internal/policy"
 	"creditp2p/internal/shard"
 	"creditp2p/internal/streaming"
 	"creditp2p/internal/trace"
@@ -89,42 +88,10 @@ func (sc Scenario) ShardConfig(scale Scale, shards int) (shard.Config, error) {
 		cfg.Routing.Mode = shard.RouteAvailability
 	}
 
-	// The policy pipeline compiles exactly like the streaming path: the
-	// declarative TaxRate/Inject* knobs become engine stages ahead of the
-	// declared pipeline, sharing the engine's one epoch clock.
-	var pols []policy.Policy
-	epoch := 0.0
-	if sc.Credit.TaxRate > 0 {
-		it, err := policy.NewIncomeTax(sc.Credit.TaxRate, sc.Credit.TaxThreshold)
-		if err != nil {
-			return shard.Config{}, err
-		}
-		pols = append(pols, it, policy.NewRedistribute())
-	}
-	if sc.Credit.InjectAmount > 0 {
-		if sc.Credit.InjectPeriod <= 0 || sc.Credit.InjectPeriod > 1 {
-			return shard.Config{}, fmt.Errorf("%w: injection period %v (fraction of horizon)", ErrBadScenario, sc.Credit.InjectPeriod)
-		}
-		inj, err := policy.NewInjection(sc.Credit.InjectAmount)
-		if err != nil {
-			return shard.Config{}, err
-		}
-		pols = append(pols, inj)
-		epoch = sc.Credit.InjectPeriod * d.horizon
-	}
-	declared, depoch, err := sc.Credit.compilePolicies(d.horizon)
-	if err != nil {
+	// The policy pipeline compiles exactly like the streaming path.
+	if cfg.Policies, cfg.PolicyEpoch, err = sc.Credit.enginePipeline(d.horizon); err != nil {
 		return shard.Config{}, err
 	}
-	pols = append(pols, declared...)
-	if depoch > 0 {
-		if epoch > 0 && depoch != epoch {
-			return shard.Config{}, fmt.Errorf("%w: policy epoch %v conflicts with injection period %v (the engine has one epoch clock)", ErrBadScenario, depoch, epoch)
-		}
-		epoch = depoch
-	}
-	cfg.Policies = pols
-	cfg.PolicyEpoch = epoch
 
 	switch sc.Workload {
 	case WorkloadMarket:
@@ -183,8 +150,8 @@ func RunSharded(sc Scenario, scale Scale, shards int) (*Outcome, error) {
 }
 
 // RunShardedResumable is RunSharded with crash/resume support: periodic
-// snapshots flow to rs.Sink, and a non-nil rs.Snapshot resumes a
-// checkpointed run instead of starting fresh. Sharded snapshots are
+// checkpoints flow to rs.Sink or rs.ChainSink, and a non-nil rs.Snapshot
+// or rs.Chain resumes a checkpointed run instead of starting fresh. Sharded snapshots are
 // barrier-aligned, so the event-count cadence quantizes up to window
 // boundaries: a snapshot lands at the first barrier at or after each
 // multiple of rs.CheckpointEvery dispatched events. The completed run's
@@ -235,13 +202,17 @@ func RunShardedResumable(sc Scenario, scale Scale, shards int, rs Resume) (*Outc
 	}, nil
 }
 
-// driveSharded steps a sharded run window-by-window, snapshotting at the
+// driveSharded steps a sharded run window-by-window, checkpointing at the
 // first barrier at or after each multiple of rs.CheckpointEvery dispatched
-// events. With a ChainSink the pipelined checkpointer takes over:
-// parallel fragment encode at the barrier, seal+write overlapped with the
-// following windows; the plain Sink path stays fully synchronous.
+// events through the pipelined checkpointer: parallel fragment encode at
+// the barrier, seal+write overlapped with the following windows. A plain
+// rs.Sink rides the same path with deltas off — every link a base.
 func driveSharded(s *shard.Sim, rs Resume) error {
-	if rs.CheckpointEvery <= 0 || (rs.Sink == nil && rs.ChainSink == nil) {
+	sink := rs.ChainSink
+	if sink == nil && rs.Sink != nil {
+		sink = snapshotSink(rs.Sink)
+	}
+	if rs.CheckpointEvery <= 0 || sink == nil {
 		for s.StepWindow() {
 		}
 		return nil
@@ -253,33 +224,36 @@ func driveSharded(s *shard.Sim, rs Resume) error {
 	if n := s.Engine().EventsFired(); n >= next {
 		next = (n/every + 1) * every
 	}
-	if rs.ChainSink != nil {
-		c := shard.NewCheckpointer(s.Engine(), rs.ChainSink, shard.CheckpointOptions{
-			Delta:       rs.Delta,
-			RebaseEvery: rs.RebaseEvery,
-		})
-		for s.StepWindow() {
-			if n := s.Engine().EventsFired(); n >= next {
-				if err := c.Checkpoint(); err != nil {
-					return fmt.Errorf("scenario: checkpoint after %d events: %w", n, err)
-				}
-				next = (n/every + 1) * every
-			}
-		}
-		if err := c.Close(); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-		return nil
-	}
+	c := shard.NewCheckpointer(s.Engine(), sink, shard.CheckpointOptions{
+		Delta:       rs.Delta && rs.ChainSink != nil,
+		RebaseEvery: rs.RebaseEvery,
+	})
 	for s.StepWindow() {
 		if n := s.Engine().EventsFired(); n >= next {
-			if err := rs.Sink(s.Snapshot()); err != nil {
+			if err := c.Checkpoint(); err != nil {
 				return fmt.Errorf("scenario: checkpoint after %d events: %w", n, err)
 			}
 			next = (n/every + 1) * every
 		}
 	}
+	if err := c.Close(); err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
 	return nil
+}
+
+// snapshotSink adapts a Resume.Sink to the checkpointer's chain sink.
+// With deltas off every link is a base, a complete snapshot on its own.
+// Each link is copied before the hand-off: the checkpointer recycles its
+// buffer once the write returns.
+type snapshotSink func(data []byte) error
+
+func (f snapshotSink) WriteBase(data []byte) error {
+	return f(append([]byte(nil), data...))
+}
+
+func (f snapshotSink) WriteDelta(index int, _ []byte) error {
+	return fmt.Errorf("scenario: snapshot sink got delta link %d; deltas need a ChainSink", index)
 }
 
 // RunShardedNamed looks a scenario up and runs it on the sharded kernel.

@@ -81,15 +81,11 @@ type Checkpointer struct {
 	sink ChainSink
 	opt  CheckpointOptions
 
-	coord *snapshot.Writer   // header-bearing fragment: link header + shared state
-	laneW []*snapshot.Writer // raw per-lane fragments, encoded in parallel
-	wkW   *snapshot.Writer   // raw workload fragment
-	parts [][]byte
-	spans []PeerSpan
+	enc *encoder // recycled fragments
 
 	sealBuf []byte // recycled seal target, owned by the in-flight write
 
-	chainIdx  int    // next link index; 0 means the next checkpoint is a base
+	chainIdx  int // next link index; 0 means the next checkpoint is a base
 	baseID    uint64
 	prevCRC   uint64
 	baseBytes int    // sealed size of the current base
@@ -108,19 +104,7 @@ func NewCheckpointer(e *Engine, sink ChainSink, opt CheckpointOptions) *Checkpoi
 	if opt.MaxDeltaFraction <= 0 {
 		opt.MaxDeltaFraction = 0.5
 	}
-	c := &Checkpointer{
-		e:     e,
-		sink:  sink,
-		opt:   opt,
-		coord: snapshot.NewWriter(1 << 16),
-		laneW: make([]*snapshot.Writer, e.p),
-		wkW:   snapshot.NewRawWriter(1 << 12),
-		parts: make([][]byte, 0, e.p+2),
-	}
-	for s := range c.laneW {
-		c.laneW[s] = snapshot.NewRawWriter(1 << 12)
-	}
-	return c
+	return &Checkpointer{e: e, sink: sink, opt: opt, enc: newEncoder(e.p)}
 }
 
 // Stats returns the checkpoint counters so far.
@@ -161,58 +145,25 @@ func (c *Checkpointer) Checkpoint() error {
 
 	isBase := !c.opt.Delta || c.chainIdx == 0 || c.chainIdx > c.opt.RebaseEvery ||
 		e.captureGen != c.lastGen
-	var link snapshot.LinkHeader
+	link := snapshot.LinkHeader{
+		Kind:    snapshot.LinkDelta,
+		ID:      c.baseID,
+		Index:   uint32(c.chainIdx),
+		PrevCRC: c.prevCRC,
+	}
 	if isBase {
 		c.baseID = e.snapID()
 		link = snapshot.LinkHeader{Kind: snapshot.LinkBase, ID: c.baseID}
-	} else {
-		link = snapshot.LinkHeader{
-			Kind:    snapshot.LinkDelta,
-			ID:      c.baseID,
-			Index:   uint32(c.chainIdx),
-			PrevCRC: c.prevCRC,
-		}
 	}
 
-	// Stage: encode into the recycled fragments. Lanes run in parallel;
-	// the coordinator takes the shared and workload sections. This is the
-	// only part the simulation stalls for besides the pipeline wait.
-	c.coord.Reset()
-	e.saveHeader(c.coord, link)
-	if isBase {
-		e.saveShared(c.coord)
-		lw := c.laneW
-		e.parallel(func(ln *Lane) {
-			w := lw[ln.S]
-			w.Reset()
-			ln.save(w)
-			ln.dirty.Clear()
-		})
-		c.wkW.Reset()
-		e.saveWorkload(c.wkW)
-	} else {
-		c.spans = e.appendDirtySpans(c.spans[:0])
-		e.saveDeltaShared(c.coord)
-		lw := c.laneW
-		e.parallel(func(ln *Lane) {
-			w := lw[ln.S]
-			w.Reset()
-			ln.saveDelta(w)
-		})
-		c.wkW.Reset()
-		e.saveDeltaWorkload(c.wkW, c.spans)
-	}
-	e.captureGen++
+	// Stage: encode into the recycled fragments — lanes in parallel, the
+	// coordinator taking the shared and workload sections. A base carries
+	// every segment, a delta the dirty ones. This is the only part the
+	// simulation stalls for besides the pipeline wait.
+	parts := c.enc.encode(e, link)
 	c.lastGen = e.captureGen
-
-	c.parts = c.parts[:0]
-	c.parts = append(c.parts, c.coord.Frame())
-	for _, w := range c.laneW {
-		c.parts = append(c.parts, w.Frame())
-	}
-	c.parts = append(c.parts, c.wkW.Frame())
 	size := 0
-	for _, p := range c.parts {
+	for _, p := range parts {
 		size += len(p)
 	}
 	e.timings.CkptCopy += time.Since(t1)
@@ -220,11 +171,9 @@ func (c *Checkpointer) Checkpoint() error {
 	// Hand off: seal (streaming CRC over the fragments) and the sink
 	// write run concurrently with the next simulation windows. A forced
 	// re-base (chain bound hit, foreign capture) leaves chainIdx nonzero,
-	// so route by the link kind, not the chain position.
+	// so route by the link's index (0 for every base), not the chain
+	// position.
 	index := int(link.Index)
-	if isBase {
-		index = 0
-	}
 	res := make(chan writeResult, 1)
 	c.inflight = res
 	go func(parts [][]byte, dst []byte, sink ChainSink, index int) {
@@ -242,7 +191,7 @@ func (c *Checkpointer) Checkpoint() error {
 		}
 		r.write = time.Since(tW)
 		res <- r
-	}(c.parts, c.sealBuf, c.sink, index)
+	}(parts, c.sealBuf, c.sink, index)
 	c.sealBuf = nil // owned by the writer until wait()
 
 	c.stats.Checkpoints++

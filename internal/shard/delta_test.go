@@ -34,7 +34,7 @@ func (m *memChain) WriteDelta(index int, data []byte) error {
 
 // stepWindows advances a run by n window barriers, failing the test if
 // the horizon arrives first.
-func stepWindows(t *testing.T, s *shard.Sim, n int) {
+func stepWindows(t testing.TB, s *shard.Sim, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if !s.StepWindow() {
@@ -45,7 +45,7 @@ func stepWindows(t *testing.T, s *shard.Sim, n int) {
 
 // checkpointSync takes one pipelined checkpoint and drains the write, so
 // the sink's chain is complete when it returns.
-func checkpointSync(t *testing.T, c *shard.Checkpointer) {
+func checkpointSync(t testing.TB, c *shard.Checkpointer) {
 	t.Helper()
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)

@@ -38,9 +38,9 @@ package shard
 // All trees are built eagerly during New in ascending peer order; after
 // that, heavy trees are only ever patched and light trees only ever
 // rebuilt from the mirror, so both populations have shard-count-invariant
-// float state. The slab, mirror, and EWMA state serialize with the lane
-// partitions (full and delta checkpoints alike), so restores resume the
-// exact byte stream without a rebuild train.
+// float state. The slab, mirror, and EWMA state serialize with their
+// peers' segments in every checkpoint link, so restores resume the exact
+// byte stream without a rebuild train.
 
 import (
 	"fmt"

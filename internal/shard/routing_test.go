@@ -11,7 +11,7 @@ import (
 )
 
 // routedMarket is marketConfig with a routing mode applied.
-func routedMarket(t *testing.T, p int, rc shard.RoutingConfig) shard.Config {
+func routedMarket(t testing.TB, p int, rc shard.RoutingConfig) shard.Config {
 	t.Helper()
 	cfg := marketConfig(t, p, nil)
 	cfg.Routing = rc
@@ -19,7 +19,7 @@ func routedMarket(t *testing.T, p int, rc shard.RoutingConfig) shard.Config {
 }
 
 // routedStreaming is streamingConfig with a routing mode applied.
-func routedStreaming(t *testing.T, p int, rc shard.RoutingConfig) shard.Config {
+func routedStreaming(t testing.TB, p int, rc shard.RoutingConfig) shard.Config {
 	t.Helper()
 	cfg := streamingConfig(t, p, nil)
 	cfg.Routing = rc

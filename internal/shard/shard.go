@@ -138,10 +138,14 @@ type Workload interface {
 	// Digest returns a stable identity of the workload's configuration,
 	// folded into the snapshot digest so restores refuse mismatches.
 	Digest() uint64
-	// SaveState / LoadState serialize the workload's mutable state for
-	// checkpoint/restore at a window boundary.
-	SaveState(w *snapshot.Writer)
-	LoadState(r *snapshot.Reader) error
+	// SaveSpans serializes the workload's mutable state into a checkpoint
+	// link at a window boundary: the per-peer state of the peers in spans
+	// (ascending, non-overlapping, each within one lane; every peer for a
+	// base) plus any state that is not per-peer.
+	SaveSpans(w *snapshot.Writer, spans []PeerSpan)
+	// LoadSpans applies a section written by SaveSpans with the same
+	// spans, consuming exactly what it wrote.
+	LoadSpans(r *snapshot.Reader, spans []PeerSpan) error
 }
 
 // ActorWarmer is an optional Workload extension: WarmActor touches the

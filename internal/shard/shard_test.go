@@ -13,7 +13,7 @@ import (
 	"creditp2p/internal/xrand"
 )
 
-func testGraph(t *testing.T, n int, seed int64) *topology.Graph {
+func testGraph(t testing.TB, n int, seed int64) *topology.Graph {
 	t.Helper()
 	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: n, MeanDegree: 6, Alpha: 2.5}, xrand.New(seed))
 	if err != nil {
@@ -25,7 +25,7 @@ func testGraph(t *testing.T, n int, seed int64) *topology.Graph {
 // marketConfig is the matrix test's market scenario: churn plus free
 // riders, so lifecycle, lost-in-flight and role assignment are all
 // exercised.
-func marketConfig(t *testing.T, p int, policies []policy.Policy) shard.Config {
+func marketConfig(t testing.TB, p int, policies []policy.Policy) shard.Config {
 	t.Helper()
 	w, err := market.NewShard(market.ShardConfig{Mu: 2.0, Amount: 1, FreeRiderFrac: 0.1})
 	if err != nil {
@@ -47,7 +47,7 @@ func marketConfig(t *testing.T, p int, policies []policy.Policy) shard.Config {
 	return cfg
 }
 
-func streamingConfig(t *testing.T, p int, policies []policy.Policy) shard.Config {
+func streamingConfig(t testing.TB, p int, policies []policy.Policy) shard.Config {
 	t.Helper()
 	w, err := streaming.NewShard(streaming.ShardConfig{
 		StreamRate: 3, ChunkPrice: 1, RoundPeriod: 1.0, SeedFrac: 0.05,

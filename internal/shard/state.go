@@ -1,14 +1,51 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
+	"creditp2p/internal/des"
 	"creditp2p/internal/snapshot"
 	"creditp2p/internal/trace"
 	"creditp2p/internal/xrand"
 )
+
+// Checkpoint/restore for the sharded kernel. Captures are taken only at
+// window barriers, where the engine is quiescent by construction: every
+// outbox has been merged, every lifecycle delta folded, so the mutable
+// state is exactly the per-peer arrays, the per-lane schedulers and
+// accumulators, the coordinator state, and the workload — nothing
+// in-flight.
+//
+// Every capture is a chain link with one layout. A link carries the
+// coordinator's singleton state whole (scalars, metric series, policy
+// state, the epoch bitmap — all small), each lane's scheduler slab
+// segments, accumulators and histogram, the lane's peer segments of the
+// big per-peer arrays (bal, rng, flags and the routing slices), and the
+// workload state of exactly those peers. A delta carries the segments
+// marked dirty since the previous capture; a base is the same encoding
+// with every segment marked. Dirty tracking lives on the mutation paths
+// (Lane.markPeer, des.Scheduler's slab marks); a capture walks the marked
+// segments and clears them, so the next delta is relative to it. Restore
+// decodes the base and then each delta through the same path, rebuilds
+// the event queues once at the end, and vets the result.
+//
+// The shard count is part of the physical layout (one lane section per
+// lane), so it is stored in plain form ahead of the config digest and
+// checked first: restoring at a different P fails with an error that
+// names both counts instead of a generic digest mismatch. Everything else
+// about the configuration folds into one digest, because any drift there
+// invalidates the state wholesale.
+
+// PeerSpan is a half-open global peer index range [Lo, Hi) whose state a
+// checkpoint link covers. Spans handed to workloads are ascending and
+// non-overlapping, each within one lane's partition.
+type PeerSpan struct {
+	Lo, Hi int32
+}
 
 // rngWords views the stream array as raw uint64 words for bulk
 // serialization; xrand.SplitMix64's state word is its entire stream
@@ -20,24 +57,10 @@ func rngWords(s []xrand.SplitMix64) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&s[0])), len(s))
 }
 
-// Checkpoint/restore for the sharded kernel. Snapshots are taken only at
-// window barriers, where the engine is quiescent by construction: every
-// outbox has been merged, every lifecycle delta folded, so the mutable
-// state is exactly the per-peer arrays, the per-lane schedulers and
-// accumulators, the coordinator counters, and the workload — nothing
-// in-flight.
-//
-// The shard count is part of the snapshot's physical layout (one
-// scheduler section per lane), so it is stored in plain form ahead of the
-// config digest and checked first: restoring at a different P fails with
-// an error that names both counts instead of a generic digest mismatch.
-// Everything else about the configuration folds into one digest, because
-// any drift there invalidates the state wholesale.
-
 // snapID is the deterministic capture identity stamped into chain-link
 // headers: a digest of the configuration and the barrier position, so two
 // captures of the same run state carry the same chain id (which is what
-// the delta-vs-full byte-identity tests pin), while captures at different
+// the chain-vs-base byte-identity tests pin), while captures at different
 // barriers — and hence different chain bases — never collide.
 func (e *Engine) snapID() uint64 {
 	h := e.configDigest()
@@ -49,19 +72,96 @@ func (e *Engine) snapID() uint64 {
 	return h
 }
 
-// saveHeader emits the chain-link header plus the plain-form layout
-// prologue every snapshot (base or delta) starts with.
-func (e *Engine) saveHeader(w *snapshot.Writer, h snapshot.LinkHeader) {
-	w.LinkHeader(h)
+// segSpan returns the global peer range of the lane's peer segment seg.
+// Segments are anchored at the lane's lo, so they never straddle a
+// partition boundary.
+func (ln *Lane) segSpan(seg int) (lo, hi int32) {
+	lo = ln.lo + int32(seg<<peerSegShift)
+	return lo, min(lo+peerSegSize, ln.hi)
+}
+
+// appendDirtySpans appends every lane's dirty peer segments to dst as
+// global index spans, ascending. Lane bitmaps are NOT cleared — the lane
+// sections encode (and clear) them afterwards.
+func (e *Engine) appendDirtySpans(dst []PeerSpan) []PeerSpan {
+	for _, ln := range e.lanes {
+		ln.dirty.Walk(func(seg int) {
+			lo, hi := ln.segSpan(seg)
+			dst = append(dst, PeerSpan{Lo: lo, Hi: hi})
+		})
+	}
+	return dst
+}
+
+// encoder holds the recycled fragments one link is staged into: the
+// header-bearing coordinator fragment (link header and shared section),
+// one raw fragment per lane, encoded in parallel, and the raw workload
+// fragment. snapshot.Seal concatenates them into exactly the bytes a
+// single serial Writer would emit.
+type encoder struct {
+	coord *snapshot.Writer
+	laneW []*snapshot.Writer
+	wkW   *snapshot.Writer
+	parts [][]byte
+	spans []PeerSpan
+}
+
+func newEncoder(p int) *encoder {
+	c := &encoder{
+		coord: snapshot.NewWriter(1 << 16),
+		laneW: make([]*snapshot.Writer, p),
+		wkW:   snapshot.NewRawWriter(1 << 12),
+		parts: make([][]byte, 0, p+2),
+	}
+	for s := range c.laneW {
+		c.laneW[s] = snapshot.NewRawWriter(1 << 12)
+	}
+	return c
+}
+
+// encode stages one link at the current barrier and returns its fragments
+// in seal order. A base first marks every peer segment dirty (and each
+// lane writes its whole slab), so it is the delta that carries every
+// segment. Clears every dirty map and bumps the capture generation.
+func (c *encoder) encode(e *Engine, link snapshot.LinkHeader) [][]byte {
+	all := link.Kind == snapshot.LinkBase
+	if all {
+		for _, ln := range e.lanes {
+			ln.dirty.MarkAll()
+		}
+	}
+	c.spans = e.appendDirtySpans(c.spans[:0])
+	c.coord.Reset()
+	e.encodeHead(c.coord, link)
+	e.parallel(func(ln *Lane) {
+		w := c.laneW[ln.S]
+		w.Reset()
+		ln.encode(w, all)
+	})
+	c.wkW.Reset()
+	c.wkW.Section("workload")
+	e.cfg.Workload.SaveSpans(c.wkW, c.spans)
+	e.captureGen++
+
+	c.parts = append(c.parts[:0], c.coord.Frame())
+	for _, w := range c.laneW {
+		c.parts = append(c.parts, w.Frame())
+	}
+	return append(c.parts, c.wkW.Frame())
+}
+
+// encodeHead emits the link header, the plain-form layout prologue and
+// the coordinator's singleton state: scalars, the liveness epoch bitmap,
+// the metric series, and — with a policy pipeline — the policy stream and
+// stages (nothing else draws from the stream). The epoch bitmap rides
+// whole: at 1 bit per peer it is noise next to one segment, and
+// whole-array capture sidesteps the word-straddling a peer-span encoding
+// would need at unaligned partition boundaries.
+func (e *Engine) encodeHead(w *snapshot.Writer, link snapshot.LinkHeader) {
+	w.LinkHeader(link)
 	w.Section("shardhdr")
 	w.U32(uint32(e.p))
 	w.U64(e.configDigest())
-}
-
-// saveShared emits the coordinator-owned singleton state: scalars, the
-// whole-population peer arrays, metric series, the policy RNG and the
-// policy engine.
-func (e *Engine) saveShared(w *snapshot.Writer) {
 	w.Section("shardeng")
 	w.Bool(e.started)
 	w.F64(e.now)
@@ -71,25 +171,30 @@ func (e *Engine) saveShared(w *snapshot.Writer) {
 	w.U64(e.joins)
 	w.U64(e.departures)
 	w.U64(e.windows)
-	w.I64s(e.bal)
-	w.U64s(rngWords(e.rng))
-	w.U8s(e.flags)
 	w.U64s(e.aliveEpoch)
 	saveSeries(w, e.gini)
 	saveSeries(w, e.population)
 	saveSeries(w, e.supply)
-	e.polRNG.SaveState(w)
 	if e.engine != nil {
+		e.polRNG.SaveState(w)
 		e.engine.SaveState(w)
 	}
 }
 
-// save emits one lane's section: its scheduler, accumulators and balance
-// histogram. Safe to run concurrently across lanes — it touches only
-// lane-owned state.
-func (ln *Lane) save(w *snapshot.Writer) {
+// encode emits one lane's section: its scheduler (the whole slab when all
+// is set, the dirty slab segments otherwise), the small accumulators, the
+// trimmed balance histogram — indexed by balance, not peer, so it has no
+// per-peer segment structure and rides whole — and the lane's dirty peer
+// segments. Clears the lane's dirty map. Safe to run concurrently across
+// lanes: it touches only lane-owned state.
+func (ln *Lane) encode(w *snapshot.Writer, all bool) {
+	e := ln.e
 	w.Section("lane")
-	ln.sched.SaveState(w)
+	if all {
+		ln.sched.SaveState(w)
+	} else {
+		ln.sched.SaveDelta(w)
+	}
 	w.I64(ln.supply)
 	w.I64(ln.minted)
 	w.I64(ln.burned)
@@ -99,94 +204,65 @@ func (ln *Lane) save(w *snapshot.Writer) {
 	w.U64(ln.lostCount)
 	w.Int(ln.liveN)
 	w.I64s(trimHist(ln.hist))
-	ln.saveRouting(w)
+	w.Int(ln.dirty.Count())
+	ln.dirty.Walk(func(seg int) {
+		lo, hi := ln.segSpan(seg)
+		w.U32(uint32(seg))
+		w.I64s(e.bal[lo:hi])
+		w.U64s(rngWords(e.rng[lo:hi]))
+		w.U8s(e.flags[lo:hi])
+		ln.saveRoutingSeg(w, lo, hi)
+	})
+	ln.dirty.Clear()
 }
 
-// saveRouting emits the lane's slices of the routing state: the weight
-// mirror, the availability EWMA, and the lane's span of the Fenwick slab
-// (peer trees are laid out in peer order, so a lane's trees are
-// contiguous). Serializing the trees — rather than rebuilding on restore
-// — preserves the exact built/stale split and the heavy trees' patch
-// history, keeping resumed byte streams identical.
-func (ln *Lane) saveRouting(w *snapshot.Writer) {
+// saveRoutingSeg emits the routing slices of one peer segment: the weight
+// mirror, the availability EWMA, and the segment's span of the Fenwick
+// slab (peer trees are laid out in peer order, so a segment's trees are
+// contiguous). Every routing mutation (mirror write, EWMA update, tree
+// patch or rebuild, stale-bit flip) marks its peer's segment, so
+// segment-wise capture is exact. Serializing the trees — rather than
+// rebuilding on restore — preserves the exact built/stale split and the
+// heavy trees' patch history, keeping resumed byte streams identical.
+func (ln *Lane) saveRoutingSeg(w *snapshot.Writer, lo, hi int32) {
 	rt := &ln.e.rt
 	if rt.mode == RouteUniform {
 		return
 	}
-	w.F32s(rt.weight[ln.lo:ln.hi])
+	w.F32s(rt.weight[lo:hi])
 	if rt.mode == RouteAvailability {
-		w.F64s(rt.score[ln.lo:ln.hi])
-		w.F64s(rt.scoreT[ln.lo:ln.hi])
+		w.F64s(rt.score[lo:hi])
+		w.F64s(rt.scoreT[lo:hi])
 	}
 	if rt.fenSlab != nil {
-		s0, s1 := ln.slabSpan()
+		s0, s1 := ln.e.fenSpan(lo, hi)
 		w.F32s(rt.fenSlab[s0:s1])
 	}
 }
 
-// slabSpan returns the lane's Fenwick-slab bounds: peer g's tree starts
-// at RowStart(g)+g, so the lane's trees occupy [start(lo), start(hi)).
-func (ln *Lane) slabSpan() (lo, hi int64) {
-	pt := ln.e.part
-	return pt.RowStart(ln.lo) + int64(ln.lo), pt.RowStart(ln.hi) + int64(ln.hi)
+// fenSpan returns the Fenwick-slab bounds of peers [lo, hi): peer g's
+// tree starts at RowStart(g)+g.
+func (e *Engine) fenSpan(lo, hi int32) (int64, int64) {
+	return e.part.RowStart(lo) + int64(lo), e.part.RowStart(hi) + int64(hi)
 }
 
-// saveWorkload emits the workload section.
-func (e *Engine) saveWorkload(w *snapshot.Writer) {
-	w.Section("workload")
-	e.cfg.Workload.SaveState(w)
-}
-
-// captured clears every dirty map and bumps the capture generation — the
-// epilogue of any full capture. (Lane scheduler maps are cleared by
-// sched.SaveState itself; delta captures clear selectively instead.)
-func (e *Engine) captured() {
-	for _, ln := range e.lanes {
-		ln.dirty.Clear()
-	}
-	e.captureGen++
-}
-
-// SaveState serializes the engine into w as a chain base. Callers must be
-// at a window barrier (which is the only place single-threaded callers
-// can observe the engine anyway). The parallel checkpoint path assembles
-// the exact same sections from per-lane fragments; serial and parallel
-// captures are byte-identical.
-func (e *Engine) SaveState(w *snapshot.Writer) {
-	e.saveHeader(w, snapshot.LinkHeader{Kind: snapshot.LinkBase, ID: e.snapID()})
-	e.saveShared(w)
-	for _, ln := range e.lanes {
-		ln.save(w)
-	}
-	e.saveWorkload(w)
-	e.captured()
-}
-
-// LoadState restores a freshly built (unstarted) engine from r. The
-// engine's configuration must match the one that produced the snapshot;
-// the shard count is checked first with a descriptive error.
-func (e *Engine) LoadState(r *snapshot.Reader) error {
-	if e.started {
-		return fmt.Errorf("shard: restore into an already-started engine")
-	}
-	link := r.LinkHeader()
-	if err := r.Err(); err != nil {
+// decode applies one chain link to the engine: a base onto the freshly
+// built engine, a delta over its predecessor's state. Event queues are
+// not rebuilt here — the restore does that once after the last link.
+func (e *Engine) decode(data []byte) error {
+	r, err := snapshot.Open(data)
+	if err != nil {
 		return err
 	}
-	if link.Kind != snapshot.LinkBase {
-		return fmt.Errorf("shard: snapshot is a delta (chain link %d) — restore the chain with RestoreChain, not a lone delta", link.Index)
-	}
+	base := r.LinkHeader().Kind == snapshot.LinkBase
 	r.Section("shardhdr")
 	p := int(r.U32())
+	digest := r.U64()
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if p != e.p {
 		return fmt.Errorf("shard: snapshot was taken with %d shards, this engine is configured for %d — restore with Shards=%d (shard count changes the lane layout and cannot be remapped)", p, e.p, p)
-	}
-	digest := r.U64()
-	if err := r.Err(); err != nil {
-		return err
 	}
 	if want := e.configDigest(); digest != want {
 		return fmt.Errorf("shard: config digest mismatch: snapshot %016x, engine %016x — graph, seed, horizon, policy set or workload differ from the run that produced this snapshot", digest, want)
@@ -203,23 +279,9 @@ func (e *Engine) LoadState(r *snapshot.Reader) error {
 	e.joins = r.U64()
 	e.departures = r.U64()
 	e.windows = r.U64()
-	bal := r.I64s(e.n)
-	rng := r.U64s(e.n)
-	flags := r.U8s(e.n)
-	aliveEpoch := r.U64s(len(e.aliveEpoch))
-	if err := r.Err(); err != nil {
+	if err := fill(r, e.aliveEpoch, r.U64s(len(e.aliveEpoch)), "epoch bitmap"); err != nil {
 		return err
 	}
-	if len(bal) != e.n || len(rng) != e.n || len(flags) != e.n || len(aliveEpoch) != len(e.aliveEpoch) {
-		return fmt.Errorf("shard: snapshot peer arrays sized %d/%d/%d/%d, engine wants %d/%d/%d/%d",
-			len(bal), len(rng), len(flags), len(aliveEpoch), e.n, e.n, e.n, len(e.aliveEpoch))
-	}
-	copy(e.bal, bal)
-	for i, v := range rng {
-		e.rng[i] = xrand.SplitMix64(v)
-	}
-	copy(e.flags, flags)
-	copy(e.aliveEpoch, aliveEpoch)
 	if err := loadSeries(r, e.gini); err != nil {
 		return err
 	}
@@ -229,79 +291,130 @@ func (e *Engine) LoadState(r *snapshot.Reader) error {
 	if err := loadSeries(r, e.supply); err != nil {
 		return err
 	}
-	e.polRNG.LoadState(r)
 	if e.engine != nil {
+		e.polRNG.LoadState(r)
 		e.engine.LoadState(r)
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
 
+	var spans []PeerSpan
 	for _, ln := range e.lanes {
-		r.Section("lane")
-		if err := ln.sched.LoadState(r); err != nil {
-			return err
-		}
-		ln.supply = r.I64()
-		ln.minted = r.I64()
-		ln.burned = r.I64()
-		ln.lostAmount = r.I64()
-		ln.transfers = r.U64()
-		ln.crossTransfers = r.U64()
-		ln.lostCount = r.U64()
-		ln.liveN = r.Int()
-		hist := r.I64s(0)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for i := range ln.hist {
-			ln.hist[i] = 0
-		}
-		if len(hist) > 0 {
-			ln.hist.Grow(int64(len(hist) - 1))
-			copy(ln.hist, hist)
-		}
-		if err := ln.loadRouting(r); err != nil {
+		if spans, err = ln.decode(r, base, spans); err != nil {
 			return err
 		}
 	}
-
 	r.Section("workload")
-	if err := e.cfg.Workload.LoadState(r); err != nil {
+	if err := e.cfg.Workload.LoadSpans(r, spans); err != nil {
 		return err
 	}
-	return r.Err()
+	return r.Close()
 }
 
-// loadRouting restores the lane's routing slices, mirroring saveRouting.
-func (ln *Lane) loadRouting(r *snapshot.Reader) error {
+// decode patches one lane section into the lane and appends the global
+// span of every peer segment it carries to spans — the workload section
+// covers exactly those peers. Segments must ascend, and a base must carry
+// every one. A peer's static heavy-hitter bit must survive, and the
+// built-tree bit needs a Fenwick slab.
+func (ln *Lane) decode(r *snapshot.Reader, base bool, spans []PeerSpan) ([]PeerSpan, error) {
+	e := ln.e
+	r.Section("lane")
+	if err := ln.sched.ApplyDelta(r); err != nil {
+		return spans, fmt.Errorf("shard: lane %d: %w", ln.S, err)
+	}
+	ln.supply = r.I64()
+	ln.minted = r.I64()
+	ln.burned = r.I64()
+	ln.lostAmount = r.I64()
+	ln.transfers = r.U64()
+	ln.crossTransfers = r.U64()
+	ln.lostCount = r.U64()
+	ln.liveN = r.Int()
+	hist := r.I64s(0)
+	segs := r.Int()
+	if err := r.Err(); err != nil {
+		return spans, err
+	}
+	clear(ln.hist)
+	if len(hist) > 0 {
+		ln.hist.Grow(int64(len(hist) - 1))
+		copy(ln.hist, hist)
+	}
+	maxSeg := ln.dirty.Segments()
+	if segs < 0 || segs > maxSeg || base && segs != maxSeg {
+		return spans, fmt.Errorf("shard: lane %d carries %d of its %d peer segments", ln.S, segs, maxSeg)
+	}
+	flagMask := aliveBit | heavyBit
+	if e.rt.fenSlab != nil {
+		flagMask |= fenBuiltBit
+	}
+	prev := -1
+	for k := 0; k < segs; k++ {
+		seg := int(r.U32())
+		if r.Err() != nil {
+			return spans, r.Err()
+		}
+		if seg <= prev || seg >= maxSeg {
+			return spans, fmt.Errorf("shard: lane %d segment %d out of order or outside its %d-segment partition", ln.S, seg, maxSeg)
+		}
+		prev = seg
+		lo, hi := ln.segSpan(seg)
+		n := int(hi - lo)
+		if err := fill(r, e.bal[lo:hi], r.I64s(n), "balances"); err != nil {
+			return spans, err
+		}
+		if err := fill(r, rngWords(e.rng[lo:hi]), r.U64s(n), "peer streams"); err != nil {
+			return spans, err
+		}
+		flags := r.U8s(n) // at most n entries: n is the read's budget
+		for i, f := range flags {
+			if g := lo + int32(i); f&^flagMask != 0 || f&heavyBit != e.flags[g]&heavyBit {
+				return spans, fmt.Errorf("shard: peer %d restored with flags %#x", g, f)
+			}
+		}
+		if err := fill(r, e.flags[lo:hi], flags, "peer flags"); err != nil {
+			return spans, err
+		}
+		if err := ln.loadRoutingSeg(r, lo, hi); err != nil {
+			return spans, err
+		}
+		spans = append(spans, PeerSpan{Lo: lo, Hi: hi})
+	}
+	ln.dirty.Clear()
+	return spans, nil
+}
+
+// loadRoutingSeg restores one segment's routing slices, mirroring
+// saveRoutingSeg.
+func (ln *Lane) loadRoutingSeg(r *snapshot.Reader, lo, hi int32) error {
 	rt := &ln.e.rt
 	if rt.mode == RouteUniform {
 		return nil
 	}
-	if err := loadF32Into(r, rt.weight[ln.lo:ln.hi], "routing weights"); err != nil {
+	n := int(hi - lo)
+	if err := fill(r, rt.weight[lo:hi], r.F32s(n), "routing weights"); err != nil {
 		return err
 	}
 	if rt.mode == RouteAvailability {
-		if err := loadF64Into(r, rt.score[ln.lo:ln.hi], "availability scores"); err != nil {
+		if err := fill(r, rt.score[lo:hi], r.F64s(n), "availability scores"); err != nil {
 			return err
 		}
-		if err := loadF64Into(r, rt.scoreT[ln.lo:ln.hi], "availability score times"); err != nil {
+		if err := fill(r, rt.scoreT[lo:hi], r.F64s(n), "availability score times"); err != nil {
 			return err
 		}
 	}
 	if rt.fenSlab != nil {
-		s0, s1 := ln.slabSpan()
-		if err := loadF32Into(r, rt.fenSlab[s0:s1], "sampler slab"); err != nil {
+		s0, s1 := ln.e.fenSpan(lo, hi)
+		if err := fill(r, rt.fenSlab[s0:s1], r.F32s(int(s1-s0)), "sampler slab"); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// loadF64Into reads a float array into dst, refusing size drift.
-func loadF64Into(r *snapshot.Reader, dst []float64, what string) error {
-	got := r.F64s(len(dst))
+// fill copies an array just decoded from r into dst, refusing size drift.
+func fill[T any](r *snapshot.Reader, dst, got []T, what string) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -312,16 +425,78 @@ func loadF64Into(r *snapshot.Reader, dst []float64, what string) error {
 	return nil
 }
 
-// loadF32Into is loadF64Into for the float32 slab and mirror arrays.
-func loadF32Into(r *snapshot.Reader, dst []float32, what string) error {
-	got := r.F32s(len(dst))
-	if err := r.Err(); err != nil {
+// rebuildQueues reconstructs every lane scheduler's event queue from its
+// slab — the epilogue of a restore.
+func (e *Engine) rebuildQueues() {
+	e.parallel(func(ln *Lane) { ln.sched.RebuildQueue() })
+}
+
+// checkRestored vets a restored engine against the invariants a running
+// engine keeps at every barrier, so a link whose bytes pass the checksum
+// but whose content is inconsistent — crafted or corrupted before it was
+// sealed — is refused at restore instead of panicking or stalling the
+// resumed run: the clocks sit on their grids, every queued event belongs
+// to its lane (lifecycle kinds only under churn), both liveness views
+// agree, balances index the histograms, the lane accumulators match their
+// peers, and credits are conserved.
+func (e *Engine) checkRestored() error {
+	if !e.started {
+		return errors.New("shard: snapshot was taken before Start — nothing to resume")
+	}
+	if !(e.now >= 0 && e.now <= e.horizon) || !(e.nextSample > e.now && e.nextSample <= e.now+2*e.sampleEvery) {
+		return fmt.Errorf("shard: snapshot clock %v (next sample %v) is off the %v-horizon sampling grid", e.now, e.nextSample, e.horizon)
+	}
+	if e.engine != nil && e.polEpoch > 0 && !(e.nextPol > e.now && e.nextPol <= e.now+2*e.polEpoch) {
+		return fmt.Errorf("shard: snapshot policy epoch due at %v, clock at %v", e.nextPol, e.now)
+	}
+	var sup, minted, burned int64
+	for _, ln := range e.lanes {
+		if err := ln.checkRestored(); err != nil {
+			return err
+		}
+		sup += ln.supply
+		minted += ln.minted
+		burned += ln.burned
+	}
+	if sup+e.pot != minted-burned {
+		return fmt.Errorf("shard: snapshot violates conservation: supply %d + pot %d != minted %d - burned %d", sup, e.pot, minted, burned)
+	}
+	return nil
+}
+
+// checkRestored is the per-lane half of Engine.checkRestored.
+func (ln *Lane) checkRestored() error {
+	e := ln.e
+	if err := ln.sched.CheckIntegrity(); err != nil {
+		return fmt.Errorf("shard: lane %d: %w", ln.S, err)
+	}
+	churn := e.cfg.Churn.Enabled()
+	err := ln.sched.EachQueued(func(ev des.Event) error {
+		if ev.Actor < ln.lo || ev.Actor >= ln.hi || !churn && (ev.Kind == KindDepart || ev.Kind == KindRejoin) {
+			return fmt.Errorf("shard: lane %d queues a kind-%d event for peer %d", ln.S, ev.Kind, ev.Actor)
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	if len(got) != len(dst) {
-		return fmt.Errorf("shard: snapshot %s sized %d, engine wants %d", what, len(got), len(dst))
+	rest := slices.Clone(ln.hist)
+	live, sup := 0, int64(0)
+	for g := ln.lo; g < ln.hi; g++ {
+		b, alive := e.bal[g], e.flags[g]&aliveBit != 0
+		if alive != e.AliveEpoch(g) || !alive && b != 0 || alive && (b < 0 || b >= int64(len(rest))) {
+			return fmt.Errorf("shard: peer %d restored with balance %d, flags %#x, epoch liveness %v", g, b, e.flags[g], e.AliveEpoch(g))
+		}
+		if alive {
+			rest[b]--
+			live++
+			sup += b
+		}
 	}
-	copy(dst, got)
+	if live != ln.liveN || sup != ln.supply || slices.ContainsFunc(rest, func(c int64) bool { return c != 0 }) {
+		return fmt.Errorf("shard: lane %d records %d live peers holding %d credits, its peers and histogram disagree (%d live holding %d)",
+			ln.S, ln.liveN, ln.supply, live, sup)
+	}
 	return nil
 }
 
@@ -407,32 +582,58 @@ func (s *Sim) Now() float64 { return s.e.now }
 // Engine exposes the underlying engine.
 func (s *Sim) Engine() *Engine { return s.e }
 
-// Snapshot serializes the run at the current window boundary.
+// Snapshot serializes the run at the current window boundary as a chain
+// base: the serial form of the Checkpointer's base encode, byte for byte.
+// Like any capture it clears the dirty maps, so a Checkpointer mid-chain
+// re-bases at its next checkpoint.
 func (s *Sim) Snapshot() []byte {
-	w := snapshot.NewWriter(len(s.e.bal)*24 + 4096)
-	s.e.SaveState(w)
-	return w.Finish()
+	e := s.e
+	data, _ := snapshot.Seal(nil, newEncoder(e.p).encode(e, snapshot.LinkHeader{Kind: snapshot.LinkBase, ID: e.snapID()}))
+	return data
 }
 
 // Finish completes the run and returns the result.
 func (s *Sim) Finish() (*Result, error) { return s.e.Finish() }
 
-// RestoreSim rebuilds a run from cfg and a snapshot taken by Sim.Snapshot
-// under the same configuration, refusing shard-count or config
-// mismatches with descriptive errors.
+// RestoreSim rebuilds a run from cfg and a lone base link — a
+// Sim.Snapshot, or the base of a checkpoint chain — as RestoreChain over
+// a one-link chain. A delta link is refused: it restores only on top of
+// its chain.
 func RestoreSim(cfg Config, data []byte) (*Sim, error) {
+	if h, _, err := snapshot.PeekLink(data); err == nil && h.Kind != snapshot.LinkBase {
+		return nil, fmt.Errorf("shard: snapshot is delta link %d of a chain — restore the whole chain with RestoreChain, not a lone delta", h.Index)
+	}
+	return RestoreChain(cfg, [][]byte{data})
+}
+
+// RestoreChain rebuilds a run from cfg and a checkpoint chain: a base and
+// its deltas as a Checkpointer wrote them, or a lone base. The chain is
+// validated end to end — per-link checksums, kinds, id, contiguous
+// indices, predecessor-CRC links — before any state is touched; then
+// every link decodes through the same path, the lanes' event queues are
+// rebuilt once, and the restored state is vetted. The result is
+// byte-identical to restoring a base taken at the same barrier, and to
+// the uninterrupted run, under a configuration matching the one that
+// produced the chain (shard-count or config mismatches are refused with
+// descriptive errors).
+func RestoreChain(cfg Config, chain [][]byte) (*Sim, error) {
+	if err := snapshot.ValidateChain(chain); err != nil {
+		return nil, err
+	}
 	e, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	r, err := snapshot.Open(data)
-	if err != nil {
-		return nil, err
+	for k, data := range chain {
+		if err := e.decode(data); err != nil {
+			if k > 0 {
+				err = fmt.Errorf("shard: chain link %d: %w", k, err)
+			}
+			return nil, err
+		}
 	}
-	if err := e.LoadState(r); err != nil {
-		return nil, err
-	}
-	if err := r.Close(); err != nil {
+	e.rebuildQueues()
+	if err := e.checkRestored(); err != nil {
 		return nil, err
 	}
 	return &Sim{e: e}, nil

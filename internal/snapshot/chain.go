@@ -64,8 +64,9 @@ func (r *Reader) LinkHeader() LinkHeader {
 	}
 }
 
-// peekLink opens a link and reads just its header.
-func peekLink(data []byte) (LinkHeader, uint64, error) {
+// PeekLink opens a link and reads just its header, returning it with the
+// link's checksum trailer.
+func PeekLink(data []byte) (LinkHeader, uint64, error) {
 	r, err := Open(data)
 	if err != nil {
 		return LinkHeader{}, 0, err
@@ -86,7 +87,7 @@ func ValidateChain(chain [][]byte) error {
 	if len(chain) == 0 {
 		return errors.New("snapshot: empty chain")
 	}
-	base, prevCRC, err := peekLink(chain[0])
+	base, prevCRC, err := PeekLink(chain[0])
 	if err != nil {
 		return fmt.Errorf("snapshot: chain link 0 (base): %w", err)
 	}
@@ -97,7 +98,7 @@ func ValidateChain(chain [][]byte) error {
 		return fmt.Errorf("snapshot: chain base has index %d prevCRC %016x, want 0/0", base.Index, base.PrevCRC)
 	}
 	for k := 1; k < len(chain); k++ {
-		h, sum, err := peekLink(chain[k])
+		h, sum, err := PeekLink(chain[k])
 		if err != nil {
 			return fmt.Errorf("snapshot: chain link %d: %w", k, err)
 		}

@@ -4,8 +4,8 @@ import "math/bits"
 
 // DirtyBits is the fixed-size-segment dirty bitmap delta checkpoints are
 // built on: mutation paths Mark the segment covering each touched element,
-// a delta capture walks the marked segments and Clears, and a full capture
-// Clears wholesale. Marking is one shift, one OR — cheap enough to stay
+// and a capture walks the marked segments and Clears — after MarkAll for a
+// base, which carries every segment. Marking is one shift, one OR — cheap enough to stay
 // always-on in event-dispatch hot paths — and never allocates once Grow
 // has sized the map, preserving the kernel's zero-alloc barrier contract.
 type DirtyBits struct {
@@ -56,6 +56,18 @@ func (d *DirtyBits) Walk(fn func(seg int)) {
 			fn(wi<<6 + b)
 			w &= w - 1
 		}
+	}
+}
+
+// MarkAll flags every covered segment, turning the next delta capture into
+// a base: the capture that carries every segment.
+func (d *DirtyBits) MarkAll() {
+	full := d.segs >> 6
+	for i := 0; i < full; i++ {
+		d.words[i] = ^uint64(0)
+	}
+	if r := d.segs & 63; r != 0 {
+		d.words[full] = 1<<uint(r) - 1
 	}
 }
 

@@ -38,7 +38,11 @@ import (
 // Version 2: scheduler slabs carry per-slot sequence numbers and derive the
 // pending set from slot states (no serialized pending pairs), and snapshots
 // may open with a chain-link header tying delta checkpoints to their base.
-const Version uint32 = 2
+// Version 3: bases and deltas share one layout — segmented scheduler slabs
+// and peer arrays, each link listing the segments it carries, a base
+// carrying all of them — and the sharded kernel writes the policy stream
+// only when a policy pipeline is configured.
+const Version uint32 = 3
 
 // magic identifies a creditp2p snapshot; exactly 8 bytes.
 var magic = [8]byte{'C', 'P', '2', 'P', 'S', 'N', 'A', 'P'}

@@ -39,7 +39,7 @@ type ShardStreaming struct {
 	seeds []uint64
 	pend  []des.Handle
 	lanes []shardStreamCounters
-	// hscratch is the recycled handle-packing buffer for delta captures.
+	// hscratch is the recycled handle-packing buffer for checkpoint captures.
 	hscratch []uint64
 }
 
@@ -173,32 +173,11 @@ func (s *ShardStreaming) Digest() uint64 {
 	return h
 }
 
-// SaveState serializes pending handles and counters; seed roles replay
-// from the stream prefixes at rebuild.
-func (s *ShardStreaming) SaveState(w *snapshot.Writer) {
+// SaveSpans serializes the pending handles of the peers in spans plus
+// the per-lane counters; seed roles replay from the stream prefixes at
+// rebuild.
+func (s *ShardStreaming) SaveSpans(w *snapshot.Writer, spans []shard.PeerSpan) {
 	w.Section("stshard")
-	hs := make([]uint64, len(s.pend))
-	for i, h := range s.pend {
-		hs[i] = h.Pack()
-	}
-	w.U64s(hs)
-	w.Int(len(s.lanes))
-	for _, c := range s.lanes {
-		w.U64(c.rounds)
-		w.U64(c.chunkRequests)
-		w.U64(c.chunksSeeded)
-		w.U64(c.chunksTraded)
-		w.U64(c.chunksOffline)
-		w.U64(c.chunksStalled)
-		w.U64(c.failIsolated)
-	}
-}
-
-// SaveDelta implements shard.DeltaWorkload: only the pending handles of
-// the peers in the dirty spans are serialized, plus the per-lane
-// counters.
-func (s *ShardStreaming) SaveDelta(w *snapshot.Writer, spans []shard.PeerSpan) {
-	w.Section("dstshard")
 	for _, sp := range spans {
 		n := int(sp.Hi - sp.Lo)
 		if cap(s.hscratch) < n {
@@ -222,9 +201,9 @@ func (s *ShardStreaming) SaveDelta(w *snapshot.Writer, spans []shard.PeerSpan) {
 	}
 }
 
-// LoadDelta applies a delta written by SaveDelta with the same spans.
-func (s *ShardStreaming) LoadDelta(r *snapshot.Reader, spans []shard.PeerSpan) error {
-	r.Section("dstshard")
+// LoadSpans applies a section written by SaveSpans with the same spans.
+func (s *ShardStreaming) LoadSpans(r *snapshot.Reader, spans []shard.PeerSpan) error {
+	r.Section("stshard")
 	for _, sp := range spans {
 		n := int(sp.Hi - sp.Lo)
 		hs := r.U64s(n)
@@ -232,40 +211,11 @@ func (s *ShardStreaming) LoadDelta(r *snapshot.Reader, spans []shard.PeerSpan) e
 			return err
 		}
 		if len(hs) != n {
-			return fmt.Errorf("streaming: shard delta span [%d,%d) carries %d handles, want %d", sp.Lo, sp.Hi, len(hs), n)
+			return fmt.Errorf("streaming: shard snapshot span [%d,%d) carries %d handles, want %d", sp.Lo, sp.Hi, len(hs), n)
 		}
 		for i, v := range hs {
 			s.pend[sp.Lo+int32(i)] = des.UnpackHandle(v)
 		}
-	}
-	if got := r.Int(); got != len(s.lanes) {
-		return fmt.Errorf("streaming: shard delta has %d lane counter sets, want %d", got, len(s.lanes))
-	}
-	for i := range s.lanes {
-		c := &s.lanes[i]
-		c.rounds = r.U64()
-		c.chunkRequests = r.U64()
-		c.chunksSeeded = r.U64()
-		c.chunksTraded = r.U64()
-		c.chunksOffline = r.U64()
-		c.chunksStalled = r.U64()
-		c.failIsolated = r.U64()
-	}
-	return r.Err()
-}
-
-// LoadState restores the workload at the same shard count.
-func (s *ShardStreaming) LoadState(r *snapshot.Reader) error {
-	r.Section("stshard")
-	hs := r.U64s(len(s.pend))
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(hs) != len(s.pend) {
-		return fmt.Errorf("streaming: shard snapshot has %d pending handles, want %d", len(hs), len(s.pend))
-	}
-	for i, v := range hs {
-		s.pend[i] = des.UnpackHandle(v)
 	}
 	if got := r.Int(); got != len(s.lanes) {
 		return fmt.Errorf("streaming: shard snapshot has %d lane counter sets, want %d", got, len(s.lanes))
