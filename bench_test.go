@@ -21,6 +21,7 @@ import (
 	"creditp2p/internal/queueing"
 	"creditp2p/internal/shard"
 	"creditp2p/internal/stats"
+	"creditp2p/internal/streaming"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/xrand"
 )
@@ -741,6 +742,97 @@ func BenchmarkShardMarketXLargeWeighted(b *testing.B) {
 
 func BenchmarkShardMarketXLargeNaive(b *testing.B) {
 	benchShardMarketRouted(b, shard.RoutingConfig{Mode: shard.RouteAvailability, NaiveRescan: true})
+}
+
+// The race-drill pair runs the two lane-state paths the unit tests cover
+// only at small populations at a scale where every lane owns tens of
+// thousands of peers: an availability-routed churn market (lane-owned
+// Fenwick rebuilds, lifecycle buffers, the weight-mirror publish) and a
+// delta-checkpointed streaming run with a policy pipeline (the parallel
+// per-lane fragment encode and dirty-map walks). CI runs each once under
+// the race detector.
+
+func BenchmarkShardAvailChurnLarge(b *testing.B) {
+	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 50_000, Alpha: 2.5, MeanDegree: 20}, xrand.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w, err := market.NewShard(market.ShardConfig{Mu: 1, Amount: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := shard.Run(shard.Config{
+			Graph:         g,
+			Shards:        4,
+			Horizon:       8,
+			Seed:          8,
+			InitialWealth: 20,
+			Churn:         shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5},
+			Routing:       shard.RoutingConfig{Mode: shard.RouteAvailability},
+			Workload:      w,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Events), "events/run")
+	}
+}
+
+func BenchmarkShardStreamingDeltaLarge(b *testing.B) {
+	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 20_000, Alpha: 2.5, MeanDegree: 20}, xrand.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w, err := streaming.NewShard(streaming.ShardConfig{StreamRate: 4, ChunkPrice: 1, RoundPeriod: 1, SeedFrac: 0.05})
+		if err != nil {
+			b.Fatal(err)
+		}
+		it, err := policy.NewIncomeTax(0.3, 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim, err := shard.NewSim(shard.Config{
+			Graph:         g,
+			Shards:        4,
+			Horizon:       4,
+			Window:        4.0 / 128,
+			Seed:          8,
+			InitialWealth: 20,
+			Policies:      []policy.Policy{it, policy.NewRedistribute()},
+			PolicyEpoch:   0.4,
+			Workload:      w,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sim.Start(); err != nil {
+			b.Fatal(err)
+		}
+		sink := &discardSink{}
+		ck := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{Delta: true})
+		for k := 1; sim.StepWindow(); k++ {
+			if k%8 == 0 {
+				if err := ck.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := ck.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if st := ck.Stats(); st.Deltas == 0 {
+			b.Fatalf("no delta links written: %+v", st)
+		}
+		res, err := sim.Finish()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Events), "events/run")
+	}
 }
 
 // The pick micro-pair isolates the sampler itself — Fenwick descent vs the

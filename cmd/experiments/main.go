@@ -51,7 +51,8 @@
 // chain; the resumed run is byte-identical either way.
 //
 // -timing prints the sharded kernel's phase-level barrier-pipeline
-// breakdown (dispatch / merge / apply / churn / publish) after the report.
+// breakdown (dispatch / merge / apply / churn / publish) after the report,
+// then the dispatch phases' CPU time, CPU/wall ratio and CPU ns per event.
 //
 // -routing (sharded runs only) overrides the preset's destination-sampling
 // mode: uniform picks neighbors uniformly, degree weights by static

@@ -3,6 +3,8 @@ package des
 import (
 	"math"
 	"math/bits"
+
+	"creditp2p/internal/pad"
 )
 
 // calendarQueue is a bucketed timing wheel (a calendar queue in the sense
@@ -119,9 +121,15 @@ const (
 	calMaxDay = math.MaxInt64 / 4
 )
 
+// newCalendarQueue returns an empty wheel whose buffers each start at one
+// whole pad.Block or more, so a lane's calendar never shares a cache line
+// with another lane's data (append growth keeps whole blocks; see pad).
 func newCalendarQueue() calendarQueue {
 	return calendarQueue{
-		heads:    make([]int32, calMinBuckets),
+		slots:    pad.Make[calSlot](0),
+		heads:    make([]int32, calMinBuckets, pad.Cap[int32](calMinBuckets)),
+		drain:    pad.Make[calEntry](0),
+		scratch:  pad.Make[calEntry](0),
 		mask:     calMinBuckets - 1,
 		width:    1,
 		invWidth: 1,

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"creditp2p/internal/pad"
 	"creditp2p/internal/snapshot"
 )
 
@@ -111,8 +112,10 @@ type Scheduler struct {
 	// dirty tracks slab segments touched since the last state capture —
 	// the delta-checkpoint bookkeeping, maintained on every slot mutation.
 	dirty snapshot.DirtyBits
-	// enc is the recycled per-field extraction scratch for state captures.
-	enc *encScratch
+	// enc is the recycled per-field extraction scratch for state captures,
+	// held by value: a sharded lane fills it during the parallel checkpoint
+	// encode, so its headers must sit in the lane's own blocks.
+	enc encScratch
 	// warm sinks the read-ahead loads in pop so the compiler cannot drop
 	// them; the value itself is meaningless and never read. warmPos is
 	// the drain-batch index slab warming has reached.
@@ -122,7 +125,23 @@ type Scheduler struct {
 
 // NewScheduler returns a scheduler at time 0 with no pending events.
 func NewScheduler() *Scheduler {
-	return &Scheduler{cal: newCalendarQueue()}
+	s := new(Scheduler)
+	s.Init()
+	return s
+}
+
+// Init readies a zero Scheduler, such as one embedded by value in a larger
+// struct, at time 0 with no pending events. The small per-event buffers
+// start at one whole pad.Block each (see the pad package): a sharded lane
+// writes them on every event, and a smaller first allocation would share
+// a cache line with whatever the allocator placed next to it.
+func (s *Scheduler) Init() {
+	*s = Scheduler{
+		slab:  pad.Make[node](0),
+		seqOf: pad.Make[uint64](0),
+		free:  pad.Make[int32](0),
+		cal:   newCalendarQueue(),
+	}
 }
 
 // NewSchedulerKind returns NewScheduler().

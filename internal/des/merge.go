@@ -1,6 +1,10 @@
 package des
 
-import "math"
+import (
+	"math"
+
+	"creditp2p/internal/pad"
+)
 
 // XEvent is one buffered cross-lane effect in the sharded kernel: a credit
 // delivery (or other workload-defined effect) produced inside a shard
@@ -100,10 +104,16 @@ func (b *MergeBuffer) Add(ev XEvent) {
 func (b *MergeBuffer) Len() int { return len(b.ev) }
 
 // Reset empties the buffer, keeping capacity and recording the high-water
-// mark Trim consults.
+// mark Trim consults. A buffer's first Reset gives it a whole-pad.Block
+// array: a lane appends to its outboxes on every spend, and the few-event
+// array Add would otherwise start from shares its cache line with whatever
+// the allocator put next to it.
 func (b *MergeBuffer) Reset() {
 	if len(b.ev) > b.hw {
 		b.hw = len(b.ev)
+	}
+	if b.ev == nil {
+		b.ev = pad.Make[XEvent](0)
 	}
 	b.ev = b.ev[:0]
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"creditp2p/internal/pad"
 	"creditp2p/internal/snapshot"
 )
 
@@ -39,8 +40,9 @@ const slotBytes = 8 + 8 + 4 + 4 + 2 + 1 + 8
 
 // transpose extracts slab[lo:hi] into the recycled per-field buffers.
 func (s *Scheduler) transpose(lo, hi int) *encScratch {
-	if s.enc == nil {
-		s.enc = &encScratch{
+	e := &s.enc
+	if e.times == nil {
+		*e = encScratch{
 			times:    make([]float64, slabSegSize),
 			payloads: make([]int64, slabSegSize),
 			actors:   make([]int32, slabSegSize),
@@ -49,7 +51,6 @@ func (s *Scheduler) transpose(lo, hi int) *encScratch {
 			states:   make([]uint8, slabSegSize),
 		}
 	}
-	e := s.enc
 	n := hi - lo
 	e.times = e.times[:n]
 	e.payloads = e.payloads[:n]
@@ -157,8 +158,8 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 		if grow > r.Remaining()/slotBytes {
 			return fmt.Errorf("des: delta grows the slab by %d slots but holds %d payload bytes", grow, r.Remaining())
 		}
-		s.slab = slices.Grow(s.slab, grow)
-		s.seqOf = slices.Grow(s.seqOf, grow)
+		s.slab = pad.Grow(s.slab, grow)
+		s.seqOf = pad.Grow(s.seqOf, grow)
 	}
 	prev := -1
 	for k := 0; k < segs; k++ {
@@ -219,7 +220,7 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 	s.fired = fired
 	s.dropped = dropped
 	s.live = live
-	s.free = free
+	s.free = append(pad.Grow(s.free[:0], len(free)), free...)
 	s.dirty.Grow(maxSeg)
 	s.dirty.Clear()
 	return nil
@@ -262,7 +263,7 @@ func (s *Scheduler) RebuildQueue() {
 	// Pre-grow the per-slot entry storage: push assumes slots are handed out
 	// in slab order, which does not hold when rebuilding an arbitrary
 	// pending set.
-	s.cal.slots = make([]calSlot, len(s.slab))
+	s.cal.slots = pad.Make[calSlot](len(s.slab))
 	for i, sl := range slots {
 		s.cal.push(s.slab[sl-1].time, seqs[i], sl)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"creditp2p/internal/des"
+	"creditp2p/internal/pad"
 	"creditp2p/internal/shard"
 	"creditp2p/internal/snapshot"
 )
@@ -50,6 +51,9 @@ type ShardMarket struct {
 	lanes []shardMarketCounters
 }
 
+// shardMarketCounters is one lane's counter set. Each lane bumps its own
+// set on every event, so the sets are padded to a whole pad.Block: two
+// lanes' counters must never share a cache line.
 type shardMarketCounters struct {
 	attempts      uint64
 	purchases     uint64
@@ -57,6 +61,7 @@ type shardMarketCounters struct {
 	failOffline   uint64
 	failFreeRider uint64
 	failIsolated  uint64
+	_             [pad.Block - 6*8]byte
 }
 
 // NewShard builds the sharded market workload.

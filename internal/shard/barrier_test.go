@@ -1,6 +1,8 @@
 package shard_test
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"creditp2p/internal/shard"
@@ -45,7 +47,9 @@ func TestBarrierSteadyStateZeroAlloc(t *testing.T) {
 
 // TestTimingsBreakdown smoke-tests the phase accounting on both barrier
 // paths: windows are counted, dispatch time accumulates, the merge phase
-// engages exactly when policies do, and the phase sum equals Total.
+// engages exactly when policies do, the phase sum equals Total, every
+// dispatched event is counted, and dispatch CPU time accrues where
+// getrusage exists.
 func TestTimingsBreakdown(t *testing.T) {
 	run := func(pols bool) shard.Timings {
 		var cfg shard.Config
@@ -63,10 +67,25 @@ func TestTimingsBreakdown(t *testing.T) {
 		}
 		for e.StepWindow() {
 		}
-		if _, err := e.Finish(); err != nil {
+		res, err := e.Finish()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Timings()
+		ti := e.Timings()
+		if ti.Events != res.Events {
+			t.Fatalf("timings count %d dispatched events, result %d", ti.Events, res.Events)
+		}
+		if runtime.GOOS == "linux" && ti.DispatchCPU <= 0 {
+			t.Fatalf("dispatch CPU time not measured: %+v", ti)
+		}
+		var out strings.Builder
+		if err := ti.Write(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "cpu-ns/event") && runtime.GOOS == "linux" {
+			t.Fatalf("timing table lacks the dispatch CPU line:\n%s", out.String())
+		}
+		return ti
 	}
 
 	withPol := run(true)

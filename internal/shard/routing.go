@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"math"
 
+	"creditp2p/internal/pad"
 	"creditp2p/internal/xrand"
 )
 
@@ -396,7 +397,7 @@ func (ln *Lane) naivePick(t float64, nbrs []int32, r *xrand.SplitMix64) int32 {
 	e := ln.e
 	rt := &e.rt
 	if cap(ln.pick) < len(nbrs) {
-		ln.pick = make([]float64, len(nbrs))
+		ln.pick = pad.Make[float64](len(nbrs))
 	}
 	pick := ln.pick[:len(nbrs)]
 	total := 0.0

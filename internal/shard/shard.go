@@ -62,6 +62,7 @@ import (
 	"time"
 
 	"creditp2p/internal/des"
+	"creditp2p/internal/pad"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/snapshot"
 	"creditp2p/internal/stats"
@@ -223,13 +224,20 @@ const (
 // events, the per-destination-shard outboxes, the lane-local slices of
 // the metric accumulators, and scratch. Workload hooks receive the lane
 // they run on.
+//
+// Everything a lane writes while the lanes run concurrently is private to
+// it down to the 128-byte pad.Block, so two lanes never write one cache
+// line (DESIGN.md, "Lane-private cache lines"). The struct embeds its
+// scheduler, is padded to whole blocks and is allocated on its own; every
+// buffer it owns is sized through the pad package. The layout test walks
+// these objects and checks the addresses the allocator handed out.
 type Lane struct {
 	e *Engine
 	// S is the shard index.
 	S int
 	// lo, hi bound the lane's global peer indices [lo, hi).
 	lo, hi int32
-	sched  *des.Scheduler
+	sched  des.Scheduler
 	// out[d] buffers effects destined for shard d this window.
 	out []des.MergeBuffer
 	// deaths/births are this window's lifecycle deltas.
@@ -258,7 +266,13 @@ type Lane struct {
 	// bookkeeping. Segment k covers global peers [lo+k*peerSegSize,
 	// lo+(k+1)*peerSegSize) ∩ [lo, hi).
 	dirty snapshot.DirtyBits
+	// _ rounds the struct up to whole pad.Blocks (pinned by
+	// TestLaneSizeWholeBlocks).
+	_ [lanePad]byte
 }
+
+// lanePad is the tail padding that makes Lane a whole number of blocks.
+const lanePad = 56
 
 // markPeer flags the dirty segment holding global peer g, which must be
 // owned by this lane.
@@ -445,14 +459,16 @@ func New(cfg Config) (*Engine, error) {
 	for s := 0; s < e.p; s++ {
 		lo, hi := part.Range(s)
 		ln := &Lane{
-			e:     e,
-			S:     s,
-			lo:    lo,
-			hi:    hi,
-			sched: des.NewScheduler(),
-			out:   make([]des.MergeBuffer, e.p),
-			liveN: int(hi - lo),
+			e:      e,
+			S:      s,
+			lo:     lo,
+			hi:     hi,
+			out:    pad.Make[des.MergeBuffer](e.p),
+			deaths: pad.Make[lifeEvent](0),
+			births: pad.Make[lifeEvent](0),
+			liveN:  int(hi - lo),
 		}
+		ln.sched.Init()
 		ln.supply = int64(hi-lo) * cfg.InitialWealth
 		ln.minted = ln.supply
 		ln.hist.Grow(cfg.InitialWealth)
@@ -541,10 +557,13 @@ func (e *Engine) StepWindow() bool {
 	// parallel. Lanes only touch their own partition of the peer state
 	// plus the read-only epoch views, so the goroutine schedule cannot
 	// influence results.
+	ev0, c0 := e.EventsFired(), processCPU()
 	t0 := time.Now()
 	e.parallel(e.dispatchFn)
 	t1 := time.Now()
 	e.timings.Dispatch += t1.Sub(t0)
+	e.timings.DispatchCPU += processCPU() - c0
+	e.timings.Events += e.EventsFired() - ev0
 	// Phases 2+3 (merge, apply): deliver the window's buffered effects.
 	// Without a policy pipeline there is no merge — each lane applies its
 	// own inbound buckets in parallel (delivery on disjoint destination
@@ -605,10 +624,10 @@ func (e *Engine) trim() {
 }
 
 // trimLife shrinks a quiescent (logically empty) lifecycle buffer that has
-// grown far beyond the trim window's needs.
+// grown far beyond the trim window's needs back to one block.
 func trimLife(ls []lifeEvent) []lifeEvent {
 	if c := cap(ls); len(ls) == 0 && c > 64 {
-		return nil
+		return pad.Make[lifeEvent](0)
 	}
 	return ls
 }

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"creditp2p/internal/des"
+	"creditp2p/internal/pad"
 	"creditp2p/internal/snapshot"
 	"creditp2p/internal/trace"
 	"creditp2p/internal/xrand"
@@ -100,21 +101,29 @@ func (e *Engine) appendDirtySpans(dst []PeerSpan) []PeerSpan {
 // single serial Writer would emit.
 type encoder struct {
 	coord *snapshot.Writer
-	laneW []*snapshot.Writer
+	laneW []*laneWriter
 	wkW   *snapshot.Writer
 	parts [][]byte
 	spans []PeerSpan
 }
 
+// laneWriter is one lane's fragment writer, padded to a whole pad.Block:
+// the lanes append to their writers concurrently, and unpadded writers
+// allocated back to back would share a cache line.
+type laneWriter struct {
+	snapshot.Writer
+	_ [pad.Block - unsafe.Sizeof(snapshot.Writer{})]byte
+}
+
 func newEncoder(p int) *encoder {
 	c := &encoder{
 		coord: snapshot.NewWriter(1 << 16),
-		laneW: make([]*snapshot.Writer, p),
+		laneW: make([]*laneWriter, p),
 		wkW:   snapshot.NewRawWriter(1 << 12),
 		parts: make([][]byte, 0, p+2),
 	}
 	for s := range c.laneW {
-		c.laneW[s] = snapshot.NewRawWriter(1 << 12)
+		c.laneW[s] = &laneWriter{Writer: *snapshot.NewRawWriter(1 << 12)}
 	}
 	return c
 }
@@ -134,7 +143,7 @@ func (c *encoder) encode(e *Engine, link snapshot.LinkHeader) [][]byte {
 	c.coord.Reset()
 	e.encodeHead(c.coord, link)
 	e.parallel(func(ln *Lane) {
-		w := c.laneW[ln.S]
+		w := &c.laneW[ln.S].Writer
 		w.Reset()
 		ln.encode(w, all)
 	})

@@ -14,7 +14,8 @@ import (
 //
 // Phases per window:
 //
-//	Dispatch — parallel lane event loops over [t, t+W)
+//	Dispatch — parallel lane event loops over [t, t+W); DispatchCPU is
+//	         the same span in process CPU time
 //	Merge    — k-way merge of the outboxes into canonical order
 //	         (policy path only; zero on the commutative no-policy path)
 //	Apply    — delivering buffered effects (parallel per-lane inbound
@@ -29,12 +30,21 @@ type Timings struct {
 	// MergedEvents counts effects that went through the canonical merge
 	// (policy path); the per-event merge cost is Merge/MergedEvents.
 	MergedEvents uint64
+	// Events counts the events dispatched in the timed windows.
+	Events uint64
 
 	Dispatch time.Duration
 	Merge    time.Duration
 	Apply    time.Duration
 	Churn    time.Duration
 	Publish  time.Duration
+
+	// DispatchCPU is the process CPU time (all threads, from getrusage)
+	// spent across the dispatch phases: with P lanes busy it approaches
+	// P × Dispatch, and CPU per event rising with P is the signature of
+	// lanes contending for shared cache lines. Zero on platforms without
+	// getrusage.
+	DispatchCPU time.Duration
 
 	// Checkpoint sub-spans (populated when a Checkpointer is attached).
 	// Wait + Copy is the barrier-visible stall: Wait drains the previous
@@ -92,6 +102,9 @@ func (t Timings) Write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "  %-8s %12v\n", "total", total.Round(time.Microsecond)); err != nil {
 		return err
 	}
+	if err := t.writeDispatchCPU(w); err != nil {
+		return err
+	}
 	if t.Checkpoints == 0 {
 		return nil
 	}
@@ -121,6 +134,25 @@ func (t Timings) Write(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "  %-8s %12v  %12v/checkpoint\n", "stall",
 		t.CheckpointStall().Round(time.Microsecond),
 		(t.CheckpointStall() / time.Duration(t.Checkpoints)).Round(time.Nanosecond))
+	return err
+}
+
+// writeDispatchCPU prints the dispatch phase's CPU time, its ratio to the
+// phase's wall time, and the CPU time per dispatched event.
+func (t Timings) writeDispatchCPU(w io.Writer) error {
+	if t.DispatchCPU == 0 {
+		_, err := fmt.Fprintf(w, "dispatch cpu: not measured on this platform\n")
+		return err
+	}
+	ratio, perEvent := 0.0, 0.0
+	if t.Dispatch > 0 {
+		ratio = float64(t.DispatchCPU) / float64(t.Dispatch)
+	}
+	if t.Events > 0 {
+		perEvent = float64(t.DispatchCPU) / float64(t.Events)
+	}
+	_, err := fmt.Fprintf(w, "dispatch cpu %.3fs  cpu/wall %.2f  %.1f cpu-ns/event over %d events\n",
+		t.DispatchCPU.Seconds(), ratio, perEvent, t.Events)
 	return err
 }
 

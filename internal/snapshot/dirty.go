@@ -1,13 +1,22 @@
 package snapshot
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"creditp2p/internal/pad"
+)
 
 // DirtyBits is the fixed-size-segment dirty bitmap delta checkpoints are
 // built on: mutation paths Mark the segment covering each touched element,
 // and a capture walks the marked segments and Clears — after MarkAll for a
-// base, which carries every segment. Marking is one shift, one OR — cheap enough to stay
-// always-on in event-dispatch hot paths — and never allocates once Grow
-// has sized the map, preserving the kernel's zero-alloc barrier contract.
+// base, which carries every segment. Marking is one shift and one OR, and
+// never allocates once Grow has sized the map, preserving the kernel's
+// zero-alloc barrier contract. It is cheap enough to stay always-on in
+// event-dispatch hot paths only while the words are private to the
+// marking goroutine: a sharded lane marks its maps on every event, and a
+// map of a few words shares its cache line with whatever the allocator put
+// next to it — another lane's map, at worst. Grow therefore allocates the
+// words in whole pad.Block units.
 type DirtyBits struct {
 	words []uint64
 	segs  int
@@ -22,7 +31,7 @@ func (d *DirtyBits) Grow(nSegs int) {
 	}
 	d.segs = nSegs
 	if need := (nSegs + 63) >> 6; need > len(d.words) {
-		w := make([]uint64, need+need/2)
+		w := pad.Make[uint64](need + need/2)
 		copy(w, d.words)
 		d.words = w
 	}

@@ -1,5 +1,7 @@
 package stats
 
+import "creditp2p/internal/pad"
+
 // BalanceHist is a histogram over a population of non-negative integer
 // credit balances: h[b] members hold exactly b credits. Both simulation
 // engines mirror every live-peer balance change into one — Move is two
@@ -23,7 +25,10 @@ func (h *BalanceHist) Grow(b int64) {
 		if nw <= b {
 			nw = b + 1
 		}
-		t := make(BalanceHist, nw)
+		// Whole pad.Block units: a sharded lane moves its histogram on
+		// every purchase, so the buckets must not share a cache line with
+		// another lane's data.
+		t := BalanceHist(pad.Make[int64](int(nw)))
 		copy(t, *h)
 		*h = t
 	}

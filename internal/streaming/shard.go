@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"creditp2p/internal/des"
+	"creditp2p/internal/pad"
 	"creditp2p/internal/shard"
 	"creditp2p/internal/snapshot"
 )
@@ -43,6 +44,8 @@ type ShardStreaming struct {
 	hscratch []uint64
 }
 
+// shardStreamCounters is one lane's counter set, padded to a whole
+// pad.Block so two lanes' per-event increments never share a cache line.
 type shardStreamCounters struct {
 	rounds        uint64
 	chunkRequests uint64
@@ -51,6 +54,7 @@ type shardStreamCounters struct {
 	chunksOffline uint64
 	chunksStalled uint64
 	failIsolated  uint64
+	_             [pad.Block - 7*8]byte
 }
 
 // NewShard builds the sharded streaming workload.

@@ -241,3 +241,47 @@ func TestChartFixedRange(t *testing.T) {
 		t.Errorf("fixed range not applied:\n%s", buf.String())
 	}
 }
+
+// FuzzReadCSV feeds ReadCSV arbitrary bytes, seeded from a valid trace and
+// truncated or odd-field-count variants of it. ReadCSV must never panic,
+// and every Set it accepts must hold series whose times and values have
+// equal lengths, under distinct names.
+func FuzzReadCSV(f *testing.F) {
+	set := &Set{}
+	for _, name := range []string{"gini", "population", "supply, total"} {
+		s := NewSeries(name)
+		for i := 0; i < 4; i++ {
+			s.Add(float64(i)*2.5, float64(i*i)+0.125)
+		}
+		set.Add(s)
+	}
+	var buf bytes.Buffer
+	if err := set.WriteCSV(&buf); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.String()
+	f.Add([]byte(valid))
+	f.Add([]byte(valid[:len(valid)/2]))
+	f.Add([]byte(valid[:len("series,time,value\n")+3]))
+	f.Add([]byte("series,time,value\n"))
+	f.Add([]byte("series,time,value\nx,1\n"))
+	f.Add([]byte("series,time,value\nx,1,2,3\n"))
+	f.Add([]byte("series,time,value\n\"x,1,2\n"))
+	f.Add([]byte("series,time,value\nx,NaN,-Inf\nx,1e309,0x1p-2\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		names := map[string]bool{}
+		for _, s := range got.Series {
+			if len(s.Times) != len(s.Values) {
+				t.Fatalf("series %q has %d times but %d values", s.Name, len(s.Times), len(s.Values))
+			}
+			if names[s.Name] {
+				t.Fatalf("series %q appears twice", s.Name)
+			}
+			names[s.Name] = true
+		}
+	})
+}
