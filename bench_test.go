@@ -362,11 +362,11 @@ func BenchmarkStreamingSimLarge(b *testing.B) {
 	reportBytesPerPeer(b, heapBase, heapAfter, 100_000)
 }
 
-// The sampler-mode pairs pin the weighted-routing cost model at N=10k:
-// exact is the O(degree) scan (with an exp() per neighbor per draw for
-// availability routing), fast is the Fenwick index — O(log degree) per
-// draw, one exp() per spend. The two modes draw different sequences, so
-// events/run differs slightly; ns/event is the comparison.
+// The sampler-mode benchmarks pin the weighted-routing cost model at
+// N=10k: exact is the O(degree) scan (with an exp() per neighbor per draw
+// for availability routing), fast is the Fenwick degree index — O(log
+// degree) per draw. Availability routing has only the exact scan.
+// ns/event is the comparison.
 
 func benchWeightedMarket(b *testing.B, routing Routing, fast bool) {
 	r := xrand.New(7)
@@ -448,9 +448,6 @@ func BenchmarkMarketDegreeChurnExact(b *testing.B) { benchDegreeChurnMarket(b, f
 func BenchmarkMarketDegreeChurnFast(b *testing.B)  { benchDegreeChurnMarket(b, true) }
 func BenchmarkMarketAvailabilityExact(b *testing.B) {
 	benchWeightedMarket(b, RouteAvailability, false)
-}
-func BenchmarkMarketAvailabilityFast(b *testing.B) {
-	benchWeightedMarket(b, RouteAvailability, true)
 }
 
 // The XLarge benchmarks run N=1,000,000 single-machine populations — the
@@ -680,13 +677,13 @@ func benchShardMarketXLarge(b *testing.B, shards int) {
 func BenchmarkShardMarketXLarge(b *testing.B)  { benchShardMarketXLarge(b, 1) }
 func BenchmarkShardMarketXLarge8(b *testing.B) { benchShardMarketXLarge(b, 8) }
 
-// The routed XLarge trio is the BENCH_10 acceptance A/B/C: the same 1M-peer
-// eight-lane churned market under uniform routing (the cost baseline),
-// availability-weighted Fenwick routing (the feature; must stay within
-// 1.6x of uniform per-event), and the naive per-spend O(degree) rescan
-// (the reference the Fenwick sampler must beat). Churn is on in all three
-// — availability weighting is inert without lifecycle transitions — so
-// uniform here is a separate baseline from BenchmarkShardMarketXLarge8.
+// The routed XLarge pair is the same 1M-peer eight-lane churned market
+// under uniform routing (the cost baseline) and availability-weighted
+// Fenwick routing (the feature; must stay within 1.6x of uniform
+// per-event). Churn is on in both — availability weighting is inert
+// without lifecycle transitions — so uniform here is a separate baseline
+// from BenchmarkShardMarketXLarge8. The sampler itself against an
+// O(degree) scan is BenchmarkWeightPick in internal/shard.
 
 func benchShardMarketRouted(b *testing.B, rc shard.RoutingConfig) {
 	b.Helper()
@@ -738,10 +735,6 @@ func BenchmarkShardMarketXLargeUniformChurn(b *testing.B) {
 
 func BenchmarkShardMarketXLargeWeighted(b *testing.B) {
 	benchShardMarketRouted(b, shard.RoutingConfig{Mode: shard.RouteAvailability})
-}
-
-func BenchmarkShardMarketXLargeNaive(b *testing.B) {
-	benchShardMarketRouted(b, shard.RoutingConfig{Mode: shard.RouteAvailability, NaiveRescan: true})
 }
 
 // The race-drill pair runs the two lane-state paths the unit tests cover
@@ -835,14 +828,11 @@ func BenchmarkShardStreamingDeltaLarge(b *testing.B) {
 	}
 }
 
-// The pick micro-pair isolates the sampler itself — Fenwick descent vs the
-// per-spend O(degree) rescan — over one warm availability-routed engine, so
-// the ≥5x sampler gate is measured without the kernel's fixed per-event
-// overhead diluting the ratio. Picks cycle through every peer, weighting
-// hubs exactly as often as leaves.
-
-func benchRoutingPick(b *testing.B, naive bool) {
-	b.Helper()
+// BenchmarkRoutingPickFenwick isolates the sampler over one warm
+// availability-routed engine, without the kernel's fixed per-event
+// overhead. Picks cycle through every peer, weighting hubs exactly as
+// often as leaves.
+func BenchmarkRoutingPickFenwick(b *testing.B) {
 	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 20_000, Alpha: 2.5, MeanDegree: 20}, xrand.New(7))
 	if err != nil {
 		b.Fatal(err)
@@ -858,7 +848,7 @@ func benchRoutingPick(b *testing.B, naive bool) {
 		Seed:          8,
 		InitialWealth: 20,
 		Churn:         shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5},
-		Routing:       shard.RoutingConfig{Mode: shard.RouteAvailability, NaiveRescan: naive},
+		Routing:       shard.RoutingConfig{Mode: shard.RouteAvailability},
 		Workload:      w,
 	})
 	if err != nil {
@@ -890,9 +880,6 @@ func benchRoutingPick(b *testing.B, naive bool) {
 		b.Fatal("sampler returned only peer 0; measurement is broken")
 	}
 }
-
-func BenchmarkRoutingPickFenwick(b *testing.B) { benchRoutingPick(b, false) }
-func BenchmarkRoutingPickNaive(b *testing.B)   { benchRoutingPick(b, true) }
 
 // The Checkpoint trio measures the barrier-visible checkpoint stall on
 // the 1M-peer sharded market at eight lanes — the BENCH_9 acceptance

@@ -89,11 +89,11 @@ func run(args []string) error {
 		Seed:          *seed,
 	}
 	if *taxRate > 0 {
-		tax, err := creditp2p.NewTaxPolicy(*taxRate, *taxThreshold)
+		tax, err := creditp2p.NewIncomeTaxPolicy(*taxRate, *taxThreshold)
 		if err != nil {
 			return err
 		}
-		cfg.Tax = tax
+		cfg.Policies = []creditp2p.EconomicPolicy{tax, creditp2p.NewRedistributePolicy()}
 	}
 	if *dynamicM > 0 {
 		cfg.Spending = creditp2p.DynamicSpending{M: *dynamicM}
@@ -116,7 +116,7 @@ func run(args []string) error {
 
 	fmt.Printf("\nsimulated: events=%d  final-gini=%.4f  joins=%d  departures=%d\n",
 		res.SpendEvents, res.FinalGini, res.Joins, res.Departures)
-	if cfg.Tax != nil {
+	if *taxRate > 0 {
 		fmt.Printf("taxation: collected=%d  redistributed=%d\n", res.TaxCollected, res.TaxRedistributed)
 	}
 	var set trace.Set

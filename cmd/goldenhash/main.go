@@ -7,9 +7,10 @@
 // writes a snapshot, and a third process-fresh simulation restores the
 // snapshot and runs to completion. The printed hashes are the resumed
 // runs'; diffing them against the default mode's (scenario lines excluded)
-// asserts byte-identical resume for every mechanism combo. -fast
-// overrides the sampling mode across the market combos, so the same drill
-// covers exact and fast sampling without extra case tables.
+// asserts byte-identical resume for every mechanism combo. -fast sets
+// FastSampling on every market combo, which switches the degree-routed
+// ones to the Fenwick degree sampler (the others ignore it), so the same
+// drill covers exact and fast degree sampling without extra case tables.
 package main
 
 import (
@@ -415,7 +416,7 @@ func shardLines(shards int, resume, deltaResume bool) {
 func main() {
 	resume := flag.Bool("resume", false, "run every combo through the crash/snapshot/restore drill and print the resumed hashes (scenario lines omitted)")
 	deltaResume := flag.Bool("delta-resume", false, "run only the shard/* combos, through the delta-chain crash/resume drill: checkpoint via a pipelined base+deltas chain, crash a third in, restore the chain (asserting byte-identity with a full snapshot) and finish")
-	fast := flag.Bool("fast", false, "override the market combos to Fenwick-backed fast sampling")
+	fast := flag.Bool("fast", false, "set FastSampling on the market combos (switches degree routing to its Fenwick sampler)")
 	shards := flag.Int("shards", 1, "lane count for the shard/* lines; the sharded kernel's invariance contract makes the printed hashes identical for any value")
 	flag.Parse()
 
@@ -437,12 +438,21 @@ func main() {
 		}
 	}
 
-	tax := func() *credit.TaxPolicy {
-		t, err := credit.NewTaxPolicy(0.25, 15)
+	// tax is the Sec. VI-C tax: IncomeTax collects, Redistribute pays the
+	// pot back out in whole rounds.
+	tax := func(extra ...policy.Policy) []policy.Policy {
+		it, err := policy.NewIncomeTax(0.25, 15)
 		if err != nil {
 			panic(err)
 		}
-		return t
+		return append([]policy.Policy{it, policy.NewRedistribute()}, extra...)
+	}
+	injection := func(amount int64) *policy.Injection {
+		in, err := policy.NewInjection(amount)
+		if err != nil {
+			panic(err)
+		}
+		return in
 	}
 	churn := &market.ChurnConfig{ArrivalRate: 0.5, MeanLifespan: 150, AttachDegree: 4, Preferential: true}
 	fastChurn := &market.ChurnConfig{ArrivalRate: 0.5, MeanLifespan: 150, AttachDegree: 4, FastAttach: true}
@@ -454,7 +464,7 @@ func main() {
 			return market.Config{Graph: marketGraph(80, 8, 1), InitialWealth: 20, DefaultMu: 1, Horizon: 400, SnapshotTimes: []float64{100, 300}, Seed: 2}
 		}},
 		{"tax+inject", func() market.Config {
-			return market.Config{Graph: marketGraph(80, 8, 3), InitialWealth: 20, DefaultMu: 1, Horizon: 400, Tax: tax(), Inject: &market.InjectConfig{Amount: 2, Period: 60}, Seed: 4}
+			return market.Config{Graph: marketGraph(80, 8, 3), InitialWealth: 20, DefaultMu: 1, Horizon: 400, Policies: tax(injection(2)), PolicyEpoch: 60, Seed: 4}
 		}},
 		{"churn", func() market.Config {
 			return market.Config{Graph: marketGraph(80, 8, 5), InitialWealth: 20, DefaultMu: 1, Horizon: 400, Churn: churn, Seed: 6}
@@ -469,7 +479,7 @@ func main() {
 			return market.Config{Graph: scaleFree(200, 11), InitialWealth: 15, DefaultMu: 1, Horizon: 300, Routing: market.RouteAvailability, Seed: 12}
 		}},
 		{"avail+churn+tax", func() market.Config {
-			return market.Config{Graph: scaleFree(200, 13), InitialWealth: 15, DefaultMu: 1, Horizon: 300, Routing: market.RouteAvailability, Churn: churn, Tax: tax(), Seed: 14}
+			return market.Config{Graph: scaleFree(200, 13), InitialWealth: 15, DefaultMu: 1, Horizon: 300, Routing: market.RouteAvailability, Churn: churn, Policies: tax(), Seed: 14}
 		}},
 		{"freeriders", func() market.Config {
 			return market.Config{Graph: scaleFree(200, 15), InitialWealth: 15, DefaultMu: 1, Horizon: 300, FreeRiderFrac: 0.25, Seed: 16}
@@ -517,8 +527,7 @@ func main() {
 	}
 
 	// Policy-engine modes. These lines extend the battery; the combos
-	// above keep their exact pre-engine fingerprints (the default-mode
-	// byte-compatibility contract).
+	// above keep their historical names and fingerprints.
 	adaptive := func() *policy.AdaptiveTax {
 		at, err := policy.NewAdaptiveTax(policy.AdaptiveTaxConfig{
 			TargetGini: 0.3, Gain: 0.5, MaxRate: 0.7, Threshold: 15,
@@ -549,13 +558,6 @@ func main() {
 		}
 		return it
 	}
-	injection := func() *policy.Injection {
-		in, err := policy.NewInjection(1)
-		if err != nil {
-			panic(err)
-		}
-		return in
-	}
 	pcases := []struct {
 		name string
 		mk   func() market.Config
@@ -568,10 +570,11 @@ func main() {
 			return market.Config{Graph: scaleFree(200, 31), InitialWealth: 15, DefaultMu: 1, Horizon: 300, Churn: fastChurn,
 				Policies: []policy.Policy{demurrage(), subsidy(true), policy.NewRedistribute()}, PolicyEpoch: 15, Seed: 32}
 		}},
+		// The name predates the injection stage; kept so the output
+		// stays byte-identical.
 		{"binomial-tax+legacy-inject", func() market.Config {
 			return market.Config{Graph: marketGraph(80, 8, 33), InitialWealth: 20, DefaultMu: 1, Horizon: 400,
-				Inject:   &market.InjectConfig{Amount: 1, Period: 60},
-				Policies: []policy.Policy{incomeTax(), policy.NewRedistribute()}, Seed: 34}
+				Policies: []policy.Policy{injection(1), incomeTax(), policy.NewRedistribute()}, PolicyEpoch: 60, Seed: 34}
 		}},
 	}
 	for _, c := range pcases {
@@ -588,7 +591,7 @@ func main() {
 	}{
 		{"tax+inject", func() streaming.Config {
 			return streaming.Config{Graph: marketGraph(60, 8, 35), StreamRate: 2, DelaySeconds: 6, UploadCap: 1, DownloadCap: 3, SourceSeeds: 3, InitialWealth: 12, HorizonSeconds: 150, UploadCapOf: map[int]int{1: 8, 2: 8},
-				Policies: []policy.Policy{incomeTax(), policy.NewRedistribute(), injection()}, PolicyEpoch: 20, Seed: 36}
+				Policies: []policy.Policy{incomeTax(), policy.NewRedistribute(), injection(1)}, PolicyEpoch: 20, Seed: 36}
 		}},
 		{"demurrage+drain", func() streaming.Config {
 			return streaming.Config{Graph: marketGraph(60, 8, 37), StreamRate: 2, DelaySeconds: 6, UploadCap: 2, DownloadCap: 3, SourceSeeds: 3, InitialWealth: 12, HorizonSeconds: 150, Departures: []streaming.Departure{{ID: 1, AtSecond: 60}},

@@ -11,7 +11,10 @@
 //     (Analyze).
 //   - Simulation: run the credit-market simulator at queue granularity
 //     (RunMarket) or the protocol-faithful mesh-pull streaming market
-//     (RunStreaming), with taxation, dynamic spending rates and churn.
+//     (RunStreaming), with dynamic spending rates, churn, and economic
+//     policies composed as EconomicPolicy stages on the config's Policies
+//     pipeline: Sec. VI-C taxation is IncomeTaxPolicy followed by
+//     RedistributePolicy, periodic injection is InjectionPolicy.
 //   - Experiments: regenerate every table and figure of the paper
 //     (RunExperiment, Experiments).
 //
@@ -77,9 +80,6 @@ type (
 	UniformPricing = credit.UniformPricing
 	// PerPeerPricing lets each seller set a flat price.
 	PerPeerPricing = credit.PerPeerPricing
-	// TaxPolicy is the Sec. VI-C taxation counter-measure (the legacy
-	// byte-compatible path; new code should compose EconomicPolicy stages).
-	TaxPolicy = credit.TaxPolicy
 	// DynamicSpending is the Sec. VI-D wealth-coupled spending policy.
 	DynamicSpending = credit.DynamicSpending
 
@@ -165,8 +165,10 @@ const (
 	Full = experiments.Full
 	// Large runs 100k-peer configurations on the scale engine.
 	Large = experiments.Large
-	// XLarge runs million-peer configurations on the scale engine plus
-	// the fast-sampling routing mode (a few GB of RSS, minutes per run).
+	// XLarge runs million-peer configurations on the scale engine (a few
+	// GB of RSS, minutes per run). Scenario runs at this preset also set
+	// FastSampling, which switches degree-weighted routing to its Fenwick
+	// sampler; availability routing always scans.
 	XLarge = experiments.XLarge
 )
 
@@ -200,12 +202,6 @@ func Analyze(m *Model, avgWealth float64, opts AnalyzeOptions) (*Report, error) 
 // Threshold computes the Eq. (4) condensation threshold of a utilization
 // density.
 func Threshold(f Density) ThresholdResult { return core.Threshold(f) }
-
-// NewTaxPolicy validates and builds a taxation policy (rate in [0,1],
-// threshold >= 0).
-func NewTaxPolicy(rate float64, threshold int64) (*TaxPolicy, error) {
-	return credit.NewTaxPolicy(rate, threshold)
-}
 
 // Declarative policy kinds for PolicySpec.Kind.
 const (

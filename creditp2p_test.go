@@ -120,15 +120,15 @@ func TestFacadeStreaming(t *testing.T) {
 }
 
 func TestFacadeTaxPolicy(t *testing.T) {
-	if _, err := NewTaxPolicy(2, 10); err == nil {
+	if _, err := NewIncomeTaxPolicy(2, 10); err == nil {
 		t.Error("invalid tax rate accepted")
 	}
-	tax, err := NewTaxPolicy(0.1, 10)
+	tax, err := NewIncomeTaxPolicy(0.1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tax.Pool() != 0 {
-		t.Error("fresh policy has non-empty pool")
+	if tax.Collected() != 0 {
+		t.Error("fresh policy has collected credits")
 	}
 }
 

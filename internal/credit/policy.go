@@ -1,99 +1,5 @@
 package credit
 
-import (
-	"fmt"
-
-	"creditp2p/internal/xrand"
-)
-
-// TaxPolicy implements the taxation counter-measure of Sec. VI-C: "for a
-// peer with a wealth above a given tax threshold, the system collects a
-// fixed proportion of its income. Whenever the system has collected N units
-// of credits, it returns a unit to each peer."
-//
-// Income arrives in unit credits, so a Rate fraction is collected
-// probabilistically: each incoming credit of a peer above the threshold is
-// taxed with probability Rate, which collects the exact proportion in
-// expectation while keeping credits integral.
-type TaxPolicy struct {
-	// Rate is the income-tax fraction in [0, 1].
-	Rate float64
-	// Threshold is the wealth level above which income is taxed.
-	Threshold int64
-
-	pool      int64
-	collected int64
-	paidOut   int64
-}
-
-// NewTaxPolicy validates the parameters. A nil policy means no taxation.
-func NewTaxPolicy(rate float64, threshold int64) (*TaxPolicy, error) {
-	if rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("%w: tax rate %v", ErrBadAmount, rate)
-	}
-	if threshold < 0 {
-		return nil, fmt.Errorf("%w: tax threshold %d", ErrBadAmount, threshold)
-	}
-	return &TaxPolicy{Rate: rate, Threshold: threshold}, nil
-}
-
-// TaxIncome decides how much of an income payment to a peer whose
-// post-income wealth would be balance is collected into the pool. It
-// returns the taxed amount (0 or up to amount).
-func (t *TaxPolicy) TaxIncome(balance, amount int64, r *xrand.RNG) int64 {
-	if t == nil || amount <= 0 || balance <= t.Threshold {
-		return 0
-	}
-	var taxed int64
-	for k := int64(0); k < amount; k++ {
-		if r.Bernoulli(t.Rate) {
-			taxed++
-		}
-	}
-	t.pool += taxed
-	t.collected += taxed
-	return taxed
-}
-
-// Redistribute drains the pool in rounds of n credits: each full round pays
-// one credit to each of the n peers. It returns the per-peer payout (the
-// number of complete rounds).
-func (t *TaxPolicy) Redistribute(n int) int64 {
-	if t == nil || n <= 0 {
-		return 0
-	}
-	rounds := t.pool / int64(n)
-	if rounds > 0 {
-		t.pool -= rounds * int64(n)
-		t.paidOut += rounds * int64(n)
-	}
-	return rounds
-}
-
-// Pool returns the credits currently held by the collector.
-func (t *TaxPolicy) Pool() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.pool
-}
-
-// Collected returns the cumulative credits ever taxed.
-func (t *TaxPolicy) Collected() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.collected
-}
-
-// PaidOut returns the cumulative credits redistributed.
-func (t *TaxPolicy) PaidOut() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.paidOut
-}
-
 // SpendingPolicy maps a peer's current wealth to its instantaneous maximum
 // spending rate mu_i — fixed in the baseline model, wealth-coupled in the
 // Sec. VI-D extension.

@@ -1,102 +1,6 @@
 package credit
 
-import (
-	"math"
-	"testing"
-
-	"creditp2p/internal/xrand"
-)
-
-func TestNewTaxPolicyValidation(t *testing.T) {
-	if _, err := NewTaxPolicy(-0.1, 10); err == nil {
-		t.Error("negative rate accepted")
-	}
-	if _, err := NewTaxPolicy(1.1, 10); err == nil {
-		t.Error("rate > 1 accepted")
-	}
-	if _, err := NewTaxPolicy(0.1, -1); err == nil {
-		t.Error("negative threshold accepted")
-	}
-}
-
-func TestTaxIncomeBelowThresholdUntaxed(t *testing.T) {
-	tax, err := NewTaxPolicy(1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := xrand.New(1)
-	if got := tax.TaxIncome(100, 10, r); got != 0 {
-		t.Errorf("taxed %d at threshold, want 0", got)
-	}
-	if got := tax.TaxIncome(50, 10, r); got != 0 {
-		t.Errorf("taxed %d below threshold, want 0", got)
-	}
-}
-
-func TestTaxIncomeRateInExpectation(t *testing.T) {
-	tax, err := NewTaxPolicy(0.3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := xrand.New(11)
-	var taxed int64
-	const trials, amount = 20000, 1
-	for i := 0; i < trials; i++ {
-		taxed += tax.TaxIncome(1000, amount, r)
-	}
-	got := float64(taxed) / float64(trials*amount)
-	if math.Abs(got-0.3) > 0.01 {
-		t.Errorf("effective tax rate = %v, want ~0.3", got)
-	}
-	if tax.Collected() != taxed {
-		t.Errorf("Collected = %d, want %d", tax.Collected(), taxed)
-	}
-}
-
-func TestTaxFullRate(t *testing.T) {
-	tax, err := NewTaxPolicy(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := xrand.New(1)
-	if got := tax.TaxIncome(5, 7, r); got != 7 {
-		t.Errorf("rate-1 taxed %d of 7", got)
-	}
-}
-
-func TestRedistribute(t *testing.T) {
-	tax, err := NewTaxPolicy(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := xrand.New(1)
-	tax.TaxIncome(10, 25, r) // pool = 25
-	// 10 peers: 2 full rounds, 5 left in pool.
-	if rounds := tax.Redistribute(10); rounds != 2 {
-		t.Errorf("rounds = %d, want 2", rounds)
-	}
-	if tax.Pool() != 5 {
-		t.Errorf("pool = %d, want 5", tax.Pool())
-	}
-	if tax.PaidOut() != 20 {
-		t.Errorf("paid out = %d, want 20", tax.PaidOut())
-	}
-	// No full round available.
-	if rounds := tax.Redistribute(10); rounds != 0 {
-		t.Errorf("rounds = %d, want 0", rounds)
-	}
-}
-
-func TestNilTaxPolicyIsNoop(t *testing.T) {
-	var tax *TaxPolicy
-	r := xrand.New(1)
-	if got := tax.TaxIncome(1000, 10, r); got != 0 {
-		t.Errorf("nil policy taxed %d", got)
-	}
-	if tax.Redistribute(10) != 0 || tax.Pool() != 0 || tax.Collected() != 0 || tax.PaidOut() != 0 {
-		t.Error("nil policy not inert")
-	}
-}
+import "testing"
 
 func TestFixedSpending(t *testing.T) {
 	var p FixedSpending

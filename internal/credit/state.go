@@ -58,23 +58,6 @@ func (l *Ledger) LoadState(r *snapshot.Reader, maxAccounts int) error {
 	return nil
 }
 
-// SaveState serializes the tax pool and cumulative counters. Rate and
-// Threshold are configuration, reconstructed by the restore caller.
-func (t *TaxPolicy) SaveState(w *snapshot.Writer) {
-	w.Section("tax")
-	w.I64(t.pool)
-	w.I64(t.collected)
-	w.I64(t.paidOut)
-}
-
-// LoadState restores the counters serialized by SaveState.
-func (t *TaxPolicy) LoadState(r *snapshot.Reader) {
-	r.Section("tax")
-	t.pool = r.I64()
-	t.collected = r.I64()
-	t.paidOut = r.I64()
-}
-
 // SaveState serializes the scheme's RNG position and memoized prices (in
 // chunk-id order, so equal states produce equal bytes).
 func (p *PoissonPricing) SaveState(w *snapshot.Writer) {

@@ -31,9 +31,9 @@ const (
 	// asymmetric-mu construction. It exists to exercise production-scale populations;
 	// expect tens of seconds per figure point.
 	Large
-	// XLarge runs a million-peer configuration on the scale engine plus
-	// the fast-sampling routing mode — the full memory-diet regime. Expect
-	// a few GB of RSS and minutes per figure.
+	// XLarge runs a million-peer configuration on the scale engine — the
+	// full memory-diet regime. Expect a few GB of RSS and minutes per
+	// figure.
 	XLarge
 )
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -51,8 +52,31 @@ func TestAllOrdering(t *testing.T) {
 	}
 }
 
+// quickOutputHash pins the FNV-64a hash of every experiment's Quick-preset
+// output. A change to any figure's bytes fails here, so re-pinning a figure
+// is always a deliberate edit of this table.
+var quickOutputHash = map[string]uint64{
+	"fig1":            0x95eed3f9ec44f35e,
+	"fig2":            0xff1b66687a4c30c7,
+	"fig3":            0x3c5893db5c9de909,
+	"fig4":            0xfb5c3d9edebf787c,
+	"fig5":            0x47fefbf0715ded9b,
+	"fig6":            0x2e22071ef78e873b,
+	"fig7":            0xd2daefe25281ff9e,
+	"fig8":            0x84ebbf647e895fbf,
+	"fig9":            0x55d961aefabfccf6,
+	"fig10":           0x54c6e62161e9736a,
+	"fig11":           0x9796db5f37c5df3c,
+	"exact-vs-approx": 0x289b1c6e8eb94efe,
+	"inflation":       0x8041da319f834e34,
+	"policy-sweep":    0x32f4e32f7d136a65,
+	"pricing":         0xf9014d58948f2716,
+	"threshold":       0x5d07e753f978fabc,
+}
+
 // TestEveryExperimentRunsQuick executes the full registry at the Quick
-// preset: every figure must regenerate without error and produce output.
+// preset: every figure must regenerate without error, produce output, and
+// hash to its pinned value.
 func TestEveryExperimentRunsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick preset still simulates; skipped with -short")
@@ -66,6 +90,12 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 			}
 			if buf.Len() == 0 {
 				t.Fatal("no output produced")
+			}
+			h := fnv.New64a()
+			h.Write(buf.Bytes())
+			want, ok := quickOutputHash[e.ID]
+			if got := h.Sum64(); !ok || got != want {
+				t.Errorf("output hash %#016x, pinned %#016x (pinned: %v)", got, want, ok)
 			}
 		})
 	}

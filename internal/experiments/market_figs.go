@@ -6,6 +6,7 @@ import (
 
 	"creditp2p/internal/credit"
 	"creditp2p/internal/market"
+	"creditp2p/internal/policy"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/trace"
 	"creditp2p/internal/xrand"
@@ -77,7 +78,12 @@ func runInflation(p Preset, w io.Writer) error {
 			return nil, err
 		}
 		if injections[i] > 0 {
-			cfg.Inject = &market.InjectConfig{Amount: injections[i], Period: s.horizon / 40}
+			inj, err := policy.NewInjection(injections[i])
+			if err != nil {
+				return nil, err
+			}
+			cfg.Policies = []policy.Policy{inj}
+			cfg.PolicyEpoch = s.horizon / 40
 		}
 		return market.Run(cfg)
 	})
@@ -367,11 +373,11 @@ func runFig9(p Preset, w io.Writer) error {
 			return nil, err
 		}
 		if cases[i].rate > 0 {
-			tax, err := credit.NewTaxPolicy(cases[i].rate, cases[i].threshold)
+			tax, err := policy.NewIncomeTax(cases[i].rate, cases[i].threshold)
 			if err != nil {
 				return nil, err
 			}
-			cfg.Tax = tax
+			cfg.Policies = []policy.Policy{tax, policy.NewRedistribute()}
 		}
 		return market.Run(cfg)
 	})

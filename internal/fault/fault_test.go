@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"creditp2p/internal/credit"
 	"creditp2p/internal/fault"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
@@ -24,13 +23,15 @@ func graph(t testing.TB, n, d int, seed int64) *topology.Graph {
 	return g
 }
 
-func taxPolicy(t testing.TB) *credit.TaxPolicy {
+// taxPolicy is the Sec. VI-C tax: collection, then whole-round
+// redistribution of the pot.
+func taxPolicy(t testing.TB) []policy.Policy {
 	t.Helper()
-	tp, err := credit.NewTaxPolicy(0.25, 15)
+	it, err := policy.NewIncomeTax(0.25, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tp
+	return []policy.Policy{it, policy.NewRedistribute()}
 }
 
 func demurrage(t testing.TB) *policy.Demurrage {
@@ -52,7 +53,7 @@ func marketCombos(t testing.TB) map[string]func() market.Config {
 			return market.Config{Graph: graph(t, 60, 6, 1), InitialWealth: 20, DefaultMu: 1, Horizon: 200, Seed: 2}
 		},
 		"tax+churn": func() market.Config {
-			return market.Config{Graph: graph(t, 60, 6, 3), InitialWealth: 20, DefaultMu: 1, Horizon: 200, Tax: taxPolicy(t), Churn: churn, Seed: 4}
+			return market.Config{Graph: graph(t, 60, 6, 3), InitialWealth: 20, DefaultMu: 1, Horizon: 200, Policies: taxPolicy(t), Churn: churn, Seed: 4}
 		},
 		"calendar+incgini+fast": func() market.Config {
 			return market.Config{Graph: graph(t, 80, 6, 5), InitialWealth: 15, DefaultMu: 1, Horizon: 200,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"creditp2p/internal/credit"
+	"creditp2p/internal/policy"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/xrand"
 )
@@ -101,13 +102,10 @@ func TestGoldenDeterminism(t *testing.T) {
 		switch name {
 		case "baseline":
 		case "taxation":
-			tax, err := credit.NewTaxPolicy(0.3, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Tax = tax
+			cfg.Policies = taxStages(t, 0.3, 10)
 		case "injection":
-			cfg.Inject = &InjectConfig{Amount: 2, Period: 50}
+			cfg.Policies = []policy.Policy{injection(t, 2)}
+			cfg.PolicyEpoch = 50
 		case "churn":
 			cfg.Churn = &ChurnConfig{
 				ArrivalRate:  0.4,
@@ -116,12 +114,8 @@ func TestGoldenDeterminism(t *testing.T) {
 				Preferential: true,
 			}
 		case "taxation+injection+churn":
-			tax, err := credit.NewTaxPolicy(0.2, 15)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Tax = tax
-			cfg.Inject = &InjectConfig{Amount: 1, Period: 80}
+			cfg.Policies = taxStages(t, 0.2, 15, injection(t, 1))
+			cfg.PolicyEpoch = 80
 			cfg.Churn = &ChurnConfig{
 				ArrivalRate:  0.3,
 				MeanLifespan: 200,
@@ -140,8 +134,8 @@ func TestGoldenDeterminism(t *testing.T) {
 		"taxation+injection+churn", "availability-routing", "dynamic-spending",
 	} {
 		t.Run(name, func(t *testing.T) {
-			// A TaxPolicy accumulates collected/paid-out counters, and the
-			// graph is mutated under churn, so each run gets a fresh config.
+			// Policy stages accumulate counters, and the graph is mutated
+			// under churn, so each run gets a fresh config.
 			a, err := Run(build(name))
 			if err != nil {
 				t.Fatal(err)
@@ -197,13 +191,10 @@ func TestEngineVariantsGoldenPaperScale(t *testing.T) {
 		}
 		switch mechanism {
 		case "taxation":
-			tax, err := credit.NewTaxPolicy(0.25, 20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Tax = tax
+			cfg.Policies = taxStages(t, 0.25, 20)
 		case "injection":
-			cfg.Inject = &InjectConfig{Amount: 2, Period: 40}
+			cfg.Policies = []policy.Policy{injection(t, 2)}
+			cfg.PolicyEpoch = 40
 		case "churn":
 			cfg.Churn = &ChurnConfig{
 				ArrivalRate:  1,
@@ -212,12 +203,8 @@ func TestEngineVariantsGoldenPaperScale(t *testing.T) {
 				Preferential: true,
 			}
 		case "all":
-			tax, err := credit.NewTaxPolicy(0.2, 25)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Tax = tax
-			cfg.Inject = &InjectConfig{Amount: 1, Period: 60}
+			cfg.Policies = taxStages(t, 0.2, 25, injection(t, 1))
+			cfg.PolicyEpoch = 60
 			cfg.Churn = &ChurnConfig{
 				ArrivalRate:  0.5,
 				MeanLifespan: 200,
@@ -282,15 +269,11 @@ func TestSpendRereadsBalanceAfterRedistribution(t *testing.T) {
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	tax, err := credit.NewTaxPolicy(1, 0) // every income credit is taxed
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
 		Graph:         g,
 		InitialWealth: 2,
 		DefaultMu:     1,
-		Tax:           tax,
+		Policies:      taxStages(t, 1, 0), // every income credit is taxed
 		Horizon:       100,
 		Seed:          1,
 	}
@@ -302,8 +285,8 @@ func TestSpendRereadsBalanceAfterRedistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two direct spends by peer 0. The first pays peer 1 (whose pre-income
-	// wealth 2 > threshold, so the credit is taxed into the pool); the
-	// second fills the pool to n=2, triggering a redistribution round that
+	// wealth 2 > threshold, so the credit is taxed into the pot); the
+	// second fills the pot to n=2, triggering a redistribution round that
 	// hands peer 0 a credit in the middle of its own spend.
 	gen := s.k.Peers.At(0).Gen
 	s.spend(0, gen)

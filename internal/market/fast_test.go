@@ -56,8 +56,9 @@ func fastChurnConfig(t *testing.T, routing Routing, fast bool, seed int64) Confi
 }
 
 // TestFastSamplingGoldenDeterminism pins the fast-sampler mode with its own
-// goldens: same-seed runs are byte-identical for both weighted routings,
-// closed and churning, free-riders included.
+// goldens: same-seed runs are byte-identical for both weighted routings
+// (availability routing ignores the flag), closed and churning,
+// free-riders included.
 func TestFastSamplingGoldenDeterminism(t *testing.T) {
 	build := func(name string) Config {
 		switch name {
@@ -98,31 +99,28 @@ func TestFastSamplingGoldenDeterminism(t *testing.T) {
 }
 
 // TestFastSamplingMatchesExactAggregates is the macro equivalence check:
-// the fast sampler draws a different sequence but the same distribution, so
-// closed-market aggregates must land close to the exact sampler's.
+// the fast degree sampler draws a different sequence but the same
+// distribution, so closed-market aggregates must land close to the exact
+// sampler's.
 func TestFastSamplingMatchesExactAggregates(t *testing.T) {
-	for _, routing := range []Routing{RouteDegreeWeighted, RouteAvailability} {
-		exact := fastChurnConfig(t, routing, false, 611)
-		exact.Churn = nil
-		fast := fastChurnConfig(t, routing, true, 611)
-		fast.Churn = nil
-		re, err := Run(exact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rf, err := Run(fast)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := math.Abs(re.FinalGini - rf.FinalGini); d > 0.08 {
-			t.Errorf("routing %d: final Gini exact %.4f vs fast %.4f (|d|=%.4f)",
-				routing, re.FinalGini, rf.FinalGini, d)
-		}
-		rel := math.Abs(float64(re.SpendEvents)-float64(rf.SpendEvents)) / float64(re.SpendEvents)
-		if rel > 0.05 {
-			t.Errorf("routing %d: spend events exact %d vs fast %d (%.1f%%)",
-				routing, re.SpendEvents, rf.SpendEvents, 100*rel)
-		}
+	exact := fastChurnConfig(t, RouteDegreeWeighted, false, 611)
+	exact.Churn = nil
+	fast := fastChurnConfig(t, RouteDegreeWeighted, true, 611)
+	fast.Churn = nil
+	re, err := Run(exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, err := Run(fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(re.FinalGini - rf.FinalGini); d > 0.08 {
+		t.Errorf("final Gini exact %.4f vs fast %.4f (|d|=%.4f)", re.FinalGini, rf.FinalGini, d)
+	}
+	rel := math.Abs(float64(re.SpendEvents)-float64(rf.SpendEvents)) / float64(re.SpendEvents)
+	if rel > 0.05 {
+		t.Errorf("spend events exact %d vs fast %d (%.1f%%)", re.SpendEvents, rf.SpendEvents, 100*rel)
 	}
 }
 
@@ -150,113 +148,24 @@ func TestFastSamplingSkipsRebuildTrain(t *testing.T) {
 	}
 }
 
-// TestFloorMixtureMatchesExactScan is the availability-weighted half of the
-// distribution-equivalence suite: 2e5 fixed-seed draws from the two-part
-// floor+scaled-inventory mixture sampler must match the exact linear scan
-// over the explicit mixed weights (one-sample chi-square each, two-sample
-// chi-square against each other).
-func TestFloorMixtureMatchesExactScan(t *testing.T) {
-	// Decayed-inventory-like weights: many zeros (bankrupt peers), a few
-	// hot sellers, moderate middles; floor and scale as the market uses.
-	const floor, scale = 0.05, 0.37
-	inv := make([]float64, 40)
-	for i := range inv {
-		switch {
-		case i%3 == 0:
-			inv[i] = 0
-		case i%7 == 1:
-			inv[i] = 25.5
-		default:
-			inv[i] = float64(i%5) + 0.25
+// TestFastSamplingInertUnderAvailability pins that FastSampling changes
+// nothing for availability routing, closed or churning: the exact scan is
+// its only sampler.
+func TestFastSamplingInertUnderAvailability(t *testing.T) {
+	for _, churn := range []bool{false, true} {
+		exact := fastChurnConfig(t, RouteAvailability, false, 615)
+		fast := fastChurnConfig(t, RouteAvailability, true, 615)
+		if !churn {
+			exact.Churn, fast.Churn = nil, nil
 		}
-	}
-	mixed := make([]float64, len(inv))
-	for i, v := range inv {
-		mixed[i] = floor + scale*v
-	}
-	const draws = 200_000
-	f := xrand.NewFenwick(inv)
-	rf := xrand.New(881)
-	obsF := make([]int, len(inv))
-	for i := 0; i < draws; i++ {
-		j, ok := sampleFloorPlusScaled(rf, f, floor, scale)
-		if !ok {
-			t.Fatal("mixture sample failed")
-		}
-		obsF[j]++
-	}
-	rs := xrand.New(882)
-	obsS := make([]int, len(inv))
-	for i := 0; i < draws; i++ {
-		j, err := xrand.SampleWeighted(rs, mixed)
+		re, err := Run(exact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		obsS[j]++
-	}
-	var total float64
-	for _, w := range mixed {
-		total += w
-	}
-	chi := func(obs []int) float64 {
-		var x2 float64
-		for i, w := range mixed {
-			exp := float64(draws) * w / total
-			d := float64(obs[i]) - exp
-			x2 += d * d / exp
+		rf, err := Run(fast)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return x2
-	}
-	// Wilson–Hilferty upper quantile at z=3.29 (p ~ 5e-4), dof = 39.
-	k := float64(len(inv) - 1)
-	c := 1 - 2/(9*k) + 3.29*math.Sqrt(2/(9*k))
-	crit := k * c * c * c
-	if x2 := chi(obsF); x2 > crit {
-		t.Errorf("mixture chi-square %.1f exceeds %.1f", x2, crit)
-	}
-	if x2 := chi(obsS); x2 > crit {
-		t.Errorf("exact-scan chi-square %.1f exceeds %.1f", x2, crit)
-	}
-	var x2 float64
-	for i := range mixed {
-		if s := obsF[i] + obsS[i]; s > 0 {
-			d := float64(obsF[i] - obsS[i])
-			x2 += d * d / float64(s)
-		}
-	}
-	if x2 > crit {
-		t.Errorf("two-sample chi-square %.1f exceeds %.1f", x2, crit)
-	}
-}
-
-// TestFastAvailabilityEpochRebase forces epoch rebases (tiny tau against a
-// long horizon) and checks the run still completes with finite inventories
-// and conserved credits — the overflow guard around the scaled units.
-func TestFastAvailabilityEpochRebase(t *testing.T) {
-	g, err := topology.RandomRegular(40, 6, xrand.New(701))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Graph:           g,
-		InitialWealth:   20,
-		DefaultMu:       1,
-		Routing:         RouteAvailability,
-		FastSampling:    true,
-		AvailabilityTau: 0.5, // rebase every 100 simulated seconds
-		Horizon:         600,
-		Seed:            702,
-	}
-	s, res := runSim(t, cfg)
-	if res.SpendEvents == 0 {
-		t.Fatal("market did not trade")
-	}
-	if s.availEpoch == 0 {
-		t.Fatal("epoch never rebased despite 1200 decay constants elapsing")
-	}
-	for px, v := range s.invScaled {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			t.Fatalf("scaled inventory of peer %d is %v", px, v)
-		}
+		identicalResults(t, re, rf)
 	}
 }

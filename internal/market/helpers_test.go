@@ -5,9 +5,33 @@ import (
 	"sort"
 	"testing"
 
+	"creditp2p/internal/policy"
 	"creditp2p/internal/stats"
 	"creditp2p/internal/xrand"
 )
+
+// taxStages builds the Sec. VI-C tax pipeline — IncomeTax collecting at
+// rate above threshold, then Redistribute paying the pot back in whole
+// rounds — followed by any extra stages.
+func taxStages(t testing.TB, rate float64, threshold int64, extra ...policy.Policy) []policy.Policy {
+	t.Helper()
+	it, err := policy.NewIncomeTax(rate, threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]policy.Policy{it, policy.NewRedistribute()}, extra...)
+}
+
+// injection builds a periodic-injection stage minting amount credits per
+// live peer every engine epoch.
+func injection(t testing.TB, amount int64) *policy.Injection {
+	t.Helper()
+	in, err := policy.NewInjection(amount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
 
 // exactSymmetricGini estimates the expected Gini of a uniform composition
 // of m credits over n peers (the exact symmetric closed-network

@@ -13,15 +13,16 @@
 // Figs. 5–11 and the scenario presets built on top of it.
 //
 // The market is a sim.Workload: the shared kernel (internal/sim) owns the
-// dense peer table, the churn process, the ledger binding and the metrics
-// pipeline; this package owns only the spending dynamics — routing,
-// taxation, injection and the per-peer spending state. State stays flat and
-// on a memory diet for million-peer runs: the hot per-peer record is 48
-// bytes (bit-packed flags, an int32 neighbor list), routing-mode state
-// (degree weight caches, availability inventories, fast-sampler indices)
-// lives in side arrays allocated only for the mode that needs them, and
-// every collection iterated during the run is a dense slice walked in index
-// order, so equal seeds give byte-identical results.
+// dense peer table, the churn process, the ledger binding, the metrics
+// pipeline and the policy engine that runs taxation and injection; this
+// package owns only the spending dynamics — routing and the per-peer
+// spending state. State stays flat and on a memory diet for million-peer
+// runs: the hot per-peer record is 48 bytes (bit-packed flags, an int32
+// neighbor list), routing-mode state (degree weight caches and indices,
+// availability inventories) lives in side arrays allocated only for the
+// mode that needs them, and every collection iterated during the run is a
+// dense slice walked in index order, so equal seeds give byte-identical
+// results.
 package market
 
 import (
@@ -65,14 +66,6 @@ const (
 	// poverty trap that taxation and redistribution counteract.
 	RouteAvailability
 )
-
-// InjectConfig periodically mints credits into every live peer's pool.
-type InjectConfig struct {
-	// Amount is the number of credits minted per peer per round.
-	Amount int64
-	// Period is the injection interval in seconds.
-	Period float64
-}
 
 // ChurnConfig enables peer dynamics: Poisson arrivals, exponential
 // lifespans, departures that burn the departing peer's credits
@@ -119,33 +112,27 @@ type Config struct {
 	BaseMu map[int]float64
 	// Routing picks the purchase-splitting policy. Zero means RouteUniform.
 	Routing Routing
-	// FastSampling replaces the exact linear-scan weighted routing samplers
-	// with Fenwick-backed weighted indices: O(log degree) per draw and
-	// incremental O(log degree) weight maintenance under churn and
-	// inventory updates, instead of an O(degree) scan (with an exp() per
-	// neighbor for RouteAvailability) per spend and the dirty-rebuild train
-	// per churn event. The sampled distribution is the same (pinned by
-	// chi-square equivalence tests) but the draw sequence differs, so
-	// flipping it changes same-seed outputs; the exact samplers stay the
-	// default for byte-compatibility. RouteUniform ignores it.
+	// FastSampling replaces the exact linear-scan degree-weighted sampler
+	// with a per-spender Fenwick index: O(log degree) per draw, and churn
+	// marks only the attach points' indices stale instead of running the
+	// neighborhood-wide dirty-rebuild train. It wins on million-peer
+	// overlays and loses below that (DESIGN.md, "Million-peer memory diet
+	// and fast weighted sampling"). Only RouteDegreeWeighted reads it:
+	// availability weights decay continuously, and an index over them
+	// cost more to maintain than the exact scan saved at every measured
+	// size, so availability routing always scans.
 	FastSampling bool
 	// Spending maps wealth to instantaneous spending rate; nil means the
 	// fixed baseline.
 	Spending credit.SpendingPolicy
-	// Tax enables the Sec. VI-C taxation policy; nil disables. It runs as
-	// the first stage of the policy engine's pipeline with the exact
-	// pre-engine draw order (the legacy byte-compatible path); new
-	// configurations should prefer Policies with an IncomeTax stage.
-	Tax *credit.TaxPolicy
-	// Policies are additional economic policy stages (adaptive taxation,
-	// demurrage, newcomer subsidies, ...) run by the kernel's policy
-	// engine after the legacy Tax/Inject stages, in order.
+	// Policies are the economic policy stages run by the kernel's policy
+	// engine, in order: Sec. VI-C taxation (IncomeTax + Redistribute),
+	// periodic injection (Injection), adaptive taxation, demurrage,
+	// newcomer subsidies, ...
 	Policies []policy.Policy
 	// PolicyEpoch is the engine's epoch period in seconds for epoch-driven
-	// stages (demurrage sweeps, adaptive-controller steps). Zero disables
-	// epochs unless Inject is set, whose Period then drives them; setting
-	// both to different values is an error (the engine has one epoch
-	// clock).
+	// stages (injection rounds, demurrage sweeps, adaptive-controller
+	// steps). Zero disables epochs.
 	PolicyEpoch float64
 	// Churn enables open-network dynamics; nil keeps the network closed.
 	Churn *ChurnConfig
@@ -165,11 +152,6 @@ type Config struct {
 	// newcomers and long-bankrupt peers can still sell occasionally;
 	// zero means 0.05.
 	AvailabilityFloor float64
-	// Inject, when non-nil, mints credits periodically — the "temporary
-	// remedy" of the paper's introduction whose long-run cost is
-	// inflation. Every Period seconds each live peer receives Amount
-	// fresh credits.
-	Inject *InjectConfig
 	// Horizon is the simulated duration in seconds.
 	Horizon float64
 	// SampleEvery is the Gini sampling interval; zero means Horizon/100.
@@ -237,17 +219,8 @@ func (c *Config) validate() error {
 			return fmt.Errorf("%w: churn EnvelopeAt without RateAt", ErrBadConfig)
 		}
 	}
-	if c.Inject != nil {
-		if c.Inject.Amount < 1 || c.Inject.Period <= 0 {
-			return fmt.Errorf("%w: injection %+v", ErrBadConfig, *c.Inject)
-		}
-	}
 	if c.PolicyEpoch < 0 || math.IsNaN(c.PolicyEpoch) {
 		return fmt.Errorf("%w: policy epoch %v", ErrBadConfig, c.PolicyEpoch)
-	}
-	if c.Inject != nil && c.PolicyEpoch > 0 && c.PolicyEpoch != c.Inject.Period {
-		return fmt.Errorf("%w: policy epoch %v conflicts with injection period %v",
-			ErrBadConfig, c.PolicyEpoch, c.Inject.Period)
 	}
 	for i, p := range c.Policies {
 		if p == nil {
@@ -307,7 +280,7 @@ const (
 	// pfFreeRider marks a peer that consumes but never serves: excluded
 	// from every neighbor's routing candidates.
 	pfFreeRider
-	// pfFenStale marks the fast-sampler weighted index stale relative to
+	// pfFenStale marks the fast degree sampler's index stale relative to
 	// the (current) neighbor list; rebuilt lazily at the next spend.
 	pfFenStale
 )
@@ -315,10 +288,10 @@ const (
 // wpeer is the market's hot per-peer workload state, parallel to the
 // kernel's dense peer slab and recycled with it: 48 bytes, so a spend
 // touches one cache line of workload state. Routing-mode extras (degree
-// weight caches, availability inventories, fast-sampler indices) live in
-// side arrays of the simulation, allocated only for the mode in use. The
-// kernel-owned identity fields (id, ledger slot, generation, liveness) live
-// in sim.PeerTable.
+// weight caches and indices, availability inventories) live in side arrays
+// of the simulation, allocated only for the mode in use. The kernel-owned
+// identity fields (id, ledger slot, generation, liveness) live in
+// sim.PeerTable.
 type wpeer struct {
 	baseMu  float64
 	pending des.Handle
@@ -343,32 +316,15 @@ type simulation struct {
 	// wscratch is the shared availability-weight scratch vector for the
 	// exact sampler (filled and consumed within one pickNeighbor call).
 	wscratch []float64
-	// invs/invAts hold the exact availability inventories: invs[px] is the
+	// invs/invAts hold the availability inventories: invs[px] is the
 	// inventory valid at time invAts[px] (lazy exponential decay). Nil
-	// unless Routing == RouteAvailability without fast sampling.
+	// unless Routing == RouteAvailability.
 	invs, invAts []float64
-	// fen holds the fast-mode per-spender weighted indices (lazily built);
-	// invScaled the epoch-scaled availability inventories. Nil unless
-	// FastSampling is active for a weighted routing.
-	fen       []*xrand.Fenwick
-	invScaled []float64
-	// revOff/revCnt/revPeer/revPos form the closed-overlay reverse-position
-	// slab for fast availability maintenance: peer v occupies position
-	// revPos[k] in peer revPeer[k]'s neighbor list for k in
-	// [revOff[v], revOff[v]+revCnt[v]), so an inventory delta lands in
-	// every covering index without binary-searching neighbor lists through
-	// the peer table. Built by prebuildNeighborhoods (closed overlays
-	// only; churn keeps the search path, whose lists mutate).
-	revOff, revCnt []uint32
-	revPeer        []int32
-	revPos         []int32
-	// availEpoch anchors the scaled-inventory units: the true inventory is
-	// invScaled * exp(-(now-availEpoch)/tau), so uniform decay needs no
-	// per-spend updates; the epoch is rebased before the scale factor can
-	// overflow.
-	availEpoch float64
-	// fast gates the Fenwick sampling paths (FastSampling and a weighted
-	// routing policy).
+	// fen holds the per-spender degree-weighted indices (lazily built);
+	// nil unless fast.
+	fen []*xrand.Fenwick
+	// fast gates the Fenwick degree sampler (FastSampling with
+	// RouteDegreeWeighted).
 	fast bool
 	// rebuilds counts full neighborhood rebuilds (rebuildWeights calls) —
 	// the regression metric for the fast mode's incremental maintenance.
@@ -384,11 +340,6 @@ type simulation struct {
 
 var _ sim.Workload = (*simulation)(nil)
 
-// availRebaseAfter is how many decay constants the availability epoch may
-// age before rebasing; exp(200) ~ 7e86 keeps every scaled inventory far
-// from overflow while making rebases vanishingly rare.
-const availRebaseAfter = 200.0
-
 // newSimulation builds the kernel, opens the taxation pot and joins the
 // initial population, leaving the run ready to Start.
 func newSimulation(cfg Config) (*simulation, error) {
@@ -397,12 +348,10 @@ func newSimulation(cfg Config) (*simulation, error) {
 		FinalWealth:  make(map[int]int64, n),
 		SpendingRate: make(map[int]float64, n),
 	}}
-	s.fast = cfg.FastSampling &&
-		(cfg.Routing == RouteDegreeWeighted || cfg.Routing == RouteAvailability)
+	s.fast = cfg.FastSampling && cfg.Routing == RouteDegreeWeighted
 	switch {
 	case s.fast:
 		s.fen = make([]*xrand.Fenwick, 0, n)
-		s.invScaled = make([]float64, 0, n)
 	case cfg.Routing == RouteDegreeWeighted:
 		s.degw = make([][]float64, 0, n)
 	case cfg.Routing == RouteAvailability:
@@ -439,28 +388,11 @@ func newSimulation(cfg Config) (*simulation, error) {
 		return nil, err
 	}
 	s.collector = collector
-	// Assemble the policy pipeline: the legacy byte-compatible stages
-	// first (taxation with its exact draw order, then injection on the
-	// epoch clock), then the caller's composable stages. The engine binds
-	// before the initial population joins so join-hook policies see every
-	// peer.
-	var pols []policy.Policy
-	if cfg.Tax != nil {
-		pols = append(pols, policy.NewLegacyTax(cfg.Tax))
-	}
-	epoch := cfg.PolicyEpoch
-	if cfg.Inject != nil {
-		inj, err := policy.NewInjection(cfg.Inject.Amount)
-		if err != nil {
-			return nil, err
-		}
-		pols = append(pols, inj)
-		epoch = cfg.Inject.Period
-	}
-	pols = append(pols, cfg.Policies...)
-	if len(pols) > 0 {
-		s.engine = policy.NewEngine(pols...)
-		if err := k.BindPolicies(s.engine, s.collector, epoch); err != nil {
+	// The engine binds before the initial population joins so join-hook
+	// policies see every peer.
+	if len(cfg.Policies) > 0 {
+		s.engine = policy.NewEngine(cfg.Policies...)
+		if err := k.BindPolicies(s.engine, s.collector, cfg.PolicyEpoch); err != nil {
 			return nil, err
 		}
 	}
@@ -481,8 +413,7 @@ func (s *simulation) OnEvent(ev des.Event) {
 
 // OnCredit implements sim.CreditWaker: a policy (redistribution, subsidy,
 // injection) just credited the peer, so an idle — bankrupt — spender
-// re-arms its next spend. This is the exact wake the pre-engine
-// redistribution and injection loops performed inline.
+// re-arms its next spend.
 func (s *simulation) OnCredit(px int32) {
 	p := &s.ws[px]
 	if p.flags&pfIdle != 0 {
@@ -530,7 +461,6 @@ func (s *simulation) OnJoin(px int32) error {
 		}
 		if s.fast {
 			s.fen = append(s.fen, nil)
-			s.invScaled = append(s.invScaled, 0)
 		}
 	}
 	p := &s.ws[px]
@@ -547,9 +477,6 @@ func (s *simulation) OnJoin(px int32) error {
 	}
 	if s.invs != nil {
 		s.invs[px], s.invAts[px] = 0, 0
-	}
-	if s.fast {
-		s.invScaled[px] = 0 // the index itself is rebuilt via pfDirty
 	}
 	if s.cfg.InitialWealth > 0 {
 		s.scheduleSpend(px, p, s.cfg.InitialWealth)
@@ -691,11 +618,7 @@ func (s *simulation) spend(px int32, gen uint32) {
 			}
 			if s.cfg.Routing == RouteAvailability {
 				// The buyer now holds a fresh chunk it can resell.
-				if s.fast {
-					s.fastAddInventory(px)
-				} else {
-					s.addInventory(px)
-				}
+				s.addInventory(px)
 			}
 			s.receiveIncome(target, 1)
 			// receiveIncome may have taxed the payee and redistributed
@@ -713,11 +636,7 @@ func (s *simulation) spend(px int32, gen uint32) {
 }
 
 // receiveIncome handles a payment landing at a peer: the policy pipeline
-// (taxation, redistribution) and waking an idle peer. The pre-engine
-// taxation sequence — per-credit Bernoulli draws, the transfer into the
-// collector, one redistribution sweep in dense index order with inline
-// wakes — now lives in policy.LegacyTax + the kernel host, preserving the
-// exact draw and transfer order.
+// (taxation, redistribution) and waking an idle peer.
 func (s *simulation) receiveIncome(px int32, amount int64) {
 	kp := s.k.Peers.At(px)
 	if !kp.Alive {
@@ -736,7 +655,7 @@ func (s *simulation) receiveIncome(px int32, amount int64) {
 	}
 }
 
-// inventory returns px's decayed exact-mode inventory at time now.
+// inventory returns px's decayed inventory at time now.
 func (s *simulation) inventory(px int32, now float64) float64 {
 	inv := s.invs[px]
 	if inv == 0 {
@@ -745,73 +664,12 @@ func (s *simulation) inventory(px int32, now float64) float64 {
 	return inv * math.Exp(-(now-s.invAts[px])/s.cfg.AvailabilityTau)
 }
 
-// addInventory records a freshly bought chunk at the current time
-// (exact mode: lazy per-peer decay anchored at invAts[px]).
+// addInventory records a freshly bought chunk at the current time (lazy
+// per-peer decay anchored at invAts[px]).
 func (s *simulation) addInventory(px int32) {
 	now := s.k.Sched.Now()
 	s.invs[px] = s.inventory(px, now) + 1
 	s.invAts[px] = now
-}
-
-// fastAddInventory records a purchase in fast mode: the buyer's scaled
-// inventory grows by exp((now-epoch)/tau) — equivalent to +1 chunk in
-// now-units under the shared-epoch scaling — and the delta is patched into
-// every built weighted index that lists the buyer, O(deg · log degree)
-// with a single exp() per purchase instead of one per neighbor per draw.
-func (s *simulation) fastAddInventory(px int32) {
-	now := s.k.Sched.Now()
-	if now-s.availEpoch > availRebaseAfter*s.cfg.AvailabilityTau {
-		s.rebaseAvailability(now)
-	}
-	if !s.sells(px) {
-		return // never listed, never sampled: the inventory is unread
-	}
-	d := math.Exp((now - s.availEpoch) / s.cfg.AvailabilityTau)
-	s.invScaled[px] += d
-	if s.revOff != nil {
-		// Closed overlay: the reverse-position slab addresses every
-		// covering index directly.
-		for k := s.revOff[px]; k < s.revOff[px]+s.revCnt[px]; k++ {
-			ux := s.revPeer[k]
-			w := &s.ws[ux]
-			if w.flags&(pfDirty|pfFenStale) != 0 || s.fen[ux] == nil {
-				continue
-			}
-			s.fen[ux].Add(int(s.revPos[k]), d)
-		}
-		return
-	}
-	id := int(s.k.Peers.At(px).ID)
-	for _, nb := range s.g.NeighborsView(id) {
-		ux := s.k.Peers.PxOf(int(nb))
-		if ux < 0 {
-			continue
-		}
-		w := &s.ws[ux]
-		if w.flags&(pfDirty|pfFenStale) != 0 || s.fen[ux] == nil {
-			continue
-		}
-		pos := s.searchNbr(w.nbrs, id)
-		if pos < len(w.nbrs) && w.nbrs[pos] == px {
-			s.fen[ux].Add(pos, d)
-		}
-	}
-}
-
-// rebaseAvailability renormalizes the scaled inventories to a fresh epoch
-// before exp((now-epoch)/tau) can overflow: every inventory shrinks by the
-// decay accrued since the old epoch and every built index is marked stale
-// (lazily rebuilt in the new units). Rebases are availRebaseAfter decay
-// constants apart, so the O(n) pass amortizes to nothing.
-func (s *simulation) rebaseAvailability(now float64) {
-	factor := math.Exp(-(now - s.availEpoch) / s.cfg.AvailabilityTau)
-	for i := range s.invScaled {
-		s.invScaled[i] *= factor
-	}
-	for i := range s.ws {
-		s.ws[i].flags |= pfFenStale
-	}
-	s.availEpoch = now
 }
 
 // pickNeighbor samples the purchase target according to the routing policy.
@@ -832,9 +690,6 @@ func (s *simulation) pickNeighbor(px int32, p *wpeer) (int32, bool) {
 		}
 		weights = s.degw[px]
 	case RouteAvailability:
-		if s.fast {
-			return s.fastPickAvail(px, p)
-		}
 		now := s.k.Sched.Now()
 		if cap(s.wscratch) < len(p.nbrs) {
 			s.wscratch = make([]float64, len(p.nbrs))
@@ -851,88 +706,33 @@ func (s *simulation) pickNeighbor(px int32, p *wpeer) (int32, bool) {
 	return p.nbrs[idx], true
 }
 
-// ensureFen (re)builds px's weighted index when absent or stale, using the
-// shared scratch vector for the weights.
-func (s *simulation) ensureFen(px int32, p *wpeer, fill func(dst []float64, nbrs []int32)) *xrand.Fenwick {
-	f := s.fen[px]
-	if f != nil && p.flags&pfFenStale == 0 {
-		return f
-	}
-	if cap(s.wscratch) < len(p.nbrs) {
-		s.wscratch = make([]float64, len(p.nbrs))
-	}
-	w := s.wscratch[:len(p.nbrs)]
-	fill(w, p.nbrs)
-	if f == nil {
-		f = xrand.NewFenwick(w)
-		s.fen[px] = f
-	} else {
-		f.Reset(w)
-	}
-	p.flags &^= pfFenStale
-	return f
-}
-
 // fastPickDegree samples a neighbor proportionally to its degree via the
-// weighted index: one uniform draw, O(log degree).
+// weighted index: one uniform draw, O(log degree). The index is (re)built
+// from current degrees when absent or stale, using the shared scratch
+// vector for the weights.
 func (s *simulation) fastPickDegree(px int32, p *wpeer) (int32, bool) {
-	f := s.ensureFen(px, p, func(dst []float64, nbrs []int32) {
-		for i, nb := range nbrs {
-			dst[i] = float64(s.g.Degree(int(s.k.Peers.At(nb).ID)))
+	f := s.fen[px]
+	if f == nil || p.flags&pfFenStale != 0 {
+		if cap(s.wscratch) < len(p.nbrs) {
+			s.wscratch = make([]float64, len(p.nbrs))
 		}
-	})
+		w := s.wscratch[:len(p.nbrs)]
+		for i, nb := range p.nbrs {
+			w[i] = float64(s.g.Degree(int(s.k.Peers.At(nb).ID)))
+		}
+		if f == nil {
+			f = xrand.NewFenwick(w)
+			s.fen[px] = f
+		} else {
+			f.Reset(w)
+		}
+		p.flags &^= pfFenStale
+	}
 	i, ok := f.Sample(s.k.RNG)
 	if !ok {
 		return 0, false
 	}
 	return p.nbrs[i], true
-}
-
-// fastPickAvail samples a neighbor proportionally to floor + inventory via
-// a two-part mixture: the constant floor mass picks uniformly, the decayed
-// inventory mass descends the weighted index — one uniform draw and one
-// exp() per spend, O(log degree).
-func (s *simulation) fastPickAvail(px int32, p *wpeer) (int32, bool) {
-	f := s.ensureFen(px, p, func(dst []float64, nbrs []int32) {
-		for i, nb := range nbrs {
-			dst[i] = s.invScaled[nb]
-		}
-	})
-	scale := math.Exp(-(s.k.Sched.Now() - s.availEpoch) / s.cfg.AvailabilityTau)
-	i, ok := sampleFloorPlusScaled(s.k.RNG, f, s.cfg.AvailabilityFloor, scale)
-	if !ok {
-		return 0, false
-	}
-	return p.nbrs[i], true
-}
-
-// sampleFloorPlusScaled draws an index with probability proportional to
-// floor + scale*w[i], where w is the index's weight vector, using a single
-// uniform variate split over the two mass components: the constant floor
-// mass resolves uniformly in O(1), the scaled weight mass by Fenwick
-// descent in O(log n). The chi-square equivalence test pins this against
-// the exact scan over the explicit mixed weights.
-func sampleFloorPlusScaled(r *xrand.RNG, f *xrand.Fenwick, floor, scale float64) (int, bool) {
-	n := f.Len()
-	if n == 0 {
-		return 0, false
-	}
-	floorMass := floor * float64(n)
-	total := floorMass + scale*f.Total()
-	if total <= 0 {
-		return 0, false
-	}
-	u := r.Float64() * total
-	var i int
-	if u < floorMass {
-		i = int(u / floor)
-	} else {
-		i = f.Find((u - floorMass) / scale)
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return i, true
 }
 
 // sells reports whether the peer at index px participates as a seller;
@@ -997,42 +797,6 @@ func (s *simulation) prebuildNeighborhoods() {
 				wslab = append(wslab, float64(s.g.Degree(int(s.k.Peers.At(nb).ID))))
 			}
 			s.degw[px] = wslab[wstart:len(wslab):len(wslab)]
-		}
-	}
-	if s.fast && s.cfg.Routing == RouteAvailability {
-		s.buildReverseIndex()
-	}
-}
-
-// buildReverseIndex fills the reverse-position slab from the prebuilt
-// neighbor lists (counting pass, then placement).
-func (s *simulation) buildReverseIndex() {
-	n := s.k.Peers.Len()
-	s.revOff = make([]uint32, n)
-	s.revCnt = make([]uint32, n)
-	total := 0
-	for px := 0; px < n; px++ {
-		total += len(s.ws[px].nbrs)
-	}
-	s.revPeer = make([]int32, total)
-	s.revPos = make([]int32, total)
-	for px := 0; px < n; px++ {
-		for _, v := range s.ws[px].nbrs {
-			s.revCnt[v]++
-		}
-	}
-	var off uint32
-	for v := 0; v < n; v++ {
-		s.revOff[v] = off
-		off += s.revCnt[v]
-		s.revCnt[v] = 0
-	}
-	for px := 0; px < n; px++ {
-		for pos, v := range s.ws[px].nbrs {
-			k := s.revOff[v] + s.revCnt[v]
-			s.revPeer[k] = int32(px)
-			s.revPos[k] = int32(pos)
-			s.revCnt[v]++
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"creditp2p/internal/credit"
+	"creditp2p/internal/policy"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/xrand"
 )
@@ -256,7 +257,7 @@ func TestTaxationReducesGini(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(tax *credit.TaxPolicy) float64 {
+	build := func(tax []policy.Policy) float64 {
 		g := regularGraph(t, 100, 10, 41)
 		mu, err := MuForUtilization(g, RouteUniform, targetU, 1)
 		if err != nil {
@@ -267,7 +268,7 @@ func TestTaxationReducesGini(t *testing.T) {
 			InitialWealth: 50,
 			DefaultMu:     1,
 			BaseMu:        mu,
-			Tax:           tax,
+			Policies:      tax,
 			Horizon:       8000,
 			Seed:          43,
 		})
@@ -277,15 +278,12 @@ func TestTaxationReducesGini(t *testing.T) {
 		return res.Gini.Tail(10)
 	}
 	noTax := build(nil)
-	taxHigh, err := credit.NewTaxPolicy(0.25, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	taxHigh := taxStages(t, 0.25, 40)
 	withTax := build(taxHigh)
 	if withTax >= noTax-0.02 {
 		t.Errorf("taxed Gini %v not clearly below untaxed %v", withTax, noTax)
 	}
-	if taxHigh.Collected() == 0 {
+	if taxHigh[0].(*policy.IncomeTax).Collected() == 0 {
 		t.Error("tax never collected")
 	}
 }
@@ -423,7 +421,8 @@ func TestInjectionGrowsSupply(t *testing.T) {
 		InitialWealth: 10,
 		DefaultMu:     1,
 		Horizon:       1000,
-		Inject:        &InjectConfig{Amount: 2, Period: 100},
+		Policies:      []policy.Policy{injection(t, 2)},
+		PolicyEpoch:   100,
 		Seed:          96,
 	})
 	if err != nil {
@@ -448,19 +447,18 @@ func TestInjectionGrowsSupply(t *testing.T) {
 	}
 }
 
+// TestInjectionValidation covers the injection pipeline's error paths: a
+// zero amount is refused by the stage, a negative epoch by the market.
 func TestInjectionValidation(t *testing.T) {
+	if _, err := policy.NewInjection(0); !errors.Is(err, policy.ErrBadPolicy) {
+		t.Errorf("zero amount error = %v, want ErrBadPolicy", err)
+	}
 	g := regularGraph(t, 10, 4, 97)
 	if _, err := Run(Config{
 		Graph: g, InitialWealth: 1, DefaultMu: 1, Horizon: 10,
-		Inject: &InjectConfig{Amount: 0, Period: 1},
+		Policies: []policy.Policy{injection(t, 1)}, PolicyEpoch: -1,
 	}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("zero amount error = %v, want ErrBadConfig", err)
-	}
-	if _, err := Run(Config{
-		Graph: g, InitialWealth: 1, DefaultMu: 1, Horizon: 10,
-		Inject: &InjectConfig{Amount: 1, Period: 0},
-	}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("zero period error = %v, want ErrBadConfig", err)
+		t.Errorf("negative period error = %v, want ErrBadConfig", err)
 	}
 }
 
@@ -473,7 +471,8 @@ func TestInjectionWakesBankruptPeers(t *testing.T) {
 		InitialWealth: 0,
 		DefaultMu:     1,
 		Horizon:       500,
-		Inject:        &InjectConfig{Amount: 5, Period: 50},
+		Policies:      []policy.Policy{injection(t, 5)},
+		PolicyEpoch:   50,
 		Seed:          99,
 	})
 	if err != nil {

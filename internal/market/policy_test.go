@@ -2,6 +2,7 @@ package market
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"creditp2p/internal/policy"
@@ -45,17 +46,9 @@ func TestPolicyConfigValidation(t *testing.T) {
 	}
 
 	cfg = base(t)
-	cfg.Inject = &InjectConfig{Amount: 1, Period: 40}
-	cfg.PolicyEpoch = 30 // conflicts: the engine has one epoch clock
+	cfg.PolicyEpoch = math.NaN()
 	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("conflicting epoch accepted: %v", err)
-	}
-
-	cfg = base(t)
-	cfg.Inject = &InjectConfig{Amount: 1, Period: 40}
-	cfg.PolicyEpoch = 40 // equal is fine
-	if _, err := Run(cfg); err != nil {
-		t.Errorf("matching epoch rejected: %v", err)
+		t.Errorf("NaN policy epoch accepted: %v", err)
 	}
 }
 

@@ -2,24 +2,21 @@ package market
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
-	"creditp2p/internal/credit"
+	"creditp2p/internal/policy"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/xrand"
 )
 
 // resumeCfg builds one all-mechanisms configuration (taxation, injection,
 // churn, snapshots). Fresh per call: the graph mutates under churn and the
-// tax policy accumulates counters.
+// policy stages accumulate counters.
 func resumeCfg(t *testing.T) Config {
 	t.Helper()
 	g, err := topology.RandomRegular(60, 6, xrand.New(511))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tax, err := credit.NewTaxPolicy(0.25, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +27,8 @@ func resumeCfg(t *testing.T) Config {
 		Horizon:       400,
 		SampleEvery:   20,
 		SnapshotTimes: []float64{100, 300},
-		Tax:           tax,
-		Inject:        &InjectConfig{Amount: 1, Period: 60},
+		Policies:      taxStages(t, 0.25, 12, injection(t, 1)),
+		PolicyEpoch:   60,
 		Churn:         &ChurnConfig{ArrivalRate: 0.4, MeanLifespan: 150, AttachDegree: 4, FastAttach: true},
 		Seed:          512,
 	}
@@ -119,7 +116,7 @@ func TestRestoreRejectsAlteredConfig(t *testing.T) {
 		"horizon": func(c *Config) { c.Horizon *= 2 },
 		"routing": func(c *Config) { c.Routing = RouteDegreeWeighted },
 		"wealth":  func(c *Config) { c.InitialWealth++ },
-		"no-tax":  func(c *Config) { c.Tax = nil },
+		"no-tax":  func(c *Config) { c.Policies = c.Policies[2:] },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -129,6 +126,39 @@ func TestRestoreRejectsAlteredConfig(t *testing.T) {
 				t.Fatal("restore into an altered configuration was accepted")
 			} else if !strings.Contains(err.Error(), "digest") && !strings.Contains(err.Error(), "external accounts") {
 				t.Fatalf("want a digest-guard error, got: %v", err)
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesTaxBridgeCheckpoint feeds a checkpoint written by the
+// market's retired Config.Tax bridge (a 30-peer RandomRegular(4) overlay,
+// seed 511, taxed at 0.25 above 12, snapshotted after 500 events) to the
+// stage pipeline that replaced it, and to the untaxed market: both
+// restores must fail with an error, never panic or misread the stream.
+func TestRestoreRefusesTaxBridgeCheckpoint(t *testing.T) {
+	data, err := os.ReadFile("testdata/tax-bridge.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		pols []policy.Policy
+	}{
+		{"stages", taxStages(t, 0.25, 12)},
+		{"untaxed", nil},
+		{"tax-only", taxStages(t, 0.25, 12)[:1]},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := topology.RandomRegular(30, 4, xrand.New(511))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Graph: g, InitialWealth: 20, DefaultMu: 1, Horizon: 200, Policies: c.pols, Seed: 512}
+			if _, err := RestoreSim(cfg, data); err == nil {
+				t.Fatal("a tax-bridge checkpoint restored into the stage pipeline")
+			} else {
+				t.Log(err)
 			}
 		})
 	}

@@ -115,12 +115,6 @@ func (s *simulation) stateDigest() uint64 {
 	if c.Spending != nil {
 		flags |= 2
 	}
-	if c.Tax != nil {
-		flags |= 4
-	}
-	if c.Inject != nil {
-		flags |= 8
-	}
 	if c.Churn != nil {
 		flags |= 16
 	}
@@ -209,9 +203,6 @@ func (m *Sim) Snapshot() []byte {
 				f.SaveState(w)
 			}
 		}
-		w.F64s(s.invScaled)
-		w.F64(s.availEpoch)
-		w.Bool(s.revOff != nil)
 	}
 	w.U64(s.rebuilds)
 	w.U64(s.res.SpendEvents)
@@ -348,20 +339,6 @@ func (s *simulation) load(r *snapshot.Reader) error {
 				f.LoadState(r, budget)
 				s.fen[i] = f
 			}
-		}
-		s.invScaled = r.F64s(budget)
-		s.availEpoch = r.F64()
-		hasRev := r.Bool()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if len(s.invScaled) != n {
-			return fmt.Errorf("scaled inventory holds %d entries, want %d", len(s.invScaled), n)
-		}
-		if hasRev {
-			// The reverse-position slab is derived from the (restored)
-			// neighbor caches; rebuild it instead of shipping it.
-			s.buildReverseIndex()
 		}
 	}
 	s.rebuilds = r.U64()

@@ -1,66 +1,14 @@
 package policy
 
-import (
-	"fmt"
-
-	"creditp2p/internal/credit"
-)
-
-// --- legacy taxation bridge ---
-
-// LegacyTax routes the pre-engine market taxation path (credit.TaxPolicy:
-// per-credit Bernoulli collection, immediate whole-population
-// redistribution rounds) through the engine with byte-identical randomness
-// and transfer order, so default-mode runs hash the same across the
-// refactor. New pipelines should prefer IncomeTax + Redistribute, whose
-// collection is a single binomial draw.
-type LegacyTax struct {
-	Base
-	t *credit.TaxPolicy
-}
-
-// NewLegacyTax wraps an existing credit.TaxPolicy. The policy keeps its
-// internal pool counter; the engine pot mirrors it in the ledger.
-func NewLegacyTax(t *credit.TaxPolicy) *LegacyTax {
-	return &LegacyTax{t: t}
-}
-
-// OnIncome implements Policy with the exact pre-engine sequence: the
-// Bernoulli-loop collection, the transfer into the pot, then one
-// redistribution sweep paying every live peer the completed rounds.
-func (lt *LegacyTax) OnIncome(h Host, px int32, pre, amount int64) int64 {
-	taxed := lt.t.TaxIncome(pre, amount, h.RNG())
-	if taxed <= 0 {
-		return 0
-	}
-	if !h.Collect(px, taxed) {
-		return 0
-	}
-	rounds := lt.t.Redistribute(h.Live())
-	if rounds > 0 {
-		n := h.Peers()
-		for q := int32(0); int(q) < n; q++ {
-			if !h.Alive(q) {
-				continue
-			}
-			h.Pay(q, rounds)
-		}
-	}
-	return taxed
-}
-
-func (lt *LegacyTax) addTotals(t *Totals) {
-	t.Collected += lt.t.Collected()
-	t.Redistributed += lt.t.PaidOut()
-}
+import "fmt"
 
 // --- fixed-rate income taxation (single binomial draw) ---
 
 // IncomeTax collects a Rate fraction of income arriving at peers whose
 // pre-income wealth exceeds Threshold — the Sec. VI-C tax — with one
-// binomial draw per payment instead of the legacy per-credit Bernoulli
-// loop. It only collects; compose with Redistribute (or a pot-funded
-// NewcomerSubsidy) to recycle the pot.
+// binomial draw per payment (for the market's unit incomes at Rate <= 0.5,
+// a single uniform compared against Rate). It only collects; compose with
+// Redistribute (or a pot-funded NewcomerSubsidy) to recycle the pot.
 type IncomeTax struct {
 	Base
 	// Rate is the income-tax fraction in [0, 1].
@@ -363,7 +311,6 @@ func (ns *NewcomerSubsidy) addTotals(t *Totals) {
 
 // Injection mints Amount fresh credits into every live peer's account each
 // epoch — the paper's "temporary remedy" whose long-run cost is inflation.
-// The legacy market InjectConfig routes through this policy.
 type Injection struct {
 	Base
 	// Amount is the per-peer mint per epoch.

@@ -1,9 +1,9 @@
 package policy
 
 import (
+	"math"
 	"testing"
 
-	"creditp2p/internal/credit"
 	"creditp2p/internal/stats"
 	"creditp2p/internal/xrand"
 )
@@ -317,76 +317,116 @@ func TestInjectionMintsPerEpoch(t *testing.T) {
 	}
 }
 
-// TestLegacyTaxMatchesDirectPolicy replays the same income stream through
-// the engine bridge and through the raw credit.TaxPolicy calls the market
-// used to make, with identically seeded RNGs, and demands identical
-// collections, payouts and balances — the unit-level half of the
-// goldenhash byte-compatibility proof.
-func TestLegacyTaxMatchesDirectPolicy(t *testing.T) {
-	mk := func() *credit.TaxPolicy {
-		tp, err := credit.NewTaxPolicy(0.3, 40)
+// TestIncomeTaxUnitIncomeIsOneUniformDraw pins the draw the market's unit
+// incomes take: for rates up to 0.5 a one-credit income is taxed exactly
+// when one uniform variate falls below the rate, and nothing else is drawn
+// — the same single comparison as a per-credit Bernoulli trial, which is
+// why fig9 and inflation kept their bytes when the market's taxation moved
+// onto this stage.
+func TestIncomeTaxUnitIncomeIsOneUniformDraw(t *testing.T) {
+	for _, rate := range []float64{0.1, 0.25, 0.5} {
+		it, err := NewIncomeTax(rate, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tp
-	}
-	type event struct {
-		px     int32
-		pre    int64
-		amount int64
-	}
-	events := []event{}
-	seedRNG := xrand.New(99)
-	for i := 0; i < 400; i++ {
-		events = append(events, event{px: int32(seedRNG.Intn(6)), pre: int64(seedRNG.Intn(90)), amount: 1 + int64(seedRNG.Intn(4))})
-	}
-
-	// Engine path.
-	tpE := mk()
-	hE := newFakeHost(100, 100, 100, 100, 100, 100)
-	hE.rng = xrand.New(7)
-	eng := NewEngine(NewLegacyTax(tpE))
-	for _, ev := range events {
-		hE.bal[ev.px] = ev.pre + ev.amount // simulate the income landing
-		eng.Income(hE, ev.px, ev.pre, ev.amount)
-	}
-
-	// Direct path: the market's pre-engine sequence.
-	tpD := mk()
-	hD := newFakeHost(100, 100, 100, 100, 100, 100)
-	rngD := xrand.New(7)
-	for _, ev := range events {
-		hD.bal[ev.px] = ev.pre + ev.amount
-		taxed := tpD.TaxIncome(ev.pre, ev.amount, rngD)
-		if taxed > 0 && hD.Collect(ev.px, taxed) {
-			rounds := tpD.Redistribute(hD.Live())
-			if rounds > 0 {
-				for q := int32(0); int(q) < hD.Peers(); q++ {
-					if hD.Alive(q) {
-						hD.Pay(q, rounds)
-					}
-				}
+		h := newFakeHost(1 << 20)
+		h.rng = xrand.New(41)
+		twin := xrand.New(41)
+		taxedAny := false
+		for i := 0; i < 2000; i++ {
+			pot := h.pot
+			h.bal[0]++ // the income lands
+			it.OnIncome(h, 0, 10, 1)
+			want := twin.Float64() < rate
+			if got := h.pot > pot; got != want {
+				t.Fatalf("rate %v, income %d: taxed %v, one uniform draw says %v", rate, i, got, want)
 			}
+			taxedAny = taxedAny || want
 		}
+		if !taxedAny {
+			t.Fatalf("rate %v: nothing taxed; test vacuous", rate)
+		}
+		if h.rng.Float64() != twin.Float64() {
+			t.Fatalf("rate %v: the stage drew more than one variate per income", rate)
+		}
+	}
+}
+
+// TestIncomeTaxRateInExpectation checks that unit incomes are taxed at the
+// declared rate on average.
+func TestIncomeTaxRateInExpectation(t *testing.T) {
+	it, err := NewIncomeTax(0.3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newFakeHost(0)
+	h.rng = xrand.New(11)
+	const trials = 20000
+	for i := 0; i < trials; i++ {
+		h.bal[0]++
+		it.OnIncome(h, 0, 1000, 1)
+	}
+	if got := float64(it.Collected()) / trials; math.Abs(got-0.3) > 0.01 {
+		t.Errorf("effective tax rate = %v, want ~0.3", got)
+	}
+	if it.Collected() != h.pot {
+		t.Errorf("Collected = %d, pot holds %d", it.Collected(), h.pot)
+	}
+}
+
+// TestTaxUnderInjection pins the taxation/injection interplay on the
+// Sec. VI-C pipeline: minted credits raise balances past the threshold, so
+// later income is taxed, and the pot accounting (collected = paid out +
+// pot) holds through interleaved minting, taxation and redistribution.
+func TestTaxUnderInjection(t *testing.T) {
+	it, err := NewIncomeTax(1, 8) // deterministic: every credit above 8 is taxed
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := NewRedistribute()
+	inj, err := NewInjection(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(it, rd, inj)
+	h := newFakeHost(5, 5, 5, 5)
+	income := func(px int32, amount int64) {
+		pre := h.bal[px]
+		h.bal[px] += amount
+		e.Income(h, px, pre, amount)
 	}
 
-	if tpE.Collected() != tpD.Collected() || tpE.PaidOut() != tpD.PaidOut() {
-		t.Errorf("engine collected/paid %d/%d, direct %d/%d",
-			tpE.Collected(), tpE.PaidOut(), tpD.Collected(), tpD.PaidOut())
+	// Below the threshold, income is untaxed.
+	income(0, 1)
+	if it.Collected() != 0 {
+		t.Fatalf("taxed %d below threshold", it.Collected())
 	}
-	if tpE.Collected() == 0 {
-		t.Fatal("stream collected nothing; test vacuous")
+	// An injection round pushes every peer over the threshold.
+	e.Epoch(h, 1)
+	if h.bal[0] != 12 || h.bal[1] != 11 {
+		t.Fatalf("balances after injection: %v", h.bal)
 	}
-	if hE.pot != hD.pot {
-		t.Errorf("pot %d vs %d", hE.pot, hD.pot)
+	// Income on the inflated balance is taxed at the full rate, and a pot
+	// of 3 does not fill a 4-peer round.
+	income(0, 3)
+	if it.Collected() != 3 || h.pot != 3 || rd.PaidOut() != 0 {
+		t.Fatalf("collected/pot/paid = %d/%d/%d, want 3/3/0", it.Collected(), h.pot, rd.PaidOut())
 	}
-	for i := range hE.bal {
-		if hE.bal[i] != hD.bal[i] {
-			t.Errorf("peer %d balance %d vs %d", i, hE.bal[i], hD.bal[i])
-		}
+	// More taxed income completes one round, leaving 1 in the pot.
+	income(1, 2)
+	if rd.PaidOut() != 4 || h.pot != 1 {
+		t.Fatalf("paid/pot = %d/%d after one round, want 4/1", rd.PaidOut(), h.pot)
 	}
-	if len(hE.woken) != len(hD.woken) {
-		t.Errorf("wake sequences differ: %d vs %d", len(hE.woken), len(hD.woken))
+	if it.Collected() != rd.PaidOut()+h.pot {
+		t.Fatalf("accounting drifted: collected %d != paid %d + pot %d", it.Collected(), rd.PaidOut(), h.pot)
+	}
+	// Zero-amount income is never taxed, inflated balance or not.
+	income(2, 0)
+	if it.Collected() != 5 {
+		t.Fatalf("zero income taxed: collected %d", it.Collected())
+	}
+	if want := int64(4*5 + 1 + 4*6 + 3 + 2); h.total() != want {
+		t.Fatalf("credits: %d, want %d (endowment + income + minted)", h.total(), want)
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 )
 
 // Stateful is implemented by policies carrying mutable run state beyond
-// their configuration: cumulative counters, controller outputs, wrapped
-// legacy pools. The engine saves and loads stages in pipeline order, so a
-// restored pipeline must be reconstructed with the same stages in the same
-// order (which the config-driven restore path guarantees).
+// their configuration: cumulative counters and controller outputs. The
+// engine saves and loads stages in pipeline order, so a restored pipeline
+// must be reconstructed with the same stages in the same order (which the
+// config-driven restore path guarantees).
 type Stateful interface {
 	SaveState(w *snapshot.Writer)
 	LoadState(r *snapshot.Reader)
@@ -33,12 +33,6 @@ func (e *Engine) LoadState(r *snapshot.Reader) {
 		}
 	}
 }
-
-// SaveState delegates to the wrapped credit.TaxPolicy's pool counters.
-func (lt *LegacyTax) SaveState(w *snapshot.Writer) { lt.t.SaveState(w) }
-
-// LoadState delegates to the wrapped credit.TaxPolicy's pool counters.
-func (lt *LegacyTax) LoadState(r *snapshot.Reader) { lt.t.LoadState(r) }
 
 // SaveState serializes the cumulative collection counter.
 func (it *IncomeTax) SaveState(w *snapshot.Writer) {

@@ -21,7 +21,6 @@ import (
 	"math"
 	"sort"
 
-	"creditp2p/internal/credit"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/shard"
@@ -49,8 +48,9 @@ const (
 	// ScaleLarge rescales to a 100k-peer population on the scale engine.
 	ScaleLarge
 	// ScaleXLarge rescales to a million-peer population on the scale
-	// engine plus the Fenwick fast-sampling routing mode. Expect a few GB
-	// of RSS and tens of seconds per run.
+	// engine with FastSampling on, which switches degree-weighted routing
+	// to its Fenwick sampler (availability routing always scans). Expect a
+	// few GB of RSS and tens of seconds per run.
 	ScaleXLarge
 )
 
@@ -149,11 +149,9 @@ type Churn struct {
 // and optional periodic injection (period a fraction of the horizon), and
 // the composable policy-engine pipeline.
 //
-// On a market scenario TaxRate/Inject* compile to the legacy
-// byte-compatible engine stages; on a streaming scenario they compile to
-// the engine's binomial IncomeTax + Redistribute and Injection stages —
-// streaming had no countermeasures before the engine. Policies appends
-// further stages in declared order.
+// TaxRate/Inject* compile to the engine's IncomeTax + Redistribute and
+// Injection stages, and Policies appends further stages in declared order
+// — the same stage list on every engine (market, streaming, sharded).
 type Credit struct {
 	InitialWealth int64
 	// TaxRate > 0 enables Sec. VI-C taxation above TaxThreshold.
@@ -164,7 +162,7 @@ type Credit struct {
 	InjectAmount int64
 	InjectPeriod float64
 	// Policies declares additional policy-engine stages, run in order
-	// after the legacy stages above.
+	// after the TaxRate/Inject* stages.
 	Policies []PolicySpec
 	// PolicyEpoch is the engine's epoch period as a fraction of the
 	// horizon; required when any declared policy is epoch-driven
@@ -253,19 +251,38 @@ func (ps PolicySpec) compile() (policy.Policy, error) {
 	}
 }
 
-// compilePolicies builds the declared pipeline at a concrete horizon,
-// returning the stages and the absolute epoch period.
-func (c Credit) compilePolicies(horizon float64) ([]policy.Policy, float64, error) {
+// enginePipeline compiles the Credit block into policy-engine stages and
+// the absolute epoch period, identically for all three engines (market,
+// streaming, sharded): the declarative TaxRate/Inject* knobs become
+// IncomeTax + Redistribute and Injection stages ahead of the declared
+// pipeline, all sharing the engine's one epoch clock.
+func (c Credit) enginePipeline(horizon float64) ([]policy.Policy, float64, error) {
+	var pols []policy.Policy
+	epoch := 0.0
+	if c.TaxRate > 0 {
+		it, err := policy.NewIncomeTax(c.TaxRate, c.TaxThreshold)
+		if err != nil {
+			return nil, 0, err
+		}
+		pols = append(pols, it, policy.NewRedistribute())
+	}
+	if c.InjectAmount > 0 {
+		if !(c.InjectPeriod > 0 && c.InjectPeriod <= 1) { // NaN fails too
+			return nil, 0, fmt.Errorf("%w: injection period %v (fraction of horizon)", ErrBadScenario, c.InjectPeriod)
+		}
+		inj, err := policy.NewInjection(c.InjectAmount)
+		if err != nil {
+			return nil, 0, err
+		}
+		pols = append(pols, inj)
+		epoch = c.InjectPeriod * horizon
+	}
 	if c.PolicyEpoch < 0 || c.PolicyEpoch > 1 || math.IsNaN(c.PolicyEpoch) {
 		return nil, 0, fmt.Errorf("%w: policy epoch %v (fraction of horizon)", ErrBadScenario, c.PolicyEpoch)
 	}
-	if len(c.Policies) == 0 {
-		if c.PolicyEpoch > 0 {
-			return nil, 0, fmt.Errorf("%w: policy epoch without policies", ErrBadScenario)
-		}
-		return nil, 0, nil
+	if len(c.Policies) == 0 && c.PolicyEpoch > 0 {
+		return nil, 0, fmt.Errorf("%w: policy epoch without policies", ErrBadScenario)
 	}
-	pols := make([]policy.Policy, 0, len(c.Policies))
 	epochNeeded := false
 	for i, ps := range c.Policies {
 		p, err := ps.compile()
@@ -278,41 +295,8 @@ func (c Credit) compilePolicies(horizon float64) ([]policy.Policy, float64, erro
 	if epochNeeded && c.PolicyEpoch == 0 {
 		return nil, 0, fmt.Errorf("%w: epoch-driven policy declared without PolicyEpoch", ErrBadScenario)
 	}
-	return pols, c.PolicyEpoch * horizon, nil
-}
-
-// enginePipeline compiles the policy pipeline of the engine-driven
-// workloads (streaming, sharded): the declarative TaxRate/Inject* knobs
-// become engine stages — binomial IncomeTax + Redistribute, Injection —
-// ahead of the declared pipeline, all sharing the engine's one epoch
-// clock. The legacy market keeps its own Tax/Inject fields instead.
-func (c Credit) enginePipeline(horizon float64) ([]policy.Policy, float64, error) {
-	var pols []policy.Policy
-	epoch := 0.0
-	if c.TaxRate > 0 {
-		it, err := policy.NewIncomeTax(c.TaxRate, c.TaxThreshold)
-		if err != nil {
-			return nil, 0, err
-		}
-		pols = append(pols, it, policy.NewRedistribute())
-	}
-	if c.InjectAmount > 0 {
-		if c.InjectPeriod <= 0 || c.InjectPeriod > 1 {
-			return nil, 0, fmt.Errorf("%w: injection period %v (fraction of horizon)", ErrBadScenario, c.InjectPeriod)
-		}
-		inj, err := policy.NewInjection(c.InjectAmount)
-		if err != nil {
-			return nil, 0, err
-		}
-		pols = append(pols, inj)
-		epoch = c.InjectPeriod * horizon
-	}
-	declared, depoch, err := c.compilePolicies(horizon)
-	if err != nil {
-		return nil, 0, err
-	}
-	pols = append(pols, declared...)
-	if depoch > 0 {
+	if c.PolicyEpoch > 0 {
+		depoch := c.PolicyEpoch * horizon
 		if epoch > 0 && depoch != epoch {
 			return nil, 0, fmt.Errorf("%w: policy epoch %v conflicts with injection period %v (the engine has one epoch clock)", ErrBadScenario, depoch, epoch)
 		}
@@ -537,25 +521,9 @@ func (sc Scenario) MarketConfig(scale Scale) (market.Config, error) {
 		Horizon:       d.horizon,
 		Seed:          sc.Seed + 1,
 	}
-	if sc.Credit.TaxRate > 0 {
-		tax, err := credit.NewTaxPolicy(sc.Credit.TaxRate, sc.Credit.TaxThreshold)
-		if err != nil {
-			return market.Config{}, err
-		}
-		cfg.Tax = tax
-	}
-	if sc.Credit.InjectAmount > 0 {
-		if sc.Credit.InjectPeriod <= 0 || sc.Credit.InjectPeriod > 1 {
-			return market.Config{}, fmt.Errorf("%w: injection period %v (fraction of horizon)", ErrBadScenario, sc.Credit.InjectPeriod)
-		}
-		cfg.Inject = &market.InjectConfig{Amount: sc.Credit.InjectAmount, Period: sc.Credit.InjectPeriod * d.horizon}
-	}
-	pols, epoch, err := sc.Credit.compilePolicies(d.horizon)
-	if err != nil {
+	if cfg.Policies, cfg.PolicyEpoch, err = sc.Credit.enginePipeline(d.horizon); err != nil {
 		return market.Config{}, err
 	}
-	cfg.Policies = pols
-	cfg.PolicyEpoch = epoch
 	if sc.Churn.Pattern != ChurnNone {
 		// Lifespans compress with the horizon and the arrival rate scales
 		// by popFactor/ratio, so the equilibrium churn population
@@ -611,8 +579,6 @@ func (sc Scenario) StreamingConfig(scale Scale) (streaming.Config, error) {
 		HorizonSeconds: int(d.horizon),
 		Seed:           sc.Seed + 1,
 	}
-	// The streaming workload runs every countermeasure through the shared
-	// policy engine.
 	if cfg.Policies, cfg.PolicyEpoch, err = sc.Credit.enginePipeline(d.horizon); err != nil {
 		return streaming.Config{}, err
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
 )
 
 // fingerprint reduces an outcome to a hash of every number it carries, so

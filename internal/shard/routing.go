@@ -3,9 +3,9 @@ package shard
 // Weighted routing on the sharded kernel: per-peer Fenwick samplers over
 // neighbor weights, fed by barrier-frozen weight mirrors.
 //
-// The single-threaded market engine routes spends by degree or
-// availability with an O(log degree) Fenwick sampler per spender. The
-// sharded kernel cannot share that structure — availability is mutable
+// The single-threaded market engine can route degree-weighted spends
+// through an O(log degree) Fenwick sampler per spender. The sharded
+// kernel cannot share that structure — availability is mutable
 // cross-shard state — so it splits the problem along the same line as the
 // alive bitmap:
 //
@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"math"
 
-	"creditp2p/internal/pad"
 	"creditp2p/internal/xrand"
 )
 
@@ -92,12 +91,6 @@ type RoutingConfig struct {
 	// neighbors than this get barrier-patched trees instead of
 	// lazy-stale rebuilds; 0 selects 64.
 	HeavyDegree int
-	// NaiveRescan replaces the Fenwick samplers with a per-spend
-	// O(degree) weight rescan — the reference baseline the perf gates
-	// measure against. Same frozen-EWMA state, continuous decay at pick
-	// time; a distinct mode with its own (still shard-count-invariant)
-	// byte stream.
-	NaiveRescan bool
 }
 
 const (
@@ -116,11 +109,9 @@ const (
 )
 
 // routingState is the engine's resident routing data. For RouteUniform
-// every slice is nil; for NaiveRescan the slab and totals are nil (the
-// rescan reads the EWMA state directly).
+// every slice is nil.
 type routingState struct {
 	mode     Routing
-	naive    bool
 	tau      float64
 	floor    float64
 	heavyDeg int
@@ -169,9 +160,6 @@ func validateRouting(cfg *Config) error {
 		return fmt.Errorf("%w: Routing={Tau:%v Floor:%v HeavyDegree:%d}: negative parameter",
 			ErrBadConfig, r.Tau, r.Floor, r.HeavyDegree)
 	}
-	if r.NaiveRescan && r.Mode == RouteUniform {
-		return fmt.Errorf("%w: Routing.NaiveRescan needs a weighted Mode", ErrBadConfig)
-	}
 	if r.Tau == 0 {
 		r.Tau = defaultRoutingTau
 	}
@@ -194,7 +182,6 @@ func (e *Engine) initRouting() {
 	if rt.mode == RouteUniform {
 		return
 	}
-	rt.naive = e.cfg.Routing.NaiveRescan
 	rt.tau = e.cfg.Routing.Tau
 	rt.floor = e.cfg.Routing.Floor
 	rt.heavyDeg = e.cfg.Routing.HeavyDegree
@@ -216,9 +203,6 @@ func (e *Engine) initRouting() {
 		if e.part.Degree(g) > rt.heavyDeg {
 			e.flags[g] |= heavyBit
 		}
-	}
-	if rt.naive {
-		return
 	}
 	rt.fenSlab = make([]float32, e.part.Edges()+int64(e.n))
 	e.parallel(func(ln *Lane) {
@@ -378,50 +362,12 @@ func (ln *Lane) PickNeighbor(t float64, g int32, nbrs []int32, r *xrand.SplitMix
 	if rt.mode == RouteUniform {
 		return nbrs[r.Intn(len(nbrs))]
 	}
-	if rt.naive {
-		return ln.naivePick(t, nbrs, r)
-	}
 	if e.flags[g]&fenBuiltBit == 0 {
 		e.rebuildTree(g)
 	}
 	tr := e.tree(g)
 	u := r.Float64() * float64(tr[0])
 	return nbrs[xrand.FenFind(tr, u)]
-}
-
-// naivePick is the reference O(degree) rescan: recompute every neighbor
-// weight (availability decays continuously to the pick time), then walk
-// the prefix sums. Reads only barrier-frozen state, so it is as
-// shard-count-invariant as the Fenwick path — just slow.
-func (ln *Lane) naivePick(t float64, nbrs []int32, r *xrand.SplitMix64) int32 {
-	e := ln.e
-	rt := &e.rt
-	if cap(ln.pick) < len(nbrs) {
-		ln.pick = pad.Make[float64](len(nbrs))
-	}
-	pick := ln.pick[:len(nbrs)]
-	total := 0.0
-	for i, nb := range nbrs {
-		var w float64
-		if rt.mode == RouteDegree {
-			w = float64(e.part.Degree(nb))
-		} else {
-			w = rt.floor
-			if e.AliveEpoch(nb) {
-				w += rt.score[nb] * math.Exp((rt.scoreT[nb]-t)/rt.tau)
-			}
-		}
-		pick[i] = w
-		total += w
-	}
-	u := r.Float64() * total
-	for i, w := range pick {
-		u -= w
-		if u < 0 {
-			return nbrs[i]
-		}
-	}
-	return nbrs[len(nbrs)-1]
 }
 
 // WarmSampler is the routing half of the dispatch prefetch: when the
@@ -466,9 +412,6 @@ func (e *Engine) routingDigest(h uint64) uint64 {
 	h = fnvU64(h, math.Float64bits(rt.tau))
 	h = fnvU64(h, math.Float64bits(rt.floor))
 	h = fnvU64(h, uint64(rt.heavyDeg))
-	if rt.naive {
-		h = fnvU64(h, 0x6e61697665) // "naive"
-	}
 	return h
 }
 

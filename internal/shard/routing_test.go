@@ -27,10 +27,9 @@ func routedStreaming(t testing.TB, p int, rc shard.RoutingConfig) shard.Config {
 }
 
 // TestRoutingShardCountInvariance extends the engine's central contract
-// to every weighted routing mode: Fenwick degree, Fenwick availability
-// (with a policy pipeline, so the merge path runs under routing) and the
-// naive-rescan reference each produce byte-identical results at every
-// shard count, on both workloads.
+// to every weighted routing mode: degree and availability (the latter
+// also with a policy pipeline, so the merge path runs under routing) each
+// produce byte-identical results at every shard count, on both workloads.
 func TestRoutingShardCountInvariance(t *testing.T) {
 	cases := []struct {
 		name string
@@ -43,9 +42,6 @@ func TestRoutingShardCountInvariance(t *testing.T) {
 			cfg := marketConfig(t, p, taxPipeline(t))
 			cfg.Routing = shard.RoutingConfig{Mode: shard.RouteAvailability}
 			return cfg
-		}},
-		{"market/availability-naive", func(p int) shard.Config {
-			return routedMarket(t, p, shard.RoutingConfig{Mode: shard.RouteAvailability, NaiveRescan: true})
 		}},
 		{"streaming/degree", func(p int) shard.Config {
 			return routedStreaming(t, p, shard.RoutingConfig{Mode: shard.RouteDegree})
@@ -75,9 +71,7 @@ func TestRoutingShardCountInvariance(t *testing.T) {
 }
 
 // TestRoutingChangesOutcomes guards against dead wiring: each weighted
-// mode must actually shift destinations relative to the uniform sampler,
-// and the naive reference must match the Fenwick path's mode but not its
-// draw sequence (they consume different stream words per pick).
+// mode must actually shift destinations relative to the uniform sampler.
 func TestRoutingChangesOutcomes(t *testing.T) {
 	uniform, err := shard.Run(marketConfig(t, 4, nil))
 	if err != nil {
@@ -132,52 +126,69 @@ func maxDegreePeer(e *shard.Engine) int32 {
 	return best
 }
 
-// TestRoutingSamplerMatchesDegreeWeights pins the distribution of both
-// degree-mode code paths — the O(log degree) Fenwick sampler and the
-// O(degree) naive rescan — against the exact degree weights, one-sample
-// chi-square each plus a two-sample cross-check, at 2e5 fixed-seed draws.
+// rescanPick is the O(degree) reference sampler: one uniform draw scaled
+// by the weight total, then a walk down the prefix sums.
+func rescanPick(weights []float64, r *xrand.SplitMix64) int {
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	u := r.Float64() * total
+	for i, w := range weights {
+		u -= w
+		if u < 0 {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// TestRoutingSamplerMatchesDegreeWeights pins the degree-mode Fenwick
+// sampler against the exact degree weights (RoutingWeight) and against
+// the O(degree) rescan over them: one-sample chi-square each plus a
+// two-sample cross-check, at 2e5 fixed-seed draws.
 func TestRoutingSamplerMatchesDegreeWeights(t *testing.T) {
 	const draws = 200_000
-	sample := func(naive bool, seed int64) ([]int, []float64) {
-		cfg := routedMarket(t, 1, shard.RoutingConfig{Mode: shard.RouteDegree, NaiveRescan: naive})
-		cfg.Churn = shard.ChurnConfig{}
-		e, err := shard.New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg := routedMarket(t, 1, shard.RoutingConfig{Mode: shard.RouteDegree})
+	cfg.Churn = shard.ChurnConfig{}
+	e, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	g := maxDegreePeer(e)
+	nbrs := e.Neighbors(g)
+	if len(nbrs) < 10 {
+		t.Fatalf("hub peer %d has only %d neighbors; graph too flat for the test", g, len(nbrs))
+	}
+	weights := make([]float64, len(nbrs))
+	for i, nb := range nbrs {
+		weights[i] = e.RoutingWeight(nb)
+		if weights[i] != float64(e.Partition().Degree(nb)) {
+			t.Fatalf("degree-mode weight of %d is %v, want its degree %d", nb, weights[i], e.Partition().Degree(nb))
 		}
-		if err := e.Start(); err != nil {
-			t.Fatal(err)
-		}
-		g := maxDegreePeer(e)
-		nbrs := e.Neighbors(g)
-		if len(nbrs) < 10 {
-			t.Fatalf("hub peer %d has only %d neighbors; graph too flat for the test", g, len(nbrs))
-		}
-		weights := make([]float64, len(nbrs))
-		for i, nb := range nbrs {
-			weights[i] = e.RoutingWeight(nb)
-			if weights[i] != float64(e.Partition().Degree(nb)) {
-				t.Fatalf("degree-mode weight of %d is %v, want its degree %d", nb, weights[i], e.Partition().Degree(nb))
-			}
-		}
-		ln := e.Lanes()[0]
-		r := xrand.NewSplitMix64(seed, 0)
-		obs := make([]int, len(nbrs))
-		for i := 0; i < draws; i++ {
-			dst := ln.PickNeighbor(1.0, g, nbrs, &r)
-			obs[searchNeighbor(t, nbrs, dst)]++
-		}
-		return obs, weights
+	}
+	ln := e.Lanes()[0]
+	r := xrand.NewSplitMix64(883, 0)
+	obsF := make([]int, len(nbrs))
+	for i := 0; i < draws; i++ {
+		dst := ln.PickNeighbor(1.0, g, nbrs, &r)
+		obsF[searchNeighbor(t, nbrs, dst)]++
+	}
+	rn := xrand.NewSplitMix64(884, 0)
+	obsN := make([]int, len(nbrs))
+	for i := 0; i < draws; i++ {
+		obsN[rescanPick(weights, &rn)]++
 	}
 
-	obsF, weights := sample(false, 883)
-	obsN, _ := sample(true, 884)
 	crit := chiCrit(len(weights) - 1)
 	if x2 := chiSquare(obsF, weights, draws); x2 > crit {
 		t.Errorf("Fenwick degree sampler chi-square %.1f exceeds %.1f", x2, crit)
 	}
 	if x2 := chiSquare(obsN, weights, draws); x2 > crit {
-		t.Errorf("naive degree rescan chi-square %.1f exceeds %.1f", x2, crit)
+		t.Errorf("degree rescan chi-square %.1f exceeds %.1f", x2, crit)
 	}
 	var x2 float64
 	for i := range obsF {
@@ -187,7 +198,7 @@ func TestRoutingSamplerMatchesDegreeWeights(t *testing.T) {
 		}
 	}
 	if x2 > crit {
-		t.Errorf("two-sample Fenwick-vs-naive chi-square %.1f exceeds %.1f", x2, crit)
+		t.Errorf("two-sample Fenwick-vs-rescan chi-square %.1f exceeds %.1f", x2, crit)
 	}
 }
 
@@ -388,7 +399,6 @@ func TestRoutingRestoreRefusesModeDrift(t *testing.T) {
 	for _, rc := range []shard.RoutingConfig{
 		{Mode: shard.RouteDegree},
 		{Mode: shard.RouteAvailability, HeavyDegree: 7},
-		{Mode: shard.RouteAvailability, NaiveRescan: true},
 	} {
 		if _, err := shard.RestoreSim(mk(rc), snap); err == nil {
 			t.Errorf("routing drift %+v accepted at restore", rc)
@@ -452,9 +462,6 @@ func TestRoutingRejectsBadConfig(t *testing.T) {
 		{"negative heavy threshold", func(c *shard.Config) {
 			c.Routing = shard.RoutingConfig{Mode: shard.RouteDegree, HeavyDegree: -1}
 		}},
-		{"naive without weighted mode", func(c *shard.Config) {
-			c.Routing = shard.RoutingConfig{NaiveRescan: true}
-		}},
 		{"rejoin rate without envelope", func(c *shard.Config) {
 			c.Churn = shard.ChurnConfig{MeanLifespan: 5, MeanDowntime: 2, RejoinRate: flat}
 		}},
@@ -517,5 +524,52 @@ func TestShapedRejoinShardInvariance(t *testing.T) {
 			t.Fatalf("P=%d: %v", p, err)
 		}
 		requireSameResult(t, fmt.Sprintf("shaped rejoin P=%d", p), base, got)
+	}
+}
+
+// BenchmarkWeightPick measures the per-pick cost of the two ways to draw
+// from one peer's neighbor weights: the O(degree) scan over the weight
+// slice and the O(log degree) FenFind descent over the peer's slab tree,
+// at a typical (20) and a hub (2000) degree. The weights are the
+// availability mirror's range, floor 0.05 plus an EWMA in [0, 1].
+func BenchmarkWeightPick(b *testing.B) {
+	for _, deg := range []int{20, 2000} {
+		weights := make([]float32, deg)
+		r := xrand.NewSplitMix64(5, 0)
+		for i := range weights {
+			weights[i] = float32(0.05 + r.Float64())
+		}
+		tree := make([]float32, deg+1)
+		copy(tree[1:], weights)
+		total := float64(xrand.FenBuild(tree))
+		b.Run(fmt.Sprintf("scan/d%d", deg), func(b *testing.B) {
+			r := xrand.NewSplitMix64(7, 0)
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				u := r.Float64() * total
+				j := len(weights) - 1
+				for k, w := range weights {
+					u -= float64(w)
+					if u < 0 {
+						j = k
+						break
+					}
+				}
+				sink += j
+			}
+			if sink < 0 {
+				b.Fatal("unreachable")
+			}
+		})
+		b.Run(fmt.Sprintf("fenfind/d%d", deg), func(b *testing.B) {
+			r := xrand.NewSplitMix64(7, 0)
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				sink += xrand.FenFind(tree, r.Float64()*total)
+			}
+			if sink < 0 {
+				b.Fatal("unreachable")
+			}
+		})
 	}
 }

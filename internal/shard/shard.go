@@ -258,9 +258,6 @@ type Lane struct {
 	// warm sinks dispatch's read-ahead loads so the compiler keeps them;
 	// per-lane because dispatch runs concurrently across lanes.
 	warm uint32
-	// pick is the naive-rescan mode's recycled weight scratch (grow-once
-	// to the lane's max observed degree).
-	pick []float64
 	// dirty tracks which peer segments of this lane's partition were
 	// touched since the last state capture — the delta-checkpoint
 	// bookkeeping. Segment k covers global peers [lo+k*peerSegSize,
@@ -272,7 +269,7 @@ type Lane struct {
 }
 
 // lanePad is the tail padding that makes Lane a whole number of blocks.
-const lanePad = 56
+const lanePad = 80
 
 // markPeer flags the dirty segment holding global peer g, which must be
 // owned by this lane.

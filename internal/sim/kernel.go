@@ -298,14 +298,14 @@ type kernelHost struct {
 
 var _ policy.Host = (*kernelHost)(nil)
 
-func (h *kernelHost) Now() float64          { return h.k.Sched.Now() }
-func (h *kernelHost) Running() bool         { return h.k.running }
-func (h *kernelHost) RNG() *xrand.RNG       { return h.k.RNG }
-func (h *kernelHost) Live() int             { return h.k.Peers.Live() }
-func (h *kernelHost) Peers() int            { return h.k.Peers.Len() }
-func (h *kernelHost) Alive(px int32) bool   { return h.k.Peers.At(px).Alive }
+func (h *kernelHost) Now() float64           { return h.k.Sched.Now() }
+func (h *kernelHost) Running() bool          { return h.k.running }
+func (h *kernelHost) RNG() *xrand.RNG        { return h.k.RNG }
+func (h *kernelHost) Live() int              { return h.k.Peers.Live() }
+func (h *kernelHost) Peers() int             { return h.k.Peers.Len() }
+func (h *kernelHost) Alive(px int32) bool    { return h.k.Peers.At(px).Alive }
 func (h *kernelHost) Balance(px int32) int64 { return h.k.Balance(px) }
-func (h *kernelHost) PotBalance() int64     { return h.k.Ledger.BalanceAt(h.k.pot) }
+func (h *kernelHost) PotBalance() int64      { return h.k.Ledger.BalanceAt(h.k.pot) }
 
 func (h *kernelHost) Collect(px int32, amount int64) bool {
 	return h.k.TransferOut(px, h.k.pot, amount)

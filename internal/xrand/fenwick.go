@@ -2,13 +2,12 @@ package xrand
 
 import "math/bits"
 
-// Fenwick is a binary-indexed tree over a mutable vector of non-negative
-// weights, supporting O(log n) point updates and O(log n) sampling with
-// probability proportional to weight. It is the incremental counterpart of
-// SampleWeighted for distributions that change between draws — the market's
-// fast weighted-routing mode keeps one per spender over its neighborhood,
-// so degree- and availability-weighted routing stay O(log degree) per event
-// instead of an O(degree) scan with an exp() per entry.
+// Fenwick is a binary-indexed tree over a vector of non-negative weights,
+// supporting O(log n) sampling with probability proportional to weight. It
+// is the prebuilt counterpart of SampleWeighted for distributions drawn
+// from many times between changes — the market's fast degree-routing mode
+// keeps one per spender over its neighborhood, so a draw is O(log degree)
+// instead of an O(degree) scan.
 //
 // The tree is rebuilt in place by Reset (reusing storage), so a recycled
 // peer slot costs no allocation. Weights must be non-negative and finite;
@@ -56,23 +55,8 @@ func (f *Fenwick) Reset(weights []float64) {
 	}
 }
 
-// Len returns the number of weights.
-func (f *Fenwick) Len() int { return f.n }
-
-// Total returns the weight sum.
-func (f *Fenwick) Total() float64 { return f.total }
-
-// Add adds delta to the weight at index i (0-based). The resulting weight
-// must stay non-negative.
-func (f *Fenwick) Add(i int, delta float64) {
-	for j := i + 1; j <= f.n; j += j & -j {
-		f.tree[j] += delta
-	}
-	f.total += delta
-}
-
 // Find returns the index i with prefix(i) <= u < prefix(i+1) by binary
-// descent over the tree — the inverse-CDF lookup. u outside [0, Total())
+// descent over the tree — the inverse-CDF lookup. u outside [0, total)
 // clamps to the nearest end, so floating-point slop at the boundaries
 // cannot index out of range.
 func (f *Fenwick) Find(u float64) int {
@@ -89,7 +73,7 @@ func (f *Fenwick) Find(u float64) int {
 	return i
 }
 
-// Sample draws an index with probability weights[i]/Total() using a single
+// Sample draws an index with probability weights[i]/total using a single
 // uniform variate. ok is false when the total is not positive.
 func (f *Fenwick) Sample(r *RNG) (int, bool) {
 	if f.n == 0 || f.total <= 0 {

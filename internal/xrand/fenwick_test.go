@@ -8,11 +8,11 @@ import (
 func TestFenwickTotalsAndFind(t *testing.T) {
 	w := []float64{2, 0, 3, 1, 0, 4}
 	f := NewFenwick(w)
-	if f.Len() != len(w) {
-		t.Fatalf("Len = %d, want %d", f.Len(), len(w))
+	if f.n != len(w) {
+		t.Fatalf("n = %d, want %d", f.n, len(w))
 	}
-	if f.Total() != 10 {
-		t.Fatalf("Total = %v, want 10", f.Total())
+	if f.total != 10 {
+		t.Fatalf("total = %v, want 10", f.total)
 	}
 	// Find maps every u in [0, total) to the index whose cumulative range
 	// contains it; zero-weight entries own empty ranges and are never hit.
@@ -34,29 +34,11 @@ func TestFenwickTotalsAndFind(t *testing.T) {
 	wantAt(10.5, 5)
 }
 
-func TestFenwickAddShiftsMass(t *testing.T) {
-	f := NewFenwick([]float64{1, 1, 1, 1})
-	f.Add(2, 5) // weights now 1,1,6,1
-	if f.Total() != 9 {
-		t.Fatalf("Total = %v, want 9", f.Total())
-	}
-	if got := f.Find(2.5); got != 2 {
-		t.Errorf("Find(2.5) = %d, want 2", got)
-	}
-	if got := f.Find(8.5); got != 3 {
-		t.Errorf("Find(8.5) = %d, want 3", got)
-	}
-	f.Add(0, -1) // weights 0,1,6,1
-	if got := f.Find(0); got != 1 {
-		t.Errorf("Find(0) after zeroing = %d, want 1", got)
-	}
-}
-
 func TestFenwickResetReusesStorage(t *testing.T) {
 	f := NewFenwick([]float64{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Reset([]float64{4, 6})
-	if f.Len() != 2 || f.Total() != 10 {
-		t.Fatalf("after Reset: Len=%d Total=%v", f.Len(), f.Total())
+	if f.n != 2 || f.total != 10 {
+		t.Fatalf("after Reset: n=%d total=%v", f.n, f.total)
 	}
 	if got := f.Find(5); got != 1 {
 		t.Errorf("Find(5) = %d, want 1", got)

@@ -37,9 +37,10 @@ func (r *RNG) LoadState(rd *snapshot.Reader) {
 	r.src = rand.New(cs)
 }
 
-// SaveState serializes the sampler verbatim. The tree is order-sensitive
-// (floating-point partial sums depend on update history), so it is stored
-// rather than rebuilt: a restored tree reproduces the exact same samples.
+// SaveState serializes the sampler verbatim. A caller's index may lag the
+// weights it would rebuild from today (the market refreshes a degree index
+// only when churn touches its spender), so the tree is stored rather than
+// rebuilt: a restored tree reproduces the exact same samples.
 func (f *Fenwick) SaveState(w *snapshot.Writer) {
 	w.F64s(f.tree)
 	w.Int(f.n)

@@ -270,7 +270,7 @@ func (r *RNG) binomialBTRD(n int64, p float64) int64 {
 		if v <= urvr {
 			// The dominating triangular region: accepted immediately.
 			u = v/vr - 0.43
-			return int64(math.Floor((2*a/(0.5-math.Abs(u)) + b)*u + c))
+			return int64(math.Floor((2*a/(0.5-math.Abs(u))+b)*u + c))
 		}
 		if v >= vr {
 			u = r.src.Float64() - 0.5
