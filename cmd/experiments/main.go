@@ -16,7 +16,6 @@
 //	experiments -scenario flash-crowd -shards 4 -checkpoint-every 50000 -checkpoint run.snap
 //	experiments -scenario flash-crowd -shards 4 -restore run.snap
 //	experiments -scenario flash-crowd -shards 4 -checkpoint-every 50000 -checkpoint run.snap -checkpoint-delta
-//	experiments -scenario flash-crowd -shards 4 -restore run.snap -checkpoint-delta
 //	experiments -scenario free-rider-mix -shards 8 -routing availability
 //	experiments -scenario free-rider-mix -shards 8 -routing degree -checkpoint-every 50000 -checkpoint run.snap -checkpoint-delta
 //	experiments -id policy-sweep
@@ -37,9 +36,9 @@
 // -checkpoint-every N snapshots a -scenario run's full state to the
 // -checkpoint file every N events; -restore resumes a crashed run from such
 // a file and produces byte-identical output to the uninterrupted run. Both
-// compose with -shards: sharded snapshots land at the first window barrier
-// after each cadence mark, and their seal and file I/O overlap with the
-// simulation. All snapshot files are written
+// compose with -shards: sharded checkpoints land at the first window
+// barrier after each cadence mark, and their seal and file I/O overlap
+// with the simulation. All snapshot files are written
 // write-to-temp / fsync / rename / fsync-directory, so a crash or power
 // cut mid-checkpoint always leaves a complete snapshot behind.
 //
@@ -47,8 +46,9 @@
 // base+delta chains: full snapshots anchor the chain, and between them
 // only the dirty segments of the run's state are written (run.snap plus
 // run.snap.d001, run.snap.d002, ...). -rebase-every bounds the chain
-// length. -restore with -checkpoint-delta loads and validates the whole
-// chain; the resumed run is byte-identical either way.
+// length. A sharded -restore always loads and validates the whole chain
+// stored at its path — a lone base is a one-link chain — so it needs no
+// -checkpoint-delta; the resumed run is byte-identical either way.
 //
 // -timing prints the sharded kernel's phase-level barrier-pipeline
 // breakdown (dispatch / merge / apply / churn / publish) after the report,
@@ -99,7 +99,7 @@ func run(args []string) error {
 	restorePath := fs.String("restore", "", "with -scenario: resume from this snapshot file instead of starting fresh")
 	shards := fs.Int("shards", 1, "with -scenario: run on the sharded multi-core kernel with this many lanes (1 = the classic single-threaded engines)")
 	timing := fs.Bool("timing", false, "with -scenario -shards > 1: print the phase-level barrier-pipeline timing breakdown after the report")
-	checkpointDelta := fs.Bool("checkpoint-delta", false, "with -scenario -shards > 1: write base+delta checkpoint chains (run.snap plus run.snap.dNNN) instead of a full snapshot at every checkpoint")
+	checkpointDelta := fs.Bool("checkpoint-delta", false, "with -scenario -shards > 1 -checkpoint-every: write base+delta checkpoint chains (run.snap plus run.snap.dNNN) instead of a full snapshot at every checkpoint")
 	rebaseEvery := fs.Int("rebase-every", 0, "with -checkpoint-delta: deltas per base before the chain re-anchors (0 = default)")
 	routing := fs.String("routing", "", "with -scenario -shards > 1: override the preset's destination-sampling mode (uniform, degree or availability)")
 	if err := fs.Parse(args); err != nil {
@@ -217,12 +217,7 @@ func runScenarioSharded(name, presetName string, shards, every int, ckPath, rest
 	default:
 		return fmt.Errorf("unknown -routing %q (want uniform, degree or availability)", routing)
 	}
-	var rs scenario.Resume
-	if delta {
-		rs, err = resumeChainSpec(every, ckPath, restorePath, rebaseEvery)
-	} else {
-		rs, err = resumeSpec(every, ckPath, restorePath)
-	}
+	rs, err := resumeChainSpec(every, ckPath, restorePath, delta, rebaseEvery)
 	if err != nil {
 		return err
 	}
@@ -271,11 +266,12 @@ func atomicSink(ckPath string) func([]byte) error {
 	}
 }
 
-// resumeChainSpec assembles the delta-chain Resume wiring: a ChainStore
-// sink rooted at ckPath for the cadence, and the stored chain's links
-// (validated end to end) when resuming.
-func resumeChainSpec(every int, ckPath, restorePath string, rebaseEvery int) (scenario.Resume, error) {
-	rs := scenario.Resume{Delta: true, RebaseEvery: rebaseEvery}
+// resumeChainSpec assembles a sharded run's Resume wiring: a ChainStore
+// sink rooted at ckPath for the cadence (deltas between bases with
+// delta), and the stored chain's links (validated end to end) when
+// resuming.
+func resumeChainSpec(every int, ckPath, restorePath string, delta bool, rebaseEvery int) (scenario.Resume, error) {
+	rs := scenario.Resume{Delta: delta, RebaseEvery: rebaseEvery}
 	if every > 0 {
 		rs.CheckpointEvery = every
 		rs.ChainSink = &snapshot.ChainStore{Path: ckPath}

@@ -284,15 +284,17 @@ func (s *Scheduler) LoadState(r *snapshot.Reader) error {
 }
 
 // EachQueued calls fn with the event held by every queued slot — live and
-// cancelled alike — in slab order, stopping at the first error. Restores
-// use it to vet decoded events against their owner's invariants.
-func (s *Scheduler) EachQueued(fn func(Event) error) error {
+// cancelled alike — with its handle and whether it is still live, in slab
+// order, stopping at the first error. Restores use it to vet decoded
+// events against their owner's invariants.
+func (s *Scheduler) EachQueued(fn func(ev Event, h Handle, live bool) error) error {
 	for i := range s.slab {
 		nd := &s.slab[i]
 		if nd.state == slotFree {
 			continue
 		}
-		if err := fn(Event{Time: nd.time, Kind: nd.kind, Actor: nd.actor, Payload: nd.payload}); err != nil {
+		ev := Event{Time: nd.time, Kind: nd.kind, Actor: nd.actor, Payload: nd.payload}
+		if err := fn(ev, Handle{slot: int32(i + 1), gen: nd.gen}, nd.state == slotLive); err != nil {
 			return err
 		}
 	}

@@ -11,7 +11,7 @@
 // arrays so their allocations land in such classes, and appends keep them
 // there: append doubles a small array, and every size class above 704
 // bytes is a whole number of blocks. Fixed-size lane structs are padded to
-// whole blocks instead (shard.Lane, the workloads' per-lane counters). The
+// whole blocks instead (shard.Lane, which holds the workload counters). The
 // shard package's layout test checks the addresses the allocator actually
 // hands out.
 package pad

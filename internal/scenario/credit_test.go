@@ -107,6 +107,24 @@ func TestCreditCompilesToOnePipeline(t *testing.T) {
 		block{name: "tax-rate-above-1", reject: true, credit: Credit{
 			InitialWealth: 20, TaxRate: 1.5, TaxThreshold: 10,
 		}},
+		block{name: "epoch-at-default-window", credit: Credit{
+			InitialWealth: 20,
+			Policies:      []PolicySpec{{Kind: PolicyDemurrage, Rate: 0.05, Threshold: 40}},
+			PolicyEpoch:   1.0 / shard.DefaultWindows,
+		}},
+		block{name: "epoch-below-default-window", reject: true, credit: Credit{
+			InitialWealth: 20,
+			Policies:      []PolicySpec{{Kind: PolicyDemurrage, Rate: 0.05, Threshold: 40}},
+			PolicyEpoch:   0.5 / shard.DefaultWindows,
+		}},
+		block{name: "tiny-epoch", reject: true, credit: Credit{
+			InitialWealth: 20,
+			Policies:      []PolicySpec{{Kind: PolicyDemurrage, Rate: 0.05, Threshold: 40}},
+			PolicyEpoch:   1e-12,
+		}},
+		block{name: "inject-period-below-default-window", reject: true, credit: Credit{
+			InitialWealth: 20, InjectAmount: 1, InjectPeriod: 0.005,
+		}},
 	)
 	for _, b := range blocks {
 		t.Run(b.name, func(t *testing.T) {
@@ -169,6 +187,8 @@ func FuzzCreditCompile(f *testing.F) {
 		uint8(PolicySubsidy), 0.0, int64(0), 0.0, 0.0, 0.0, 0.0, int64(4), true)
 	f.Add(uint8(0), 0.0, int64(0), int64(1), math.NaN(), 0.0,
 		uint8(0), 0.0, int64(0), 0.0, 0.0, 0.0, 0.0, int64(0), false)
+	f.Add(uint8(0), 0.0, int64(0), int64(0), 0.0, 1e-12,
+		uint8(PolicyDemurrage), 0.05, int64(30), 0.0, 0.0, 0.0, 0.0, int64(0), false)
 	f.Fuzz(func(t *testing.T, base uint8, taxRate float64, taxThreshold, injectAmount int64,
 		injectPeriod, policyEpoch float64, kind uint8, rate float64, threshold int64,
 		targetGini, gain, minRate, maxRate float64, amount int64, fromPot bool) {

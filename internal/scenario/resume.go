@@ -12,31 +12,28 @@ import (
 // scenario layer produces and consumes snapshot bytes; durable storage
 // (files) is the caller's concern.
 type Resume struct {
-	// CheckpointEvery emits a snapshot to Sink every N delivered events;
-	// zero disables periodic checkpointing.
+	// CheckpointEvery emits a checkpoint every N delivered events; zero
+	// disables periodic checkpointing.
 	CheckpointEvery int
-	// Sink receives each periodic snapshot, a complete restorable file.
-	// The single-threaded engines hand it over inline; a sharded run
-	// routes it through the pipelined checkpointer with deltas off, so
-	// Sink runs on the checkpointer's writer goroutine, one call at a
-	// time, on a copy it may keep.
+	// Sink receives each periodic snapshot of a single-threaded run, a
+	// complete restorable file, handed over inline.
 	Sink func(data []byte) error
-	// ChainSink, when non-nil, replaces Sink (sharded runs only): it
-	// receives the pipelined checkpointer's links as they are sealed —
-	// with Delta, dirty-segment delta links between bases.
+	// ChainSink receives a sharded run's checkpoint links as the
+	// pipelined checkpointer seals them — with Delta, dirty-segment delta
+	// links between bases.
 	ChainSink shard.ChainSink
 	// Delta enables dirty-segment delta checkpoints on the ChainSink path.
 	Delta bool
 	// RebaseEvery bounds a delta chain's length; 0 means the
 	// checkpointer's default.
 	RebaseEvery int
-	// Snapshot, when non-nil, is restored instead of starting a fresh run:
-	// the scenario is recompiled to the identical configuration and the
-	// run continues from the checkpointed event.
+	// Snapshot, when non-nil, resumes a single-threaded run: the scenario
+	// is recompiled to the identical configuration and the run continues
+	// from the checkpointed event.
 	Snapshot []byte
-	// Chain, when non-nil, resumes a sharded run from a base+deltas
-	// checkpoint chain (e.g. snapshot.ChainStore.Load) instead of a single
-	// snapshot. Takes precedence over Snapshot.
+	// Chain, when non-nil, resumes a sharded run from a checkpoint chain
+	// (e.g. snapshot.ChainStore.Load): a base and its deltas, or a lone
+	// base.
 	Chain [][]byte
 }
 

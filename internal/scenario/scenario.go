@@ -158,14 +158,15 @@ type Credit struct {
 	TaxRate      float64
 	TaxThreshold int64
 	// InjectAmount > 0 mints that many credits per peer every
-	// InjectPeriod (fraction of the horizon).
+	// InjectPeriod (fraction of the horizon, at least 1/shard.DefaultWindows).
 	InjectAmount int64
 	InjectPeriod float64
 	// Policies declares additional policy-engine stages, run in order
 	// after the TaxRate/Inject* stages.
 	Policies []PolicySpec
 	// PolicyEpoch is the engine's epoch period as a fraction of the
-	// horizon; required when any declared policy is epoch-driven
+	// horizon, at least 1/shard.DefaultWindows (the sharded kernel's
+	// default window); required when any declared policy is epoch-driven
 	// (demurrage, adaptive tax, injection).
 	PolicyEpoch float64
 }
@@ -301,6 +302,11 @@ func (c Credit) enginePipeline(horizon float64) ([]policy.Policy, float64, error
 			return nil, 0, fmt.Errorf("%w: policy epoch %v conflicts with injection period %v (the engine has one epoch clock)", ErrBadScenario, depoch, epoch)
 		}
 		epoch = depoch
+	}
+	if epoch > 0 && epoch < horizon/shard.DefaultWindows {
+		// The sharded kernel refuses an epoch shorter than its window; the
+		// same bound on every engine keeps the three in agreement.
+		return nil, 0, fmt.Errorf("%w: epoch %v is shorter than the default window, 1/%d of the %v horizon", ErrBadScenario, epoch, shard.DefaultWindows, horizon)
 	}
 	return pols, epoch, nil
 }

@@ -392,6 +392,7 @@ func TestCreditPolicyValidation(t *testing.T) {
 		sc.Credit.Policies = []PolicySpec{{Kind: PolicyAdaptiveTax, TargetGini: 0.3, Gain: -1}}
 	})
 	check("epoch above 1", func(sc *Scenario) { sc.Credit.PolicyEpoch = 1.5 })
+	check("epoch below the default window", func(sc *Scenario) { sc.Credit.PolicyEpoch = 0.005 })
 	check("epoch-driven without epoch", func(sc *Scenario) { sc.Credit.PolicyEpoch = 0 })
 	check("epoch without policies", func(sc *Scenario) {
 		sc.Credit.Policies = nil // PolicyEpoch stays set

@@ -150,15 +150,20 @@ func RunSharded(sc Scenario, scale Scale, shards int) (*Outcome, error) {
 }
 
 // RunShardedResumable is RunSharded with crash/resume support: periodic
-// checkpoints flow to rs.Sink or rs.ChainSink, and a non-nil rs.Snapshot
-// or rs.Chain resumes a checkpointed run instead of starting fresh. Sharded snapshots are
-// barrier-aligned, so the event-count cadence quantizes up to window
-// boundaries: a snapshot lands at the first barrier at or after each
-// multiple of rs.CheckpointEvery dispatched events. The completed run's
-// Outcome is byte-identical to RunSharded's.
+// checkpoints flow to rs.ChainSink (delta links between bases with
+// rs.Delta), and a non-nil rs.Chain — a lone base is a one-link chain —
+// resumes a checkpointed run instead of starting fresh. Sharded
+// checkpoints are barrier-aligned, so the event-count cadence quantizes up
+// to window boundaries: a checkpoint lands at the first barrier at or
+// after each multiple of rs.CheckpointEvery dispatched events. The
+// completed run's Outcome is byte-identical to RunSharded's. shards <= 1
+// runs the single-threaded engines through RunResumable.
 func RunShardedResumable(sc Scenario, scale Scale, shards int, rs Resume) (*Outcome, error) {
 	if shards <= 1 {
 		return RunResumable(sc, scale, rs)
+	}
+	if rs.Sink != nil || rs.Snapshot != nil {
+		return nil, fmt.Errorf("%w: sharded runs checkpoint through Resume.ChainSink and restore from Resume.Chain, not Sink/Snapshot", ErrBadScenario)
 	}
 	d, err := sc.dims(scale)
 	if err != nil {
@@ -169,15 +174,10 @@ func RunShardedResumable(sc Scenario, scale Scale, shards int, rs Resume) (*Outc
 		return nil, err
 	}
 	var s *shard.Sim
-	switch {
-	case rs.Chain != nil:
+	if rs.Chain != nil {
 		s, err = shard.RestoreChain(cfg, rs.Chain)
-	case rs.Snapshot != nil:
-		s, err = shard.RestoreSim(cfg, rs.Snapshot)
-	default:
-		if s, err = shard.NewSim(cfg); err == nil {
-			err = s.Start()
-		}
+	} else if s, err = shard.NewSim(cfg); err == nil {
+		err = s.Start()
 	}
 	if err != nil {
 		return nil, err
@@ -205,14 +205,10 @@ func RunShardedResumable(sc Scenario, scale Scale, shards int, rs Resume) (*Outc
 // driveSharded steps a sharded run window-by-window, checkpointing at the
 // first barrier at or after each multiple of rs.CheckpointEvery dispatched
 // events through the pipelined checkpointer: parallel fragment encode at
-// the barrier, seal+write overlapped with the following windows. A plain
-// rs.Sink rides the same path with deltas off — every link a base.
+// the barrier, seal+write overlapped with the following windows. Without
+// rs.Delta every link is a base.
 func driveSharded(s *shard.Sim, rs Resume) error {
-	sink := rs.ChainSink
-	if sink == nil && rs.Sink != nil {
-		sink = snapshotSink(rs.Sink)
-	}
-	if rs.CheckpointEvery <= 0 || sink == nil {
+	if rs.CheckpointEvery <= 0 || rs.ChainSink == nil {
 		for s.StepWindow() {
 		}
 		return nil
@@ -224,8 +220,8 @@ func driveSharded(s *shard.Sim, rs Resume) error {
 	if n := s.Engine().EventsFired(); n >= next {
 		next = (n/every + 1) * every
 	}
-	c := shard.NewCheckpointer(s.Engine(), sink, shard.CheckpointOptions{
-		Delta:       rs.Delta && rs.ChainSink != nil,
+	c := shard.NewCheckpointer(s.Engine(), rs.ChainSink, shard.CheckpointOptions{
+		Delta:       rs.Delta,
 		RebaseEvery: rs.RebaseEvery,
 	})
 	for s.StepWindow() {
@@ -240,20 +236,6 @@ func driveSharded(s *shard.Sim, rs Resume) error {
 		return fmt.Errorf("scenario: %w", err)
 	}
 	return nil
-}
-
-// snapshotSink adapts a Resume.Sink to the checkpointer's chain sink.
-// With deltas off every link is a base, a complete snapshot on its own.
-// Each link is copied before the hand-off: the checkpointer recycles its
-// buffer once the write returns.
-type snapshotSink func(data []byte) error
-
-func (f snapshotSink) WriteBase(data []byte) error {
-	return f(append([]byte(nil), data...))
-}
-
-func (f snapshotSink) WriteDelta(index int, _ []byte) error {
-	return fmt.Errorf("scenario: snapshot sink got delta link %d; deltas need a ChainSink", index)
 }
 
 // RunShardedNamed looks a scenario up and runs it on the sharded kernel.

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -113,7 +115,7 @@ func TestRunShardedReport(t *testing.T) {
 }
 
 // TestRunShardedResumableParity checkpoints a sharded policy-enabled run
-// mid-flight, resumes from the captured snapshot, and requires the resumed
+// mid-flight, resumes from a captured base, and requires the resumed
 // run's result to be byte-identical to the uninterrupted one — the
 // scenario-layer end of the shard.Sim crash/resume contract, through the
 // same entry point cmd/experiments -shards -checkpoint-every uses.
@@ -133,24 +135,19 @@ func TestRunShardedResumableParity(t *testing.T) {
 	if base.Timings.MergedEvents == 0 {
 		t.Fatal("policy-enabled run merged no events; the checkpoint would not cover the merge path")
 	}
-	var snaps [][]byte
-	_, err = RunShardedResumable(sc, ScaleQuick, shards, Resume{
-		CheckpointEvery: 500,
-		Sink: func(data []byte) error {
-			snaps = append(snaps, append([]byte(nil), data...))
-			return nil
-		},
-	})
+	bases := &baseSink{}
+	_, err = RunShardedResumable(sc, ScaleQuick, shards, Resume{CheckpointEvery: 500, ChainSink: bases})
 	if err != nil {
 		t.Fatal(err)
 	}
+	snaps := bases.links
 	if len(snaps) < 2 {
 		t.Fatalf("got %d checkpoints, want at least 2", len(snaps))
 	}
-	// Resume from a mid-run snapshot, not the final one, so a real tail of
-	// windows replays after the restore.
+	// Resume from a mid-run base, a one-link chain, not the final one, so
+	// a real tail of windows replays after the restore.
 	resumed, err := RunShardedResumable(sc, ScaleQuick, shards, Resume{
-		Snapshot: snaps[len(snaps)/2],
+		Chain: [][]byte{snaps[len(snaps)/2]},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +156,29 @@ func TestRunShardedResumableParity(t *testing.T) {
 		t.Fatalf("resumed fingerprint %016x != uninterrupted %016x",
 			resumed.Shard.Fingerprint(), base.Shard.Fingerprint())
 	}
+	// The single-threaded engines' Sink and Snapshot have no sharded
+	// meaning; a sharded run refuses them rather than ignoring them.
+	for name, rs := range map[string]Resume{
+		"sink":     {CheckpointEvery: 500, Sink: func([]byte) error { return nil }},
+		"snapshot": {Snapshot: snaps[0]},
+	} {
+		if _, err := RunShardedResumable(sc, ScaleQuick, shards, rs); !errors.Is(err, ErrBadScenario) {
+			t.Errorf("%s: sharded run with a single-engine %s: err %v, want ErrBadScenario", name, name, err)
+		}
+	}
+}
+
+// baseSink keeps a copy of every link a deltas-off checkpointer writes:
+// each one is a base, a complete one-link chain.
+type baseSink struct{ links [][]byte }
+
+func (b *baseSink) WriteBase(data []byte) error {
+	b.links = append(b.links, append([]byte(nil), data...))
+	return nil
+}
+
+func (b *baseSink) WriteDelta(index int, _ []byte) error {
+	return fmt.Errorf("deltas-off checkpointer wrote delta %d", index)
 }
 
 // TestRunShardedFallsBackToLegacy pins that shards <= 1 routes to the

@@ -157,7 +157,7 @@ func (c *Checkpointer) Checkpoint() error {
 	}
 
 	// Stage: encode into the recycled fragments — lanes in parallel, the
-	// coordinator taking the shared and workload sections. A base carries
+	// coordinator taking the shared section. A base carries
 	// every segment, a delta the dirty ones. This is the only part the
 	// simulation stalls for besides the pipeline wait.
 	parts := c.enc.encode(e, link)

@@ -70,22 +70,16 @@ func (ls *laneSpans) walk(v reflect.Value, lane int, path string) {
 }
 
 // elements attributes the i-th element of a per-lane slice field, held by
-// an object shared across lanes, to lane i: a workload's counter sets,
-// written in place, or a checkpointer's fragment writers, reached through
-// a pointer array that the lanes only read.
+// an object shared across lanes, to lane i: the checkpointer's fragment
+// writers, reached through a pointer array that the lanes only read.
 func (ls *laneSpans) elements(owner reflect.Value, field string, path string) {
 	f := owner.Elem().FieldByName(field)
 	if f.Kind() != reflect.Slice {
 		panic(fmt.Sprintf("%v has no slice field %q", owner.Type(), field))
 	}
 	ls.seen[f.Pointer()] = true
-	size := f.Type().Elem().Size()
 	for i := 0; i < f.Len(); i++ {
-		p := fmt.Sprintf("%s[%d]", path, i)
-		if f.Type().Elem().Kind() != reflect.Pointer {
-			ls.add(f.Pointer()+uintptr(i)*size, size, i, p)
-		}
-		ls.walk(f.Index(i), i, p)
+		ls.walk(f.Index(i), i, fmt.Sprintf("%s[%d]", path, i))
 	}
 }
 
@@ -117,10 +111,10 @@ func (ls *laneSpans) shared() []string {
 // the addresses the allocator actually handed out: after a few windows,
 // a base and a delta checkpoint, and again on a run restored from that
 // chain, no 128-byte block holds bytes of two lanes. The walk covers each
-// Lane with its embedded scheduler, calendar buffers, free list, both
-// dirty maps, balance histogram, outbox headers and arrays, lifecycle
-// buffers, the workload's per-lane counters and the checkpointer's
-// per-lane fragment writers.
+// Lane with its embedded scheduler, workload counters, calendar buffers,
+// free list, both dirty maps, balance histogram, outbox headers and
+// arrays, lifecycle buffers, and the checkpointer's per-lane fragment
+// writers.
 func TestLaneLayoutPrivateBlocks(t *testing.T) {
 	configs := []struct {
 		name string
@@ -156,7 +150,7 @@ func TestLaneLayoutPrivateBlocks(t *testing.T) {
 				stepWindows(t, sim, 4)
 				checkpointSync(t, ck)
 				stepWindows(t, sim, 4)
-				checkLanePrivate(t, "live run", sim, cfg.Workload, ck)
+				checkLanePrivate(t, "live run", sim, ck)
 
 				rcfg := c.cfg(p)
 				restored, err := shard.RestoreChain(rcfg, cloneChain(sink.chain))
@@ -164,19 +158,18 @@ func TestLaneLayoutPrivateBlocks(t *testing.T) {
 					t.Fatal(err)
 				}
 				stepWindows(t, restored, 4)
-				checkLanePrivate(t, "restored run", restored, rcfg.Workload, nil)
+				checkLanePrivate(t, "restored run", restored, nil)
 			})
 		}
 	}
 }
 
-func checkLanePrivate(t *testing.T, label string, sim *shard.Sim, wl shard.Workload, ck *shard.Checkpointer) {
+func checkLanePrivate(t *testing.T, label string, sim *shard.Sim, ck *shard.Checkpointer) {
 	t.Helper()
 	ls := &laneSpans{seen: map[uintptr]bool{}}
 	for i, ln := range sim.Engine().Lanes() {
 		ls.walk(reflect.ValueOf(ln), i, fmt.Sprintf("lane%d", i))
 	}
-	ls.elements(reflect.ValueOf(wl), "lanes", "workload.lanes")
 	if ck != nil {
 		ls.elements(reflect.ValueOf(ck).Elem().FieldByName("enc"), "laneW", "ckpt.laneW")
 	}

@@ -370,12 +370,12 @@ func (ln *Lane) PickNeighbor(t float64, g int32, nbrs []int32, r *xrand.SplitMix
 	return nbrs[xrand.FenFind(tr, u)]
 }
 
-// WarmSampler is the routing half of the dispatch prefetch: when the
+// warmSampler is the routing half of the dispatch prefetch: when the
 // kernel knows peer g fires shortly, rebuild its stale tree now (an
 // idempotent refresh of a mirror-derived cache — results never depend on
 // it) or touch its hot total. Owner-lane only; returns a value folding
 // the loads so the compiler keeps them.
-func (e *Engine) WarmSampler(g int32) uint32 {
+func (e *Engine) warmSampler(g int32) uint32 {
 	if e.rt.fenSlab == nil {
 		return 0
 	}

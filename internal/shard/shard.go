@@ -74,7 +74,11 @@ import (
 // ErrBadConfig reports an invalid engine configuration.
 var ErrBadConfig = errors.New("shard: invalid config")
 
-// Engine-owned event kinds; workloads use KindUser and above.
+// DefaultWindows is the window count of a run whose Config.Window is 0:
+// W defaults to Horizon/DefaultWindows.
+const DefaultWindows = 128
+
+// Event kinds: the engine's two lifecycle kinds and the workload kind.
 const (
 	// KindDepart is a lifecycle event: the peer goes offline, its balance
 	// burns.
@@ -82,7 +86,7 @@ const (
 	// KindRejoin is a lifecycle event: the peer comes back with a fresh
 	// endowment.
 	KindRejoin uint16 = 2
-	// KindUser is the first workload-defined event kind.
+	// KindUser is the kind of every workload event.
 	KindUser uint16 = 16
 )
 
@@ -122,45 +126,36 @@ func (c ChurnConfig) Enabled() bool { return c.MeanLifespan > 0 && c.MeanDowntim
 // the lane that owns the peer; implementations must confine themselves to
 // the peer's own state, the engine's epoch-consistent views, and the
 // peer's own random stream.
+//
+// The kernel owns the bookkeeping every workload would otherwise repeat:
+// each peer's one pending workload event (Lane.ScheduleNext records it, a
+// departure cancels it, dispatch warms it, checkpoints carry it and
+// restores vet it) and the per-lane counters (Lane.Count, summed into
+// Result.Counters under CounterNames). What is left is event logic and
+// state that replays from each peer's stream prefix at Setup.
 type Workload interface {
 	// Setup allocates global workload state. It runs single-threaded
 	// before any lane starts; per-peer stream draws made here (role
 	// assignment) count as part of each peer's deterministic stream
-	// prefix.
+	// prefix. Setup state is rebuilt, never checkpointed.
 	Setup(e *Engine) error
-	// Arm schedules peer g's initial events, at start and after a rejoin.
+	// Arm schedules peer g's first event with Lane.ScheduleNext, at start
+	// and after a rejoin.
 	Arm(ln *Lane, g int32)
-	// OnEvent handles a workload event (Kind >= KindUser) for ev.Actor.
+	// OnEvent handles a workload event (Kind KindUser) for ev.Actor; it
+	// schedules the actor's next one, if any, with Lane.ScheduleNext.
 	OnEvent(ln *Lane, ev des.Event)
-	// Retire cancels peer g's pending events as it departs.
-	Retire(ln *Lane, g int32)
-	// Finish folds the workload's counters into the result.
-	Finish(res *Result)
 	// Digest returns a stable identity of the workload's configuration,
 	// folded into the snapshot digest so restores refuse mismatches.
 	Digest() uint64
-	// SaveSpans serializes the workload's mutable state into a checkpoint
-	// link at a window boundary: the per-peer state of the peers in spans
-	// (ascending, non-overlapping, each within one lane; every peer for a
-	// base) plus any state that is not per-peer.
-	SaveSpans(w *snapshot.Writer, spans []PeerSpan)
-	// LoadSpans applies a section written by SaveSpans with the same
-	// spans, consuming exactly what it wrote.
-	LoadSpans(r *snapshot.Reader, spans []PeerSpan) error
+	// CounterNames names the workload's counters, at most MaxCounters:
+	// Lane.Count(k) bumps counter k, and Result.Counters reports its sum
+	// over the lanes under CounterNames()[k].
+	CounterNames() []string
 }
 
-// ActorWarmer is an optional Workload extension: WarmActor touches the
-// workload's own per-actor state (pending-event handles, role tables) as
-// a prefetch hint when the kernel knows the actor will fire shortly. It
-// runs on the actor's owner lane and must be either a pure read —
-// returning a value folded from the loads keeps them observable (as
-// Engine.WarmSampler does for the sampler flag and total) — or an
-// idempotent owner-lane refresh of a derived cache whose contents are a
-// pure function of barrier-frozen state, so that simulation results
-// never depend on whether a warm happened.
-type ActorWarmer interface {
-	WarmActor(g int32) uint32
-}
+// MaxCounters is the most counters a workload may declare.
+const MaxCounters = 8
 
 // Config parameterizes a sharded run.
 type Config struct {
@@ -171,8 +166,8 @@ type Config struct {
 	// Shards is the lane count P (>= 1).
 	Shards int
 	// Window is the conservative-sync window length W; 0 selects
-	// Horizon/128. W is a model parameter (it sets effect-visibility
-	// granularity), deliberately independent of P.
+	// Horizon/DefaultWindows. W is a model parameter (it sets
+	// effect-visibility granularity), deliberately independent of P.
 	Window float64
 	// Horizon is the simulated duration.
 	Horizon float64
@@ -194,7 +189,7 @@ type Config struct {
 	// Policies is the economic policy pipeline; hooks run at barriers.
 	Policies []policy.Policy
 	// PolicyEpoch is the engine epoch period (quantized up to barriers);
-	// 0 disables epoch hooks.
+	// 0 disables epoch hooks. A positive epoch must be at least W.
 	PolicyEpoch float64
 	// Routing selects how workloads sample spend destinations.
 	Routing RoutingConfig
@@ -258,6 +253,9 @@ type Lane struct {
 	// warm sinks dispatch's read-ahead loads so the compiler keeps them;
 	// per-lane because dispatch runs concurrently across lanes.
 	warm uint32
+	// counts are the workload's counters (Workload.CounterNames), bumped
+	// by Count on every event, inside the lane's own blocks.
+	counts [MaxCounters]uint64
 	// dirty tracks which peer segments of this lane's partition were
 	// touched since the last state capture — the delta-checkpoint
 	// bookkeeping. Segment k covers global peers [lo+k*peerSegSize,
@@ -269,7 +267,7 @@ type Lane struct {
 }
 
 // lanePad is the tail padding that makes Lane a whole number of blocks.
-const lanePad = 80
+const lanePad = 16
 
 // markPeer flags the dirty segment holding global peer g, which must be
 // owned by this lane.
@@ -292,6 +290,10 @@ type Engine struct {
 	bal   []int64
 	rng   []xrand.SplitMix64
 	flags []uint8 // bit 0: currently alive (owner-lane view)
+	// pend is each peer's pending workload event as a packed des.Handle,
+	// 0 when it has none: set by Lane.ScheduleNext, cleared when the event
+	// fires or the peer departs.
+	pend []uint64
 
 	// aliveEpoch is the shared liveness bitmap as of the window start:
 	// written only at barriers, read freely by every lane during the
@@ -338,8 +340,8 @@ type Engine struct {
 	histScratch []stats.BalanceHist
 	merger      des.Merger
 	host        engineHost
-	// warmActor is the workload's optional per-actor prefetch hook.
-	warmActor ActorWarmer
+	// counterNames are the workload's declared counter names.
+	counterNames []string
 	// warm sinks applyMerged's read-ahead loads so the compiler keeps
 	// them; the value is meaningless and never read.
 	warm uint32
@@ -397,6 +399,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("%w: nil workload", ErrBadConfig)
 	}
+	if n := len(cfg.Workload.CounterNames()); n > MaxCounters {
+		return nil, fmt.Errorf("%w: workload declares %d counters, at most %d fit a lane", ErrBadConfig, n, MaxCounters)
+	}
 	if cfg.Window < 0 || cfg.Window > cfg.Horizon {
 		return nil, fmt.Errorf("%w: Window=%v with Horizon=%v", ErrBadConfig, cfg.Window, cfg.Horizon)
 	}
@@ -431,13 +436,19 @@ func New(cfg Config) (*Engine, error) {
 	// reference so a caller-released graph is collectable.
 	e.cfg.Graph = nil
 	if e.window == 0 {
-		e.window = e.horizon / 128
+		e.window = e.horizon / DefaultWindows
+	}
+	if cfg.PolicyEpoch > 0 && cfg.PolicyEpoch < e.window {
+		// Epochs fire at barriers: a shorter epoch would fire several times
+		// per barrier, and a tiny one would keep the first barrier spinning.
+		return nil, fmt.Errorf("%w: PolicyEpoch=%v is shorter than the window %v", ErrBadConfig, cfg.PolicyEpoch, e.window)
 	}
 	e.sampleEvery = cfg.SampleEvery
 	if e.sampleEvery <= 0 {
 		e.sampleEvery = e.horizon / 100
 	}
 	e.polEpoch = cfg.PolicyEpoch
+	e.counterNames = cfg.Workload.CounterNames()
 	if len(cfg.Policies) > 0 {
 		e.engine = policy.NewEngine(cfg.Policies...)
 	}
@@ -445,6 +456,7 @@ func New(cfg Config) (*Engine, error) {
 	e.bal = make([]int64, e.n)
 	e.rng = make([]xrand.SplitMix64, e.n)
 	e.flags = make([]uint8, e.n)
+	e.pend = make([]uint64, e.n)
 	e.aliveEpoch = make([]uint64, (e.n+63)/64)
 	for i := 0; i < e.n; i++ {
 		e.rng[i] = xrand.NewSplitMix64(cfg.Seed, int64(i))
@@ -496,7 +508,6 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Workload.Setup(e); err != nil {
 		return nil, err
 	}
-	e.warmActor, _ = cfg.Workload.(ActorWarmer)
 	return e, nil
 }
 
@@ -672,21 +683,19 @@ const warmAhead = 4
 func (ln *Lane) dispatch(ev des.Event) {
 	// The calendar's drain batch exposes upcoming actors; touch the
 	// warmAhead-th one's random-access state (RNG stream, balance, flags,
-	// neighbor row) now. Pure reads — a hint that never affects delivery
-	// order or simulation state.
+	// pending handle, neighbor row, routing sampler) now. A hint that never
+	// affects delivery order or simulation state: the loads are pure reads,
+	// and warmSampler's rebuild is an idempotent refresh.
 	if g, ok := ln.sched.UpcomingActor(warmAhead); ok {
 		e := ln.e
-		w := uint32(e.rng[g]) + uint32(e.bal[g]) + uint32(e.flags[g])
+		w := uint32(e.rng[g]) + uint32(e.bal[g]) + uint32(e.flags[g]) + uint32(e.pend[g])
 		if nbrs := e.part.Neighbors(g); len(nbrs) > 0 {
 			w += uint32(nbrs[0])
 		}
-		if e.warmActor != nil {
-			w += e.warmActor.WarmActor(g)
-		}
-		ln.warm += w
+		ln.warm += w + e.warmSampler(g)
 	}
 	// Any event handler may mutate its actor's state (balance, RNG
-	// stream, flags, workload slot), so the actor's segment is dirty the
+	// stream, flags, pending handle), so the actor's segment is dirty the
 	// moment its event fires.
 	ln.markPeer(ev.Actor)
 	switch ev.Kind {
@@ -695,12 +704,14 @@ func (ln *Lane) dispatch(ev des.Event) {
 	case KindRejoin:
 		ln.rejoin(ev)
 	default:
+		// The pending event just fired; OnEvent may schedule the next.
+		ln.e.pend[ev.Actor] = 0
 		ln.e.cfg.Workload.OnEvent(ln, ev)
 	}
 }
 
-// depart takes a peer offline: burn its balance, retire its workload
-// events, schedule the rejoin, and queue the bitmap delta.
+// depart takes a peer offline: burn its balance, cancel its pending
+// workload event, schedule the rejoin, and queue the bitmap delta.
 func (ln *Lane) depart(ev des.Event) {
 	e := ln.e
 	g := ev.Actor
@@ -711,7 +722,8 @@ func (ln *Lane) depart(ev des.Event) {
 	ln.supply -= b
 	ln.burned += b
 	e.bal[g] = 0
-	e.cfg.Workload.Retire(ln, g)
+	ln.sched.Cancel(des.UnpackHandle(e.pend[g]))
+	e.pend[g] = 0
 	if d := ln.rejoinDelay(g, ev.Time); !math.IsInf(d, 1) {
 		ln.schedule(d, KindRejoin, g, 0)
 	}
@@ -799,18 +811,21 @@ func (ln *Lane) schedule(delay float64, kind uint16, actor int32, payload int64)
 	return h
 }
 
-// ScheduleAt registers a workload event at absolute time t for peer
-// actor.
-func (ln *Lane) ScheduleAt(t float64, kind uint16, actor int32, payload int64) des.Handle {
-	h, err := ln.sched.ScheduleAt(t, kind, actor, payload)
+// ScheduleNext schedules peer g's next workload event, of kind KindUser,
+// at absolute time t, and records its handle: a peer has at most one
+// pending workload event, which its departure cancels. Call it from Arm,
+// or from OnEvent for the event's own actor.
+func (ln *Lane) ScheduleNext(t float64, g int32) {
+	h, err := ln.sched.ScheduleAt(t, KindUser, g, 0)
 	if err != nil {
 		panic(fmt.Sprintf("shard: lane %d schedule: %v", ln.S, err))
 	}
-	return h
+	ln.e.pend[g] = h.Pack()
 }
 
-// Cancel cancels a pending event scheduled on this lane.
-func (ln *Lane) Cancel(h des.Handle) { ln.sched.Cancel(h) }
+// Count bumps the lane's workload counter k, an index into
+// Workload.CounterNames.
+func (ln *Lane) Count(k int) { ln.counts[k]++ }
 
 // Now returns the lane's current virtual time.
 func (ln *Lane) Now() float64 { return ln.sched.Now() }
@@ -1129,7 +1144,13 @@ func (e *Engine) Finish() (*Result, error) {
 		res.TaxRedistributed = t.Redistributed
 		res.Injected = t.Injected
 	}
-	e.cfg.Workload.Finish(res)
+	for k, name := range e.counterNames {
+		var sum uint64
+		for _, ln := range e.lanes {
+			sum += ln.counts[k]
+		}
+		res.Counters[name] = sum
+	}
 	return res, nil
 }
 

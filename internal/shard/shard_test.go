@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -281,13 +282,21 @@ func TestShardRejectsBadConfig(t *testing.T) {
 		{Graph: g, Shards: 1, Horizon: 1, Workload: nil},
 		{Graph: g, Shards: 1, Horizon: 1, Workload: w, Window: 2},
 		{Graph: g, Shards: 1, Horizon: 1, Workload: w, Churn: shard.ChurnConfig{MeanLifespan: 1}},
+		{Graph: g, Shards: 1, Horizon: 10, Workload: w, PolicyEpoch: 1e-12},
+		{Graph: g, Shards: 1, Horizon: 10, Workload: w, Window: 0.5, PolicyEpoch: 0.25},
+		{Graph: g, Shards: 1, Horizon: 1, Workload: tooManyCounters{w}},
 	}
 	for i, cfg := range bad {
-		if _, err := shard.New(cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+		if _, err := shard.New(cfg); !errors.Is(err, shard.ErrBadConfig) {
+			t.Errorf("config %d: err %v, want ErrBadConfig: %+v", i, err, cfg)
 		}
 	}
 }
+
+// tooManyCounters declares one counter more than a lane holds.
+type tooManyCounters struct{ *market.ShardMarket }
+
+func (tooManyCounters) CounterNames() []string { return make([]string, shard.MaxCounters+1) }
 
 func itoa(v int) string {
 	return string(rune('0' + v))

@@ -17,16 +17,17 @@ import (
 // Checkpoint/restore for the sharded kernel. Captures are taken only at
 // window barriers, where the engine is quiescent by construction: every
 // outbox has been merged, every lifecycle delta folded, so the mutable
-// state is exactly the per-peer arrays, the per-lane schedulers and
-// accumulators, the coordinator state, and the workload — nothing
-// in-flight.
+// state is exactly the per-peer arrays, the per-lane schedulers,
+// accumulators and workload counters, and the coordinator state — nothing
+// in-flight. Workload state beyond that (role tables) replays from the
+// peers' stream prefixes at Setup and needs no bytes.
 //
 // Every capture is a chain link with one layout. A link carries the
 // coordinator's singleton state whole (scalars, metric series, policy
 // state, the epoch bitmap — all small), each lane's scheduler slab
-// segments, accumulators and histogram, the lane's peer segments of the
-// big per-peer arrays (bal, rng, flags and the routing slices), and the
-// workload state of exactly those peers. A delta carries the segments
+// segments, accumulators, workload counters and histogram, and the lane's
+// peer segments of the big per-peer arrays (bal, rng, flags, pending
+// workload handles and the routing slices). A delta carries the segments
 // marked dirty since the previous capture; a base is the same encoding
 // with every segment marked. Dirty tracking lives on the mutation paths
 // (Lane.markPeer, des.Scheduler's slab marks); a capture walks the marked
@@ -40,13 +41,6 @@ import (
 // names both counts instead of a generic digest mismatch. Everything else
 // about the configuration folds into one digest, because any drift there
 // invalidates the state wholesale.
-
-// PeerSpan is a half-open global peer index range [Lo, Hi) whose state a
-// checkpoint link covers. Spans handed to workloads are ascending and
-// non-overlapping, each within one lane's partition.
-type PeerSpan struct {
-	Lo, Hi int32
-}
 
 // rngWords views the stream array as raw uint64 words for bulk
 // serialization; xrand.SplitMix64's state word is its entire stream
@@ -81,30 +75,15 @@ func (ln *Lane) segSpan(seg int) (lo, hi int32) {
 	return lo, min(lo+peerSegSize, ln.hi)
 }
 
-// appendDirtySpans appends every lane's dirty peer segments to dst as
-// global index spans, ascending. Lane bitmaps are NOT cleared — the lane
-// sections encode (and clear) them afterwards.
-func (e *Engine) appendDirtySpans(dst []PeerSpan) []PeerSpan {
-	for _, ln := range e.lanes {
-		ln.dirty.Walk(func(seg int) {
-			lo, hi := ln.segSpan(seg)
-			dst = append(dst, PeerSpan{Lo: lo, Hi: hi})
-		})
-	}
-	return dst
-}
-
 // encoder holds the recycled fragments one link is staged into: the
-// header-bearing coordinator fragment (link header and shared section),
-// one raw fragment per lane, encoded in parallel, and the raw workload
-// fragment. snapshot.Seal concatenates them into exactly the bytes a
-// single serial Writer would emit.
+// header-bearing coordinator fragment (link header and shared section)
+// and one raw fragment per lane, encoded in parallel. snapshot.Seal
+// concatenates them into exactly the bytes a single serial Writer would
+// emit.
 type encoder struct {
 	coord *snapshot.Writer
 	laneW []*laneWriter
-	wkW   *snapshot.Writer
 	parts [][]byte
-	spans []PeerSpan
 }
 
 // laneWriter is one lane's fragment writer, padded to a whole pad.Block:
@@ -119,8 +98,7 @@ func newEncoder(p int) *encoder {
 	c := &encoder{
 		coord: snapshot.NewWriter(1 << 16),
 		laneW: make([]*laneWriter, p),
-		wkW:   snapshot.NewRawWriter(1 << 12),
-		parts: make([][]byte, 0, p+2),
+		parts: make([][]byte, 0, p+1),
 	}
 	for s := range c.laneW {
 		c.laneW[s] = &laneWriter{Writer: *snapshot.NewRawWriter(1 << 12)}
@@ -139,7 +117,6 @@ func (c *encoder) encode(e *Engine, link snapshot.LinkHeader) [][]byte {
 			ln.dirty.MarkAll()
 		}
 	}
-	c.spans = e.appendDirtySpans(c.spans[:0])
 	c.coord.Reset()
 	e.encodeHead(c.coord, link)
 	e.parallel(func(ln *Lane) {
@@ -147,16 +124,13 @@ func (c *encoder) encode(e *Engine, link snapshot.LinkHeader) [][]byte {
 		w.Reset()
 		ln.encode(w, all)
 	})
-	c.wkW.Reset()
-	c.wkW.Section("workload")
-	e.cfg.Workload.SaveSpans(c.wkW, c.spans)
 	e.captureGen++
 
 	c.parts = append(c.parts[:0], c.coord.Frame())
 	for _, w := range c.laneW {
 		c.parts = append(c.parts, w.Frame())
 	}
-	return append(c.parts, c.wkW.Frame())
+	return c.parts
 }
 
 // encodeHead emits the link header, the plain-form layout prologue and
@@ -191,11 +165,11 @@ func (e *Engine) encodeHead(w *snapshot.Writer, link snapshot.LinkHeader) {
 }
 
 // encode emits one lane's section: its scheduler (the whole slab when all
-// is set, the dirty slab segments otherwise), the small accumulators, the
-// trimmed balance histogram — indexed by balance, not peer, so it has no
-// per-peer segment structure and rides whole — and the lane's dirty peer
-// segments. Clears the lane's dirty map. Safe to run concurrently across
-// lanes: it touches only lane-owned state.
+// is set, the dirty slab segments otherwise), the small accumulators and
+// workload counters, the trimmed balance histogram — indexed by balance,
+// not peer, so it has no per-peer segment structure and rides whole — and
+// the lane's dirty peer segments. Clears the lane's dirty map. Safe to run
+// concurrently across lanes: it touches only lane-owned state.
 func (ln *Lane) encode(w *snapshot.Writer, all bool) {
 	e := ln.e
 	w.Section("lane")
@@ -212,6 +186,7 @@ func (ln *Lane) encode(w *snapshot.Writer, all bool) {
 	w.U64(ln.crossTransfers)
 	w.U64(ln.lostCount)
 	w.Int(ln.liveN)
+	w.U64s(ln.counts[:len(e.counterNames)])
 	w.I64s(trimHist(ln.hist))
 	w.Int(ln.dirty.Count())
 	ln.dirty.Walk(func(seg int) {
@@ -220,6 +195,7 @@ func (ln *Lane) encode(w *snapshot.Writer, all bool) {
 		w.I64s(e.bal[lo:hi])
 		w.U64s(rngWords(e.rng[lo:hi]))
 		w.U8s(e.flags[lo:hi])
+		w.U64s(e.pend[lo:hi])
 		ln.saveRoutingSeg(w, lo, hi)
 	})
 	ln.dirty.Clear()
@@ -308,29 +284,22 @@ func (e *Engine) decode(data []byte) error {
 		return err
 	}
 
-	var spans []PeerSpan
 	for _, ln := range e.lanes {
-		if spans, err = ln.decode(r, base, spans); err != nil {
+		if err := ln.decode(r, base); err != nil {
 			return err
 		}
-	}
-	r.Section("workload")
-	if err := e.cfg.Workload.LoadSpans(r, spans); err != nil {
-		return err
 	}
 	return r.Close()
 }
 
-// decode patches one lane section into the lane and appends the global
-// span of every peer segment it carries to spans — the workload section
-// covers exactly those peers. Segments must ascend, and a base must carry
-// every one. A peer's static heavy-hitter bit must survive, and the
-// built-tree bit needs a Fenwick slab.
-func (ln *Lane) decode(r *snapshot.Reader, base bool, spans []PeerSpan) ([]PeerSpan, error) {
+// decode patches one lane section into the lane. Segments must ascend,
+// and a base must carry every one. A peer's static heavy-hitter bit must
+// survive, and the built-tree bit needs a Fenwick slab.
+func (ln *Lane) decode(r *snapshot.Reader, base bool) error {
 	e := ln.e
 	r.Section("lane")
 	if err := ln.sched.ApplyDelta(r); err != nil {
-		return spans, fmt.Errorf("shard: lane %d: %w", ln.S, err)
+		return fmt.Errorf("shard: lane %d: %w", ln.S, err)
 	}
 	ln.supply = r.I64()
 	ln.minted = r.I64()
@@ -340,10 +309,13 @@ func (ln *Lane) decode(r *snapshot.Reader, base bool, spans []PeerSpan) ([]PeerS
 	ln.crossTransfers = r.U64()
 	ln.lostCount = r.U64()
 	ln.liveN = r.Int()
+	if err := fill(r, ln.counts[:len(e.counterNames)], r.U64s(MaxCounters), "workload counters"); err != nil {
+		return err
+	}
 	hist := r.I64s(0)
 	segs := r.Int()
 	if err := r.Err(); err != nil {
-		return spans, err
+		return err
 	}
 	clear(ln.hist)
 	if len(hist) > 0 {
@@ -352,7 +324,7 @@ func (ln *Lane) decode(r *snapshot.Reader, base bool, spans []PeerSpan) ([]PeerS
 	}
 	maxSeg := ln.dirty.Segments()
 	if segs < 0 || segs > maxSeg || base && segs != maxSeg {
-		return spans, fmt.Errorf("shard: lane %d carries %d of its %d peer segments", ln.S, segs, maxSeg)
+		return fmt.Errorf("shard: lane %d carries %d of its %d peer segments", ln.S, segs, maxSeg)
 	}
 	flagMask := aliveBit | heavyBit
 	if e.rt.fenSlab != nil {
@@ -362,36 +334,38 @@ func (ln *Lane) decode(r *snapshot.Reader, base bool, spans []PeerSpan) ([]PeerS
 	for k := 0; k < segs; k++ {
 		seg := int(r.U32())
 		if r.Err() != nil {
-			return spans, r.Err()
+			return r.Err()
 		}
 		if seg <= prev || seg >= maxSeg {
-			return spans, fmt.Errorf("shard: lane %d segment %d out of order or outside its %d-segment partition", ln.S, seg, maxSeg)
+			return fmt.Errorf("shard: lane %d segment %d out of order or outside its %d-segment partition", ln.S, seg, maxSeg)
 		}
 		prev = seg
 		lo, hi := ln.segSpan(seg)
 		n := int(hi - lo)
 		if err := fill(r, e.bal[lo:hi], r.I64s(n), "balances"); err != nil {
-			return spans, err
+			return err
 		}
 		if err := fill(r, rngWords(e.rng[lo:hi]), r.U64s(n), "peer streams"); err != nil {
-			return spans, err
+			return err
 		}
 		flags := r.U8s(n) // at most n entries: n is the read's budget
 		for i, f := range flags {
 			if g := lo + int32(i); f&^flagMask != 0 || f&heavyBit != e.flags[g]&heavyBit {
-				return spans, fmt.Errorf("shard: peer %d restored with flags %#x", g, f)
+				return fmt.Errorf("shard: peer %d restored with flags %#x", g, f)
 			}
 		}
 		if err := fill(r, e.flags[lo:hi], flags, "peer flags"); err != nil {
-			return spans, err
+			return err
+		}
+		if err := fill(r, e.pend[lo:hi], r.U64s(n), "pending handles"); err != nil {
+			return err
 		}
 		if err := ln.loadRoutingSeg(r, lo, hi); err != nil {
-			return spans, err
+			return err
 		}
-		spans = append(spans, PeerSpan{Lo: lo, Hi: hi})
 	}
 	ln.dirty.Clear()
-	return spans, nil
+	return nil
 }
 
 // loadRoutingSeg restores one segment's routing slices, mirroring
@@ -445,9 +419,10 @@ func (e *Engine) rebuildQueues() {
 // but whose content is inconsistent — crafted or corrupted before it was
 // sealed — is refused at restore instead of panicking or stalling the
 // resumed run: the clocks sit on their grids, every queued event belongs
-// to its lane (lifecycle kinds only under churn), both liveness views
-// agree, balances index the histograms, the lane accumulators match their
-// peers, and credits are conserved.
+// to its lane (lifecycle kinds only under churn), every live workload
+// event is named by exactly its actor's pending handle and offline peers
+// hold none, both liveness views agree, balances index the histograms,
+// the lane accumulators match their peers, and credits are conserved.
 func (e *Engine) checkRestored() error {
 	if !e.started {
 		return errors.New("shard: snapshot was taken before Start — nothing to resume")
@@ -480,9 +455,17 @@ func (ln *Lane) checkRestored() error {
 		return fmt.Errorf("shard: lane %d: %w", ln.S, err)
 	}
 	churn := e.cfg.Churn.Enabled()
-	err := ln.sched.EachQueued(func(ev des.Event) error {
-		if ev.Actor < ln.lo || ev.Actor >= ln.hi || !churn && (ev.Kind == KindDepart || ev.Kind == KindRejoin) {
+	named := 0
+	err := ln.sched.EachQueued(func(ev des.Event, h des.Handle, live bool) error {
+		lifecycle := ev.Kind == KindDepart || ev.Kind == KindRejoin
+		if ev.Actor < ln.lo || ev.Actor >= ln.hi || !(ev.Kind == KindUser || churn && lifecycle) {
 			return fmt.Errorf("shard: lane %d queues a kind-%d event for peer %d", ln.S, ev.Kind, ev.Actor)
+		}
+		if live && ev.Kind == KindUser {
+			if p := e.pend[ev.Actor]; p != h.Pack() {
+				return fmt.Errorf("shard: peer %d's queued workload event %#x is not named by its pending handle %#x", ev.Actor, h.Pack(), p)
+			}
+			named++
 		}
 		return nil
 	})
@@ -490,17 +473,29 @@ func (ln *Lane) checkRestored() error {
 		return err
 	}
 	rest := slices.Clone(ln.hist)
-	live, sup := 0, int64(0)
+	live, sup, holders := 0, int64(0), 0
 	for g := ln.lo; g < ln.hi; g++ {
 		b, alive := e.bal[g], e.flags[g]&aliveBit != 0
 		if alive != e.AliveEpoch(g) || !alive && b != 0 || alive && (b < 0 || b >= int64(len(rest))) {
 			return fmt.Errorf("shard: peer %d restored with balance %d, flags %#x, epoch liveness %v", g, b, e.flags[g], e.AliveEpoch(g))
+		}
+		if p := e.pend[g]; p != 0 {
+			if !alive {
+				return fmt.Errorf("shard: offline peer %d holds pending handle %#x", g, p)
+			}
+			holders++
 		}
 		if alive {
 			rest[b]--
 			live++
 			sup += b
 		}
+	}
+	// Each named event is its own actor's handle, so the handles name
+	// distinct events; as many holders as named events leaves none naming
+	// anything else.
+	if holders != named {
+		return fmt.Errorf("shard: lane %d has %d peers holding a pending handle but %d live workload events", ln.S, holders, named)
 	}
 	if live != ln.liveN || sup != ln.supply || slices.ContainsFunc(rest, func(c int64) bool { return c != 0 }) {
 		return fmt.Errorf("shard: lane %d records %d live peers holding %d credits, its peers and histogram disagree (%d live holding %d)",

@@ -42,7 +42,10 @@ import (
 // and peer arrays, each link listing the segments it carries, a base
 // carrying all of them — and the sharded kernel writes the policy stream
 // only when a policy pipeline is configured.
-const Version uint32 = 3
+// Version 4: the sharded kernel's lane sections carry the workload
+// counters, and its peer segments each peer's pending workload-event
+// handle; the separate workload section is gone.
+const Version uint32 = 4
 
 // magic identifies a creditp2p snapshot; exactly 8 bytes.
 var magic = [8]byte{'C', 'P', '2', 'P', 'S', 'N', 'A', 'P'}

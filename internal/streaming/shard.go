@@ -5,9 +5,7 @@ import (
 	"math"
 
 	"creditp2p/internal/des"
-	"creditp2p/internal/pad"
 	"creditp2p/internal/shard"
-	"creditp2p/internal/snapshot"
 )
 
 // ShardConfig parameterizes the streaming workload on the sharded
@@ -38,23 +36,28 @@ type ShardStreaming struct {
 	cfg   ShardConfig
 	e     *shard.Engine
 	seeds []uint64
-	pend  []des.Handle
-	lanes []shardStreamCounters
-	// hscratch is the recycled handle-packing buffer for checkpoint captures.
-	hscratch []uint64
 }
 
-// shardStreamCounters is one lane's counter set, padded to a whole
-// pad.Block so two lanes' per-event increments never share a cache line.
-type shardStreamCounters struct {
-	rounds        uint64
-	chunkRequests uint64
-	chunksSeeded  uint64
-	chunksTraded  uint64
-	chunksOffline uint64
-	chunksStalled uint64
-	failIsolated  uint64
-	_             [pad.Block - 7*8]byte
+// The streaming workload's lane counters, indexed as in
+// shardStreamCounters.
+const (
+	cRounds = iota
+	cChunkRequests
+	cChunksSeeded
+	cChunksTraded
+	cChunksOffline
+	cChunksStalled
+	cRoundsIsolated
+)
+
+var shardStreamCounters = []string{
+	cRounds:         "rounds",
+	cChunkRequests:  "chunk_requests",
+	cChunksSeeded:   "chunks_seeded",
+	cChunksTraded:   "chunks_traded",
+	cChunksOffline:  "chunks_offline",
+	cChunksStalled:  "chunks_stalled",
+	cRoundsIsolated: "rounds_isolated",
 }
 
 // NewShard builds the sharded streaming workload.
@@ -80,8 +83,6 @@ func (s *ShardStreaming) Setup(e *shard.Engine) error {
 	s.e = e
 	n := e.N()
 	s.seeds = make([]uint64, (n+63)/64)
-	s.pend = make([]des.Handle, n)
-	s.lanes = make([]shardStreamCounters, e.Shards())
 	if s.cfg.SeedFrac > 0 {
 		for g := 0; g < n; g++ {
 			if e.Rand(int32(g)).Bernoulli(s.cfg.SeedFrac) {
@@ -99,8 +100,7 @@ func (s *ShardStreaming) isSeed(g int32) bool {
 // Arm schedules peer g's first round with a phase jitter inside one
 // period.
 func (s *ShardStreaming) Arm(ln *shard.Lane, g int32) {
-	phase := s.e.Rand(g).Float64() * s.cfg.RoundPeriod
-	s.pend[g] = ln.ScheduleAt(ln.Now()+phase, shard.KindUser, g, 0)
+	ln.ScheduleNext(ln.Now()+s.e.Rand(g).Float64()*s.cfg.RoundPeriod, g)
 }
 
 // OnEvent runs one playback round: StreamRate chunk requests, each with
@@ -109,63 +109,31 @@ func (s *ShardStreaming) Arm(ln *shard.Lane, g int32) {
 func (s *ShardStreaming) OnEvent(ln *shard.Lane, ev des.Event) {
 	g := ev.Actor
 	r := s.e.Rand(g)
-	c := &s.lanes[ln.S]
-	c.rounds++
+	ln.Count(cRounds)
 	nbrs := s.e.Neighbors(g)
 	if len(nbrs) == 0 {
-		c.failIsolated++
+		ln.Count(cRoundsIsolated)
 	} else {
 		for k := 0; k < s.cfg.StreamRate; k++ {
-			c.chunkRequests++
+			ln.Count(cChunkRequests)
 			dst := ln.PickNeighbor(ev.Time, g, nbrs, r)
 			switch {
 			case !s.e.AliveEpoch(dst):
-				c.chunksOffline++
+				ln.Count(cChunksOffline)
 			case s.isSeed(dst):
-				c.chunksSeeded++
+				ln.Count(cChunksSeeded)
 			case !ln.Spend(ev.Time, g, dst, uint32(k), s.cfg.ChunkPrice):
-				c.chunksStalled++
+				ln.Count(cChunksStalled)
 			default:
-				c.chunksTraded++
+				ln.Count(cChunksTraded)
 			}
 		}
 	}
-	s.pend[g] = ln.ScheduleAt(ev.Time+s.cfg.RoundPeriod, shard.KindUser, g, 0)
+	ln.ScheduleNext(ev.Time+s.cfg.RoundPeriod, g)
 }
 
-// WarmActor implements shard.ActorWarmer: it touches the peer's pending
-// handle and warms the routing sampler, rebuilding a barrier-staled
-// Fenwick tree ahead of the round's picks.
-func (s *ShardStreaming) WarmActor(g int32) uint32 {
-	return uint32(s.pend[g].Pack()) + s.e.WarmSampler(g)
-}
-
-// Retire cancels the departing peer's next round.
-func (s *ShardStreaming) Retire(ln *shard.Lane, g int32) {
-	ln.Cancel(s.pend[g])
-	s.pend[g] = des.Handle{}
-}
-
-// Finish sums the per-lane counters into the result.
-func (s *ShardStreaming) Finish(res *shard.Result) {
-	var t shardStreamCounters
-	for _, c := range s.lanes {
-		t.rounds += c.rounds
-		t.chunkRequests += c.chunkRequests
-		t.chunksSeeded += c.chunksSeeded
-		t.chunksTraded += c.chunksTraded
-		t.chunksOffline += c.chunksOffline
-		t.chunksStalled += c.chunksStalled
-		t.failIsolated += c.failIsolated
-	}
-	res.Counters["rounds"] = t.rounds
-	res.Counters["chunk_requests"] = t.chunkRequests
-	res.Counters["chunks_seeded"] = t.chunksSeeded
-	res.Counters["chunks_traded"] = t.chunksTraded
-	res.Counters["chunks_offline"] = t.chunksOffline
-	res.Counters["chunks_stalled"] = t.chunksStalled
-	res.Counters["rounds_isolated"] = t.failIsolated
-}
+// CounterNames names the streaming workload's lane counters.
+func (s *ShardStreaming) CounterNames() []string { return shardStreamCounters }
 
 // Digest folds the workload configuration for snapshot compatibility.
 func (s *ShardStreaming) Digest() uint64 {
@@ -175,64 +143,4 @@ func (s *ShardStreaming) Digest() uint64 {
 	h = h*1099511628211 ^ math.Float64bits(s.cfg.RoundPeriod)
 	h = h*1099511628211 ^ math.Float64bits(s.cfg.SeedFrac)
 	return h
-}
-
-// SaveSpans serializes the pending handles of the peers in spans plus
-// the per-lane counters; seed roles replay from the stream prefixes at
-// rebuild.
-func (s *ShardStreaming) SaveSpans(w *snapshot.Writer, spans []shard.PeerSpan) {
-	w.Section("stshard")
-	for _, sp := range spans {
-		n := int(sp.Hi - sp.Lo)
-		if cap(s.hscratch) < n {
-			s.hscratch = make([]uint64, n)
-		}
-		hs := s.hscratch[:n]
-		for i := range hs {
-			hs[i] = s.pend[sp.Lo+int32(i)].Pack()
-		}
-		w.U64s(hs)
-	}
-	w.Int(len(s.lanes))
-	for _, c := range s.lanes {
-		w.U64(c.rounds)
-		w.U64(c.chunkRequests)
-		w.U64(c.chunksSeeded)
-		w.U64(c.chunksTraded)
-		w.U64(c.chunksOffline)
-		w.U64(c.chunksStalled)
-		w.U64(c.failIsolated)
-	}
-}
-
-// LoadSpans applies a section written by SaveSpans with the same spans.
-func (s *ShardStreaming) LoadSpans(r *snapshot.Reader, spans []shard.PeerSpan) error {
-	r.Section("stshard")
-	for _, sp := range spans {
-		n := int(sp.Hi - sp.Lo)
-		hs := r.U64s(n)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if len(hs) != n {
-			return fmt.Errorf("streaming: shard snapshot span [%d,%d) carries %d handles, want %d", sp.Lo, sp.Hi, len(hs), n)
-		}
-		for i, v := range hs {
-			s.pend[sp.Lo+int32(i)] = des.UnpackHandle(v)
-		}
-	}
-	if got := r.Int(); got != len(s.lanes) {
-		return fmt.Errorf("streaming: shard snapshot has %d lane counter sets, want %d", got, len(s.lanes))
-	}
-	for i := range s.lanes {
-		c := &s.lanes[i]
-		c.rounds = r.U64()
-		c.chunkRequests = r.U64()
-		c.chunksSeeded = r.U64()
-		c.chunksTraded = r.U64()
-		c.chunksOffline = r.U64()
-		c.chunksStalled = r.U64()
-		c.failIsolated = r.U64()
-	}
-	return r.Err()
 }

@@ -10,6 +10,7 @@
 package xrand
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -73,9 +74,6 @@ func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 
 // Int63 returns a non-negative uniform 63-bit integer.
 func (r *RNG) Int63() int64 { return r.src.Int63() }
-
-// Perm returns a random permutation of {0, ..., n-1}.
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
@@ -346,4 +344,41 @@ var stirlingTable = [10]float64{
 	0.01041126526197209,
 	0.009255462182712733,
 	0.008330563433362871,
+}
+
+// ErrNoWeights is returned when a weighted sampler is built from an empty or
+// all-zero weight vector.
+var ErrNoWeights = errors.New("xrand: no positive weights")
+
+// SampleWeighted draws an index i with probability weights[i]/sum(weights)
+// by linear scan, for distributions that change on every draw (e.g.
+// availability weights under churn). It returns ErrNoWeights when no
+// weight is positive.
+func SampleWeighted(r *RNG, weights []float64) (int, error) {
+	var total float64
+	for i, w := range weights {
+		if w < 0 || w != w {
+			return 0, fmt.Errorf("xrand: invalid weight %v at index %d", w, i)
+		}
+		total += w
+	}
+	if total <= 0 {
+		return 0, ErrNoWeights
+	}
+	u := r.Float64() * total
+	var acc float64
+	for i, w := range weights {
+		acc += w
+		if u < acc {
+			return i, nil
+		}
+	}
+	// Rounding may leave u marginally above the accumulated total; return
+	// the last positive-weight index.
+	for i := len(weights) - 1; i >= 0; i-- {
+		if weights[i] > 0 {
+			return i, nil
+		}
+	}
+	return 0, ErrNoWeights
 }

@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -214,5 +215,38 @@ func TestLogNormalMedian(t *testing.T) {
 	// Median of LogNormal(mu=1, sigma) is e^1.
 	if p := float64(below) / n; math.Abs(p-0.5) > 0.01 {
 		t.Errorf("P(X < e) = %v, want ~0.5", p)
+	}
+}
+
+func TestSampleWeightedFrequencies(t *testing.T) {
+	weights := []float64{3, 0, 1}
+	r := New(53)
+	counts := make([]int, 3)
+	const n = 200000
+	for i := 0; i < n; i++ {
+		idx, err := SampleWeighted(r, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[idx]++
+	}
+	if counts[1] != 0 {
+		t.Errorf("zero-weight index sampled %d times", counts[1])
+	}
+	if p := float64(counts[0]) / n; math.Abs(p-0.75) > 0.01 {
+		t.Errorf("index 0 frequency %v, want ~0.75", p)
+	}
+}
+
+func TestSampleWeightedErrors(t *testing.T) {
+	r := New(1)
+	if _, err := SampleWeighted(r, nil); !errors.Is(err, ErrNoWeights) {
+		t.Errorf("nil weights error = %v, want ErrNoWeights", err)
+	}
+	if _, err := SampleWeighted(r, []float64{0, 0}); !errors.Is(err, ErrNoWeights) {
+		t.Errorf("zero weights error = %v, want ErrNoWeights", err)
+	}
+	if _, err := SampleWeighted(r, []float64{1, math.NaN()}); err == nil {
+		t.Error("expected error for NaN weight")
 	}
 }
