@@ -33,22 +33,25 @@
 // runs, so performance PRs can attach before/after evidence gathered
 // through the exact cmd path users run.
 //
-// -checkpoint-every N snapshots a -scenario run's full state to the
-// -checkpoint file every N events; -restore resumes a crashed run from such
-// a file and produces byte-identical output to the uninterrupted run. Both
-// compose with -shards: sharded checkpoints land at the first window
-// barrier after each cadence mark, and their seal and file I/O overlap
-// with the simulation. All snapshot files are written
+// -checkpoint-every N checkpoints a -scenario run every N events as a
+// chain at the -checkpoint path; -restore resumes a crashed run from the
+// chain stored at its path and produces byte-identical output to the
+// uninterrupted run. One contract holds at every -shards value: a
+// checkpoint lands at the first step boundary at or after each multiple
+// of N total fired events — an event on the single-threaded engines, a
+// window barrier on the sharded kernel, whose seal and file I/O overlap
+// with the simulation — so a resumed run checkpoints where the
+// uninterrupted run would have; and -restore loads and validates the
+// whole chain (a lone base is a one-link chain). Every link is written
 // write-to-temp / fsync / rename / fsync-directory, so a crash or power
-// cut mid-checkpoint always leaves a complete snapshot behind.
+// cut mid-checkpoint always leaves a complete chain behind.
 //
 // -checkpoint-delta (sharded runs only) switches checkpointing to
 // base+delta chains: full snapshots anchor the chain, and between them
 // only the dirty segments of the run's state are written (run.snap plus
 // run.snap.d001, run.snap.d002, ...). -rebase-every bounds the chain
-// length. A sharded -restore always loads and validates the whole chain
-// stored at its path — a lone base is a one-link chain — so it needs no
-// -checkpoint-delta; the resumed run is byte-identical either way.
+// length. Without it every checkpoint is a base, as it always is on the
+// single-threaded engines.
 //
 // -timing prints the sharded kernel's phase-level barrier-pipeline
 // breakdown (dispatch / merge / apply / churn / publish) after the report,
@@ -94,9 +97,9 @@ func run(args []string) error {
 	presetName := fs.String("preset", "quick", "quick, full, large or xlarge")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file after the run")
-	checkpointEvery := fs.Int("checkpoint-every", 0, "with -scenario: snapshot the run every N events to the -checkpoint file")
-	checkpointPath := fs.String("checkpoint", "checkpoint.snap", "with -scenario: the snapshot file written by -checkpoint-every")
-	restorePath := fs.String("restore", "", "with -scenario: resume from this snapshot file instead of starting fresh")
+	checkpointEvery := fs.Int("checkpoint-every", 0, "with -scenario: checkpoint the run every N events as a chain at the -checkpoint path")
+	checkpointPath := fs.String("checkpoint", "checkpoint.snap", "with -scenario: the base path of the checkpoint chain written by -checkpoint-every (deltas go to PATH.dNNN)")
+	restorePath := fs.String("restore", "", "with -scenario: resume from the checkpoint chain stored at this path instead of starting fresh")
 	shards := fs.Int("shards", 1, "with -scenario: run on the sharded multi-core kernel with this many lanes (1 = the classic single-threaded engines)")
 	timing := fs.Bool("timing", false, "with -scenario -shards > 1: print the phase-level barrier-pipeline timing breakdown after the report")
 	checkpointDelta := fs.Bool("checkpoint-delta", false, "with -scenario -shards > 1 -checkpoint-every: write base+delta checkpoint chains (run.snap plus run.snap.dNNN) instead of a full snapshot at every checkpoint")
@@ -105,17 +108,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	preset := creditp2p.Quick
-	switch *presetName {
-	case "quick":
-	case "full":
-		preset = creditp2p.Full
-	case "large":
-		preset = creditp2p.Large
-	case "xlarge":
-		preset = creditp2p.XLarge
-	default:
-		return fmt.Errorf("unknown preset %q (want quick, full, large or xlarge)", *presetName)
+	preset, err := scenario.ParseScale(*presetName)
+	if err != nil {
+		return err
 	}
 
 	if *cpuProfile != "" {
@@ -173,16 +168,9 @@ func run(args []string) error {
 		if *routing != "" && *shards <= 1 {
 			return fmt.Errorf("-routing needs -shards > 1 (the single-threaded engines take routing from the preset)")
 		}
-		if *shards > 1 {
-			return runScenarioSharded(*scenarioName, *presetName, *shards,
-				*checkpointEvery, *checkpointPath, *restorePath, *timing,
-				*checkpointDelta, *rebaseEvery, *routing)
-		}
-		if *checkpointEvery > 0 || *restorePath != "" {
-			return runScenarioResumable(*scenarioName, *presetName, *checkpointEvery, *checkpointPath, *restorePath)
-		}
-		_, err := creditp2p.RunScenario(*scenarioName, preset, os.Stdout)
-		return err
+		return runScenario(*scenarioName, preset, *shards,
+			*checkpointEvery, *checkpointPath, *restorePath, *timing,
+			*checkpointDelta, *rebaseEvery, *routing)
 	case *all:
 		return creditp2p.RunAllExperiments(preset, os.Stdout)
 	case *id != "":
@@ -193,15 +181,12 @@ func run(args []string) error {
 	}
 }
 
-// runScenarioSharded runs a scenario on the sharded multi-core kernel,
-// optionally with checkpoint/restore and the phase-timing breakdown. The
-// report gains "shards" and "routing" rows; results are byte-identical
-// across shard counts by the sharded kernel's invariance contract.
-func runScenarioSharded(name, presetName string, shards, every int, ckPath, restorePath string, timing, delta bool, rebaseEvery int, routing string) error {
-	scale, err := parseScale(presetName)
-	if err != nil {
-		return err
-	}
+// runScenario runs a scenario on the single-threaded engines (shards 1)
+// or the sharded multi-core kernel, optionally with checkpoint/restore and
+// the phase-timing breakdown. A sharded report gains "shards" and
+// "routing" rows; its results are byte-identical across shard counts by
+// the sharded kernel's invariance contract.
+func runScenario(name string, scale scenario.Scale, shards, every int, ckPath, restorePath string, timing, delta bool, rebaseEvery int, routing string) error {
 	sc, err := scenario.Get(name)
 	if err != nil {
 		return err
@@ -221,7 +206,7 @@ func runScenarioSharded(name, presetName string, shards, every int, ckPath, rest
 	if err != nil {
 		return err
 	}
-	out, err := scenario.RunShardedResumable(sc, scale, shards, rs)
+	out, err := scenario.Run(sc, scale, shards, rs)
 	if err != nil {
 		return err
 	}
@@ -237,39 +222,9 @@ func runScenarioSharded(name, presetName string, shards, every int, ckPath, rest
 	return nil
 }
 
-// resumeSpec assembles the scenario Resume wiring from the checkpoint
-// flags: an atomic file sink for the cadence, and the restore snapshot's
-// bytes when resuming.
-func resumeSpec(every int, ckPath, restorePath string) (scenario.Resume, error) {
-	rs := scenario.Resume{}
-	if every > 0 {
-		rs.CheckpointEvery = every
-		rs.Sink = atomicSink(ckPath)
-	}
-	if restorePath != "" {
-		data, err := os.ReadFile(restorePath)
-		if err != nil {
-			return rs, fmt.Errorf("restore: %w", err)
-		}
-		rs.Snapshot = data
-	}
-	return rs, nil
-}
-
-// atomicSink writes each snapshot via snapshot.WriteFileAtomic
-// (write-to-temp, fsync, rename, fsync-directory), so a crash or power
-// cut mid-checkpoint leaves the previous snapshot intact instead of a
-// torn file — and the rename itself is durable.
-func atomicSink(ckPath string) func([]byte) error {
-	return func(data []byte) error {
-		return snapshot.WriteFileAtomic(ckPath, data)
-	}
-}
-
-// resumeChainSpec assembles a sharded run's Resume wiring: a ChainStore
-// sink rooted at ckPath for the cadence (deltas between bases with
-// delta), and the stored chain's links (validated end to end) when
-// resuming.
+// resumeChainSpec assembles a run's Resume wiring: a ChainStore sink
+// rooted at ckPath for the cadence (deltas between bases with delta), and
+// the stored chain's links (validated end to end) when resuming.
 func resumeChainSpec(every int, ckPath, restorePath string, delta bool, rebaseEvery int) (scenario.Resume, error) {
 	rs := scenario.Resume{Delta: delta, RebaseEvery: rebaseEvery}
 	if every > 0 {
@@ -285,46 +240,6 @@ func resumeChainSpec(every int, ckPath, restorePath string, delta bool, rebaseEv
 		rs.Chain = chain
 	}
 	return rs, nil
-}
-
-// parseScale maps the -preset flag to a scenario scale.
-func parseScale(presetName string) (scenario.Scale, error) {
-	switch presetName {
-	case "quick":
-		return scenario.ScaleQuick, nil
-	case "full":
-		return scenario.ScaleFull, nil
-	case "large":
-		return scenario.ScaleLarge, nil
-	case "xlarge":
-		return scenario.ScaleXLarge, nil
-	default:
-		return 0, fmt.Errorf("unknown preset %q (want quick, full, large or xlarge)", presetName)
-	}
-}
-
-// runScenarioResumable runs a scenario with checkpoint/restore: periodic
-// snapshots land in ckPath, and a non-empty restorePath resumes from its
-// contents. The completed run's report is byte-identical to the
-// uninterrupted run's.
-func runScenarioResumable(name, presetName string, every int, ckPath, restorePath string) error {
-	scale, err := parseScale(presetName)
-	if err != nil {
-		return err
-	}
-	sc, err := scenario.Get(name)
-	if err != nil {
-		return err
-	}
-	rs, err := resumeSpec(every, ckPath, restorePath)
-	if err != nil {
-		return err
-	}
-	out, err := scenario.RunResumable(sc, scale, rs)
-	if err != nil {
-		return err
-	}
-	return out.Report(os.Stdout)
 }
 
 // parseRates parses the -taxrates grid.

@@ -2,10 +2,11 @@
 // of mechanism combinations. It exists for cross-commit byte-compatibility
 // checks during performance work: run it on two trees and diff the lines.
 //
-// With -resume, every combo instead runs the crash/restore drill: a clean
-// run counts its events, a second run crashes a third of the way in and
-// writes a snapshot, and a third process-fresh simulation restores the
-// snapshot and runs to completion. The printed hashes are the resumed
+// With -resume, every combo instead runs the one crash/restore drill all
+// three engines share: a clean run counts its step boundaries, a second
+// run crashes a third of the way in and captures a one-link checkpoint
+// chain, and a third process-fresh simulation restores the chain and runs
+// to completion. The printed hashes are the resumed
 // runs'; diffing them against the default mode's (scenario lines excluded)
 // asserts byte-identical resume for every mechanism combo. -fast sets
 // FastSampling on every market combo, which switches the degree-routed
@@ -150,89 +151,55 @@ func poisson() credit.Pricing {
 	return p
 }
 
-// runMarket produces the case's Result: a plain run by default, the
-// crash/snapshot/restore drill under -resume. Each phase rebuilds the
-// config from scratch via mk, as a real crash recovery would (the snapshot
-// restores mutable state; the config — graph, policies, pricing — is
-// reconstructed).
-func runMarket(mk func() market.Config, resume bool) (*market.Result, error) {
-	if !resume {
-		return market.Run(mk())
-	}
-	// Clean run: count the events a full run delivers.
-	m, err := market.NewSim(mk())
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Start(); err != nil {
-		return nil, err
-	}
-	events := 0
-	for m.Step() {
-		events++
-	}
-	if _, err := m.Finish(); err != nil {
-		return nil, err
-	}
-	// Crash run: stop a third of the way in and checkpoint.
-	m, err = market.NewSim(mk())
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Start(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < events/3 && m.Step(); i++ {
-	}
-	data := m.Snapshot()
-	// Resume run: a fresh simulation restores the snapshot and finishes.
-	m, err = market.RestoreSim(mk(), data)
-	if err != nil {
-		return nil, err
-	}
-	m.Run()
-	return m.Finish()
+// resumable is what the crash/resume drill needs of an engine's Sim.
+type resumable[R any] interface {
+	Start() error
+	Snapshot() []byte
+	Finish() (R, error)
 }
 
-// runShard is runMarket's sharded-kernel counterpart: a plain run by
-// default; under -resume a clean run counts the windows, a second run
-// checkpoints a third of the way in, and a fresh engine restores and
-// finishes.
-func runShard(mk func() shard.Config, resume bool) (*shard.Result, error) {
+// drill produces a case's Result on any engine: a plain run by default,
+// the crash/restore drill under -resume. The drill counts the step
+// boundaries of a clean run (events on the single-threaded engines,
+// windows on the sharded kernel), crashes a second run a third of the way
+// in and captures it, and restores the one-link chain into a fresh engine
+// that finishes the run. Each phase rebuilds the config from scratch via
+// mk, as a real crash recovery would (the capture restores mutable state;
+// the config — graph, policies, pricing — is reconstructed).
+func drill[R any, C any, S resumable[R]](mk func() C, open func(C) (S, error), restore func(C, [][]byte) (S, error), step func(S) bool, resume bool) (R, error) {
+	var zero R
+	start := func() (S, error) {
+		s, err := open(mk())
+		if err == nil {
+			err = s.Start()
+		}
+		return s, err
+	}
+	s, err := start()
+	if err != nil {
+		return zero, err
+	}
+	steps := 0
+	for step(s) {
+		steps++
+	}
 	if !resume {
-		return shard.Run(mk())
+		return s.Finish()
 	}
-	sim, err := shard.NewSim(mk())
-	if err != nil {
-		return nil, err
+	if _, err := s.Finish(); err != nil {
+		return zero, err
 	}
-	if err := sim.Start(); err != nil {
-		return nil, err
+	if s, err = start(); err != nil {
+		return zero, err
 	}
-	windows := 0
-	for sim.StepWindow() {
-		windows++
+	for i := 0; i < steps/3 && step(s); i++ {
 	}
-	if _, err := sim.Finish(); err != nil {
-		return nil, err
+	if s, err = restore(mk(), [][]byte{s.Snapshot()}); err != nil {
+		return zero, err
 	}
-	sim, err = shard.NewSim(mk())
-	if err != nil {
-		return nil, err
+	for step(s) {
 	}
-	if err := sim.Start(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < windows/3 && sim.StepWindow(); i++ {
-	}
-	data := sim.Snapshot()
-	sim, err = shard.RestoreSim(mk(), data)
-	if err != nil {
-		return nil, err
-	}
-	for sim.StepWindow() {
-	}
-	return sim.Finish()
+	return s.Finish()
 }
 
 // memChain is the drill's in-memory chain sink. It copies every link:
@@ -320,43 +287,6 @@ func runShardDelta(mk func() shard.Config) (*shard.Result, error) {
 	return restored.Finish()
 }
 
-// runStreaming is runMarket's streaming counterpart.
-func runStreaming(mk func() streaming.Config, resume bool) (*streaming.Result, error) {
-	if !resume {
-		return streaming.Run(mk())
-	}
-	m, err := streaming.NewSim(mk())
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Start(); err != nil {
-		return nil, err
-	}
-	events := 0
-	for m.Step() {
-		events++
-	}
-	if _, err := m.Finish(); err != nil {
-		return nil, err
-	}
-	m, err = streaming.NewSim(mk())
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Start(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < events/3 && m.Step(); i++ {
-	}
-	data := m.Snapshot()
-	m, err = streaming.RestoreSim(mk(), data)
-	if err != nil {
-		return nil, err
-	}
-	m.Run()
-	return m.Finish()
-}
-
 // shardLines prints the sharded-kernel fingerprint lines. These print in
 // every mode: the default mode pins the sharded model's outputs (which
 // must also be identical for every -shards value), -resume runs the
@@ -404,7 +334,7 @@ func shardLines(shards int, resume, deltaResume bool) {
 		if deltaResume {
 			res, err = runShardDelta(mk)
 		} else {
-			res, err = runShard(mk, resume)
+			res, err = drill[*shard.Result](mk, shard.NewSim, shard.RestoreChain, (*shard.Sim).StepWindow, resume)
 		}
 		if err != nil {
 			panic(c.name + ": " + err.Error())
@@ -494,7 +424,7 @@ func main() {
 		}},
 	}
 	for _, c := range cases {
-		res, err := runMarket(override(c.mk), *resume)
+		res, err := drill[*market.Result](override(c.mk), market.NewSim, market.RestoreChain, (*market.Sim).Step, *resume)
 		if err != nil {
 			panic(c.name + ": " + err.Error())
 		}
@@ -519,7 +449,7 @@ func main() {
 		}},
 	}
 	for _, c := range scases {
-		res, err := runStreaming(c.mk, *resume)
+		res, err := drill[*streaming.Result](c.mk, streaming.NewSim, streaming.RestoreChain, (*streaming.Sim).Step, *resume)
 		if err != nil {
 			panic(c.name + ": " + err.Error())
 		}
@@ -578,7 +508,7 @@ func main() {
 		}},
 	}
 	for _, c := range pcases {
-		res, err := runMarket(override(c.mk), *resume)
+		res, err := drill[*market.Result](override(c.mk), market.NewSim, market.RestoreChain, (*market.Sim).Step, *resume)
 		if err != nil {
 			panic(c.name + ": " + err.Error())
 		}
@@ -599,7 +529,7 @@ func main() {
 		}},
 	}
 	for _, c := range spcases {
-		res, err := runStreaming(c.mk, *resume)
+		res, err := drill[*streaming.Result](c.mk, streaming.NewSim, streaming.RestoreChain, (*streaming.Sim).Step, *resume)
 		if err != nil {
 			panic(c.name + ": " + err.Error())
 		}

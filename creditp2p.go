@@ -22,7 +22,6 @@
 package creditp2p
 
 import (
-	"fmt"
 	"io"
 
 	"creditp2p/internal/core"
@@ -301,30 +300,10 @@ func RunAllExperiments(p Preset, w io.Writer) error {
 // Scenarios lists every registered scenario preset sorted by name.
 func Scenarios() []Scenario { return scenario.All() }
 
-// scenarioScale maps the experiment preset onto the scenario scale.
-func scenarioScale(p Preset) (scenario.Scale, error) {
-	switch p {
-	case Quick:
-		return scenario.ScaleQuick, nil
-	case Full:
-		return scenario.ScaleFull, nil
-	case Large:
-		return scenario.ScaleLarge, nil
-	case XLarge:
-		return scenario.ScaleXLarge, nil
-	default:
-		return 0, fmt.Errorf("creditp2p: unknown preset %v", p)
-	}
-}
-
 // RunScenario runs a registered scenario preset by name at the given
 // experiment preset scale, writing its report to w.
 func RunScenario(name string, p Preset, w io.Writer) (*ScenarioOutcome, error) {
-	scale, err := scenarioScale(p)
-	if err != nil {
-		return nil, err
-	}
-	out, err := scenario.RunNamed(name, scale)
+	out, err := scenario.RunNamed(name, p)
 	if err != nil {
 		return nil, err
 	}
@@ -338,9 +317,5 @@ func RunScenario(name string, p Preset, w io.Writer) (*ScenarioOutcome, error) {
 
 // RunScenarioConfig runs an ad-hoc (unregistered) scenario definition.
 func RunScenarioConfig(sc Scenario, p Preset) (*ScenarioOutcome, error) {
-	scale, err := scenarioScale(p)
-	if err != nil {
-		return nil, err
-	}
-	return scenario.Run(sc, scale)
+	return scenario.Run(sc, p, 1, scenario.Resume{})
 }

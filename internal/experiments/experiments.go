@@ -14,44 +14,32 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"creditp2p/internal/scenario"
 )
 
 // ErrUnknown is returned when an experiment id does not exist.
 var ErrUnknown = errors.New("experiments: unknown experiment")
 
-// Preset selects the parameter scale.
-type Preset int
+// Preset selects the parameter scale. It is the scenario layer's Scale,
+// so one name table ("quick", "full", "large", "xlarge") serves the
+// experiments and the scenario presets alike.
+type Preset = scenario.Scale
 
 const (
 	// Quick runs a scaled-down configuration with the same shape.
-	Quick Preset = iota + 1
+	Quick = scenario.ScaleQuick
 	// Full runs the paper-scale configuration.
-	Full
+	Full = scenario.ScaleFull
 	// Large runs a 100k-peer configuration on the scale engine with O(n)
 	// asymmetric-mu construction. It exists to exercise production-scale populations;
 	// expect tens of seconds per figure point.
-	Large
+	Large = scenario.ScaleLarge
 	// XLarge runs a million-peer configuration on the scale engine — the
 	// full memory-diet regime. Expect a few GB of RSS and minutes per
 	// figure.
-	XLarge
+	XLarge = scenario.ScaleXLarge
 )
-
-// String implements fmt.Stringer.
-func (p Preset) String() string {
-	switch p {
-	case Quick:
-		return "quick"
-	case Full:
-		return "full"
-	case Large:
-		return "large"
-	case XLarge:
-		return "xlarge"
-	default:
-		return fmt.Sprintf("preset(%d)", int(p))
-	}
-}
 
 // Experiment is one reproducible paper artifact.
 type Experiment struct {

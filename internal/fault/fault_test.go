@@ -251,7 +251,7 @@ func TestCorruptionAlwaysDetected(t *testing.T) {
 	for i := 0; i < 200 && m.Step(); i++ {
 	}
 	data := m.Snapshot()
-	if _, err := market.RestoreSim(mk(), data); err != nil {
+	if _, err := market.RestoreChain(mk(), [][]byte{data}); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 
@@ -262,7 +262,7 @@ func TestCorruptionAlwaysDetected(t *testing.T) {
 				t.Fatalf("%s: restore panicked: %v", kind, r)
 			}
 		}()
-		if _, err := market.RestoreSim(mk(), corrupted); err == nil {
+		if _, err := market.RestoreChain(mk(), [][]byte{corrupted}); err == nil {
 			t.Fatalf("%s: corrupted snapshot accepted", kind)
 		}
 	}

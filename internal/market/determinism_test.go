@@ -238,7 +238,7 @@ func TestEngineVariantsGoldenPaperScale(t *testing.T) {
 			})
 			t.Run("calendar+incremental", func(t *testing.T) {
 				data := crashAt(t, build(mechanism), int(base.SpendEvents/2))
-				m, err := RestoreSim(build(mechanism), data)
+				m, err := RestoreChain(build(mechanism), [][]byte{data})
 				if err != nil {
 					t.Fatal(err)
 				}

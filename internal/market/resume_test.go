@@ -79,7 +79,7 @@ func TestResumeParityAtArbitraryIndices(t *testing.T) {
 	events, want := countEvents(t, resumeCfg(t))
 	for _, at := range []int{0, 1, events / 4, events / 2, 3 * events / 4, events - 1} {
 		data := crashAt(t, resumeCfg(t), at)
-		m, err := RestoreSim(resumeCfg(t), data)
+		m, err := RestoreChain(resumeCfg(t), [][]byte{data})
 		if err != nil {
 			t.Fatalf("restore at event %d: %v", at, err)
 		}
@@ -97,7 +97,7 @@ func TestResumeParityAtArbitraryIndices(t *testing.T) {
 func TestSnapshotIdempotence(t *testing.T) {
 	events, _ := countEvents(t, resumeCfg(t))
 	data := crashAt(t, resumeCfg(t), events/2)
-	m, err := RestoreSim(resumeCfg(t), data)
+	m, err := RestoreChain(resumeCfg(t), [][]byte{data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRestoreRejectsAlteredConfig(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := resumeCfg(t)
 			mutate(&cfg)
-			if _, err := RestoreSim(cfg, data); err == nil {
+			if _, err := RestoreChain(cfg, [][]byte{data}); err == nil {
 				t.Fatal("restore into an altered configuration was accepted")
 			} else if !strings.Contains(err.Error(), "digest") && !strings.Contains(err.Error(), "external accounts") {
 				t.Fatalf("want a digest-guard error, got: %v", err)
@@ -155,10 +155,120 @@ func TestRestoreRefusesTaxBridgeCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := Config{Graph: g, InitialWealth: 20, DefaultMu: 1, Horizon: 200, Policies: c.pols, Seed: 512}
-			if _, err := RestoreSim(cfg, data); err == nil {
+			if _, err := RestoreChain(cfg, [][]byte{data}); err == nil {
 				t.Fatal("a tax-bridge checkpoint restored into the stage pipeline")
 			} else {
 				t.Log(err)
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesParentCheckpoint feeds a checkpoint written before the
+// single-threaded engines' captures became chain bases (a 30-peer
+// RandomRegular(4) overlay, seed 511, snapshotted after 500 events; format
+// v4 with the kernel section first and no link header) to the current
+// decoder under the same configuration: it must be refused, never decoded
+// into the new layout.
+func TestRestoreRefusesParentCheckpoint(t *testing.T) {
+	data, err := os.ReadFile("testdata/market-v4-bare.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := topology.RandomRegular(30, 4, xrand.New(511))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Graph: g, InitialWealth: 20, DefaultMu: 1, Horizon: 200, Seed: 512}
+	if _, err := RestoreChain(cfg, [][]byte{data}); err == nil || !strings.Contains(err.Error(), `want "chain"`) {
+		t.Fatalf("parent checkpoint: got %v, want a refusal for the missing chain-link header", err)
+	}
+}
+
+// TestRestoreVetsPeerState crafts checkpoints of a closed 60-peer market
+// whose cached neighbourhoods or pending spend handles break the engine's
+// invariants, and requires RestoreChain to refuse each with an error
+// naming the fault — never to accept the file and panic mid-run. The
+// untouched capture restores and finishes like the uninterrupted run.
+func TestRestoreVetsPeerState(t *testing.T) {
+	mk := func() Config {
+		g, err := topology.RandomRegular(60, 6, xrand.New(77))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Graph: g, InitialWealth: 3, DefaultMu: 1, Horizon: 200, Seed: 78}
+	}
+	// capture runs 400 events, lets craft edit the workload state, and
+	// snapshots; craft gets two busy peers (a spend queued) and an idle
+	// one (bankrupt, its handle stale).
+	capture := func(craft func(s *simulation, a, b, idle int32)) []byte {
+		m, err := NewSim(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 400 && m.Step(); i++ {
+		}
+		s := m.s
+		var busy []int32
+		idle := int32(-1)
+		for px := range s.ws {
+			if s.ws[px].flags&pfIdle != 0 {
+				idle = int32(px)
+			} else {
+				busy = append(busy, int32(px))
+			}
+		}
+		if len(busy) < 2 || idle < 0 {
+			t.Fatalf("%d busy peers and idle peer %d", len(busy), idle)
+		}
+		craft(s, busy[0], busy[1], idle)
+		return m.Snapshot()
+	}
+	want, err := Run(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := RestoreChain(mk(), [][]byte{capture(func(*simulation, int32, int32, int32) {})})
+	if err != nil {
+		t.Fatalf("untouched capture refused: %v", err)
+	}
+	m.Run()
+	got, err := m.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalResults(t, want, got)
+
+	cases := []struct {
+		name, want string
+		craft      func(s *simulation, a, b, idle int32)
+	}{
+		{"neighbour-outside-peer-table", "neighbour slot 1048576",
+			func(s *simulation, a, _, _ int32) { s.ws[a].nbrs[0] = 1 << 20 }},
+		{"handle-names-another-peers-event", "is not named by its pending handle",
+			func(s *simulation, a, b, _ int32) { s.ws[a].pending = s.ws[b].pending }},
+		{"busy-peer-marked-idle", "or the peer is idle",
+			func(s *simulation, a, _, _ int32) { s.ws[a].flags |= pfIdle }},
+		{"idle-peer-holds-a-live-handle", "pending handles name queued events",
+			func(s *simulation, a, _, idle int32) { s.ws[idle].pending = s.ws[a].pending }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := RestoreChain(mk(), [][]byte{capture(c.craft)})
+			if err == nil {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("crafted checkpoint restored, and the resumed run panicked: %v", p)
+					}
+				}()
+				m.Run()
+				t.Fatal("crafted checkpoint restored")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("got %q, want an error containing %q", err, c.want)
 			}
 		})
 	}

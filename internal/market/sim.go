@@ -134,13 +134,15 @@ func (s *simulation) stateDigest() uint64 {
 
 // Snapshot serializes the complete run state — kernel (scheduler, RNG,
 // ledger, peers, metrics, graph, policies) and the market workload's
-// per-peer spending state — into a versioned, checksummed byte slice.
-// Snapshotting is read-only: the run continues unperturbed, and a snapshot
-// of a restored run at the same event index is byte-identical to one taken
-// by the uninterrupted run.
+// per-peer spending state — as a checkpoint chain base: a versioned,
+// checksummed link whose header id digests the configuration and the event
+// index. Snapshotting is read-only: the run continues unperturbed, and a
+// snapshot of a restored run at the same event index is byte-identical to
+// one taken by the uninterrupted run.
 func (m *Sim) Snapshot() []byte {
 	s := m.s
 	w := snapshot.NewWriter(64 + 96*len(s.ws))
+	w.LinkHeader(snapshot.LinkHeader{Kind: snapshot.LinkBase, ID: s.k.LinkID(s.stateDigest())})
 	s.k.SaveState(w)
 
 	w.Section("market")
@@ -209,11 +211,14 @@ func (m *Sim) Snapshot() []byte {
 	return w.Finish()
 }
 
-// RestoreSim reconstructs a run from a snapshot taken by Sim.Snapshot. cfg
-// must describe the original run exactly — same scalars, same policy
-// pipeline, and a Graph in its pre-run state (churn-mutated topology is
-// restored from the snapshot). Continue the run with Step/Run (not Start).
-func RestoreSim(cfg Config, data []byte) (*Sim, error) {
+// RestoreChain reconstructs a run from a checkpoint chain: the market
+// writes every capture as a base, so the chain is the one base link a
+// Sim.Snapshot produced (a delta is refused). cfg must describe the
+// original run exactly — same scalars, same policy pipeline, and a Graph
+// in its pre-run state (churn-mutated topology is restored from the
+// snapshot). The decoded state is vetted before the run may continue.
+// Continue the run with Step/Run (not Start).
+func RestoreChain(cfg Config, chain [][]byte) (*Sim, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -221,14 +226,17 @@ func RestoreSim(cfg Config, data []byte) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := snapshot.Open(data)
+	r, err := sim.OpenBase(chain)
+	if err == nil {
+		err = s.load(r)
+	}
+	if err == nil {
+		err = r.Close()
+	}
+	if err == nil {
+		err = s.checkRestored()
+	}
 	if err != nil {
-		return nil, fmt.Errorf("market: restore: %w", err)
-	}
-	if err := s.load(r); err != nil {
-		return nil, fmt.Errorf("market: restore: %w", err)
-	}
-	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("market: restore: %w", err)
 	}
 	return &Sim{s: s}, nil
@@ -336,7 +344,9 @@ func (s *simulation) load(r *snapshot.Reader) error {
 		for i, h := range has {
 			if h != 0 {
 				f := &xrand.Fenwick{}
-				f.LoadState(r, budget)
+				if err := f.LoadState(r, budget); err != nil {
+					return err
+				}
 				s.fen[i] = f
 			}
 		}
@@ -344,4 +354,73 @@ func (s *simulation) load(r *snapshot.Reader) error {
 	s.rebuilds = r.U64()
 	s.res.SpendEvents = r.U64()
 	return r.Err()
+}
+
+// checkRestored vets the decoded workload state against the engine
+// invariants that hold at every event boundary, so a checksum-valid but
+// crafted or mis-encoded checkpoint is refused here instead of indexing
+// out of range mid-run. Each check is exact: a state the engine can reach
+// always passes.
+func (s *simulation) checkRestored() error {
+	n := int32(len(s.ws))
+	// Cached neighbourhoods hold peer-slot indices taken from the peer
+	// table, which never shrinks. A neighbourhood without pfDirty is the
+	// one routing samples from, so its weight caches match it entry for
+	// entry: exact degree weights (rebuilt together with it, and only
+	// ever marked dirty rather than spliced) and, without pfFenStale, a
+	// built Fenwick index (every splice marks it stale).
+	for px := range s.ws {
+		p := &s.ws[px]
+		for _, q := range p.nbrs {
+			if q < 0 || q >= n {
+				return fmt.Errorf("peer slot %d caches neighbour slot %d outside the %d-slot peer table", px, q, n)
+			}
+		}
+		if p.flags&pfDirty != 0 {
+			continue
+		}
+		if s.degw != nil && len(s.degw[px]) != len(p.nbrs) {
+			return fmt.Errorf("peer slot %d caches %d degree weights for %d neighbours", px, len(s.degw[px]), len(p.nbrs))
+		}
+		if s.fast && s.fen[px] != nil && p.flags&pfFenStale == 0 && s.fen[px].Len() != len(p.nbrs) {
+			return fmt.Errorf("peer slot %d's sampler index covers %d neighbours, its cache %d", px, s.fen[px].Len(), len(p.nbrs))
+		}
+	}
+	// Only scheduleSpend queues a spend event: it records the handle in
+	// the peer's pending field and clears pfIdle, a peer has at most one
+	// spend queued, and departure cancels it. So every live queued spend
+	// event belongs to a live peer of the payload's generation, is named
+	// by that peer's handle, and the peer is not idle. The converse is not
+	// checked: an idle peer's handle is stale, and so is a busy peer's
+	// when fault injection dropped its event.
+	named := 0
+	err := s.k.Sched.EachQueued(func(ev des.Event, h des.Handle, live bool) error {
+		if !live || ev.Kind != evSpend {
+			return nil
+		}
+		px := ev.Actor
+		if !s.k.Peers.Current(px, uint32(ev.Payload)) {
+			return fmt.Errorf("a spend event is queued for peer slot %d generation %d, which is not live", px, ev.Payload)
+		}
+		if p := &s.ws[px]; p.pending != h || p.flags&pfIdle != 0 {
+			return fmt.Errorf("peer slot %d's queued spend event %#x is not named by its pending handle %#x, or the peer is idle", px, h.Pack(), p.pending.Pack())
+		}
+		named++
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	// Handles are only ever spend handles, so one that still names a
+	// queued event names its holder's own, already counted above.
+	holders := 0
+	for px := range s.ws {
+		if !s.k.Sched.Cancelled(s.ws[px].pending) {
+			holders++
+		}
+	}
+	if holders != named {
+		return fmt.Errorf("%d pending handles name queued events, but only %d spend events are queued under their holders", holders, named)
+	}
+	return nil
 }

@@ -70,6 +70,17 @@ func (s Scale) String() string {
 	}
 }
 
+// ParseScale maps a preset name ("quick", "full", "large" or "xlarge", as
+// String prints it) to its Scale — the one mapping from names to scales.
+func ParseScale(name string) (Scale, error) {
+	for s := ScaleQuick; s <= ScaleXLarge; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown preset %q (want quick, full, large or xlarge)", name)
+}
+
 // largeN and xlargeN are the populations of the ScaleLarge and ScaleXLarge
 // instances.
 const (
@@ -632,8 +643,7 @@ type Outcome struct {
 	Market    *market.Result
 	Streaming *streaming.Result
 	// Shards and Shard are set when the run used the sharded kernel
-	// (RunSharded with shards > 1); Routing names its destination-sampling
-	// mode.
+	// (Run with shards > 1); Routing names its destination-sampling mode.
 	Shards  int
 	Routing string
 	Shard   *shard.Result
@@ -656,40 +666,6 @@ func (o *Outcome) Events() uint64 {
 		return o.Shard.Transfers
 	}
 	return 0
-}
-
-// Run compiles and executes the scenario at the given scale.
-func Run(sc Scenario, scale Scale) (*Outcome, error) {
-	d, err := sc.dims(scale)
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{Name: sc.Name, Scale: scale, N: d.n, Horizon: d.horizon}
-	switch sc.Workload {
-	case WorkloadMarket:
-		cfg, err := sc.MarketConfig(scale)
-		if err != nil {
-			return nil, err
-		}
-		res, err := market.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out.Market = res
-	case WorkloadStreaming:
-		cfg, err := sc.StreamingConfig(scale)
-		if err != nil {
-			return nil, err
-		}
-		res, err := streaming.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out.Streaming = res
-	default:
-		return nil, fmt.Errorf("%w: workload %d", ErrBadScenario, int(sc.Workload))
-	}
-	return out, nil
 }
 
 // Report renders an outcome as a summary table plus the wealth-Gini (and,
@@ -806,11 +782,12 @@ func All() []Scenario {
 	return out
 }
 
-// RunNamed looks a scenario up and runs it.
+// RunNamed looks a scenario up and runs it on the single-threaded
+// engines.
 func RunNamed(name string, scale Scale) (*Outcome, error) {
 	sc, err := Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return Run(sc, scale)
+	return Run(sc, scale, 1, Resume{})
 }

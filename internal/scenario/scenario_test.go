@@ -94,11 +94,11 @@ func TestPresetsRegistered(t *testing.T) {
 func TestGoldenDeterminism(t *testing.T) {
 	for _, sc := range All() {
 		t.Run(sc.Name, func(t *testing.T) {
-			a, err := Run(sc, ScaleQuick)
+			a, err := Run(sc, ScaleQuick, 1, Resume{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Run(sc, ScaleQuick)
+			b, err := Run(sc, ScaleQuick, 1, Resume{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestFlashCrowdSpikesPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := Run(sc, ScaleQuick)
+	o, err := Run(sc, ScaleQuick, 1, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,12 @@ func TestFreeRiderMixConcentratesIncome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := Run(sc, ScaleQuick)
+	with, err := Run(sc, ScaleQuick, 1, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Market.FreeRiderFrac = 0
-	without, err := Run(sc, ScaleQuick)
+	without, err := Run(sc, ScaleQuick, 1, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestDiurnalChurnOscillates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := Run(sc, ScaleQuick)
+	o, err := Run(sc, ScaleQuick, 1, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestSeederDrainDegradesContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drained, err := Run(sc, ScaleQuick)
+	drained, err := Run(sc, ScaleQuick, 1, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestSeederDrainDegradesContinuity(t *testing.T) {
 		t.Fatal("seeder-drain compiled with no departures")
 	}
 	sc.Streaming.DrainStart, sc.Streaming.DrainEnd = 0, 0 // seeders stay
-	kept, err := Run(sc, ScaleQuick)
+	kept, err := Run(sc, ScaleQuick, 1, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,14 +423,14 @@ func TestAdaptiveTaxPresetCountersCondensation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	managed, err := Run(sc, ScaleQuick)
+	managed, err := Run(sc, ScaleQuick, 1, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	free := sc
 	free.Credit.Policies = nil
 	free.Credit.PolicyEpoch = 0
-	unmanaged, err := Run(free, ScaleQuick)
+	unmanaged, err := Run(free, ScaleQuick, 1, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,14 +450,14 @@ func TestDemurragePresetRecirculates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	managed, err := Run(sc, ScaleQuick)
+	managed, err := Run(sc, ScaleQuick, 1, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	free := sc
 	free.Credit.Policies = nil
 	free.Credit.PolicyEpoch = 0
-	unmanaged, err := Run(free, ScaleQuick)
+	unmanaged, err := Run(free, ScaleQuick, 1, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}

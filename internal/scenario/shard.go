@@ -141,112 +141,6 @@ func (c Churn) shapeDigest(horizon float64) uint64 {
 	return h
 }
 
-// RunSharded executes the scenario on the sharded kernel with the given
-// lane count. shards <= 1 falls back to the legacy single-threaded
-// engines via Run — existing invocations and their byte-identical
-// outputs are untouched; the sharded model engages only when asked for.
-func RunSharded(sc Scenario, scale Scale, shards int) (*Outcome, error) {
-	return RunShardedResumable(sc, scale, shards, Resume{})
-}
-
-// RunShardedResumable is RunSharded with crash/resume support: periodic
-// checkpoints flow to rs.ChainSink (delta links between bases with
-// rs.Delta), and a non-nil rs.Chain — a lone base is a one-link chain —
-// resumes a checkpointed run instead of starting fresh. Sharded
-// checkpoints are barrier-aligned, so the event-count cadence quantizes up
-// to window boundaries: a checkpoint lands at the first barrier at or
-// after each multiple of rs.CheckpointEvery dispatched events. The
-// completed run's Outcome is byte-identical to RunSharded's. shards <= 1
-// runs the single-threaded engines through RunResumable.
-func RunShardedResumable(sc Scenario, scale Scale, shards int, rs Resume) (*Outcome, error) {
-	if shards <= 1 {
-		return RunResumable(sc, scale, rs)
-	}
-	if rs.Sink != nil || rs.Snapshot != nil {
-		return nil, fmt.Errorf("%w: sharded runs checkpoint through Resume.ChainSink and restore from Resume.Chain, not Sink/Snapshot", ErrBadScenario)
-	}
-	d, err := sc.dims(scale)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := sc.ShardConfig(scale, shards)
-	if err != nil {
-		return nil, err
-	}
-	var s *shard.Sim
-	if rs.Chain != nil {
-		s, err = shard.RestoreChain(cfg, rs.Chain)
-	} else if s, err = shard.NewSim(cfg); err == nil {
-		err = s.Start()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := driveSharded(s, rs); err != nil {
-		return nil, err
-	}
-	res, err := s.Finish()
-	if err != nil {
-		return nil, err
-	}
-	t := s.Engine().Timings()
-	return &Outcome{
-		Name:    sc.Name,
-		Scale:   scale,
-		N:       d.n,
-		Horizon: d.horizon,
-		Shards:  shards,
-		Routing: s.Engine().RoutingMode().String(),
-		Shard:   res,
-		Timings: &t,
-	}, nil
-}
-
-// driveSharded steps a sharded run window-by-window, checkpointing at the
-// first barrier at or after each multiple of rs.CheckpointEvery dispatched
-// events through the pipelined checkpointer: parallel fragment encode at
-// the barrier, seal+write overlapped with the following windows. Without
-// rs.Delta every link is a base.
-func driveSharded(s *shard.Sim, rs Resume) error {
-	if rs.CheckpointEvery <= 0 || rs.ChainSink == nil {
-		for s.StepWindow() {
-		}
-		return nil
-	}
-	every := uint64(rs.CheckpointEvery)
-	next := every
-	// After a restore, pick the cadence up past the events the run had
-	// already dispatched at the checkpoint.
-	if n := s.Engine().EventsFired(); n >= next {
-		next = (n/every + 1) * every
-	}
-	c := shard.NewCheckpointer(s.Engine(), rs.ChainSink, shard.CheckpointOptions{
-		Delta:       rs.Delta,
-		RebaseEvery: rs.RebaseEvery,
-	})
-	for s.StepWindow() {
-		if n := s.Engine().EventsFired(); n >= next {
-			if err := c.Checkpoint(); err != nil {
-				return fmt.Errorf("scenario: checkpoint after %d events: %w", n, err)
-			}
-			next = (n/every + 1) * every
-		}
-	}
-	if err := c.Close(); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	return nil
-}
-
-// RunShardedNamed looks a scenario up and runs it on the sharded kernel.
-func RunShardedNamed(name string, scale Scale, shards int) (*Outcome, error) {
-	sc, err := Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return RunSharded(sc, scale, shards)
-}
-
 // reportShard renders the sharded-run rows of the outcome table.
 func (o *Outcome) reportShard(tab *trace.Table) {
 	r := o.Shard

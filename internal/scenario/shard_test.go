@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"creditp2p/internal/market"
 	"creditp2p/internal/shard"
 )
 
@@ -89,10 +91,14 @@ func TestShardScenarioRoutingCompiles(t *testing.T) {
 	}
 }
 
-// TestRunShardedReport runs a preset through the public sharded entry
-// point and checks the report carries the shard rows.
+// TestRunShardedReport runs a preset on four lanes through the scenario
+// runner and checks the report carries the shard rows.
 func TestRunShardedReport(t *testing.T) {
-	out, err := RunShardedNamed("flash-crowd", ScaleQuick, 4)
+	sc, err := Get("flash-crowd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(sc, ScaleQuick, 4, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +131,7 @@ func TestRunShardedResumableParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shards = 4
-	base, err := RunSharded(sc, ScaleQuick, shards)
+	base, err := Run(sc, ScaleQuick, shards, Resume{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +142,7 @@ func TestRunShardedResumableParity(t *testing.T) {
 		t.Fatal("policy-enabled run merged no events; the checkpoint would not cover the merge path")
 	}
 	bases := &baseSink{}
-	_, err = RunShardedResumable(sc, ScaleQuick, shards, Resume{CheckpointEvery: 500, ChainSink: bases})
+	_, err = Run(sc, ScaleQuick, shards, Resume{CheckpointEvery: 500, ChainSink: bases})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +152,7 @@ func TestRunShardedResumableParity(t *testing.T) {
 	}
 	// Resume from a mid-run base, a one-link chain, not the final one, so
 	// a real tail of windows replays after the restore.
-	resumed, err := RunShardedResumable(sc, ScaleQuick, shards, Resume{
+	resumed, err := Run(sc, ScaleQuick, shards, Resume{
 		Chain: [][]byte{snaps[len(snaps)/2]},
 	})
 	if err != nil {
@@ -155,16 +161,6 @@ func TestRunShardedResumableParity(t *testing.T) {
 	if resumed.Shard.Fingerprint() != base.Shard.Fingerprint() {
 		t.Fatalf("resumed fingerprint %016x != uninterrupted %016x",
 			resumed.Shard.Fingerprint(), base.Shard.Fingerprint())
-	}
-	// The single-threaded engines' Sink and Snapshot have no sharded
-	// meaning; a sharded run refuses them rather than ignoring them.
-	for name, rs := range map[string]Resume{
-		"sink":     {CheckpointEvery: 500, Sink: func([]byte) error { return nil }},
-		"snapshot": {Snapshot: snaps[0]},
-	} {
-		if _, err := RunShardedResumable(sc, ScaleQuick, shards, rs); !errors.Is(err, ErrBadScenario) {
-			t.Errorf("%s: sharded run with a single-engine %s: err %v, want ErrBadScenario", name, name, err)
-		}
 	}
 }
 
@@ -181,26 +177,130 @@ func (b *baseSink) WriteDelta(index int, _ []byte) error {
 	return fmt.Errorf("deltas-off checkpointer wrote delta %d", index)
 }
 
-// TestRunShardedFallsBackToLegacy pins that shards <= 1 routes to the
-// classic single-threaded engines, preserving their byte-identical
-// outputs (the goldenhash base lines).
+// TestRunShardedFallsBackToLegacy pins that shards <= 1 runs the classic
+// single-threaded engines, preserving their byte-identical outputs (the
+// goldenhash base lines).
 func TestRunShardedFallsBackToLegacy(t *testing.T) {
 	sc, err := Get("flash-crowd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := Run(sc, ScaleQuick)
+	cfg, err := sc.MarketConfig(ScaleQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSharded, err := RunSharded(sc, ScaleQuick, 1)
+	direct, err := market.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaSharded.Shard != nil {
-		t.Fatal("shards=1 took the sharded path instead of the legacy engines")
+	for _, shards := range []int{1, 0} {
+		out, err := Run(sc, ScaleQuick, shards, Resume{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Shard != nil {
+			t.Fatalf("shards=%d took the sharded path instead of the legacy engines", shards)
+		}
+		if a, b := fingerprint(t, &Outcome{Market: direct}), fingerprint(t, out); a != b {
+			t.Fatalf("shards=%d: runner diverged from the market engine: %s vs %s", shards, b, a)
+		}
 	}
-	if a, b := fingerprint(t, legacy), fingerprint(t, viaSharded); a != b {
-		t.Fatalf("legacy fallback diverged: %s vs %s", a, b)
+}
+
+// TestRunSingleThreadedResumeCadence resumes a single-threaded market and
+// streaming run from a base captured at another cadence, so the restored
+// event count is not a multiple of the resumed run's cadence. The resumed
+// run must finish byte-identical to the uninterrupted one and write, byte
+// for byte, the checkpoints the uninterrupted run wrote after that point:
+// the cadence counts the run's total fired events, not the events since
+// the restore.
+func TestRunSingleThreadedResumeCadence(t *testing.T) {
+	// A streaming event is a whole trading round, so its runs fire
+	// hundreds of events where a market's fire tens of thousands.
+	for name, every := range map[string][2]int{"flash-crowd": {997, 1000}, "taxed-streaming": {7, 5}} {
+		t.Run(name, func(t *testing.T) {
+			sc, err := Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := Run(sc, ScaleQuick, 1, Resume{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(every int, chain [][]byte) (*Outcome, [][]byte) {
+				sink := &baseSink{}
+				out, err := Run(sc, ScaleQuick, 1, Resume{CheckpointEvery: every, ChainSink: sink, Chain: chain})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out, sink.links
+			}
+			_, other := run(every[0], nil)
+			_, all := run(every[1], nil)
+			if len(other) < 3 {
+				t.Fatalf("got %d checkpoints, want at least 3", len(other))
+			}
+			// Base k holds the run after (k+1)*every[0] events; the
+			// uninterrupted run's checkpoints after that point follow
+			// its first (k+1)*every[0]/every[1].
+			k := len(other) / 3
+			resumed, tail := run(every[1], [][]byte{other[k]})
+			if a, b := fingerprint(t, plain), fingerprint(t, resumed); a != b {
+				t.Fatalf("resumed run diverged: %s vs %s", b, a)
+			}
+			want := all[(k+1)*every[0]/every[1]:]
+			if len(tail) != len(want) {
+				t.Fatalf("resumed run wrote %d checkpoints, the uninterrupted run %d after the restored point", len(tail), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(tail[i], want[i]) {
+					t.Fatalf("resumed checkpoint %d differs from the uninterrupted run's", i)
+				}
+			}
+		})
 	}
+}
+
+// TestRunSingleThreadedRefusesDeltas pins that the single-threaded engines
+// neither write nor read delta links, with errors that point at the
+// sharded kernel.
+func TestRunSingleThreadedRefusesDeltas(t *testing.T) {
+	sc, err := Get("flash-crowd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(sc, ScaleQuick, 1, Resume{CheckpointEvery: 500, ChainSink: &baseSink{}, Delta: true}); !errors.Is(err, ErrBadScenario) {
+		t.Fatalf("single-threaded delta checkpoints: err %v, want ErrBadScenario", err)
+	}
+	sink := &memChain{}
+	if _, err := Run(sc, ScaleQuick, 2, Resume{CheckpointEvery: 500, ChainSink: sink, Delta: true}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.links) < 2 {
+		t.Fatalf("sharded run left a %d-link chain, want a base and deltas", len(sink.links))
+	}
+	for name, chain := range map[string][][]byte{
+		"chain":      sink.links,
+		"lone-delta": sink.links[len(sink.links)-1:],
+	} {
+		if _, err := Run(sc, ScaleQuick, 1, Resume{Chain: chain}); err == nil || !strings.Contains(err.Error(), "sharded kernel") {
+			t.Errorf("%s: single-threaded restore of a delta: err %v, want one naming the sharded kernel", name, err)
+		}
+	}
+}
+
+// memChain is an in-memory chain store: a base resets it, deltas append.
+type memChain struct{ links [][]byte }
+
+func (m *memChain) WriteBase(data []byte) error {
+	m.links = [][]byte{append([]byte(nil), data...)}
+	return nil
+}
+
+func (m *memChain) WriteDelta(index int, data []byte) error {
+	if index != len(m.links) {
+		return fmt.Errorf("delta %d after %d links", index, len(m.links))
+	}
+	m.links = append(m.links, append([]byte(nil), data...))
+	return nil
 }

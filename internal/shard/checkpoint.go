@@ -21,18 +21,6 @@ import (
 // complete CP2PSNAP snapshot; deltas chain to their base by (id, index,
 // predecessor CRC), and RestoreChain replays them.
 
-// ChainSink receives sealed checkpoint links. snapshot.ChainStore
-// satisfies it for file-backed chains; tests use in-memory sinks. Writes
-// happen on the checkpointer's writer goroutine, never concurrently with
-// each other. The data slice is a recycled buffer the checkpointer reuses
-// once the write returns — a sink that keeps the bytes must copy them.
-type ChainSink interface {
-	// WriteBase persists a new chain base, invalidating prior deltas.
-	WriteBase(data []byte) error
-	// WriteDelta persists the index-th delta (1-based) of the current base.
-	WriteDelta(index int, data []byte) error
-}
-
 // CheckpointOptions configures a Checkpointer.
 type CheckpointOptions struct {
 	// Delta enables dirty-segment delta checkpoints between bases. Off,
@@ -78,7 +66,7 @@ type writeResult struct {
 // barriers and Close before reading the run's results.
 type Checkpointer struct {
 	e    *Engine
-	sink ChainSink
+	sink snapshot.ChainSink
 	opt  CheckpointOptions
 
 	enc *encoder // recycled fragments
@@ -97,7 +85,7 @@ type Checkpointer struct {
 }
 
 // NewCheckpointer builds a checkpointer over e writing to sink.
-func NewCheckpointer(e *Engine, sink ChainSink, opt CheckpointOptions) *Checkpointer {
+func NewCheckpointer(e *Engine, sink snapshot.ChainSink, opt CheckpointOptions) *Checkpointer {
 	if opt.RebaseEvery <= 0 {
 		opt.RebaseEvery = defaultRebaseEvery
 	}
@@ -176,7 +164,7 @@ func (c *Checkpointer) Checkpoint() error {
 	index := int(link.Index)
 	res := make(chan writeResult, 1)
 	c.inflight = res
-	go func(parts [][]byte, dst []byte, sink ChainSink, index int) {
+	go func(parts [][]byte, dst []byte, sink snapshot.ChainSink, index int) {
 		var r writeResult
 		tE := time.Now()
 		sealed, crc := snapshot.Seal(dst, parts)

@@ -86,20 +86,20 @@ func FuzzRestoreChain(f *testing.F) {
 	})
 }
 
-// TestRestoreSimRefusesLoneDelta pins the error for handing RestoreSim a
-// delta link: it restores only on top of its chain, and the error says
-// where to go instead.
-func TestRestoreSimRefusesLoneDelta(t *testing.T) {
+// TestRestoreChainRefusesLoneDelta pins the error for handing RestoreChain
+// a delta link on its own: a delta restores only on top of its chain, and
+// the error says the chain needs a base.
+func TestRestoreChainRefusesLoneDelta(t *testing.T) {
 	chain := fuzzChain(t, 0)
-	_, err := shard.RestoreSim(fuzzRuns[0](t), chain[len(chain)-1])
-	if err == nil || !strings.Contains(err.Error(), "RestoreChain") {
-		t.Fatalf("lone delta: got %v, want an error naming RestoreChain", err)
+	_, err := shard.RestoreChain(fuzzRuns[0](t), [][]byte{chain[len(chain)-1]})
+	if err == nil || !strings.Contains(err.Error(), "want a base") {
+		t.Fatalf("lone delta: got %v, want an error asking for a base", err)
 	}
 }
 
 // TestRestoreVetsPendingHandles crafts checkpoints of a 2-lane churn
 // market whose pending workload-event handles disagree with the queued
-// events, and requires RestoreSim to refuse each with an error naming the
+// events, and requires RestoreChain to refuse each with an error naming the
 // fault. The untouched capture restores and finishes like the
 // uninterrupted run.
 func TestRestoreVetsPendingHandles(t *testing.T) {
@@ -139,7 +139,7 @@ func TestRestoreVetsPendingHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := shard.RestoreSim(marketConfig(t, 2, nil), capture(func(*shard.Engine, int32, int32, int32) {}))
+	s, err := shard.RestoreChain(marketConfig(t, 2, nil), [][]byte{capture(func(*shard.Engine, int32, int32, int32) {})})
 	if err != nil {
 		t.Fatalf("untouched capture refused: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestRestoreVetsPendingHandles(t *testing.T) {
 				a, b, off = a0, b0, off0
 				c.craft(e, a, b, off)
 			})
-			_, err := shard.RestoreSim(marketConfig(t, 2, nil), data)
+			_, err := shard.RestoreChain(marketConfig(t, 2, nil), [][]byte{data})
 			if err == nil {
 				t.Fatal("crafted handles restored")
 			}

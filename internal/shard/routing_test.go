@@ -314,7 +314,7 @@ func TestRoutingResumeParity(t *testing.T) {
 	}
 	stepWindows(t, sim, 40)
 	snap := sim.Snapshot()
-	resumed, err := shard.RestoreSim(mk(), snap)
+	resumed, err := shard.RestoreChain(mk(), [][]byte{snap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestRoutingRestoreRefusesModeDrift(t *testing.T) {
 		{Mode: shard.RouteDegree},
 		{Mode: shard.RouteAvailability, HeavyDegree: 7},
 	} {
-		if _, err := shard.RestoreSim(mk(rc), snap); err == nil {
+		if _, err := shard.RestoreChain(mk(rc), [][]byte{snap}); err == nil {
 			t.Errorf("routing drift %+v accepted at restore", rc)
 		}
 	}

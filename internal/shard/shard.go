@@ -867,28 +867,31 @@ func (ln *Lane) Spend(t float64, src, dst int32, seq uint32, amount int64) bool 
 func (ln *Lane) applyInbound() {
 	e := ln.e
 	for _, src := range e.lanes {
-		for _, xev := range src.out[ln.S].Events() {
-			ln.deliver(xev)
+		evs := src.out[ln.S].Events()
+		for i := range evs {
+			ln.deliver(&evs[i])
 		}
 	}
 }
 
 // deliver lands one merged effect: credit the destination if it is still
-// online, otherwise burn the in-flight amount.
-func (ln *Lane) deliver(xev des.XEvent) {
+// online, otherwise burn the in-flight amount. It reports whether the
+// credit landed, and the destination's balance before it did.
+func (ln *Lane) deliver(xev *des.XEvent) (pre int64, landed bool) {
 	e := ln.e
 	g := xev.Dst
 	if e.flags[g]&aliveBit == 0 {
 		ln.lostCount++
 		ln.lostAmount += xev.Amount
 		ln.burned += xev.Amount
-		return
+		return 0, false
 	}
-	pre := e.bal[g]
+	pre = e.bal[g]
 	e.bal[g] = pre + xev.Amount
 	ln.markPeer(g)
 	ln.hist.Move(pre, pre+xev.Amount)
 	ln.supply += xev.Amount
+	return pre, true
 }
 
 // collectMerged k-way-merges every lane's per-destination outboxes into
@@ -931,19 +934,9 @@ func (e *Engine) applyMerged() {
 			warm += uint32(e.flags[g]) + uint32(e.bal[g])
 		}
 		xev := &e.mergeAll[i]
-		dst := e.lanes[e.part.ShardOf(xev.Dst)]
-		if e.flags[xev.Dst]&aliveBit == 0 {
-			dst.lostCount++
-			dst.lostAmount += xev.Amount
-			dst.burned += xev.Amount
-			continue
+		if pre, landed := e.lanes[e.part.ShardOf(xev.Dst)].deliver(xev); landed {
+			e.engine.Income(h, xev.Dst, pre, xev.Amount)
 		}
-		pre := e.bal[xev.Dst]
-		e.bal[xev.Dst] = pre + xev.Amount
-		dst.markPeer(xev.Dst)
-		dst.hist.Move(pre, pre+xev.Amount)
-		dst.supply += xev.Amount
-		e.engine.Income(h, xev.Dst, pre, xev.Amount)
 	}
 	e.warm = warm
 }

@@ -219,7 +219,7 @@ func TestShardResumeParity(t *testing.T) {
 	}
 	snap := sim.Snapshot()
 
-	resumed, err := shard.RestoreSim(marketConfig(t, 4, taxPipeline(t)), snap)
+	resumed, err := shard.RestoreChain(marketConfig(t, 4, taxPipeline(t)), [][]byte{snap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestShardRestoreRefusesMismatchedShards(t *testing.T) {
 	}
 	snap := sim.Snapshot()
 
-	_, err = shard.RestoreSim(marketConfig(t, 2, nil), snap)
+	_, err = shard.RestoreChain(marketConfig(t, 2, nil), [][]byte{snap})
 	if err == nil {
 		t.Fatal("mismatched shard count accepted")
 	}
@@ -262,7 +262,7 @@ func TestShardRestoreRefusesMismatchedShards(t *testing.T) {
 	// A config drift beyond the shard count trips the digest check.
 	drifted := marketConfig(t, 4, nil)
 	drifted.Seed = 8
-	if _, err := shard.RestoreSim(drifted, snap); err == nil ||
+	if _, err := shard.RestoreChain(drifted, [][]byte{snap}); err == nil ||
 		!strings.Contains(err.Error(), "digest") {
 		t.Fatalf("config drift not refused with a digest error: %v", err)
 	}

@@ -564,8 +564,8 @@ type Sim struct {
 	e *Engine
 }
 
-// NewSim builds an engine without arming it; call Start to begin or
-// RestoreSim to resume from a snapshot instead.
+// NewSim builds an engine without arming it; call Start to begin, or
+// RestoreChain instead to resume from a checkpoint.
 func NewSim(cfg Config) (*Sim, error) {
 	e, err := New(cfg)
 	if err != nil {
@@ -598,17 +598,6 @@ func (s *Sim) Snapshot() []byte {
 
 // Finish completes the run and returns the result.
 func (s *Sim) Finish() (*Result, error) { return s.e.Finish() }
-
-// RestoreSim rebuilds a run from cfg and a lone base link — a
-// Sim.Snapshot, or the base of a checkpoint chain — as RestoreChain over
-// a one-link chain. A delta link is refused: it restores only on top of
-// its chain.
-func RestoreSim(cfg Config, data []byte) (*Sim, error) {
-	if h, _, err := snapshot.PeekLink(data); err == nil && h.Kind != snapshot.LinkBase {
-		return nil, fmt.Errorf("shard: snapshot is delta link %d of a chain — restore the whole chain with RestoreChain, not a lone delta", h.Index)
-	}
-	return RestoreChain(cfg, [][]byte{data})
-}
 
 // RestoreChain rebuilds a run from cfg and a checkpoint chain: a base and
 // its deltas as a Checkpointer wrote them, or a lone base. The chain is

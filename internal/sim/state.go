@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -239,6 +241,46 @@ func (k *Kernel) configDigest() uint64 {
 		put(uint64(k.engine.Len()))
 	}
 	return h.Sum64()
+}
+
+// LinkID is the deterministic chain id a single-threaded engine stamps on
+// its captures: a digest of the kernel configuration, the workload's own
+// configuration digest and the number of events fired. Two captures of the
+// same run state carry the same id, so equal states give equal bytes,
+// while captures at different events never share one.
+func (k *Kernel) LinkID(workload uint64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range [...]uint64{k.configDigest(), workload, k.Sched.Fired()} {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// OpenBase opens a single-threaded engine's checkpoint chain for restore
+// and returns a reader positioned after the base's link header. The
+// single-threaded engines write every capture as a base, so the chain must
+// be one base link; a delta — which only the sharded kernel writes — is
+// refused with an error that says so.
+func OpenBase(chain [][]byte) (*snapshot.Reader, error) {
+	delta := len(chain) > 1
+	if len(chain) == 1 {
+		h, _, err := snapshot.PeekLink(chain[0])
+		delta = err == nil && h.Kind == snapshot.LinkDelta
+	}
+	if delta {
+		return nil, errors.New("sim: the checkpoint holds delta links, which only the sharded kernel (internal/shard) writes and restores; a single-threaded engine restores one base")
+	}
+	if err := snapshot.ValidateChain(chain); err != nil {
+		return nil, err
+	}
+	r, err := snapshot.Open(chain[0])
+	if err != nil {
+		return nil, err
+	}
+	r.LinkHeader()
+	return r, r.Err()
 }
 
 // SaveState serializes the complete mutable kernel state: scheduler (slab,

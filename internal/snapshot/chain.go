@@ -164,6 +164,19 @@ func syncDir(dir string) error {
 	return err
 }
 
+// ChainSink receives sealed checkpoint links. ChainStore satisfies it for
+// file-backed chains; tests use in-memory sinks. The sharded kernel's
+// Checkpointer writes from its writer goroutine, never concurrently with
+// itself; the single-threaded engines write every capture as a base. The
+// data slice may be a recycled buffer reused once the write returns — a
+// sink that keeps the bytes must copy them.
+type ChainSink interface {
+	// WriteBase persists a new chain base, invalidating prior deltas.
+	WriteBase(data []byte) error
+	// WriteDelta persists the index-th delta (1-based) of the current base.
+	WriteDelta(index int, data []byte) error
+}
+
 // ChainStore persists a checkpoint chain as files: the base at Path and
 // the k-th delta at Path.d<k> (three-digit, e.g. run.snap.d001). Every
 // write is atomic and fsynced; writing a new base prunes the previous

@@ -210,118 +210,51 @@ func (w *Writer) Bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// bulkAppend appends n*size bytes viewed from p (little-endian hosts only).
-func (w *Writer) bulkAppend(p unsafe.Pointer, n, size int) {
-	w.buf = append(w.buf, unsafe.Slice((*byte)(p), n*size)...)
+// fixed is the element types the bulk slice codec carries: fixed-width
+// numbers whose in-memory bytes on a little-endian host are exactly their
+// encoding.
+type fixed interface {
+	~int32 | ~int64 | ~uint16 | ~uint32 | ~uint64 | ~float32 | ~float64
+}
+
+// putSlice writes a length-prefixed slice of fixed-width values: one
+// unsafe byte-view copy on little-endian hosts, binary.Append's
+// per-element encoding (identical bytes) elsewhere.
+func putSlice[T fixed](w *Writer, s []T) {
+	w.U64(uint64(len(s)))
+	if len(s) == 0 {
+		return
+	}
+	if hostLittleEndian {
+		w.buf = append(w.buf, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))...)
+		return
+	}
+	w.buf, _ = binary.Append(w.buf, binary.LittleEndian, s) // fixed-width slices always encode
 }
 
 // I32s writes a length-prefixed []int32.
-func (w *Writer) I32s(s []int32) {
-	w.U64(uint64(len(s)))
-	if len(s) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		w.bulkAppend(unsafe.Pointer(&s[0]), len(s), 4)
-		return
-	}
-	for _, v := range s {
-		w.U32(uint32(v))
-	}
-}
+func (w *Writer) I32s(s []int32) { putSlice(w, s) }
 
 // I64s writes a length-prefixed []int64.
-func (w *Writer) I64s(s []int64) {
-	w.U64(uint64(len(s)))
-	if len(s) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		w.bulkAppend(unsafe.Pointer(&s[0]), len(s), 8)
-		return
-	}
-	for _, v := range s {
-		w.I64(v)
-	}
-}
+func (w *Writer) I64s(s []int64) { putSlice(w, s) }
 
 // U64s writes a length-prefixed []uint64.
-func (w *Writer) U64s(s []uint64) {
-	w.U64(uint64(len(s)))
-	if len(s) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		w.bulkAppend(unsafe.Pointer(&s[0]), len(s), 8)
-		return
-	}
-	for _, v := range s {
-		w.U64(v)
-	}
-}
+func (w *Writer) U64s(s []uint64) { putSlice(w, s) }
 
 // U32s writes a length-prefixed []uint32.
-func (w *Writer) U32s(s []uint32) {
-	w.U64(uint64(len(s)))
-	if len(s) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		w.bulkAppend(unsafe.Pointer(&s[0]), len(s), 4)
-		return
-	}
-	for _, v := range s {
-		w.U32(v)
-	}
-}
+func (w *Writer) U32s(s []uint32) { putSlice(w, s) }
 
 // U16s writes a length-prefixed []uint16.
-func (w *Writer) U16s(s []uint16) {
-	w.U64(uint64(len(s)))
-	if len(s) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		w.bulkAppend(unsafe.Pointer(&s[0]), len(s), 2)
-		return
-	}
-	for _, v := range s {
-		w.U16(v)
-	}
-}
+func (w *Writer) U16s(s []uint16) { putSlice(w, s) }
 
 // U8s writes a length-prefixed []uint8.
 func (w *Writer) U8s(s []uint8) { w.Bytes(s) }
 
 // F64s writes a length-prefixed []float64.
-func (w *Writer) F64s(s []float64) {
-	w.U64(uint64(len(s)))
-	if len(s) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		w.bulkAppend(unsafe.Pointer(&s[0]), len(s), 8)
-		return
-	}
-	for _, v := range s {
-		w.F64(v)
-	}
-}
+func (w *Writer) F64s(s []float64) { putSlice(w, s) }
 
 // F32s writes a length-prefixed []float32.
-func (w *Writer) F32s(s []float32) {
-	w.U64(uint64(len(s)))
-	if len(s) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		w.bulkAppend(unsafe.Pointer(&s[0]), len(s), 4)
-		return
-	}
-	for _, v := range s {
-		w.U32(math.Float32bits(v))
-	}
-}
+func (w *Writer) F32s(s []float32) { putSlice(w, s) }
 
 // --- Reader ---
 
@@ -507,156 +440,54 @@ func (r *Reader) Bytes(max int) []byte {
 	return out
 }
 
-// I32s reads a length-prefixed []int32. max, when positive, caps the
-// accepted element count.
-func (r *Reader) I32s(max int) []int32 {
-	n := r.count("[]int32", 4, max)
+// getSlice reads a length-prefixed slice of fixed-width values named what
+// in errors. The declared count passes the anti-OOM gate before the
+// allocation; the payload is one copy on little-endian hosts and
+// binary.Decode's per-element decoding elsewhere.
+func getSlice[T fixed](r *Reader, what string, max int) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	n := r.count(what, size, max)
 	if n <= 0 {
 		return nil
 	}
-	b := r.take(n*4, "[]int32")
+	b := r.take(n*size, what)
 	if b == nil {
 		return nil
 	}
-	out := make([]int32, n)
+	out := make([]T, n)
 	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*4), b)
-	} else {
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-		}
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*size), b)
+	} else if _, err := binary.Decode(b, binary.LittleEndian, out); err != nil {
+		r.fail("decoding %s: %v", what, err)
+		return nil
 	}
 	return out
 }
+
+// I32s reads a length-prefixed []int32. max, when positive, caps the
+// accepted element count (as for every slice reader below).
+func (r *Reader) I32s(max int) []int32 { return getSlice[int32](r, "[]int32", max) }
 
 // I64s reads a length-prefixed []int64.
-func (r *Reader) I64s(max int) []int64 {
-	n := r.count("[]int64", 8, max)
-	if n <= 0 {
-		return nil
-	}
-	b := r.take(n*8, "[]int64")
-	if b == nil {
-		return nil
-	}
-	out := make([]int64, n)
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*8), b)
-	} else {
-		for i := range out {
-			out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-	}
-	return out
-}
+func (r *Reader) I64s(max int) []int64 { return getSlice[int64](r, "[]int64", max) }
 
 // U64s reads a length-prefixed []uint64.
-func (r *Reader) U64s(max int) []uint64 {
-	n := r.count("[]uint64", 8, max)
-	if n <= 0 {
-		return nil
-	}
-	b := r.take(n*8, "[]uint64")
-	if b == nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*8), b)
-	} else {
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint64(b[i*8:])
-		}
-	}
-	return out
-}
+func (r *Reader) U64s(max int) []uint64 { return getSlice[uint64](r, "[]uint64", max) }
 
 // U32s reads a length-prefixed []uint32.
-func (r *Reader) U32s(max int) []uint32 {
-	n := r.count("[]uint32", 4, max)
-	if n <= 0 {
-		return nil
-	}
-	b := r.take(n*4, "[]uint32")
-	if b == nil {
-		return nil
-	}
-	out := make([]uint32, n)
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*4), b)
-	} else {
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint32(b[i*4:])
-		}
-	}
-	return out
-}
+func (r *Reader) U32s(max int) []uint32 { return getSlice[uint32](r, "[]uint32", max) }
 
 // U16s reads a length-prefixed []uint16.
-func (r *Reader) U16s(max int) []uint16 {
-	n := r.count("[]uint16", 2, max)
-	if n <= 0 {
-		return nil
-	}
-	b := r.take(n*2, "[]uint16")
-	if b == nil {
-		return nil
-	}
-	out := make([]uint16, n)
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*2), b)
-	} else {
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint16(b[i*2:])
-		}
-	}
-	return out
-}
+func (r *Reader) U16s(max int) []uint16 { return getSlice[uint16](r, "[]uint16", max) }
 
 // U8s reads a length-prefixed []uint8.
 func (r *Reader) U8s(max int) []uint8 { return r.Bytes(max) }
 
 // F64s reads a length-prefixed []float64.
-func (r *Reader) F64s(max int) []float64 {
-	n := r.count("[]float64", 8, max)
-	if n <= 0 {
-		return nil
-	}
-	b := r.take(n*8, "[]float64")
-	if b == nil {
-		return nil
-	}
-	out := make([]float64, n)
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*8), b)
-	} else {
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-	}
-	return out
-}
+func (r *Reader) F64s(max int) []float64 { return getSlice[float64](r, "[]float64", max) }
 
 // F32s reads a length-prefixed []float32.
-func (r *Reader) F32s(max int) []float32 {
-	n := r.count("[]float32", 4, max)
-	if n <= 0 {
-		return nil
-	}
-	b := r.take(n*4, "[]float32")
-	if b == nil {
-		return nil
-	}
-	out := make([]float32, n)
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*4), b)
-	} else {
-		for i := range out {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-		}
-	}
-	return out
-}
+func (r *Reader) F32s(max int) []float32 { return getSlice[float32](r, "[]float32", max) }
 
 // Close verifies the payload was fully consumed — a trailing-garbage guard
 // for restore paths — and returns the sticky error, if any.

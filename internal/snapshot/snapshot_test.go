@@ -75,6 +75,42 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPortableSliceCodec runs the slice codec through its big-endian-host
+// fallback (binary.Append / binary.Decode) and requires the bytes the bulk
+// copy writes, and the same values back.
+func TestPortableSliceCodec(t *testing.T) {
+	sample := func() []byte {
+		w := NewWriter(0)
+		w.I32s([]int32{-1, 0, 1, math.MaxInt32})
+		w.I64s([]int64{math.MinInt64, 9})
+		w.U64s([]uint64{0, math.MaxUint64})
+		w.U32s([]uint32{4, 5})
+		w.U16s([]uint16{6, math.MaxUint16})
+		w.F64s([]float64{0.5, -0.25, math.Inf(1)})
+		w.F32s([]float32{1.5, -2})
+		return w.Finish()
+	}
+	bulk := sample()
+	hostLittleEndian = false
+	defer func() { hostLittleEndian = true }()
+	if portable := sample(); string(portable) != string(bulk) {
+		t.Fatalf("portable encode differs from the bulk copy:\n%x\n%x", portable, bulk)
+	}
+	r, err := Open(bulk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i32, i64, u64, u32 := r.I32s(0), r.I64s(0), r.U64s(0), r.U32s(0)
+	u16, f64s, f32s := r.U16s(0), r.F64s(0), r.F32s(0)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if i32[0] != -1 || i32[3] != math.MaxInt32 || i64[0] != math.MinInt64 || u64[1] != math.MaxUint64 ||
+		u32[1] != 5 || u16[1] != math.MaxUint16 || f64s[1] != -0.25 || !math.IsInf(f64s[2], 1) || f32s[0] != 1.5 || f32s[1] != -2 {
+		t.Fatalf("portable decode: %v %v %v %v %v %v %v", i32, i64, u64, u32, u16, f64s, f32s)
+	}
+}
+
 // reseal recomputes the CRC trailer after a deliberate header/payload edit,
 // so a test reaches the check behind the checksum.
 func reseal(data []byte) []byte {

@@ -87,7 +87,7 @@ func TestResumeParityAtArbitraryIndices(t *testing.T) {
 	events, want := countEvents(t, resumeCfg(t))
 	for _, at := range []int{0, 1, events / 4, events / 2, 3 * events / 4, events - 1} {
 		data := crashAt(t, resumeCfg(t), at)
-		m, err := RestoreSim(resumeCfg(t), data)
+		m, err := RestoreChain(resumeCfg(t), [][]byte{data})
 		if err != nil {
 			t.Fatalf("restore at event %d: %v", at, err)
 		}
@@ -105,7 +105,7 @@ func TestResumeParityAtArbitraryIndices(t *testing.T) {
 func TestSnapshotIdempotence(t *testing.T) {
 	events, _ := countEvents(t, resumeCfg(t))
 	data := crashAt(t, resumeCfg(t), events/2)
-	m, err := RestoreSim(resumeCfg(t), data)
+	m, err := RestoreChain(resumeCfg(t), [][]byte{data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,60 @@ func TestRestoreRejectsAlteredConfig(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := resumeCfg(t)
 			mutate(&cfg)
-			if _, err := RestoreSim(cfg, data); err == nil {
+			if _, err := RestoreChain(cfg, [][]byte{data}); err == nil {
 				t.Fatal("restore into an altered configuration was accepted")
 			} else if !strings.Contains(err.Error(), "digest") && !strings.Contains(err.Error(), "external accounts") {
 				t.Fatalf("want a digest-guard error, got: %v", err)
+			}
+		})
+	}
+}
+
+// TestRestoreVetsPeerState crafts checkpoints whose buyer order or
+// empty-list bits break the swarm's invariants and requires RestoreChain
+// to refuse each with an error naming the fault, rather than accept the
+// file and index out of range at the next round.
+func TestRestoreVetsPeerState(t *testing.T) {
+	capture := func(craft func(s *swarm)) []byte {
+		m, err := NewSim(resumeCfg(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30 && m.Step(); i++ {
+		}
+		craft(m.s)
+		return m.Snapshot()
+	}
+	if _, err := RestoreChain(resumeCfg(t), [][]byte{capture(func(*swarm) {})}); err != nil {
+		t.Fatalf("untouched capture refused: %v", err)
+	}
+	// buffered returns a live peer holding a non-empty buffer list.
+	buffered := func(s *swarm) int32 {
+		for i := range s.peers {
+			if s.peers[i].alive && s.peers[i].listLen > 0 {
+				return int32(i)
+			}
+		}
+		t.Fatal("no peer holds a buffered chunk")
+		return -1
+	}
+	cases := []struct {
+		name, want string
+		craft      func(s *swarm)
+	}{
+		{"order-outside-swarm", "buyer order entry 1048576", func(s *swarm) { s.order[0] = 1 << 20 }},
+		{"order-repeats", "or repeats", func(s *swarm) { s.order[0] = s.order[1] }},
+		{"empty-list-without-empty-bit", "empty bit disagrees", func(s *swarm) { s.peers[buffered(s)].listLen = 0 }},
+		{"empty-bit-over-buffered-list", "empty bit disagrees", func(s *swarm) { bitSet(s.empty, buffered(s)) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := RestoreChain(resumeCfg(t), [][]byte{capture(c.craft)})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("got %v, want an error containing %q", err, c.want)
 			}
 		})
 	}

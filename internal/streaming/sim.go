@@ -126,13 +126,15 @@ func (s *swarm) stateDigest() uint64 {
 
 // Snapshot serializes the complete run state — kernel (scheduler, RNG,
 // ledger, peers, metrics, graph, policies) and the swarm's per-peer trading
-// state — into a versioned, checksummed byte slice. Snapshotting is
+// state — as a checkpoint chain base: a versioned, checksummed link whose
+// header id digests the configuration and the event index. Snapshotting is
 // read-only, and a snapshot of a restored run at the same event index is
 // byte-identical to one taken by the uninterrupted run.
 func (m *Sim) Snapshot() []byte {
 	s := m.s
 	n := len(s.peers)
 	w := snapshot.NewWriter(64 + 96*n + 4*len(s.rings) + 4*len(s.lists))
+	w.LinkHeader(snapshot.LinkHeader{Kind: snapshot.LinkBase, ID: s.k.LinkID(s.stateDigest())})
 	s.k.SaveState(w)
 
 	w.Section("streaming")
@@ -196,11 +198,12 @@ func (m *Sim) Snapshot() []byte {
 	return w.Finish()
 }
 
-// RestoreSim reconstructs a run from a snapshot taken by Sim.Snapshot. cfg
-// must describe the original run exactly (same scalars, same policy
-// pipeline, same pricing scheme, same graph). Continue the run with
-// Step/Run (not Start).
-func RestoreSim(cfg Config, data []byte) (*Sim, error) {
+// RestoreChain reconstructs a run from a checkpoint chain: the swarm
+// writes every capture as a base, so the chain is the one base link a
+// Sim.Snapshot produced (a delta is refused). cfg must describe the
+// original run exactly (same scalars, same policy pipeline, same pricing
+// scheme, same graph). Continue the run with Step/Run (not Start).
+func RestoreChain(cfg Config, chain [][]byte) (*Sim, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -208,14 +211,14 @@ func RestoreSim(cfg Config, data []byte) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := snapshot.Open(data)
+	r, err := sim.OpenBase(chain)
+	if err == nil {
+		err = s.load(r)
+	}
+	if err == nil {
+		err = r.Close()
+	}
 	if err != nil {
-		return nil, fmt.Errorf("streaming: restore: %w", err)
-	}
-	if err := s.load(r); err != nil {
-		return nil, fmt.Errorf("streaming: restore: %w", err)
-	}
-	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("streaming: restore: %w", err)
 	}
 	return &Sim{s: s}, nil
@@ -306,12 +309,29 @@ func (s *swarm) load(r *snapshot.Reader) error {
 		}
 		copy(*bs, v)
 	}
+	// The empty bitset mirrors the buffer lists exactly (every path that
+	// empties or fills a list flips the bit), and the trading pass samples
+	// the list of every seller whose bit is clear.
+	for i := range s.peers {
+		if bitGet(s.empty, int32(i)) != (s.peers[i].listLen == 0) {
+			return fmt.Errorf("peer %d's empty bit disagrees with its %d-entry buffer list", i, s.peers[i].listLen)
+		}
+	}
 	order := r.I32s(budget)
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if len(order) != n {
 		return fmt.Errorf("buyer order holds %d entries, want %d", len(order), n)
+	}
+	// The buyer order starts as the identity and is only ever shuffled,
+	// so it is a permutation of the peer slots.
+	seen := make([]bool, n)
+	for _, px := range order {
+		if px < 0 || int(px) >= n || seen[px] {
+			return fmt.Errorf("buyer order entry %d is not a peer slot of the %d-peer swarm, or repeats", px, n)
+		}
+		seen[px] = true
 	}
 	copy(s.order, order)
 	s.res.ChunksTraded = r.U64()

@@ -26,6 +26,9 @@ func NewFenwick(weights []float64) *Fenwick {
 	return f
 }
 
+// Len returns the number of weights the sampler draws from.
+func (f *Fenwick) Len() int { return f.n }
+
 // Reset rebuilds the tree over a fresh weight vector in O(n), reusing the
 // existing storage when it is large enough.
 func (f *Fenwick) Reset(weights []float64) {

@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math/rand"
 
 	"creditp2p/internal/snapshot"
@@ -48,10 +49,22 @@ func (f *Fenwick) SaveState(w *snapshot.Writer) {
 	w.F64(f.total)
 }
 
-// LoadState restores a sampler serialized by SaveState.
-func (f *Fenwick) LoadState(rd *snapshot.Reader, maxWeights int) {
+// LoadState restores a sampler serialized by SaveState, refusing a tree
+// whose shape disagrees with its weight count (Find would index past it).
+func (f *Fenwick) LoadState(rd *snapshot.Reader, maxWeights int) error {
 	f.tree = rd.F64s(maxWeights)
 	f.n = rd.Int()
 	f.top = rd.Int()
 	f.total = rd.F64()
+	if err := rd.Err(); err != nil {
+		return err
+	}
+	top := 1
+	for top*2 <= f.n {
+		top *= 2
+	}
+	if f.n < 0 || len(f.tree) != f.n+1 || f.top != top {
+		return fmt.Errorf("xrand: sampler tree of %d nodes, top %d, for %d weights", len(f.tree), f.top, f.n)
+	}
+	return nil
 }
