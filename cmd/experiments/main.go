@@ -55,7 +55,8 @@
 //
 // -timing prints the sharded kernel's phase-level barrier-pipeline
 // breakdown (dispatch / merge / apply / churn / publish) after the report,
-// then the dispatch phases' CPU time, CPU/wall ratio and CPU ns per event.
+// then the dispatch phases' CPU time, CPU/wall ratio and CPU ns per event,
+// and the merge and apply phases' CPU time and CPU ns per merged event.
 //
 // -routing (sharded runs only) overrides the preset's destination-sampling
 // mode: uniform picks neighbors uniformly, degree weights by static

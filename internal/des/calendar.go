@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"creditp2p/internal/pad"
+	"creditp2p/internal/prefetch"
 )
 
 // calendarQueue is a bucketed timing wheel (a calendar queue in the sense
@@ -73,12 +74,11 @@ type calendarQueue struct {
 
 	// nwSlot cursors a one-hop-per-pop pre-walk of the next day's bucket
 	// chain: drainDayInto's pointer chase is a serial cache-miss chain,
-	// so touching one link per pop while the current batch serves
-	// overlaps those misses with event work. warm sinks the loads; both
-	// are hints — a stale cursor (splice, retune, recycled slot) just
-	// warms a harmless line.
+	// so advancing one link per pop while the current batch serves
+	// overlaps those misses with event work. Each link is prefetched one
+	// pop before it is read. The cursor is only a hint — a stale one
+	// (splice, retune, recycled slot) just fetches a harmless line.
 	nwSlot int32
-	warm   uint32
 }
 
 // calEntry is one pending event's ordering key and slab slot: the drain
@@ -255,14 +255,20 @@ func (q *calendarQueue) drainDayInto(day int64) bool {
 	q.curDay = day
 	q.drainDay = day
 	q.nwSlot = q.heads[(day+1)&q.mask]
+	if s := q.nwSlot; s != 0 {
+		prefetch.Of(&q.slots[s-1])
+	}
 	return true
 }
 
-// prewalkStep advances the next-day chain pre-walk by one link.
+// prewalkStep advances the next-day chain pre-walk by one link: it reads
+// the link prefetched on the previous pop and prefetches the one it names.
 func (q *calendarQueue) prewalkStep() {
 	if s := q.nwSlot; s != 0 {
 		nxt := q.slots[s-1].next
-		q.warm += uint32(nxt)
+		if nxt != 0 {
+			prefetch.Of(&q.slots[nxt-1])
+		}
 		q.nwSlot = nxt
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"creditp2p/internal/pad"
+	"creditp2p/internal/prefetch"
 	"creditp2p/internal/snapshot"
 )
 
@@ -116,10 +117,7 @@ type Scheduler struct {
 	// held by value: a sharded lane fills it during the parallel checkpoint
 	// encode, so its headers must sit in the lane's own blocks.
 	enc encScratch
-	// warm sinks the read-ahead loads in pop so the compiler cannot drop
-	// them; the value itself is meaningless and never read. warmPos is
-	// the drain-batch index slab warming has reached.
-	warm    uint32
+	// warmPos is the drain-batch index pop's slab prefetch has reached.
 	warmPos int
 }
 
@@ -300,24 +298,22 @@ func (s *Scheduler) pop(horizon float64) (Event, bool) {
 		head := q.drain[q.pos]
 		if s.warmPos < len(q.drain) && q.pos+32 > s.warmPos {
 			// The drain batch's serve order is known ahead of time, so
-			// touch the slab nodes it will visit, staying a chunk in front
-			// of the cursor: at large populations each pop's slab access is
-			// a cache miss, and issuing the batch's loads together overlaps
-			// them instead of paying one serialized miss per event.
-			// (Exponential pending-time distributions make the front days
-			// dense, so batches can run to hundreds of entries — warming in
-			// chunks keeps the touched window inside L1 instead of
-			// thrashing it.)
+			// prefetch the slab nodes it will visit, staying a chunk in
+			// front of the cursor: at large populations each pop's slab
+			// access is a cache miss, and issuing the batch's fetches
+			// together overlaps them instead of paying one serialized miss
+			// per event. (Exponential pending-time distributions make the
+			// front days dense, so batches can run to hundreds of entries —
+			// prefetching in chunks keeps the touched window inside L1
+			// instead of thrashing it.)
 			d := q.drain
 			lim := q.pos + 96
 			if lim > len(d) {
 				lim = len(d)
 			}
-			var warm uint32
 			for i := s.warmPos; i < lim; i++ {
-				warm += uint32(s.slab[d[i].slot-1].gen)
+				prefetch.Of(&s.slab[d[i].slot-1])
 			}
-			s.warm = warm
 			s.warmPos = lim
 		}
 		q.prewalkStep()

@@ -14,6 +14,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"creditp2p/internal/des"
 	"creditp2p/internal/sim"
@@ -136,7 +137,7 @@ func (rep *Report) Err() error {
 // Workload panics are recovered into diagnostics; Run itself never panics.
 func Run(s Stepper, in *Injector, auditEvery int) *Report {
 	if auditEvery < 1 {
-		auditEvery = 1 << 62 // audit only at the end
+		auditEvery = math.MaxInt // audit only at the end
 	}
 	k := s.Kernel()
 	if in != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"creditp2p/internal/policy"
+	"creditp2p/internal/sim"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/xrand"
 )
@@ -258,6 +259,76 @@ func TestRestoreVetsPeerState(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			m, err := RestoreChain(mk(), [][]byte{capture(c.craft)})
+			if err == nil {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("crafted checkpoint restored, and the resumed run panicked: %v", p)
+					}
+				}()
+				m.Run()
+				t.Fatal("crafted checkpoint restored")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("got %q, want an error containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestRestoreVetsKernelEvents crafts checkpoints whose pending set holds a
+// kernel-owned event this configuration never arms, or one addressed to a
+// peer, and requires RestoreChain to refuse each: dispatch trusts these
+// events, so a snapshot index outside SnapshotTimes or a policy epoch
+// without a pipeline used to restore and then panic the resumed run.
+func TestRestoreVetsKernelEvents(t *testing.T) {
+	mk := func() Config {
+		g, err := topology.RandomRegular(60, 6, xrand.New(91))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Graph: g, InitialWealth: 3, DefaultMu: 1, Horizon: 200, Seed: 92,
+			SnapshotTimes: []float64{150}}
+	}
+	// capture runs 400 events, queues one crafted kernel event one time
+	// unit ahead, and snapshots.
+	capture := func(kind uint16, actor int32, payload int64) []byte {
+		m, err := NewSim(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 400 && m.Step(); i++ {
+		}
+		if kind != 0 {
+			k := m.s.k
+			if _, err := k.Sched.ScheduleAt(k.Sched.Now()+1, kind, actor, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m.Snapshot()
+	}
+	if _, err := RestoreChain(mk(), [][]byte{capture(0, 0, 0)}); err != nil {
+		t.Fatalf("untouched capture refused: %v", err)
+	}
+	cases := []struct {
+		name, want string
+		kind       uint16
+		actor      int32
+		payload    int64
+	}{
+		{"snapshot-index-outside-config", "arms no such event", sim.KindSnapshot, -1, 5},
+		{"negative-snapshot-index", "arms no such event", sim.KindSnapshot, -1, -1},
+		{"policy-epoch-without-pipeline", "arms no such event", sim.KindPolicy, -1, 0},
+		{"departure-without-churn", "arms no such event", sim.KindDepart, 3, 0},
+		{"unassigned-kernel-kind", "arms no such event", sim.KindUser - 1, -1, 0},
+		{"sample-addressed-to-a-peer", "queued for actor 7, want -1", sim.KindSample, 7, 0},
+		{"snapshot-addressed-to-a-peer", "queued for actor 2, want -1", sim.KindSnapshot, 2, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := RestoreChain(mk(), [][]byte{capture(c.kind, c.actor, c.payload)})
 			if err == nil {
 				defer func() {
 					if p := recover(); p != nil {

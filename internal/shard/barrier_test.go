@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"creditp2p/internal/shard"
 )
@@ -45,6 +46,39 @@ func TestBarrierSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTimingsCPULines pins the -timing table's two CPU lines: dispatch
+// CPU per dispatched event, then merge+apply CPU per merged event, each
+// from the accumulated totals.
+func TestTimingsCPULines(t *testing.T) {
+	ti := shard.Timings{
+		Windows:      4,
+		Events:       1000,
+		MergedEvents: 4000,
+		Dispatch:     time.Second,
+		DispatchCPU:  1500 * time.Millisecond,
+		Apply:        time.Millisecond,
+		ApplyCPU:     2 * time.Millisecond,
+	}
+	var out strings.Builder
+	if err := ti.Write(&out); err != nil {
+		t.Fatal(err)
+	}
+	want := "dispatch cpu 1.500s  cpu/wall 1.50  1500000.0 cpu-ns/event over 1000 events\n" +
+		"apply cpu    0.002s  500.0 cpu-ns/merged-event over 4000 merged events\n"
+	if !strings.Contains(out.String(), want) {
+		t.Fatalf("timing table lacks the CPU lines %q:\n%s", want, out.String())
+	}
+	// The parallel no-policy apply merges nothing: no per-event cost.
+	ti.MergedEvents = 0
+	out.Reset()
+	if err := ti.Write(&out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "apply cpu    0.002s  0.0 cpu-ns/merged-event over 0 merged events\n"; !strings.Contains(out.String(), want) {
+		t.Fatalf("timing table lacks %q:\n%s", want, out.String())
+	}
+}
+
 // TestTimingsBreakdown smoke-tests the phase accounting on both barrier
 // paths: windows are counted, dispatch time accumulates, the merge phase
 // engages exactly when policies do, the phase sum equals Total, every
@@ -78,12 +112,18 @@ func TestTimingsBreakdown(t *testing.T) {
 		if runtime.GOOS == "linux" && ti.DispatchCPU <= 0 {
 			t.Fatalf("dispatch CPU time not measured: %+v", ti)
 		}
+		if runtime.GOOS == "linux" && pols && ti.ApplyCPU <= 0 {
+			t.Fatalf("apply CPU time not measured on the policy path: %+v", ti)
+		}
 		var out strings.Builder
 		if err := ti.Write(&out); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(out.String(), "cpu-ns/event") && runtime.GOOS == "linux" {
 			t.Fatalf("timing table lacks the dispatch CPU line:\n%s", out.String())
+		}
+		if !strings.Contains(out.String(), "cpu-ns/merged-event") && runtime.GOOS == "linux" {
+			t.Fatalf("timing table lacks the apply CPU line:\n%s", out.String())
 		}
 		return ti
 	}

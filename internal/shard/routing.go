@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"math"
 
+	"creditp2p/internal/prefetch"
 	"creditp2p/internal/xrand"
 )
 
@@ -373,17 +374,16 @@ func (ln *Lane) PickNeighbor(t float64, g int32, nbrs []int32, r *xrand.SplitMix
 // warmSampler is the routing half of the dispatch prefetch: when the
 // kernel knows peer g fires shortly, rebuild its stale tree now (an
 // idempotent refresh of a mirror-derived cache — results never depend on
-// it) or touch its hot total. Owner-lane only; returns a value folding
-// the loads so the compiler keeps them.
-func (e *Engine) warmSampler(g int32) uint32 {
+// it) or prefetch its hot total. Owner-lane only.
+func (e *Engine) warmSampler(g int32) {
 	if e.rt.fenSlab == nil {
-		return 0
+		return
 	}
 	if e.flags[g]&fenBuiltBit == 0 {
 		e.rebuildTree(g)
-		return 1
+		return
 	}
-	return uint32(math.Float32bits(e.tree(g)[0]))
+	prefetch.Of(&e.tree(g)[0])
 }
 
 // RoutingWeight returns peer g's barrier-frozen routing weight — the

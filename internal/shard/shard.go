@@ -64,6 +64,7 @@ import (
 	"creditp2p/internal/des"
 	"creditp2p/internal/pad"
 	"creditp2p/internal/policy"
+	"creditp2p/internal/prefetch"
 	"creditp2p/internal/snapshot"
 	"creditp2p/internal/stats"
 	"creditp2p/internal/topology"
@@ -250,9 +251,6 @@ type Lane struct {
 	// transfers / crossTransfers / lost count applied effects.
 	transfers, crossTransfers, lostCount uint64
 	lostAmount                           int64
-	// warm sinks dispatch's read-ahead loads so the compiler keeps them;
-	// per-lane because dispatch runs concurrently across lanes.
-	warm uint32
 	// counts are the workload's counters (Workload.CounterNames), bumped
 	// by Count on every event, inside the lane's own blocks.
 	counts [MaxCounters]uint64
@@ -267,7 +265,7 @@ type Lane struct {
 }
 
 // lanePad is the tail padding that makes Lane a whole number of blocks.
-const lanePad = 16
+const lanePad = 32
 
 // markPeer flags the dirty segment holding global peer g, which must be
 // owned by this lane.
@@ -342,9 +340,6 @@ type Engine struct {
 	host        engineHost
 	// counterNames are the workload's declared counter names.
 	counterNames []string
-	// warm sinks applyMerged's read-ahead loads so the compiler keeps
-	// them; the value is meaningless and never read.
-	warm uint32
 	// dispatchFn / applyFn are the per-window lane closures, built once:
 	// a capture-free closure costs nothing per call, while one capturing
 	// the window end would be heap-allocated every window (it escapes into
@@ -568,9 +563,9 @@ func (e *Engine) StepWindow() bool {
 	ev0, c0 := e.EventsFired(), processCPU()
 	t0 := time.Now()
 	e.parallel(e.dispatchFn)
-	t1 := time.Now()
+	t1, c1 := time.Now(), processCPU()
 	e.timings.Dispatch += t1.Sub(t0)
-	e.timings.DispatchCPU += processCPU() - c0
+	e.timings.DispatchCPU += c1 - c0
 	e.timings.Events += e.EventsFired() - ev0
 	// Phases 2+3 (merge, apply): deliver the window's buffered effects.
 	// Without a policy pipeline there is no merge — each lane applies its
@@ -589,6 +584,7 @@ func (e *Engine) StepWindow() bool {
 		e.applyMerged()
 		e.timings.Apply += time.Since(t2)
 	}
+	e.timings.ApplyCPU += processCPU() - c1
 	// Phase 4 (churn): coordinator — lifecycle deltas into the epoch
 	// bitmap (and policy join/depart hooks), weight-mirror publish, epoch
 	// hooks, samples. The publish span accrues inside barrier; subtract it
@@ -675,24 +671,27 @@ func (e *Engine) parallel(fn func(ln *Lane)) {
 
 // warmAhead is dispatch's software-pipelining distance: while handling
 // one event, the hot per-peer state of the actor this many events ahead
-// is touched so its cache misses overlap with the current event's work.
+// is prefetched so its cache misses overlap with the current event's work.
 const warmAhead = 4
 
 // dispatch routes one event: lifecycle kinds to the engine, the rest to
 // the workload.
 func (ln *Lane) dispatch(ev des.Event) {
-	// The calendar's drain batch exposes upcoming actors; touch the
+	// The calendar's drain batch exposes upcoming actors; prefetch the
 	// warmAhead-th one's random-access state (RNG stream, balance, flags,
 	// pending handle, neighbor row, routing sampler) now. A hint that never
-	// affects delivery order or simulation state: the loads are pure reads,
-	// and warmSampler's rebuild is an idempotent refresh.
+	// affects delivery order or simulation state: prefetches change no
+	// memory, and warmSampler's rebuild is an idempotent refresh.
 	if g, ok := ln.sched.UpcomingActor(warmAhead); ok {
 		e := ln.e
-		w := uint32(e.rng[g]) + uint32(e.bal[g]) + uint32(e.flags[g]) + uint32(e.pend[g])
+		prefetch.Of(&e.rng[g])
+		prefetch.Of(&e.bal[g])
+		prefetch.Of(&e.flags[g])
+		prefetch.Of(&e.pend[g])
 		if nbrs := e.part.Neighbors(g); len(nbrs) > 0 {
-			w += uint32(nbrs[0])
+			prefetch.Of(&nbrs[0])
 		}
-		ln.warm += w + e.warmSampler(g)
+		e.warmSampler(g)
 	}
 	// Any event handler may mutate its actor's state (balance, RNG
 	// stream, flags, pending handle), so the actor's segment is dirty the
@@ -923,22 +922,21 @@ func (e *Engine) applyMerged() {
 	h := &e.host
 	// Read-ahead distance for the destination state: bal and flags are
 	// random-access at merged-event granularity, so at large populations
-	// each delivery starts with a cache miss. Touching the destination a
-	// few events early overlaps those misses with the deliveries in
-	// between. The warm sink keeps the loads observable.
+	// each delivery starts with a cache miss. Prefetching the destination
+	// a few events early overlaps those misses with the deliveries in
+	// between.
 	const ahead = 8
-	var warm uint32
 	for i := range e.mergeAll {
 		if j := i + ahead; j < len(e.mergeAll) {
 			g := e.mergeAll[j].Dst
-			warm += uint32(e.flags[g]) + uint32(e.bal[g])
+			prefetch.Of(&e.flags[g])
+			prefetch.Of(&e.bal[g])
 		}
 		xev := &e.mergeAll[i]
 		if pre, landed := e.lanes[e.part.ShardOf(xev.Dst)].deliver(xev); landed {
 			e.engine.Income(h, xev.Dst, pre, xev.Amount)
 		}
 	}
-	e.warm = warm
 }
 
 // barrier is the coordinator step at window end tB: lifecycle deltas are

@@ -19,7 +19,8 @@ import (
 //	Merge    — k-way merge of the outboxes into canonical order
 //	         (policy path only; zero on the commutative no-policy path)
 //	Apply    — delivering buffered effects (parallel per-lane inbound
-//	         without policies, one canonical coordinator pass with them)
+//	         without policies, one canonical coordinator pass with them);
+//	         ApplyCPU is Merge plus Apply in process CPU time
 //	Churn    — lifecycle merge into the epoch bitmap, policy epoch hooks,
 //	         metric samples
 //	Publish  — weight-mirror publish: availability EWMA fold and Fenwick
@@ -45,6 +46,11 @@ type Timings struct {
 	// lanes contending for shared cache lines. Zero on platforms without
 	// getrusage.
 	DispatchCPU time.Duration
+	// ApplyCPU is the process CPU time spent across the merge and apply
+	// phases, measured the same way. With policies it is the serial
+	// canonical pass, so ApplyCPU/MergedEvents is its cost per merged
+	// event.
+	ApplyCPU time.Duration
 
 	// Checkpoint sub-spans (populated when a Checkpointer is attached).
 	// Wait + Copy is the barrier-visible stall: Wait drains the previous
@@ -102,7 +108,7 @@ func (t Timings) Write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "  %-8s %12v\n", "total", total.Round(time.Microsecond)); err != nil {
 		return err
 	}
-	if err := t.writeDispatchCPU(w); err != nil {
+	if err := t.writeCPU(w); err != nil {
 		return err
 	}
 	if t.Checkpoints == 0 {
@@ -137,23 +143,33 @@ func (t Timings) Write(w io.Writer) error {
 	return err
 }
 
-// writeDispatchCPU prints the dispatch phase's CPU time, its ratio to the
-// phase's wall time, and the CPU time per dispatched event.
-func (t Timings) writeDispatchCPU(w io.Writer) error {
+// writeCPU prints the dispatch phase's CPU time, its ratio to the phase's
+// wall time and the CPU time per dispatched event, then the merge+apply
+// CPU time and its cost per merged event.
+func (t Timings) writeCPU(w io.Writer) error {
 	if t.DispatchCPU == 0 {
-		_, err := fmt.Fprintf(w, "dispatch cpu: not measured on this platform\n")
+		_, err := fmt.Fprintf(w, "dispatch and apply cpu: not measured on this platform\n")
 		return err
 	}
-	ratio, perEvent := 0.0, 0.0
+	ratio := 0.0
 	if t.Dispatch > 0 {
 		ratio = float64(t.DispatchCPU) / float64(t.Dispatch)
 	}
-	if t.Events > 0 {
-		perEvent = float64(t.DispatchCPU) / float64(t.Events)
+	if _, err := fmt.Fprintf(w, "dispatch cpu %.3fs  cpu/wall %.2f  %.1f cpu-ns/event over %d events\n",
+		t.DispatchCPU.Seconds(), ratio, perCount(t.DispatchCPU, t.Events), t.Events); err != nil {
+		return err
 	}
-	_, err := fmt.Fprintf(w, "dispatch cpu %.3fs  cpu/wall %.2f  %.1f cpu-ns/event over %d events\n",
-		t.DispatchCPU.Seconds(), ratio, perEvent, t.Events)
+	_, err := fmt.Fprintf(w, "apply cpu    %.3fs  %.1f cpu-ns/merged-event over %d merged events\n",
+		t.ApplyCPU.Seconds(), perCount(t.ApplyCPU, t.MergedEvents), t.MergedEvents)
 	return err
+}
+
+// perCount is d in nanoseconds per item, 0 when there are none.
+func perCount(d time.Duration, n uint64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(d) / float64(n)
 }
 
 // Timings returns the accumulated phase breakdown so far; call after

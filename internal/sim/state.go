@@ -340,6 +340,9 @@ func (k *Kernel) LoadState(r *snapshot.Reader, maxPeers int) error {
 	if err := k.Sched.LoadState(r); err != nil {
 		return err
 	}
+	if err := k.checkQueued(); err != nil {
+		return err
+	}
 	k.RNG.LoadState(r)
 	if err := k.Ledger.LoadState(r, 2*maxPeers+16); err != nil {
 		return err
@@ -362,6 +365,42 @@ func (k *Kernel) LoadState(r *snapshot.Reader, maxPeers int) error {
 		k.engine.LoadState(r)
 	}
 	return r.Err()
+}
+
+// checkQueued vets the restored pending set's kernel-owned events, which
+// dispatch trusts: each belongs to a stream this configuration arms, a
+// snapshot event names one of cfg.SnapshotTimes, and every kernel stream
+// but departures (whose peer and generation depart re-checks when it
+// fires) carries actor -1. Without it a crafted checkpoint restores and
+// the resumed run panics or re-arms a zero-period stream forever.
+func (k *Kernel) checkQueued() error {
+	return k.Sched.EachQueued(func(ev des.Event, _ des.Handle, live bool) error {
+		if !live || ev.Kind >= KindUser {
+			return nil
+		}
+		var armed bool
+		switch ev.Kind {
+		case KindDepart:
+			armed = k.cfg.Churn != nil
+		case KindArrive:
+			armed = k.cfg.Churn != nil && k.arrivalsEnabled()
+		case KindSample:
+			armed = k.cfg.SampleEvery > 0
+		case KindSnapshot:
+			armed = ev.Payload >= 0 && ev.Payload < int64(len(k.cfg.SnapshotTimes))
+		case KindTick:
+			armed = k.cfg.TickEvery > 0
+		case KindPolicy:
+			armed = k.engine != nil && k.epochEvery > 0
+		}
+		if !armed {
+			return fmt.Errorf("sim: a kernel event of kind %d (payload %d) is queued, but this configuration arms no such event", ev.Kind, ev.Payload)
+		}
+		if ev.Kind != KindDepart && ev.Actor != -1 {
+			return fmt.Errorf("sim: a kernel event of kind %d is queued for actor %d, want -1", ev.Kind, ev.Actor)
+		}
+		return nil
+	})
 }
 
 // rebuildHist recomputes the derived balance histogram from the restored
