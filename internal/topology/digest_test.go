@@ -36,10 +36,12 @@ func graphDigest(g *Graph, r *xrand.RNG) uint64 {
 }
 
 // TestGeneratorDigests pins the exact output of the stub-matching
-// generators. The sparse N=200 scale-free overlays leave 27 to 56
-// components on every seed, so they cover EnsureConnected's stitching
-// draws, and seeds 1, 3, 4, 6 and 8 draw an odd stub total and take the
-// extra-stub draw.
+// generators. The 100k capped overlay is the one cmd/benchrun builds:
+// about a million edges and 421 nodes whose neighbour signature ends with
+// every bit set, so a pair of hubs takes configModel's exact row scan.
+// The sparse N=200 scale-free overlays leave 27 to 56 components on every
+// seed, so they cover EnsureConnected's stitching draws, and seeds 1, 3,
+// 4, 6 and 8 draw an odd stub total and take the extra-stub draw.
 func TestGeneratorDigests(t *testing.T) {
 	type tc struct {
 		name string
@@ -54,6 +56,7 @@ func TestGeneratorDigests(t *testing.T) {
 		return func(r *xrand.RNG) (*Graph, error) { return RandomRegular(n, d, r) }
 	}
 	cases := []tc{
+		{"scalefree-100k-capped", sf(ScaleFreeConfig{N: 100_000, Alpha: 2.5, MeanDegree: 20, MaxDegree: 2000}), 7, 0x1e1073b9fe69b7ee},
 		{"scalefree-20k-capped", sf(ScaleFreeConfig{N: 20_000, Alpha: 2.5, MeanDegree: 20, MaxDegree: 2000}), 7, 0xceb7414efb6a4bc6},
 		{"scalefree-5k", sf(ScaleFreeConfig{N: 5000, Alpha: 2.5, MeanDegree: 20}), 7, 0x18450b005f3b71df},
 		{"regular-1000x8", rr(1000, 8), 5, 0x67752df8b72893ca},

@@ -88,6 +88,14 @@ func RandomRegular(n, d int, r *xrand.RNG) (*Graph, error) {
 // retries and RNG draws are those of matching through the Graph API. A
 // final transpose into the by-then-free stub buffer walks sources in
 // ascending order, so every row comes out sorted without a sort.
+//
+// The shuffle and the duplicate check wait on memory, not arithmetic.
+// ShuffleInt32s makes r.Shuffle's exact draws and swaps but hints each
+// batch of swap targets before it swaps. The duplicate check first reads
+// a one-word signature of the shorter row, with bit b&63 set for every
+// neighbour b: a clear bit proves the edge absent, which is the common
+// answer, and only a set bit pays for the scan, so the check still
+// answers exactly as HasEdge would.
 func configModel(n, retries int, degree func() int, r *xrand.RNG) (*Graph, error) {
 	// off[i+1] holds node i's stub count until the prefix sum below turns
 	// off into row offsets: row i spans off[i]..off[i+1].
@@ -111,13 +119,17 @@ func configModel(n, retries int, degree func() int, r *xrand.RNG) (*Graph, error
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
 	}
-	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+	r.ShuffleInt32s(stubs)
 
 	adj := make([]int32, len(stubs)) // unsorted rows
 	deg := make([]int32, n)
+	sig := make([]uint64, n) // neighbour signatures, 8 B a node
 	linked := func(a, b int32) bool {
 		if deg[b] < deg[a] {
 			a, b = b, a
+		}
+		if sig[a]&(1<<(b&63)) == 0 {
+			return false
 		}
 		for _, v := range adj[off[a] : off[a]+int(deg[a])] {
 			if v == b {
@@ -139,16 +151,20 @@ func configModel(n, retries int, degree func() int, r *xrand.RNG) (*Graph, error
 		if ok {
 			adj[off[a]+int(deg[a])] = b
 			deg[a]++
+			sig[a] |= 1 << (b & 63)
 			adj[off[b]+int(deg[b])] = a
 			deg[b]++
+			sig[b] |= 1 << (a & 63)
 			edges++
 		}
 	}
 
 	// Transpose into stubs: u lands in row v once per v in row u, and u
 	// ascends, so each row fills in ascending order. The graph is simple
-	// and symmetric, so the transpose has the same rows, now sorted.
-	rows, fill := stubs, make([]int32, n)
+	// and symmetric, so the transpose has the same rows, now sorted. The
+	// signatures are done with, so their words count each row's fill.
+	rows, fill := stubs, sig
+	clear(fill)
 	for u := 0; u < n; u++ {
 		for _, v := range adj[off[u] : off[u]+int(deg[u])] {
 			rows[off[v]+int(fill[v])] = int32(u)

@@ -89,7 +89,9 @@ func TestScaleFreeValidation(t *testing.T) {
 		{N: 10, Alpha: 0, MeanDegree: 3},
 		{N: 10, Alpha: 2.5, MeanDegree: 0.5},
 		{N: 10, Alpha: 2.5, MeanDegree: 50},
-		{N: math.MaxInt32 + 1, Alpha: 2.5, MeanDegree: 20}, // ids past 31 bits
+	}
+	if n, ok := idsPast31Bits(); ok {
+		bad = append(bad, ScaleFreeConfig{N: n, Alpha: 2.5, MeanDegree: 20})
 	}
 	for _, cfg := range bad {
 		if _, err := ScaleFree(cfg, r); err == nil {
@@ -122,9 +124,18 @@ func TestRandomRegularOddProductRejected(t *testing.T) {
 	if _, err := RandomRegular(5, 3, r); err == nil {
 		t.Error("odd n*d accepted")
 	}
-	if _, err := RandomRegular(math.MaxInt32+1, 2, r); err == nil {
-		t.Error("ids past 31 bits accepted")
+	if n, ok := idsPast31Bits(); ok {
+		if _, err := RandomRegular(n, 2, r); err == nil {
+			t.Error("ids past 31 bits accepted")
+		}
 	}
+}
+
+// idsPast31Bits returns a population too large for 31-bit ids, and
+// whether int can hold it: only a 64-bit int can.
+func idsPast31Bits() (int, bool) {
+	n := int64(math.MaxInt32) + 1
+	return int(n), int64(int(n)) == n
 }
 
 func TestErdosRenyi(t *testing.T) {

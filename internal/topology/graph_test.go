@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"testing"
 
@@ -203,8 +204,14 @@ func TestBadIDRejected(t *testing.T) {
 	if err := g.AddNode(-1); !errors.Is(err, ErrBadID) {
 		t.Errorf("AddNode(-1) error = %v, want ErrBadID", err)
 	}
-	if err := g.AddNode(1 << 40); !errors.Is(err, ErrBadID) {
-		t.Errorf("AddNode(2^40) error = %v, want ErrBadID", err)
+	big := []int{math.MaxInt32} // the first id past maxID
+	if n, ok := idsPast31Bits(); ok {
+		big = append(big, n<<9) // 2^40
+	}
+	for _, id := range big {
+		if err := g.AddNode(id); !errors.Is(err, ErrBadID) {
+			t.Errorf("AddNode(%d) error = %v, want ErrBadID", id, err)
+		}
 	}
 	if g.HasNode(-1) || g.Degree(-1) != 0 || g.HasEdge(-1, 0) {
 		t.Error("negative id queries not inert")

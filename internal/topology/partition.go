@@ -82,10 +82,10 @@ func NewPartition(g *Graph, p int) (*Partition, error) {
 	for i := 0; i < n; i++ {
 		row := g.NeighborsView(i)
 		copy(pt.nbrs[pt.offs[i]:pt.offs[i+1]], row)
-		s := i / pt.block
+		s := pt.ShardOf(int32(i))
 		remote := false
 		for _, nb := range row {
-			if int(nb)/pt.block != s {
+			if pt.ShardOf(nb) != s {
 				pt.cross[s]++
 				remote = true
 			}

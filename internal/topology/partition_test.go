@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 
 	"creditp2p/internal/xrand"
@@ -88,6 +89,65 @@ func TestPartitionCrossEdges(t *testing.T) {
 	}
 	if whole.CrossEdges(0) != 0 || whole.CrossFraction() != 0 {
 		t.Fatal("P=1 partition reports cross edges")
+	}
+}
+
+// TestPartitionCrossMatchesBruteForce checks every shard's cross-edge count
+// and boundary list against a count that finds each peer's shard by
+// scanning the shard ranges, on random graphs whose sizes do not divide
+// evenly by P.
+func TestPartitionCrossMatchesBruteForce(t *testing.T) {
+	r := xrand.New(23)
+	var graphs []*Graph
+	for _, n := range []int{50, 301, 1000} {
+		g, err := ScaleFree(ScaleFreeConfig{N: n, Alpha: 2.5, MeanDegree: 6}, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+		if g, err = ErdosRenyi(n, 4, r); err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for gi, g := range graphs {
+		for _, p := range []int{1, 2, 3, 7} {
+			pt, err := NewPartition(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shardOf := func(i int) int {
+				for s := 0; s < p; s++ {
+					if lo, hi := pt.Range(s); int(lo) <= i && i < int(hi) {
+						return s
+					}
+				}
+				t.Fatalf("graph %d P=%d: peer %d in no shard range", gi, p, i)
+				return -1
+			}
+			cross := make([]int64, p)
+			boundary := make([][]int32, p)
+			for i := 0; i < g.NumNodes(); i++ {
+				s, remote := shardOf(i), false
+				for _, nb := range g.NeighborsView(i) {
+					if shardOf(int(nb)) != s {
+						cross[s]++
+						remote = true
+					}
+				}
+				if remote {
+					boundary[s] = append(boundary[s], int32(i))
+				}
+			}
+			for s := 0; s < p; s++ {
+				if pt.CrossEdges(s) != cross[s] {
+					t.Errorf("graph %d P=%d shard %d: cross %d, brute force %d", gi, p, s, pt.CrossEdges(s), cross[s])
+				}
+				if !slices.Equal(pt.Boundary(s), boundary[s]) {
+					t.Errorf("graph %d P=%d shard %d: boundary %v, brute force %v", gi, p, s, pt.Boundary(s), boundary[s])
+				}
+			}
+		}
 	}
 }
 
