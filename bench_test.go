@@ -741,9 +741,9 @@ func BenchmarkShardMarketXLargeWeighted(b *testing.B) {
 // only at small populations at a scale where every lane owns tens of
 // thousands of peers: an availability-routed churn market (lane-owned
 // Fenwick rebuilds, lifecycle buffers, the weight-mirror publish) and a
-// delta-checkpointed streaming run with a policy pipeline (the parallel
-// per-lane fragment encode and dirty-map walks). CI runs each once under
-// the race detector.
+// checkpointed streaming run with a policy pipeline (the parallel
+// per-lane fragment encode and the background writer goroutine). CI runs
+// each once under the race detector.
 
 func BenchmarkShardAvailChurnLarge(b *testing.B) {
 	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 50_000, Alpha: 2.5, MeanDegree: 20}, xrand.New(7))
@@ -773,7 +773,7 @@ func BenchmarkShardAvailChurnLarge(b *testing.B) {
 	}
 }
 
-func BenchmarkShardStreamingDeltaLarge(b *testing.B) {
+func BenchmarkShardStreamingCheckpointLarge(b *testing.B) {
 	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 20_000, Alpha: 2.5, MeanDegree: 20}, xrand.New(7))
 	if err != nil {
 		b.Fatal(err)
@@ -806,7 +806,7 @@ func BenchmarkShardStreamingDeltaLarge(b *testing.B) {
 			b.Fatal(err)
 		}
 		sink := &discardSink{}
-		ck := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{Delta: true})
+		ck := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{})
 		for k := 1; sim.StepWindow(); k++ {
 			if k%8 == 0 {
 				if err := ck.Checkpoint(); err != nil {
@@ -817,8 +817,8 @@ func BenchmarkShardStreamingDeltaLarge(b *testing.B) {
 		if err := ck.Close(); err != nil {
 			b.Fatal(err)
 		}
-		if st := ck.Stats(); st.Deltas == 0 {
-			b.Fatalf("no delta links written: %+v", st)
+		if st := ck.Stats(); st.Bases == 0 || sink.bytes == 0 {
+			b.Fatalf("no checkpoint written: %+v", st)
 		}
 		res, err := sim.Finish()
 		if err != nil {
@@ -881,36 +881,29 @@ func BenchmarkRoutingPickFenwick(b *testing.B) {
 	}
 }
 
-// The Checkpoint trio measures the barrier-visible checkpoint stall on
-// the 1M-peer sharded market at eight lanes — the BENCH_9 acceptance
-// A/B. All three run the identical simulation at the identical cadence
-// (one checkpoint per conservative-sync window, on a fine 1e-4 window:
-// the lose-at-most-a-window fault-tolerance regime frequent checkpoints
-// exist for) and differ only in the mechanism:
+// The Checkpoint pair measures the barrier-visible checkpoint stall on
+// the 1M-peer sharded market at eight lanes. Both run the identical
+// simulation at the identical cadence (one checkpoint per
+// conservative-sync window, on a fine 1e-4 window: the
+// lose-at-most-a-window fault-tolerance regime frequent checkpoints exist
+// for) and differ only in the mechanism:
 //
 //   - FullSerial:     data := sim.Snapshot() inline at the barrier — the
-//     legacy synchronous path (its file write is excluded, which only
-//     flatters the baseline).
-//   - FullPipelined:  Checkpointer with Delta off — parallel fragment
-//     encode at the barrier, seal+write on the background goroutine.
-//   - Delta:          Checkpointer with Delta on — only dirty segments
-//     staged, chained to a base written before the measured loop.
+//     synchronous path (its file write is excluded, which only flatters
+//     the baseline).
+//   - FullPipelined:  the Checkpointer — parallel fragment encode at the
+//     barrier, seal+write on the background goroutine.
 //
 // The reported stall-ns/checkpoint is the time the simulation is
 // actually blocked at the barrier; bytes/checkpoint is the sealed output
-// size (for Delta, the per-delta link size). Sinks discard, so disk
-// speed never enters the comparison.
+// size. Sinks discard, so disk speed never enters the comparison.
 
 // discardSink counts sealed checkpoint bytes without keeping them.
 type discardSink struct{ bytes uint64 }
 
 func (d *discardSink) WriteBase(p []byte) error { d.bytes += uint64(len(p)); return nil }
-func (d *discardSink) WriteDelta(i int, p []byte) error {
-	d.bytes += uint64(len(p))
-	return nil
-}
 
-func benchShardCheckpoint(b *testing.B, pipelined, delta bool) {
+func benchShardCheckpoint(b *testing.B, pipelined bool) {
 	const (
 		peers       = 1_000_000
 		shards      = 8
@@ -963,15 +956,7 @@ func benchShardCheckpoint(b *testing.B, pipelined, delta bool) {
 			}
 		} else {
 			sink := &discardSink{}
-			ck := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{Delta: delta})
-			if delta {
-				// Anchor the chain outside the measured loop: the measured
-				// checkpoints are all deltas (cadence 12 < default re-base 16).
-				if err := ck.Checkpoint(); err != nil {
-					b.Fatal(err)
-				}
-				sink.bytes = 0
-			}
+			ck := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{})
 			for c := 0; c < checkpoints; c++ {
 				if !sim.StepWindow() {
 					b.Fatal("horizon inside the checkpoint loop")
@@ -993,9 +978,8 @@ func benchShardCheckpoint(b *testing.B, pipelined, delta bool) {
 	b.ReportMetric(float64(encBytes)/float64(total), "bytes/checkpoint")
 }
 
-func BenchmarkShardCheckpointFullSerial(b *testing.B)    { benchShardCheckpoint(b, false, false) }
-func BenchmarkShardCheckpointFullPipelined(b *testing.B) { benchShardCheckpoint(b, true, false) }
-func BenchmarkShardCheckpointDelta(b *testing.B)         { benchShardCheckpoint(b, true, true) }
+func BenchmarkShardCheckpointFullSerial(b *testing.B)    { benchShardCheckpoint(b, false) }
+func BenchmarkShardCheckpointFullPipelined(b *testing.B) { benchShardCheckpoint(b, true) }
 
 // BenchmarkShardMarket10M is the ten-million-peer single run. The ring
 // overlay keeps graph generation out of the interesting cost (scale-free

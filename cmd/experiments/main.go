@@ -15,9 +15,8 @@
 //	experiments -scenario flash-crowd -preset large -shards 8 -timing
 //	experiments -scenario flash-crowd -shards 4 -checkpoint-every 50000 -checkpoint run.snap
 //	experiments -scenario flash-crowd -shards 4 -restore run.snap
-//	experiments -scenario flash-crowd -shards 4 -checkpoint-every 50000 -checkpoint run.snap -checkpoint-delta
 //	experiments -scenario free-rider-mix -shards 8 -routing availability
-//	experiments -scenario free-rider-mix -shards 8 -routing degree -checkpoint-every 50000 -checkpoint run.snap -checkpoint-delta
+//	experiments -scenario free-rider-mix -shards 8 -routing degree -checkpoint-every 50000 -checkpoint run.snap
 //	experiments -id policy-sweep
 //	experiments -taxrates 0.05,0.1,0.2 [-preset full]
 //
@@ -33,25 +32,20 @@
 // runs, so performance PRs can attach before/after evidence gathered
 // through the exact cmd path users run.
 //
-// -checkpoint-every N checkpoints a -scenario run every N events as a
-// chain at the -checkpoint path; -restore resumes a crashed run from the
-// chain stored at its path and produces byte-identical output to the
-// uninterrupted run. One contract holds at every -shards value: a
-// checkpoint lands at the first step boundary at or after each multiple
+// -checkpoint-every N checkpoints a -scenario run every N events to the
+// -checkpoint path; -restore resumes a crashed run from the checkpoint
+// stored at its path and produces byte-identical output to the
+// uninterrupted run. One contract holds at every -shards value: every
+// checkpoint is a base, a complete snapshot that replaces the previous
+// one, and it lands at the first step boundary at or after each multiple
 // of N total fired events — an event on the single-threaded engines, a
 // window barrier on the sharded kernel, whose seal and file I/O overlap
 // with the simulation — so a resumed run checkpoints where the
-// uninterrupted run would have; and -restore loads and validates the
-// whole chain (a lone base is a one-link chain). Every link is written
-// write-to-temp / fsync / rename / fsync-directory, so a crash or power
-// cut mid-checkpoint always leaves a complete chain behind.
-//
-// -checkpoint-delta (sharded runs only) switches checkpointing to
-// base+delta chains: full snapshots anchor the chain, and between them
-// only the dirty segments of the run's state are written (run.snap plus
-// run.snap.d001, run.snap.d002, ...). -rebase-every bounds the chain
-// length. Without it every checkpoint is a base, as it always is on the
-// single-threaded engines.
+// uninterrupted run would have. Every base is written write-to-temp /
+// fsync / rename / fsync-directory, so a crash or power cut
+// mid-checkpoint always leaves a complete base behind. -restore reads
+// only the file at its path: PATH.dNNN delta files an older build left
+// beside it are ignored and can be deleted.
 //
 // -timing prints the sharded kernel's phase-level barrier-pipeline
 // breakdown (dispatch / merge / apply / churn / publish) after the report,
@@ -61,7 +55,7 @@
 // -routing (sharded runs only) overrides the preset's destination-sampling
 // mode: uniform picks neighbors uniformly, degree weights by static
 // degree, availability weights by a churn-tracking EWMA of uptime. All
-// three compose with -shards, -checkpoint-delta and -restore, and each
+// three compose with -shards, -checkpoint-every and -restore, and each
 // mode's output is byte-identical for every shard count.
 package main
 
@@ -98,13 +92,11 @@ func run(args []string) error {
 	presetName := fs.String("preset", "quick", "quick, full, large or xlarge")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file after the run")
-	checkpointEvery := fs.Int("checkpoint-every", 0, "with -scenario: checkpoint the run every N events as a chain at the -checkpoint path")
-	checkpointPath := fs.String("checkpoint", "checkpoint.snap", "with -scenario: the base path of the checkpoint chain written by -checkpoint-every (deltas go to PATH.dNNN)")
-	restorePath := fs.String("restore", "", "with -scenario: resume from the checkpoint chain stored at this path instead of starting fresh")
+	checkpointEvery := fs.Int("checkpoint-every", 0, "with -scenario: checkpoint the run every N events to the -checkpoint path")
+	checkpointPath := fs.String("checkpoint", "checkpoint.snap", "with -scenario: the file -checkpoint-every writes; each checkpoint is a complete base replacing the last")
+	restorePath := fs.String("restore", "", "with -scenario: resume from the checkpoint stored at this path instead of starting fresh")
 	shards := fs.Int("shards", 1, "with -scenario: run on the sharded multi-core kernel with this many lanes (1 = the classic single-threaded engines)")
 	timing := fs.Bool("timing", false, "with -scenario -shards > 1: print the phase-level barrier-pipeline timing breakdown after the report")
-	checkpointDelta := fs.Bool("checkpoint-delta", false, "with -scenario -shards > 1 -checkpoint-every: write base+delta checkpoint chains (run.snap plus run.snap.dNNN) instead of a full snapshot at every checkpoint")
-	rebaseEvery := fs.Int("rebase-every", 0, "with -checkpoint-delta: deltas per base before the chain re-anchors (0 = default)")
 	routing := fs.String("routing", "", "with -scenario -shards > 1: override the preset's destination-sampling mode (uniform, degree or availability)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -163,15 +155,11 @@ func run(args []string) error {
 		if *timing && *shards <= 1 {
 			return fmt.Errorf("-timing needs -shards > 1 (the single-threaded engines have no barrier pipeline)")
 		}
-		if *checkpointDelta && *shards <= 1 {
-			return fmt.Errorf("-checkpoint-delta needs -shards > 1 (delta chains are a sharded-kernel feature)")
-		}
 		if *routing != "" && *shards <= 1 {
 			return fmt.Errorf("-routing needs -shards > 1 (the single-threaded engines take routing from the preset)")
 		}
 		return runScenario(*scenarioName, preset, *shards,
-			*checkpointEvery, *checkpointPath, *restorePath, *timing,
-			*checkpointDelta, *rebaseEvery, *routing)
+			*checkpointEvery, *checkpointPath, *restorePath, *timing, *routing)
 	case *all:
 		return creditp2p.RunAllExperiments(preset, os.Stdout)
 	case *id != "":
@@ -187,7 +175,7 @@ func run(args []string) error {
 // the phase-timing breakdown. A sharded report gains "shards" and
 // "routing" rows; its results are byte-identical across shard counts by
 // the sharded kernel's invariance contract.
-func runScenario(name string, scale scenario.Scale, shards, every int, ckPath, restorePath string, timing, delta bool, rebaseEvery int, routing string) error {
+func runScenario(name string, scale scenario.Scale, shards, every int, ckPath, restorePath string, timing bool, routing string) error {
 	sc, err := scenario.Get(name)
 	if err != nil {
 		return err
@@ -203,7 +191,7 @@ func runScenario(name string, scale scenario.Scale, shards, every int, ckPath, r
 	default:
 		return fmt.Errorf("unknown -routing %q (want uniform, degree or availability)", routing)
 	}
-	rs, err := resumeChainSpec(every, ckPath, restorePath, delta, rebaseEvery)
+	rs, err := resumeChainSpec(every, ckPath, restorePath)
 	if err != nil {
 		return err
 	}
@@ -223,11 +211,10 @@ func runScenario(name string, scale scenario.Scale, shards, every int, ckPath, r
 	return nil
 }
 
-// resumeChainSpec assembles a run's Resume wiring: a ChainStore sink
-// rooted at ckPath for the cadence (deltas between bases with delta), and
-// the stored chain's links (validated end to end) when resuming.
-func resumeChainSpec(every int, ckPath, restorePath string, delta bool, rebaseEvery int) (scenario.Resume, error) {
-	rs := scenario.Resume{Delta: delta, RebaseEvery: rebaseEvery}
+// resumeChainSpec assembles a run's Resume wiring: a ChainStore sink at
+// ckPath for the cadence, and the stored base (validated) when resuming.
+func resumeChainSpec(every int, ckPath, restorePath string) (scenario.Resume, error) {
+	var rs scenario.Resume
 	if every > 0 {
 		rs.CheckpointEvery = every
 		rs.ChainSink = &snapshot.ChainStore{Path: ckPath}

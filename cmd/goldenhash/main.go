@@ -4,14 +4,16 @@
 //
 // With -resume, every combo instead runs the one crash/restore drill all
 // three engines share: a clean run counts its step boundaries, a second
-// run crashes a third of the way in and captures a one-link checkpoint
-// chain, and a third process-fresh simulation restores the chain and runs
-// to completion. The printed hashes are the resumed
-// runs'; diffing them against the default mode's (scenario lines excluded)
-// asserts byte-identical resume for every mechanism combo. -fast sets
-// FastSampling on every market combo, which switches the degree-routed
-// ones to the Fenwick degree sampler (the others ignore it), so the same
-// drill covers exact and fast degree sampling without extra case tables.
+// run crashes a third of the way in and captures a base, and a third
+// process-fresh simulation restores the base and runs to completion. The
+// sharded combos capture through the pipelined Checkpointer, taking
+// periodic bases on the way to the crash. The printed hashes are the
+// resumed runs'; diffing them against the default mode's (scenario lines
+// excluded) asserts byte-identical resume for every mechanism combo.
+// -fast sets FastSampling on every market combo, which switches the
+// degree-routed ones to the Fenwick degree sampler (the others ignore
+// it), so the same drill covers exact and fast degree sampling without
+// extra case tables.
 package main
 
 import (
@@ -202,8 +204,9 @@ func drill[R any, C any, S resumable[R]](mk func() C, open func(C) (S, error), r
 	return s.Finish()
 }
 
-// memChain is the drill's in-memory chain sink. It copies every link:
-// the checkpointer recycles its sealed buffer once a write returns.
+// memChain is the drill's in-memory checkpoint sink. It keeps a copy of
+// the latest base: the checkpointer recycles its sealed buffer once a
+// write returns.
 type memChain struct {
 	chain [][]byte
 }
@@ -213,20 +216,17 @@ func (m *memChain) WriteBase(data []byte) error {
 	return nil
 }
 
-func (m *memChain) WriteDelta(index int, data []byte) error {
-	m.chain = append(m.chain, append([]byte(nil), data...))
-	return nil
-}
-
-// runShardDelta is the delta-chain crash/resume drill: a clean run counts
-// the windows; a second run checkpoints through a pipelined delta
-// checkpointer (short re-base cadence, so the chain holds a base plus
-// several deltas) and crashes a third of the way in; a fresh engine
-// restores the base+deltas chain. The restored state must be
-// byte-identical to a full snapshot of the crashed run at the same
-// barrier, and the finished run's fingerprint is printed for the
-// default-vs-delta-resume diff.
-func runShardDelta(mk func() shard.Config) (*shard.Result, error) {
+// runShard produces a sharded combo's Result: a plain run by default;
+// under -resume, the crash/restore drill through the pipelined
+// Checkpointer. A clean run counts the windows; a second run takes a base
+// every eighth of the way to the crash point (a third of the way in) and
+// a last one at the crash barrier; a fresh engine restores the sink's
+// base. The restored state must be byte-identical to a full snapshot of
+// the crashed run at the same barrier.
+func runShard(mk func() shard.Config, resume bool) (*shard.Result, error) {
+	if !resume {
+		return drill[*shard.Result](mk, shard.NewSim, shard.RestoreChain, (*shard.Sim).StepWindow, false)
+	}
 	sim, err := shard.NewSim(mk())
 	if err != nil {
 		return nil, err
@@ -250,10 +250,7 @@ func runShardDelta(mk func() shard.Config) (*shard.Result, error) {
 		return nil, err
 	}
 	sink := &memChain{}
-	ck := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{
-		Delta:       true,
-		RebaseEvery: 4,
-	})
+	ck := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{})
 	crash := windows / 3
 	every := crash / 8
 	if every < 1 {
@@ -279,8 +276,8 @@ func runShardDelta(mk func() shard.Config) (*shard.Result, error) {
 		return nil, err
 	}
 	if got := restored.Snapshot(); !bytes.Equal(got, full) {
-		return nil, fmt.Errorf("chain restore (%d links) diverges from the full snapshot: %d vs %d bytes",
-			len(sink.chain), len(got), len(full))
+		return nil, fmt.Errorf("restored base diverges from the full snapshot: %d vs %d bytes",
+			len(got), len(full))
 	}
 	for restored.StepWindow() {
 	}
@@ -289,11 +286,10 @@ func runShardDelta(mk func() shard.Config) (*shard.Result, error) {
 
 // shardLines prints the sharded-kernel fingerprint lines. These print in
 // every mode: the default mode pins the sharded model's outputs (which
-// must also be identical for every -shards value), -resume runs the
-// sharded crash/snapshot/restore drill, and -delta-resume runs the
-// delta-chain variant — so diffing any mode against the default asserts
+// must also be identical for every -shards value), and -resume runs the
+// sharded checkpoint/restore drill — so diffing the two asserts
 // byte-identical recovery for the sharded engine.
-func shardLines(shards int, resume, deltaResume bool) {
+func shardLines(shards int, resume bool) {
 	cases := []struct {
 		name    string
 		preset  string
@@ -308,8 +304,8 @@ func shardLines(shards int, resume, deltaResume bool) {
 		// the thinned rejoin shaping; the flash-crowd override composes
 		// availability routing WITH churn, so the barrier's EWMA mirror
 		// publish and heavy-tree patching are on the hashed path. Each line
-		// must hash identically for every -shards value and survive both
-		// resume drills.
+		// must hash identically for every -shards value and survive the
+		// resume drill.
 		{"market-avail", "adaptive-tax", shard.RouteUniform},
 		{"market-diurnal", "diurnal-churn", shard.RouteUniform},
 		{"market-avail-churn", "flash-crowd", shard.RouteAvailability},
@@ -330,12 +326,7 @@ func shardLines(shards int, resume, deltaResume bool) {
 			}
 			return cfg
 		}
-		var res *shard.Result
-		if deltaResume {
-			res, err = runShardDelta(mk)
-		} else {
-			res, err = drill[*shard.Result](mk, shard.NewSim, shard.RestoreChain, (*shard.Sim).StepWindow, resume)
-		}
+		res, err := runShard(mk, resume)
 		if err != nil {
 			panic(c.name + ": " + err.Error())
 		}
@@ -345,17 +336,9 @@ func shardLines(shards int, resume, deltaResume bool) {
 
 func main() {
 	resume := flag.Bool("resume", false, "run every combo through the crash/snapshot/restore drill and print the resumed hashes (scenario lines omitted)")
-	deltaResume := flag.Bool("delta-resume", false, "run only the shard/* combos, through the delta-chain crash/resume drill: checkpoint via a pipelined base+deltas chain, crash a third in, restore the chain (asserting byte-identity with a full snapshot) and finish")
 	fast := flag.Bool("fast", false, "set FastSampling on the market combos (switches degree routing to its Fenwick sampler)")
 	shards := flag.Int("shards", 1, "lane count for the shard/* lines; the sharded kernel's invariance contract makes the printed hashes identical for any value")
 	flag.Parse()
-
-	if *deltaResume {
-		// Only the sharded kernel has delta chains; print just its lines,
-		// in the default mode's format, for the default-vs-delta diff.
-		shardLines(*shards, false, true)
-		return
-	}
 
 	// override applies the -fast sweep axis to a market config.
 	override := func(mk func() market.Config) func() market.Config {
@@ -536,7 +519,7 @@ func main() {
 		fmt.Printf("streaming-policy/%-22s %016x\n", c.name, hashStreamingPolicy(res))
 	}
 
-	shardLines(*shards, *resume, false)
+	shardLines(*shards, *resume)
 
 	if *resume {
 		// Scenario presets are config sugar over the same two simulators;

@@ -20,7 +20,6 @@ import (
 
 	"creditp2p/internal/pad"
 	"creditp2p/internal/prefetch"
-	"creditp2p/internal/snapshot"
 )
 
 // ErrPastTime is returned when an event is scheduled before the current
@@ -87,12 +86,9 @@ type QueueKind int
 // Deprecated: see QueueKind.
 const Calendar QueueKind = 1
 
-// slab dirty-segment granularity: slabSegSize slots per segment. A
-// segment's per-field spans total ~18 KB — coarse enough that per-segment
-// framing overhead vanishes, fine enough that a checkpoint window touching
-// a fraction of the slab writes a matching fraction of the bytes. The LIFO
-// free list concentrates slot churn, so a stable pending set re-dirties
-// the same few segments window after window.
+// Checkpoint segment granularity: SaveState writes the slab in segments
+// of slabSegSize slots, each listed by its id (the snapshot layout; a
+// segment's per-field spans total ~18 KB).
 const (
 	slabSegShift = 9
 	slabSegSize  = 1 << slabSegShift
@@ -110,9 +106,6 @@ type Scheduler struct {
 	live    int           // scheduled and not cancelled
 	fired   uint64
 	dropped uint64
-	// dirty tracks slab segments touched since the last state capture —
-	// the delta-checkpoint bookkeeping, maintained on every slot mutation.
-	dirty snapshot.DirtyBits
 	// enc is the recycled per-field extraction scratch for state captures,
 	// held by value: a sharded lane fills it during the parallel checkpoint
 	// encode, so its headers must sit in the lane's own blocks.
@@ -172,7 +165,6 @@ func (s *Scheduler) ScheduleAt(t float64, kind uint16, actor int32, payload int6
 		s.slab = append(s.slab, node{})
 		s.seqOf = append(s.seqOf, 0)
 		slot = int32(len(s.slab)) // 1-based
-		s.dirty.Grow((len(s.slab) + slabSegSize - 1) >> slabSegShift)
 	}
 	nd := &s.slab[slot-1]
 	nd.time = t
@@ -181,7 +173,6 @@ func (s *Scheduler) ScheduleAt(t float64, kind uint16, actor int32, payload int6
 	nd.kind = kind
 	nd.state = slotLive
 	s.seqOf[slot-1] = s.seq
-	s.markSlot(slot)
 	s.cal.push(t, s.seq, slot)
 	s.seq++
 	s.live++
@@ -206,7 +197,6 @@ func (s *Scheduler) Cancel(h Handle) bool {
 		return false
 	}
 	nd.state = slotDead
-	s.markSlot(h.slot)
 	s.live--
 	return true
 }
@@ -355,8 +345,4 @@ func (s *Scheduler) recycle(slot int32) {
 	nd.state = slotFree
 	nd.gen++
 	s.free = append(s.free, slot)
-	s.markSlot(slot)
 }
-
-// markSlot flags the slab segment holding slot dirty.
-func (s *Scheduler) markSlot(slot int32) { s.dirty.Mark(int(slot-1) >> slabSegShift) }

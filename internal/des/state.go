@@ -71,23 +71,14 @@ func (s *Scheduler) transpose(lo, hi int) *encScratch {
 	return e
 }
 
-// SaveState serializes the whole scheduler: the all-segments case of
-// SaveDelta, so a state capture is a delta that carries every slab
-// segment and restores onto an empty scheduler.
-func (s *Scheduler) SaveState(w *snapshot.Writer) {
-	s.dirty.MarkAll()
-	s.SaveDelta(w)
-}
-
-// SaveDelta serializes the virtual time, counters and free list plus the
-// slab segments touched since the last capture, each per-field with its
-// slots' seqs (the on-disk layout is independent of struct packing and of
-// the queue's internal layout). The pending multiset is NOT stored: it is
-// exactly the non-free slots ordered by seq, and restore derives it.
+// SaveState serializes the whole scheduler: the virtual time, counters and
+// free list plus every slab segment, each per-field with its slots' seqs
+// (the on-disk layout is independent of struct packing and of the queue's
+// internal layout). The pending multiset is NOT stored: it is exactly the
+// non-free slots ordered by seq, and restore derives it.
 // Cancelled-but-unpopped entries ride along via their slot state; their
 // lazy recycling order is part of the deterministic free-list evolution.
-// The dirty map is cleared: the next delta is relative to this capture.
-func (s *Scheduler) SaveDelta(w *snapshot.Writer) {
+func (s *Scheduler) SaveState(w *snapshot.Writer) {
 	w.Section("dsched")
 	w.F64(s.now)
 	w.U64(s.seq)
@@ -96,8 +87,9 @@ func (s *Scheduler) SaveDelta(w *snapshot.Writer) {
 	w.Int(s.live)
 	w.Int(len(s.slab))
 	w.I32s(s.free)
-	w.Int(s.dirty.Count())
-	s.dirty.Walk(func(seg int) {
+	segs := (len(s.slab) + slabSegSize - 1) >> slabSegShift
+	w.Int(segs)
+	for seg := 0; seg < segs; seg++ {
 		lo := seg << slabSegShift
 		hi := min(lo+slabSegSize, len(s.slab))
 		w.U32(uint32(seg))
@@ -109,21 +101,16 @@ func (s *Scheduler) SaveDelta(w *snapshot.Writer) {
 		w.U16s(e.kinds)
 		w.U8s(e.states)
 		w.U64s(s.seqOf[lo:hi])
-	})
-	s.dirty.Clear()
+	}
 }
 
-// ApplyDelta patches a capture written by SaveDelta (or SaveState) into
-// the receiver, which must hold the chain's preceding state — or be empty,
-// for a base. Segments must ascend, and every slot the slab grows by must
-// lie in a segment the capture carries: a base applied to an empty
-// scheduler must carry every segment, and the slab never grows past the
-// bytes actually read. Queued slots must hold a valid state and a time no
-// earlier than the capture's. The queue is NOT rebuilt:
-// apply every link of a chain, then call RebuildQueue once. Chain-order
-// integrity (base id, link index, predecessor CRC) is the caller's concern
-// via snapshot.ValidateChain.
-func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
+// LoadState restores a scheduler serialized by SaveState into the
+// receiver, replacing its slab, and rebuilds the calendar from the slot
+// states. Segments must ascend and together cover the whole slab, and the
+// slab never grows past the bytes actually read. Queued slots must hold a
+// valid state and a time no earlier than the capture's.
+func (s *Scheduler) LoadState(r *snapshot.Reader) error {
+	s.slab, s.seqOf = s.slab[:0], s.seqOf[:0]
 	r.Section("dsched")
 	now := r.F64()
 	seq := r.U64()
@@ -137,30 +124,28 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 		return err
 	}
 	if math.IsNaN(now) {
-		return fmt.Errorf("des: delta virtual time is NaN")
+		return fmt.Errorf("des: snapshot virtual time is NaN")
 	}
-	if slabLen < len(s.slab) || slabLen > math.MaxInt32 {
-		return fmt.Errorf("des: delta resizes the slab from %d to %d slots", len(s.slab), slabLen)
+	if slabLen < 0 || slabLen > math.MaxInt32 {
+		return fmt.Errorf("des: snapshot sizes the slab at %d slots", slabLen)
 	}
 	for _, sl := range free {
 		if sl < 1 || int(sl) > slabLen {
-			return fmt.Errorf("des: delta free list references slot %d outside the %d-slot slab", sl, slabLen)
+			return fmt.Errorf("des: snapshot free list references slot %d outside the %d-slot slab", sl, slabLen)
 		}
 	}
 	maxSeg := (slabLen + slabSegSize - 1) >> slabSegShift
 	if segs < 0 || segs > maxSeg {
-		return fmt.Errorf("des: delta carries %d segments of a %d-segment slab", segs, maxSeg)
+		return fmt.Errorf("des: snapshot carries %d segments of a %d-segment slab", segs, maxSeg)
 	}
-	// Every slot the slab grows by is carried at slotBytes of payload or
-	// more, so reserving the grown slab up front stays within a constant
-	// factor of the bytes actually present.
-	if grow := slabLen - len(s.slab); grow > 0 {
-		if grow > r.Remaining()/slotBytes {
-			return fmt.Errorf("des: delta grows the slab by %d slots but holds %d payload bytes", grow, r.Remaining())
-		}
-		s.slab = pad.Grow(s.slab, grow)
-		s.seqOf = pad.Grow(s.seqOf, grow)
+	// Every slot is carried at slotBytes of payload or more, so reserving
+	// the slab up front stays within a constant factor of the bytes
+	// actually present.
+	if slabLen > r.Remaining()/slotBytes {
+		return fmt.Errorf("des: snapshot sizes the slab at %d slots but holds %d payload bytes", slabLen, r.Remaining())
 	}
+	s.slab = pad.Grow(s.slab, slabLen)
+	s.seqOf = pad.Grow(s.seqOf, slabLen)
 	prev := -1
 	for k := 0; k < segs; k++ {
 		seg := int(r.U32())
@@ -168,13 +153,13 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 			return r.Err()
 		}
 		if seg <= prev || seg >= maxSeg {
-			return fmt.Errorf("des: delta segment %d out of order or outside the %d-segment slab", seg, maxSeg)
+			return fmt.Errorf("des: snapshot segment %d out of order or outside the %d-segment slab", seg, maxSeg)
 		}
 		prev = seg
 		lo := seg << slabSegShift
 		hi := min(lo+slabSegSize, slabLen)
 		if lo > len(s.slab) {
-			return fmt.Errorf("des: delta grows the slab to %d slots but leaves slots [%d,%d) uncovered", slabLen, len(s.slab), lo)
+			return fmt.Errorf("des: snapshot sizes the slab at %d slots but leaves slots [%d,%d) uncovered", slabLen, len(s.slab), lo)
 		}
 		n := hi - lo
 		times := r.F64s(n)
@@ -189,17 +174,15 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 		}
 		if len(times) != n || len(payloads) != n || len(actors) != n || len(gens) != n ||
 			len(kinds) != n || len(states) != n || len(seqs) != n {
-			return fmt.Errorf("des: delta segment %d spans %d/%d/%d/%d/%d/%d/%d slots, want %d",
+			return fmt.Errorf("des: snapshot segment %d spans %d/%d/%d/%d/%d/%d/%d slots, want %d",
 				seg, len(times), len(payloads), len(actors), len(gens), len(kinds), len(states), len(seqs), n)
 		}
 		for i, st := range states {
 			if st > slotDead || st != slotFree && !(times[i] >= now) {
-				return fmt.Errorf("des: delta slot %d has state %d at time %v (now %v)", lo+i+1, st, times[i], now)
+				return fmt.Errorf("des: snapshot slot %d has state %d at time %v (now %v)", lo+i+1, st, times[i], now)
 			}
 		}
-		if hi > len(s.slab) {
-			s.slab, s.seqOf = s.slab[:hi], s.seqOf[:hi]
-		}
+		s.slab, s.seqOf = s.slab[:hi], s.seqOf[:hi]
 		for i := 0; i < n; i++ {
 			s.slab[lo+i] = node{
 				time:    times[i],
@@ -213,7 +196,7 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 		copy(s.seqOf[lo:hi], seqs)
 	}
 	if len(s.slab) < slabLen {
-		return fmt.Errorf("des: delta grows the slab to %d slots but carries only the first %d", slabLen, len(s.slab))
+		return fmt.Errorf("des: snapshot sizes the slab at %d slots but carries only the first %d", slabLen, len(s.slab))
 	}
 	s.now = now
 	s.seq = seq
@@ -221,8 +204,7 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 	s.dropped = dropped
 	s.live = live
 	s.free = append(pad.Grow(s.free[:0], len(free)), free...)
-	s.dirty.Grow(maxSeg)
-	s.dirty.Clear()
+	s.rebuildQueue()
 	return nil
 }
 
@@ -255,9 +237,9 @@ func (s *Scheduler) pendingFromSlab() ([]uint64, []int32) {
 	return seqs, slots
 }
 
-// RebuildQueue reconstructs the calendar's pending set from the slab — the
-// epilogue of a state or chain restore.
-func (s *Scheduler) RebuildQueue() {
+// rebuildQueue reconstructs the calendar's pending set from the slab — the
+// epilogue of a state restore.
+func (s *Scheduler) rebuildQueue() {
 	seqs, slots := s.pendingFromSlab()
 	s.cal = newCalendarQueue()
 	// Pre-grow the per-slot entry storage: push assumes slots are handed out
@@ -268,19 +250,6 @@ func (s *Scheduler) RebuildQueue() {
 		s.cal.push(s.slab[sl-1].time, seqs[i], sl)
 	}
 	s.warmPos = 0
-}
-
-// LoadState restores a scheduler serialized by SaveState into the
-// receiver: it empties the slab, applies the capture as a base and
-// rebuilds the calendar from the slot states.
-func (s *Scheduler) LoadState(r *snapshot.Reader) error {
-	s.slab, s.seqOf = s.slab[:0], s.seqOf[:0]
-	s.dirty = snapshot.DirtyBits{}
-	if err := s.ApplyDelta(r); err != nil {
-		return err
-	}
-	s.RebuildQueue()
-	return nil
 }
 
 // EachQueued calls fn with the event held by every queued slot — live and

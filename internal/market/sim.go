@@ -211,13 +211,12 @@ func (m *Sim) Snapshot() []byte {
 	return w.Finish()
 }
 
-// RestoreChain reconstructs a run from a checkpoint chain: the market
-// writes every capture as a base, so the chain is the one base link a
-// Sim.Snapshot produced (a delta is refused). cfg must describe the
-// original run exactly — same scalars, same policy pipeline, and a Graph
-// in its pre-run state (churn-mutated topology is restored from the
-// snapshot). The decoded state is vetted before the run may continue.
-// Continue the run with Step/Run (not Start).
+// RestoreChain reconstructs a run from a checkpoint chain: the one base
+// link a Sim.Snapshot produced. cfg must describe the original run
+// exactly — same scalars, same policy pipeline, and a Graph in its
+// pre-run state (churn-mutated topology is restored from the snapshot).
+// The decoded state is vetted before the run may continue. Continue the
+// run with Step/Run (not Start).
 func RestoreChain(cfg Config, chain [][]byte) (*Sim, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

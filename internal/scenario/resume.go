@@ -19,20 +19,15 @@ type Resume struct {
 	// after each multiple of N total fired events; zero disables periodic
 	// checkpointing.
 	CheckpointEvery int
-	// ChainSink receives the checkpoint links (e.g. a
-	// snapshot.ChainStore). The single-threaded engines write every
-	// capture as a base; the sharded kernel's pipelined checkpointer seals
-	// bases and, with Delta, dirty-segment deltas between them.
+	// ChainSink receives the checkpoints (e.g. a snapshot.ChainStore),
+	// every one a base. The single-threaded engines write them
+	// synchronously; the sharded kernel's pipelined checkpointer seals and
+	// writes them behind the following windows.
 	ChainSink snapshot.ChainSink
-	// Delta enables delta links between bases; sharded runs only.
-	Delta bool
-	// RebaseEvery bounds a delta chain's length; 0 means the
-	// checkpointer's default.
-	RebaseEvery int
 	// Chain, when non-nil, resumes a checkpointed run from a checkpoint
-	// chain (e.g. snapshot.ChainStore.Load): a base and its deltas, or a
-	// lone base. The scenario is recompiled to the identical configuration
-	// and the run continues from the captured boundary.
+	// chain (e.g. snapshot.ChainStore.Load): one base. The scenario is
+	// recompiled to the identical configuration and the run continues
+	// from the captured boundary.
 	Chain [][]byte
 }
 
@@ -46,8 +41,8 @@ type engine interface {
 	// fired is the total number of events fired, a restored run's
 	// checkpointed prefix included.
 	fired() uint64
-	// checkpointer captures the run into rs.ChainSink at step boundaries.
-	checkpointer(rs Resume) (checkpointer, error)
+	// checkpointer captures the run into sink at step boundaries.
+	checkpointer(sink snapshot.ChainSink) checkpointer
 	// finish completes the run and records its result in out.
 	finish(out *Outcome) error
 }
@@ -140,10 +135,7 @@ func runToHorizon(e engine, rs Resume) error {
 	}
 	every := uint64(rs.CheckpointEvery)
 	next := (e.fired()/every + 1) * every
-	c, err := e.checkpointer(rs)
-	if err != nil {
-		return err
-	}
+	c := e.checkpointer(rs.ChainSink)
 	for e.step() {
 		if n := e.fired(); n >= next {
 			if err := c.Checkpoint(); err != nil {
@@ -173,11 +165,8 @@ type serialRun[R any] struct {
 func (r serialRun[R]) step() bool    { return r.sim.Step() }
 func (r serialRun[R]) fired() uint64 { return r.sim.Kernel().Sched.Fired() }
 
-func (r serialRun[R]) checkpointer(rs Resume) (checkpointer, error) {
-	if rs.Delta {
-		return nil, fmt.Errorf("%w: delta checkpoints need the sharded kernel (shards > 1); the single-threaded engines write bases", ErrBadScenario)
-	}
-	return baseWriter{r.sim.Snapshot, rs.ChainSink}, nil
+func (r serialRun[R]) checkpointer(sink snapshot.ChainSink) checkpointer {
+	return baseWriter{r.sim.Snapshot, sink}
 }
 
 func (r serialRun[R]) finish(out *Outcome) error {
@@ -209,12 +198,9 @@ func (r shardRun) fired() uint64 { return r.Engine().EventsFired() }
 
 // checkpointer captures through the pipelined checkpointer: parallel
 // fragment encode at the barrier, seal and write overlapped with the
-// following windows; without rs.Delta every link is a base.
-func (r shardRun) checkpointer(rs Resume) (checkpointer, error) {
-	return shard.NewCheckpointer(r.Engine(), rs.ChainSink, shard.CheckpointOptions{
-		Delta:       rs.Delta,
-		RebaseEvery: rs.RebaseEvery,
-	}), nil
+// following windows.
+func (r shardRun) checkpointer(sink snapshot.ChainSink) checkpointer {
+	return shard.NewCheckpointer(r.Engine(), sink, shard.CheckpointOptions{})
 }
 
 func (r shardRun) finish(out *Outcome) error {

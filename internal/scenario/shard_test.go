@@ -2,13 +2,12 @@ package scenario
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
 	"creditp2p/internal/market"
 	"creditp2p/internal/shard"
+	"creditp2p/internal/snapshot"
 )
 
 // TestShardScenarioCountInvariance compiles real presets onto the
@@ -164,17 +163,13 @@ func TestRunShardedResumableParity(t *testing.T) {
 	}
 }
 
-// baseSink keeps a copy of every link a deltas-off checkpointer writes:
-// each one is a base, a complete one-link chain.
+// baseSink keeps a copy of every base a checkpointer writes: each one is
+// a complete one-link chain.
 type baseSink struct{ links [][]byte }
 
 func (b *baseSink) WriteBase(data []byte) error {
 	b.links = append(b.links, append([]byte(nil), data...))
 	return nil
-}
-
-func (b *baseSink) WriteDelta(index int, _ []byte) error {
-	return fmt.Errorf("deltas-off checkpointer wrote delta %d", index)
 }
 
 // TestRunShardedFallsBackToLegacy pins that shards <= 1 runs the classic
@@ -261,46 +256,42 @@ func TestRunSingleThreadedResumeCadence(t *testing.T) {
 	}
 }
 
-// TestRunSingleThreadedRefusesDeltas pins that the single-threaded engines
-// neither write nor read delta links, with errors that point at the
-// sharded kernel.
+// TestRunSingleThreadedRefusesDeltas pins that no engine restores a chain
+// that still carries the delta links an older build wrote — alone, or
+// after their base — and that the error says a checkpoint is one base.
 func TestRunSingleThreadedRefusesDeltas(t *testing.T) {
 	sc, err := Get("flash-crowd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(sc, ScaleQuick, 1, Resume{CheckpointEvery: 500, ChainSink: &baseSink{}, Delta: true}); !errors.Is(err, ErrBadScenario) {
-		t.Fatalf("single-threaded delta checkpoints: err %v, want ErrBadScenario", err)
-	}
-	sink := &memChain{}
-	if _, err := Run(sc, ScaleQuick, 2, Resume{CheckpointEvery: 500, ChainSink: sink, Delta: true}); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.links) < 2 {
-		t.Fatalf("sharded run left a %d-link chain, want a base and deltas", len(sink.links))
-	}
-	for name, chain := range map[string][][]byte{
-		"chain":      sink.links,
-		"lone-delta": sink.links[len(sink.links)-1:],
-	} {
-		if _, err := Run(sc, ScaleQuick, 1, Resume{Chain: chain}); err == nil || !strings.Contains(err.Error(), "sharded kernel") {
-			t.Errorf("%s: single-threaded restore of a delta: err %v, want one naming the sharded kernel", name, err)
+	for _, shards := range []int{1, 2} {
+		sink := &baseSink{}
+		if _, err := Run(sc, ScaleQuick, shards, Resume{CheckpointEvery: 500, ChainSink: sink}); err != nil {
+			t.Fatal(err)
+		}
+		if len(sink.links) == 0 {
+			t.Fatalf("shards=%d: no checkpoint written", shards)
+		}
+		base := sink.links[len(sink.links)-1]
+		delta := asDelta(base)
+		for name, chain := range map[string][][]byte{
+			"base and delta": {base, delta},
+			"lone delta":     {delta},
+		} {
+			if _, err := Run(sc, ScaleQuick, shards, Resume{Chain: chain}); err == nil || !strings.Contains(err.Error(), "a checkpoint is one base") {
+				t.Errorf("shards=%d %s: err %v, want one saying a checkpoint is one base", shards, name, err)
+			}
 		}
 	}
 }
 
-// memChain is an in-memory chain store: a base resets it, deltas append.
-type memChain struct{ links [][]byte }
-
-func (m *memChain) WriteBase(data []byte) error {
-	m.links = [][]byte{append([]byte(nil), data...)}
-	return nil
-}
-
-func (m *memChain) WriteDelta(index int, data []byte) error {
-	if index != len(m.links) {
-		return fmt.Errorf("delta %d after %d links", index, len(m.links))
-	}
-	m.links = append(m.links, append([]byte(nil), data...))
-	return nil
+// asDelta re-heads a base as the delta link an older build chained to it
+// (link kind 1, index 1, the base's trailer as predecessor CRC), sealed so
+// its checksum passes.
+func asDelta(base []byte) []byte {
+	const linkEnd = 12 + 1 + len("chain") + 1 + 8 + 4 + 8 // header, tag, link fields
+	h := snapshot.NewWriter(64)
+	h.LinkHeader(snapshot.LinkHeader{Kind: 1, ID: 1, Index: 1, PrevCRC: 1})
+	out := snapshot.Seal(nil, [][]byte{h.Frame(), base[linkEnd : len(base)-8]})
+	return out
 }

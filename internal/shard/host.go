@@ -58,7 +58,6 @@ func (h *engineHost) Collect(px int32, amount int64) bool {
 	ln := e.laneOf(px)
 	pre := e.bal[px]
 	e.bal[px] = pre - amount
-	ln.markPeer(px)
 	ln.hist.Move(pre, pre-amount)
 	ln.supply -= amount
 	e.pot += amount
@@ -76,7 +75,6 @@ func (h *engineHost) Pay(px int32, amount int64) bool {
 	ln := e.laneOf(px)
 	pre := e.bal[px]
 	e.bal[px] = pre + amount
-	ln.markPeer(px)
 	ln.hist.Move(pre, pre+amount)
 	ln.supply += amount
 	e.pot -= amount
@@ -92,7 +90,6 @@ func (h *engineHost) Mint(px int32, amount int64) bool {
 	ln := e.laneOf(px)
 	pre := e.bal[px]
 	e.bal[px] = pre + amount
-	ln.markPeer(px)
 	ln.hist.Move(pre, pre+amount)
 	ln.supply += amount
 	ln.minted += amount

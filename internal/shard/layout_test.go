@@ -108,13 +108,12 @@ func (ls *laneSpans) shared() []string {
 }
 
 // TestLaneLayoutPrivateBlocks checks the lane-private cache-line rule on
-// the addresses the allocator actually handed out: after a few windows,
-// a base and a delta checkpoint, and again on a run restored from that
-// chain, no 128-byte block holds bytes of two lanes. The walk covers each
-// Lane with its embedded scheduler, workload counters, calendar buffers,
-// free list, both dirty maps, balance histogram, outbox headers and
-// arrays, lifecycle buffers, and the checkpointer's per-lane fragment
-// writers.
+// the addresses the allocator actually handed out: after a few windows
+// and two checkpoints, and again on a run restored from the last one, no
+// 128-byte block holds bytes of two lanes. The walk covers each Lane with
+// its embedded scheduler, workload counters, calendar buffers, free list,
+// balance histogram, outbox headers and arrays, lifecycle buffers, and
+// the checkpointer's per-lane fragment writers.
 func TestLaneLayoutPrivateBlocks(t *testing.T) {
 	configs := []struct {
 		name string
@@ -144,7 +143,7 @@ func TestLaneLayoutPrivateBlocks(t *testing.T) {
 					t.Fatal(err)
 				}
 				sink := &memChain{}
-				ck := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{Delta: true})
+				ck := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{})
 				stepWindows(t, sim, 4)
 				checkpointSync(t, ck)
 				stepWindows(t, sim, 4)

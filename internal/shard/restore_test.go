@@ -21,8 +21,9 @@ var fuzzRuns = []func(testing.TB) shard.Config{
 	func(t testing.TB) shard.Config { return streamingConfig(t, 2, nil) },
 }
 
-// fuzzChain checkpoints run k into a base plus two deltas.
-func fuzzChain(t testing.TB, k int) [][]byte {
+// fuzzBases checkpoints run k through a Checkpointer at two barriers and
+// returns both bases.
+func fuzzBases(t testing.TB, k int) [][]byte {
 	sim, err := shard.NewSim(fuzzRuns[k](t))
 	if err != nil {
 		t.Fatal(err)
@@ -31,49 +32,42 @@ func fuzzChain(t testing.TB, k int) [][]byte {
 		t.Fatal(err)
 	}
 	sink := &memChain{}
-	c := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{
-		Delta: true, RebaseEvery: 64, MaxDeltaFraction: 1e9,
-	})
-	stepWindows(t, sim, 10)
-	checkpointSync(t, c)
-	for i := 0; i < 2; i++ {
-		stepWindows(t, sim, 2)
+	c := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{})
+	var bases [][]byte
+	for _, n := range []int{10, 4} {
+		stepWindows(t, sim, n)
 		checkpointSync(t, c)
+		bases = append(bases, sink.chain[0])
 	}
-	return sink.chain
+	return bases
 }
 
-// FuzzRestoreChain drives the restore boundary with mutated links. The
-// input replaces the payload of a seed chain's last link — the lone base,
-// or the last delta — and the link is re-sealed so the checksum passes
-// and mutations reach the decoders. Whatever the bytes, RestoreChain must
-// not panic, and a chain it accepts must step to the horizon and finish
-// without error.
+// FuzzRestoreChain drives the restore boundary with mutated bases. The
+// input replaces the payload of a seed base — taken at one of two
+// barriers of one of two runs — and the base is re-sealed so the checksum
+// passes and mutations reach the decoders. Whatever the bytes,
+// RestoreChain must not panic, and a base it accepts must step to the
+// horizon and finish without error.
 func FuzzRestoreChain(f *testing.F) {
 	const header = 12 // magic + format version
-	var chains [][][]byte
+	var bases [][]byte
 	for k := range fuzzRuns {
-		chain := fuzzChain(f, k)
-		chains = append(chains, chain[:1], chain)
+		bases = append(bases, fuzzBases(f, k)...)
 	}
-	// withPayload copies chain i with its last link's payload replaced and
-	// the link re-sealed.
+	// withPayload returns base i's header followed by payload, re-sealed.
 	withPayload := func(i int, payload []byte) [][]byte {
-		chain := append([][]byte(nil), chains[i]...)
-		last := chain[len(chain)-1]
-		chain[len(chain)-1], _ = snapshot.Seal(nil, [][]byte{append(last[:header:header], payload...)})
-		return chain
+		b := snapshot.Seal(nil, [][]byte{append(bases[i][:header:header], payload...)})
+		return [][]byte{b}
 	}
-	for i, chain := range chains {
-		last := chain[len(chain)-1]
-		payload := last[header : len(last)-8]
+	for i, base := range bases {
+		payload := base[header : len(base)-8]
 		if _, err := shard.RestoreChain(fuzzRuns[i/2](f), withPayload(i, payload)); err != nil {
-			f.Fatalf("seed chain %d refused: %v", i, err)
+			f.Fatalf("seed base %d refused: %v", i, err)
 		}
 		f.Add(uint8(i), payload)
 	}
 	f.Fuzz(func(t *testing.T, pick uint8, payload []byte) {
-		i := int(pick) % len(chains)
+		i := int(pick) % len(bases)
 		s, err := shard.RestoreChain(fuzzRuns[i/2](t), withPayload(i, payload))
 		if err != nil {
 			return
@@ -81,19 +75,24 @@ func FuzzRestoreChain(f *testing.F) {
 		for s.StepWindow() {
 		}
 		if _, err := s.Finish(); err != nil {
-			t.Fatalf("restored chain failed to finish: %v", err)
+			t.Fatalf("restored base failed to finish: %v", err)
 		}
 	})
 }
 
 // TestRestoreChainRefusesLoneDelta pins the error for handing RestoreChain
-// a delta link on its own: a delta restores only on top of its chain, and
-// the error says the chain needs a base.
+// the delta links an older build wrote, alone or after their base: a
+// checkpoint is one base, and the error says so.
 func TestRestoreChainRefusesLoneDelta(t *testing.T) {
-	chain := fuzzChain(t, 0)
-	_, err := shard.RestoreChain(fuzzRuns[0](t), [][]byte{chain[len(chain)-1]})
-	if err == nil || !strings.Contains(err.Error(), "want a base") {
-		t.Fatalf("lone delta: got %v, want an error asking for a base", err)
+	base := fuzzBases(t, 0)[0]
+	for name, chain := range map[string][][]byte{
+		"lone delta":     {asDelta(base)},
+		"base and delta": {base, asDelta(base)},
+	} {
+		_, err := shard.RestoreChain(fuzzRuns[0](t), chain)
+		if err == nil || !strings.Contains(err.Error(), "a checkpoint is one base") {
+			t.Errorf("%s: got %v, want an error saying a checkpoint is one base", name, err)
+		}
 	}
 }
 

@@ -255,7 +255,7 @@ func (e *Engine) tree(g int32) []float32 {
 // rebuildTree refreshes peer g's tree from the frozen weight mirror and
 // sets its built bit. Callable from g's owner lane mid-window (the slab
 // region and flag byte are lane-owned) and from the coordinator at
-// barriers; it marks g's segment dirty itself.
+// barriers.
 func (e *Engine) rebuildTree(g int32) {
 	rt := &e.rt
 	nbrs := e.part.Neighbors(g)
@@ -265,7 +265,6 @@ func (e *Engine) rebuildTree(g int32) {
 	}
 	tree[0] = xrand.FenBuild(tree)
 	e.flags[g] |= fenBuiltBit
-	e.lanes[e.part.ShardOf(g)].markPeer(g)
 }
 
 // publishWeights is the barrier's mirror-publish step: fold the window's
@@ -277,10 +276,7 @@ func (e *Engine) rebuildTree(g int32) {
 // heavy ones through the CSR. A lane-striped parallel variant was tried
 // and retired: every worker must replay the whole delta list to find its
 // slice of each row, so striping multiplies the row-walk overhead by the
-// worker count and hands most of the win straight back — and the stale
-// flips' dirty marks then need a second, conservative coordinator pass
-// (workers cannot touch other lanes' dirty bitmaps race-free), while the
-// serial pass marks exactly what it changed, inline. Per-peer EWMA folds
+// worker count and hands most of the win straight back. Per-peer EWMA folds
 // and per-tree patch sequences are canonical-order subsequences of the
 // delta list either way, so results are bit-identical across shard
 // counts.
@@ -312,15 +308,10 @@ func (e *Engine) publishWeights() {
 		nw := float32(w)
 		wd[i] = nw - rt.weight[g]
 		rt.weight[g] = nw
-		e.lanes[e.part.ShardOf(g)].markPeer(g)
 	}
 	if rt.fenSlab == nil {
 		return
 	}
-	// Until a first capture exists the dirty maps are dead state — any
-	// chain opens with a base that clears them — so checkpoint-free runs
-	// skip the marking writes entirely.
-	doMark := e.captureGen != 0
 	for i, le := range e.lifeScratch {
 		if wd[i] == 0 {
 			continue
@@ -337,18 +328,12 @@ func (e *Engine) publishWeights() {
 				continue
 			}
 			e.flags[nb] = fl &^ fenBuiltBit
-			if doMark {
-				e.lanes[e.part.ShardOf(nb)].markPeer(nb)
-			}
 		}
 		for k := rt.heavyRow[g]; k < rt.heavyRow[g+1]; k++ {
 			nb := rt.heavyNb[k]
 			tr := e.tree(nb)
 			xrand.FenAdd(tr, int(rt.heavyLeaf[k]), wd[i])
 			tr[0] += wd[i]
-			if doMark {
-				e.lanes[e.part.ShardOf(nb)].markPeer(nb)
-			}
 		}
 	}
 }

@@ -327,59 +327,6 @@ func TestRoutingResumeParity(t *testing.T) {
 	requireSameResult(t, "availability-routed resume P=4", straight, got)
 }
 
-// TestRoutingDeltaChainParity repeats resume parity over a base+deltas
-// chain: every routing mutation (mirror publish, EWMA update, heavy
-// patch, stale flip, lazy rebuild) must mark its peer's segment, or the
-// delta restore silently drops slab state and the finish diverges.
-func TestRoutingDeltaChainParity(t *testing.T) {
-	mk := func() shard.Config {
-		cfg := marketConfig(t, 4, taxPipeline(t))
-		cfg.Routing = shard.RoutingConfig{Mode: shard.RouteAvailability}
-		return cfg
-	}
-	straight, err := shard.Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := shard.NewSim(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Start(); err != nil {
-		t.Fatal(err)
-	}
-	sink := &memChain{}
-	c := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{
-		Delta:            true,
-		RebaseEvery:      64,
-		MaxDeltaFraction: 1e9,
-	})
-	stepWindows(t, sim, 30)
-	for k := 0; k < 4; k++ {
-		if err := c.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		stepWindows(t, sim, 2)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.chain) < 2 {
-		t.Fatalf("chain has %d links; deltas not exercised", len(sink.chain))
-	}
-	restored, err := shard.RestoreChain(mk(), sink.chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for restored.StepWindow() {
-	}
-	got, err := restored.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "availability-routed chain resume P=4", straight, got)
-}
-
 // TestRoutingRestoreRefusesModeDrift pins the digest guard on the new
 // parameters: a snapshot from an availability-routed run must not load
 // into a degree-routed or differently-thresholded engine.

@@ -65,7 +65,6 @@ import (
 	"creditp2p/internal/pad"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/prefetch"
-	"creditp2p/internal/snapshot"
 	"creditp2p/internal/stats"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/trace"
@@ -205,12 +204,11 @@ type lifeEvent struct {
 	g int32
 }
 
-// Peer dirty-segment granularity: peerSegSize peers per segment. A
-// segment's bal+rng+flags spans total ~8.5 KB. Segments are lane-local
+// Checkpoint segment granularity: a lane section lists its peers in
+// segments of peerSegSize, each under its id (the snapshot layout; a
+// segment's bal+rng+flags spans total ~8.5 KB). Segments are lane-local
 // (anchored at the lane's lo), so they never straddle a partition
-// boundary and each lane marks its own bitmap race-free during dispatch;
-// coordinator-side mutations (merged deliveries, policy transfers) mark
-// the destination's lane single-threaded at barriers.
+// boundary.
 const (
 	peerSegShift = 9
 	peerSegSize  = 1 << peerSegShift
@@ -254,22 +252,13 @@ type Lane struct {
 	// counts are the workload's counters (Workload.CounterNames), bumped
 	// by Count on every event, inside the lane's own blocks.
 	counts [MaxCounters]uint64
-	// dirty tracks which peer segments of this lane's partition were
-	// touched since the last state capture — the delta-checkpoint
-	// bookkeeping. Segment k covers global peers [lo+k*peerSegSize,
-	// lo+(k+1)*peerSegSize) ∩ [lo, hi).
-	dirty snapshot.DirtyBits
 	// _ rounds the struct up to whole pad.Blocks (pinned by
 	// TestLaneSizeWholeBlocks).
 	_ [lanePad]byte
 }
 
 // lanePad is the tail padding that makes Lane a whole number of blocks.
-const lanePad = 32
-
-// markPeer flags the dirty segment holding global peer g, which must be
-// owned by this lane.
-func (ln *Lane) markPeer(g int32) { ln.dirty.Mark(int(g-ln.lo) >> peerSegShift) }
+const lanePad = 96
 
 // Engine coordinates P lanes through lockstep windows.
 type Engine struct {
@@ -348,12 +337,6 @@ type Engine struct {
 	applyFn    func(ln *Lane)
 
 	timings Timings
-
-	// captureGen counts state captures (full or delta). Any capture
-	// clears the dirty maps, so a delta is only valid relative to the
-	// capture it observed; the checkpointer re-bases when the counter
-	// moved underneath it (someone else snapshotted mid-chain).
-	captureGen uint64
 
 	started  bool
 	finished bool
@@ -477,9 +460,6 @@ func New(cfg Config) (*Engine, error) {
 		ln.minted = ln.supply
 		ln.hist.Grow(cfg.InitialWealth)
 		ln.hist[cfg.InitialWealth] = int64(hi - lo)
-		// Pre-size the dirty map so hot-path marks never allocate,
-		// preserving the zero-alloc barrier contract.
-		ln.dirty.Grow((int(hi-lo) + peerSegSize - 1) >> peerSegShift)
 		e.lanes[s] = ln
 	}
 	e.polRNG = xrand.New(cfg.Seed ^ 0x5ca1ab1e)
@@ -693,10 +673,6 @@ func (ln *Lane) dispatch(ev des.Event) {
 		}
 		e.warmSampler(g)
 	}
-	// Any event handler may mutate its actor's state (balance, RNG
-	// stream, flags, pending handle), so the actor's segment is dirty the
-	// moment its event fires.
-	ln.markPeer(ev.Actor)
 	switch ev.Kind {
 	case KindDepart:
 		ln.depart(ev)
@@ -842,7 +818,6 @@ func (ln *Lane) Spend(t float64, src, dst int32, seq uint32, amount int64) bool 
 	}
 	pre := e.bal[src]
 	e.bal[src] = pre - amount
-	ln.markPeer(src)
 	ln.hist.Move(pre, pre-amount)
 	ln.supply -= amount
 	ln.out[e.part.ShardOf(dst)].Add(des.XEvent{
@@ -887,7 +862,6 @@ func (ln *Lane) deliver(xev *des.XEvent) (pre int64, landed bool) {
 	}
 	pre = e.bal[g]
 	e.bal[g] = pre + xev.Amount
-	ln.markPeer(g)
 	ln.hist.Move(pre, pre+xev.Amount)
 	ln.supply += xev.Amount
 	return pre, true

@@ -22,18 +22,14 @@ import (
 // in-flight. Workload state beyond that (role tables) replays from the
 // peers' stream prefixes at Setup and needs no bytes.
 //
-// Every capture is a chain link with one layout. A link carries the
-// coordinator's singleton state whole (scalars, metric series, policy
-// state, the epoch bitmap — all small), each lane's scheduler slab
-// segments, accumulators, workload counters and histogram, and the lane's
-// peer segments of the big per-peer arrays (bal, rng, flags, pending
-// workload handles and the routing slices). A delta carries the segments
-// marked dirty since the previous capture; a base is the same encoding
-// with every segment marked. Dirty tracking lives on the mutation paths
-// (Lane.markPeer, des.Scheduler's slab marks); a capture walks the marked
-// segments and clears them, so the next delta is relative to it. Restore
-// decodes the base and then each delta through the same path, rebuilds
-// the event queues once at the end, and vets the result.
+// Every capture is a base: a one-link chain that carries the whole state.
+// It holds the coordinator's singleton state (scalars, metric series,
+// policy state, the epoch bitmap — all small), each lane's scheduler,
+// accumulators, workload counters and histogram, and every one of the
+// lane's peer segments of the big per-peer arrays (bal, rng, flags,
+// pending workload handles and the routing slices), each under its
+// segment id. Restore decodes the base, rebuilding each lane's event
+// queue as its scheduler loads, and vets the result.
 //
 // The shard count is part of the physical layout (one lane section per
 // lane), so it is stored in plain form ahead of the config digest and
@@ -52,11 +48,11 @@ func rngWords(s []xrand.SplitMix64) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&s[0])), len(s))
 }
 
-// snapID is the deterministic capture identity stamped into chain-link
-// headers: a digest of the configuration and the barrier position, so two
-// captures of the same run state carry the same chain id (which is what
-// the chain-vs-base byte-identity tests pin), while captures at different
-// barriers — and hence different chain bases — never collide.
+// snapID is the deterministic capture identity stamped into the link
+// header: a digest of the configuration and the barrier position, so two
+// captures of the same run state carry the same id (which is what the
+// pipelined-vs-serial byte-identity tests pin), while captures at
+// different barriers never collide.
 func (e *Engine) snapID() uint64 {
 	h := e.configDigest()
 	h = fnvU64(h, e.windows)
@@ -67,6 +63,11 @@ func (e *Engine) snapID() uint64 {
 	return h
 }
 
+// segments returns the number of peer segments in the lane's partition.
+func (ln *Lane) segments() int {
+	return (int(ln.hi-ln.lo) + peerSegSize - 1) >> peerSegShift
+}
+
 // segSpan returns the global peer range of the lane's peer segment seg.
 // Segments are anchored at the lane's lo, so they never straddle a
 // partition boundary.
@@ -75,7 +76,7 @@ func (ln *Lane) segSpan(seg int) (lo, hi int32) {
 	return lo, min(lo+peerSegSize, ln.hi)
 }
 
-// encoder holds the recycled fragments one link is staged into: the
+// encoder holds the recycled fragments one base is staged into: the
 // header-bearing coordinator fragment (link header and shared section)
 // and one raw fragment per lane, encoded in parallel. snapshot.Seal
 // concatenates them into exactly the bytes a single serial Writer would
@@ -106,25 +107,16 @@ func newEncoder(p int) *encoder {
 	return c
 }
 
-// encode stages one link at the current barrier and returns its fragments
-// in seal order. A base first marks every peer segment dirty (and each
-// lane writes its whole slab), so it is the delta that carries every
-// segment. Clears every dirty map and bumps the capture generation.
-func (c *encoder) encode(e *Engine, link snapshot.LinkHeader) [][]byte {
-	all := link.Kind == snapshot.LinkBase
-	if all {
-		for _, ln := range e.lanes {
-			ln.dirty.MarkAll()
-		}
-	}
+// encode stages a base at the current barrier and returns its fragments
+// in seal order.
+func (c *encoder) encode(e *Engine) [][]byte {
 	c.coord.Reset()
-	e.encodeHead(c.coord, link)
+	e.encodeHead(c.coord)
 	e.parallel(func(ln *Lane) {
 		w := &c.laneW[ln.S].Writer
 		w.Reset()
-		ln.encode(w, all)
+		ln.encode(w)
 	})
-	e.captureGen++
 
 	c.parts = append(c.parts[:0], c.coord.Frame())
 	for _, w := range c.laneW {
@@ -133,15 +125,15 @@ func (c *encoder) encode(e *Engine, link snapshot.LinkHeader) [][]byte {
 	return c.parts
 }
 
-// encodeHead emits the link header, the plain-form layout prologue and
-// the coordinator's singleton state: scalars, the liveness epoch bitmap,
-// the metric series, and — with a policy pipeline — the policy stream and
-// stages (nothing else draws from the stream). The epoch bitmap rides
+// encodeHead emits the base's link header, the plain-form layout prologue
+// and the coordinator's singleton state: scalars, the liveness epoch
+// bitmap, the metric series, and — with a policy pipeline — the policy
+// stream and stages (nothing else draws from the stream). The epoch bitmap rides
 // whole: at 1 bit per peer it is noise next to one segment, and
 // whole-array capture sidesteps the word-straddling a peer-span encoding
 // would need at unaligned partition boundaries.
-func (e *Engine) encodeHead(w *snapshot.Writer, link snapshot.LinkHeader) {
-	w.LinkHeader(link)
+func (e *Engine) encodeHead(w *snapshot.Writer) {
+	w.LinkHeader(snapshot.LinkHeader{Kind: snapshot.LinkBase, ID: e.snapID()})
 	w.Section("shardhdr")
 	w.U32(uint32(e.p))
 	w.U64(e.configDigest())
@@ -164,20 +156,15 @@ func (e *Engine) encodeHead(w *snapshot.Writer, link snapshot.LinkHeader) {
 	}
 }
 
-// encode emits one lane's section: its scheduler (the whole slab when all
-// is set, the dirty slab segments otherwise), the small accumulators and
-// workload counters, the trimmed balance histogram — indexed by balance,
-// not peer, so it has no per-peer segment structure and rides whole — and
-// the lane's dirty peer segments. Clears the lane's dirty map. Safe to run
+// encode emits one lane's section: its scheduler, the small accumulators
+// and workload counters, the trimmed balance histogram — indexed by
+// balance, not peer, so it has no per-peer segment structure and rides
+// whole — and every peer segment of the lane, in order. Safe to run
 // concurrently across lanes: it touches only lane-owned state.
-func (ln *Lane) encode(w *snapshot.Writer, all bool) {
+func (ln *Lane) encode(w *snapshot.Writer) {
 	e := ln.e
 	w.Section("lane")
-	if all {
-		ln.sched.SaveState(w)
-	} else {
-		ln.sched.SaveDelta(w)
-	}
+	ln.sched.SaveState(w)
 	w.I64(ln.supply)
 	w.I64(ln.minted)
 	w.I64(ln.burned)
@@ -188,8 +175,9 @@ func (ln *Lane) encode(w *snapshot.Writer, all bool) {
 	w.Int(ln.liveN)
 	w.U64s(ln.counts[:len(e.counterNames)])
 	w.I64s(trimHist(ln.hist))
-	w.Int(ln.dirty.Count())
-	ln.dirty.Walk(func(seg int) {
+	segs := ln.segments()
+	w.Int(segs)
+	for seg := 0; seg < segs; seg++ {
 		lo, hi := ln.segSpan(seg)
 		w.U32(uint32(seg))
 		w.I64s(e.bal[lo:hi])
@@ -197,18 +185,15 @@ func (ln *Lane) encode(w *snapshot.Writer, all bool) {
 		w.U8s(e.flags[lo:hi])
 		w.U64s(e.pend[lo:hi])
 		ln.saveRoutingSeg(w, lo, hi)
-	})
-	ln.dirty.Clear()
+	}
 }
 
 // saveRoutingSeg emits the routing slices of one peer segment: the weight
 // mirror, the availability EWMA, and the segment's span of the Fenwick
 // slab (peer trees are laid out in peer order, so a segment's trees are
-// contiguous). Every routing mutation (mirror write, EWMA update, tree
-// patch or rebuild, stale-bit flip) marks its peer's segment, so
-// segment-wise capture is exact. Serializing the trees — rather than
-// rebuilding on restore — preserves the exact built/stale split and the
-// heavy trees' patch history, keeping resumed byte streams identical.
+// contiguous). Serializing the trees — rather than rebuilding on restore —
+// preserves the exact built/stale split and the heavy trees' patch
+// history, keeping resumed byte streams identical.
 func (ln *Lane) saveRoutingSeg(w *snapshot.Writer, lo, hi int32) {
 	rt := &ln.e.rt
 	if rt.mode == RouteUniform {
@@ -231,15 +216,13 @@ func (e *Engine) fenSpan(lo, hi int32) (int64, int64) {
 	return e.part.RowStart(lo) + int64(lo), e.part.RowStart(hi) + int64(hi)
 }
 
-// decode applies one chain link to the engine: a base onto the freshly
-// built engine, a delta over its predecessor's state. Event queues are
-// not rebuilt here — the restore does that once after the last link.
+// decode loads a base into the freshly built engine.
 func (e *Engine) decode(data []byte) error {
 	r, err := snapshot.Open(data)
 	if err != nil {
 		return err
 	}
-	base := r.LinkHeader().Kind == snapshot.LinkBase
+	r.LinkHeader()
 	r.Section("shardhdr")
 	p := int(r.U32())
 	digest := r.U64()
@@ -285,20 +268,20 @@ func (e *Engine) decode(data []byte) error {
 	}
 
 	for _, ln := range e.lanes {
-		if err := ln.decode(r, base); err != nil {
+		if err := ln.decode(r); err != nil {
 			return err
 		}
 	}
 	return r.Close()
 }
 
-// decode patches one lane section into the lane. Segments must ascend,
-// and a base must carry every one. A peer's static heavy-hitter bit must
-// survive, and the built-tree bit needs a Fenwick slab.
-func (ln *Lane) decode(r *snapshot.Reader, base bool) error {
+// decode loads one lane section into the lane. The section must list
+// every peer segment of the lane, in order. A peer's static heavy-hitter
+// bit must survive, and the built-tree bit needs a Fenwick slab.
+func (ln *Lane) decode(r *snapshot.Reader) error {
 	e := ln.e
 	r.Section("lane")
-	if err := ln.sched.ApplyDelta(r); err != nil {
+	if err := ln.sched.LoadState(r); err != nil {
 		return fmt.Errorf("shard: lane %d: %w", ln.S, err)
 	}
 	ln.supply = r.I64()
@@ -322,24 +305,22 @@ func (ln *Lane) decode(r *snapshot.Reader, base bool) error {
 		ln.hist.Grow(int64(len(hist) - 1))
 		copy(ln.hist, hist)
 	}
-	maxSeg := ln.dirty.Segments()
-	if segs < 0 || segs > maxSeg || base && segs != maxSeg {
+	maxSeg := ln.segments()
+	if segs != maxSeg {
 		return fmt.Errorf("shard: lane %d carries %d of its %d peer segments", ln.S, segs, maxSeg)
 	}
 	flagMask := aliveBit | heavyBit
 	if e.rt.fenSlab != nil {
 		flagMask |= fenBuiltBit
 	}
-	prev := -1
-	for k := 0; k < segs; k++ {
-		seg := int(r.U32())
-		if r.Err() != nil {
-			return r.Err()
+	for seg := 0; seg < segs; seg++ {
+		got := int(r.U32())
+		if err := r.Err(); err != nil {
+			return err
 		}
-		if seg <= prev || seg >= maxSeg {
-			return fmt.Errorf("shard: lane %d segment %d out of order or outside its %d-segment partition", ln.S, seg, maxSeg)
+		if got != seg {
+			return fmt.Errorf("shard: lane %d segment %d out of order or outside its %d-segment partition", ln.S, got, maxSeg)
 		}
-		prev = seg
 		lo, hi := ln.segSpan(seg)
 		n := int(hi - lo)
 		if err := fill(r, e.bal[lo:hi], r.I64s(n), "balances"); err != nil {
@@ -364,7 +345,6 @@ func (ln *Lane) decode(r *snapshot.Reader, base bool) error {
 			return err
 		}
 	}
-	ln.dirty.Clear()
 	return nil
 }
 
@@ -408,14 +388,8 @@ func fill[T any](r *snapshot.Reader, dst, got []T, what string) error {
 	return nil
 }
 
-// rebuildQueues reconstructs every lane scheduler's event queue from its
-// slab — the epilogue of a restore.
-func (e *Engine) rebuildQueues() {
-	e.parallel(func(ln *Lane) { ln.sched.RebuildQueue() })
-}
-
 // checkRestored vets a restored engine against the invariants a running
-// engine keeps at every barrier, so a link whose bytes pass the checksum
+// engine keeps at every barrier, so a base whose bytes pass the checksum
 // but whose content is inconsistent — crafted or corrupted before it was
 // sealed — is refused at restore instead of panicking or stalling the
 // resumed run: the clocks sit on their grids, every queued event belongs
@@ -586,29 +560,22 @@ func (s *Sim) Now() float64 { return s.e.now }
 // Engine exposes the underlying engine.
 func (s *Sim) Engine() *Engine { return s.e }
 
-// Snapshot serializes the run at the current window boundary as a chain
-// base: the serial form of the Checkpointer's base encode, byte for byte.
-// Like any capture it clears the dirty maps, so a Checkpointer mid-chain
-// re-bases at its next checkpoint.
+// Snapshot serializes the run at the current window boundary as a base:
+// the serial form of the Checkpointer's encode, byte for byte.
 func (s *Sim) Snapshot() []byte {
-	e := s.e
-	data, _ := snapshot.Seal(nil, newEncoder(e.p).encode(e, snapshot.LinkHeader{Kind: snapshot.LinkBase, ID: e.snapID()}))
-	return data
+	return snapshot.Seal(nil, newEncoder(s.e.p).encode(s.e))
 }
 
 // Finish completes the run and returns the result.
 func (s *Sim) Finish() (*Result, error) { return s.e.Finish() }
 
-// RestoreChain rebuilds a run from cfg and a checkpoint chain: a base and
-// its deltas as a Checkpointer wrote them, or a lone base. The chain is
-// validated end to end — per-link checksums, kinds, id, contiguous
-// indices, predecessor-CRC links — before any state is touched; then
-// every link decodes through the same path, the lanes' event queues are
-// rebuilt once, and the restored state is vetted. The result is
-// byte-identical to restoring a base taken at the same barrier, and to
-// the uninterrupted run, under a configuration matching the one that
-// produced the chain (shard-count or config mismatches are refused with
-// descriptive errors).
+// RestoreChain rebuilds a run from cfg and a checkpoint chain: one base,
+// as a Checkpointer or Snapshot wrote it. The chain is validated —
+// checksum, one link, a base's header — before any state is touched; then
+// the base decodes and the restored state is vetted. The result is
+// byte-identical to the uninterrupted run under a configuration matching
+// the one that produced the base (shard-count or config mismatches are
+// refused with descriptive errors).
 func RestoreChain(cfg Config, chain [][]byte) (*Sim, error) {
 	if err := snapshot.ValidateChain(chain); err != nil {
 		return nil, err
@@ -617,15 +584,9 @@ func RestoreChain(cfg Config, chain [][]byte) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	for k, data := range chain {
-		if err := e.decode(data); err != nil {
-			if k > 0 {
-				err = fmt.Errorf("shard: chain link %d: %w", k, err)
-			}
-			return nil, err
-		}
+	if err := e.decode(chain[0]); err != nil {
+		return nil, err
 	}
-	e.rebuildQueues()
 	if err := e.checkRestored(); err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -259,19 +258,9 @@ func (k *Kernel) LinkID(workload uint64) uint64 {
 }
 
 // OpenBase opens a single-threaded engine's checkpoint chain for restore
-// and returns a reader positioned after the base's link header. The
-// single-threaded engines write every capture as a base, so the chain must
-// be one base link; a delta — which only the sharded kernel writes — is
-// refused with an error that says so.
+// and returns a reader positioned after the base's link header. The chain
+// must be one base link (snapshot.ValidateChain).
 func OpenBase(chain [][]byte) (*snapshot.Reader, error) {
-	delta := len(chain) > 1
-	if len(chain) == 1 {
-		h, _, err := snapshot.PeekLink(chain[0])
-		delta = err == nil && h.Kind == snapshot.LinkDelta
-	}
-	if delta {
-		return nil, errors.New("sim: the checkpoint holds delta links, which only the sharded kernel (internal/shard) writes and restores; a single-threaded engine restores one base")
-	}
 	if err := snapshot.ValidateChain(chain); err != nil {
 		return nil, err
 	}

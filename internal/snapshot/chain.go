@@ -7,44 +7,38 @@ import (
 	"path/filepath"
 )
 
-// Delta checkpoint chains. A chain is a base snapshot plus K delta
-// snapshots, each a complete CP2PSNAP file (magic, version, CRC trailer)
-// whose first section is a link header tying it to its predecessor:
+// Checkpoint chains. A checkpoint is one base: a complete CP2PSNAP file
+// (magic, version, CRC trailer) whose first section is a link header
 //
-//	base:  kind=LinkBase,  id=<capture identity>, index=0, prevCRC=0
-//	delta: kind=LinkDelta, id=<base's id>,        index=k, prevCRC=<link k-1's trailer>
+//	kind=LinkBase, id=<capture identity>, index=0, prevCRC=0
 //
-// Three independent guards make a mis-restore structurally impossible:
-// every link's own CRC trailer rejects torn or corrupted files, the id
-// match rejects deltas chained to a different (e.g. stale, pre-rebase)
-// base, and the prevCRC hash chain plus contiguous indices reject
-// reordered, skipped, or cross-chain links.
+// A chain is the list of links a restore reads, and it holds exactly one
+// base. The header's index and prevCRC fields are kept (always zero) so
+// the byte layout of a base is unchanged. ValidateChain refuses any other
+// shape, so a chain that still carries the delta links an older build
+// wrote is refused rather than half-restored.
 
-// LinkKind distinguishes chain link roles.
+// LinkKind is a chain link's role.
 type LinkKind uint8
 
-const (
-	// LinkBase is a full snapshot anchoring a chain.
-	LinkBase LinkKind = iota
-	// LinkDelta is a dirty-segment delta relative to its predecessor.
-	LinkDelta
-)
+// LinkBase is a full snapshot: the only link kind this build writes or
+// restores.
+const LinkBase LinkKind = 0
 
-// LinkHeader identifies a snapshot's position in a delta chain.
+// LinkHeader identifies a snapshot as a checkpoint link.
 type LinkHeader struct {
 	// Kind is the link role.
 	Kind LinkKind
-	// ID identifies the chain: the base's deterministic capture identity,
-	// repeated by every delta chained to it.
+	// ID is the base's deterministic capture identity.
 	ID uint64
-	// Index is the link's position: 0 for the base, k for the k-th delta.
+	// Index is 0 for a base.
 	Index uint32
-	// PrevCRC is the previous link's checksum trailer; 0 for the base.
+	// PrevCRC is 0 for a base.
 	PrevCRC uint64
 }
 
 // LinkHeader emits the chain-link section; it must be the first section of
-// a chained snapshot.
+// a checkpoint.
 func (w *Writer) LinkHeader(h LinkHeader) {
 	w.Section("chain")
 	w.U8(uint8(h.Kind))
@@ -64,57 +58,32 @@ func (r *Reader) LinkHeader() LinkHeader {
 	}
 }
 
-// PeekLink opens a link and reads just its header, returning it with the
-// link's checksum trailer.
-func PeekLink(data []byte) (LinkHeader, uint64, error) {
-	r, err := Open(data)
-	if err != nil {
-		return LinkHeader{}, 0, err
-	}
-	h := r.LinkHeader()
-	if err := r.Err(); err != nil {
-		return LinkHeader{}, 0, err
-	}
-	return h, r.Checksum(), nil
-}
-
-// ValidateChain verifies a base+deltas chain's integrity without touching
-// any simulation state: every link's checksum, the base/delta kinds, the
-// contiguous 1-based delta indices, the chain-id match, and the prevCRC
-// hash chain. Any corruption, reordering, truncation of a middle link, or
-// mix-in from another chain fails with an error naming the link.
+// ValidateChain verifies a checkpoint chain without touching any
+// simulation state: it must hold exactly one link, that link's checksum
+// must verify, and its header must be a base's (kind base, index 0,
+// prevCRC 0). A chain of several links, or a link of any other kind — the
+// delta links an older build wrote — is refused with an error that says a
+// checkpoint is one base.
 func ValidateChain(chain [][]byte) error {
 	if len(chain) == 0 {
 		return errors.New("snapshot: empty chain")
 	}
-	base, prevCRC, err := PeekLink(chain[0])
+	if len(chain) > 1 {
+		return fmt.Errorf("snapshot: chain of %d links — a checkpoint is one base; restore from the base alone", len(chain))
+	}
+	r, err := Open(chain[0])
 	if err != nil {
 		return fmt.Errorf("snapshot: chain link 0 (base): %w", err)
 	}
+	base := r.LinkHeader()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("snapshot: chain link 0 (base): %w", err)
+	}
 	if base.Kind != LinkBase {
-		return fmt.Errorf("snapshot: chain link 0 has kind %d, want a base", base.Kind)
+		return fmt.Errorf("snapshot: chain link 0 has kind %d, want a base — a checkpoint is one base", base.Kind)
 	}
 	if base.Index != 0 || base.PrevCRC != 0 {
 		return fmt.Errorf("snapshot: chain base has index %d prevCRC %016x, want 0/0", base.Index, base.PrevCRC)
-	}
-	for k := 1; k < len(chain); k++ {
-		h, sum, err := PeekLink(chain[k])
-		if err != nil {
-			return fmt.Errorf("snapshot: chain link %d: %w", k, err)
-		}
-		if h.Kind != LinkDelta {
-			return fmt.Errorf("snapshot: chain link %d has kind %d, want a delta", k, h.Kind)
-		}
-		if h.ID != base.ID {
-			return fmt.Errorf("snapshot: chain link %d belongs to chain %016x, base is %016x (stale delta from before a re-base?)", k, h.ID, base.ID)
-		}
-		if h.Index != uint32(k) {
-			return fmt.Errorf("snapshot: chain link %d carries index %d — links are missing or reordered", k, h.Index)
-		}
-		if h.PrevCRC != prevCRC {
-			return fmt.Errorf("snapshot: chain link %d expects predecessor CRC %016x but link %d sealed as %016x — links are reordered or from different captures", k, h.PrevCRC, k-1, prevCRC)
-		}
-		prevCRC = sum
 	}
 	return nil
 }
@@ -164,76 +133,39 @@ func syncDir(dir string) error {
 	return err
 }
 
-// ChainSink receives sealed checkpoint links. ChainStore satisfies it for
-// file-backed chains; tests use in-memory sinks. The sharded kernel's
-// Checkpointer writes from its writer goroutine, never concurrently with
-// itself; the single-threaded engines write every capture as a base. The
-// data slice may be a recycled buffer reused once the write returns — a
-// sink that keeps the bytes must copy them.
+// ChainSink receives sealed checkpoints, each a base that supersedes the
+// previous one. ChainStore satisfies it for file-backed checkpoints; tests
+// use in-memory sinks. The sharded kernel's Checkpointer writes from its
+// writer goroutine, never concurrently with itself. The data slice may be
+// a recycled buffer reused once the write returns — a sink that keeps the
+// bytes must copy them.
 type ChainSink interface {
-	// WriteBase persists a new chain base, invalidating prior deltas.
+	// WriteBase persists a new base, replacing the previous one.
 	WriteBase(data []byte) error
-	// WriteDelta persists the index-th delta (1-based) of the current base.
-	WriteDelta(index int, data []byte) error
 }
 
-// ChainStore persists a checkpoint chain as files: the base at Path and
-// the k-th delta at Path.d<k> (three-digit, e.g. run.snap.d001). Every
-// write is atomic and fsynced; writing a new base prunes the previous
-// chain's deltas first, so a crash between the prune and the base write
-// leaves the old base (still valid alone) rather than a new base with
-// stale deltas — which the id check would refuse anyway.
+// ChainStore persists a checkpoint as one file at Path. Every write is
+// atomic and fsynced, so a crash leaves either the previous base or the
+// new one. Files named Path.dNNN that an older build wrote beside the base
+// (delta links) are never read; they can be deleted.
 type ChainStore struct {
 	// Path is the base snapshot path.
 	Path string
 }
 
-// deltaPath names the k-th delta file.
-func (st *ChainStore) deltaPath(index int) string {
-	return fmt.Sprintf("%s.d%03d", st.Path, index)
-}
-
-// WriteBase atomically persists a new base and prunes any deltas of the
-// previous chain.
+// WriteBase atomically persists a new base.
 func (st *ChainStore) WriteBase(data []byte) error {
-	for k := 1; ; k++ {
-		if err := os.Remove(st.deltaPath(k)); err != nil {
-			if os.IsNotExist(err) {
-				break
-			}
-			return err
-		}
-	}
 	return WriteFileAtomic(st.Path, data)
 }
 
-// WriteDelta atomically persists the index-th delta (1-based).
-func (st *ChainStore) WriteDelta(index int, data []byte) error {
-	if index < 1 {
-		return fmt.Errorf("snapshot: delta index %d, want >= 1", index)
-	}
-	return WriteFileAtomic(st.deltaPath(index), data)
-}
-
-// Load reads the stored chain — the base plus every contiguous delta — and
-// validates it end to end before returning. Corruption anywhere in the
-// stored files is an error, never a silent restore from a prefix.
+// Load reads the stored base as a one-link chain and validates it before
+// returning. Corruption is an error, never a silent restore.
 func (st *ChainStore) Load() ([][]byte, error) {
 	base, err := os.ReadFile(st.Path)
 	if err != nil {
 		return nil, err
 	}
 	chain := [][]byte{base}
-	for k := 1; ; k++ {
-		d, err := os.ReadFile(st.deltaPath(k))
-		if err != nil {
-			if os.IsNotExist(err) {
-				break
-			}
-			return nil, err
-		}
-		chain = append(chain, d)
-	}
 	if err := ValidateChain(chain); err != nil {
 		return nil, err
 	}

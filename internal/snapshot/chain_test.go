@@ -2,8 +2,10 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"creditp2p/internal/snapshot"
@@ -19,79 +21,53 @@ func mkLink(h snapshot.LinkHeader, payload uint64) []byte {
 	return w.Finish()
 }
 
-// crcOf reads a finished link's checksum trailer.
-func crcOf(t *testing.T, link []byte) uint64 {
-	t.Helper()
-	r, err := snapshot.Open(link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r.Checksum()
+// mkBase builds a valid one-base chain link.
+func mkBase(id uint64) []byte {
+	return mkLink(snapshot.LinkHeader{Kind: snapshot.LinkBase, ID: id}, 0)
 }
 
-// mkChain builds a valid base + n-delta chain.
-func mkChain(t *testing.T, id uint64, deltas int) [][]byte {
-	t.Helper()
-	chain := [][]byte{mkLink(snapshot.LinkHeader{Kind: snapshot.LinkBase, ID: id}, 0)}
-	for k := 1; k <= deltas; k++ {
-		chain = append(chain, mkLink(snapshot.LinkHeader{
-			Kind:    snapshot.LinkDelta,
-			ID:      id,
-			Index:   uint32(k),
-			PrevCRC: crcOf(t, chain[k-1]),
-		}, uint64(k)))
-	}
-	return chain
+// mkDelta builds a link of the delta kind an older build chained to a
+// base: kind 1, the base's id, index 1 and the base's trailer as its
+// predecessor CRC.
+func mkDelta(base []byte, id uint64) []byte {
+	crc := binary.LittleEndian.Uint64(base[len(base)-8:])
+	return mkLink(snapshot.LinkHeader{Kind: 1, ID: id, Index: 1, PrevCRC: crc}, 1)
 }
 
+// TestValidateChain pins the one shape a checkpoint chain may have: one
+// base. Chains that still carry delta links, whole or in part, are
+// refused with an error that says a checkpoint is one base.
 func TestValidateChain(t *testing.T) {
-	chain := mkChain(t, 0xabc, 3)
-	if err := snapshot.ValidateChain(chain); err != nil {
-		t.Fatalf("valid chain refused: %v", err)
+	base := mkBase(0xabc)
+	if err := snapshot.ValidateChain([][]byte{base}); err != nil {
+		t.Fatalf("base refused: %v", err)
 	}
-	if err := snapshot.ValidateChain(chain[:1]); err != nil {
-		t.Fatalf("bare base refused: %v", err)
-	}
+	delta := mkDelta(base, 0xabc)
 
 	bad := []struct {
-		name string
-		make func() [][]byte
+		name    string
+		chain   [][]byte
+		oneBase bool // the error must say a checkpoint is one base
 	}{
-		{"empty", func() [][]byte { return nil }},
-		{"delta first", func() [][]byte { return chain[1:] }},
-		{"reordered deltas", func() [][]byte {
-			return [][]byte{chain[0], chain[2], chain[1]}
-		}},
-		{"skipped delta", func() [][]byte {
-			return [][]byte{chain[0], chain[1], chain[3]}
-		}},
-		{"duplicated delta", func() [][]byte {
-			return [][]byte{chain[0], chain[1], chain[1]}
-		}},
-		{"foreign base", func() [][]byte {
-			other := mkChain(t, 0xdef, 0)
-			return [][]byte{other[0], chain[1]}
-		}},
-		{"same-id foreign delta", func() [][]byte {
-			// Same chain id and index but a different capture: the prevCRC
-			// hash chain is the only guard that catches it.
-			forged := mkLink(snapshot.LinkHeader{
-				Kind: snapshot.LinkDelta, ID: 0xabc, Index: 1, PrevCRC: 0x1234,
-			}, 9)
-			return [][]byte{chain[0], forged}
-		}},
-		{"corrupt middle link", func() [][]byte {
-			evil := append([]byte(nil), chain[1]...)
+		{"empty", nil, false},
+		{"base and delta", [][]byte{base, delta}, true},
+		{"two bases", [][]byte{base, mkBase(0xdef)}, true},
+		{"lone delta", [][]byte{delta}, true},
+		{"base with an index", [][]byte{mkLink(snapshot.LinkHeader{ID: 0xabc, Index: 1}, 0)}, false},
+		{"base with a predecessor", [][]byte{mkLink(snapshot.LinkHeader{ID: 0xabc, PrevCRC: 0x1234}, 0)}, false},
+		{"corrupt base", [][]byte{func() []byte {
+			evil := append([]byte(nil), base...)
 			evil[len(evil)/2] ^= 0x40
-			return [][]byte{chain[0], evil, chain[2]}
-		}},
-		{"truncated tail link", func() [][]byte {
-			return [][]byte{chain[0], chain[1][:len(chain[1])-3]}
-		}},
+			return evil
+		}()}, false},
+		{"truncated base", [][]byte{base[:len(base)-3]}, false},
 	}
 	for _, tc := range bad {
-		if err := snapshot.ValidateChain(tc.make()); err == nil {
+		err := snapshot.ValidateChain(tc.chain)
+		if err == nil {
 			t.Errorf("%s: invalid chain validated", tc.name)
+		} else if tc.oneBase && !strings.Contains(err.Error(), "a checkpoint is one base") {
+			t.Errorf("%s: error %q does not say a checkpoint is one base", tc.name, err)
 		}
 	}
 }
@@ -120,16 +96,13 @@ func TestSealMatchesSingleWriter(t *testing.T) {
 	frag2 := snapshot.NewRawWriter(64)
 	frag2.Section("gamma")
 	frag2.U8s([]byte{9, 8, 7})
-	got, crc := snapshot.Seal(nil, [][]byte{head.Frame(), frag1.Frame(), frag2.Frame()})
+	got := snapshot.Seal(nil, [][]byte{head.Frame(), frag1.Frame(), frag2.Frame()})
 	if !bytes.Equal(got, want) {
 		t.Fatalf("sealed fragments differ from the serial encoding: %d vs %d bytes", len(got), len(want))
 	}
-	if sum := crcOf(t, want); crc != sum {
-		t.Fatalf("Seal reports crc %016x, trailer holds %016x", crc, sum)
-	}
 
 	// A recycled destination produces the same bytes.
-	recycled, _ := snapshot.Seal(make([]byte, 0, 4096), [][]byte{head.Frame(), frag1.Frame(), frag2.Frame()})
+	recycled := snapshot.Seal(make([]byte, 0, 4096), [][]byte{head.Frame(), frag1.Frame(), frag2.Frame()})
 	if !bytes.Equal(recycled, want) {
 		t.Fatal("Seal into a recycled buffer diverges")
 	}
@@ -164,98 +137,49 @@ func TestWriterReset(t *testing.T) {
 	}
 }
 
-func TestDirtyBits(t *testing.T) {
-	var d snapshot.DirtyBits
-	d.Grow(192)
-	if d.Count() != 0 {
-		t.Fatal("fresh map is dirty")
-	}
-	marks := []int{0, 1, 63, 64, 100, 191}
-	for _, s := range marks {
-		d.Mark(s)
-	}
-	d.Mark(100) // idempotent
-	if got := d.Count(); got != len(marks) {
-		t.Fatalf("count %d, want %d", got, len(marks))
-	}
-	var walked []int
-	d.Walk(func(seg int) { walked = append(walked, seg) })
-	for i, s := range marks {
-		if walked[i] != s {
-			t.Fatalf("walk order %v, want %v", walked, marks)
-		}
-	}
-	if !d.Test(64) || d.Test(65) {
-		t.Fatal("Test disagrees with the marks")
-	}
-
-	d.Grow(320) // growth preserves existing marks
-	if d.Count() != len(marks) || !d.Test(191) {
-		t.Fatal("Grow dropped marks")
-	}
-	d.Mark(250)
-	if d.Count() != len(marks)+1 {
-		t.Fatal("mark after growth lost")
-	}
-
-	d.Clear()
-	if d.Count() != 0 || d.Test(0) || d.Test(250) {
-		t.Fatal("Clear left marks behind")
-	}
-}
-
+// TestChainStoreRoundTrip pins the file store: Load returns the base last
+// written at Path as a one-link chain, a new base replaces it, delta files
+// an older build left beside it are never read, and a corrupted base is
+// refused at Load rather than handed to the caller.
 func TestChainStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := &snapshot.ChainStore{Path: filepath.Join(dir, "run.snap")}
-	chain := mkChain(t, 0x77, 2)
-	if err := st.WriteBase(chain[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteDelta(1, chain[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteDelta(2, chain[2]); err != nil {
+	first := mkBase(0x77)
+	if err := st.WriteBase(first); err != nil {
 		t.Fatal(err)
 	}
 	got, err := st.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("loaded %d links, want 3", len(got))
-	}
-	for k := range chain {
-		if !bytes.Equal(got[k], chain[k]) {
-			t.Fatalf("link %d bytes differ after the file round trip", k)
-		}
+	if len(got) != 1 || !bytes.Equal(got[0], first) {
+		t.Fatalf("loaded %d links, want the base back byte for byte", len(got))
 	}
 
-	// A new base must prune the previous chain's deltas.
-	next := mkChain(t, 0x88, 0)
-	if err := st.WriteBase(next[0]); err != nil {
+	// A stale delta beside the base is ignored; a new base replaces the old.
+	if err := os.WriteFile(st.Path+".d001", mkDelta(first, 0x77), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	next := mkBase(0x88)
+	if err := st.WriteBase(next); err != nil {
 		t.Fatal(err)
 	}
 	got, err = st.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || !bytes.Equal(got[0], next[0]) {
-		t.Fatalf("after re-base the store holds %d links, want just the new base", len(got))
-	}
-	if _, err := os.Stat(filepath.Join(dir, "run.snap.d001")); !os.IsNotExist(err) {
-		t.Fatal("stale delta file survived the re-base")
+	if len(got) != 1 || !bytes.Equal(got[0], next) {
+		t.Fatalf("the store holds %d links, want just the new base", len(got))
 	}
 
-	// Corruption on disk is refused at Load, not handed to the caller.
-	if err := st.WriteDelta(1, chain[1]); err != nil { // wrong chain for the new base
+	// Corruption on disk is refused at Load.
+	evil := append([]byte(nil), next...)
+	evil[len(evil)/2] ^= 0x40
+	if err := os.WriteFile(st.Path, evil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Load(); err == nil {
-		t.Fatal("store loaded a delta from a different chain")
-	}
-
-	if err := st.WriteDelta(0, nil); err == nil {
-		t.Fatal("delta index 0 accepted")
+		t.Fatal("store loaded a corrupted base")
 	}
 }
 

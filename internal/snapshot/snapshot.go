@@ -37,14 +37,16 @@ import (
 // Version is the current snapshot format version. Bump on any layout change.
 // Version 2: scheduler slabs carry per-slot sequence numbers and derive the
 // pending set from slot states (no serialized pending pairs), and snapshots
-// may open with a chain-link header tying delta checkpoints to their base.
+// may open with a chain-link header.
 // Version 3: bases and deltas share one layout — segmented scheduler slabs
 // and peer arrays, each link listing the segments it carries, a base
 // carrying all of them — and the sharded kernel writes the policy stream
 // only when a policy pipeline is configured.
 // Version 4: the sharded kernel's lane sections carry the workload
 // counters, and its peer segments each peer's pending workload-event
-// handle; the separate workload section is gone.
+// handle; the separate workload section is gone. Every checkpoint is now
+// a base (delta links are no longer written or read); the base layout is
+// the version-4 layout, segment lists included.
 const Version uint32 = 4
 
 // magic identifies a creditp2p snapshot; exactly 8 bytes.
@@ -132,12 +134,12 @@ func (w *Writer) Finish() []byte {
 }
 
 // Seal concatenates fragments into dst (recycled when its capacity
-// suffices), appends the checksum trailer, and returns the sealed snapshot
-// along with its trailer value. The first fragment must begin with the
+// suffices), appends the checksum trailer, and returns the sealed
+// snapshot. The first fragment must begin with the
 // magic + version header (a NewWriter fragment); the rest are raw. The
 // sealed bytes are identical to a single Writer emitting the same sections
 // in order, so serial and parallel encodes are byte-interchangeable.
-func Seal(dst []byte, parts [][]byte) ([]byte, uint64) {
+func Seal(dst []byte, parts [][]byte) []byte {
 	total := trailerLen
 	for _, p := range parts {
 		total += len(p)
@@ -152,9 +154,7 @@ func Seal(dst []byte, parts [][]byte) ([]byte, uint64) {
 		crc = crc32.Update(crc, crcTable, p)
 		dst = append(dst, p...)
 	}
-	sum := uint64(crc)
-	dst = binary.LittleEndian.AppendUint64(dst, sum)
-	return dst, sum
+	return binary.LittleEndian.AppendUint64(dst, uint64(crc))
 }
 
 // Section emits a short tag delimiting a logical group of fields. Readers
@@ -266,7 +266,6 @@ type Reader struct {
 	buf []byte
 	off int
 	err error
-	sum uint64
 }
 
 // Open validates magic, version, and the whole-payload checksum trailer, and
@@ -288,12 +287,8 @@ func Open(data []byte) (*Reader, error) {
 	if got := checksum(body); got != want {
 		return nil, fmt.Errorf("snapshot: checksum mismatch: computed %016x, trailer says %016x (corrupted or torn write)", got, want)
 	}
-	return &Reader{buf: body, off: headerLen, sum: want}, nil
+	return &Reader{buf: body, off: headerLen}, nil
 }
-
-// Checksum returns the snapshot's verified trailer value — the identity a
-// delta chain link uses to pin its predecessor.
-func (r *Reader) Checksum() uint64 { return r.sum }
 
 // Err returns the first error encountered, if any.
 func (r *Reader) Err() error { return r.err }

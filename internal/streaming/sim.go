@@ -198,11 +198,10 @@ func (m *Sim) Snapshot() []byte {
 	return w.Finish()
 }
 
-// RestoreChain reconstructs a run from a checkpoint chain: the swarm
-// writes every capture as a base, so the chain is the one base link a
-// Sim.Snapshot produced (a delta is refused). cfg must describe the
-// original run exactly (same scalars, same policy pipeline, same pricing
-// scheme, same graph). Continue the run with Step/Run (not Start).
+// RestoreChain reconstructs a run from a checkpoint chain: the one base
+// link a Sim.Snapshot produced. cfg must describe the original run
+// exactly (same scalars, same policy pipeline, same pricing scheme, same
+// graph). Continue the run with Step/Run (not Start).
 func RestoreChain(cfg Config, chain [][]byte) (*Sim, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
