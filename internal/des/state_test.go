@@ -123,3 +123,132 @@ func TestSchedulerLoadRejectsUncoveredSlab(t *testing.T) {
 		t.Fatalf("refusing the link allocated %d bytes", grew)
 	}
 }
+
+// TestSchedulerDeltaRoundTrip pins restoring a later capture of the same
+// run on the calendar queue: a base capture is taken, a second burst of
+// mutations (the delta since that base) runs, and a second capture is
+// taken. A scheduler restored from the base and then from the second
+// capture — the path of a run resumed from its newest checkpoint after an
+// older one — must serialize to the second capture's exact bytes, pass the
+// integrity audit, and drain the identical event sequence.
+func TestSchedulerDeltaRoundTrip(t *testing.T) {
+	t.Run("calendar", func(t *testing.T) {
+		rng := xrand.New(99)
+		s := des.NewScheduler()
+		var pool []des.Handle
+		churn(t, s, rng, &pool, 3000)
+		base := captureFull(t, s)
+		churn(t, s, rng, &pool, 800)
+		full := captureFull(t, s)
+
+		c := des.NewScheduler()
+		for _, capture := range [][]byte{base, full} {
+			r, err := snapshot.Open(capture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.LoadState(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := captureFull(t, c); !bytes.Equal(got, capture) {
+				t.Fatalf("restored scheduler serializes to %d bytes, the capture is %d — states diverge",
+					len(got), len(capture))
+			}
+		}
+
+		if err := c.CheckIntegrity(); err != nil {
+			t.Fatalf("restored scheduler fails its audit: %v", err)
+		}
+		var want, got []des.Event
+		s.Drain(func(ev des.Event) { want = append(want, ev) })
+		c.Drain(func(ev des.Event) { got = append(got, ev) })
+		if len(want) != len(got) {
+			t.Fatalf("restored scheduler drains %d events, original %d", len(got), len(want))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("drain diverges at event %d: %+v vs %+v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// withSlabLen re-encodes a SaveState capture with its declared slab
+// length l replaced by resize(l), every other field and segment kept as
+// captured.
+func withSlabLen(t *testing.T, capture []byte, resize func(l int) int) []byte {
+	t.Helper()
+	r, err := snapshot.Open(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := snapshot.NewWriter(len(capture))
+	r.Section("dsched")
+	w.Section("dsched")
+	w.F64(r.F64()) // now
+	w.U64(r.U64()) // seq
+	w.U64(r.U64()) // fired
+	w.U64(r.U64()) // dropped
+	w.Int(r.Int()) // live
+	w.Int(resize(r.Int()))
+	w.I32s(r.I32s(0)) // free list
+	segs := r.Int()
+	w.Int(segs)
+	for k := 0; k < segs; k++ {
+		w.U32(r.U32())
+		w.F64s(r.F64s(0))
+		w.I64s(r.I64s(0))
+		w.I32s(r.I32s(0))
+		w.U32s(r.U32s(0))
+		w.U16s(r.U16s(0))
+		w.U8s(r.U8s(0))
+		w.U64s(r.U64s(0))
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return w.Finish()
+}
+
+// TestSchedulerDeltaRejectsShrunkSlab pins LoadState's refusal of a
+// capture whose declared slab is shorter than the slots it carries, loaded
+// onto a scheduler holding a far larger slab: a shrunk slab must error,
+// not silently truncate the carried slots or keep the receiver's. The
+// re-encoded capture with its true slab length must load, so the refusals
+// come from the shrink alone.
+func TestSchedulerDeltaRejectsShrunkSlab(t *testing.T) {
+	rng := xrand.New(7)
+	s := des.NewScheduler()
+	var pool []des.Handle
+	churn(t, s, rng, &pool, 2000)
+	capture := captureFull(t, s)
+
+	load := func(capture []byte) error {
+		grown := des.NewScheduler()
+		var pool2 []des.Handle
+		churn(t, grown, xrand.New(8), &pool2, 20000) // far larger slab
+		r, err := snapshot.Open(capture)
+		if err != nil {
+			return err
+		}
+		return grown.LoadState(r)
+	}
+	if err := load(withSlabLen(t, capture, func(l int) int { return l })); err != nil {
+		t.Fatalf("re-encoded capture with its own slab length refused: %v", err)
+	}
+	for _, shrink := range []struct {
+		name   string
+		resize func(l int) int
+	}{
+		{"one slot", func(l int) int { return l - 1 }},
+		{"one segment", func(l int) int { return l - 512 }},
+		{"to empty", func(int) int { return 0 }},
+	} {
+		if err := load(withSlabLen(t, capture, shrink.resize)); err == nil {
+			t.Errorf("capture loaded with its slab shrunk by %s", shrink.name)
+		}
+	}
+}

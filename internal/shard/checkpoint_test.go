@@ -67,97 +67,106 @@ func asDelta(base []byte) []byte {
 	return out
 }
 
-// TestCheckpointParity is the pipelined checkpoint's central property:
+// checkpointParity is the pipelined checkpoint's central property:
 // restoring the base a Checkpointer wrote at a barrier is byte-identical
 // to a full snapshot of the same run at the same barrier, at every shard
-// count and at every one of several successive checkpoints, and the
+// count given and at every one of several successive checkpoints, and the
 // resumed run finishes with the straight run's exact result. A lockstep
 // reference sim supplies the full snapshot; the deterministic snapshot ID
-// makes the byte comparison exact. The availability-routed case carries
-// the weight mirror, EWMA scores and Fenwick slab through every base.
-func TestCheckpointParity(t *testing.T) {
-	cases := []struct {
-		name   string
-		shards []int
-		cfg    func(p int) shard.Config
-	}{
-		{"market/tax", []int{1, 2, 4, 8}, func(p int) shard.Config {
-			return marketConfig(t, p, taxPipeline(t))
-		}},
-		{"market/availability+tax", []int{4}, func(p int) shard.Config {
-			cfg := marketConfig(t, p, taxPipeline(t))
-			cfg.Routing = shard.RoutingConfig{Mode: shard.RouteAvailability}
-			return cfg
-		}},
-		{"streaming/tax", []int{4}, func(p int) shard.Config {
-			return streamingConfig(t, p, taxPipeline(t))
-		}},
-	}
+// makes the byte comparison exact.
+func checkpointParity(t *testing.T, name string, shards []int, cfg func(p int) shard.Config) {
+	t.Helper()
 	const (
 		warmup      = 30 // windows before the first checkpoint
 		between     = 2  // windows between checkpoints
 		checkpoints = 4
 	)
-	for _, c := range cases {
-		for _, p := range c.shards {
-			label := fmt.Sprintf("%s P=%d", c.name, p)
-			straight, err := shard.Run(c.cfg(p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			start := func() *shard.Sim {
-				s, err := shard.NewSim(c.cfg(p))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Start(); err != nil {
-					t.Fatal(err)
-				}
-				return s
-			}
-			sim, ref := start(), start()
-			sink := &memChain{}
-			ck := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{})
-
-			var restored *shard.Sim
-			for k := 0; k < checkpoints; k++ {
-				n := warmup
-				if k > 0 {
-					n = between
-				}
-				stepWindows(t, sim, n)
-				stepWindows(t, ref, n)
-				checkpointSync(t, ck)
-				if len(sink.chain) != 1 || sink.writes != k+1 {
-					t.Fatalf("%s: %d writes leave a %d-link chain, want %d writes of one base",
-						label, sink.writes, len(sink.chain), k+1)
-				}
-				restored, err = shard.RestoreChain(c.cfg(p), cloneChain(sink.chain))
-				if err != nil {
-					t.Fatalf("%s checkpoint %d: %v", label, k, err)
-				}
-				if restored.Now() != sim.Now() {
-					t.Fatalf("%s: restored at t=%v, checkpointed at t=%v", label, restored.Now(), sim.Now())
-				}
-				if want, got := ref.Snapshot(), restored.Snapshot(); !bytes.Equal(got, want) {
-					t.Fatalf("%s checkpoint %d: restore diverges from the full snapshot: %d vs %d bytes",
-						label, k, len(got), len(want))
-				}
-			}
-			if st := ck.Stats(); st.Bases != checkpoints || st.Deltas != 0 || st.DeltaBytes != 0 {
-				t.Fatalf("%s: stats %+v, want %d bases and nothing else", label, st, checkpoints)
-			}
-
-			// The last restore finishes with the straight run's result.
-			for restored.StepWindow() {
-			}
-			got, err := restored.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, label+" resumed", straight, got)
+	for _, p := range shards {
+		label := fmt.Sprintf("%s P=%d", name, p)
+		straight, err := shard.Run(cfg(p))
+		if err != nil {
+			t.Fatal(err)
 		}
+		start := func() *shard.Sim {
+			s, err := shard.NewSim(cfg(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		sim, ref := start(), start()
+		sink := &memChain{}
+		ck := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{})
+
+		var restored *shard.Sim
+		for k := 0; k < checkpoints; k++ {
+			n := warmup
+			if k > 0 {
+				n = between
+			}
+			stepWindows(t, sim, n)
+			stepWindows(t, ref, n)
+			checkpointSync(t, ck)
+			if len(sink.chain) != 1 || sink.writes != k+1 {
+				t.Fatalf("%s: %d writes leave a %d-link chain, want %d writes of one base",
+					label, sink.writes, len(sink.chain), k+1)
+			}
+			restored, err = shard.RestoreChain(cfg(p), cloneChain(sink.chain))
+			if err != nil {
+				t.Fatalf("%s checkpoint %d: %v", label, k, err)
+			}
+			if restored.Now() != sim.Now() {
+				t.Fatalf("%s: restored at t=%v, checkpointed at t=%v", label, restored.Now(), sim.Now())
+			}
+			if want, got := ref.Snapshot(), restored.Snapshot(); !bytes.Equal(got, want) {
+				t.Fatalf("%s checkpoint %d: restore diverges from the full snapshot: %d vs %d bytes",
+					label, k, len(got), len(want))
+			}
+		}
+		if st := ck.Stats(); st.Bases != checkpoints || st.Deltas != 0 || st.DeltaBytes != 0 {
+			t.Fatalf("%s: stats %+v, want %d bases and nothing else", label, st, checkpoints)
+		}
+
+		// The last restore finishes with the straight run's result.
+		for restored.StepWindow() {
+		}
+		got, err := restored.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, label+" resumed", straight, got)
 	}
+}
+
+// TestDeltaChainParity checks restore parity of pipelined bases on the
+// uniform market with income tax at P in {1,2,4,8}. (The name dates from
+// when a checkpoint chain held delta links; a chain is now one base.)
+func TestDeltaChainParity(t *testing.T) {
+	checkpointParity(t, "market/tax", []int{1, 2, 4, 8}, func(p int) shard.Config {
+		return marketConfig(t, p, taxPipeline(t))
+	})
+}
+
+// TestDeltaChainParityStreaming checks restore parity of pipelined bases
+// on the streaming workload with income tax.
+func TestDeltaChainParityStreaming(t *testing.T) {
+	checkpointParity(t, "streaming/tax", []int{4}, func(p int) shard.Config {
+		return streamingConfig(t, p, taxPipeline(t))
+	})
+}
+
+// TestRoutingDeltaChainParity checks restore parity of pipelined bases on
+// the availability-routed market with income tax: every base carries the
+// weight mirror, EWMA scores and Fenwick slab.
+func TestRoutingDeltaChainParity(t *testing.T) {
+	checkpointParity(t, "market/availability+tax", []int{4}, func(p int) shard.Config {
+		cfg := marketConfig(t, p, taxPipeline(t))
+		cfg.Routing = shard.RoutingConfig{Mode: shard.RouteAvailability}
+		return cfg
+	})
 }
 
 // buildTestBase produces a pipelined market base at P=4 for the
