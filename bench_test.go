@@ -362,13 +362,12 @@ func BenchmarkStreamingSimLarge(b *testing.B) {
 	reportBytesPerPeer(b, heapBase, heapAfter, 100_000)
 }
 
-// The sampler-mode benchmarks pin the weighted-routing cost model at
-// N=10k: exact is the O(degree) scan (with an exp() per neighbor per draw
-// for availability routing), fast is the Fenwick degree index — O(log
-// degree) per draw. Availability routing has only the exact scan.
-// ns/event is the comparison.
+// The weighted-routing benchmarks pin the single-threaded market's cost
+// model at N=10k: every draw is the O(degree) scan over the spender's
+// cached weights (with an exp() per neighbor per draw for availability
+// routing). ns/event is the comparison.
 
-func benchWeightedMarket(b *testing.B, routing Routing, fast bool) {
+func benchWeightedMarket(b *testing.B, routing Routing) {
 	r := xrand.New(7)
 	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 10_000, Alpha: 2.5, MeanDegree: 20}, r)
 	if err != nil {
@@ -383,7 +382,6 @@ func benchWeightedMarket(b *testing.B, routing Routing, fast bool) {
 			InitialWealth: 20,
 			DefaultMu:     1,
 			Routing:       routing,
-			FastSampling:  fast,
 			Horizon:       20,
 			Seed:          8,
 		})
@@ -398,14 +396,12 @@ func benchWeightedMarket(b *testing.B, routing Routing, fast bool) {
 	}
 }
 
-func BenchmarkMarketDegreeExact(b *testing.B) { benchWeightedMarket(b, RouteDegreeWeighted, false) }
-func BenchmarkMarketDegreeFast(b *testing.B)  { benchWeightedMarket(b, RouteDegreeWeighted, true) }
+func BenchmarkMarketDegreeExact(b *testing.B) { benchWeightedMarket(b, RouteDegreeWeighted) }
 
-// The churn pair measures what the fast mode is for: under heavy turnover
-// the exact sampler dirty-marks whole neighborhoods per join/depart and
-// rebuilds them (lists and degree weights) on next spend, while the fast
-// index is patched in place.
-func benchDegreeChurnMarket(b *testing.B, fast bool) {
+// BenchmarkMarketDegreeChurnExact measures degree routing under heavy
+// turnover, where every join/depart dirty-marks whole neighborhoods and
+// the next spend rebuilds them (lists and degree weights).
+func BenchmarkMarketDegreeChurnExact(b *testing.B) {
 	r := xrand.New(7)
 	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 10_000, Alpha: 2.5, MeanDegree: 20}, r)
 	if err != nil {
@@ -423,7 +419,6 @@ func benchDegreeChurnMarket(b *testing.B, fast bool) {
 			InitialWealth: 20,
 			DefaultMu:     1,
 			Routing:       RouteDegreeWeighted,
-			FastSampling:  fast,
 			Horizon:       20,
 			Churn: &ChurnConfig{
 				ArrivalRate:  200,
@@ -444,11 +439,7 @@ func benchDegreeChurnMarket(b *testing.B, fast bool) {
 	}
 }
 
-func BenchmarkMarketDegreeChurnExact(b *testing.B) { benchDegreeChurnMarket(b, false) }
-func BenchmarkMarketDegreeChurnFast(b *testing.B)  { benchDegreeChurnMarket(b, true) }
-func BenchmarkMarketAvailabilityExact(b *testing.B) {
-	benchWeightedMarket(b, RouteAvailability, false)
-}
+func BenchmarkMarketAvailabilityExact(b *testing.B) { benchWeightedMarket(b, RouteAvailability) }
 
 // The XLarge benchmarks run N=1,000,000 single-machine populations — the
 // memory-diet acceptance gate. BenchmarkMarketSimXLarge fails outright if
@@ -473,7 +464,6 @@ func BenchmarkMarketSimXLarge(b *testing.B) {
 			InitialWealth: 20,
 			DefaultMu:     1,
 			Horizon:       5,
-			FastSampling:  true, // inert for RouteUniform; pins the xlarge engine config
 			Seed:          8,
 		})
 		if err != nil {

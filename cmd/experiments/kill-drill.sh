@@ -3,24 +3,48 @@
 # that -restore finishes it byte-identically.
 #
 # Usage: kill-drill.sh EXPERIMENTS_BINARY "RUN FLAGS" "CHECKPOINT FLAGS" DELAY...
+#        kill-drill.sh EXPERIMENTS_BINARY "RUN FLAGS" "CHECKPOINT FLAGS" -seed SEED COUNT MIN_MS MAX_MS
 #
 #   kill-drill.sh ./experiments \
 #       "-scenario flash-crowd -preset large -shards 1" \
 #       "-checkpoint-every 200000" 0.4 1 2 3
 #
 # The uninterrupted run's report is the reference. For each delay (seconds)
-# a checkpointing run is started, killed with SIGKILL after the delay, and
-# resumed with -restore from the chain it left; the resumed report must
-# match the reference. A kill that lands before the first base is written
-# leaves nothing to restore: that delay is reported as skipped. A kill
-# mid-write can leave a torn .tmp link next to the chain; it is reported,
-# and the restore must ignore it.
+# a checkpointing run is started, killed with SIGKILL once the delay has
+# passed after its first base is written, and resumed with -restore from
+# the chain it left; the resumed report must match the reference. Timing
+# the kill from the first base means every delay exercises a restore: a
+# run that ends without writing a base fails the drill. A kill mid-write
+# can leave a torn .tmp link next to the chain; it is reported, and the
+# restore must ignore it.
+#
+# With -seed, the script draws COUNT delays uniformly from [MIN_MS, MAX_MS]
+# milliseconds with a 31-bit linear congruential generator seeded by SEED
+# (a non-negative integer) and prints the seed and the delays first, so
+# rerunning with the same seed replays the same kill points.
 set -euo pipefail
 
 bin=$1
 read -r -a run <<<"$2"
 read -r -a ckpt <<<"$3"
 shift 3
+
+if [ "${1:-}" = "-seed" ]; then
+	if [ $# -ne 5 ]; then
+		echo "usage: kill-drill.sh BIN RUN CKPT -seed SEED COUNT MIN_MS MAX_MS" >&2
+		exit 2
+	fi
+	seed=$2 count=$3 lo=$4 hi=$5
+	x=$((seed % 2147483648))
+	delays=()
+	for ((i = 0; i < count; i++)); do
+		x=$(((x * 1103515245 + 12345) % 2147483648))
+		ms=$((lo + (x >> 8) % (hi - lo + 1)))
+		delays+=("$(printf '%d.%03d' $((ms / 1000)) $((ms % 1000)))")
+	done
+	echo "kill-drill seed $seed: delays ${delays[*]}"
+	set -- "${delays[@]}"
+fi
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
@@ -30,16 +54,19 @@ for delay in "$@"; do
 	rm -f "$dir"/run.snap*
 	"$bin" "${run[@]}" "${ckpt[@]}" -checkpoint "$dir/run.snap" >/dev/null &
 	pid=$!
+	while [ ! -f "$dir/run.snap" ] && kill -0 "$pid" 2>/dev/null; do
+		sleep 0.01
+	done
 	sleep "$delay"
 	if kill -9 "$pid" 2>/dev/null; then
-		how="killed after ${delay}s"
+		how="killed ${delay}s after the first base"
 	else
 		how="finished before the ${delay}s kill"
 	fi
 	wait "$pid" 2>/dev/null || true
 	if [ ! -f "$dir/run.snap" ]; then
-		echo "delay ${delay}s: skipped, no base written yet"
-		continue
+		echo "delay ${delay}s: the run ended without writing a base" >&2
+		exit 1
 	fi
 	links=$(find "$dir" -name 'run.snap*' ! -name '*.tmp' | wc -l)
 	torn=$(find "$dir" -name '*.tmp' | wc -l)

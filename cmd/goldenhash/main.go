@@ -10,10 +10,10 @@
 // periodic bases on the way to the crash. The printed hashes are the
 // resumed runs'; diffing them against the default mode's (scenario lines
 // excluded) asserts byte-identical resume for every mechanism combo.
-// -fast sets FastSampling on every market combo, which switches the
-// degree-routed ones to the Fenwick degree sampler (the others ignore
-// it), so the same drill covers exact and fast degree sampling without
-// extra case tables.
+//
+// -shards N sets the lane count of the shard/* lines; the sharded
+// kernel's invariance contract makes every printed hash the same for any
+// N.
 package main
 
 import (
@@ -336,20 +336,8 @@ func shardLines(shards int, resume bool) {
 
 func main() {
 	resume := flag.Bool("resume", false, "run every combo through the crash/snapshot/restore drill and print the resumed hashes (scenario lines omitted)")
-	fast := flag.Bool("fast", false, "set FastSampling on the market combos (switches degree routing to its Fenwick sampler)")
 	shards := flag.Int("shards", 1, "lane count for the shard/* lines; the sharded kernel's invariance contract makes the printed hashes identical for any value")
 	flag.Parse()
-
-	// override applies the -fast sweep axis to a market config.
-	override := func(mk func() market.Config) func() market.Config {
-		return func() market.Config {
-			cfg := mk()
-			if *fast {
-				cfg.FastSampling = true
-			}
-			return cfg
-		}
-	}
 
 	// tax is the Sec. VI-C tax: IncomeTax collects, Redistribute pays the
 	// pot back out in whole rounds.
@@ -407,7 +395,7 @@ func main() {
 		}},
 	}
 	for _, c := range cases {
-		res, err := drill[*market.Result](override(c.mk), market.NewSim, market.RestoreChain, (*market.Sim).Step, *resume)
+		res, err := drill[*market.Result](c.mk, market.NewSim, market.RestoreChain, (*market.Sim).Step, *resume)
 		if err != nil {
 			panic(c.name + ": " + err.Error())
 		}
@@ -491,7 +479,7 @@ func main() {
 		}},
 	}
 	for _, c := range pcases {
-		res, err := drill[*market.Result](override(c.mk), market.NewSim, market.RestoreChain, (*market.Sim).Step, *resume)
+		res, err := drill[*market.Result](c.mk, market.NewSim, market.RestoreChain, (*market.Sim).Step, *resume)
 		if err != nil {
 			panic(c.name + ": " + err.Error())
 		}

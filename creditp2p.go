@@ -165,9 +165,9 @@ const (
 	// Large runs 100k-peer configurations on the scale engine.
 	Large = experiments.Large
 	// XLarge runs million-peer configurations on the scale engine (a few
-	// GB of RSS, minutes per run). Scenario runs at this preset also set
-	// FastSampling, which switches degree-weighted routing to its Fenwick
-	// sampler; availability routing always scans.
+	// GB of RSS, minutes per run). Weighted routing scans the spender's
+	// neighbourhood here as at every other preset; the sharded kernel
+	// (-shards N) samples through per-peer Fenwick trees instead.
 	XLarge = experiments.XLarge
 )
 

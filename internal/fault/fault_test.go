@@ -43,9 +43,9 @@ func demurrage(t testing.TB) *policy.Demurrage {
 	return d
 }
 
-// marketCombos spans the market mechanism space: routing modes, churn,
-// taxation, both sampling modes, and the policy engine. The
-// calendar+incgini+fast combo keeps its historical name.
+// marketCombos spans the market mechanism space: churn, taxation and the
+// policy engine. The calendar+incgini+fast combo keeps its historical
+// name.
 func marketCombos(t testing.TB) map[string]func() market.Config {
 	churn := &market.ChurnConfig{ArrivalRate: 0.5, MeanLifespan: 120, AttachDegree: 4, FastAttach: true}
 	return map[string]func() market.Config{
@@ -57,7 +57,7 @@ func marketCombos(t testing.TB) map[string]func() market.Config {
 		},
 		"calendar+incgini+fast": func() market.Config {
 			return market.Config{Graph: graph(t, 80, 6, 5), InitialWealth: 15, DefaultMu: 1, Horizon: 200,
-				FastSampling: true, Churn: churn, Seed: 6}
+				Churn: churn, Seed: 6}
 		},
 		"policies": func() market.Config {
 			return market.Config{Graph: graph(t, 60, 6, 7), InitialWealth: 20, DefaultMu: 1, Horizon: 200,

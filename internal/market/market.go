@@ -18,9 +18,9 @@
 // package owns only the spending dynamics — routing and the per-peer
 // spending state. State stays flat and on a memory diet for million-peer
 // runs: the hot per-peer record is 48 bytes (bit-packed flags, an int32
-// neighbor list), routing-mode state (degree weight caches and indices,
-// availability inventories) lives in side arrays allocated only for the
-// mode that needs them, and every collection iterated during the run is a
+// neighbor list), routing-mode state (degree weight caches, availability
+// inventories) lives in side arrays allocated only for the mode that
+// needs them, and every collection iterated during the run is a
 // dense slice walked in index order, so equal seeds give byte-identical
 // results.
 package market
@@ -45,6 +45,15 @@ const collectorID = -1
 
 // ErrBadConfig is returned for invalid simulation configurations.
 var ErrBadConfig = errors.New("market: invalid config")
+
+// RouteAvailability's inventory model: availabilityTau is the decay time
+// constant (seconds) of a peer's chunk inventory, and availabilityFloor
+// the minimum effective inventory, so that newcomers and long-bankrupt
+// peers can still sell occasionally.
+const (
+	availabilityTau   = 100.0
+	availabilityFloor = 0.05
+)
 
 // Routing selects how a spending peer picks the neighbor to buy from,
 // mirroring core.RoutingPolicy at simulation level.
@@ -112,16 +121,6 @@ type Config struct {
 	BaseMu map[int]float64
 	// Routing picks the purchase-splitting policy. Zero means RouteUniform.
 	Routing Routing
-	// FastSampling replaces the exact linear-scan degree-weighted sampler
-	// with a per-spender Fenwick index: O(log degree) per draw, and churn
-	// marks only the attach points' indices stale instead of running the
-	// neighborhood-wide dirty-rebuild train. It wins on million-peer
-	// overlays and loses below that (DESIGN.md, "Million-peer memory diet
-	// and fast weighted sampling"). Only RouteDegreeWeighted reads it:
-	// availability weights decay continuously, and an index over them
-	// cost more to maintain than the exact scan saved at every measured
-	// size, so availability routing always scans.
-	FastSampling bool
 	// Spending maps wealth to instantaneous spending rate; nil means the
 	// fixed baseline.
 	Spending credit.SpendingPolicy
@@ -145,13 +144,6 @@ type Config struct {
 	// income is redistribution or injection. Zero (the default) draws no
 	// randomness and disables the mechanism.
 	FreeRiderFrac float64
-	// AvailabilityTau is the inventory decay time constant (seconds) for
-	// RouteAvailability; zero means 100.
-	AvailabilityTau float64
-	// AvailabilityFloor is the minimum effective inventory so that
-	// newcomers and long-bankrupt peers can still sell occasionally;
-	// zero means 0.05.
-	AvailabilityFloor float64
 	// Horizon is the simulated duration in seconds.
 	Horizon float64
 	// SampleEvery is the Gini sampling interval; zero means Horizon/100.
@@ -189,12 +181,6 @@ func (c *Config) validate() error {
 	}
 	if c.FreeRiderFrac < 0 || c.FreeRiderFrac >= 1 || math.IsNaN(c.FreeRiderFrac) {
 		return fmt.Errorf("%w: free-rider fraction %v", ErrBadConfig, c.FreeRiderFrac)
-	}
-	if c.AvailabilityTau <= 0 {
-		c.AvailabilityTau = 100
-	}
-	if c.AvailabilityFloor <= 0 {
-		c.AvailabilityFloor = 0.05
 	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = c.Horizon / 100
@@ -280,15 +266,12 @@ const (
 	// pfFreeRider marks a peer that consumes but never serves: excluded
 	// from every neighbor's routing candidates.
 	pfFreeRider
-	// pfFenStale marks the fast degree sampler's index stale relative to
-	// the (current) neighbor list; rebuilt lazily at the next spend.
-	pfFenStale
 )
 
 // wpeer is the market's hot per-peer workload state, parallel to the
 // kernel's dense peer slab and recycled with it: 48 bytes, so a spend
 // touches one cache line of workload state. Routing-mode extras (degree
-// weight caches and indices, availability inventories) live in side arrays
+// weight caches, availability inventories) live in side arrays
 // of the simulation, allocated only for the mode in use. The kernel-owned
 // identity fields (id, ledger slot, generation, liveness) live in
 // sim.PeerTable.
@@ -309,26 +292,16 @@ type simulation struct {
 	k   *sim.Kernel
 	// ws is the workload peer state, indexed by the kernel's dense px.
 	ws []wpeer
-	// degw caches the exact degree-weighted routing weights, parallel to
-	// ws[px].nbrs; nil unless Routing == RouteDegreeWeighted without fast
-	// sampling.
+	// degw caches the degree-weighted routing weights, parallel to
+	// ws[px].nbrs; nil unless Routing == RouteDegreeWeighted.
 	degw [][]float64
-	// wscratch is the shared availability-weight scratch vector for the
-	// exact sampler (filled and consumed within one pickNeighbor call).
+	// wscratch is the shared availability-weight scratch vector (filled
+	// and consumed within one pickNeighbor call).
 	wscratch []float64
 	// invs/invAts hold the availability inventories: invs[px] is the
 	// inventory valid at time invAts[px] (lazy exponential decay). Nil
 	// unless Routing == RouteAvailability.
 	invs, invAts []float64
-	// fen holds the per-spender degree-weighted indices (lazily built);
-	// nil unless fast.
-	fen []*xrand.Fenwick
-	// fast gates the Fenwick degree sampler (FastSampling with
-	// RouteDegreeWeighted).
-	fast bool
-	// rebuilds counts full neighborhood rebuilds (rebuildWeights calls) —
-	// the regression metric for the fast mode's incremental maintenance.
-	rebuilds uint64
 	// collector is the ledger slot of the taxation pot — the policy
 	// engine's shared pot account.
 	collector int32
@@ -348,13 +321,10 @@ func newSimulation(cfg Config) (*simulation, error) {
 		FinalWealth:  make(map[int]int64, n),
 		SpendingRate: make(map[int]float64, n),
 	}}
-	s.fast = cfg.FastSampling && cfg.Routing == RouteDegreeWeighted
-	switch {
-	case s.fast:
-		s.fen = make([]*xrand.Fenwick, 0, n)
-	case cfg.Routing == RouteDegreeWeighted:
+	switch cfg.Routing {
+	case RouteDegreeWeighted:
 		s.degw = make([][]float64, 0, n)
-	case cfg.Routing == RouteAvailability:
+	case RouteAvailability:
 		s.invs = make([]float64, 0, n)
 		s.invAts = make([]float64, 0, n)
 	}
@@ -459,9 +429,6 @@ func (s *simulation) OnJoin(px int32) error {
 			s.invs = append(s.invs, 0)
 			s.invAts = append(s.invAts, 0)
 		}
-		if s.fast {
-			s.fen = append(s.fen, nil)
-		}
 	}
 	p := &s.ws[px]
 	*p = wpeer{
@@ -501,18 +468,11 @@ func (s *simulation) OnDepart(px int32) {
 // caches incrementally — the spliced lists are exactly what a full rebuild
 // would produce (live selling neighbors in ascending id order), without
 // the O(degree^2) rebuild train every churn event used to trigger across
-// the neighborhood. Exact degree-weighted routing keeps the dirty-flag
-// rebuild, because a join also shifts the cached degree weights of peers
-// the incremental splice never visits; fast-sampling degree routing
-// instead splices like the other policies and marks only the attach
-// points' weighted indices stale (rebuilt lazily from current degrees at
-// their next spend). That matches the exact mode's own staleness
-// contract — a peer's cached degree weights refresh when churn touches
-// its neighborhood — without the neighborhood-wide rebuild train, and
-// without the two-hop patching whose cost profiles hub-heavy overlays
-// cannot afford (every bump walks a hub's whole adjacency).
+// the neighborhood. Degree-weighted routing keeps the dirty-flag rebuild,
+// because a join also shifts the cached degree weights of peers the
+// incremental splice never visits.
 func (s *simulation) attachNeighborhoods(px int32, id int) {
-	if s.cfg.Routing == RouteDegreeWeighted && !s.fast {
+	if s.cfg.Routing == RouteDegreeWeighted {
 		s.markNeighborhoodDirty(id)
 		return
 	}
@@ -532,14 +492,13 @@ func (s *simulation) attachNeighborhoods(px int32, id int) {
 		w.nbrs = append(w.nbrs, 0)
 		copy(w.nbrs[pos+1:], w.nbrs[pos:])
 		w.nbrs[pos] = px
-		w.flags |= pfFenStale // no-op outside fast mode
 	}
 }
 
 // detachNeighborhoods removes a departing peer from the cached routing
 // neighborhoods around it (the incremental dual of attachNeighborhoods).
 func (s *simulation) detachNeighborhoods(px int32, id int) {
-	if s.cfg.Routing == RouteDegreeWeighted && !s.fast {
+	if s.cfg.Routing == RouteDegreeWeighted {
 		s.markNeighborhoodDirty(id)
 		return
 	}
@@ -555,7 +514,6 @@ func (s *simulation) detachNeighborhoods(px int32, id int) {
 		pos := s.searchNbr(w.nbrs, id)
 		if pos < len(w.nbrs) && w.nbrs[pos] == px {
 			w.nbrs = append(w.nbrs[:pos], w.nbrs[pos+1:]...)
-			w.flags |= pfFenStale
 		}
 	}
 }
@@ -661,7 +619,7 @@ func (s *simulation) inventory(px int32, now float64) float64 {
 	if inv == 0 {
 		return 0
 	}
-	return inv * math.Exp(-(now-s.invAts[px])/s.cfg.AvailabilityTau)
+	return inv * math.Exp(-(now-s.invAts[px])/availabilityTau)
 }
 
 // addInventory records a freshly bought chunk at the current time (lazy
@@ -685,9 +643,6 @@ func (s *simulation) pickNeighbor(px int32, p *wpeer) (int32, bool) {
 	case RouteUniform:
 		return p.nbrs[s.k.RNG.Intn(len(p.nbrs))], true
 	case RouteDegreeWeighted:
-		if s.fast {
-			return s.fastPickDegree(px, p)
-		}
 		weights = s.degw[px]
 	case RouteAvailability:
 		now := s.k.Sched.Now()
@@ -696,7 +651,7 @@ func (s *simulation) pickNeighbor(px int32, p *wpeer) (int32, bool) {
 		}
 		weights = s.wscratch[:len(p.nbrs)]
 		for i, nb := range p.nbrs {
-			weights[i] = s.cfg.AvailabilityFloor + s.inventory(nb, now)
+			weights[i] = availabilityFloor + s.inventory(nb, now)
 		}
 	}
 	idx, err := xrand.SampleWeighted(s.k.RNG, weights)
@@ -706,44 +661,14 @@ func (s *simulation) pickNeighbor(px int32, p *wpeer) (int32, bool) {
 	return p.nbrs[idx], true
 }
 
-// fastPickDegree samples a neighbor proportionally to its degree via the
-// weighted index: one uniform draw, O(log degree). The index is (re)built
-// from current degrees when absent or stale, using the shared scratch
-// vector for the weights.
-func (s *simulation) fastPickDegree(px int32, p *wpeer) (int32, bool) {
-	f := s.fen[px]
-	if f == nil || p.flags&pfFenStale != 0 {
-		if cap(s.wscratch) < len(p.nbrs) {
-			s.wscratch = make([]float64, len(p.nbrs))
-		}
-		w := s.wscratch[:len(p.nbrs)]
-		for i, nb := range p.nbrs {
-			w[i] = float64(s.g.Degree(int(s.k.Peers.At(nb).ID)))
-		}
-		if f == nil {
-			f = xrand.NewFenwick(w)
-			s.fen[px] = f
-		} else {
-			f.Reset(w)
-		}
-		p.flags &^= pfFenStale
-	}
-	i, ok := f.Sample(s.k.RNG)
-	if !ok {
-		return 0, false
-	}
-	return p.nbrs[i], true
-}
-
 // sells reports whether the peer at index px participates as a seller;
 // free-riders never do.
 func (s *simulation) sells(px int32) bool { return s.ws[px].flags&pfFreeRider == 0 }
 
-// rebuildWeights refreshes the cached neighbor indices (and exact degree
+// rebuildWeights refreshes the cached neighbor indices (and degree
 // weights) of a peer whose neighborhood changed. Free-riding neighbors are
 // excluded: they hold no inventory to sell.
 func (s *simulation) rebuildWeights(px int32, p *wpeer) {
-	s.rebuilds++
 	id := int(s.k.Peers.At(px).ID)
 	if deg := s.g.Degree(id); cap(p.nbrs) < deg {
 		p.nbrs = make([]int32, 0, deg)
@@ -756,7 +681,6 @@ func (s *simulation) rebuildWeights(px int32, p *wpeer) {
 		}
 	}
 	p.flags &^= pfDirty
-	p.flags |= pfFenStale // no-op outside fast mode
 	if s.degw == nil {
 		return
 	}
@@ -790,7 +714,6 @@ func (s *simulation) prebuildNeighborhoods() {
 		}
 		p.nbrs = slab[start:len(slab):len(slab)]
 		p.flags &^= pfDirty
-		p.flags |= pfFenStale
 		if s.degw != nil {
 			wstart := len(wslab)
 			for _, nb := range p.nbrs {
@@ -802,7 +725,7 @@ func (s *simulation) prebuildNeighborhoods() {
 }
 
 // markNeighborhoodDirty invalidates cached weights around a node whose
-// incident edges changed (the exact degree-weighted routing path).
+// incident edges changed (the degree-weighted routing path).
 func (s *simulation) markNeighborhoodDirty(id int) {
 	for _, nb := range s.g.NeighborsView(id) {
 		if px := s.k.Peers.PxOf(int(nb)); px >= 0 {

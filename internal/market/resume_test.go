@@ -344,3 +344,92 @@ func TestRestoreVetsKernelEvents(t *testing.T) {
 		})
 	}
 }
+
+// fixtureDegreeChurn is the configuration the degree-routed testdata
+// checkpoints were captured from: a 60-peer scale-free overlay (seed 611)
+// under preferential churn, snapshotted after 869 of its 2608 events.
+func fixtureDegreeChurn(t testing.TB) Config {
+	t.Helper()
+	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 60, Alpha: 2.5, MeanDegree: 6}, xrand.New(611))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{Graph: g, InitialWealth: 10, DefaultMu: 1, Horizon: 120, Routing: RouteDegreeWeighted,
+		Churn: &ChurnConfig{ArrivalRate: 0.3, MeanLifespan: 60, AttachDegree: 3, Preferential: true}, Seed: 612}
+}
+
+// TestRestoreRefusesFastSamplingCheckpoint feeds two checkpoints of the
+// same degree-routed churn market, written before the Fenwick degree
+// sampler (Config.FastSampling) was deleted. The one captured with the
+// sampler on must be refused by the market digest guard, never decoded
+// into the exact layout; the one captured with the exact sampler must
+// still restore and finish with the uninterrupted run's result.
+func TestRestoreRefusesFastSamplingCheckpoint(t *testing.T) {
+	fast, err := os.ReadFile("testdata/market-fast.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreChain(fixtureDegreeChurn(t), [][]byte{fast}); err == nil || !strings.Contains(err.Error(), "market digest") {
+		t.Fatalf("fast-sampling checkpoint: got %v, want a market digest refusal", err)
+	}
+
+	exact, err := os.ReadFile("testdata/market-degree.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := RestoreChain(fixtureDegreeChurn(t), [][]byte{exact})
+	if err != nil {
+		t.Fatalf("exact degree-routed checkpoint refused: %v", err)
+	}
+	m.Run()
+	got, err := m.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(fixtureDegreeChurn(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalResults(t, want, got)
+}
+
+// TestRestoreLongStream advances a taxed churn run's kernel stream past
+// 2^28 draws, a position a long run reaches, and requires the checkpoint
+// to restore byte-identically and finish with the result of the run it
+// was taken from: restore must accept every position a run can record.
+func TestRestoreLongStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 2^28 draws")
+	}
+	m, err := NewSim(resumeCfg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500 && m.Step(); i++ {
+	}
+	for i := 0; i <= 1<<28; i++ {
+		m.Kernel().RNG.Int63()
+	}
+	data := m.Snapshot()
+	r, err := RestoreChain(resumeCfg(t), [][]byte{data})
+	if err != nil {
+		t.Fatalf("checkpoint 2^28+1 draws into the stream refused: %v", err)
+	}
+	if !bytes.Equal(r.Snapshot(), data) {
+		t.Fatal("restored state re-encodes differently")
+	}
+	m.Run()
+	want, err := m.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run()
+	got, err := r.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalResults(t, want, got)
+}

@@ -7,7 +7,6 @@ import (
 	"creditp2p/internal/des"
 	"creditp2p/internal/sim"
 	"creditp2p/internal/snapshot"
-	"creditp2p/internal/xrand"
 )
 
 // Sim is a stepwise handle over one market simulation, exposing the run
@@ -96,7 +95,10 @@ func (c *Config) maxPeerBudget() int {
 // stateDigest folds the market-level configuration that shapes serialized
 // state into one word (the kernel digest covers the shared scalars), so a
 // restore against a differently-configured market is refused with a clear
-// error instead of producing silently divergent output.
+// error instead of producing silently divergent output. Flag bit 1 was the
+// retired Fenwick degree sampler's: no current config sets it, so its
+// checkpoints are refused here. The availability constants are folded as
+// the configurable fields they replaced were, keeping digests unchanged.
 func (s *simulation) stateDigest() uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
@@ -109,9 +111,6 @@ func (s *simulation) stateDigest() uint64 {
 	c := &s.cfg
 	put(uint64(c.Routing))
 	var flags uint64
-	if s.fast {
-		flags |= 1
-	}
 	if c.Spending != nil {
 		flags |= 2
 	}
@@ -124,8 +123,8 @@ func (s *simulation) stateDigest() uint64 {
 	put(flags)
 	put(math.Float64bits(c.DefaultMu))
 	put(math.Float64bits(c.FreeRiderFrac))
-	put(math.Float64bits(c.AvailabilityTau))
-	put(math.Float64bits(c.AvailabilityFloor))
+	put(math.Float64bits(availabilityTau))
+	put(math.Float64bits(availabilityFloor))
 	put(math.Float64bits(c.MeasureStart))
 	put(uint64(len(c.BaseMu)))
 	put(uint64(len(c.Policies)))
@@ -192,21 +191,7 @@ func (m *Sim) Snapshot() []byte {
 		w.F64s(s.invs)
 		w.F64s(s.invAts)
 	}
-	if s.fast {
-		has := make([]uint8, len(s.fen))
-		for i, f := range s.fen {
-			if f != nil {
-				has[i] = 1
-			}
-		}
-		w.U8s(has)
-		for _, f := range s.fen {
-			if f != nil {
-				f.SaveState(w)
-			}
-		}
-	}
-	w.U64(s.rebuilds)
+	w.U64(0) // once a neighbourhood-rebuild count; kept so the layout is unchanged
 	w.U64(s.res.SpendEvents)
 	return w.Finish()
 }
@@ -331,26 +316,7 @@ func (s *simulation) load(r *snapshot.Reader) error {
 			return fmt.Errorf("inventory vectors hold %d/%d entries, want %d", len(s.invs), len(s.invAts), n)
 		}
 	}
-	if s.fast {
-		has := r.U8s(budget)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if len(has) != n {
-			return fmt.Errorf("sampler-index presence vector holds %d entries, want %d", len(has), n)
-		}
-		s.fen = make([]*xrand.Fenwick, n)
-		for i, h := range has {
-			if h != 0 {
-				f := &xrand.Fenwick{}
-				if err := f.LoadState(r, budget); err != nil {
-					return err
-				}
-				s.fen[i] = f
-			}
-		}
-	}
-	s.rebuilds = r.U64()
+	r.U64() // the retired neighbourhood-rebuild count
 	s.res.SpendEvents = r.U64()
 	return r.Err()
 }
@@ -363,11 +329,13 @@ func (s *simulation) load(r *snapshot.Reader) error {
 func (s *simulation) checkRestored() error {
 	n := int32(len(s.ws))
 	// Cached neighbourhoods hold peer-slot indices taken from the peer
-	// table, which never shrinks. A neighbourhood without pfDirty is the
-	// one routing samples from, so its weight caches match it entry for
-	// entry: exact degree weights (rebuilt together with it, and only
-	// ever marked dirty rather than spliced) and, without pfFenStale, a
-	// built Fenwick index (every splice marks it stale).
+	// table, which never shrinks. A live peer's neighbourhood without
+	// pfDirty is the one routing samples from, and it is exactly what
+	// rebuildWeights would build now — its live selling overlay
+	// neighbours in ascending id order — because every join and departure
+	// splices itself into or out of the clean caches around it, or marks
+	// them dirty. Its degree weights match it entry for entry (rebuilt
+	// together with it, and only ever marked dirty rather than spliced).
 	for px := range s.ws {
 		p := &s.ws[px]
 		for _, q := range p.nbrs {
@@ -375,14 +343,26 @@ func (s *simulation) checkRestored() error {
 				return fmt.Errorf("peer slot %d caches neighbour slot %d outside the %d-slot peer table", px, q, n)
 			}
 		}
-		if p.flags&pfDirty != 0 {
+		kp := s.k.Peers.At(int32(px))
+		if p.flags&pfDirty != 0 || !kp.Alive {
 			continue
+		}
+		i := 0
+		for _, nb := range s.g.NeighborsView(int(kp.ID)) {
+			q := s.k.Peers.PxOf(int(nb))
+			if q < 0 || !s.sells(q) {
+				continue
+			}
+			if i == len(p.nbrs) || p.nbrs[i] != q {
+				return fmt.Errorf("peer slot %d's routing cache differs from its live selling overlay neighbours at entry %d", px, i)
+			}
+			i++
+		}
+		if i != len(p.nbrs) {
+			return fmt.Errorf("peer slot %d caches %d routing neighbours, but %d live selling overlay neighbours", px, len(p.nbrs), i)
 		}
 		if s.degw != nil && len(s.degw[px]) != len(p.nbrs) {
 			return fmt.Errorf("peer slot %d caches %d degree weights for %d neighbours", px, len(s.degw[px]), len(p.nbrs))
-		}
-		if s.fast && s.fen[px] != nil && p.flags&pfFenStale == 0 && s.fen[px].Len() != len(p.nbrs) {
-			return fmt.Errorf("peer slot %d's sampler index covers %d neighbours, its cache %d", px, s.fen[px].Len(), len(p.nbrs))
 		}
 	}
 	// Only scheduleSpend queues a spend event: it records the handle in

@@ -91,9 +91,8 @@ func BenchmarkScenarioSeederDrainLarge(b *testing.B) {
 	benchStreamingScenario(b, "seeder-drain", ScaleLarge)
 }
 
-// The XLarge variants compile each preset at a million peers (the
-// fast-sampling engine). Run them with
-// -benchtime=1x; like the Large pair they are excluded from CI.
+// The XLarge variants compile each preset at a million peers. Run them
+// with -benchtime=1x; like the Large pair they are excluded from CI.
 func BenchmarkScenarioFlashCrowdXLarge(b *testing.B) {
 	benchMarketScenario(b, "flash-crowd", ScaleXLarge)
 }

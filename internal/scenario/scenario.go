@@ -48,9 +48,7 @@ const (
 	// ScaleLarge rescales to a 100k-peer population on the scale engine.
 	ScaleLarge
 	// ScaleXLarge rescales to a million-peer population on the scale
-	// engine with FastSampling on, which switches degree-weighted routing
-	// to its Fenwick sampler (availability routing always scans). Expect a
-	// few GB of RSS and tens of seconds per run.
+	// engine. Expect a few GB of RSS and tens of seconds per run.
 	ScaleXLarge
 )
 
@@ -389,8 +387,7 @@ type dims struct {
 	ratio float64
 	// popFactor is n/sc.Topology.N — population-linear declared
 	// quantities (arrival rates, source seeds) scale by it.
-	popFactor    float64
-	fastSampling bool
+	popFactor float64
 }
 
 func (sc *Scenario) dims(scale Scale) (dims, error) {
@@ -429,7 +426,6 @@ func (sc *Scenario) dims(scale Scale) (dims, error) {
 				d.horizon = 8
 			}
 		}
-		d.fastSampling = true
 	default:
 		return dims{}, fmt.Errorf("%w: scale %d", ErrBadScenario, int(scale))
 	}
@@ -533,7 +529,6 @@ func (sc Scenario) MarketConfig(scale Scale) (market.Config, error) {
 		InitialWealth: sc.Credit.InitialWealth,
 		DefaultMu:     sc.Market.DefaultMu,
 		Routing:       sc.Market.Routing,
-		FastSampling:  d.fastSampling,
 		FreeRiderFrac: sc.Market.FreeRiderFrac,
 		Horizon:       d.horizon,
 		Seed:          sc.Seed + 1,
@@ -736,13 +731,21 @@ func (o *Outcome) Report(w io.Writer) error {
 	return nil
 }
 
+// meanContinuity averages the per-peer playback continuity, summing in
+// ascending peer-id order: a float sum in map order can differ in the last
+// bit from run to run, enough to flip the report's fourth decimal.
 func meanContinuity(r *streaming.Result) float64 {
 	if len(r.Continuity) == 0 {
 		return math.NaN()
 	}
+	ids := make([]int, 0, len(r.Continuity))
+	for id := range r.Continuity {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
 	var sum float64
-	for _, c := range r.Continuity {
-		sum += c
+	for _, id := range ids {
+		sum += r.Continuity[id]
 	}
 	return sum / float64(len(r.Continuity))
 }

@@ -1,6 +1,8 @@
 package shard_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"strings"
@@ -42,6 +44,30 @@ func fuzzBases(t testing.TB, k int) [][]byte {
 	return bases
 }
 
+// maxFuzzDraws bounds the RNG stream positions a fuzz input may carry.
+// Restore replays a recorded position draw by draw, about 5 ns each, so
+// a mutated count near 2^64 would spend the run replaying instead of
+// fuzzing. The seed bases sit far below it.
+const maxFuzzDraws = 1 << 20
+
+// replaysLong reports whether payload may carry an rng section whose
+// stream position exceeds maxFuzzDraws. Every rng section is its tag
+// followed by the seed and the draw count, so checking what follows every
+// occurrence of the tag covers any section the decoder reaches.
+func replaysLong(payload []byte) bool {
+	tag := []byte("\x03rng")
+	for i := 0; ; {
+		j := bytes.Index(payload[i:], tag)
+		if j < 0 {
+			return false
+		}
+		i += j + len(tag)
+		if i+16 <= len(payload) && binary.LittleEndian.Uint64(payload[i+8:]) > maxFuzzDraws {
+			return true
+		}
+	}
+}
+
 // FuzzRestoreChain drives the restore boundary with mutated bases. The
 // input replaces the payload of a seed base — taken at one of two
 // barriers of one of two runs — and the base is re-sealed so the checksum
@@ -61,12 +87,18 @@ func FuzzRestoreChain(f *testing.F) {
 	}
 	for i, base := range bases {
 		payload := base[header : len(base)-8]
+		if replaysLong(payload) {
+			f.Fatalf("seed base %d carries a stream past %d draws", i, maxFuzzDraws)
+		}
 		if _, err := shard.RestoreChain(fuzzRuns[i/2](f), withPayload(i, payload)); err != nil {
 			f.Fatalf("seed base %d refused: %v", i, err)
 		}
 		f.Add(uint8(i), payload)
 	}
 	f.Fuzz(func(t *testing.T, pick uint8, payload []byte) {
+		if replaysLong(payload) {
+			t.Skip("stream position past maxFuzzDraws")
+		}
 		i := int(pick) % len(bases)
 		s, err := shard.RestoreChain(fuzzRuns[i/2](t), withPayload(i, payload))
 		if err != nil {
@@ -203,4 +235,49 @@ func TestRestoreRefusesParentCheckpoint(t *testing.T) {
 	if _, err := shard.RestoreChain(cfg, [][]byte{data}); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("parent checkpoint: got %v, want a format-version refusal", err)
 	}
+}
+
+// TestRestoreLongPolicyStream advances a taxed 2-lane market's policy
+// stream, which IncomeTax draws from on every merged income event, past
+// 2^28 draws, a position a few minutes of a large taxed run reach. The
+// base must restore byte-identically and finish with the result of the
+// run it was taken from: restore must accept every position a run can
+// record.
+func TestRestoreLongPolicyStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 2^28 draws")
+	}
+	sim, err := shard.NewSim(marketConfig(t, 2, taxPipeline(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	stepWindows(t, sim, 40)
+	rng := sim.Engine().PolicyRNG()
+	for i := 0; i <= 1<<28; i++ {
+		rng.Int63()
+	}
+	snap := sim.Snapshot()
+	restored, err := shard.RestoreChain(marketConfig(t, 2, taxPipeline(t)), [][]byte{snap})
+	if err != nil {
+		t.Fatalf("base 2^28+1 draws into the policy stream refused: %v", err)
+	}
+	if !bytes.Equal(restored.Snapshot(), snap) {
+		t.Fatal("restored state re-encodes differently")
+	}
+	for sim.StepWindow() {
+	}
+	want, err := sim.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for restored.StepWindow() {
+	}
+	got, err := restored.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "restored past 2^28 policy draws", want, got)
 }

@@ -3,11 +3,9 @@ package shard
 // Weighted routing on the sharded kernel: per-peer Fenwick samplers over
 // neighbor weights, fed by barrier-frozen weight mirrors.
 //
-// The single-threaded market engine can route degree-weighted spends
-// through an O(log degree) Fenwick sampler per spender. The sharded
-// kernel cannot share that structure — availability is mutable
-// cross-shard state — so it splits the problem along the same line as the
-// alive bitmap:
+// Each spender draws in O(log degree) from a Fenwick tree over its
+// neighbors' weights. Availability is mutable cross-shard state, so the
+// kernel splits the problem along the same line as the alive bitmap:
 //
 //   - weight[] is a dense per-peer weight mirror, written ONLY at window
 //     barriers by the coordinator (publishWeights folds the window's
@@ -26,11 +24,12 @@ package shard
 //     first use (pick or warm prefetch) and results cannot depend on
 //     when — or whether — a rebuild happened early.
 //
-//   - Heavy hitters (degree > HeavyDegree) skip the lazy-stale discipline:
-//     an O(degree) rebuild per barrier touch would make hub peers
-//     quadratic under churn waves, so their trees are patched incrementally
-//     at the barrier (one O(log degree) FenAdd per changed neighbor,
-//     applied in the same canonical delta order on the coordinator).
+//   - Heavy hitters (degree above defaultHeavyDegree, 1024) skip the
+//     lazy-stale discipline: an O(degree) rebuild per barrier touch would
+//     make hub peers quadratic under churn waves, so their trees are
+//     patched incrementally at the barrier (one O(log degree) FenAdd per
+//     changed neighbor, applied in the same canonical delta order on the
+//     coordinator).
 //     Incremental float accumulation is order-sensitive, so the canonical
 //     order is what keeps heavy trees — and with them every sampled
 //     destination — bit-identical across shard counts.
@@ -59,9 +58,9 @@ const (
 	RouteUniform Routing = iota
 	// RouteDegree weights neighbors by their overlay degree (static).
 	RouteDegree
-	// RouteAvailability weights neighbors by Floor plus an exponential
-	// moving average of their online time (dynamic, refreshed at
-	// barriers from lifecycle deltas).
+	// RouteAvailability weights neighbors by a floor of 0.05 plus an
+	// exponential moving average (time constant 100) of their online
+	// indicator (dynamic, refreshed at barriers from lifecycle deltas).
 	RouteAvailability
 )
 
@@ -78,26 +77,26 @@ func (m Routing) String() string {
 	return "unknown"
 }
 
-// RoutingConfig parameterizes weighted destination sampling.
+// RoutingConfig selects weighted destination sampling.
 type RoutingConfig struct {
 	// Mode selects the weighting; RouteUniform (the zero value) keeps the
 	// historical uniform sampler and allocates nothing.
 	Mode Routing
-	// Tau is the availability EWMA time constant; 0 selects 100.
-	Tau float64
-	// Floor is the availability weight floor, keeping every neighbor
-	// reachable (and every tree total positive); 0 selects 0.05.
-	Floor float64
-	// HeavyDegree is the heavy-hitter threshold: peers with more
-	// neighbors than this get barrier-patched trees instead of
-	// lazy-stale rebuilds; 0 selects 64.
-	HeavyDegree int
+	// heavyDegree overrides defaultHeavyDegree when positive. Only tests
+	// set it (export_test.go), to put hub trees on the barrier-patch path
+	// in small overlays.
+	heavyDegree int
 }
 
 const (
-	defaultRoutingTau   = 100.0
-	defaultRoutingFloor = 0.05
-	// defaultHeavyDegree trades barrier patch bandwidth against the
+	// routingTau is the availability EWMA time constant.
+	routingTau = 100.0
+	// routingFloor is the availability weight floor, keeping every
+	// neighbor reachable (and every tree total positive).
+	routingFloor = 0.05
+	// defaultHeavyDegree is the heavy-hitter threshold: peers with more
+	// neighbors than this get barrier-patched trees instead of
+	// lazy-stale rebuilds. It trades barrier patch bandwidth against the
 	// worst-case lazy rebuild: every directed edge into a hub above the
 	// threshold costs one O(log degree) patch per neighbor lifecycle
 	// transition, while every peer below it pays at most an O(threshold)
@@ -113,8 +112,6 @@ const (
 // every slice is nil.
 type routingState struct {
 	mode     Routing
-	tau      float64
-	floor    float64
 	heavyDeg int
 
 	// weight is the barrier-frozen per-peer routing weight mirror, in
@@ -151,24 +148,10 @@ type routingState struct {
 	wdelta []float32
 }
 
-// validateRouting normalizes defaults and rejects contradictions.
+// validateRouting rejects an unknown routing mode.
 func validateRouting(cfg *Config) error {
-	r := &cfg.Routing
-	if r.Mode > RouteAvailability {
-		return fmt.Errorf("%w: Routing.Mode=%d", ErrBadConfig, r.Mode)
-	}
-	if r.Tau < 0 || r.Floor < 0 || r.HeavyDegree < 0 {
-		return fmt.Errorf("%w: Routing={Tau:%v Floor:%v HeavyDegree:%d}: negative parameter",
-			ErrBadConfig, r.Tau, r.Floor, r.HeavyDegree)
-	}
-	if r.Tau == 0 {
-		r.Tau = defaultRoutingTau
-	}
-	if r.Floor == 0 {
-		r.Floor = defaultRoutingFloor
-	}
-	if r.HeavyDegree == 0 {
-		r.HeavyDegree = defaultHeavyDegree
+	if m := cfg.Routing.Mode; m > RouteAvailability {
+		return fmt.Errorf("%w: Routing.Mode=%d", ErrBadConfig, m)
 	}
 	return nil
 }
@@ -183,9 +166,10 @@ func (e *Engine) initRouting() {
 	if rt.mode == RouteUniform {
 		return
 	}
-	rt.tau = e.cfg.Routing.Tau
-	rt.floor = e.cfg.Routing.Floor
-	rt.heavyDeg = e.cfg.Routing.HeavyDegree
+	rt.heavyDeg = defaultHeavyDegree
+	if h := e.cfg.Routing.heavyDegree; h > 0 {
+		rt.heavyDeg = h
+	}
 	rt.weight = make([]float32, e.n)
 	if rt.mode == RouteAvailability {
 		rt.score = make([]float64, e.n)
@@ -193,7 +177,7 @@ func (e *Engine) initRouting() {
 		for g := 0; g < e.n; g++ {
 			// Every peer starts online with a saturated EWMA.
 			rt.score[g] = 1
-			rt.weight[g] = float32(rt.floor + 1)
+			rt.weight[g] = float32(routingFloor + 1)
 		}
 	} else {
 		for g := int32(0); g < int32(e.n); g++ {
@@ -294,14 +278,14 @@ func (e *Engine) publishWeights() {
 		}
 		// EWMA of the online indicator over [scoreT, t): the peer was
 		// online up to a death and offline up to a rejoin.
-		d := math.Exp((rt.scoreT[g] - le.t) / rt.tau)
+		d := math.Exp((rt.scoreT[g] - le.t) / routingTau)
 		s := rt.score[g] * d
 		if death {
 			s += 1 - d
 		}
 		rt.score[g] = s
 		rt.scoreT[g] = le.t
-		w := rt.floor
+		w := routingFloor
 		if !death {
 			w += s
 		}
@@ -385,17 +369,19 @@ func (e *Engine) RoutingWeight(g int32) float64 {
 func (e *Engine) RoutingMode() Routing { return e.rt.mode }
 
 // routingDigest folds the results-affecting routing parameters into the
-// snapshot config digest. HeavyDegree is results-affecting: heavy trees
-// accumulate patches in canonical order while light trees rebuild, and
-// the two float histories differ in rounding.
+// snapshot config digest. The heavy threshold is results-affecting: heavy
+// trees accumulate patches in canonical order while light trees rebuild,
+// and the two float histories differ in rounding. The EWMA constants are
+// folded as the configurable fields they replaced were, so checkpoints
+// keep their digests.
 func (e *Engine) routingDigest(h uint64) uint64 {
 	rt := &e.rt
 	h = fnvU64(h, uint64(rt.mode))
 	if rt.mode == RouteUniform {
 		return h
 	}
-	h = fnvU64(h, math.Float64bits(rt.tau))
-	h = fnvU64(h, math.Float64bits(rt.floor))
+	h = fnvU64(h, math.Float64bits(routingTau))
+	h = fnvU64(h, math.Float64bits(routingFloor))
 	h = fnvU64(h, uint64(rt.heavyDeg))
 	return h
 }

@@ -269,21 +269,21 @@ func TestHeavyDegreeBoundarySweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxDeg := probe.Partition().Degree(maxDegreePeer(probe))
-	for _, heavy := range []int{1, 0 /* default 64 */, maxDeg - 1, maxDeg, 1 << 20} {
-		rc := shard.RoutingConfig{Mode: shard.RouteAvailability, HeavyDegree: heavy}
+	for _, heavy := range []int{1, 0 /* default 1024 */, maxDeg - 1, maxDeg, 1 << 20} {
+		rc := shard.HeavyRouting(shard.RouteAvailability, heavy)
 		base, err := shard.Run(routedMarket(t, 1, rc))
 		if err != nil {
-			t.Fatalf("HeavyDegree=%d: %v", heavy, err)
+			t.Fatalf("heavy=%d: %v", heavy, err)
 		}
 		if base.Transfers == 0 {
-			t.Fatalf("HeavyDegree=%d: degenerate run: %+v", heavy, base)
+			t.Fatalf("heavy=%d: degenerate run: %+v", heavy, base)
 		}
 		for _, p := range []int{2, 4} {
 			got, err := shard.Run(routedMarket(t, p, rc))
 			if err != nil {
-				t.Fatalf("HeavyDegree=%d P=%d: %v", heavy, p, err)
+				t.Fatalf("heavy=%d P=%d: %v", heavy, p, err)
 			}
-			requireSameResult(t, fmt.Sprintf("HeavyDegree=%d P=%d", heavy, p), base, got)
+			requireSameResult(t, fmt.Sprintf("heavy=%d P=%d", heavy, p), base, got)
 		}
 	}
 }
@@ -291,11 +291,11 @@ func TestHeavyDegreeBoundarySweep(t *testing.T) {
 // TestRoutingResumeParity pins the snapshot round trip of the routing
 // state: a mid-run full snapshot of an availability-routed churned run
 // (weight mirror, EWMA scores, Fenwick slab, totals) restores into a run
-// that finishes byte-identical to the uninterrupted one. HeavyDegree=1
-// makes nearly every tree barrier-patched, so the serialized slab floats
+// that finishes byte-identical to the uninterrupted one. A heavy
+// threshold of 1 makes nearly every tree barrier-patched, so the serialized slab floats
 // — not a rebuild — must carry the canonical fold history.
 func TestRoutingResumeParity(t *testing.T) {
-	rc := shard.RoutingConfig{Mode: shard.RouteAvailability, HeavyDegree: 1}
+	rc := shard.HeavyRouting(shard.RouteAvailability, 1)
 	mk := func() shard.Config {
 		cfg := marketConfig(t, 4, taxPipeline(t))
 		cfg.Routing = rc
@@ -345,7 +345,7 @@ func TestRoutingRestoreRefusesModeDrift(t *testing.T) {
 	snap := sim.Snapshot()
 	for _, rc := range []shard.RoutingConfig{
 		{Mode: shard.RouteDegree},
-		{Mode: shard.RouteAvailability, HeavyDegree: 7},
+		shard.HeavyRouting(shard.RouteAvailability, 7),
 	} {
 		if _, err := shard.RestoreChain(mk(rc), [][]byte{snap}); err == nil {
 			t.Errorf("routing drift %+v accepted at restore", rc)
@@ -400,15 +400,6 @@ func TestRoutingRejectsBadConfig(t *testing.T) {
 		mutate func(*shard.Config)
 	}{
 		{"mode out of range", func(c *shard.Config) { c.Routing.Mode = 7 }},
-		{"negative tau", func(c *shard.Config) {
-			c.Routing = shard.RoutingConfig{Mode: shard.RouteAvailability, Tau: -1}
-		}},
-		{"negative floor", func(c *shard.Config) {
-			c.Routing = shard.RoutingConfig{Mode: shard.RouteAvailability, Floor: -0.1}
-		}},
-		{"negative heavy threshold", func(c *shard.Config) {
-			c.Routing = shard.RoutingConfig{Mode: shard.RouteDegree, HeavyDegree: -1}
-		}},
 		{"rejoin rate without envelope", func(c *shard.Config) {
 			c.Churn = shard.ChurnConfig{MeanLifespan: 5, MeanDowntime: 2, RejoinRate: flat}
 		}},

@@ -349,7 +349,7 @@ const trimEvery = 64
 // fenBuiltBit marks the peer's Fenwick tree as matching the frozen weight
 // mirror (cleared when a light peer's neighbor weight changes; heavy
 // peers' trees are patched in place and never go stale). heavyBit marks
-// degree > HeavyDegree, precomputed at New. Flag bytes are written only
+// degree above the heavy threshold, precomputed at New. Flag bytes are written only
 // by the owner lane in-window and the coordinator at barriers, so the
 // bits never race.
 const (

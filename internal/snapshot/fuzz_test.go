@@ -87,6 +87,8 @@ func FuzzSnapshotOpen(f *testing.F) {
 	for _, path := range []string{
 		"../market/testdata/market-v4-bare.ckpt",
 		"../market/testdata/tax-bridge.ckpt",
+		"../market/testdata/market-fast.ckpt",
+		"../market/testdata/market-degree.ckpt",
 		"../shard/testdata/shard-v3.ckpt",
 	} {
 		data, err := os.ReadFile(path)

@@ -86,5 +86,57 @@ func (g *Graph) LoadState(r *snapshot.Reader, maxNodes int) error {
 	g.n = n
 	g.edges = edges
 	g.nextID = nextID
+	return g.checkLoaded()
+}
+
+// checkLoaded vets a decoded graph against the invariants every mutation
+// keeps, so a crafted snapshot is refused at restore instead of indexing
+// out of range in a later RemoveNode or AddEdge. Each present node is
+// interned exactly once below nextID, and its row is strictly ascending,
+// free of self-loops, and names present nodes that list it back. Free
+// slots are empty, and the free list names each of them once. The node
+// and edge counters match the slab.
+func (g *Graph) checkLoaded() error {
+	present, arcs := 0, 0
+	for i := range g.nodes {
+		nd := &g.nodes[i]
+		if nd.id < 0 {
+			if len(nd.nbrs) != 0 {
+				return fmt.Errorf("topology: free slot %d holds %d neighbours", i, len(nd.nbrs))
+			}
+			continue
+		}
+		if g.idSlot[nd.id] != int32(i)+1 || int(nd.id) >= g.nextID {
+			return fmt.Errorf("topology: node id %d in slot %d is duplicated or not below the next id %d", nd.id, i, g.nextID)
+		}
+		present++
+		arcs += len(nd.nbrs)
+		for j, nb := range nd.nbrs {
+			if j > 0 && nb <= nd.nbrs[j-1] {
+				return fmt.Errorf("topology: node %d's neighbour row is not strictly ascending", nd.id)
+			}
+			s := g.slotOf(int(nb))
+			if s < 0 || nb == nd.id {
+				return fmt.Errorf("topology: node %d lists neighbour %d, which is itself or absent", nd.id, nb)
+			}
+			row := g.nodes[s].nbrs
+			if k := searchInt32(row, nd.id); k == len(row) || row[k] != nd.id {
+				return fmt.Errorf("topology: node %d lists neighbour %d, which does not list it back", nd.id, nb)
+			}
+		}
+	}
+	if present != g.n || arcs != 2*g.edges {
+		return fmt.Errorf("topology: counters say %d nodes and %d edges, the slab holds %d nodes and %d arcs", g.n, g.edges, present, arcs)
+	}
+	if len(g.free) != len(g.nodes)-present {
+		return fmt.Errorf("topology: free list holds %d slots, want %d", len(g.free), len(g.nodes)-present)
+	}
+	seen := make([]bool, len(g.nodes))
+	for _, s := range g.free {
+		if s < 0 || int(s) >= len(g.nodes) || g.nodes[s].id >= 0 || seen[s] {
+			return fmt.Errorf("topology: free list names slot %d, which is not a distinct free slot", s)
+		}
+		seen[s] = true
+	}
 	return nil
 }

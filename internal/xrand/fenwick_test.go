@@ -5,6 +5,83 @@ import (
 	"testing"
 )
 
+// Fenwick is the reference binary-indexed tree the slab primitives in
+// fenwick.go are checked against: the same layout (1-based partial sums,
+// leaves at 1..n) in float64, with the length, top bit and total stored
+// in the struct, supporting O(log n) sampling with probability
+// proportional to weight. Reset rebuilds it in place (reusing storage).
+// Weights must be non-negative and finite; sampling with a non-positive
+// total returns ok=false.
+type Fenwick struct {
+	tree  []float64 // 1-based partial sums
+	n     int
+	top   int // highest power of two <= n
+	total float64
+}
+
+// NewFenwick builds a sampler over the given weights in O(n).
+func NewFenwick(weights []float64) *Fenwick {
+	f := &Fenwick{}
+	f.Reset(weights)
+	return f
+}
+
+// Reset rebuilds the tree over a fresh weight vector in O(n), reusing the
+// existing storage when it is large enough.
+func (f *Fenwick) Reset(weights []float64) {
+	n := len(weights)
+	f.n = n
+	if cap(f.tree) < n+1 {
+		f.tree = make([]float64, n+1)
+	} else {
+		f.tree = f.tree[:n+1]
+		clear(f.tree)
+	}
+	f.total = 0
+	for i, w := range weights {
+		f.tree[i+1] = w
+		f.total += w
+	}
+	// Ascending pass pushes each node into its immediate parent: children
+	// are final before their parent is read, yielding the O(n) build.
+	for i := 1; i <= n; i++ {
+		if p := i + (i & -i); p <= n {
+			f.tree[p] += f.tree[i]
+		}
+	}
+	f.top = 1
+	for f.top*2 <= n {
+		f.top *= 2
+	}
+}
+
+// Find returns the index i with prefix(i) <= u < prefix(i+1) by binary
+// descent over the tree — the inverse-CDF lookup. u outside [0, total)
+// clamps to the nearest end, so floating-point slop at the boundaries
+// cannot index out of range.
+func (f *Fenwick) Find(u float64) int {
+	i := 0
+	for k := f.top; k > 0; k >>= 1 {
+		if j := i + k; j <= f.n && f.tree[j] <= u {
+			u -= f.tree[j]
+			i = j
+		}
+	}
+	if i >= f.n {
+		i = f.n - 1
+	}
+	return i
+}
+
+// Sample draws an index with probability weights[i]/total using a single
+// uniform variate. ok is false when the total is not positive.
+func (f *Fenwick) Sample(r *RNG) (int, bool) {
+	if f.n == 0 || f.total <= 0 {
+		return 0, false
+	}
+	return f.Find(r.Float64() * f.total), true
+}
+
 func TestFenwickTotalsAndFind(t *testing.T) {
 	w := []float64{2, 0, 3, 1, 0, 4}
 	f := NewFenwick(w)
@@ -78,11 +155,11 @@ func chiCrit(dof int) float64 {
 	return k * c * c * c
 }
 
-// TestFenwickMatchesExactScanDistribution is the degree-weighted half of
-// the fast-sampler distribution-equivalence suite: over a power-law-style
-// weight vector (a scale-free neighborhood's degrees), 2e5 fixed-seed draws
-// from the Fenwick sampler and from the exact linear scan must each match
-// the true distribution (one-sample chi-square) and each other (two-sample
+// TestFenwickMatchesExactScanDistribution checks the reference tree's
+// sampling distribution: over a power-law-style weight vector (a
+// scale-free neighborhood's degrees), 2e5 fixed-seed draws from the
+// Fenwick sampler and from the exact linear scan must each match the true
+// distribution (one-sample chi-square) and each other (two-sample
 // chi-square).
 func TestFenwickMatchesExactScanDistribution(t *testing.T) {
 	// Deterministic degree-like weights: heavy head, long tail of small

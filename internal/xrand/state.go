@@ -1,7 +1,6 @@
 package xrand
 
 import (
-	"fmt"
 	"math/rand"
 
 	"creditp2p/internal/snapshot"
@@ -18,9 +17,9 @@ func (r *RNG) SaveState(w *snapshot.Writer) {
 }
 
 // LoadState repositions the stream: a fresh source with the recorded seed is
-// fast-forwarded by replaying the recorded number of draws. Replay runs at
-// tens of millions of draws per second, so even long runs restore in well
-// under a second per stream.
+// fast-forwarded by replaying the recorded number of draws. Every position
+// SaveState can record is accepted; replay costs about 5 ns a draw, so a
+// stream 2^28 draws in restores in about 1.3 s.
 func (r *RNG) LoadState(rd *snapshot.Reader) {
 	rd.Section("rng")
 	seed := rd.I64()
@@ -36,35 +35,4 @@ func (r *RNG) LoadState(rd *snapshot.Reader) {
 	r.seed = seed
 	r.cs = cs
 	r.src = rand.New(cs)
-}
-
-// SaveState serializes the sampler verbatim. A caller's index may lag the
-// weights it would rebuild from today (the market refreshes a degree index
-// only when churn touches its spender), so the tree is stored rather than
-// rebuilt: a restored tree reproduces the exact same samples.
-func (f *Fenwick) SaveState(w *snapshot.Writer) {
-	w.F64s(f.tree)
-	w.Int(f.n)
-	w.Int(f.top)
-	w.F64(f.total)
-}
-
-// LoadState restores a sampler serialized by SaveState, refusing a tree
-// whose shape disagrees with its weight count (Find would index past it).
-func (f *Fenwick) LoadState(rd *snapshot.Reader, maxWeights int) error {
-	f.tree = rd.F64s(maxWeights)
-	f.n = rd.Int()
-	f.top = rd.Int()
-	f.total = rd.F64()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	top := 1
-	for top*2 <= f.n {
-		top *= 2
-	}
-	if f.n < 0 || len(f.tree) != f.n+1 || f.top != top {
-		return fmt.Errorf("xrand: sampler tree of %d nodes, top %d, for %d weights", len(f.tree), f.top, f.n)
-	}
-	return nil
 }
