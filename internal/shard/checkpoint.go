@@ -33,7 +33,7 @@ type CheckpointOptions struct {
 type CheckpointStats struct {
 	// Bases counts the checkpoints taken; every one is a base.
 	Bases uint64
-	// BaseBytes totals the sealed sizes.
+	// BaseBytes totals the sealed sizes, checksum trailers included.
 	BaseBytes uint64
 	// Deltas and DeltaBytes always read zero.
 	//
@@ -106,10 +106,6 @@ func (c *Checkpointer) Checkpoint() error {
 	// coordinator taking the shared section. This is the only part the
 	// simulation stalls for besides the pipeline wait.
 	parts := c.enc.encode(e)
-	size := 0
-	for _, p := range parts {
-		size += len(p)
-	}
 	e.timings.CkptCopy += time.Since(t1)
 
 	// Hand off: seal (streaming CRC over the fragments) and the sink
@@ -129,7 +125,7 @@ func (c *Checkpointer) Checkpoint() error {
 	c.sealBuf = nil // owned by the writer until wait()
 
 	c.stats.Bases++
-	c.stats.BaseBytes += uint64(size)
+	c.stats.BaseBytes += uint64(snapshot.SealedLen(parts))
 	e.timings.Checkpoints++
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"creditp2p/internal/fault"
@@ -15,15 +16,27 @@ import (
 // memChain is an in-memory ChainSink mirroring snapshot.ChainStore: each
 // base replaces the last. It copies every base — the checkpointer
 // recycles the sealed buffer after the write returns — and counts the
-// writes.
+// writes and the bytes written.
 type memChain struct {
 	writes int
+	bytes  uint64
 	chain  [][]byte
 }
 
 func (m *memChain) WriteBase(data []byte) error {
 	m.writes++
+	m.bytes += uint64(len(data))
 	m.chain = [][]byte{append([]byte(nil), data...)}
+	return nil
+}
+
+// lenSink is a ChainSink that keeps only the size of the last base, so
+// its writes allocate nothing.
+type lenSink struct{ writes, last int }
+
+func (s *lenSink) WriteBase(data []byte) error {
+	s.writes++
+	s.last = len(data)
 	return nil
 }
 
@@ -126,8 +139,8 @@ func checkpointParity(t *testing.T, name string, shards []int, cfg func(p int) s
 					label, k, len(got), len(want))
 			}
 		}
-		if st := ck.Stats(); st.Bases != checkpoints || st.Deltas != 0 || st.DeltaBytes != 0 {
-			t.Fatalf("%s: stats %+v, want %d bases and nothing else", label, st, checkpoints)
+		if st := ck.Stats(); st.Bases != checkpoints || st.BaseBytes != sink.bytes || st.Deltas != 0 || st.DeltaBytes != 0 {
+			t.Fatalf("%s: stats %+v, want %d bases of %d sealed bytes and nothing else", label, st, checkpoints, sink.bytes)
 		}
 
 		// The last restore finishes with the straight run's result.
@@ -273,7 +286,7 @@ func TestChainStoreIgnoresStaleDeltas(t *testing.T) {
 	ck := shard.NewCheckpointer(sim.Engine(), st, shard.CheckpointOptions{})
 	stepWindows(t, sim, 20)
 	checkpointSync(t, ck)
-	stepWindows(t, sim, 4)
+	stepWindows(t, sim, 2)
 	stale := sim.Snapshot() // a later state, re-headed as a delta of the base
 	if err := os.WriteFile(st.Path+".d001", asDelta(stale), 0o644); err != nil {
 		t.Fatal(err)
@@ -297,4 +310,58 @@ func TestChainStoreIgnoresStaleDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "restored beside a stale delta", straight, got)
+}
+
+// TestCheckpointSteadyStateAllocs pins the checkpoint path's recycling
+// contract, as TestBarrierSteadyStateZeroAlloc pins the barrier's: once a
+// run has written a couple of bases, a checkpoint allocates O(1) bytes
+// (the write hand-off, about 400), not O(base). The run is a 2-lane taxed
+// streaming run whose metric series and scheduler slabs grow between
+// checkpoints, so every base is larger than the last, by about 0.5% at
+// two windows apart; the windows run outside the measurement. A recycled
+// buffer that outgrows its capacity still allocates once, about 1.25
+// times its size, so a growth landing among the measured checkpoints
+// would exceed the budget; geometric growth makes that rare, and at this
+// pace none does.
+func TestCheckpointSteadyStateAllocs(t *testing.T) {
+	const (
+		warm     = 2  // bases written before the measurement
+		measured = 16 // checkpoints measured
+		budget   = 64 << 10
+	)
+	sim, err := shard.NewSim(streamingConfig(t, 2, taxPipeline(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sink := &lenSink{}
+	c := shard.NewCheckpointer(sim.Engine(), sink, shard.CheckpointOptions{})
+	stepWindows(t, sim, 10)
+	var ms runtime.MemStats
+	var alloc uint64
+	firstSize, prev := 0, 0
+	for k := 0; k < warm+measured; k++ {
+		stepWindows(t, sim, 2)
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		checkpointSync(t, c)
+		runtime.ReadMemStats(&ms)
+		if sink.writes != k+1 || sink.last <= prev {
+			t.Fatalf("checkpoint %d: %d writes, base %d bytes after %d: the run must write growing bases",
+				k, sink.writes, sink.last, prev)
+		}
+		prev = sink.last
+		if k == warm {
+			firstSize = sink.last
+		}
+		if k >= warm {
+			alloc += ms.TotalAlloc - before
+		}
+	}
+	if alloc >= budget {
+		t.Errorf("%d steady-state checkpoints of %d-%d byte bases allocated %d bytes, want < %d",
+			measured, firstSize, sink.last, alloc, budget)
+	}
 }

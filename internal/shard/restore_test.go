@@ -9,18 +9,28 @@ import (
 	"testing"
 
 	"creditp2p/internal/market"
+	"creditp2p/internal/policy"
 	"creditp2p/internal/shard"
 	"creditp2p/internal/snapshot"
 )
 
-// fuzzRuns are FuzzRestoreChain's seed runs: a 2-lane
+// fuzzRuns are FuzzRestoreChain's seed runs, all with churn: a 2-lane
 // availability-routed market (Fenwick slab, weight mirror and EWMA state
-// in every segment) and a 2-lane streaming run, both with churn.
+// in every segment), a 2-lane streaming run, and a 2-lane streaming run
+// with income tax and redistribution (the policy stream and the stages'
+// state in the head section).
 var fuzzRuns = []func(testing.TB) shard.Config{
 	func(t testing.TB) shard.Config {
 		return routedMarket(t, 2, shard.RoutingConfig{Mode: shard.RouteAvailability})
 	},
 	func(t testing.TB) shard.Config { return streamingConfig(t, 2, nil) },
+	func(t testing.TB) shard.Config {
+		tax, err := policy.NewIncomeTax(0.2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return streamingConfig(t, 2, []policy.Policy{tax, policy.NewRedistribute()})
+	},
 }
 
 // fuzzBases checkpoints run k through a Checkpointer at two barriers and
@@ -70,8 +80,8 @@ func replaysLong(payload []byte) bool {
 
 // FuzzRestoreChain drives the restore boundary with mutated bases. The
 // input replaces the payload of a seed base — taken at one of two
-// barriers of one of two runs — and the base is re-sealed so the checksum
-// passes and mutations reach the decoders. Whatever the bytes,
+// barriers of one of the fuzzRuns — and the base is re-sealed so the
+// checksum passes and mutations reach the decoders. Whatever the bytes,
 // RestoreChain must not panic, and a base it accepts must step to the
 // horizon and finish without error.
 func FuzzRestoreChain(f *testing.F) {

@@ -108,6 +108,56 @@ func TestSealMatchesSingleWriter(t *testing.T) {
 	}
 }
 
+// TestSealRecyclesGrowingBuffer pins the seal buffer's growth policy: a
+// periodic checkpoint's bases grow by a few hundred bytes each, and one
+// recycled destination must absorb that with a handful of backing
+// arrays, not one per base, while every sealed output stays byte-identical to a
+// single Writer's.
+func TestSealRecyclesGrowingBuffer(t *testing.T) {
+	const (
+		seals  = 64
+		grow   = 40 // int64s per seal: 320 bytes
+		maxNew = 8  // backing arrays allowed, the first one included
+	)
+	var dst []byte
+	arrays := 0
+	for i := 0; i < seals; i++ {
+		body := make([]int64, 2000+grow*i)
+		for j := range body {
+			body[j] = int64(i*j + 1)
+		}
+		serial := snapshot.NewWriter(0)
+		serial.Section("head")
+		serial.U64(uint64(i))
+		serial.Section("body")
+		serial.I64s(body)
+		want := serial.Finish()
+
+		head := snapshot.NewWriter(0)
+		head.Section("head")
+		head.U64(uint64(i))
+		frag := snapshot.NewRawWriter(0)
+		frag.Section("body")
+		frag.I64s(body)
+		parts := [][]byte{head.Frame(), frag.Frame()}
+
+		out := snapshot.Seal(dst, parts)
+		if !bytes.Equal(out, want) {
+			t.Fatalf("seal %d differs from the serial encoding: %d vs %d bytes", i, len(out), len(want))
+		}
+		if len(out) != snapshot.SealedLen(parts) {
+			t.Fatalf("seal %d: %d bytes, SealedLen says %d", i, len(out), snapshot.SealedLen(parts))
+		}
+		if cap(dst) == 0 || &out[:1][0] != &dst[:1][0] {
+			arrays++
+		}
+		dst = out
+	}
+	if arrays > maxNew {
+		t.Fatalf("%d growing seals into one recycled buffer allocated %d backing arrays, want at most %d", seals, arrays, maxNew)
+	}
+}
+
 // TestWriterReset pins buffer recycling: a Reset writer re-emits the
 // header (or stays raw) and reproduces identical bytes.
 func TestWriterReset(t *testing.T) {

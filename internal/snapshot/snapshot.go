@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -133,22 +134,26 @@ func (w *Writer) Finish() []byte {
 	return w.buf
 }
 
-// Seal concatenates fragments into dst (recycled when its capacity
-// suffices), appends the checksum trailer, and returns the sealed
-// snapshot. The first fragment must begin with the
-// magic + version header (a NewWriter fragment); the rest are raw. The
-// sealed bytes are identical to a single Writer emitting the same sections
-// in order, so serial and parallel encodes are byte-interchangeable.
-func Seal(dst []byte, parts [][]byte) []byte {
+// SealedLen returns the length of the snapshot Seal makes of parts: the
+// fragments plus the checksum trailer.
+func SealedLen(parts [][]byte) int {
 	total := trailerLen
 	for _, p := range parts {
 		total += len(p)
 	}
-	if cap(dst) < total {
-		dst = make([]byte, 0, total)
-	} else {
-		dst = dst[:0]
-	}
+	return total
+}
+
+// Seal concatenates fragments into dst, appends the checksum trailer, and
+// returns the sealed snapshot. dst is recycled: when its capacity falls
+// short it grows geometrically, as append does, so a periodic checkpoint
+// whose bases grow a little each time reallocates only rarely. The first
+// fragment must begin with the magic + version header (a NewWriter
+// fragment); the rest are raw. The sealed bytes are identical to a single
+// Writer emitting the same sections in order, so serial and parallel
+// encodes are byte-interchangeable.
+func Seal(dst []byte, parts [][]byte) []byte {
+	dst = slices.Grow(dst[:0], SealedLen(parts))
 	var crc uint32
 	for _, p := range parts {
 		crc = crc32.Update(crc, crcTable, p)
