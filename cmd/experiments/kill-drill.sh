@@ -6,8 +6,8 @@
 #        kill-drill.sh EXPERIMENTS_BINARY "RUN FLAGS" "CHECKPOINT FLAGS" -seed SEED COUNT MIN_MS MAX_MS
 #
 #   kill-drill.sh ./experiments \
-#       "-scenario flash-crowd -preset large -shards 1" \
-#       "-checkpoint-every 200000" 0.4 1 2 3
+#       "-scenario flash-crowd -preset large -shards 2" \
+#       "-checkpoint-every 20000" 0.4 1 2 3
 #
 # The uninterrupted run's report is the reference. For each delay (seconds)
 # a checkpointing run is started, killed with SIGKILL once the delay has

@@ -9,8 +9,6 @@
 //	experiments -id fig7 -preset large -cpuprofile cpu.pprof
 //	experiments -scenarios
 //	experiments -scenario flash-crowd [-preset large]
-//	experiments -scenario flash-crowd -checkpoint-every 50000 -checkpoint run.snap
-//	experiments -scenario flash-crowd -restore run.snap
 //	experiments -scenario flash-crowd -preset large -shards 8
 //	experiments -scenario flash-crowd -preset large -shards 8 -timing
 //	experiments -scenario flash-crowd -shards 4 -checkpoint-every 50000 -checkpoint run.snap
@@ -32,20 +30,19 @@
 // runs, so performance PRs can attach before/after evidence gathered
 // through the exact cmd path users run.
 //
-// -checkpoint-every N checkpoints a -scenario run every N events to the
-// -checkpoint path; -restore resumes a crashed run from the checkpoint
-// stored at its path and produces byte-identical output to the
-// uninterrupted run. One contract holds at every -shards value: every
-// checkpoint is a base, a complete snapshot that replaces the previous
-// one, and it lands at the first step boundary at or after each multiple
-// of N total fired events — an event on the single-threaded engines, a
-// window barrier on the sharded kernel, whose seal and file I/O overlap
-// with the simulation — so a resumed run checkpoints where the
-// uninterrupted run would have. Every base is written write-to-temp /
-// fsync / rename / fsync-directory, so a crash or power cut
-// mid-checkpoint always leaves a complete base behind. -restore reads
-// only the file at its path: PATH.dNNN delta files an older build left
-// beside it are ignored and can be deleted.
+// -checkpoint-every N checkpoints a sharded -scenario run (-shards > 1)
+// every N events to the -checkpoint path; -restore resumes a crashed run
+// from the checkpoint stored at its path and produces byte-identical
+// output to the uninterrupted run. Every checkpoint is a base, a complete
+// snapshot that replaces the previous one, and it lands at the first
+// window barrier at or after each multiple of N total fired events, with
+// its seal and file I/O overlapped with the following windows, so a
+// resumed run checkpoints where the uninterrupted run would have. Every
+// base is written write-to-temp / fsync / rename / fsync-directory, so a
+// crash or power cut mid-checkpoint always leaves a complete base behind.
+// -restore reads only the file at its path: PATH.dNNN delta files an older
+// build left beside it are ignored and can be deleted. The single-threaded
+// engines (-shards 1) do not checkpoint; their runs take seconds.
 //
 // -timing prints the sharded kernel's phase-level barrier-pipeline
 // breakdown (dispatch / merge / apply / churn / publish) after the report,
@@ -92,10 +89,10 @@ func run(args []string) error {
 	presetName := fs.String("preset", "quick", "quick, full, large or xlarge")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file after the run")
-	checkpointEvery := fs.Int("checkpoint-every", 0, "with -scenario: checkpoint the run every N events to the -checkpoint path")
+	checkpointEvery := fs.Int("checkpoint-every", 0, "with -scenario -shards > 1: checkpoint the run every N events to the -checkpoint path")
 	checkpointPath := fs.String("checkpoint", "checkpoint.snap", "with -scenario: the file -checkpoint-every writes; each checkpoint is a complete base replacing the last")
-	restorePath := fs.String("restore", "", "with -scenario: resume from the checkpoint stored at this path instead of starting fresh")
-	shards := fs.Int("shards", 1, "with -scenario: run on the sharded multi-core kernel with this many lanes (1 = the classic single-threaded engines)")
+	restorePath := fs.String("restore", "", "with -scenario -shards > 1: resume from the checkpoint stored at this path instead of starting fresh")
+	shards := fs.Int("shards", 1, "with -scenario: run on the sharded multi-core kernel with this many lanes (1 = the classic single-threaded engines, which neither checkpoint nor restore)")
 	timing := fs.Bool("timing", false, "with -scenario -shards > 1: print the phase-level barrier-pipeline timing breakdown after the report")
 	routing := fs.String("routing", "", "with -scenario -shards > 1: override the preset's destination-sampling mode (uniform, degree or availability)")
 	if err := fs.Parse(args); err != nil {
@@ -157,6 +154,9 @@ func run(args []string) error {
 		}
 		if *routing != "" && *shards <= 1 {
 			return fmt.Errorf("-routing needs -shards > 1 (the single-threaded engines take routing from the preset)")
+		}
+		if (*checkpointEvery > 0 || *restorePath != "") && *shards <= 1 {
+			return fmt.Errorf("-checkpoint-every and -restore need -shards > 1 (only the sharded kernel checkpoints)")
 		}
 		return runScenario(*scenarioName, preset, *shards,
 			*checkpointEvery, *checkpointPath, *restorePath, *timing, *routing)

@@ -2,14 +2,14 @@
 // of mechanism combinations. It exists for cross-commit byte-compatibility
 // checks during performance work: run it on two trees and diff the lines.
 //
-// With -resume, every combo instead runs the one crash/restore drill all
-// three engines share: a clean run counts its step boundaries, a second
-// run crashes a third of the way in and captures a base, and a third
-// process-fresh simulation restores the base and runs to completion. The
-// sharded combos capture through the pipelined Checkpointer, taking
-// periodic bases on the way to the crash. The printed hashes are the
-// resumed runs'; diffing them against the default mode's (scenario lines
-// excluded) asserts byte-identical resume for every mechanism combo.
+// With -resume, it prints only the shard/* lines, each through the sharded
+// kernel's crash/restore drill: a clean run counts its window barriers, a
+// second run takes periodic bases through the pipelined Checkpointer and
+// crashes a third of the way in, and a fresh engine restores the last
+// base and runs to completion. The printed hashes are the resumed runs';
+// diffing them against the default mode's shard/* lines asserts
+// byte-identical resume for every sharded combo. The single-threaded
+// engines do not checkpoint.
 //
 // -shards N sets the lane count of the shard/* lines; the sharded
 // kernel's invariance contract makes every printed hash the same for any
@@ -153,57 +153,6 @@ func poisson() credit.Pricing {
 	return p
 }
 
-// resumable is what the crash/resume drill needs of an engine's Sim.
-type resumable[R any] interface {
-	Start() error
-	Snapshot() []byte
-	Finish() (R, error)
-}
-
-// drill produces a case's Result on any engine: a plain run by default,
-// the crash/restore drill under -resume. The drill counts the step
-// boundaries of a clean run (events on the single-threaded engines,
-// windows on the sharded kernel), crashes a second run a third of the way
-// in and captures it, and restores the one-link chain into a fresh engine
-// that finishes the run. Each phase rebuilds the config from scratch via
-// mk, as a real crash recovery would (the capture restores mutable state;
-// the config — graph, policies, pricing — is reconstructed).
-func drill[R any, C any, S resumable[R]](mk func() C, open func(C) (S, error), restore func(C, [][]byte) (S, error), step func(S) bool, resume bool) (R, error) {
-	var zero R
-	start := func() (S, error) {
-		s, err := open(mk())
-		if err == nil {
-			err = s.Start()
-		}
-		return s, err
-	}
-	s, err := start()
-	if err != nil {
-		return zero, err
-	}
-	steps := 0
-	for step(s) {
-		steps++
-	}
-	if !resume {
-		return s.Finish()
-	}
-	if _, err := s.Finish(); err != nil {
-		return zero, err
-	}
-	if s, err = start(); err != nil {
-		return zero, err
-	}
-	for i := 0; i < steps/3 && step(s); i++ {
-	}
-	if s, err = restore(mk(), [][]byte{s.Snapshot()}); err != nil {
-		return zero, err
-	}
-	for step(s) {
-	}
-	return s.Finish()
-}
-
 // memChain is the drill's in-memory checkpoint sink. It keeps a copy of
 // the latest base: the checkpointer recycles its sealed buffer once a
 // write returns.
@@ -225,7 +174,7 @@ func (m *memChain) WriteBase(data []byte) error {
 // the crashed run at the same barrier.
 func runShard(mk func() shard.Config, resume bool) (*shard.Result, error) {
 	if !resume {
-		return drill[*shard.Result](mk, shard.NewSim, shard.RestoreChain, (*shard.Sim).StepWindow, false)
+		return shard.Run(mk())
 	}
 	sim, err := shard.NewSim(mk())
 	if err != nil {
@@ -335,9 +284,14 @@ func shardLines(shards int, resume bool) {
 }
 
 func main() {
-	resume := flag.Bool("resume", false, "run every combo through the crash/snapshot/restore drill and print the resumed hashes (scenario lines omitted)")
+	resume := flag.Bool("resume", false, "print only the shard/* lines, each run through the sharded crash/checkpoint/restore drill")
 	shards := flag.Int("shards", 1, "lane count for the shard/* lines; the sharded kernel's invariance contract makes the printed hashes identical for any value")
 	flag.Parse()
+
+	if *resume {
+		shardLines(*shards, true)
+		return
+	}
 
 	// tax is the Sec. VI-C tax: IncomeTax collects, Redistribute pays the
 	// pot back out in whole rounds.
@@ -395,7 +349,7 @@ func main() {
 		}},
 	}
 	for _, c := range cases {
-		res, err := drill[*market.Result](c.mk, market.NewSim, market.RestoreChain, (*market.Sim).Step, *resume)
+		res, err := market.Run(c.mk())
 		if err != nil {
 			panic(c.name + ": " + err.Error())
 		}
@@ -420,7 +374,7 @@ func main() {
 		}},
 	}
 	for _, c := range scases {
-		res, err := drill[*streaming.Result](c.mk, streaming.NewSim, streaming.RestoreChain, (*streaming.Sim).Step, *resume)
+		res, err := streaming.Run(c.mk())
 		if err != nil {
 			panic(c.name + ": " + err.Error())
 		}
@@ -479,7 +433,7 @@ func main() {
 		}},
 	}
 	for _, c := range pcases {
-		res, err := drill[*market.Result](c.mk, market.NewSim, market.RestoreChain, (*market.Sim).Step, *resume)
+		res, err := market.Run(c.mk())
 		if err != nil {
 			panic(c.name + ": " + err.Error())
 		}
@@ -500,20 +454,15 @@ func main() {
 		}},
 	}
 	for _, c := range spcases {
-		res, err := drill[*streaming.Result](c.mk, streaming.NewSim, streaming.RestoreChain, (*streaming.Sim).Step, *resume)
+		res, err := streaming.Run(c.mk())
 		if err != nil {
 			panic(c.name + ": " + err.Error())
 		}
 		fmt.Printf("streaming-policy/%-22s %016x\n", c.name, hashStreamingPolicy(res))
 	}
 
-	shardLines(*shards, *resume)
+	shardLines(*shards, false)
 
-	if *resume {
-		// Scenario presets are config sugar over the same two simulators;
-		// the drill above already covers their mechanism space.
-		return
-	}
 	for _, name := range []string{
 		"flash-crowd", "free-rider-mix", "diurnal-churn", "seeder-drain",
 		"adaptive-tax", "demurrage", "newcomer-subsidy", "taxed-streaming",

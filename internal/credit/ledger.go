@@ -84,15 +84,6 @@ func (l *Ledger) OpenSlot(peer int, initial int64) (int32, error) {
 	return slot, nil
 }
 
-// Slot resolves a peer id to its dense slot.
-func (l *Ledger) Slot(peer int) (int32, error) {
-	slot, ok := l.index[peer]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoAccount, peer)
-	}
-	return slot, nil
-}
-
 // Close removes an account and burns whatever it held (a departing peer
 // takes its credits out of the economy, Sec. VI-E). It returns the burned
 // amount. The slot is recycled; stale slots must not be used afterwards.

@@ -131,7 +131,7 @@ func (rep *Report) Err() error {
 	return errors.Join(errs...)
 }
 
-// Run drives a started (or restored) simulation to completion under the
+// Run drives a started simulation to completion under the
 // injector, auditing the kernel's invariants every auditEvery delivered
 // events (and once at the end). A nil injector audits without injecting.
 // Workload panics are recovered into diagnostics; Run itself never panics.

@@ -7,6 +7,7 @@ import (
 	"creditp2p/internal/fault"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
+	"creditp2p/internal/shard"
 	"creditp2p/internal/sim"
 	"creditp2p/internal/snapshot"
 	"creditp2p/internal/streaming"
@@ -236,22 +237,30 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
-// TestCorruptionAlwaysDetected snapshots a mid-flight run, then applies
-// every corruption helper at a sweep of offsets: each corrupted snapshot
-// must be rejected with an error (never a panic, never a silent load).
+// TestCorruptionAlwaysDetected checkpoints a mid-flight sharded run, then
+// applies every corruption helper at a sweep of offsets: each corrupted
+// base must be rejected with an error (never a panic, never a silent
+// load).
 func TestCorruptionAlwaysDetected(t *testing.T) {
-	mk := marketCombos(t)["baseline"]
-	m, err := market.NewSim(mk())
+	mk := func() shard.Config {
+		w, err := market.NewShard(market.ShardConfig{Mu: 1, Amount: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shard.Config{Graph: graph(t, 60, 6, 1), Shards: 2, Horizon: 50, Seed: 2, InitialWealth: 20, Workload: w,
+			Churn: shard.ChurnConfig{MeanLifespan: 30, MeanDowntime: 10}}
+	}
+	s, err := shard.NewSim(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Start(); err != nil {
+	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200 && m.Step(); i++ {
+	for i := 0; i < 40 && s.StepWindow(); i++ {
 	}
-	data := m.Snapshot()
-	if _, err := market.RestoreChain(mk(), [][]byte{data}); err != nil {
+	data := s.Snapshot()
+	if _, err := shard.RestoreChain(mk(), [][]byte{data}); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 
@@ -262,7 +271,7 @@ func TestCorruptionAlwaysDetected(t *testing.T) {
 				t.Fatalf("%s: restore panicked: %v", kind, r)
 			}
 		}()
-		if _, err := market.RestoreChain(mk(), [][]byte{corrupted}); err == nil {
+		if _, err := shard.RestoreChain(mk(), [][]byte{corrupted}); err == nil {
 			t.Fatalf("%s: corrupted snapshot accepted", kind)
 		}
 	}

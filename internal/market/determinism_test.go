@@ -171,9 +171,8 @@ func giniDigest(times, values []float64, final float64) uint64 {
 // injection and churn all active (and one all-mechanisms run for their
 // interaction). The incremental-gini subtests hold the balance-histogram
 // sampler to the digests the sorting sampler produced on these runs; the
-// calendar+incremental subtests crash each run halfway, resume it on a
-// rebuilt calendar queue and histogram, and demand the uninterrupted
-// Result.
+// stepped subtests drive each run event by event through Sim.Step, as the
+// fault-injection harness does, and demand Run's Result.
 func TestEngineVariantsGoldenPaperScale(t *testing.T) {
 	build := func(mechanism string) Config {
 		g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 500, Alpha: 2.5, MeanDegree: 20}, xrand.New(2024))
@@ -236,13 +235,16 @@ func TestEngineVariantsGoldenPaperScale(t *testing.T) {
 					t.Errorf("spends %d, Gini digest %016x; the sorting sampler gave %d, %016x", base.SpendEvents, got, want.spends, want.gini)
 				}
 			})
-			t.Run("calendar+incremental", func(t *testing.T) {
-				data := crashAt(t, build(mechanism), int(base.SpendEvents/2))
-				m, err := RestoreChain(build(mechanism), [][]byte{data})
+			t.Run("stepped", func(t *testing.T) {
+				m, err := NewSim(build(mechanism))
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.Run()
+				if err := m.Start(); err != nil {
+					t.Fatal(err)
+				}
+				for m.Step() {
+				}
 				got, err := m.Finish()
 				if err != nil {
 					t.Fatal(err)

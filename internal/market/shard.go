@@ -64,7 +64,7 @@ var shardMarketCounters = []string{
 
 // NewShard builds the sharded market workload.
 func NewShard(cfg ShardConfig) (*ShardMarket, error) {
-	if cfg.Mu <= 0 {
+	if !(cfg.Mu > 0) || math.IsInf(cfg.Mu, 1) {
 		return nil, fmt.Errorf("%w: Mu=%v", ErrBadConfig, cfg.Mu)
 	}
 	if cfg.Amount <= 0 {

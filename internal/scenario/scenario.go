@@ -394,8 +394,15 @@ func (sc *Scenario) dims(scale Scale) (dims, error) {
 	if sc.Topology.N < 2 {
 		return dims{}, fmt.Errorf("%w: topology N %d", ErrBadScenario, sc.Topology.N)
 	}
-	if sc.Horizon <= 0 {
+	if !(sc.Horizon > 0) || math.IsInf(sc.Horizon, 1) {
 		return dims{}, fmt.Errorf("%w: horizon %v", ErrBadScenario, sc.Horizon)
+	}
+	// A zero or negative override picks the scale's default horizon; NaN
+	// and the infinities are refused at every scale.
+	for _, h := range []float64{sc.LargeHorizon, sc.XLargeHorizon} {
+		if math.IsNaN(h) || math.IsInf(h, 0) {
+			return dims{}, fmt.Errorf("%w: horizon override %v", ErrBadScenario, h)
+		}
 	}
 	d := dims{n: sc.Topology.N, horizon: sc.Horizon}
 	switch scale {
@@ -450,7 +457,7 @@ func (c Churn) rateFn(rate, horizon float64) (rateAt func(float64) float64, envA
 	case ChurnConstant:
 		return nil, nil, nil
 	case ChurnFlashCrowd:
-		if c.SpikeFactor < 1 || c.SpikeLen <= 0 || c.SpikeStart < 0 || c.SpikeStart+c.SpikeLen > 1 {
+		if !(c.SpikeFactor >= 1) || math.IsInf(c.SpikeFactor, 1) || !(c.SpikeLen > 0) || !(c.SpikeStart >= 0) || !(c.SpikeStart+c.SpikeLen <= 1) {
 			return nil, nil, fmt.Errorf("%w: flash crowd spike %+v", ErrBadScenario, c)
 		}
 		start := c.SpikeStart * horizon
@@ -476,7 +483,7 @@ func (c Churn) rateFn(rate, horizon float64) (rateAt func(float64) float64, envA
 		}
 		return rateAt, envAt, nil
 	case ChurnDiurnal:
-		if c.Amplitude < 0 || c.Amplitude >= 1 || c.Period <= 0 {
+		if !(c.Amplitude >= 0 && c.Amplitude < 1) || !(c.Period > 0) || math.IsInf(c.Period, 1) {
 			return nil, nil, fmt.Errorf("%w: diurnal shape %+v", ErrBadScenario, c)
 		}
 		period := c.Period * horizon

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -321,6 +322,48 @@ func TestXLargeDims(t *testing.T) {
 	}
 	if ds.n != 1_000_000 || ds.horizon != 16 {
 		t.Errorf("streaming xlarge dims = n %d horizon %v, want 1_000_000 / 16", ds.n, ds.horizon)
+	}
+}
+
+// TestRunRefusesNonFinite pins that Run refuses NaN and infinite horizons,
+// horizon overrides and churn shapes with ErrBadScenario on both engines:
+// they used to panic sizing a series, run forever, or compile to a
+// negative streaming horizon.
+func TestRunRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name, preset string
+		scale        Scale
+		set          func(*Scenario)
+	}{
+		{"horizon-nan", "demurrage", ScaleQuick, func(sc *Scenario) { sc.Horizon = nan }},
+		{"horizon-inf", "demurrage", ScaleQuick, func(sc *Scenario) { sc.Horizon = inf }},
+		{"horizon-neg-inf", "demurrage", ScaleQuick, func(sc *Scenario) { sc.Horizon = -inf }},
+		{"horizon-nan", "taxed-streaming", ScaleQuick, func(sc *Scenario) { sc.Horizon = nan }},
+		{"horizon-inf", "taxed-streaming", ScaleFull, func(sc *Scenario) { sc.Horizon = inf }},
+		{"large-nan", "demurrage", ScaleLarge, func(sc *Scenario) { sc.LargeHorizon = nan }},
+		{"large-inf", "taxed-streaming", ScaleLarge, func(sc *Scenario) { sc.LargeHorizon = inf }},
+		{"xlarge-nan", "taxed-streaming", ScaleXLarge, func(sc *Scenario) { sc.XLargeHorizon = nan }},
+		{"xlarge-inf", "demurrage", ScaleXLarge, func(sc *Scenario) { sc.XLargeHorizon = inf }},
+		{"spike-inf", "flash-crowd", ScaleQuick, func(sc *Scenario) { sc.Churn.SpikeFactor = inf }},
+		{"spike-len-nan", "flash-crowd", ScaleQuick, func(sc *Scenario) { sc.Churn.SpikeLen = nan }},
+		{"period-nan", "diurnal-churn", ScaleQuick, func(sc *Scenario) { sc.Churn.Period = nan }},
+		{"period-inf", "diurnal-churn", ScaleQuick, func(sc *Scenario) { sc.Churn.Period = inf }},
+		{"amplitude-nan", "diurnal-churn", ScaleQuick, func(sc *Scenario) { sc.Churn.Amplitude = nan }},
+	}
+	for _, c := range cases {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/%s/shards=%d", c.preset, c.name, shards), func(t *testing.T) {
+				sc, err := Get(c.preset)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.set(&sc)
+				if _, err := Run(sc, c.scale, shards, Resume{}); !errors.Is(err, ErrBadScenario) {
+					t.Fatalf("err %v, want ErrBadScenario", err)
+				}
+			})
+		}
 	}
 }
 

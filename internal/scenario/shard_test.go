@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -202,29 +203,29 @@ func TestRunShardedFallsBackToLegacy(t *testing.T) {
 	}
 }
 
-// TestRunSingleThreadedResumeCadence resumes a single-threaded market and
-// streaming run from a base captured at another cadence, so the restored
-// event count is not a multiple of the resumed run's cadence. The resumed
-// run must finish byte-identical to the uninterrupted one and write, byte
-// for byte, the checkpoints the uninterrupted run wrote after that point:
-// the cadence counts the run's total fired events, not the events since
-// the restore.
-func TestRunSingleThreadedResumeCadence(t *testing.T) {
-	// A streaming event is a whole trading round, so its runs fire
-	// hundreds of events where a market's fire tens of thousands.
-	for name, every := range map[string][2]int{"flash-crowd": {997, 1000}, "taxed-streaming": {7, 5}} {
+// TestRunShardedResumeCadence resumes a sharded market and streaming run
+// from a base captured at another cadence, so the restored event count is
+// not a multiple of the resumed run's cadence. The resumed run must finish
+// byte-identical to the uninterrupted one and write, byte for byte, the
+// checkpoints the uninterrupted run wrote after that point: the cadence
+// counts the run's total fired events, not the events since the restore.
+func TestRunShardedResumeCadence(t *testing.T) {
+	const shards = 2
+	// A window barrier fires hundreds of events, so each cadence spans
+	// several windows and a run writes a few dozen checkpoints.
+	for name, every := range map[string][2]int{"flash-crowd": {2903, 3000}, "taxed-streaming": {797, 700}} {
 		t.Run(name, func(t *testing.T) {
 			sc, err := Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := Run(sc, ScaleQuick, 1, Resume{})
+			plain, err := Run(sc, ScaleQuick, shards, Resume{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			run := func(every int, chain [][]byte) (*Outcome, [][]byte) {
 				sink := &baseSink{}
-				out, err := Run(sc, ScaleQuick, 1, Resume{CheckpointEvery: every, ChainSink: sink, Chain: chain})
+				out, err := Run(sc, ScaleQuick, shards, Resume{CheckpointEvery: every, ChainSink: sink, Chain: chain})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,15 +236,24 @@ func TestRunSingleThreadedResumeCadence(t *testing.T) {
 			if len(other) < 3 {
 				t.Fatalf("got %d checkpoints, want at least 3", len(other))
 			}
-			// Base k holds the run after (k+1)*every[0] events; the
-			// uninterrupted run's checkpoints after that point follow
-			// its first (k+1)*every[0]/every[1].
 			k := len(other) / 3
-			resumed, tail := run(every[1], [][]byte{other[k]})
-			if a, b := fingerprint(t, plain), fingerprint(t, resumed); a != b {
-				t.Fatalf("resumed run diverged: %s vs %s", b, a)
+			cfg, err := sc.ShardConfig(ScaleQuick, shards)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := all[(k+1)*every[0]/every[1]:]
+			s, err := shard.RestoreChain(cfg, [][]byte{other[k]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := s.Engine().EventsFired()
+			if restored%uint64(every[1]) == 0 {
+				t.Fatalf("restored event count %d is a multiple of the cadence %d", restored, every[1])
+			}
+			resumed, tail := run(every[1], [][]byte{other[k]})
+			if a, b := plain.Shard.Fingerprint(), resumed.Shard.Fingerprint(); a != b {
+				t.Fatalf("resumed fingerprint %016x != uninterrupted %016x", b, a)
+			}
+			want := all[checkpointsThrough(t, sc, shards, every[1], restored):]
 			if len(tail) != len(want) {
 				t.Fatalf("resumed run wrote %d checkpoints, the uninterrupted run %d after the restored point", len(tail), len(want))
 			}
@@ -256,32 +266,86 @@ func TestRunSingleThreadedResumeCadence(t *testing.T) {
 	}
 }
 
-// TestRunSingleThreadedRefusesDeltas pins that no engine restores a chain
-// that still carries the delta links an older build wrote — alone, or
-// after their base — and that the error says a checkpoint is one base.
-func TestRunSingleThreadedRefusesDeltas(t *testing.T) {
+// checkpointsThrough counts the checkpoints a sharded run at cadence
+// every writes at barriers whose total fired count is at most upTo: one
+// at the first barrier at or after each multiple of every.
+func checkpointsThrough(t *testing.T, sc Scenario, shards, every int, upTo uint64) int {
+	t.Helper()
+	cfg, err := sc.ShardConfig(ScaleQuick, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := shard.NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	n, next := 0, uint64(every)
+	for s.StepWindow() {
+		f := s.Engine().EventsFired()
+		if f > upTo {
+			break
+		}
+		if f >= next {
+			n++
+			next = (f/uint64(every) + 1) * uint64(every)
+		}
+	}
+	return n
+}
+
+// TestRunShardedRefusesDeltas pins that the sharded kernel restores no
+// chain that still carries the delta links an older build wrote — alone,
+// or after their base — and that the error says a checkpoint is one base.
+func TestRunShardedRefusesDeltas(t *testing.T) {
 	sc, err := Get("flash-crowd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2} {
-		sink := &baseSink{}
-		if _, err := Run(sc, ScaleQuick, shards, Resume{CheckpointEvery: 500, ChainSink: sink}); err != nil {
-			t.Fatal(err)
+	const shards = 2
+	sink := &baseSink{}
+	if _, err := Run(sc, ScaleQuick, shards, Resume{CheckpointEvery: 500, ChainSink: sink}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.links) == 0 {
+		t.Fatal("no checkpoint written")
+	}
+	base := sink.links[len(sink.links)-1]
+	delta := asDelta(base)
+	for name, chain := range map[string][][]byte{
+		"base and delta": {base, delta},
+		"lone delta":     {delta},
+	} {
+		if _, err := Run(sc, ScaleQuick, shards, Resume{Chain: chain}); err == nil || !strings.Contains(err.Error(), "a checkpoint is one base") {
+			t.Errorf("%s: err %v, want one saying a checkpoint is one base", name, err)
 		}
-		if len(sink.links) == 0 {
-			t.Fatalf("shards=%d: no checkpoint written", shards)
-		}
-		base := sink.links[len(sink.links)-1]
-		delta := asDelta(base)
-		for name, chain := range map[string][][]byte{
-			"base and delta": {base, delta},
-			"lone delta":     {delta},
+	}
+}
+
+// TestRunSingleThreadedRefusesResume pins that shards <= 1 refuses any
+// checkpoint or restore request before running: only the sharded kernel
+// checkpoints.
+func TestRunSingleThreadedRefusesResume(t *testing.T) {
+	sc, err := Get("flash-crowd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &baseSink{}
+	for _, shards := range []int{1, 0} {
+		for name, rs := range map[string]Resume{
+			"cadence": {CheckpointEvery: 500, ChainSink: sink},
+			"sink":    {ChainSink: sink},
+			"restore": {Chain: [][]byte{{0}}},
 		} {
-			if _, err := Run(sc, ScaleQuick, shards, Resume{Chain: chain}); err == nil || !strings.Contains(err.Error(), "a checkpoint is one base") {
-				t.Errorf("shards=%d %s: err %v, want one saying a checkpoint is one base", shards, name, err)
+			if _, err := Run(sc, ScaleQuick, shards, rs); !errors.Is(err, ErrBadScenario) || !strings.Contains(err.Error(), "shards > 1") {
+				t.Errorf("shards=%d %s: err %v, want ErrBadScenario naming shards > 1", shards, name, err)
 			}
 		}
+	}
+	if len(sink.links) != 0 {
+		t.Fatalf("a refused run wrote %d checkpoints", len(sink.links))
 	}
 }
 

@@ -176,7 +176,7 @@ type Config struct {
 	// InitialWealth is each peer's starting endowment.
 	InitialWealth int64
 	// SampleEvery is the metrics cadence, quantized up to barriers;
-	// 0 selects Horizon/100.
+	// 0 selects Horizon/100, and a cadence below W is raised to W.
 	SampleEvery float64
 	// Queue selects nothing: every lane runs the calendar queue. It is
 	// still folded into the checkpoint config digest, so checkpoints that
@@ -368,7 +368,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("%w: nil graph", ErrBadConfig)
 	}
-	if cfg.Horizon <= 0 {
+	if !(cfg.Horizon > 0) || math.IsInf(cfg.Horizon, 1) {
 		return nil, fmt.Errorf("%w: Horizon=%v", ErrBadConfig, cfg.Horizon)
 	}
 	if cfg.InitialWealth < 0 {
@@ -380,8 +380,24 @@ func New(cfg Config) (*Engine, error) {
 	if n := len(cfg.Workload.CounterNames()); n > MaxCounters {
 		return nil, fmt.Errorf("%w: workload declares %d counters, at most %d fit a lane", ErrBadConfig, n, MaxCounters)
 	}
-	if cfg.Window < 0 || cfg.Window > cfg.Horizon {
+	if !(cfg.Window >= 0 && cfg.Window <= cfg.Horizon) {
 		return nil, fmt.Errorf("%w: Window=%v with Horizon=%v", ErrBadConfig, cfg.Window, cfg.Horizon)
+	}
+	// The remaining periods may be zero or negative (each selects a
+	// default or disables its stream), but NaN or an infinity would size
+	// a buffer or schedule a barrier from it.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SampleEvery", cfg.SampleEvery},
+		{"PolicyEpoch", cfg.PolicyEpoch},
+		{"Churn.MeanLifespan", cfg.Churn.MeanLifespan},
+		{"Churn.MeanDowntime", cfg.Churn.MeanDowntime},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("%w: %s=%v", ErrBadConfig, f.name, f.v)
+		}
 	}
 	if (cfg.Churn.MeanLifespan > 0) != (cfg.Churn.MeanDowntime > 0) {
 		return nil, fmt.Errorf("%w: churn needs both MeanLifespan and MeanDowntime (got MeanLifespan=%v MeanDowntime=%v)",
@@ -424,6 +440,14 @@ func New(cfg Config) (*Engine, error) {
 	e.sampleEvery = cfg.SampleEvery
 	if e.sampleEvery <= 0 {
 		e.sampleEvery = e.horizon / 100
+	}
+	// Samples land on barriers, at most one per barrier, so a cadence
+	// below W samples every barrier exactly as a cadence of W does; it is
+	// raised to W. A tiny cadence would otherwise size the metric series
+	// from Horizon/SampleEvery and advance the next-sample clock past each
+	// barrier one cadence at a time.
+	if e.sampleEvery < e.window {
+		e.sampleEvery = e.window
 	}
 	e.polEpoch = cfg.PolicyEpoch
 	e.counterNames = cfg.Workload.CounterNames()
@@ -473,11 +497,14 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.applyFn = func(ln *Lane) { ln.applyInbound() }
 	// Pre-size the metric series to the whole run's sample count so
-	// barrier-time samples never grow a backing array.
-	samples := int(e.horizon/e.sampleEvery) + 3
-	e.gini = presizedSeries("gini", samples)
-	e.population = presizedSeries("population", samples)
-	e.supply = presizedSeries("supply", samples)
+	// barrier-time samples never grow a backing array. The cadence is at
+	// least W, so the count is at most the barrier count; maxPresized caps
+	// it for a window so small that its barrier count overflows an
+	// allocation.
+	n := int(math.Min(e.horizon/e.sampleEvery, maxPresized)) + 3
+	e.gini = presizedSeries("gini", n)
+	e.population = presizedSeries("population", n)
+	e.supply = presizedSeries("supply", n)
 	e.nextSample = 0
 	e.nextPol = e.polEpoch
 	if err := cfg.Workload.Setup(e); err != nil {
@@ -485,6 +512,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	return e, nil
 }
+
+// maxPresized caps the points New presizes a metric series for; a run
+// that records more grows the series at its barriers.
+const maxPresized = 1 << 20
 
 // presizedSeries builds a series with capacity for n points.
 func presizedSeries(name string, n int) *trace.Series {

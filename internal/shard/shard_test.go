@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -290,6 +291,75 @@ func TestShardRejectsBadConfig(t *testing.T) {
 		if _, err := shard.New(cfg); !errors.Is(err, shard.ErrBadConfig) {
 			t.Errorf("config %d: err %v, want ErrBadConfig: %+v", i, err, cfg)
 		}
+	}
+}
+
+// TestShardRefusesNonFiniteConfig pins that New and the workload
+// constructors refuse NaN and infinite horizons, windows, cadences and
+// rates with ErrBadConfig, instead of panicking on a presize, stepping
+// NaN-timed windows forever or scheduling at infinite rates.
+func TestShardRefusesNonFiniteConfig(t *testing.T) {
+	w, err := market.NewShard(market.ShardConfig{Mu: 1, Amount: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := testGraph(t, 10, 1)
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, cfg := range map[string]shard.Config{
+		"horizon-nan":    {Horizon: nan},
+		"horizon-inf":    {Horizon: inf},
+		"window-nan":     {Horizon: 10, Window: nan},
+		"window-inf":     {Horizon: 10, Window: inf},
+		"window-neg-inf": {Horizon: 10, Window: -inf},
+		"sample-nan":     {Horizon: 10, SampleEvery: nan},
+		"sample-inf":     {Horizon: 10, SampleEvery: inf},
+		"sample-neg-inf": {Horizon: 10, SampleEvery: -inf},
+		"epoch-nan":      {Horizon: 10, PolicyEpoch: nan},
+		"epoch-inf":      {Horizon: 10, PolicyEpoch: inf},
+		"lifespan-nan":   {Horizon: 10, Churn: shard.ChurnConfig{MeanLifespan: nan, MeanDowntime: 1}},
+		"lifespan-inf":   {Horizon: 10, Churn: shard.ChurnConfig{MeanLifespan: inf, MeanDowntime: 1}},
+		"downtime-nan":   {Horizon: 10, Churn: shard.ChurnConfig{MeanLifespan: 1, MeanDowntime: nan}},
+	} {
+		cfg.Graph, cfg.Shards, cfg.Workload = g, 2, w
+		if _, err := shard.New(cfg); !errors.Is(err, shard.ErrBadConfig) {
+			t.Errorf("%s: err %v, want ErrBadConfig", name, err)
+		}
+	}
+	for _, mu := range []float64{nan, inf} {
+		if _, err := market.NewShard(market.ShardConfig{Mu: mu, Amount: 1}); !errors.Is(err, market.ErrBadConfig) {
+			t.Errorf("market Mu=%v: err %v, want ErrBadConfig", mu, err)
+		}
+	}
+	for _, period := range []float64{nan, inf} {
+		if _, err := streaming.NewShard(streaming.ShardConfig{StreamRate: 1, ChunkPrice: 1, RoundPeriod: period}); !errors.Is(err, streaming.ErrBadConfig) {
+			t.Errorf("streaming RoundPeriod=%v: err %v, want ErrBadConfig", period, err)
+		}
+	}
+}
+
+// TestShardTinySampleCadence runs a cadence far below the window: New
+// must not size the metric series from Horizon/SampleEvery, and the run
+// records one sample per barrier plus the t=0 sample.
+func TestShardTinySampleCadence(t *testing.T) {
+	cfg := marketConfig(t, 2, nil)
+	cfg.SampleEvery = 1e-300
+	sim, err := shard.NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	windows := 0
+	for sim.StepWindow() {
+		windows++
+	}
+	res, err := sim.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Gini.Len(); got != windows+1 {
+		t.Fatalf("recorded %d samples over %d windows, want %d", got, windows, windows+1)
 	}
 }
 

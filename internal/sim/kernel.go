@@ -429,8 +429,8 @@ func (k *Kernel) arrivalsEnabled() bool {
 }
 
 // Run drives the event loop to the horizon. It is exactly
-// for k.Step() {} followed by k.SealTime(), so a checkpointing driver can
-// interleave Step with snapshots and produce byte-identical output.
+// for k.Step() {} followed by k.SealTime(), so stepping a run event by
+// event (as the fault harness does) produces byte-identical output.
 func (k *Kernel) Run() {
 	for k.Step() {
 	}

@@ -25,8 +25,7 @@ type Metrics struct {
 	// Snapshots are the recorded sorted wealth distributions.
 	Snapshots []Snapshot
 
-	// hist counts live peers by balance. It is derived state: snapshots
-	// omit it and restore rebuilds it from the live balances.
+	// hist counts live peers by balance, mirroring the ledger.
 	hist stats.BalanceHist
 	// wealthBuf and balBuf are reused scratch vectors for snapshots and
 	// the audit's sorting reference.

@@ -79,16 +79,17 @@ const allocSlack = 64 << 10
 // re-seal copies the input once, and every read copies at most the bytes
 // it consumes, so a declared size can never buy an allocation the payload
 // does not back. Seeds: checkpoint bases of a sharded market and a sharded
-// streaming run, and the testdata fixtures.
+// streaming run, four captures of the retired single-threaded market's
+// format (testdata here) and a v3 sharded base.
 func FuzzSnapshotOpen(f *testing.F) {
 	for _, base := range kernelBases(f) {
 		f.Add(base, []byte(nil))
 	}
 	for _, path := range []string{
-		"../market/testdata/market-v4-bare.ckpt",
-		"../market/testdata/tax-bridge.ckpt",
-		"../market/testdata/market-fast.ckpt",
-		"../market/testdata/market-degree.ckpt",
+		"testdata/market-v4-bare.ckpt",
+		"testdata/tax-bridge.ckpt",
+		"testdata/market-fast.ckpt",
+		"testdata/market-degree.ckpt",
 		"../shard/testdata/shard-v3.ckpt",
 	} {
 		data, err := os.ReadFile(path)

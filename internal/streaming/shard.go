@@ -68,7 +68,7 @@ func NewShard(cfg ShardConfig) (*ShardStreaming, error) {
 	if cfg.ChunkPrice <= 0 {
 		return nil, fmt.Errorf("%w: ChunkPrice=%d", ErrBadConfig, cfg.ChunkPrice)
 	}
-	if cfg.RoundPeriod <= 0 {
+	if !(cfg.RoundPeriod > 0) || math.IsInf(cfg.RoundPeriod, 1) {
 		return nil, fmt.Errorf("%w: RoundPeriod=%v", ErrBadConfig, cfg.RoundPeriod)
 	}
 	if cfg.SeedFrac < 0 || cfg.SeedFrac > 1 {

@@ -305,9 +305,6 @@ const (
 
 func bitSet(bs []uint64, i int32)   { bs[i>>6] |= 1 << (uint(i) & 63) }
 func bitClear(bs []uint64, i int32) { bs[i>>6] &^= 1 << (uint(i) & 63) }
-func bitGet(bs []uint64, i int32) bool {
-	return bs[i>>6]>>(uint(i)&63)&1 != 0
-}
 
 // ringIdx maps a chunk id to its window slot offset.
 func (s *swarm) ringIdx(chunk int) int { return (chunk + s.ringOff) & s.ringMask }

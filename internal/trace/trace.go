@@ -1,10 +1,9 @@
 // Package trace records simulation metrics as named time series and renders
-// them as aligned text tables, CSV, and ASCII line charts — the offline
+// them as aligned text tables and ASCII line charts — the offline
 // stand-ins for the paper's figures.
 package trace
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -70,81 +69,6 @@ type Set struct {
 
 // Add appends a series to the set.
 func (set *Set) Add(s *Series) { set.Series = append(set.Series, s) }
-
-// WriteCSV emits "series,time,value" rows, one per observation.
-func (set *Set) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"series", "time", "value"}); err != nil {
-		return err
-	}
-	for _, s := range set.Series {
-		for i := range s.Times {
-			rec := []string{
-				s.Name,
-				strconv.FormatFloat(s.Times[i], 'g', -1, 64),
-				strconv.FormatFloat(s.Values[i], 'g', -1, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses the "series,time,value" format WriteCSV emits back into a
-// Set, grouping rows by series name in order of first appearance — the
-// inverse half of the CSV round-trip, for tooling that reloads recorded
-// series.
-// Malformed input is rejected with the 1-based line number and what was
-// wrong ("line 7: row has 2 fields, want 3 (series,time,value)"), so a bad
-// row in a million-line file is findable.
-func ReadCSV(r io.Reader) (*Set, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 3
-	header, err := cr.Read()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("trace: line 1: empty input, want a %q header", "series,time,value")
-		}
-		return nil, fmt.Errorf("trace: line 1: header: %w", err)
-	}
-	if header[0] != "series" || header[1] != "time" || header[2] != "value" {
-		return nil, fmt.Errorf("trace: line 1: unexpected header %v, want [series time value]", header)
-	}
-	set := &Set{}
-	byName := map[string]*Series{}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return set, nil
-		}
-		if err != nil {
-			var pe *csv.ParseError
-			if errors.As(err, &pe) && errors.Is(pe.Err, csv.ErrFieldCount) {
-				return nil, fmt.Errorf("trace: line %d: row has %d fields, want 3 (series,time,value)", pe.Line, len(rec))
-			}
-			return nil, fmt.Errorf("trace: csv row: %w", err)
-		}
-		line, _ := cr.FieldPos(0)
-		t, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: time %q is not a number: %w", line, rec[1], err)
-		}
-		v, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: value %q is not a number: %w", line, rec[2], err)
-		}
-		s, ok := byName[rec[0]]
-		if !ok {
-			s = NewSeries(rec[0])
-			byName[rec[0]] = s
-			set.Add(s)
-		}
-		s.Add(t, v)
-	}
-}
 
 // SortedSnapshot returns values sorted ascending — the paper's Figs. 5–6
 // plot these per-peer curves ("peer indices sorted in the order of queue
