@@ -421,7 +421,15 @@ func (q *calendarQueue) retune() {
 			s = sl.next
 		}
 	}
-	all = append(all, q.drain[q.pos:]...)
+	q.rechain(append(all, q.drain[q.pos:]...))
+}
+
+// rechain lays out the wheel afresh over exactly the entries in all: it
+// sizes the buckets for them, re-estimates the width from their span, and
+// chains every entry by its day. The drain batch is emptied, so all must
+// already hold its unserved remainder. all is gathered in the scratch
+// buffer, and its backing array stays the scratch afterwards.
+func (q *calendarQueue) rechain(all []calEntry) {
 	q.drain = q.drain[:0]
 	q.pos = 0
 

@@ -135,6 +135,19 @@ func (s *Scheduler) Init() {
 	}
 }
 
+// Reserve sizes the slab and the calendar's per-slot storage for n slots
+// in all: a scheduler that never holds more than n events at once, live
+// and cancelled-but-unsurfaced together, then schedules, retunes and
+// restores without growing them. Each buffer grows at most once, in one
+// whole-block step (pad.Grow); slot numbering is unchanged, since slots
+// are still handed out in slab order.
+func (s *Scheduler) Reserve(n int) {
+	s.slab = pad.Grow(s.slab, n-len(s.slab))
+	s.seqOf = pad.Grow(s.seqOf, n-len(s.seqOf))
+	s.cal.slots = pad.Grow(s.cal.slots, n-len(s.cal.slots))
+	s.cal.scratch = pad.Grow(s.cal.scratch, n-len(s.cal.scratch))
+}
+
 // NewSchedulerKind returns NewScheduler().
 //
 // Deprecated: see QueueKind.
@@ -199,16 +212,6 @@ func (s *Scheduler) Cancel(h Handle) bool {
 	nd.state = slotDead
 	s.live--
 	return true
-}
-
-// Cancelled reports whether the handle no longer refers to a pending event
-// (it was cancelled, already fired, or never issued).
-func (s *Scheduler) Cancelled(h Handle) bool {
-	if h.slot < 1 || int(h.slot) > len(s.slab) {
-		return true
-	}
-	nd := &s.slab[h.slot-1]
-	return nd.gen != h.gen || nd.state != slotLive
 }
 
 // Step delivers the earliest pending event. It reports whether one fired.

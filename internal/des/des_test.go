@@ -144,9 +144,6 @@ func TestCancel(t *testing.T) {
 	if !s.Cancel(h) {
 		t.Error("Cancel returned false for a pending event")
 	}
-	if !s.Cancelled(h) {
-		t.Error("Cancelled() = false after Cancel")
-	}
 	if s.Pending() != 0 {
 		t.Errorf("Pending() = %d after cancel, want 0", s.Pending())
 	}
@@ -160,7 +157,7 @@ func TestCancel(t *testing.T) {
 		t.Error("second Cancel returned true")
 	}
 	// The zero handle is invalid and inert.
-	if s.Cancel(Handle{}) || !s.Cancelled(Handle{}) {
+	if s.Cancel(Handle{}) {
 		t.Error("zero handle not inert")
 	}
 }
@@ -214,8 +211,8 @@ func TestStaleHandleAfterRecycleIsInert(t *testing.T) {
 	if len(fired) != 1 || fired[0].Actor != 2 {
 		t.Errorf("second event lost: fired %v", fired)
 	}
-	if !s.Cancelled(h2) {
-		t.Error("fired handle still reported pending")
+	if s.Cancel(h2) {
+		t.Error("fired handle still cancellable")
 	}
 }
 

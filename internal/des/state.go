@@ -3,7 +3,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"creditp2p/internal/pad"
 	"creditp2p/internal/snapshot"
@@ -20,11 +19,11 @@ func UnpackHandle(v uint64) Handle {
 	return Handle{slot: int32(uint32(v)), gen: uint32(v >> 32)}
 }
 
-// encScratch holds the recycled per-field extraction buffers slab segments
-// are transposed through on capture: the slab is AoS in memory but
-// per-field on disk (layout independent of struct packing), and recycling
-// the transpose buffers keeps periodic checkpoints allocation-free in
-// steady state.
+// encScratch holds the recycled per-field buffers slab segments are
+// transposed through on capture and decoded into on restore: the slab is
+// AoS in memory but per-field on disk (layout independent of struct
+// packing), and recycling the buffers keeps periodic checkpoints
+// allocation-free in steady state.
 type encScratch struct {
 	times    []float64
 	payloads []int64
@@ -38,8 +37,9 @@ type encScratch struct {
 // gen, kind, state and seq.
 const slotBytes = 8 + 8 + 4 + 4 + 2 + 1 + 8
 
-// transpose extracts slab[lo:hi] into the recycled per-field buffers.
-func (s *Scheduler) transpose(lo, hi int) *encScratch {
+// fieldBuffers returns the recycled per-field buffers resliced to n <=
+// slabSegSize slots, allocating them on first use.
+func (s *Scheduler) fieldBuffers(n int) *encScratch {
 	e := &s.enc
 	if e.times == nil {
 		*e = encScratch{
@@ -51,13 +51,18 @@ func (s *Scheduler) transpose(lo, hi int) *encScratch {
 			states:   make([]uint8, slabSegSize),
 		}
 	}
-	n := hi - lo
 	e.times = e.times[:n]
 	e.payloads = e.payloads[:n]
 	e.actors = e.actors[:n]
 	e.gens = e.gens[:n]
 	e.kinds = e.kinds[:n]
 	e.states = e.states[:n]
+	return e
+}
+
+// transpose extracts slab[lo:hi] into the recycled per-field buffers.
+func (s *Scheduler) transpose(lo, hi int) *encScratch {
+	e := s.fieldBuffers(hi - lo)
 	for i := lo; i < hi; i++ {
 		nd := &s.slab[i]
 		j := i - lo
@@ -161,39 +166,37 @@ func (s *Scheduler) LoadState(r *snapshot.Reader) error {
 		if lo > len(s.slab) {
 			return fmt.Errorf("des: snapshot sizes the slab at %d slots but leaves slots [%d,%d) uncovered", slabLen, len(s.slab), lo)
 		}
+		// The per-field spans decode into the recycled transpose buffers,
+		// and the seqs straight into the slab's parallel array.
 		n := hi - lo
-		times := r.F64s(n)
-		payloads := r.I64s(n)
-		actors := r.I32s(n)
-		gens := r.U32s(n)
-		kinds := r.U16s(n)
-		states := r.U8s(n)
-		seqs := r.U64s(n)
+		e := s.fieldBuffers(n)
+		s.seqOf = s.seqOf[:hi]
+		snapshot.Fill(r, "slot times", e.times)
+		snapshot.Fill(r, "slot payloads", e.payloads)
+		snapshot.Fill(r, "slot actors", e.actors)
+		snapshot.Fill(r, "slot generations", e.gens)
+		snapshot.Fill(r, "slot kinds", e.kinds)
+		snapshot.Fill(r, "slot states", e.states)
+		snapshot.Fill(r, "slot seqs", s.seqOf[lo:hi])
 		if err := r.Err(); err != nil {
-			return err
+			return fmt.Errorf("des: snapshot segment %d: %w", seg, err)
 		}
-		if len(times) != n || len(payloads) != n || len(actors) != n || len(gens) != n ||
-			len(kinds) != n || len(states) != n || len(seqs) != n {
-			return fmt.Errorf("des: snapshot segment %d spans %d/%d/%d/%d/%d/%d/%d slots, want %d",
-				seg, len(times), len(payloads), len(actors), len(gens), len(kinds), len(states), len(seqs), n)
-		}
-		for i, st := range states {
-			if st > slotDead || st != slotFree && !(times[i] >= now) {
-				return fmt.Errorf("des: snapshot slot %d has state %d at time %v (now %v)", lo+i+1, st, times[i], now)
+		for i, st := range e.states {
+			if st > slotDead || st != slotFree && !(e.times[i] >= now) {
+				return fmt.Errorf("des: snapshot slot %d has state %d at time %v (now %v)", lo+i+1, st, e.times[i], now)
 			}
 		}
-		s.slab, s.seqOf = s.slab[:hi], s.seqOf[:hi]
+		s.slab = s.slab[:hi]
 		for i := 0; i < n; i++ {
 			s.slab[lo+i] = node{
-				time:    times[i],
-				payload: payloads[i],
-				actor:   actors[i],
-				gen:     gens[i],
-				kind:    kinds[i],
-				state:   states[i],
+				time:    e.times[i],
+				payload: e.payloads[i],
+				actor:   e.actors[i],
+				gen:     e.gens[i],
+				kind:    e.kinds[i],
+				state:   e.states[i],
 			}
 		}
-		copy(s.seqOf[lo:hi], seqs)
 	}
 	if len(s.slab) < slabLen {
 		return fmt.Errorf("des: snapshot sizes the slab at %d slots but carries only the first %d", slabLen, len(s.slab))
@@ -208,47 +211,26 @@ func (s *Scheduler) LoadState(r *snapshot.Reader) error {
 	return nil
 }
 
-// pendingFromSlab derives the queued multiset — every non-free slot,
-// ascending by seq — from the slab states. seq values are unique, so the
-// order is total.
-func (s *Scheduler) pendingFromSlab() ([]uint64, []int32) {
-	type pair struct {
-		seq  uint64
-		slot int32
-	}
-	var ps []pair
-	for i := range s.slab {
-		if s.slab[i].state != slotFree {
-			ps = append(ps, pair{seq: s.seqOf[i], slot: int32(i + 1)})
-		}
-	}
-	slices.SortFunc(ps, func(a, b pair) int {
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	})
-	seqs := make([]uint64, len(ps))
-	slots := make([]int32, len(ps))
-	for i, p := range ps {
-		seqs[i] = p.seq
-		slots[i] = p.slot
-	}
-	return seqs, slots
-}
-
-// rebuildQueue reconstructs the calendar's pending set from the slab — the
-// epilogue of a state restore.
+// rebuildQueue reconstructs the calendar's pending set — every non-free
+// slot, live and cancelled alike — from the slab: the epilogue of a state
+// restore. The entries are gathered in the calendar's scratch and chained
+// in one layout pass, and every buffer keeps its capacity, so a scheduler
+// sized by Reserve restores without allocating. Gathering in slab order
+// rather than seq order changes no delivery: the calendar serves exactly
+// (time, seq) order whatever its layout.
 func (s *Scheduler) rebuildQueue() {
-	seqs, slots := s.pendingFromSlab()
-	s.cal = newCalendarQueue()
-	// Pre-grow the per-slot entry storage: push assumes slots are handed out
-	// in slab order, which does not hold when rebuilding an arbitrary
-	// pending set.
-	s.cal.slots = pad.Make[calSlot](len(s.slab))
-	for i, sl := range slots {
-		s.cal.push(s.slab[sl-1].time, seqs[i], sl)
+	q := &s.cal
+	all := q.scratch[:0]
+	for i := range s.slab {
+		if nd := &s.slab[i]; nd.state != slotFree {
+			all = append(all, calEntry{time: nd.time, seq: s.seqOf[i], slot: int32(i + 1)})
+		}
 	}
+	// push assumes slots are handed out in slab order, which does not hold
+	// for a restored free list: the per-slot storage covers the whole slab.
+	q.slots = pad.Grow(q.slots[:0], len(s.slab))[:len(s.slab)]
+	q.count, q.width, q.invWidth, q.nwSlot = len(all), 1, 1, 0
+	q.rechain(all)
 	s.warmPos = 0
 }
 

@@ -299,7 +299,7 @@ func TestSpendRereadsBalanceAfterRedistribution(t *testing.T) {
 	if s.ws[0].flags&pfIdle != 0 {
 		t.Fatal("peer 0 stranded idle with a positive balance (stale-balance bug)")
 	}
-	if s.k.Sched.Cancelled(s.ws[0].pending) {
+	if !s.k.Sched.Cancel(s.ws[0].pending) {
 		t.Fatal("peer 0 has no pending spend despite positive balance")
 	}
 	if err := s.k.Ledger.CheckConservation(); err != nil {

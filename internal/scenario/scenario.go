@@ -443,6 +443,10 @@ func (sc *Scenario) dims(scale Scale) (dims, error) {
 			d.horizon = min
 		}
 		d.horizon = math.Floor(d.horizon)
+		// The streaming engine counts rounds in an int.
+		if d.horizon >= math.MaxInt {
+			return dims{}, fmt.Errorf("%w: streaming horizon %v does not fit an int round count", ErrBadScenario, d.horizon)
+		}
 	}
 	d.ratio = d.horizon / sc.Horizon
 	d.popFactor = float64(d.n) / float64(sc.Topology.N)

@@ -367,6 +367,25 @@ func TestRunRefusesNonFinite(t *testing.T) {
 	}
 }
 
+// TestStreamingRefusesHugeHorizon pins that a finite streaming horizon
+// too large for the engine's int round count is refused by name, on both
+// engines, instead of overflowing into a negative horizon (one engine) or
+// a run that never ends (the other).
+func TestStreamingRefusesHugeHorizon(t *testing.T) {
+	sc, err := Get("taxed-streaming")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Horizon = 1e300
+	_, serial := sc.StreamingConfig(ScaleFull)
+	_, sharded := sc.ShardConfig(ScaleFull, 2)
+	for name, err := range map[string]error{"StreamingConfig": serial, "ShardConfig": sharded} {
+		if !errors.Is(err, ErrBadScenario) || !strings.Contains(err.Error(), "horizon 1e+300") {
+			t.Errorf("%s: err %v, want ErrBadScenario naming horizon 1e+300", name, err)
+		}
+	}
+}
+
 // TestRegisterErrorPaths pins the registry's panic contract: empty names
 // and duplicate registrations are programming errors caught at init time.
 func TestRegisterErrorPaths(t *testing.T) {

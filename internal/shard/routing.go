@@ -156,6 +156,16 @@ func validateRouting(cfg *Config) error {
 	return nil
 }
 
+// heavyFlag returns the heavyBit peer g carries: set when weighted
+// routing runs and g's degree is above the heavy-hitter threshold. It is
+// static, so a restore must find it unchanged.
+func (e *Engine) heavyFlag(g int32) uint8 {
+	if e.rt.mode != RouteUniform && e.part.Degree(g) > e.rt.heavyDeg {
+		return heavyBit
+	}
+	return 0
+}
+
 // initRouting allocates and builds the routing state. Runs during New,
 // after the lanes exist: the weight mirror fills sequentially, then each
 // lane builds its own peers' trees in parallel (disjoint slab regions,
@@ -185,9 +195,7 @@ func (e *Engine) initRouting() {
 		}
 	}
 	for g := int32(0); g < int32(e.n); g++ {
-		if e.part.Degree(g) > rt.heavyDeg {
-			e.flags[g] |= heavyBit
-		}
+		e.flags[g] |= e.heavyFlag(g)
 	}
 	rt.fenSlab = make([]float32, e.part.Edges()+int64(e.n))
 	e.parallel(func(ln *Lane) {

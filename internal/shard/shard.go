@@ -78,6 +78,10 @@ var ErrBadConfig = errors.New("shard: invalid config")
 // W defaults to Horizon/DefaultWindows.
 const DefaultWindows = 128
 
+// maxWindows caps a run's barrier count Horizon/Window: New refuses a
+// window so small that the run would step more barriers than this.
+const maxWindows = 1 << 24
+
 // Event kinds: the engine's two lifecycle kinds and the workload kind.
 const (
 	// KindDepart is a lifecycle event: the peer goes offline, its balance
@@ -432,6 +436,11 @@ func New(cfg Config) (*Engine, error) {
 	if e.window == 0 {
 		e.window = e.horizon / DefaultWindows
 	}
+	// A window far below the horizon is finite but never finishes: the
+	// barrier count must stay countable.
+	if e.horizon/e.window > maxWindows {
+		return nil, fmt.Errorf("%w: Window=%v makes %v barriers over Horizon=%v, more than %d", ErrBadConfig, e.window, e.horizon/e.window, e.horizon, maxWindows)
+	}
 	if cfg.PolicyEpoch > 0 && cfg.PolicyEpoch < e.window {
 		// Epochs fire at barriers: a shorter epoch would fire several times
 		// per barrier, and a tiny one would keep the first barrier spinning.
@@ -480,6 +489,7 @@ func New(cfg Config) (*Engine, error) {
 			liveN:  int(hi - lo),
 		}
 		ln.sched.Init()
+		ln.sched.Reserve(laneSlots(int(hi-lo), cfg.Churn.Enabled()))
 		ln.supply = int64(hi-lo) * cfg.InitialWealth
 		ln.minted = ln.supply
 		ln.hist.Grow(cfg.InitialWealth)
@@ -511,6 +521,21 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	return e, nil
+}
+
+// laneSlots is the event capacity New reserves for a lane of the given
+// population, so arming the peers at Start, running and restoring never
+// regrow the lane's event storage. Each peer holds at most one pending
+// workload event and, under churn, one lifecycle event. A departure
+// cancels the peer's workload event, which keeps its slot until it
+// surfaces at the queue head; if the peer rejoins first, its new workload
+// event takes another slot, so churn adds an eighth of the population for
+// those. A lane that outgrows the reservation still grows by append.
+func laneSlots(peers int, churn bool) int {
+	if !churn {
+		return peers
+	}
+	return 2*peers + peers/8
 }
 
 // maxPresized caps the points New presizes a metric series for; a run

@@ -311,6 +311,7 @@ func TestShardRefusesNonFiniteConfig(t *testing.T) {
 		"window-nan":     {Horizon: 10, Window: nan},
 		"window-inf":     {Horizon: 10, Window: inf},
 		"window-neg-inf": {Horizon: 10, Window: -inf},
+		"window-tiny":    {Horizon: 500, Window: 1e-300},
 		"sample-nan":     {Horizon: 10, SampleEvery: nan},
 		"sample-inf":     {Horizon: 10, SampleEvery: inf},
 		"sample-neg-inf": {Horizon: 10, SampleEvery: -inf},

@@ -1,0 +1,190 @@
+package shard_test
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"creditp2p/internal/market"
+	"creditp2p/internal/policy"
+	"creditp2p/internal/shard"
+	"creditp2p/internal/streaming"
+	"creditp2p/internal/topology"
+	"creditp2p/internal/xrand"
+)
+
+// benchrunConfig is one of the four workload configurations of
+// cmd/benchrun (market-100k, market-policy-50k, market-avail-churn-50k,
+// streaming-ckpt-50k), written out again here at a test's population.
+type benchrunConfig struct {
+	name string
+	cfg  func(t testing.TB, g *topology.Graph) shard.Config
+}
+
+var benchrunConfigs = []benchrunConfig{
+	{"market", func(t testing.TB, g *topology.Graph) shard.Config {
+		return benchrunMarket(t, g, 8)
+	}},
+	{"market-policy", func(t testing.TB, g *topology.Graph) shard.Config {
+		cfg := benchrunMarket(t, g, 16)
+		tax, err := policy.NewIncomeTax(0.25, 15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Policies = []policy.Policy{tax, policy.NewRedistribute()}
+		cfg.PolicyEpoch = cfg.Horizon / 5
+		return cfg
+	}},
+	{"market-avail-churn", func(t testing.TB, g *topology.Graph) shard.Config {
+		cfg := benchrunMarket(t, g, 16)
+		cfg.Churn = shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5}
+		cfg.Routing = shard.RoutingConfig{Mode: shard.RouteAvailability}
+		return cfg
+	}},
+	{"streaming", func(t testing.TB, g *topology.Graph) shard.Config {
+		w, err := streaming.NewShard(streaming.ShardConfig{
+			StreamRate: 4, ChunkPrice: 1, RoundPeriod: 1, SeedFrac: 0.05,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tax, err := policy.NewIncomeTax(0.3, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := policy.NewInjection(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shard.Config{
+			Graph: g, Shards: 2, Horizon: 7.5, Window: 30.0 / 1024, Seed: 8, InitialWealth: 20,
+			Workload: w, Policies: []policy.Policy{tax, policy.NewRedistribute(), inj}, PolicyEpoch: 0.75,
+		}
+	}},
+}
+
+func benchrunMarket(t testing.TB, g *topology.Graph, horizon float64) shard.Config {
+	w, err := market.NewShard(market.ShardConfig{Mu: 1, Amount: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shard.Config{Graph: g, Shards: 2, Horizon: horizon, Seed: 8, InitialWealth: 20, Workload: w}
+}
+
+// benchrunGraph is the benchmark's overlay family at n peers.
+func benchrunGraph(t testing.TB, n int) *topology.Graph {
+	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: n, Alpha: 2.5, MeanDegree: 20, MaxDegree: 2000}, xrand.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// storage is the backing array of a lane's scheduler slab and of its
+// calendar's per-slot entries: address and capacity of each.
+type storage [2]struct {
+	ptr      uintptr
+	len, cap int
+}
+
+func eventStorage(ln *shard.Lane) storage {
+	sched := reflect.ValueOf(ln).Elem().FieldByName("sched")
+	var st storage
+	for i, f := range []reflect.Value{sched.FieldByName("slab"), sched.FieldByName("cal").FieldByName("slots")} {
+		st[i].ptr, st[i].len, st[i].cap = f.Pointer(), f.Len(), f.Cap()
+	}
+	return st
+}
+
+// TestLaneEventStorageReserved starts the four benchmark workloads at
+// 2,000 peers and runs them to the horizon, then again from a base taken
+// halfway: no lane's scheduler slab or calendar slots may regrow, at
+// Start, in the run or in the restored one, so New's reservation covers
+// every event a lane holds and restore reuses it.
+func TestLaneEventStorageReserved(t *testing.T) {
+	g := benchrunGraph(t, 2000)
+	for _, bc := range benchrunConfigs {
+		t.Run(bc.name, func(t *testing.T) {
+			sim, err := shard.NewSim(bc.cfg(t, g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reserved []storage
+			for _, ln := range sim.Engine().Lanes() {
+				reserved = append(reserved, eventStorage(ln))
+			}
+			if err := sim.Start(); err != nil {
+				t.Fatal(err)
+			}
+			var base []byte
+			for sim.StepWindow() {
+				if base == nil && sim.Now() >= sim.Engine().Horizon()/2 {
+					base = sim.Snapshot()
+				}
+			}
+			checkReserved(t, "fresh run", sim, reserved, reserved)
+			restored, err := shard.RestoreChain(bc.cfg(t, g), [][]byte{base})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var atRestore []storage
+			for _, ln := range restored.Engine().Lanes() {
+				atRestore = append(atRestore, eventStorage(ln))
+			}
+			for restored.StepWindow() {
+			}
+			checkReserved(t, "restored run", restored, reserved, atRestore)
+		})
+	}
+}
+
+// checkReserved fails unless every lane of sim still holds the storage it
+// held at start, and with the capacity a fresh engine reserves.
+func checkReserved(t *testing.T, label string, sim *shard.Sim, fresh, start []storage) {
+	t.Helper()
+	for i, ln := range sim.Engine().Lanes() {
+		st := eventStorage(ln)
+		for k, what := range []string{"slab", "calendar slots"} {
+			if st[k].ptr != start[i][k].ptr || st[k].cap != fresh[i][k].cap {
+				t.Errorf("%s: lane %d %s regrew: %d of %d reserved slots, now %d used of %d",
+					label, i, what, start[i][k].len, fresh[i][k].cap, st[k].len, st[k].cap)
+			}
+		}
+	}
+}
+
+// TestRestoreChainAllocations bounds what RestoreChain allocates beyond
+// building the engine it restores into: the per-peer arrays and the event
+// storage decode in place, so the rest — metric series, histograms, the
+// free list, the transpose buffers — stays far below the base's size.
+func TestRestoreChainAllocations(t *testing.T) {
+	g := benchrunGraph(t, 2000)
+	cfg := benchrunConfigs[2].cfg // availability routing and churn: every per-peer array
+	sim, err := shard.NewSim(cfg(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	stepWindows(t, sim, 64)
+	base := sim.Snapshot()
+	allocated := func(f func() error) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	c := cfg(t, g)
+	built := allocated(func() error { _, err := shard.New(c); return err })
+	c = cfg(t, g)
+	restored := allocated(func() error { _, err := shard.RestoreChain(c, [][]byte{base}); return err })
+	t.Logf("New allocated %d bytes, RestoreChain %d, base %d bytes", built, restored, len(base))
+	if extra := int64(restored) - int64(built); extra > int64(len(base)/4) {
+		t.Fatalf("RestoreChain allocated %d bytes, %d more than New, against a %d-byte base", restored, extra, len(base))
+	}
+}

@@ -247,9 +247,7 @@ func (e *Engine) decode(data []byte) error {
 	e.joins = r.U64()
 	e.departures = r.U64()
 	e.windows = r.U64()
-	if err := fill(r, e.aliveEpoch, r.U64s(len(e.aliveEpoch)), "epoch bitmap"); err != nil {
-		return err
-	}
+	snapshot.Fill(r, "epoch bitmap", e.aliveEpoch)
 	if err := loadSeries(r, e.gini); err != nil {
 		return err
 	}
@@ -292,9 +290,7 @@ func (ln *Lane) decode(r *snapshot.Reader) error {
 	ln.crossTransfers = r.U64()
 	ln.lostCount = r.U64()
 	ln.liveN = r.Int()
-	if err := fill(r, ln.counts[:len(e.counterNames)], r.U64s(MaxCounters), "workload counters"); err != nil {
-		return err
-	}
+	snapshot.Fill(r, "workload counters", ln.counts[:len(e.counterNames)])
 	hist := r.I64s(0)
 	segs := r.Int()
 	if err := r.Err(); err != nil {
@@ -322,70 +318,39 @@ func (ln *Lane) decode(r *snapshot.Reader) error {
 			return fmt.Errorf("shard: lane %d segment %d out of order or outside its %d-segment partition", ln.S, got, maxSeg)
 		}
 		lo, hi := ln.segSpan(seg)
-		n := int(hi - lo)
-		if err := fill(r, e.bal[lo:hi], r.I64s(n), "balances"); err != nil {
-			return err
+		snapshot.Fill(r, "balances", e.bal[lo:hi])
+		snapshot.Fill(r, "peer streams", rngWords(e.rng[lo:hi]))
+		snapshot.Fill(r, "peer flags", e.flags[lo:hi])
+		snapshot.Fill(r, "pending handles", e.pend[lo:hi])
+		ln.loadRoutingSeg(r, lo, hi)
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("shard: lane %d segment %d: %w", ln.S, seg, err)
 		}
-		if err := fill(r, rngWords(e.rng[lo:hi]), r.U64s(n), "peer streams"); err != nil {
-			return err
-		}
-		flags := r.U8s(n) // at most n entries: n is the read's budget
-		for i, f := range flags {
-			if g := lo + int32(i); f&^flagMask != 0 || f&heavyBit != e.flags[g]&heavyBit {
+		for g := lo; g < hi; g++ {
+			if f := e.flags[g]; f&^flagMask != 0 || f&heavyBit != e.heavyFlag(g) {
 				return fmt.Errorf("shard: peer %d restored with flags %#x", g, f)
 			}
 		}
-		if err := fill(r, e.flags[lo:hi], flags, "peer flags"); err != nil {
-			return err
-		}
-		if err := fill(r, e.pend[lo:hi], r.U64s(n), "pending handles"); err != nil {
-			return err
-		}
-		if err := ln.loadRoutingSeg(r, lo, hi); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
-// loadRoutingSeg restores one segment's routing slices, mirroring
-// saveRoutingSeg.
-func (ln *Lane) loadRoutingSeg(r *snapshot.Reader, lo, hi int32) error {
+// loadRoutingSeg decodes one segment's routing slices in place, mirroring
+// saveRoutingSeg; a failure is left in r.
+func (ln *Lane) loadRoutingSeg(r *snapshot.Reader, lo, hi int32) {
 	rt := &ln.e.rt
 	if rt.mode == RouteUniform {
-		return nil
+		return
 	}
-	n := int(hi - lo)
-	if err := fill(r, rt.weight[lo:hi], r.F32s(n), "routing weights"); err != nil {
-		return err
-	}
+	snapshot.Fill(r, "routing weights", rt.weight[lo:hi])
 	if rt.mode == RouteAvailability {
-		if err := fill(r, rt.score[lo:hi], r.F64s(n), "availability scores"); err != nil {
-			return err
-		}
-		if err := fill(r, rt.scoreT[lo:hi], r.F64s(n), "availability score times"); err != nil {
-			return err
-		}
+		snapshot.Fill(r, "availability scores", rt.score[lo:hi])
+		snapshot.Fill(r, "availability score times", rt.scoreT[lo:hi])
 	}
 	if rt.fenSlab != nil {
 		s0, s1 := ln.e.fenSpan(lo, hi)
-		if err := fill(r, rt.fenSlab[s0:s1], r.F32s(int(s1-s0)), "sampler slab"); err != nil {
-			return err
-		}
+		snapshot.Fill(r, "sampler slab", rt.fenSlab[s0:s1])
 	}
-	return nil
-}
-
-// fill copies an array just decoded from r into dst, refusing size drift.
-func fill[T any](r *snapshot.Reader, dst, got []T, what string) error {
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(got) != len(dst) {
-		return fmt.Errorf("shard: snapshot %s sized %d, engine wants %d", what, len(got), len(dst))
-	}
-	copy(dst, got)
-	return nil
 }
 
 // checkRestored vets a restored engine against the invariants a running

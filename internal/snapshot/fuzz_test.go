@@ -20,18 +20,18 @@ var tags = []string{
 }
 
 // reads are the Reader's typed reads with no caller cap: every slice
-// read is bounded only by the payload left.
+// read is bounded only by the payload left, and Fill by a fixed
+// destination.
 var reads = []func(r *snapshot.Reader){
 	func(r *snapshot.Reader) { r.LinkHeader() },
 	func(r *snapshot.Reader) { r.Bool() },
 	func(r *snapshot.Reader) { r.U8() },
-	func(r *snapshot.Reader) { r.U16() },
 	func(r *snapshot.Reader) { r.U32() },
 	func(r *snapshot.Reader) { r.U64() },
 	func(r *snapshot.Reader) { r.I64() },
 	func(r *snapshot.Reader) { r.Int() },
 	func(r *snapshot.Reader) { r.F64() },
-	func(r *snapshot.Reader) { r.Str() },
+	func(r *snapshot.Reader) { snapshot.Fill(r, "fill", make([]uint32, 16)) },
 	func(r *snapshot.Reader) { r.Bytes(0) },
 	func(r *snapshot.Reader) { r.I32s(0) },
 	func(r *snapshot.Reader) { r.I64s(0) },

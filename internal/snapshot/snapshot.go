@@ -185,9 +185,6 @@ func (w *Writer) Bool(v bool) {
 // U8 writes one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
-// U16 writes a little-endian uint16.
-func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-
 // U32 writes a little-endian uint32.
 func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 
@@ -203,12 +200,6 @@ func (w *Writer) Int(v int) { w.I64(int64(v)) }
 // F64 writes a float64 by its IEEE-754 bits.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
-// Str writes a length-prefixed string.
-func (w *Writer) Str(s string) {
-	w.U32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
 // Bytes writes a length-prefixed byte slice.
 func (w *Writer) Bytes(b []byte) {
 	w.U64(uint64(len(b)))
@@ -219,7 +210,7 @@ func (w *Writer) Bytes(b []byte) {
 // numbers whose in-memory bytes on a little-endian host are exactly their
 // encoding.
 type fixed interface {
-	~int32 | ~int64 | ~uint16 | ~uint32 | ~uint64 | ~float32 | ~float64
+	~uint8 | ~int32 | ~int64 | ~uint16 | ~uint32 | ~uint64 | ~float32 | ~float64
 }
 
 // putSlice writes a length-prefixed slice of fixed-width values: one
@@ -354,15 +345,6 @@ func (r *Reader) U8() uint8 {
 	return b[0]
 }
 
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2, "u16")
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
 	b := r.take(4, "u32")
@@ -389,16 +371,6 @@ func (r *Reader) Int() int { return int(r.I64()) }
 
 // F64 reads a float64 from its IEEE-754 bits.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Str reads a length-prefixed string.
-func (r *Reader) Str() string {
-	n := int(r.U32())
-	b := r.take(n, "string")
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
 
 // count validates a declared element count before any allocation: the
 // declared payload must fit in the remaining bytes, and — when the caller
@@ -442,26 +414,55 @@ func (r *Reader) Bytes(max int) []byte {
 
 // getSlice reads a length-prefixed slice of fixed-width values named what
 // in errors. The declared count passes the anti-OOM gate before the
-// allocation; the payload is one copy on little-endian hosts and
-// binary.Decode's per-element decoding elsewhere.
+// allocation.
 func getSlice[T fixed](r *Reader, what string, max int) []T {
-	size := int(unsafe.Sizeof(*new(T)))
-	n := r.count(what, size, max)
+	n := r.count(what, int(unsafe.Sizeof(*new(T))), max)
 	if n <= 0 {
 		return nil
 	}
-	b := r.take(n*size, what)
-	if b == nil {
-		return nil
-	}
 	out := make([]T, n)
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*size), b)
-	} else if _, err := binary.Decode(b, binary.LittleEndian, out); err != nil {
-		r.fail("decoding %s: %v", what, err)
+	if !decode(r, what, out) {
 		return nil
 	}
 	return out
+}
+
+// Fill reads a length-prefixed slice, as the Writer's slice methods write
+// it, straight into dst, allocating nothing. The declared count passes
+// the anti-OOM gate and must equal len(dst) before any byte is read; a
+// mismatch fails the reader (see Err) and leaves dst untouched. what names
+// the array in errors.
+func Fill[T fixed](r *Reader, what string, dst []T) {
+	n := r.count(what, int(unsafe.Sizeof(*new(T))), 0)
+	if n < 0 {
+		return
+	}
+	if n != len(dst) {
+		r.fail("%s declares %d elements, its destination holds %d", what, n, len(dst))
+		return
+	}
+	decode(r, what, dst)
+}
+
+// decode consumes len(dst) encoded values into dst and reports whether it
+// succeeded: one copy on little-endian hosts, binary.Decode's per-element
+// decoding elsewhere.
+func decode[T fixed](r *Reader, what string, dst []T) bool {
+	size := int(unsafe.Sizeof(*new(T))) * len(dst)
+	b := r.take(size, what)
+	if b == nil {
+		return false
+	}
+	if size == 0 {
+		return true
+	}
+	if hostLittleEndian {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), size), b)
+	} else if _, err := binary.Decode(b, binary.LittleEndian, dst); err != nil {
+		r.fail("decoding %s: %v", what, err)
+		return false
+	}
+	return true
 }
 
 // I32s reads a length-prefixed []int32. max, when positive, caps the

@@ -13,13 +13,11 @@ func buildSample() []byte {
 	w.Section("alpha")
 	w.Bool(true)
 	w.U8(7)
-	w.U16(513)
 	w.U32(1 << 30)
 	w.U64(1 << 60)
 	w.I64(-42)
 	w.Int(-7)
 	w.F64(math.Pi)
-	w.Str("hello")
 	w.Bytes([]byte{1, 2, 3})
 	w.Section("beta")
 	w.I32s([]int32{-1, 0, 1, math.MaxInt32})
@@ -39,10 +37,10 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	r.Section("alpha")
-	if !r.Bool() || r.U8() != 7 || r.U16() != 513 || r.U32() != 1<<30 || r.U64() != 1<<60 {
+	if !r.Bool() || r.U8() != 7 || r.U32() != 1<<30 || r.U64() != 1<<60 {
 		t.Fatalf("scalar mismatch (err=%v)", r.Err())
 	}
-	if r.I64() != -42 || r.Int() != -7 || r.F64() != math.Pi || r.Str() != "hello" {
+	if r.I64() != -42 || r.Int() != -7 || r.F64() != math.Pi {
 		t.Fatalf("scalar mismatch (err=%v)", r.Err())
 	}
 	if b := r.Bytes(0); len(b) != 3 || b[2] != 3 {
@@ -108,6 +106,58 @@ func TestPortableSliceCodec(t *testing.T) {
 	if i32[0] != -1 || i32[3] != math.MaxInt32 || i64[0] != math.MinInt64 || u64[1] != math.MaxUint64 ||
 		u32[1] != 5 || u16[1] != math.MaxUint16 || f64s[1] != -0.25 || !math.IsInf(f64s[2], 1) || f32s[0] != 1.5 || f32s[1] != -2 {
 		t.Fatalf("portable decode: %v %v %v %v %v %v %v", i32, i64, u64, u32, u16, f64s, f32s)
+	}
+}
+
+// TestFill decodes every slice the Writer writes straight into a
+// destination of the declared length, on both codec paths, and refuses a
+// declared length that differs from the destination's without touching
+// it.
+func TestFill(t *testing.T) {
+	w := NewWriter(0)
+	w.I64s([]int64{math.MinInt64, 9})
+	w.U8s([]uint8{8, 9, 10})
+	w.F32s([]float32{1.5, -2})
+	w.U64s(nil)
+	w.U16s([]uint16{6, 7})
+	data := w.Finish()
+	for _, le := range []bool{true, false} {
+		hostLittleEndian = le
+		r, err := Open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i64, u8, f32 := make([]int64, 2), make([]uint8, 3), make([]float32, 2)
+		Fill(r, "i64s", i64)
+		Fill(r, "u8s", u8)
+		Fill(r, "f32s", f32)
+		Fill(r, "empty", []uint64{})
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if i64[0] != math.MinInt64 || i64[1] != 9 || u8[2] != 10 || f32[0] != 1.5 || f32[1] != -2 {
+			t.Fatalf("little-endian=%v: decoded %v %v %v", le, i64, u8, f32)
+		}
+		u16 := []uint16{1, 2, 3}
+		Fill(r, "short", u16)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "short declares 2 elements, its destination holds 3") {
+			t.Fatalf("little-endian=%v: want a length mismatch, got %v", le, err)
+		}
+		if u16[0] != 1 || u16[2] != 3 {
+			t.Fatalf("a refused Fill wrote %v", u16)
+		}
+	}
+	hostLittleEndian = true
+
+	w = NewWriter(0)
+	w.U64(1 << 40) // a fake element count with no elements behind it
+	r, err := Open(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	Fill(r, "hollow", make([]float64, 1<<10))
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "refusing to allocate") {
+		t.Fatalf("want the anti-OOM refusal, got %v", err)
 	}
 }
 

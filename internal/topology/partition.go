@@ -12,13 +12,9 @@ import (
 // contiguous in memory, and resolving a peer's shard is one integer
 // division with no lookup table.
 //
-// The partition also carries the cross-edge index: per-shard counts of
-// directed edges whose endpoint lives on another shard, and the sorted
-// list of each shard's boundary peers (peers with at least one remote
-// neighbor). The counts drive the experiments report's cross-traffic
-// column; the boundary lists let diagnostics and future routing
-// optimizations reason about how much of a lane's population can interact
-// remotely at all.
+// The partition also counts, per shard, the directed edges whose
+// endpoint lives on another shard; the counts drive the experiments
+// report's cross-traffic column.
 //
 // A Partition copies the adjacency out of the source Graph, so the graph
 // itself can be released after construction — at ten-million-peer scale
@@ -40,9 +36,6 @@ type Partition struct {
 	nbrs []int32
 	// cross[s] counts directed edges from shard s to another shard.
 	cross []int64
-	// boundary[s] lists shard s's peers with >= 1 remote neighbor,
-	// ascending.
-	boundary [][]int32
 }
 
 // NewPartition snapshots g into p contiguous shard segments. The graph's
@@ -55,12 +48,11 @@ func NewPartition(g *Graph, p int) (*Partition, error) {
 	}
 	n := g.NumNodes()
 	pt := &Partition{
-		n:        n,
-		p:        p,
-		block:    (n + p - 1) / p,
-		offs:     make([]int64, n+1),
-		cross:    make([]int64, p),
-		boundary: make([][]int32, p),
+		n:     n,
+		p:     p,
+		block: (n + p - 1) / p,
+		offs:  make([]int64, n+1),
+		cross: make([]int64, p),
 	}
 	if pt.block == 0 { // p > n, or an empty graph
 		pt.block = 1
@@ -83,15 +75,10 @@ func NewPartition(g *Graph, p int) (*Partition, error) {
 		row := g.NeighborsView(i)
 		copy(pt.nbrs[pt.offs[i]:pt.offs[i+1]], row)
 		s := pt.ShardOf(int32(i))
-		remote := false
 		for _, nb := range row {
 			if pt.ShardOf(nb) != s {
 				pt.cross[s]++
-				remote = true
 			}
-		}
-		if remote {
-			pt.boundary[s] = append(pt.boundary[s], int32(i))
 		}
 	}
 	return pt, nil
@@ -156,10 +143,6 @@ func (pt *Partition) Edges() int64 { return int64(len(pt.nbrs)) }
 // CrossEdges returns the number of directed edges leaving shard s for
 // another shard.
 func (pt *Partition) CrossEdges(s int) int64 { return pt.cross[s] }
-
-// Boundary returns shard s's ascending list of peers with at least one
-// remote neighbor. The slice is owned by the partition.
-func (pt *Partition) Boundary(s int) []int32 { return pt.boundary[s] }
 
 // CrossFraction returns the fraction of directed edges that cross a shard
 // boundary — the conservative-sync engine's cross-traffic exposure.

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"slices"
 	"testing"
 
 	"creditp2p/internal/xrand"
@@ -76,12 +75,6 @@ func TestPartitionCrossEdges(t *testing.T) {
 	if got := pt.CrossFraction(); got != 2.0/6.0 {
 		t.Fatalf("cross fraction %v, want %v", got, 2.0/6.0)
 	}
-	if b := pt.Boundary(0); len(b) != 1 || b[0] != 1 {
-		t.Fatalf("boundary(0) = %v, want [1]", b)
-	}
-	if b := pt.Boundary(1); len(b) != 1 || b[0] != 2 {
-		t.Fatalf("boundary(1) = %v, want [2]", b)
-	}
 	// P=1: nothing crosses.
 	whole, err := NewPartition(g, 1)
 	if err != nil {
@@ -93,9 +86,8 @@ func TestPartitionCrossEdges(t *testing.T) {
 }
 
 // TestPartitionCrossMatchesBruteForce checks every shard's cross-edge count
-// and boundary list against a count that finds each peer's shard by
-// scanning the shard ranges, on random graphs whose sizes do not divide
-// evenly by P.
+// against a count that finds each peer's shard by scanning the shard
+// ranges, on random graphs whose sizes do not divide evenly by P.
 func TestPartitionCrossMatchesBruteForce(t *testing.T) {
 	r := xrand.New(23)
 	var graphs []*Graph
@@ -126,25 +118,17 @@ func TestPartitionCrossMatchesBruteForce(t *testing.T) {
 				return -1
 			}
 			cross := make([]int64, p)
-			boundary := make([][]int32, p)
 			for i := 0; i < g.NumNodes(); i++ {
-				s, remote := shardOf(i), false
+				s := shardOf(i)
 				for _, nb := range g.NeighborsView(i) {
 					if shardOf(int(nb)) != s {
 						cross[s]++
-						remote = true
 					}
-				}
-				if remote {
-					boundary[s] = append(boundary[s], int32(i))
 				}
 			}
 			for s := 0; s < p; s++ {
 				if pt.CrossEdges(s) != cross[s] {
 					t.Errorf("graph %d P=%d shard %d: cross %d, brute force %d", gi, p, s, pt.CrossEdges(s), cross[s])
-				}
-				if !slices.Equal(pt.Boundary(s), boundary[s]) {
-					t.Errorf("graph %d P=%d shard %d: boundary %v, brute force %v", gi, p, s, pt.Boundary(s), boundary[s])
 				}
 			}
 		}
