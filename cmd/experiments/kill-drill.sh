@@ -12,11 +12,12 @@
 # The uninterrupted run's report is the reference. For each delay (seconds)
 # a checkpointing run is started, killed with SIGKILL once the delay has
 # passed after its first base is written, and resumed with -restore from
-# the chain it left; the resumed report must match the reference. Timing
+# the base it left; the resumed report must match the reference. Timing
 # the kill from the first base means every delay exercises a restore: a
-# run that ends without writing a base fails the drill. A kill mid-write
-# can leave a torn .tmp link next to the chain; it is reported, and the
-# restore must ignore it.
+# run that ends without writing a base fails the drill, and so does one
+# that leaves anything but the one run.snap beside torn files. A kill
+# mid-write can leave a torn .tmp next to the base; it is reported, and
+# the restore must ignore it.
 #
 # With -seed, the script draws COUNT delays uniformly from [MIN_MS, MAX_MS]
 # milliseconds with a 31-bit linear congruential generator seeded by SEED
@@ -68,9 +69,13 @@ for delay in "$@"; do
 		echo "delay ${delay}s: the run ended without writing a base" >&2
 		exit 1
 	fi
-	links=$(find "$dir" -name 'run.snap*' ! -name '*.tmp' | wc -l)
+	bases=$(find "$dir" -name 'run.snap*' ! -name '*.tmp' | wc -l)
+	if [ "$bases" -ne 1 ]; then
+		echo "delay ${delay}s: want the one base run.snap, found $bases checkpoint files" >&2
+		exit 1
+	fi
 	torn=$(find "$dir" -name '*.tmp' | wc -l)
 	"$bin" "${run[@]}" -restore "$dir/run.snap" >"$dir/resumed.txt"
 	diff -u "$dir/plain.txt" "$dir/resumed.txt"
-	echo "delay ${delay}s: $how; restored a $links-link chain ($torn torn .tmp ignored), report matches"
+	echo "delay ${delay}s: $how; restored the one base ($torn torn .tmp ignored), report matches"
 done

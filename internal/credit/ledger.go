@@ -251,8 +251,7 @@ func (l *Ledger) BalanceVector(peers []int) ([]int64, error) {
 // CheckConservation verifies the supply invariant: the sum of balances
 // equals minted - burned. It returns an error describing any mismatch —
 // expected vs. actual totals, the size of the discrepancy, and the first
-// offending account; the simulators assert it after every run and the
-// fault-injection auditor runs it periodically mid-run.
+// offending account; the simulators assert it after every run.
 func (l *Ledger) CheckConservation() error {
 	var sum int64
 	open := 0

@@ -225,38 +225,23 @@ func (s *Scheduler) Step(deliver func(Event)) bool {
 	return true
 }
 
-// StepUntil delivers the earliest pending event with time <= horizon. It
-// reports whether one fired — false means the queue is exhausted or the
-// next event lies beyond the horizon. It is the single-step primitive
-// RunUntil is built on, exposed so checkpointing drivers can stop a run at
-// an arbitrary event index.
-func (s *Scheduler) StepUntil(horizon float64, deliver func(Event)) bool {
-	ev, ok := s.pop(horizon)
-	if !ok {
-		return false
-	}
-	s.fired++
-	deliver(ev)
-	return true
-}
-
-// FinishAt advances virtual time to horizon when the last fired event left
-// it earlier — the epilogue of a bounded run.
-func (s *Scheduler) FinishAt(horizon float64) {
-	if s.now < horizon {
-		s.now = horizon
-	}
-}
-
 // RunUntil delivers events in time order until the queue is empty or the
 // next event is after horizon. Time is left at the later of the last fired
 // event and horizon. It returns the number of events delivered.
 func (s *Scheduler) RunUntil(horizon float64, deliver func(Event)) uint64 {
 	var fired uint64
-	for s.StepUntil(horizon, deliver) {
+	for {
+		ev, ok := s.pop(horizon)
+		if !ok {
+			break
+		}
+		s.fired++
 		fired++
+		deliver(ev)
 	}
-	s.FinishAt(horizon)
+	if s.now < horizon {
+		s.now = horizon
+	}
 	return fired
 }
 

@@ -170,9 +170,7 @@ func giniDigest(times, values []float64, final float64) uint64 {
 // scale (N=500 scale-free overlay, mean degree 20) with taxation,
 // injection and churn all active (and one all-mechanisms run for their
 // interaction). The incremental-gini subtests hold the balance-histogram
-// sampler to the digests the sorting sampler produced on these runs; the
-// stepped subtests drive each run event by event through Sim.Step, as the
-// fault-injection harness does, and demand Run's Result.
+// sampler to the digests the sorting sampler produced on these runs.
 func TestEngineVariantsGoldenPaperScale(t *testing.T) {
 	build := func(mechanism string) Config {
 		g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 500, Alpha: 2.5, MeanDegree: 20}, xrand.New(2024))
@@ -234,22 +232,6 @@ func TestEngineVariantsGoldenPaperScale(t *testing.T) {
 				if base.SpendEvents != want.spends || got != want.gini {
 					t.Errorf("spends %d, Gini digest %016x; the sorting sampler gave %d, %016x", base.SpendEvents, got, want.spends, want.gini)
 				}
-			})
-			t.Run("stepped", func(t *testing.T) {
-				m, err := NewSim(build(mechanism))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Start(); err != nil {
-					t.Fatal(err)
-				}
-				for m.Step() {
-				}
-				got, err := m.Finish()
-				if err != nil {
-					t.Fatal(err)
-				}
-				identicalResults(t, base, got)
 			})
 		})
 	}

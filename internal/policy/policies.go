@@ -1,6 +1,9 @@
 package policy
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // --- fixed-rate income taxation (single binomial draw) ---
 
@@ -97,7 +100,8 @@ func NewAdaptiveTax(cfg AdaptiveTaxConfig) (*AdaptiveTax, error) {
 	if cfg.MinRate > cfg.MaxRate {
 		return nil, fmt.Errorf("%w: min rate %v above max rate %v", ErrBadPolicy, cfg.MinRate, cfg.MaxRate)
 	}
-	if cfg.Gain <= 0 || cfg.Gain != cfg.Gain {
+	// An infinite gain turns a zero Gini error into a NaN rate (Inf·0).
+	if !(cfg.Gain > 0) || math.IsInf(cfg.Gain, 1) {
 		return nil, fmt.Errorf("%w: controller gain %v", ErrBadPolicy, cfg.Gain)
 	}
 	if cfg.Threshold < 0 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"creditp2p/internal/snapshot"
 	"creditp2p/internal/stats"
 	"creditp2p/internal/xrand"
 )
@@ -219,6 +220,49 @@ func TestDemurrageDecaysExcessOnly(t *testing.T) {
 	d.OnEpoch(h, 1)
 	if h.bal[0] != 70 {
 		t.Errorf("dead peer decayed: %d", h.bal[0])
+	}
+}
+
+// TestAdaptiveTaxRefusesInfiniteGain pins the gain check: with an infinite
+// gain, an epoch whose Gini equals the target computes Inf·0 = NaN, the
+// clamps let NaN through, and the next taxed income panicked in Binomial.
+func TestAdaptiveTaxRefusesInfiniteGain(t *testing.T) {
+	if _, err := NewAdaptiveTax(AdaptiveTaxConfig{Gain: math.Inf(1)}); err == nil {
+		t.Fatal("infinite gain accepted")
+	}
+}
+
+// TestAdaptiveTaxLoadRefusesUnreachableRate restores controller states
+// whose rate no run reaches: NaN, or outside [MinRate, MaxRate]. Each must
+// be refused; an in-range rate restores.
+func TestAdaptiveTaxLoadRefusesUnreachableRate(t *testing.T) {
+	cfg := AdaptiveTaxConfig{TargetGini: 0.3, Gain: 0.5, InitialRate: 0.1, MinRate: 0.05, MaxRate: 0.5}
+	load := func(rate float64) (*AdaptiveTax, error) {
+		src, err := NewAdaptiveTax(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.rate = rate
+		w := snapshot.NewWriter(0)
+		src.SaveState(w)
+		r, err := snapshot.Open(w.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := NewAdaptiveTax(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dst, dst.LoadState(r)
+	}
+	for _, rate := range []float64{math.NaN(), 2, 0.6, 0.01, math.Inf(1)} {
+		if _, err := load(rate); err == nil {
+			t.Errorf("rate %v restored", rate)
+		}
+	}
+	at, err := load(0.3)
+	if err != nil || at.Rate() != 0.3 {
+		t.Fatalf("in-range rate: got %v, %v", at.Rate(), err)
 	}
 }
 

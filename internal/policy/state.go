@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+
 	"creditp2p/internal/snapshot"
 )
 
@@ -8,10 +10,11 @@ import (
 // their configuration: cumulative counters and controller outputs. The
 // engine saves and loads stages in pipeline order, so a restored pipeline
 // must be reconstructed with the same stages in the same order (which the
-// config-driven restore path guarantees).
+// config-driven restore path guarantees). LoadState refuses state the
+// stage could not have reached; a read failure is left in r.
 type Stateful interface {
 	SaveState(w *snapshot.Writer)
-	LoadState(r *snapshot.Reader)
+	LoadState(r *snapshot.Reader) error
 }
 
 // SaveState serializes every stateful stage in pipeline order.
@@ -24,14 +27,18 @@ func (e *Engine) SaveState(w *snapshot.Writer) {
 	}
 }
 
-// LoadState restores every stateful stage in pipeline order.
-func (e *Engine) LoadState(r *snapshot.Reader) {
+// LoadState restores every stateful stage in pipeline order, returning the
+// first read failure or refused stage state.
+func (e *Engine) LoadState(r *snapshot.Reader) error {
 	r.Section("policies")
 	for _, p := range e.ps {
 		if s, ok := p.(Stateful); ok {
-			s.LoadState(r)
+			if err := s.LoadState(r); err != nil {
+				return err
+			}
 		}
 	}
+	return r.Err()
 }
 
 // SaveState serializes the cumulative collection counter.
@@ -41,9 +48,10 @@ func (it *IncomeTax) SaveState(w *snapshot.Writer) {
 }
 
 // LoadState restores the counter serialized by SaveState.
-func (it *IncomeTax) LoadState(r *snapshot.Reader) {
+func (it *IncomeTax) LoadState(r *snapshot.Reader) error {
 	r.Section("income-tax")
 	it.collected = r.I64()
+	return nil
 }
 
 // SaveState serializes the controller output and collection counter; the
@@ -54,11 +62,18 @@ func (at *AdaptiveTax) SaveState(w *snapshot.Writer) {
 	w.I64(at.collected)
 }
 
-// LoadState restores the state serialized by SaveState.
-func (at *AdaptiveTax) LoadState(r *snapshot.Reader) {
+// LoadState restores the state serialized by SaveState, refusing a rate
+// the clamps could never have produced: a NaN rate or one outside
+// [MinRate, MaxRate] would panic the next Binomial draw.
+func (at *AdaptiveTax) LoadState(r *snapshot.Reader) error {
 	r.Section("adaptive-tax")
-	at.rate = r.F64()
+	rate := r.F64()
 	at.collected = r.I64()
+	if r.Err() == nil && !(rate >= at.cfg.MinRate && rate <= at.cfg.MaxRate) {
+		return fmt.Errorf("%w: restored adaptive tax rate %v outside [%v, %v]", ErrBadPolicy, rate, at.cfg.MinRate, at.cfg.MaxRate)
+	}
+	at.rate = rate
+	return nil
 }
 
 // SaveState serializes the cumulative decay counter.
@@ -68,9 +83,10 @@ func (d *Demurrage) SaveState(w *snapshot.Writer) {
 }
 
 // LoadState restores the counter serialized by SaveState.
-func (d *Demurrage) LoadState(r *snapshot.Reader) {
+func (d *Demurrage) LoadState(r *snapshot.Reader) error {
 	r.Section("demurrage")
 	d.collected = r.I64()
+	return nil
 }
 
 // SaveState serializes the cumulative payout counter.
@@ -80,9 +96,10 @@ func (rd *Redistribute) SaveState(w *snapshot.Writer) {
 }
 
 // LoadState restores the counter serialized by SaveState.
-func (rd *Redistribute) LoadState(r *snapshot.Reader) {
+func (rd *Redistribute) LoadState(r *snapshot.Reader) error {
 	r.Section("redistribute")
 	rd.paid = r.I64()
+	return nil
 }
 
 // SaveState serializes the cumulative subsidy counters.
@@ -93,10 +110,11 @@ func (ns *NewcomerSubsidy) SaveState(w *snapshot.Writer) {
 }
 
 // LoadState restores the counters serialized by SaveState.
-func (ns *NewcomerSubsidy) LoadState(r *snapshot.Reader) {
+func (ns *NewcomerSubsidy) LoadState(r *snapshot.Reader) error {
 	r.Section("subsidy")
 	ns.minted = r.I64()
 	ns.paid = r.I64()
+	return nil
 }
 
 // SaveState serializes the cumulative mint counter.
@@ -106,7 +124,8 @@ func (in *Injection) SaveState(w *snapshot.Writer) {
 }
 
 // LoadState restores the counter serialized by SaveState.
-func (in *Injection) LoadState(r *snapshot.Reader) {
+func (in *Injection) LoadState(r *snapshot.Reader) error {
 	r.Section("injection")
 	in.injected = r.I64()
+	return nil
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,9 +18,11 @@ import (
 
 // fuzzRuns are FuzzRestoreChain's seed runs, all with churn: a 2-lane
 // availability-routed market (Fenwick slab, weight mirror and EWMA state
-// in every segment), a 2-lane streaming run, and a 2-lane streaming run
-// with income tax and redistribution (the policy stream and the stages'
-// state in the head section).
+// in every segment), a 2-lane streaming run, a 2-lane streaming run with
+// income tax and redistribution (the policy stream and the stages' state
+// in the head section), and a 2-lane market under adaptive tax and
+// demurrage (the controller's rate in the head section). New runs go at
+// the end, so a corpus entry's pick keeps naming the same base.
 var fuzzRuns = []func(testing.TB) shard.Config{
 	func(t testing.TB) shard.Config {
 		return routedMarket(t, 2, shard.RoutingConfig{Mode: shard.RouteAvailability})
@@ -31,6 +35,20 @@ var fuzzRuns = []func(testing.TB) shard.Config{
 		}
 		return streamingConfig(t, 2, []policy.Policy{tax, policy.NewRedistribute()})
 	},
+	func(t testing.TB) shard.Config { return marketConfig(t, 2, adaptivePipeline(t)) },
+}
+
+// adaptivePipeline is an adaptive income tax followed by demurrage.
+func adaptivePipeline(t testing.TB) []policy.Policy {
+	at, err := policy.NewAdaptiveTax(policy.AdaptiveTaxConfig{TargetGini: 0.3, Gain: 0.5, InitialRate: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := policy.NewDemurrage(0.05, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []policy.Policy{at, d}
 }
 
 // fuzzBases checkpoints run k through a Checkpointer at two barriers and
@@ -120,6 +138,30 @@ func FuzzRestoreChain(f *testing.F) {
 			t.Fatalf("restored base failed to finish: %v", err)
 		}
 	})
+}
+
+// TestRestoreRefusesUnreachableAdaptiveRate rewrites the adaptive tax's
+// rate in a checksum-valid base to values its clamps never produce. Each
+// base must be refused: restored, a NaN rate or one above 1 panicked the
+// first taxed income's Binomial draw.
+func TestRestoreRefusesUnreachableAdaptiveRate(t *testing.T) {
+	const header = 12 // magic + format version
+	k := len(fuzzRuns) - 1
+	base := fuzzBases(t, k)[0]
+	tag := []byte("\x0cadaptive-tax")
+	at := bytes.Index(base, tag)
+	if at < 0 {
+		t.Fatal("base carries no adaptive-tax section")
+	}
+	at += len(tag)
+	for _, rate := range []float64{math.NaN(), 2, -0.5} {
+		payload := slices.Clone(base[header : len(base)-8])
+		binary.LittleEndian.PutUint64(payload[at-header:], math.Float64bits(rate))
+		sealed := snapshot.Seal(nil, [][]byte{append(base[:header:header], payload...)})
+		if _, err := shard.RestoreChain(fuzzRuns[k](t), [][]byte{sealed}); err == nil {
+			t.Errorf("base with adaptive rate %v restored", rate)
+		}
+	}
 }
 
 // TestRestoreChainRefusesLoneDelta pins the error for handing RestoreChain

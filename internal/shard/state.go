@@ -259,7 +259,9 @@ func (e *Engine) decode(data []byte) error {
 	}
 	if e.engine != nil {
 		e.polRNG.LoadState(r)
-		e.engine.LoadState(r)
+		if err := e.engine.LoadState(r); err != nil {
+			return err
+		}
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -353,42 +355,51 @@ func (ln *Lane) loadRoutingSeg(r *snapshot.Reader, lo, hi int32) {
 	}
 }
 
-// checkRestored vets a restored engine against the invariants a running
-// engine keeps at every barrier, so a base whose bytes pass the checksum
-// but whose content is inconsistent — crafted or corrupted before it was
-// sealed — is refused at restore instead of panicking or stalling the
-// resumed run: the clocks sit on their grids, every queued event belongs
-// to its lane (lifecycle kinds only under churn), every live workload
-// event is named by exactly its actor's pending handle and offline peers
-// hold none, both liveness views agree, balances index the histograms,
-// the lane accumulators match their peers, and credits are conserved.
-func (e *Engine) checkRestored() error {
+// Audit checks the invariants the engine keeps at every window barrier:
+// the clocks sit on their grids, every queued event belongs to its lane
+// (lifecycle kinds only under churn), every live workload event is named
+// by exactly its actor's pending handle and offline peers hold none, both
+// liveness views agree, balances index the histograms, the lane
+// accumulators match their peers, and credits are conserved. It returns
+// the first violation found. Call it between StepWindow calls, never
+// while a window runs; RestoreChain runs it on every restored engine, so
+// a base whose bytes pass the checksum but whose content is inconsistent
+// is refused instead of panicking or stalling the resumed run.
+func (e *Engine) Audit() error {
 	if !e.started {
-		return errors.New("shard: snapshot was taken before Start — nothing to resume")
+		return errors.New("shard: the run has not started")
 	}
 	if !(e.now >= 0 && e.now <= e.horizon) || !(e.nextSample > e.now && e.nextSample <= e.now+2*e.sampleEvery) {
-		return fmt.Errorf("shard: snapshot clock %v (next sample %v) is off the %v-horizon sampling grid", e.now, e.nextSample, e.horizon)
+		return fmt.Errorf("shard: clock %v (next sample %v) is off the %v-horizon sampling grid", e.now, e.nextSample, e.horizon)
 	}
 	if e.engine != nil && e.polEpoch > 0 && !(e.nextPol > e.now && e.nextPol <= e.now+2*e.polEpoch) {
-		return fmt.Errorf("shard: snapshot policy epoch due at %v, clock at %v", e.nextPol, e.now)
+		return fmt.Errorf("shard: policy epoch due at %v, clock at %v", e.nextPol, e.now)
 	}
-	var sup, minted, burned int64
 	for _, ln := range e.lanes {
-		if err := ln.checkRestored(); err != nil {
+		if err := ln.audit(); err != nil {
 			return err
 		}
+	}
+	return e.checkConservation()
+}
+
+// checkConservation checks that the circulating supply plus the pot is
+// every credit minted less every credit burned.
+func (e *Engine) checkConservation() error {
+	var sup, minted, burned int64
+	for _, ln := range e.lanes {
 		sup += ln.supply
 		minted += ln.minted
 		burned += ln.burned
 	}
 	if sup+e.pot != minted-burned {
-		return fmt.Errorf("shard: snapshot violates conservation: supply %d + pot %d != minted %d - burned %d", sup, e.pot, minted, burned)
+		return fmt.Errorf("shard: conservation violated: supply %d + pot %d != minted %d - burned %d", sup, e.pot, minted, burned)
 	}
 	return nil
 }
 
-// checkRestored is the per-lane half of Engine.checkRestored.
-func (ln *Lane) checkRestored() error {
+// audit is the per-lane half of Audit.
+func (ln *Lane) audit() error {
 	e := ln.e
 	if err := ln.sched.CheckIntegrity(); err != nil {
 		return fmt.Errorf("shard: lane %d: %w", ln.S, err)
@@ -416,7 +427,7 @@ func (ln *Lane) checkRestored() error {
 	for g := ln.lo; g < ln.hi; g++ {
 		b, alive := e.bal[g], e.flags[g]&aliveBit != 0
 		if alive != e.AliveEpoch(g) || !alive && b != 0 || alive && (b < 0 || b >= int64(len(rest))) {
-			return fmt.Errorf("shard: peer %d restored with balance %d, flags %#x, epoch liveness %v", g, b, e.flags[g], e.AliveEpoch(g))
+			return fmt.Errorf("shard: peer %d has balance %d, flags %#x, epoch liveness %v", g, b, e.flags[g], e.AliveEpoch(g))
 		}
 		if p := e.pend[g]; p != 0 {
 			if !alive {
@@ -436,9 +447,12 @@ func (ln *Lane) checkRestored() error {
 	if holders != named {
 		return fmt.Errorf("shard: lane %d has %d peers holding a pending handle but %d live workload events", ln.S, holders, named)
 	}
-	if live != ln.liveN || sup != ln.supply || slices.ContainsFunc(rest, func(c int64) bool { return c != 0 }) {
-		return fmt.Errorf("shard: lane %d records %d live peers holding %d credits, its peers and histogram disagree (%d live holding %d)",
+	if live != ln.liveN || sup != ln.supply {
+		return fmt.Errorf("shard: lane %d records %d live peers holding %d credits, its peers say %d holding %d",
 			ln.S, ln.liveN, ln.supply, live, sup)
+	}
+	if b := slices.IndexFunc(rest, func(c int64) bool { return c != 0 }); b >= 0 {
+		return fmt.Errorf("shard: lane %d's balance histogram is off by %d peers at balance %d", ln.S, rest[b], b)
 	}
 	return nil
 }
@@ -537,7 +551,7 @@ func (s *Sim) Finish() (*Result, error) { return s.e.Finish() }
 // RestoreChain rebuilds a run from cfg and a checkpoint chain: one base,
 // as a Checkpointer or Snapshot wrote it. The chain is validated —
 // checksum, one link, a base's header — before any state is touched; then
-// the base decodes and the restored state is vetted. The result is
+// the base decodes and the restored engine must pass Audit. The result is
 // byte-identical to the uninterrupted run under a configuration matching
 // the one that produced the base (shard-count or config mismatches are
 // refused with descriptive errors).
@@ -552,7 +566,7 @@ func RestoreChain(cfg Config, chain [][]byte) (*Sim, error) {
 	if err := e.decode(chain[0]); err != nil {
 		return nil, err
 	}
-	if err := e.checkRestored(); err != nil {
+	if err := e.Audit(); err != nil {
 		return nil, err
 	}
 	return &Sim{e: e}, nil

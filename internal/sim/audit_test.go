@@ -3,44 +3,11 @@ package sim
 import (
 	"fmt"
 
-	"creditp2p/internal/des"
 	"creditp2p/internal/stats"
 )
 
-// --- single-event stepping ---
-
-// Step delivers the next pending event within the horizon, reporting
-// whether one fired. for k.Step() {} followed by k.SealTime() is
-// byte-identical to k.Run(); the fault-injection harness uses it to audit
-// the kernel between events.
-func (k *Kernel) Step() bool {
-	return k.Sched.StepUntil(k.cfg.Horizon, k.dispatch)
-}
-
-// SealTime advances virtual time to the horizon after the last event — the
-// epilogue Run performs implicitly.
-func (k *Kernel) SealTime() {
-	k.Sched.FinishAt(k.cfg.Horizon)
-}
-
-// --- fault injection surface ---
-
-// FaultInjector intercepts kernel operations for deterministic fault
-// injection (internal/fault). Both hooks fire before any state is mutated,
-// so an injected fault leaves every invariant intact — the economy degrades
-// (failed transfers, lost workload events), it never corrupts.
-type FaultInjector interface {
-	// FailTransfer, returning true, makes a peer-to-peer transfer fail as
-	// if the payer were insolvent.
-	FailTransfer(now float64, from, to int32, amount int64) bool
-	// DropEvent, returning true, silently discards a workload event
-	// (kind >= KindUser) before dispatch. Kernel-owned recurring streams
-	// (ticks, samples, policy epochs) are never offered.
-	DropEvent(ev des.Event) bool
-}
-
-// SetFaultInjector registers (or, with nil, clears) the fault injector.
-func (k *Kernel) SetFaultInjector(fi FaultInjector) { k.fault = fi }
+// The kernel's mid-run audit lives with its tests: FuzzKernelConservation
+// and the kernel tests call it, and no production path does.
 
 // --- peer table integrity ---
 
@@ -85,8 +52,8 @@ func (t *PeerTable) CheckIntegrity() error {
 // Audit verifies the run's invariants mid-run: credit conservation,
 // scheduler and peer-table slab/free-list integrity, the balance
 // histogram's sync with the ledger, and its Gini's agreement with the
-// sorting reference (bit-identical by contract). The fault-injection
-// harness calls it periodically; it returns errors, never panics.
+// sorting reference (bit-identical by contract). It returns errors,
+// never panics.
 func (k *Kernel) Audit() error {
 	if err := k.Ledger.CheckConservation(); err != nil {
 		return fmt.Errorf("sim: audit: %w", err)
@@ -101,9 +68,13 @@ func (k *Kernel) Audit() error {
 		return fmt.Errorf("sim: audit: %w", err)
 	}
 	if gHist, ok := k.GiniNow(); ok {
-		bals := k.balanceVector()
-		gExact, buf, err := stats.GiniIntsInPlace(bals, k.Metrics.wealthBuf)
-		k.Metrics.wealthBuf = buf
+		var bals []int64
+		for px := range k.Peers.peers {
+			if p := &k.Peers.peers[px]; p.Alive {
+				bals = append(bals, k.Ledger.BalanceAt(p.Acct))
+			}
+		}
+		gExact, _, err := stats.GiniIntsInPlace(bals, nil)
 		if err != nil {
 			return fmt.Errorf("sim: audit: exact Gini: %w", err)
 		}

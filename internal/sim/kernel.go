@@ -186,10 +186,6 @@ type Kernel struct {
 	pot        int32
 	epochEvery float64
 
-	// fault, when set, intercepts transfers and workload-event dispatch
-	// for deterministic fault injection (internal/fault).
-	fault FaultInjector
-
 	running           bool
 	joins, departures uint64
 }
@@ -428,13 +424,9 @@ func (k *Kernel) arrivalsEnabled() bool {
 	return ch.ArrivalRate > 0
 }
 
-// Run drives the event loop to the horizon. It is exactly
-// for k.Step() {} followed by k.SealTime(), so stepping a run event by
-// event (as the fault harness does) produces byte-identical output.
+// Run drives the event loop to the horizon and leaves virtual time there.
 func (k *Kernel) Run() {
-	for k.Step() {
-	}
-	k.SealTime()
+	k.Sched.RunUntil(k.cfg.Horizon, k.dispatch)
 }
 
 func (k *Kernel) dispatch(ev des.Event) {
@@ -462,12 +454,6 @@ func (k *Kernel) dispatch(ev des.Event) {
 			}
 		}
 	default:
-		// Only workload events are droppable: the kernel's own recurring
-		// streams (ticks, samples, policy epochs) re-arm inside their
-		// handlers, so dropping one would silence the stream forever.
-		if k.fault != nil && ev.Kind >= KindUser && k.fault.DropEvent(ev) {
-			return
-		}
 		k.w.OnEvent(ev)
 	}
 }
@@ -626,11 +612,6 @@ func (k *Kernel) Transfer(from, to int32, amount int64) bool {
 // of Transfer for workloads that mirror peer accounts in their own dense
 // state and skip the peer-table read on the hot path.
 func (k *Kernel) TransferAcct(fa, ta int32, amount int64) bool {
-	// The fault hook fires before any mutation, so an injected failure is
-	// indistinguishable from an insolvent payer and every invariant holds.
-	if k.fault != nil && k.fault.FailTransfer(k.Sched.Now(), fa, ta, amount) {
-		return false
-	}
 	if !k.Ledger.TryTransferAt(fa, ta, amount) {
 		return false
 	}
@@ -729,20 +710,6 @@ func (k *Kernel) wealthVector() []float64 {
 		out = append(out, float64(k.Ledger.BalanceAt(p.Acct)))
 	}
 	k.Metrics.wealthBuf = out
-	return out
-}
-
-// balanceVector is wealthVector without the float widening.
-func (k *Kernel) balanceVector() []int64 {
-	out := k.Metrics.balBuf[:0]
-	for px := range k.Peers.peers {
-		p := &k.Peers.peers[px]
-		if !p.Alive {
-			continue
-		}
-		out = append(out, k.Ledger.BalanceAt(p.Acct))
-	}
-	k.Metrics.balBuf = out
 	return out
 }
 

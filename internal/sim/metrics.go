@@ -27,10 +27,8 @@ type Metrics struct {
 
 	// hist counts live peers by balance, mirroring the ledger.
 	hist stats.BalanceHist
-	// wealthBuf and balBuf are reused scratch vectors for snapshots and
-	// the audit's sorting reference.
+	// wealthBuf is the reused scratch vector for snapshots.
 	wealthBuf []float64
-	balBuf    []int64
 }
 
 func newMetrics() Metrics {

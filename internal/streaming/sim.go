@@ -1,12 +1,9 @@
 package streaming
 
-import "creditp2p/internal/sim"
-
-// Sim is a stepwise handle over one streaming-swarm simulation, exposing
-// the run phases Run fuses — construction, start, event-by-event stepping
-// and finish — so the fault-injection harness can audit the kernel
-// between events. Run(cfg) is implemented on top of this handle
-// and is byte-identical to driving it manually.
+// Sim is a handle over one streaming-swarm simulation, exposing the
+// phases Run fuses — construction, start, the run to the horizon and
+// finish — so a caller can check that a config builds and starts without
+// running it.
 type Sim struct {
 	s *swarm
 }
@@ -23,24 +20,14 @@ func NewSim(cfg Config) (*Sim, error) {
 	return &Sim{s: s}, nil
 }
 
-// Kernel exposes the underlying simulation kernel (fault injection hooks,
-// audits, metrics).
-func (m *Sim) Kernel() *sim.Kernel { return m.s.k }
-
 // Start arms the tick stream. Call exactly once.
 func (m *Sim) Start() error { return m.s.k.Start() }
-
-// Step delivers the next pending event within the horizon, reporting
-// whether one fired. Each swarm round is one tick event.
-func (m *Sim) Step() bool { return m.s.k.Step() }
 
 // Run delivers every remaining event and seals virtual time at the horizon.
 func (m *Sim) Run() { m.s.k.Run() }
 
-// Finish seals virtual time (idempotent after Run) and assembles the
-// Result, verifying credit conservation.
+// Finish assembles the Result after Run, verifying credit conservation.
 func (m *Sim) Finish() (*Result, error) {
-	m.s.k.SealTime()
 	if err := m.s.finish(); err != nil {
 		return nil, err
 	}
