@@ -273,14 +273,19 @@ func (q *calendarQueue) prewalkStep() {
 	}
 }
 
-// sortDrain orders the batch ascending by (time, seq). Day batches are a
-// handful of entries at the target occupancy, so a binary-insertion sort
-// handles them directly; big batches (coarse widths, transient densities
-// between retunes) go through a specialized introsort whose comparisons
-// inline — the generic sorter's func-valued comparator was a top entry in
-// the sharded market profile, charged once per comparison across millions
-// of drained events. (time, seq) keys are unique, so every correct sort
-// yields the same byte-identical delivery order.
+// sortDrain orders the batch ascending by (time, seq). The wheel aims at
+// calTargetOccupancy entries per day, but it estimates the width from the
+// pending span only at retunes, and retunes stop once the wheel is sized.
+// Exponential residuals and long churn spells make that span much wider
+// than the event spacing at the queue head, so day batches on the sharded
+// market workloads run to tens or hundreds of entries (DESIGN.md,
+// "Calendar-queue scheduler"). Batches above 32 entries — the common case
+// there — go through a specialized introsort whose comparisons inline: the
+// generic sorter's func-valued comparator was a top entry in the sharded
+// market profile, charged once per comparison across millions of drained
+// events. Small batches take an insertion sort. (time, seq) keys are
+// unique, so every correct sort yields the same byte-identical delivery
+// order.
 func (q *calendarQueue) sortDrain() {
 	d := q.drain
 	if len(d) > 32 {
@@ -290,8 +295,8 @@ func (q *calendarQueue) sortDrain() {
 	insertionDrain(d)
 }
 
-// insertionDrain is the small-batch sort: binary search for the insertion
-// point, one memmove per element.
+// insertionDrain is the small-batch sort: each element walks back past the
+// larger entries before it.
 func insertionDrain(d []calEntry) {
 	for i := 1; i < len(d); i++ {
 		e := d[i]

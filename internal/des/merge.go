@@ -7,8 +7,9 @@ import (
 )
 
 // XEvent is one buffered cross-lane effect in the sharded kernel: a credit
-// delivery (or other workload-defined effect) produced inside a shard
-// lane's epoch window and applied at the next conservative-sync barrier.
+// delivery (or other workload-defined effect) or a peer's lifecycle delta,
+// produced inside a shard lane's epoch window and applied at the next
+// conservative-sync barrier.
 // The canonical ordering key is (Time, Src, Seq): the virtual time the
 // source peer emitted it, the source peer's global dense index, and the
 // source's intra-instant sequence number for effects emitted at the exact
@@ -73,8 +74,9 @@ func xeventLess(a, b *XEvent) bool {
 // MergeBuffer accumulates the cross-lane effects of one epoch window and
 // hands them back in canonical order at the barrier. Each lane appends to
 // its own buffer during the window (no sharing, no locks); the coordinator
-// then merges all lanes' buffers — through a Merger on the policy path, or
-// bucket-at-a-time on the commutative no-policy path. Buffers keep their
+// then merges all lanes' buffers — through a Merger for lifecycle deltas
+// and on the policy path, or bucket-at-a-time on the commutative no-policy
+// path. Buffers keep their
 // capacity across epochs (grow-once slabs), so steady-state operation
 // allocates nothing; Trim releases the slack after a traffic spike.
 type MergeBuffer struct {
@@ -150,7 +152,8 @@ func (b *MergeBuffer) Events() []XEvent { return b.ev }
 const sentinelSrc = int32(math.MaxInt32)
 
 // Merger is a loser-tree k-way merge over canonically ordered runs — the
-// barrier-merge engine of the sharded kernel's policy path. Each lane's
+// sharded kernel's one barrier merge, for lifecycle deltas and for the
+// policy path's credit effects. Each lane's
 // outbox is already in (Time, Src, Seq) order (MergeBuffer.Add maintains
 // it), so merging K such runs costs one tournament replay of ceil(log2 K)
 // inline comparisons per event: O(M log K) total, against the O(M log M)

@@ -7,6 +7,7 @@ import (
 
 	"creditp2p/internal/credit"
 	"creditp2p/internal/policy"
+	"creditp2p/internal/sim"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/xrand"
 )
@@ -51,6 +52,16 @@ func TestConfigValidation(t *testing.T) {
 				t.Errorf("error = %v, want ErrBadConfig", err)
 			}
 		})
+	}
+}
+
+// TestRunBoundsInitialWealth pins that an endowment whose balance
+// histogram would need terabytes fails as a config error from the kernel,
+// instead of killing the process out of memory.
+func TestRunBoundsInitialWealth(t *testing.T) {
+	g := regularGraph(t, 10, 4, 1)
+	if _, err := Run(Config{Graph: g, InitialWealth: 1 << 40, DefaultMu: 1, Horizon: 10}); !errors.Is(err, sim.ErrBadConfig) {
+		t.Errorf("error = %v, want sim.ErrBadConfig", err)
 	}
 }
 

@@ -3,6 +3,8 @@ package policy
 import (
 	"fmt"
 	"math"
+
+	"creditp2p/internal/stats"
 )
 
 // --- fixed-rate income taxation (single binomial draw) ---
@@ -277,8 +279,8 @@ type NewcomerSubsidy struct {
 
 // NewNewcomerSubsidy validates and builds the policy.
 func NewNewcomerSubsidy(grant int64, fromPot bool) (*NewcomerSubsidy, error) {
-	if grant <= 0 {
-		return nil, fmt.Errorf("%w: subsidy grant %d", ErrBadPolicy, grant)
+	if grant <= 0 || grant > stats.MaxCreditStep {
+		return nil, fmt.Errorf("%w: subsidy grant %d outside [1, %d]", ErrBadPolicy, grant, stats.MaxCreditStep)
 	}
 	return &NewcomerSubsidy{Grant: grant, FromPot: fromPot}, nil
 }
@@ -325,8 +327,8 @@ type Injection struct {
 
 // NewInjection validates and builds the policy.
 func NewInjection(amount int64) (*Injection, error) {
-	if amount < 1 {
-		return nil, fmt.Errorf("%w: injection amount %d", ErrBadPolicy, amount)
+	if amount < 1 || amount > stats.MaxCreditStep {
+		return nil, fmt.Errorf("%w: injection amount %d outside [1, %d]", ErrBadPolicy, amount, stats.MaxCreditStep)
 	}
 	return &Injection{Amount: amount}, nil
 }

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -126,6 +127,26 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewAdaptiveTax(AdaptiveTaxConfig{TargetGini: 0.3, Gain: 0.5, InitialRate: 0.1}); err != nil {
 		t.Errorf("valid adaptive config rejected: %v", err)
+	}
+}
+
+// TestMintingConstructorsBoundTheStep pins the refusal of a grant or an
+// injection above stats.MaxCreditStep: minting it into one balance would
+// grow a balance histogram to terabytes and kill the process out of memory.
+func TestMintingConstructorsBoundTheStep(t *testing.T) {
+	for _, v := range []int64{stats.MaxCreditStep + 1, 1 << 40} {
+		if _, err := NewInjection(v); !errors.Is(err, ErrBadPolicy) {
+			t.Errorf("injection amount %d: err %v, want ErrBadPolicy", v, err)
+		}
+		if _, err := NewNewcomerSubsidy(v, false); !errors.Is(err, ErrBadPolicy) {
+			t.Errorf("subsidy grant %d: err %v, want ErrBadPolicy", v, err)
+		}
+	}
+	if _, err := NewInjection(stats.MaxCreditStep); err != nil {
+		t.Errorf("injection amount at the bound refused: %v", err)
+	}
+	if _, err := NewNewcomerSubsidy(stats.MaxCreditStep, true); err != nil {
+		t.Errorf("subsidy grant at the bound refused: %v", err)
 	}
 }
 

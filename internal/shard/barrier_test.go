@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"creditp2p/internal/market"
 	"creditp2p/internal/shard"
 )
 
@@ -43,6 +44,56 @@ func TestBarrierSteadyStateZeroAlloc(t *testing.T) {
 	ti := e.Timings()
 	if ti.MergedEvents == 0 {
 		t.Fatal("policy run merged no events; the measurement missed the merge path")
+	}
+}
+
+// TestChurnedSteadyStateZeroAlloc pins the recycling contract across a
+// trim boundary on a churned run whose lanes buffer well over 64 lifecycle
+// deltas per window: the trim must keep buffers at their high-water
+// capacity instead of shrinking them for the next windows to regrow.
+// Allocations are counted over the whole span (windows 41–80, trim at 64)
+// with runtime.MemStats: testing.AllocsPerRun divides by the run count
+// and truncates, which hides a few allocations spread over many windows.
+func TestChurnedSteadyStateZeroAlloc(t *testing.T) {
+	w, err := market.NewShard(market.ShardConfig{Mu: 2.0, Amount: 1, FreeRiderFrac: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := shard.New(shard.Config{
+		Graph:         testGraph(t, 6000, 42),
+		Shards:        1,
+		Horizon:       40,
+		Window:        0.5,
+		Seed:          7,
+		InitialWealth: 30,
+		Churn:         shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5},
+		Workload:      w,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if !e.StepWindow() {
+			t.Fatalf("horizon exhausted during warmup at window %d", i)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for e.StepWindow() {
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("churned windows 41-80 allocate %d times, want 0", n)
+	}
+	res, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perWindow := res.Joins / 80; perWindow <= 64 {
+		t.Fatalf("%d rejoins per window; the lifecycle buffers stay below the trim floor", perWindow)
 	}
 }
 

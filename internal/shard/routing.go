@@ -44,6 +44,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"creditp2p/internal/prefetch"
 	"creditp2p/internal/xrand"
@@ -229,7 +230,8 @@ func (e *Engine) initRouting() {
 				for _, nb := range e.part.Neighbors(g) {
 					if e.flags[nb]&heavyBit != 0 {
 						rt.heavyNb[k] = nb
-						rt.heavyLeaf[k] = int32(searchI32(e.part.Neighbors(nb), g))
+						leaf, _ := slices.BinarySearch(e.part.Neighbors(nb), g)
+						rt.heavyLeaf[k] = int32(leaf)
 						k++
 					}
 				}
@@ -260,9 +262,9 @@ func (e *Engine) rebuildTree(g int32) {
 }
 
 // publishWeights is the barrier's mirror-publish step: fold the window's
-// lifecycle deltas (already in canonical (time, peer) order) through the
-// availability EWMA, updating the weight mirror and the dependent trees.
-// Both passes run serially on the coordinator. The fold is a few
+// lifecycle deltas (already in canonical (time, peer, departure first)
+// order) through the availability EWMA, updating the weight mirror and the
+// dependent trees. Both passes run serially on the coordinator. The fold is a few
 // thousand cheap float ops per window; the tree-patch pass walks each
 // changed peer's row once, flipping light neighbors stale and patching
 // heavy ones through the CSR. A lane-striped parallel variant was tried
@@ -279,20 +281,17 @@ func (e *Engine) publishWeights() {
 	}
 	wd := rt.wdelta[:len(e.lifeScratch)]
 	for i, le := range e.lifeScratch {
-		g := le.g
-		death := g < 0
-		if death {
-			g = -1 - g
-		}
+		g := le.Src
+		death := le.Kind == KindDepart
 		// EWMA of the online indicator over [scoreT, t): the peer was
 		// online up to a death and offline up to a rejoin.
-		d := math.Exp((rt.scoreT[g] - le.t) / routingTau)
+		d := math.Exp((rt.scoreT[g] - le.Time) / routingTau)
 		s := rt.score[g] * d
 		if death {
 			s += 1 - d
 		}
 		rt.score[g] = s
-		rt.scoreT[g] = le.t
+		rt.scoreT[g] = le.Time
 		w := routingFloor
 		if !death {
 			w += s
@@ -308,10 +307,7 @@ func (e *Engine) publishWeights() {
 		if wd[i] == 0 {
 			continue
 		}
-		g := le.g
-		if g < 0 {
-			g = -1 - g
-		}
+		g := le.Src
 		// Light neighbors with a built tree go stale (they rebuild lazily
 		// from the new mirror); heavy neighbors patch below via the CSR.
 		for _, nb := range e.part.Neighbors(g) {
@@ -392,19 +388,4 @@ func (e *Engine) routingDigest(h uint64) uint64 {
 	h = fnvU64(h, math.Float64bits(routingFloor))
 	h = fnvU64(h, uint64(rt.heavyDeg))
 	return h
-}
-
-// searchI32 returns the index of x in the ascending slice a (the CSR
-// neighbor row); x must be present.
-func searchI32(a []int32, x int32) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -201,13 +201,6 @@ type Config struct {
 	Workload Workload
 }
 
-// lifeEvent is one buffered lifecycle delta, applied to the epoch bitmap
-// at the barrier in (time, peer) order.
-type lifeEvent struct {
-	t float64
-	g int32
-}
-
 // Checkpoint segment granularity: a lane section lists its peers in
 // segments of peerSegSize, each under its id (the snapshot layout; a
 // segment's bal+rng+flags spans total ~8.5 KB). Segments are lane-local
@@ -238,8 +231,9 @@ type Lane struct {
 	sched  des.Scheduler
 	// out[d] buffers effects destined for shard d this window.
 	out []des.MergeBuffer
-	// deaths/births are this window's lifecycle deltas.
-	deaths, births []lifeEvent
+	// life buffers this window's lifecycle deltas (lifeDelta), merged at
+	// the barrier in canonical order.
+	life des.MergeBuffer
 	// hist is the lane's balance histogram over its live peers: hist[b]
 	// live peers hold exactly b credits. Merged across lanes at barriers
 	// for the exact global Gini.
@@ -262,7 +256,7 @@ type Lane struct {
 }
 
 // lanePad is the tail padding that makes Lane a whole number of blocks.
-const lanePad = 96
+const lanePad = 112
 
 // Engine coordinates P lanes through lockstep windows.
 type Engine struct {
@@ -317,13 +311,13 @@ type Engine struct {
 	supply     *trace.Series
 
 	// Barrier scratch, all recycled across windows: steady-state barriers
-	// allocate nothing (pinned by TestBarrierSteadyStateZeroAlloc and the
-	// ShardMarketLargePolicy allocs guard). The slabs grow once to their
-	// high-water occupancy and are trimmed back every trimEvery windows if
-	// a traffic spike left them more than 4x oversized.
-	lifeScratch []lifeEvent
-	lifeRuns    [][]lifeEvent
-	lifePos     []int
+	// allocate nothing (pinned by TestBarrierSteadyStateZeroAlloc,
+	// TestChurnedSteadyStateZeroAlloc and the ShardMarketLargePolicy allocs
+	// guard). lifeScratch and mergeAll hold the merged lifecycle deltas and
+	// credit effects; both grow once to their high-water occupancy and are
+	// trimmed back every trimEvery windows if a spike left them more than
+	// 4x oversized. runScratch and merger serve both merges.
+	lifeScratch []des.XEvent
 	lifeHW      int
 	mergeAll    []des.XEvent
 	mergeHW     int
@@ -375,8 +369,8 @@ func New(cfg Config) (*Engine, error) {
 	if !(cfg.Horizon > 0) || math.IsInf(cfg.Horizon, 1) {
 		return nil, fmt.Errorf("%w: Horizon=%v", ErrBadConfig, cfg.Horizon)
 	}
-	if cfg.InitialWealth < 0 {
-		return nil, fmt.Errorf("%w: InitialWealth=%d", ErrBadConfig, cfg.InitialWealth)
+	if cfg.InitialWealth < 0 || cfg.InitialWealth > stats.MaxCreditStep {
+		return nil, fmt.Errorf("%w: InitialWealth=%d outside [0, %d]", ErrBadConfig, cfg.InitialWealth, stats.MaxCreditStep)
 	}
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("%w: nil workload", ErrBadConfig)
@@ -479,14 +473,12 @@ func New(cfg Config) (*Engine, error) {
 	for s := 0; s < e.p; s++ {
 		lo, hi := part.Range(s)
 		ln := &Lane{
-			e:      e,
-			S:      s,
-			lo:     lo,
-			hi:     hi,
-			out:    pad.Make[des.MergeBuffer](e.p),
-			deaths: pad.Make[lifeEvent](0),
-			births: pad.Make[lifeEvent](0),
-			liveN:  int(hi - lo),
+			e:     e,
+			S:     s,
+			lo:    lo,
+			hi:    hi,
+			out:   pad.Make[des.MergeBuffer](e.p),
+			liveN: int(hi - lo),
 		}
 		ln.sched.Init()
 		ln.sched.Reserve(laneSlots(int(hi-lo), cfg.Churn.Enabled()))
@@ -503,6 +495,7 @@ func New(cfg Config) (*Engine, error) {
 		for d := range ln.out {
 			ln.out[d].Reset()
 		}
+		ln.life.Reset()
 		ln.sched.RunUntil(ln.e.bNow, ln.dispatch)
 	}
 	e.applyFn = func(ln *Lane) { ln.applyInbound() }
@@ -647,29 +640,34 @@ func (e *Engine) trim() {
 		for d := range ln.out {
 			ln.out[d].Trim()
 		}
-		ln.deaths = trimLife(ln.deaths)
-		ln.births = trimLife(ln.births)
+		ln.life.Trim()
 	}
-	if c := cap(e.mergeAll); c > 64 && c > 4*e.mergeHW {
-		e.mergeAll = make([]des.XEvent, 0, e.mergeHW)
-	}
-	e.mergeHW = 0
-	if c := cap(e.lifeScratch); c > 64 && c > 4*e.lifeHW {
-		e.lifeScratch = make([]lifeEvent, 0, e.lifeHW)
-	}
-	e.lifeHW = 0
+	e.mergeAll = trimScratch(e.mergeAll, &e.mergeHW)
+	e.lifeScratch = trimScratch(e.lifeScratch, &e.lifeHW)
 	// Stale run pointers in runScratch's spare capacity would pin the
-	// outbox arrays just trimmed above.
+	// outbox and lifecycle arrays just trimmed above.
 	clear(e.runScratch[:cap(e.runScratch)])
 }
 
-// trimLife shrinks a quiescent (logically empty) lifecycle buffer that has
-// grown far beyond the trim window's needs back to one block.
-func trimLife(ls []lifeEvent) []lifeEvent {
-	if c := cap(ls); len(ls) == 0 && c > 64 {
-		return pad.Make[lifeEvent](0)
+// mergeRuns k-way-merges runs into the recycled scratch slice dst through
+// the engine's one Merger, raising the high-water mark hw that trimScratch
+// consults.
+func (e *Engine) mergeRuns(dst []des.XEvent, runs [][]des.XEvent, hw *int) []des.XEvent {
+	dst = e.merger.Merge(dst[:0], runs)
+	*hw = max(*hw, len(dst))
+	return dst
+}
+
+// trimScratch reallocates a merged scratch slice whose backing array is
+// more than 4x the high-water occupancy since the last trim, as
+// des.MergeBuffer.Trim does for the buffers it merges, and restarts the
+// high-water count.
+func trimScratch(s []des.XEvent, hw *int) []des.XEvent {
+	if c := cap(s); c > 64 && c > 4**hw {
+		s = make([]des.XEvent, 0, *hw)
 	}
-	return ls
+	*hw = 0
+	return s
 }
 
 // Run executes the whole horizon and finishes.
@@ -758,9 +756,7 @@ func (ln *Lane) depart(ev des.Event) {
 	if d := ln.rejoinDelay(g, ev.Time); !math.IsInf(d, 1) {
 		ln.schedule(d, KindRejoin, g, 0)
 	}
-	// Deaths carry the encoded peer (-1-g) from the start, so the barrier
-	// merge consumes the lane runs without a re-encode pass.
-	ln.deaths = appendLife(ln.deaths, lifeEvent{t: ev.Time, g: -1 - g})
+	ln.life.Add(lifeDelta(ev.Time, g, KindDepart))
 }
 
 // rejoinDelay draws the departed peer's offline spell from its own
@@ -815,21 +811,19 @@ func (ln *Lane) rejoin(ev des.Event) {
 	ln.minted += w
 	ln.schedule(e.rng[g].Exponential(1/e.cfg.Churn.MeanLifespan), KindDepart, g, 0)
 	e.cfg.Workload.Arm(ln, g)
-	ln.births = appendLife(ln.births, lifeEvent{t: ev.Time, g: g})
+	ln.life.Add(lifeDelta(ev.Time, g, KindRejoin))
 }
 
-// appendLife appends one lifecycle delta, keeping the lane run (time,
-// peer)-ordered. A lane dispatches events in time order, so the fix-up
-// loop only fires on float-identical times of distinct peers — it exists
-// to make mergeLife's sorted-runs precondition a construction invariant
-// rather than a statistical one.
-func appendLife(ls []lifeEvent, le lifeEvent) []lifeEvent {
-	n := len(ls)
-	ls = append(ls, le)
-	for i := n; i > 0 && lifeBefore(ls[i], ls[i-1]); i-- {
-		ls[i], ls[i-1] = ls[i-1], ls[i]
+// lifeDelta is peer g's lifecycle delta at time t as a merge event: kind
+// is KindDepart or KindRejoin, and Seq orders a departure before a rejoin
+// of the same peer at the same instant, so the canonical (Time, Src, Seq)
+// merge applies deltas by time, then peer, then departure first.
+func lifeDelta(t float64, g int32, kind uint16) des.XEvent {
+	seq := uint32(0)
+	if kind == KindRejoin {
+		seq = 1
 	}
-	return ls
+	return des.XEvent{Time: t, Src: g, Seq: seq, Kind: kind}
 }
 
 // schedule registers an event after delay on this lane; scheduling can
@@ -938,10 +932,7 @@ func (e *Engine) collectMerged() {
 			}
 		}
 	}
-	e.mergeAll = e.merger.Merge(e.mergeAll[:0], e.runScratch)
-	if len(e.mergeAll) > e.mergeHW {
-		e.mergeHW = len(e.mergeAll)
-	}
+	e.mergeAll = e.mergeRuns(e.mergeAll, e.runScratch, &e.mergeHW)
 	e.timings.MergedEvents += uint64(len(e.mergeAll))
 }
 
@@ -969,44 +960,35 @@ func (e *Engine) applyMerged() {
 	}
 }
 
-// barrier is the coordinator step at window end tB: lifecycle deltas are
-// merged in (time, peer) order into the epoch bitmap (with policy
-// join/depart hooks), due policy epochs fire, and due samples record.
+// barrier is the coordinator step at window end tB: the lanes' lifecycle
+// deltas are merged in canonical (time, peer, departure first) order into
+// the epoch bitmap (with policy join/depart hooks), due policy epochs
+// fire, and due samples record.
 func (e *Engine) barrier(tB float64) {
-	e.lifeRuns = e.lifeRuns[:0]
+	e.runScratch = e.runScratch[:0]
 	for _, ln := range e.lanes {
-		if len(ln.deaths) > 0 {
-			e.lifeRuns = append(e.lifeRuns, ln.deaths)
+		if evs := ln.life.Events(); len(evs) > 0 {
+			e.runScratch = append(e.runScratch, evs)
 		}
-		if len(ln.births) > 0 {
-			e.lifeRuns = append(e.lifeRuns, ln.births)
-		}
-		e.departures += uint64(len(ln.deaths))
-		e.joins += uint64(len(ln.births))
 	}
-	e.lifeScratch = mergeLife(e.lifeScratch[:0], e.lifeRuns, &e.lifePos)
-	if len(e.lifeScratch) > e.lifeHW {
-		e.lifeHW = len(e.lifeScratch)
-	}
-	for _, ln := range e.lanes {
-		ln.deaths = ln.deaths[:0]
-		ln.births = ln.births[:0]
-	}
+	e.lifeScratch = e.mergeRuns(e.lifeScratch, e.runScratch, &e.lifeHW)
 	var h *engineHost
 	if e.engine != nil {
 		h = &e.host
 	}
 	for _, le := range e.lifeScratch {
-		if le.g < 0 { // death (encoded as -1-g)
-			g := -1 - le.g
+		g := le.Src
+		if le.Kind == KindDepart {
+			e.departures++
 			e.aliveEpoch[g>>6] &^= 1 << (uint(g) & 63)
 			if h != nil {
 				e.engine.Departed(h, g)
 			}
 		} else {
-			e.aliveEpoch[le.g>>6] |= 1 << (uint(le.g) & 63)
+			e.joins++
+			e.aliveEpoch[g>>6] |= 1 << (uint(g) & 63)
 			if h != nil {
-				e.engine.Joined(h, le.g)
+				e.engine.Joined(h, g)
 			}
 		}
 	}
@@ -1030,61 +1012,6 @@ func (e *Engine) barrier(tB float64) {
 			e.nextSample += e.sampleEvery
 		}
 	}
-}
-
-// mergeLife appends the (time, peer)-ordered merge of the lanes'
-// lifecycle runs to dst. Deaths carry encoded negative peers, so same-time
-// same-peer pairs order death-before-birth consistently (a peer cannot die
-// and rejoin at the same instant under continuous draws, but the order
-// must still be total). Runs are few — at most two per lane, each already
-// ordered — so a linear head scan per output element beats any tree
-// bookkeeping; posp is the recycled head-cursor scratch.
-func mergeLife(dst []lifeEvent, runs [][]lifeEvent, posp *[]int) []lifeEvent {
-	if len(runs) == 1 {
-		return append(dst, runs[0]...)
-	}
-	pos := *posp
-	if cap(pos) < len(runs) {
-		pos = make([]int, len(runs))
-		*posp = pos
-	}
-	pos = pos[:len(runs)]
-	left := 0
-	for i, r := range runs {
-		pos[i] = 0
-		left += len(r)
-	}
-	for ; left > 0; left-- {
-		best := -1
-		for i, r := range runs {
-			if pos[i] >= len(r) {
-				continue
-			}
-			if best < 0 || lifeBefore(r[pos[i]], runs[best][pos[best]]) {
-				best = i
-			}
-		}
-		dst = append(dst, runs[best][pos[best]])
-		pos[best]++
-	}
-	return dst
-}
-
-func lifeBefore(a, b lifeEvent) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	ag, bg := a.g, b.g
-	if ag < 0 {
-		ag = -1 - ag
-	}
-	if bg < 0 {
-		bg = -1 - bg
-	}
-	if ag != bg {
-		return ag < bg
-	}
-	return a.g < b.g
 }
 
 // sample records the metric series at time t from the lane accumulators.

@@ -286,6 +286,7 @@ func TestShardRejectsBadConfig(t *testing.T) {
 		{Graph: g, Shards: 1, Horizon: 10, Workload: w, PolicyEpoch: 1e-12},
 		{Graph: g, Shards: 1, Horizon: 10, Workload: w, Window: 0.5, PolicyEpoch: 0.25},
 		{Graph: g, Shards: 1, Horizon: 1, Workload: tooManyCounters{w}},
+		{Graph: g, Shards: 1, Horizon: 1, Workload: w, InitialWealth: 1 << 40},
 	}
 	for i, cfg := range bad {
 		if _, err := shard.New(cfg); !errors.Is(err, shard.ErrBadConfig) {

@@ -195,8 +195,8 @@ func NewKernel(cfg Config, w Workload) (*Kernel, error) {
 	if w == nil {
 		return nil, fmt.Errorf("%w: nil workload", ErrBadConfig)
 	}
-	if cfg.InitialWealth < 0 {
-		return nil, fmt.Errorf("%w: initial wealth %d", ErrBadConfig, cfg.InitialWealth)
+	if cfg.InitialWealth < 0 || cfg.InitialWealth > stats.MaxCreditStep {
+		return nil, fmt.Errorf("%w: initial wealth %d outside [0, %d]", ErrBadConfig, cfg.InitialWealth, stats.MaxCreditStep)
 	}
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("%w: horizon %v", ErrBadConfig, cfg.Horizon)

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"creditp2p/internal/des"
+	"creditp2p/internal/stats"
 	"creditp2p/internal/topology"
 )
 
@@ -56,6 +58,17 @@ func TestTicksCoverHorizon(t *testing.T) {
 	for i, p := range w.ticks {
 		if p != int64(i) {
 			t.Fatalf("tick %d carried payload %d", i, p)
+		}
+	}
+}
+
+// TestNewKernelBoundsInitialWealth pins the refusal of an endowment above
+// stats.MaxCreditStep, which would grow the balance histogram to
+// terabytes and kill the process out of memory instead of failing.
+func TestNewKernelBoundsInitialWealth(t *testing.T) {
+	for _, w := range []int64{stats.MaxCreditStep + 1, 1 << 40} {
+		if _, err := NewKernel(Config{InitialWealth: w, Horizon: 10}, &fuzzWorkload{}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("initial wealth %d: err %v, want ErrBadConfig", w, err)
 		}
 	}
 }

@@ -14,6 +14,14 @@ import "creditp2p/internal/pad"
 // ~2B words regardless of population size.
 type BalanceHist []int64
 
+// MaxCreditStep bounds the credits a configuration may put into one
+// balance in one step: an initial endowment, a newcomer grant, a per-epoch
+// injection. A BalanceHist costs 8 bytes per credit of the largest balance
+// it has seen, per lane, so an unbounded value asks the runtime for
+// terabytes and kills the process with an out-of-memory fatal error that
+// no caller can recover; constructors refuse larger values instead.
+const MaxCreditStep = 1 << 24
+
 // Grow widens h to cover balance b, at least doubling (and to no fewer
 // than 64 buckets) so growth amortizes away.
 func (h *BalanceHist) Grow(b int64) {

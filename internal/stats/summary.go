@@ -75,76 +75,3 @@ func Quantile(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int64
-	Under    int64 // samples below Lo
-	Over     int64 // samples at or above Hi
-	binWidth float64
-}
-
-// NewHistogram builds a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{
-		Lo:       lo,
-		Hi:       hi,
-		Counts:   make([]int64, bins),
-		binWidth: (hi - lo) / float64(bins),
-	}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	switch {
-	case v < h.Lo:
-		h.Under++
-	case v >= h.Hi:
-		h.Over++
-	default:
-		i := int((v - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // guard rounding at the upper edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Density returns the normalized density value of each bin (integrates to 1
-// over [Lo, Hi) when there is no under/overflow). Used to estimate the
-// utilization density f(w) of Eq. (4) from empirical utilizations.
-func (h *Histogram) Density() []float64 {
-	total := h.Total()
-	d := make([]float64, len(h.Counts))
-	if total == 0 {
-		return d
-	}
-	for i, c := range h.Counts {
-		d[i] = float64(c) / (float64(total) * h.binWidth)
-	}
-	return d
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
-}
-
-// BinWidth returns the width of each bin.
-func (h *Histogram) BinWidth() float64 { return h.binWidth }

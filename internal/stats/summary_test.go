@@ -57,62 +57,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0, 1.9, 2, 5, 9.999, -1, 10, 11} {
-		h.Add(v)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d, want 2", h.Over)
-	}
-	wantCounts := []int64{2, 1, 1, 0, 1}
-	for i, want := range wantCounts {
-		if h.Counts[i] != want {
-			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], want)
-		}
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
-	}
-}
-
-func TestHistogramDensityIntegratesToOne(t *testing.T) {
-	h := NewHistogram(0, 1, 20)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i%100) / 100)
-	}
-	d := h.Density()
-	var integral float64
-	for _, v := range d {
-		integral += v * h.BinWidth()
-	}
-	if math.Abs(integral-1) > 1e-9 {
-		t.Errorf("density integral = %v, want 1", integral)
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if c := h.BinCenter(0); math.Abs(c-1) > 1e-12 {
-		t.Errorf("BinCenter(0) = %v, want 1", c)
-	}
-	if c := h.BinCenter(4); math.Abs(c-9) > 1e-12 {
-		t.Errorf("BinCenter(4) = %v, want 9", c)
-	}
-}
-
-func TestHistogramDegenerateConstruction(t *testing.T) {
-	// Degenerate parameters are clamped rather than panicking.
-	h := NewHistogram(5, 5, 0)
-	h.Add(5)
-	if h.Total() != 1 {
-		t.Errorf("Total = %d, want 1", h.Total())
-	}
-}
-
 func TestSummarizeProperties(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {

@@ -218,62 +218,6 @@ func ErdosRenyi(n int, meanDegree float64, r *xrand.RNG) (*Graph, error) {
 	return g, nil
 }
 
-// BarabasiAlbert generates a scale-free graph by preferential attachment:
-// each new node connects to m existing nodes with probability proportional
-// to their current degree.
-func BarabasiAlbert(n, m int, r *xrand.RNG) (*Graph, error) {
-	if n < 2 || m < 1 || m >= n {
-		return nil, fmt.Errorf("%w: n=%d m=%d", ErrBadParam, n, m)
-	}
-	g := NewGraph()
-	// Seed clique of m+1 nodes.
-	for i := 0; i <= m; i++ {
-		if err := g.AddNode(i); err != nil {
-			return nil, err
-		}
-		for j := 0; j < i; j++ {
-			if err := g.AddEdge(i, j); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Repeated-endpoint list: picking a uniform element is degree-
-	// proportional sampling.
-	endpoints := make([]int, 0, m*(m+1)+2*m*(n-m-1))
-	for _, id := range g.Nodes() {
-		for k := 0; k < g.Degree(id); k++ {
-			endpoints = append(endpoints, id)
-		}
-	}
-	// Scratch for the m distinct targets of one attachment round: a slice
-	// preserving selection order plus a mark bitmap cleared between rounds.
-	// The former map forced one allocation per joining node and iterated in
-	// random order, so same-seed runs built different graphs.
-	chosen := make([]int, 0, m)
-	mark := make([]bool, n)
-	for v := m + 1; v < n; v++ {
-		if err := g.AddNode(v); err != nil {
-			return nil, err
-		}
-		chosen = chosen[:0]
-		for len(chosen) < m {
-			t := endpoints[r.Intn(len(endpoints))]
-			if t != v && !mark[t] {
-				mark[t] = true
-				chosen = append(chosen, t)
-			}
-		}
-		for _, t := range chosen {
-			if err := g.AddEdge(v, t); err != nil {
-				return nil, err
-			}
-			endpoints = append(endpoints, v, t)
-			mark[t] = false
-		}
-	}
-	return g, nil
-}
-
 // Complete generates the complete graph K_n — the topology of the
 // Dandekar-style complete-graph credit models the paper cites.
 func Complete(n int) (*Graph, error) {

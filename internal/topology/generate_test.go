@@ -150,23 +150,6 @@ func TestErdosRenyi(t *testing.T) {
 	}
 }
 
-func TestBarabasiAlbert(t *testing.T) {
-	r := xrand.New(17)
-	g, err := BarabasiAlbert(300, 4, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSimple(t, g, 300)
-	// Mean degree ~ 2m.
-	if md := g.MeanDegree(); math.Abs(md-8) > 1.5 {
-		t.Errorf("mean degree = %v, want ~8", md)
-	}
-	// Preferential attachment produces hubs.
-	if g.DegreeSequence()[0] < 20 {
-		t.Errorf("max degree = %d, expected a hub >= 20", g.DegreeSequence()[0])
-	}
-}
-
 func TestComplete(t *testing.T) {
 	g, err := Complete(6)
 	if err != nil {
@@ -302,8 +285,7 @@ func sameGraph(a, b *Graph) bool {
 }
 
 // TestGeneratorsDeterministic asserts same-seed generation yields identical
-// graphs. BarabasiAlbert used to iterate a Go map when wiring each joining
-// node, so equal seeds produced different overlays.
+// graphs.
 func TestGeneratorsDeterministic(t *testing.T) {
 	gen := []struct {
 		name string
@@ -313,7 +295,6 @@ func TestGeneratorsDeterministic(t *testing.T) {
 			return ScaleFree(ScaleFreeConfig{N: 200, Alpha: 2.5, MeanDegree: 10}, r)
 		}},
 		{"regular", func(r *xrand.RNG) (*Graph, error) { return RandomRegular(200, 8, r) }},
-		{"barabasi-albert", func(r *xrand.RNG) (*Graph, error) { return BarabasiAlbert(200, 4, r) }},
 	}
 	for _, tc := range gen {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"creditp2p/internal/xrand"
@@ -169,13 +170,14 @@ func (g *Graph) AddEdge(a, b int) error {
 		return fmt.Errorf("%w: %d", ErrNoNode, b)
 	}
 	na := &g.nodes[sa]
-	i := searchInt32(na.nbrs, int32(b))
-	if i < len(na.nbrs) && na.nbrs[i] == int32(b) {
+	i, dup := slices.BinarySearch(na.nbrs, int32(b))
+	if dup {
 		return fmt.Errorf("topology: duplicate edge {%d,%d}", a, b)
 	}
-	na.nbrs = insertAt(na.nbrs, i, int32(b))
+	na.nbrs = slices.Insert(na.nbrs, i, int32(b))
 	nb := &g.nodes[sb]
-	nb.nbrs = insertAt(nb.nbrs, searchInt32(nb.nbrs, int32(a)), int32(a))
+	j, _ := slices.BinarySearch(nb.nbrs, int32(a))
+	nb.nbrs = slices.Insert(nb.nbrs, j, int32(a))
 	g.edges++
 	return nil
 }
@@ -198,9 +200,8 @@ func (g *Graph) HasEdge(a, b int) bool {
 	if sa < 0 || !g.HasNode(b) {
 		return false
 	}
-	nbrs := g.nodes[sa].nbrs
-	i := searchInt32(nbrs, int32(b))
-	return i < len(nbrs) && nbrs[i] == int32(b)
+	_, found := slices.BinarySearch(g.nodes[sa].nbrs, int32(b))
+	return found
 }
 
 // Degree returns the degree of id, or 0 if absent.
@@ -383,35 +384,11 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// searchInt32 returns the smallest index i with s[i] >= v (i == len(s) when
-// none), by binary search.
-func searchInt32(s []int32, v int32) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// insertAt inserts v at index i, shifting the tail right.
-func insertAt(s []int32, i int, v int32) []int32 {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
 // removeSorted deletes v from the ascending slice s (no-op when absent).
 func removeSorted(s []int32, v int32) []int32 {
-	i := searchInt32(s, v)
-	if i == len(s) || s[i] != v {
+	i, found := slices.BinarySearch(s, v)
+	if !found {
 		return s
 	}
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
+	return slices.Delete(s, i, i+1)
 }
