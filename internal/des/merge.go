@@ -76,9 +76,9 @@ func xeventLess(a, b *XEvent) bool {
 // its own buffer during the window (no sharing, no locks); the coordinator
 // then merges all lanes' buffers — through a Merger for lifecycle deltas
 // and on the policy path, or bucket-at-a-time on the commutative no-policy
-// path. Buffers keep their
-// capacity across epochs (grow-once slabs), so steady-state operation
-// allocates nothing; Trim releases the slack after a traffic spike.
+// path. Buffers keep their capacity across epochs (grow-once slabs), so
+// steady-state operation allocates nothing; Trim releases the slack after
+// a traffic spike.
 type MergeBuffer struct {
 	ev []XEvent
 	// hw is the high-water occupancy since the last Trim.
@@ -153,13 +153,13 @@ const sentinelSrc = int32(math.MaxInt32)
 
 // Merger is a loser-tree k-way merge over canonically ordered runs — the
 // sharded kernel's one barrier merge, for lifecycle deltas and for the
-// policy path's credit effects. Each lane's
-// outbox is already in (Time, Src, Seq) order (MergeBuffer.Add maintains
-// it), so merging K such runs costs one tournament replay of ceil(log2 K)
-// inline comparisons per event: O(M log K) total, against the O(M log M)
-// of re-sorting M events that are already K sorted runs. All internal
-// state is recycled across Init calls; a Merger held for a run's lifetime
-// allocates only until the largest K has been seen.
+// policy path's credit effects. Each lane's buffer is already in (Time,
+// Src, Seq) order (MergeBuffer.Add maintains it), so merging K such runs
+// costs one tournament replay of ceil(log2 K) inline comparisons per
+// event: O(M log K) total, against the O(M log M) of re-sorting M events
+// that are already K sorted runs. All internal state is recycled across
+// Init calls; a Merger held for a run's lifetime allocates only until the
+// largest K has been seen.
 //
 // The tree layout is the classic tournament: k padded leaves (one per
 // run), internal nodes 1..k-1 each holding the loser of the match played
