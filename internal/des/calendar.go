@@ -3,6 +3,7 @@ package des
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"creditp2p/internal/pad"
 	"creditp2p/internal/prefetch"
@@ -69,8 +70,11 @@ type calendarQueue struct {
 	drain    []calEntry
 	pos      int
 	drainDay int64
-	// scratch is the reusable retune gather buffer.
+	// scratch is the reusable retune gather buffer, and sortDrain's
+	// scatter target.
 	scratch []calEntry
+	// bins is sortDrain's recycled per-bin count and offset array.
+	bins []int32
 
 	// nwSlot cursors a one-hop-per-pop pre-walk of the next day's bucket
 	// chain: drainDayInto's pointer chase is a serial cache-miss chain,
@@ -87,6 +91,7 @@ type calEntry struct {
 	time float64
 	seq  uint64 // FIFO tie-break for simultaneous events
 	slot int32
+	bin  uint32 // sortDrain's sub-day bin; fills the struct's padding
 }
 
 // calSlot is one chained pending event, indexed by scheduler slot-1.
@@ -130,6 +135,7 @@ func newCalendarQueue() calendarQueue {
 		heads:    make([]int32, calMinBuckets, pad.Cap[int32](calMinBuckets)),
 		drain:    pad.Make[calEntry](0),
 		scratch:  pad.Make[calEntry](0),
+		bins:     pad.Make[int32](0),
 		mask:     calMinBuckets - 1,
 		width:    1,
 		invWidth: 1,
@@ -251,7 +257,7 @@ func (q *calendarQueue) drainDayInto(day int64) bool {
 	if len(q.drain) == 0 {
 		return false
 	}
-	q.sortDrain()
+	q.sortDrain(day)
 	q.curDay = day
 	q.drainDay = day
 	q.nwSlot = q.heads[(day+1)&q.mask]
@@ -273,33 +279,82 @@ func (q *calendarQueue) prewalkStep() {
 	}
 }
 
-// sortDrain orders the batch ascending by (time, seq). The wheel aims at
-// calTargetOccupancy entries per day, but it estimates the width from the
-// pending span only at retunes, and retunes stop once the wheel is sized.
-// Exponential residuals and long churn spells make that span much wider
-// than the event spacing at the queue head, so day batches on the sharded
-// market workloads run to tens or hundreds of entries (DESIGN.md,
-// "Calendar-queue scheduler"). Batches above 32 entries — the common case
-// there — go through a specialized introsort whose comparisons inline: the
-// generic sorter's func-valued comparator was a top entry in the sharded
-// market profile, charged once per comparison across millions of drained
-// events. Small batches take an insertion sort. (time, seq) keys are
-// unique, so every correct sort yields the same byte-identical delivery
-// order.
-func (q *calendarQueue) sortDrain() {
+// sortDrain orders the batch of the given day ascending by (time, seq). The
+// wheel aims at calTargetOccupancy entries per day, but it estimates the
+// width from the pending span only at retunes, and retunes stop once the
+// wheel is sized. Exponential residuals and long churn spells make that
+// span much wider than the event spacing at the queue head, so day batches
+// on the sharded market workloads run to tens or hundreds of entries
+// (DESIGN.md, "Calendar-queue scheduler").
+//
+// A batch above 16 entries is ordered by one distribution pass over nb
+// sub-day bins, nb the next power of two at or above its length: entry e
+// goes to bin floor((e.time*invWidth - day) * nb). The product is the one
+// dayOf takes, so its fraction past day is exact and lies in [0, 1), and
+// scaling by a power of two is exact too: the bin is monotone in time.
+// Counting, a prefix sum and a scatter into scratch put the batch in bin
+// order, and one insertion pass from scratch back into the batch orders
+// each bin, which holds about one entry. A clamped day, or a bin of more
+// than 32 entries (exact time ties), takes the generic sort, which keeps
+// the worst case O(n log n). Small batches take the insertion sort.
+// (time, seq) keys are unique, so every correct sort yields the same
+// byte-identical delivery order.
+func (q *calendarQueue) sortDrain(day int64) {
 	d := q.drain
-	if len(d) > 32 {
-		quickDrain(d, 2*bits.Len(uint(len(d))))
+	n := len(d)
+	if n <= 16 {
+		insertionDrain(d, d)
 		return
 	}
-	insertionDrain(d)
+	if day >= calMaxDay {
+		slices.SortFunc(d, cmpEntry)
+		return
+	}
+	nb := 1 << bits.Len(uint(n-1))
+	if cap(q.bins) < nb {
+		q.bins = pad.Make[int32](nb)
+	}
+	cnt := q.bins[:nb]
+	clear(cnt)
+	inv, base, scale := q.invWidth, float64(day), float64(nb)
+	for i := range d {
+		// The conversion rounds the product on its own, as dayOf's does,
+		// so no fused multiply-add can carry its exact value below day.
+		b := uint(int((float64(d[i].time*inv) - base) * scale))
+		if b >= uint(nb) {
+			// Only a negative time, which a restored snapshot may
+			// carry, falls outside [0, nb): dayOf truncates toward 0.
+			slices.SortFunc(d, cmpEntry)
+			return
+		}
+		d[i].bin = uint32(b)
+		cnt[b]++
+	}
+	sum := int32(0)
+	for b, c := range cnt {
+		if c > 32 {
+			slices.SortFunc(d, cmpEntry)
+			return
+		}
+		cnt[b] = sum
+		sum += c
+	}
+	if cap(q.scratch) < n {
+		q.scratch = pad.Grow(q.scratch[:0], n)
+	}
+	src := q.scratch[:n]
+	for _, e := range d {
+		src[cnt[e.bin]] = e
+		cnt[e.bin]++
+	}
+	insertionDrain(d, src)
 }
 
-// insertionDrain is the small-batch sort: each element walks back past the
-// larger entries before it.
-func insertionDrain(d []calEntry) {
-	for i := 1; i < len(d); i++ {
-		e := d[i]
+// insertionDrain insertion-sorts src into d, which has src's length: each
+// entry walks back past the larger entries already placed. src may be d
+// itself, since entry i is read before any write reaches index i.
+func insertionDrain(d, src []calEntry) {
+	for i, e := range src {
 		j := i
 		for j > 0 && e.beforeEntry(d[j-1].time, d[j-1].seq) {
 			d[j] = d[j-1]
@@ -309,93 +364,15 @@ func insertionDrain(d []calEntry) {
 	}
 }
 
-// quickDrain is a median-of-three quicksort over calEntry with inline
-// (time, seq) comparisons, recursing into the smaller partition and looping
-// on the larger. limit bounds the quicksort depth; an adversarial pattern
-// that exhausts it falls back to heapsort, keeping the worst case
-// O(n log n) like the generic sorter it replaces.
-func quickDrain(d []calEntry, limit int) {
-	for len(d) > 32 {
-		if limit == 0 {
-			heapDrain(d)
-			return
-		}
-		limit--
-		p := partitionDrain(d)
-		if p < len(d)-p-1 {
-			quickDrain(d[:p], limit)
-			d = d[p+1:]
-		} else {
-			quickDrain(d[p+1:], limit)
-			d = d[:p]
-		}
+// cmpEntry orders entries by (time, seq) for the generic sort.
+func cmpEntry(a, b calEntry) int {
+	if a.beforeEntry(b.time, b.seq) {
+		return -1
 	}
-	insertionDrain(d)
-}
-
-// partitionDrain Hoare-partitions d around the median of its first, middle
-// and last entries, returning the pivot's final index.
-func partitionDrain(d []calEntry) int {
-	m := len(d) / 2
-	hi := len(d) - 1
-	if d[m].beforeEntry(d[0].time, d[0].seq) {
-		d[0], d[m] = d[m], d[0]
+	if b.beforeEntry(a.time, a.seq) {
+		return 1
 	}
-	if d[hi].beforeEntry(d[0].time, d[0].seq) {
-		d[0], d[hi] = d[hi], d[0]
-	}
-	if d[hi].beforeEntry(d[m].time, d[m].seq) {
-		d[m], d[hi] = d[hi], d[m]
-	}
-	d[0], d[m] = d[m], d[0]
-	pt, ps := d[0].time, d[0].seq
-	i, j := 1, hi
-	for {
-		for i <= j && d[i].beforeEntry(pt, ps) {
-			i++
-		}
-		for i <= j && !d[j].beforeEntry(pt, ps) {
-			j--
-		}
-		if i >= j {
-			break
-		}
-		d[i], d[j] = d[j], d[i]
-		i++
-		j--
-	}
-	d[0], d[j] = d[j], d[0]
-	return j
-}
-
-// heapDrain is the depth-limit fallback: in-place heapsort with the same
-// inline comparisons.
-func heapDrain(d []calEntry) {
-	n := len(d)
-	for root := n/2 - 1; root >= 0; root-- {
-		siftDrain(d, root, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		d[0], d[end] = d[end], d[0]
-		siftDrain(d, 0, end)
-	}
-}
-
-func siftDrain(d []calEntry, root, end int) {
-	for {
-		c := 2*root + 1
-		if c >= end {
-			return
-		}
-		if c+1 < end && d[c].beforeEntry(d[c+1].time, d[c+1].seq) {
-			c++
-		}
-		if !d[root].beforeEntry(d[c].time, d[c].seq) {
-			return
-		}
-		d[root], d[c] = d[c], d[root]
-		root = c
-	}
+	return 0
 }
 
 // removeHead deletes the entry located by the immediately preceding peek.

@@ -443,3 +443,234 @@ func benchLargePending(b *testing.B, pending int) {
 
 func BenchmarkCalendarPending100k(b *testing.B) { benchLargePending(b, 100_000) }
 func BenchmarkCalendarPending1M(b *testing.B)   { benchLargePending(b, 1_000_000) }
+
+// TestSortDrainMatchesSort checks sortDrain against a plain (time, seq)
+// sort on single-day batches of every shape its paths handle: exponential
+// times across the insertion-sort cutoff and well past it, exact time
+// ties crowding one bin past 32 entries, times exactly on the day's first
+// instant and one ulp below the next day's, and a clamped far-future day.
+// Batches arrive in shuffled order, as bucket chains hand them over. On
+// the cases meant for the distribution pass, every entry must also carry
+// the sub-day bin the pass defines, so a pass that quietly fell back to
+// the generic sort fails too.
+func TestSortDrainMatchesSort(t *testing.T) {
+	const width = 0.37
+	const day = 12345
+	q0 := newCalendarQueue()
+	q0.width, q0.invWidth = width, 1/width
+	// first and last are the smallest and largest times in day.
+	first := float64(day) * width
+	for q0.dayOf(first) >= day {
+		first = math.Nextafter(first, math.Inf(-1))
+	}
+	for q0.dayOf(first) < day {
+		first = math.Nextafter(first, math.Inf(1))
+	}
+	last := float64(day+1) * width
+	for q0.dayOf(last) > day {
+		last = math.Nextafter(last, math.Inf(-1))
+	}
+	r := xrand.New(9)
+	// inDay maps u in [0, 1) to a time of day.
+	inDay := func(u float64) float64 {
+		t := first + u*(last-first)
+		return min(max(t, first), last)
+	}
+	exponential := func(n int) []float64 {
+		e := make([]float64, n)
+		hi := 0.0
+		for i := range e {
+			e[i] = r.Exponential(1)
+			hi = max(hi, e[i])
+		}
+		for i := range e {
+			e[i] = inDay(e[i] / (hi * 1.01))
+		}
+		return e
+	}
+	boundaries := func() []float64 {
+		var ts []float64
+		for i := 0; i < 12; i++ {
+			ts = append(ts, first, last)
+		}
+		for i := 0; i < 20; i++ {
+			ts = append(ts, inDay(r.Float64()))
+		}
+		return ts
+	}
+	repeat := func(t float64, n int) []float64 {
+		ts := make([]float64, n)
+		for i := range ts {
+			ts[i] = t
+		}
+		return ts
+	}
+	far := make([]float64, 40)
+	for i := range far {
+		far[i] = 1e300 * (1 + r.Float64())
+	}
+	far[7], far[21] = math.Inf(1), math.Inf(1)
+	cases := []struct {
+		name  string
+		day   int64
+		width float64
+		times []float64
+		pass  bool // ordered by the distribution pass, not a fallback
+	}{
+		{"exponential/1", day, width, exponential(1), false},
+		{"exponential/16", day, width, exponential(16), false},
+		{"exponential/17", day, width, exponential(17), true},
+		{"exponential/33", day, width, exponential(33), true},
+		{"exponential/1000", day, width, exponential(1000), true},
+		{"ties-over-32", day, width, repeat(inDay(0.5), 40), false},
+		{"day-boundaries", day, width, boundaries(), true},
+		{"clamped-day", calMaxDay, 1, far, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			q := newCalendarQueue()
+			q.width, q.invWidth = c.width, 1/c.width
+			for i, tm := range c.times {
+				if d := q.dayOf(tm); d != c.day {
+					t.Fatalf("time %v falls in day %d, not %d", tm, d, c.day)
+				}
+				q.drain = append(q.drain, calEntry{time: tm, seq: uint64(i), slot: int32(i + 1)})
+			}
+			r.Shuffle(len(q.drain), func(i, j int) { q.drain[i], q.drain[j] = q.drain[j], q.drain[i] })
+			want := slices.Clone(q.drain)
+			slices.SortFunc(want, func(a, b calEntry) int {
+				if a.time != b.time {
+					if a.time < b.time {
+						return -1
+					}
+					return 1
+				}
+				return int(int64(a.seq) - int64(b.seq))
+			})
+			q.sortDrain(c.day)
+			nb := 1
+			for nb < len(q.drain) {
+				nb *= 2
+			}
+			for i, e := range q.drain {
+				w := want[i]
+				if e.time != w.time || e.seq != w.seq || e.slot != w.slot {
+					t.Fatalf("entry %d is (t=%v, seq %d, slot %d), want (t=%v, seq %d, slot %d)",
+						i, e.time, e.seq, e.slot, w.time, w.seq, w.slot)
+				}
+				if !c.pass {
+					continue
+				}
+				frac := float64(e.time*q.invWidth) - float64(c.day)
+				if b := uint32(math.Floor(frac * float64(nb))); e.bin != b {
+					t.Fatalf("entry %d (t=%v) is in bin %d, want %d of %d: the distribution pass did not run",
+						i, e.time, e.bin, b, nb)
+				}
+			}
+		})
+	}
+}
+
+// FuzzCalendarOrder drives the sorting oracle with byte-chosen scripts.
+// Each op is two bytes, an opcode and an argument: schedule a burst of
+// exponential, coarse-grid-tie, far-outlier or exact-day-boundary delays,
+// cancel, step or run until a horizon. Every delivery must be the
+// oracle's exact (time, seq) minimum.
+//
+//	go test -run '^$' -fuzz FuzzCalendarOrder -fuzztime 30s -fuzzminimizetime 2s ./internal/des
+func FuzzCalendarOrder(f *testing.F) {
+	f.Add([]byte{0, 200, 0, 200, 0, 200, 5, 31, 3, 0, 3, 5, 5, 31, 7, 255})
+	f.Add([]byte{1, 63, 1, 63, 4, 9, 5, 3, 1, 40, 6, 64, 5, 31})
+	f.Add([]byte{2, 1, 0, 63, 2, 0, 6, 255, 0, 63, 5, 31, 5, 31, 5, 31})
+	f.Add([]byte{0, 255, 0, 255, 0, 255, 0, 255, 3, 7, 3, 251, 5, 20, 3, 128, 4, 0, 6, 10})
+	f.Add([]byte{1, 63, 1, 63, 1, 63, 1, 63, 1, 63, 1, 63, 5, 31})
+	f.Add(append(slices.Repeat([]byte{2, 1}, 20), 0, 10, 5, 31))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 512 {
+			return
+		}
+		o := newOracle(t)
+		r := xrand.New(int64(len(script)))
+		for i := 0; i+1 < len(script); i += 2 {
+			op, arg := script[i]%7, int(script[i+1])
+			now := o.s.Now()
+			switch op {
+			case 0: // exponential residuals, the simulators' own gaps
+				for k := 0; k <= arg%64; k++ {
+					o.schedule(now + r.Exponential(1+float64(arg/64)))
+				}
+			case 1: // coarse grid: heavy (time, seq) ties
+				for k := 0; k <= arg%64; k++ {
+					o.schedule(now + math.Floor(r.Float64()*8)/2)
+				}
+			case 2: // a far outlier, or an event at +Inf
+				if arg%2 == 0 {
+					o.schedule(now + 1e9*(1+r.Float64()))
+				} else {
+					o.schedule(math.Inf(1))
+				}
+			case 3: // the first instant of a day and one ulp before it
+				q := &o.s.cal
+				day := q.dayOf(now) + 1 + int64(arg%4)
+				at := float64(day) * q.width
+				for k := 0; k <= arg/4%16; k++ {
+					for _, tm := range []float64{at, math.Nextafter(at, math.Inf(-1))} {
+						if tm >= now {
+							o.schedule(tm)
+						}
+					}
+				}
+			case 4:
+				if len(o.pending) > 0 {
+					o.cancel(arg % len(o.pending))
+				}
+			case 5:
+				for k := 0; k <= arg%32; k++ {
+					o.step()
+				}
+			case 6:
+				o.runUntil(now + float64(arg)/32)
+			}
+		}
+		o.drain()
+	})
+}
+
+// benchExpHold measures the hold model at pending events with Exp(1)
+// residuals, or, under churn, with half of the reschedules at mean 15 (a
+// lifecycle spell's scale). The wheel sizes its day width from the whole
+// pending span, so the head's days hold tens of entries and reach
+// sortDrain's distribution pass; the uniform 1+U(0,1) hold of
+// BenchmarkCalendarPending* keeps days at about four. The queue is warmed
+// for four holds per pending event before timing.
+func benchExpHold(b *testing.B, pending int, churn bool) {
+	s := NewScheduler()
+	r := xrand.New(2)
+	delay := func() float64 {
+		if churn && r.Float64() < 0.5 {
+			return r.Exponential(1.0 / 15)
+		}
+		return r.Exponential(1)
+	}
+	for i := 0; i < pending; i++ {
+		if _, err := s.Schedule(delay(), 0, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hold := func(Event) {
+		if _, err := s.Schedule(delay(), 0, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*pending; i++ {
+		s.Step(hold)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step(hold)
+	}
+}
+
+func BenchmarkCalendarExpHold25k(b *testing.B)      { benchExpHold(b, 25_000, false) }
+func BenchmarkCalendarExpHoldChurn25k(b *testing.B) { benchExpHold(b, 25_000, true) }

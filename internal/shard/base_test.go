@@ -27,7 +27,7 @@ func TestBaseFormatPinned(t *testing.T) {
 		}, 40, 301310, "bfc019fb6957752ec093f240073cabcb359c4513e65612cb70faa4fb6b3dedd2"},
 		{"market/availability+churn", func(t *testing.T) shard.Config {
 			return routedMarket(t, 2, shard.RoutingConfig{Mode: shard.RouteAvailability})
-		}, 40, 433598, "7d065c401763debfb9d8eb8a9ae91979948001f0ebd2437f1a8d779e79a13807"},
+		}, 40, 433598, "2fac2ed2e245d66c52b7ef57a00c4ed3266e721482c6a6a6fd1761a8215b3c5f"},
 		{"streaming/tax+redistribute+inject", func(t *testing.T) shard.Config {
 			return streamingConfig(t, 2, taxPipeline(t))
 		}, 30, 299421, "4d89016c4f79d0acb2fb4edcb62d02c3a97799940a15c669580ea1153a3ca90f"},

@@ -19,10 +19,12 @@ package shard
 //   - Each peer owns a Fenwick tree over its neighbors' mirror weights,
 //     packed back to back in one slab ([RowStart(g)+g : ... degree+1]
 //     floats per peer) so a million trees carry no per-tree headers. The
-//     tree is a pure function of the mirror, which makes rebuild timing
-//     unobservable: lanes rebuild their own peers' stale trees lazily at
-//     first use (pick or warm prefetch) and results cannot depend on
-//     when — or whether — a rebuild happened early.
+//     tree is a pure function of the mirror, so results cannot depend on
+//     when a rebuild happens. Checkpoints can: every base saves the slab
+//     and the built/stale flags. So a lane rebuilds its own peer's stale
+//     tree only at the peer's next pick, a point fixed by the event
+//     sequence, never ahead of it in the dispatch read-ahead, whose view
+//     depends on how the calendar cuts its day batches.
 //
 //   - Heavy hitters (degree above defaultHeavyDegree, 1024) skip the
 //     lazy-stale discipline: an O(degree) rebuild per barrier touch would
@@ -345,15 +347,12 @@ func (ln *Lane) PickNeighbor(t float64, g int32, nbrs []int32, r *xrand.SplitMix
 }
 
 // warmSampler is the routing half of the dispatch prefetch: when the
-// kernel knows peer g fires shortly, rebuild its stale tree now (an
-// idempotent refresh of a mirror-derived cache — results never depend on
-// it) or prefetch its hot total. Owner-lane only.
+// kernel knows peer g fires shortly, prefetch its tree's hot total. It
+// never rebuilds a stale tree: the built bit and the slab are saved in
+// every checkpoint, and which peers the read-ahead visits depends on how
+// the calendar cuts its day batches, which a restore re-estimates.
 func (e *Engine) warmSampler(g int32) {
 	if e.rt.fenSlab == nil {
-		return
-	}
-	if e.flags[g]&fenBuiltBit == 0 {
-		e.rebuildTree(g)
 		return
 	}
 	prefetch.Of(&e.tree(g)[0])

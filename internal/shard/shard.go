@@ -256,7 +256,7 @@ type Lane struct {
 }
 
 // lanePad is the tail padding that makes Lane a whole number of blocks.
-const lanePad = 112
+const lanePad = 88
 
 // Engine coordinates P lanes through lockstep windows.
 type Engine struct {
@@ -715,7 +715,9 @@ func (ln *Lane) dispatch(ev des.Event) {
 	// warmAhead-th one's random-access state (RNG stream, balance, flags,
 	// pending handle, neighbor row, routing sampler) now. A hint that never
 	// affects delivery order or simulation state: prefetches change no
-	// memory, and warmSampler's rebuild is an idempotent refresh.
+	// memory. It must not rebuild a stale sampler either, because which
+	// actors it sees depends on the calendar's batches, and checkpoints
+	// save whether each tree is built.
 	if g, ok := ln.sched.UpcomingActor(warmAhead); ok {
 		e := ln.e
 		prefetch.Of(&e.rng[g])

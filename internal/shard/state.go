@@ -193,7 +193,10 @@ func (ln *Lane) encode(w *snapshot.Writer) {
 // slab (peer trees are laid out in peer order, so a segment's trees are
 // contiguous). Serializing the trees — rather than rebuilding on restore —
 // preserves the exact built/stale split and the heavy trees' patch
-// history, keeping resumed byte streams identical.
+// history, keeping resumed byte streams identical. That split is part of
+// the saved state, so it must change only at picks and barrier publishes:
+// a rebuild anywhere else, such as in the dispatch read-ahead, would make
+// a resumed run's later checkpoints differ from the straight run's.
 func (ln *Lane) saveRoutingSeg(w *snapshot.Writer, lo, hi int32) {
 	rt := &ln.e.rt
 	if rt.mode == RouteUniform {
