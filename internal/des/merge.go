@@ -33,35 +33,13 @@ type XEvent struct {
 	Kind uint16
 }
 
-// xeventBefore is the canonical (Time, Src, Seq) order. Src breaks
-// same-time ties between peers and Seq within one peer's instant; a peer
-// emits at most one effect per (Time, Seq), so the order is total over any
-// one epoch's buffer.
-func xeventBefore(a, b XEvent) int {
-	switch {
-	case a.Time != b.Time:
-		if a.Time < b.Time {
-			return -1
-		}
-		return 1
-	case a.Src != b.Src:
-		if a.Src < b.Src {
-			return -1
-		}
-		return 1
-	case a.Seq != b.Seq:
-		if a.Seq < b.Seq {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// xeventLess is xeventBefore as a strict bool predicate — the k-way
-// merge's comparison, written out so it inlines into the loser-tree
-// replay loop.
-func xeventLess(a, b *XEvent) bool {
+// Before reports whether a sorts strictly before b in the canonical
+// (Time, Src, Seq) order. Src breaks same-time ties between peers and Seq
+// within one peer's instant; a peer emits at most one effect per
+// (Time, Seq), so the order is total over any one epoch's buffer. It takes
+// pointers and is small enough to inline, so the merges compare run heads
+// in place.
+func (a *XEvent) Before(b *XEvent) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
 	}
@@ -74,11 +52,11 @@ func xeventLess(a, b *XEvent) bool {
 // MergeBuffer accumulates the cross-lane effects of one epoch window and
 // hands them back in canonical order at the barrier. Each lane appends to
 // its own buffer during the window (no sharing, no locks); the coordinator
-// then merges all lanes' buffers — through a Merger for lifecycle deltas
-// and on the policy path, or bucket-at-a-time on the commutative no-policy
-// path. Buffers keep their capacity across epochs (grow-once slabs), so
-// steady-state operation allocates nothing; Trim releases the slack after
-// a traffic spike.
+// then merges all lanes' buffers — through a Merger for lifecycle deltas,
+// a Pair or a Merger on the policy path, or bucket-at-a-time on the
+// commutative no-policy path. Buffers keep their capacity across epochs
+// (grow-once slabs), so steady-state operation allocates nothing; Trim
+// releases the slack after a traffic spike.
 type MergeBuffer struct {
 	ev []XEvent
 	// hw is the high-water occupancy since the last Trim.
@@ -95,8 +73,8 @@ type MergeBuffer struct {
 func (b *MergeBuffer) Add(ev XEvent) {
 	n := len(b.ev)
 	b.ev = append(b.ev, ev)
-	if n > 0 && xeventBefore(b.ev[n], b.ev[n-1]) < 0 {
-		for i := n; i > 0 && xeventBefore(b.ev[i], b.ev[i-1]) < 0; i-- {
+	if n > 0 && b.ev[n].Before(&b.ev[n-1]) {
+		for i := n; i > 0 && b.ev[i].Before(&b.ev[i-1]); i-- {
 			b.ev[i], b.ev[i-1] = b.ev[i-1], b.ev[i]
 		}
 	}
@@ -147,72 +125,113 @@ func (b *MergeBuffer) Trim() {
 // owned by the buffer and valid until the next Add, Reset or Trim.
 func (b *MergeBuffer) Events() []XEvent { return b.ev }
 
-// sentinelSrc marks an exhausted run's head; combined with +Inf time it
-// sorts after every real event (no emission happens at infinite time).
-const sentinelSrc = int32(math.MaxInt32)
+// exhausted is the head of a run that has no events left: +Inf time and
+// the largest Src sort it after every real event (no emission happens at
+// infinite time, and no peer has that index).
+var exhausted = XEvent{Time: math.Inf(1), Src: math.MaxInt32}
 
-// Merger is a loser-tree k-way merge over canonically ordered runs — the
-// sharded kernel's one barrier merge, for lifecycle deltas and for the
-// policy path's credit effects. Each lane's buffer is already in (Time,
-// Src, Seq) order (MergeBuffer.Add maintains it), so merging K such runs
-// costs one tournament replay of ceil(log2 K) inline comparisons per
-// event: O(M log K) total, against the O(M log M) of re-sorting M events
-// that are already K sorted runs. All internal state is recycled across
-// Init calls; a Merger held for a run's lifetime allocates only until the
-// largest K has been seen.
+// Pair merges at most two canonically ordered runs by a two-index walk:
+// each Next compares the two run heads in place and returns a pointer to
+// the smaller one, so no event is copied. It is the barrier merge at P <= 2
+// lanes, where a tournament tree would only add bookkeeping.
+type Pair struct {
+	// a and b are the unconsumed rests of the two runs; Next keeps the run
+	// it took its last event from in a.
+	a, b []XEvent
+}
+
+// Init points the walk at runs a and b, either of which may be empty.
+// Both are read, never modified, and must stay unchanged until the walk
+// completes.
+func (p *Pair) Init(a, b []XEvent) { p.a, p.b = a, b }
+
+// Next returns the next event in canonical order, nil once both runs are
+// exhausted. The pointer aliases the run.
+func (p *Pair) Next() *XEvent {
+	a, b := p.a, p.b
+	if len(b) > 0 && (len(a) == 0 || b[0].Before(&a[0])) {
+		a, b = b, a
+	}
+	if len(a) == 0 {
+		return nil
+	}
+	p.a, p.b = a[1:], b
+	return &a[0]
+}
+
+// Ahead returns the event d >= 1 places after the one Next last returned,
+// in that event's run, or nil past the run's end: the read-ahead target of
+// a caller that prefetches what each run's later events touch.
+func (p *Pair) Ahead(d int) *XEvent {
+	if d <= len(p.a) {
+		return &p.a[d-1]
+	}
+	return nil
+}
+
+// Merger is a loser-tree k-way merge over canonically ordered runs: the
+// lifecycle merge, and the policy path's merge over three runs or more
+// (Pair walks two). Each lane's buffer is already in (Time, Src, Seq)
+// order (MergeBuffer.Add maintains it), so merging K such runs costs one
+// tournament replay of ceil(log2 K) inline comparisons per event:
+// O(M log K) total, against the O(M log M) of re-sorting M events that are
+// already K sorted runs. All internal state is recycled across Init calls;
+// a Merger held for a run's lifetime allocates only until the largest K
+// has been seen.
 //
 // The tree layout is the classic tournament: k padded leaves (one per
-// run), internal nodes 1..k-1 each holding the loser of the match played
-// there, and the overall winner kept aside. Advancing the winner's run
-// and replaying its root path re-establishes the invariant in exactly
-// log2(k) comparisons.
+// run), internal nodes 1..k-1 each holding the index of the run that lost
+// the match played there, and the overall winner kept aside. The matches
+// compare the runs' head events where they lie — head[i] points into run
+// i, or at exhausted — and Next hands out a pointer to the winner's head,
+// so no event is copied. Advancing the winner's run and replaying its root
+// path re-establishes the invariant in exactly log2(k) comparisons.
 type Merger struct {
-	runs [][]XEvent
-	pos  []int
-	head []XEvent
+	// rest[i] is the unconsumed part of run i; head[i] points at its first
+	// event, or at exhausted once it is empty.
+	rest [][]XEvent
+	head []*XEvent
 	// loser[n] is the losing run index at internal node n (1..k-1);
 	// node[i] is init-time scratch for the bottom-up tournament build.
 	loser []int32
 	node  []int32
 	win   int32
-	k     int
-	left  int
+	// last is the run of the event Next returned last.
+	last int32
+	k    int
+	left int
 }
 
 // Init points the merger at a new window's runs. Empty runs are skipped;
 // input slices are read, never modified, and must stay unchanged until
 // the merge completes.
 func (m *Merger) Init(runs [][]XEvent) {
-	m.runs = m.runs[:0]
+	m.rest = m.rest[:0]
 	m.left = 0
 	for _, r := range runs {
 		if len(r) > 0 {
-			m.runs = append(m.runs, r)
+			m.rest = append(m.rest, r)
 			m.left += len(r)
 		}
 	}
-	n := len(m.runs)
+	n := len(m.rest)
 	k := 1
 	for k < n {
 		k <<= 1
 	}
 	m.k = k
-	if cap(m.pos) < k {
-		m.pos = make([]int, k)
-		m.head = make([]XEvent, k)
+	if cap(m.head) < k {
+		m.head = make([]*XEvent, k)
 		m.loser = make([]int32, k)
 		m.node = make([]int32, 2*k)
 	}
-	m.pos = m.pos[:k]
 	m.head = m.head[:k]
 	m.loser = m.loser[:k]
 	m.node = m.node[:2*k]
 	for i := 0; i < k; i++ {
-		m.pos[i] = 0
+		m.head[i] = &exhausted
 		if i < n {
-			m.head[i] = m.runs[i][0]
-		} else {
-			m.head[i] = XEvent{Time: math.Inf(1), Src: sentinelSrc}
+			m.head[i] = &m.rest[i][0]
 		}
 		m.node[k+i] = int32(i)
 	}
@@ -220,7 +239,7 @@ func (m *Merger) Init(runs [][]XEvent) {
 	// forwards its winner.
 	for nd := k - 1; nd >= 1; nd-- {
 		a, b := m.node[2*nd], m.node[2*nd+1]
-		if xeventLess(&m.head[b], &m.head[a]) {
+		if m.head[b].Before(m.head[a]) {
 			a, b = b, a
 		}
 		m.node[nd] = a
@@ -232,31 +251,41 @@ func (m *Merger) Init(runs [][]XEvent) {
 // Len returns the number of events not yet produced.
 func (m *Merger) Len() int { return m.left }
 
-// Next produces the next event in canonical order; ok is false once every
-// run is exhausted.
-func (m *Merger) Next() (ev XEvent, ok bool) {
+// Next returns the next event in canonical order, nil once every run is
+// exhausted. The pointer aliases the run.
+func (m *Merger) Next() *XEvent {
 	if m.left == 0 {
-		return XEvent{}, false
+		return nil
 	}
 	m.left--
 	w := m.win
-	ev = m.head[w]
+	m.last = w
+	x := m.head[w]
 	// Advance the winning run and replay its path to the root.
-	p := m.pos[w] + 1
-	if p < len(m.runs[w]) {
-		m.pos[w] = p
-		m.head[w] = m.runs[w][p]
+	r := m.rest[w][1:]
+	m.rest[w] = r
+	if len(r) > 0 {
+		m.head[w] = &r[0]
 	} else {
-		m.head[w] = XEvent{Time: math.Inf(1), Src: sentinelSrc}
+		m.head[w] = &exhausted
 	}
 	for nd := (m.k + int(w)) >> 1; nd >= 1; nd >>= 1 {
-		if l := m.loser[nd]; xeventLess(&m.head[l], &m.head[w]) {
+		if l := m.loser[nd]; m.head[l].Before(m.head[w]) {
 			m.loser[nd] = w
 			w = l
 		}
 	}
 	m.win = w
-	return ev, true
+	return x
+}
+
+// Ahead returns the event d places after the one Next last returned, in
+// that event's run, or nil past the run's end (see Pair.Ahead).
+func (m *Merger) Ahead(d int) *XEvent {
+	if r := m.rest[m.last]; d <= len(r) {
+		return &r[d-1]
+	}
+	return nil
 }
 
 // Merge appends the canonical (Time, Src, Seq) merge of runs to dst and
@@ -264,15 +293,12 @@ func (m *Merger) Next() (ev XEvent, ok bool) {
 // allocation-free steady state.
 func (m *Merger) Merge(dst []XEvent, runs [][]XEvent) []XEvent {
 	m.Init(runs)
-	if len(m.runs) == 1 {
-		// Single-run fast path: the run is already canonical.
-		return append(dst, m.runs[0]...)
+	if len(m.rest) == 1 {
+		// The one run is already canonical.
+		return append(dst, m.rest[0]...)
 	}
-	for {
-		ev, ok := m.Next()
-		if !ok {
-			return dst
-		}
-		dst = append(dst, ev)
+	for x := m.Next(); x != nil; x = m.Next() {
+		dst = append(dst, *x)
 	}
+	return dst
 }

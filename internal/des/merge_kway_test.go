@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -35,33 +36,106 @@ func randomLanes(rng *rand.Rand, n, total int) []*MergeBuffer {
 	return lanes
 }
 
+// runsOf returns the lanes' buffered runs.
+func runsOf(lanes []*MergeBuffer) [][]XEvent {
+	runs := make([][]XEvent, len(lanes))
+	for i, b := range lanes {
+		runs[i] = b.Events()
+	}
+	return runs
+}
+
+// checkCursor drains a pointer cursor (Pair or Merger) over runs and
+// requires the sort-based reference's sequence, every returned pointer to
+// alias its event in place inside a run, and Ahead(d) to name the event d
+// places further down the same run, or nil past its end.
+func checkCursor(t *testing.T, label string, next func() *XEvent, ahead func(int) *XEvent, runs [][]XEvent, want []XEvent) {
+	t.Helper()
+	type at struct{ run, i int }
+	where := map[*XEvent]at{}
+	for r, run := range runs {
+		for i := range run {
+			where[&run[i]] = at{r, i}
+		}
+	}
+	got := 0
+	for x := next(); x != nil; x = next() {
+		if got >= len(want) {
+			t.Fatalf("%s: cursor produced more than the %d events", label, len(want))
+		}
+		if *x != want[got] {
+			t.Fatalf("%s: event %d = %+v, want %+v", label, got, *x, want[got])
+		}
+		pos, ok := where[x]
+		if !ok {
+			t.Fatalf("%s: event %d is a copy, not a pointer into a run", label, got)
+		}
+		for _, d := range []int{1, 2, 8} {
+			var w *XEvent
+			if j := pos.i + d; j < len(runs[pos.run]) {
+				w = &runs[pos.run][j]
+			}
+			if y := ahead(d); y != w {
+				t.Fatalf("%s: Ahead(%d) after event %d (run %d, index %d) = %p, want %p", label, d, got, pos.run, pos.i, y, w)
+			}
+		}
+		got++
+	}
+	if got != len(want) {
+		t.Fatalf("%s: cursor produced %d events, want %d", label, got, len(want))
+	}
+}
+
+// checkMergeParity checks every merge path over the lanes against the
+// sort-based reference: Merge, the loser tree's in-place cursor, and —
+// over the first two lanes — the two-run walk.
+func checkMergeParity(t *testing.T, label string, m *Merger, lanes []*MergeBuffer) {
+	t.Helper()
+	runs := runsOf(lanes)
+	want := Collect(nil, lanes)
+	got := m.Merge(nil, runs)
+	if len(got) != len(want) {
+		t.Fatalf("%s: merged %d events, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: merged[%d] = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+	m.Init(runs)
+	if m.Len() != len(want) {
+		t.Fatalf("%s: Len = %d after Init, want %d", label, m.Len(), len(want))
+	}
+	checkCursor(t, label+" tree", m.Next, m.Ahead, runs, want)
+
+	two := lanes[:min(2, len(lanes))]
+	twoRuns := runsOf(two)
+	var p Pair
+	if len(twoRuns) == 1 {
+		p.Init(twoRuns[0], nil)
+	} else {
+		p.Init(twoRuns[0], twoRuns[1])
+	}
+	checkCursor(t, label+" pair", p.Next, p.Ahead, twoRuns, Collect(nil, two))
+}
+
 // TestMergerMatchesCollect is the k-way/sort parity property: over many
-// randomized lane fillings — duplicate times, empty lanes, lane counts
-// from 1 to 9 (crossing every power-of-two padding boundary) — the loser
-// tree must produce byte-for-byte the sequence of the sort-based
-// reference.
+// randomized lane fillings — exact time ties across and within peers,
+// empty lanes, K in {1, 2, 3, 5, 8} runs (crossing the power-of-two
+// padding boundaries) — Merge, the loser tree's in-place cursor and the
+// two-run walk must produce byte-for-byte the sequence of the sort-based
+// reference, each cursor handing out pointers into the runs.
 func TestMergerMatchesCollect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var m Merger
-	for trial := 0; trial < 500; trial++ {
-		n := 1 + rng.Intn(9)
-		total := rng.Intn(200)
-		lanes := randomLanes(rng, n, total)
-		runs := make([][]XEvent, n)
-		for i, b := range lanes {
-			runs[i] = b.Events()
-		}
-		want := Collect(nil, lanes)
-		got := m.Merge(nil, runs)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (n=%d, total=%d): merged %d events, want %d",
-				trial, n, total, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (n=%d): merged[%d] = %+v, want %+v",
-					trial, n, i, got[i], want[i])
+	for _, k := range []int{1, 2, 3, 5, 8} {
+		for trial := 0; trial < 200; trial++ {
+			total := rng.Intn(200)
+			if trial == 0 {
+				total = 0 // every run empty
 			}
+			lanes := randomLanes(rng, k, total)
+			checkMergeParity(t, fmt.Sprintf("K=%d trial %d (total %d)", k, trial, total), &m, lanes)
 		}
 	}
 }
@@ -174,30 +248,18 @@ func TestMergeBufferTrim(t *testing.T) {
 
 // FuzzMergeParity fuzzes the k-way/sort parity over generated lane
 // fillings: the fuzzer picks the lane count, event count and draw seed,
-// and any divergence between the loser tree and the sort-based reference
-// fails.
+// and any divergence between Merge, the loser tree's cursor or the
+// two-run walk and the sort-based reference fails.
 func FuzzMergeParity(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint16(50))
 	f.Add(int64(99), uint8(1), uint16(0))
 	f.Add(int64(7), uint8(9), uint16(300))
+	f.Add(int64(3), uint8(2), uint16(40))
 	f.Fuzz(func(t *testing.T, seed int64, nLanes uint8, total uint16) {
 		n := 1 + int(nLanes%12)
 		rng := rand.New(rand.NewSource(seed))
 		lanes := randomLanes(rng, n, int(total%1024))
-		runs := make([][]XEvent, n)
-		for i, b := range lanes {
-			runs[i] = b.Events()
-		}
-		want := Collect(nil, lanes)
 		var m Merger
-		got := m.Merge(nil, runs)
-		if len(got) != len(want) {
-			t.Fatalf("merged %d events, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("merged[%d] = %+v, want %+v", i, got[i], want[i])
-			}
-		}
+		checkMergeParity(t, fmt.Sprintf("K=%d", n), &m, lanes)
 	})
 }

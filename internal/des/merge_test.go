@@ -17,6 +17,18 @@ func Collect(dst []XEvent, lanes []*MergeBuffer) []XEvent {
 	return dst
 }
 
+// xeventBefore is the canonical (Time, Src, Seq) order as a three-way
+// comparison, for the sort-based reference.
+func xeventBefore(a, b XEvent) int {
+	switch {
+	case a.Before(&b):
+		return -1
+	case b.Before(&a):
+		return 1
+	}
+	return 0
+}
+
 // TestCollectCanonicalOrder verifies the (Time, Src, Seq) merge order and
 // that the result is independent of how events were distributed over
 // lanes — the property the sharded kernel's determinism contract needs.

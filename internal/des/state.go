@@ -109,6 +109,16 @@ func (s *Scheduler) SaveState(w *snapshot.Writer) {
 	}
 }
 
+// SavedLenBound bounds the bytes SaveState writes while the slab stays
+// within its current capacity (Reserve sets it): the fixed fields, every
+// slot at slotBytes plus a free-list entry, and each segment's id and
+// length prefixes. A checkpoint writer sized from it never regrows.
+func (s *Scheduler) SavedLenBound() int {
+	slots := cap(s.slab)
+	segs := (slots + slabSegSize - 1) >> slabSegShift
+	return 1 + len("dsched") + 8*8 + slots*(slotBytes+4) + segs*(4+7*8)
+}
+
 // LoadState restores a scheduler serialized by SaveState into the
 // receiver, replacing its slab, and rebuilds the calendar from the slot
 // states. Segments must ascend and together cover the whole slab, and the

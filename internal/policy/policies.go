@@ -227,10 +227,13 @@ func (rd *Redistribute) drain(h Host) {
 	if live <= 0 {
 		return
 	}
-	rounds := h.PotBalance() / int64(live)
-	if rounds <= 0 {
+	// A pot below one round pays nothing; it runs on every income, so
+	// return before the division.
+	pot := h.PotBalance()
+	if pot < int64(live) {
 		return
 	}
+	rounds := pot / int64(live)
 	n := h.Peers()
 	for px := int32(0); int(px) < n; px++ {
 		if !h.Alive(px) {

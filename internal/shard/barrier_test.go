@@ -98,7 +98,7 @@ func TestChurnedSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestTimingsCPULines pins the -timing table's two CPU lines: dispatch
-// CPU per dispatched event, then merge+apply CPU per merged event, each
+// CPU per dispatched event, then apply CPU per merged event, each
 // from the accumulated totals.
 func TestTimingsCPULines(t *testing.T) {
 	ti := shard.Timings{
@@ -131,9 +131,10 @@ func TestTimingsCPULines(t *testing.T) {
 }
 
 // TestTimingsBreakdown smoke-tests the phase accounting on both barrier
-// paths: windows are counted, dispatch time accumulates, the merge phase
-// engages exactly when policies do, the phase sum equals Total, every
-// dispatched event is counted, and dispatch CPU time accrues where
+// paths: windows are counted, dispatch time accumulates, credit effects
+// are counted as merged exactly when policies run, the lifecycle merge of
+// these churned runs is timed on both paths, the phase sum equals Total,
+// every dispatched event is counted, and dispatch CPU time accrues where
 // getrusage exists.
 func TestTimingsBreakdown(t *testing.T) {
 	run := func(pols bool) shard.Timings {
@@ -191,8 +192,11 @@ func TestTimingsBreakdown(t *testing.T) {
 	}
 
 	noPol := run(false)
-	if noPol.Merge != 0 || noPol.MergedEvents != 0 {
+	if noPol.MergedEvents != 0 {
 		t.Fatalf("no-policy run took the merge path: %+v", noPol)
+	}
+	if withPol.Merge == 0 || noPol.Merge == 0 {
+		t.Fatalf("lifecycle merge not timed: with policies %v, without %v", withPol.Merge, noPol.Merge)
 	}
 	if noPol.Windows == 0 || noPol.Dispatch == 0 {
 		t.Fatalf("no-policy run recorded no work: %+v", noPol)

@@ -69,7 +69,7 @@ type Checkpointer struct {
 // NewCheckpointer builds a checkpointer over e writing to sink. The
 // options select nothing.
 func NewCheckpointer(e *Engine, sink snapshot.ChainSink, _ CheckpointOptions) *Checkpointer {
-	return &Checkpointer{e: e, sink: sink, enc: newEncoder(e.p)}
+	return &Checkpointer{e: e, sink: sink, enc: newEncoder(e)}
 }
 
 // Stats returns the checkpoint counters so far.

@@ -12,12 +12,12 @@
 // runs the discrete-event loop for one fixed window [t, t+W) with no
 // access to any other lane's mutable state. Effects that reach another
 // peer (credit payments, always; a peer never mutates a neighbor
-// directly) are buffered as des.XEvents in per-destination-shard merge
-// buffers. At the window barrier the buffered effects are applied in the
-// canonical (time, source peer, intra-instant seq) order, lifecycle
-// deltas are folded into the shared epoch-liveness bitmap, policy epochs
-// fire, and metrics sample — then every lane proceeds into the next
-// window together. This is classic conservative synchronization with a
+// directly) are buffered as des.XEvents in the lane's outboxes (one per
+// destination shard, or one in all on the policy path). At the window
+// barrier the buffered effects are applied in the canonical (time, source
+// peer, intra-instant seq) order, lifecycle deltas are folded into the
+// shared epoch-liveness bitmap, policy epochs fire, and metrics sample —
+// then every lane proceeds into the next window together. This is classic conservative synchronization with a
 // fixed lookahead of W: no lane ever observes an effect "from the
 // future" of another lane, because all cross-peer effects materialize
 // only at barriers.
@@ -212,9 +212,8 @@ const (
 )
 
 // Lane is one shard's execution context: the scheduler over its peers'
-// events, the per-destination-shard outboxes, the lane-local slices of
-// the metric accumulators, and scratch. Workload hooks receive the lane
-// they run on.
+// events, the outboxes, the lane-local slices of the metric accumulators,
+// and scratch. Workload hooks receive the lane they run on.
 //
 // Everything a lane writes while the lanes run concurrently is private to
 // it down to the 128-byte pad.Block, so two lanes never write one cache
@@ -229,7 +228,10 @@ type Lane struct {
 	// lo, hi bound the lane's global peer indices [lo, hi).
 	lo, hi int32
 	sched  des.Scheduler
-	// out[d] buffers effects destined for shard d this window.
+	// out buffers this window's credit effects. Without policies out[d]
+	// holds those destined for shard d, which lane d applies in parallel;
+	// with policies the lane keeps one outbox, out[0], whose canonical run
+	// the coordinator merges with the other lanes' runs (applyMerged).
 	out []des.MergeBuffer
 	// life buffers this window's lifecycle deltas (lifeDelta), merged at
 	// the barrier in canonical order.
@@ -313,14 +315,12 @@ type Engine struct {
 	// Barrier scratch, all recycled across windows: steady-state barriers
 	// allocate nothing (pinned by TestBarrierSteadyStateZeroAlloc,
 	// TestChurnedSteadyStateZeroAlloc and the ShardMarketLargePolicy allocs
-	// guard). lifeScratch and mergeAll hold the merged lifecycle deltas and
-	// credit effects; both grow once to their high-water occupancy and are
-	// trimmed back every trimEvery windows if a spike left them more than
-	// 4x oversized. runScratch and merger serve both merges.
+	// guard). lifeScratch holds the merged lifecycle deltas; it grows once
+	// to its high-water occupancy and is trimmed back every trimEvery
+	// windows if a spike left it more than 4x oversized. runScratch and
+	// merger serve both merges.
 	lifeScratch []des.XEvent
 	lifeHW      int
-	mergeAll    []des.XEvent
-	mergeHW     int
 	runScratch  [][]des.XEvent
 	histScratch []stats.BalanceHist
 	merger      des.Merger
@@ -470,6 +470,10 @@ func New(cfg Config) (*Engine, error) {
 		e.aliveEpoch[i>>6] |= 1 << (uint(i) & 63)
 	}
 	e.lanes = make([]*Lane, e.p)
+	outs := e.p // one outbox per destination shard, or one in all
+	if e.engine != nil {
+		outs = 1
+	}
 	for s := 0; s < e.p; s++ {
 		lo, hi := part.Range(s)
 		ln := &Lane{
@@ -477,7 +481,7 @@ func New(cfg Config) (*Engine, error) {
 			S:     s,
 			lo:    lo,
 			hi:    hi,
-			out:   pad.Make[des.MergeBuffer](e.p),
+			out:   pad.Make[des.MergeBuffer](outs),
 			liveN: int(hi - lo),
 		}
 		ln.sched.Init()
@@ -596,32 +600,28 @@ func (e *Engine) StepWindow() bool {
 	e.timings.Dispatch += t1.Sub(t0)
 	e.timings.DispatchCPU += c1 - c0
 	e.timings.Events += e.EventsFired() - ev0
-	// Phases 2+3 (merge, apply): deliver the window's buffered effects.
-	// Without a policy pipeline there is no merge — each lane applies its
-	// own inbound buckets in parallel (delivery on disjoint destination
-	// partitions commutes, so no canonical order is needed); with policies
-	// the income hooks touch global state (pot, any peer), so the
-	// coordinator k-way-merges every outbox into the one canonical
-	// sequence and applies it in a single pass.
+	// Phase 2 (apply): deliver the window's buffered effects. Without a
+	// policy pipeline each lane applies its own inbound buckets in
+	// parallel (delivery on disjoint destination partitions commutes, so
+	// no canonical order is needed); with policies the income hooks touch
+	// global state (pot, any peer), so the coordinator merges the lanes'
+	// canonical runs and lands each effect as the merge surfaces it.
 	if e.engine == nil {
 		e.parallel(e.applyFn)
-		e.timings.Apply += time.Since(t1)
 	} else {
-		e.collectMerged()
-		t2 := time.Now()
-		e.timings.Merge += t2.Sub(t1)
 		e.applyMerged()
-		e.timings.Apply += time.Since(t2)
 	}
+	t2 := time.Now()
+	e.timings.Apply += t2.Sub(t1)
 	e.timings.ApplyCPU += processCPU() - c1
-	// Phase 4 (churn): coordinator — lifecycle deltas into the epoch
-	// bitmap (and policy join/depart hooks), weight-mirror publish, epoch
-	// hooks, samples. The publish span accrues inside barrier; subtract it
-	// here so Churn and Publish partition the phase.
-	t3 := time.Now()
-	pub0 := e.timings.Publish
+	// Phase 3 (churn): coordinator — lifecycle deltas merged into the
+	// epoch bitmap (and policy join/depart hooks), weight-mirror publish,
+	// epoch hooks, samples. The lifecycle merge and the publish accrue
+	// inside barrier; subtract them here so Merge, Churn and Publish
+	// partition the phase.
+	mp0 := e.timings.Merge + e.timings.Publish
 	e.barrier(tEnd)
-	e.timings.Churn += time.Since(t3) - (e.timings.Publish - pub0)
+	e.timings.Churn += time.Since(t2) - (e.timings.Merge + e.timings.Publish - mp0)
 	e.now = tEnd
 	e.windows++
 	e.timings.Windows++
@@ -642,32 +642,15 @@ func (e *Engine) trim() {
 		}
 		ln.life.Trim()
 	}
-	e.mergeAll = trimScratch(e.mergeAll, &e.mergeHW)
-	e.lifeScratch = trimScratch(e.lifeScratch, &e.lifeHW)
+	// The merged lifecycle deltas follow the buffers' rule: reallocate at
+	// the high-water mark when more than 4x oversized.
+	if c := cap(e.lifeScratch); c > 64 && c > 4*e.lifeHW {
+		e.lifeScratch = make([]des.XEvent, 0, e.lifeHW)
+	}
+	e.lifeHW = 0
 	// Stale run pointers in runScratch's spare capacity would pin the
 	// outbox and lifecycle arrays just trimmed above.
 	clear(e.runScratch[:cap(e.runScratch)])
-}
-
-// mergeRuns k-way-merges runs into the recycled scratch slice dst through
-// the engine's one Merger, raising the high-water mark hw that trimScratch
-// consults.
-func (e *Engine) mergeRuns(dst []des.XEvent, runs [][]des.XEvent, hw *int) []des.XEvent {
-	dst = e.merger.Merge(dst[:0], runs)
-	*hw = max(*hw, len(dst))
-	return dst
-}
-
-// trimScratch reallocates a merged scratch slice whose backing array is
-// more than 4x the high-water occupancy since the last trim, as
-// des.MergeBuffer.Trim does for the buffers it merges, and restarts the
-// high-water count.
-func trimScratch(s []des.XEvent, hw *int) []des.XEvent {
-	if c := cap(s); c > 64 && c > 4**hw {
-		s = make([]des.XEvent, 0, *hw)
-	}
-	*hw = 0
-	return s
 }
 
 // Run executes the whole horizon and finishes.
@@ -872,33 +855,52 @@ func (ln *Lane) Spend(t float64, src, dst int32, seq uint32, amount int64) bool 
 	e.bal[src] = pre - amount
 	ln.hist.Move(pre, pre-amount)
 	ln.supply -= amount
-	ln.out[e.part.ShardOf(dst)].Add(des.XEvent{
+	d := e.part.ShardOf(dst)
+	out := &ln.out[0]
+	if len(ln.out) > 1 {
+		out = &ln.out[d]
+	}
+	out.Add(des.XEvent{
 		Time: t, Src: src, Dst: dst, Seq: seq, Amount: amount, Kind: KindUser,
 	})
 	ln.transfers++
-	if e.part.ShardOf(dst) != ln.S {
+	if d != ln.S {
 		ln.crossTransfers++
 	}
 	return true
 }
 
 // applyInbound applies this window's effects destined for this lane, in
-// in source-bucket order — the no-policy fast path, runnable in parallel
-// because every write lands in this lane's partition. No canonical sort is
-// needed here: without income hooks, delivery is commutative — balance
+// source-bucket order — the no-policy fast path, runnable in parallel
+// because every write lands in this lane's partition. No canonical order
+// is needed here: without income hooks, delivery is commutative — balance
 // credits add, histogram moves compose, and the dead-destination check
 // reads alive flags that only change at barriers — so applying the buckets
 // in any order produces bit-identical state. The policy path below cannot
-// skip the sort, because income hooks observe pre-balances and the pot.
+// skip the merge, because income hooks observe pre-balances and the pot.
 func (ln *Lane) applyInbound() {
 	e := ln.e
 	for _, src := range e.lanes {
 		evs := src.out[ln.S].Events()
 		for i := range evs {
+			if j := i + applyAhead; j < len(evs) {
+				g := evs[j].Dst
+				prefetch.Of(&e.flags[g])
+				prefetch.Of(&e.bal[g])
+			}
 			ln.deliver(&evs[i])
 		}
 	}
 }
+
+// applyAhead is the apply passes' read-ahead distance along each run:
+// destination flags and balances are random-access at effect granularity,
+// so at large populations each delivery starts with a cache miss, and
+// prefetching the destination of the effect this many places further
+// down the same run overlaps those misses with the deliveries in between.
+// The prefetches are written out at each site: prefetch.Of is an
+// assembly call, which keeps a wrapper from inlining.
+const applyAhead = 8
 
 // deliver lands one merged effect: credit the destination if it is still
 // online, otherwise burn the in-flight amount. It reports whether the
@@ -919,45 +921,54 @@ func (ln *Lane) deliver(xev *des.XEvent) (pre int64, landed bool) {
 	return pre, true
 }
 
-// collectMerged k-way-merges every lane's per-destination outboxes into
-// the recycled mergeAll scratch in canonical (time, src, seq) order — the
-// policy path's barrier merge. Each outbox is already canonically ordered
-// (des.MergeBuffer.Add maintains the invariant), so the loser tree does
-// O(M log K) work over the K = P² runs instead of re-sorting M events at
-// O(M log M).
-func (e *Engine) collectMerged() {
-	e.runScratch = e.runScratch[:0]
-	for _, src := range e.lanes {
-		for d := range src.out {
-			if evs := src.out[d].Events(); len(evs) > 0 {
-				e.runScratch = append(e.runScratch, evs)
-			}
+// applyMerged is the policy path's fused merge and apply: it merges the
+// lanes' outbox runs in canonical (time, src, seq) order and lands each
+// effect, income hooks included, as the merge surfaces it, so the hooks
+// (which may touch the pot and any peer) observe the same sequence at
+// every shard count. Each run is already canonical (des.MergeBuffer.Add
+// keeps it so), and the merge reads the effects where the lanes wrote
+// them: a two-index walk over at most two runs, the loser tree over more.
+// Along each run the destination of the effect applyAhead places on is
+// prefetched.
+func (e *Engine) applyMerged() {
+	runs := e.runScratch[:0]
+	n := 0
+	for _, ln := range e.lanes {
+		if evs := ln.out[0].Events(); len(evs) > 0 {
+			runs = append(runs, evs)
+			n += len(evs)
 		}
 	}
-	e.mergeAll = e.mergeRuns(e.mergeAll, e.runScratch, &e.mergeHW)
-	e.timings.MergedEvents += uint64(len(e.mergeAll))
-}
-
-// applyMerged lands the canonical sequence in one coordinator pass, so
-// income hooks (which may touch the pot and any peer) observe the same
-// sequence at every shard count.
-func (e *Engine) applyMerged() {
-	h := &e.host
-	// Read-ahead distance for the destination state: bal and flags are
-	// random-access at merged-event granularity, so at large populations
-	// each delivery starts with a cache miss. Prefetching the destination
-	// a few events early overlaps those misses with the deliveries in
-	// between.
-	const ahead = 8
-	for i := range e.mergeAll {
-		if j := i + ahead; j < len(e.mergeAll) {
-			g := e.mergeAll[j].Dst
-			prefetch.Of(&e.flags[g])
-			prefetch.Of(&e.bal[g])
+	e.runScratch = runs
+	e.timings.MergedEvents += uint64(n)
+	if len(runs) > 2 {
+		m := &e.merger
+		m.Init(runs)
+		for x := m.Next(); x != nil; x = m.Next() {
+			if y := m.Ahead(applyAhead); y != nil {
+				prefetch.Of(&e.flags[y.Dst])
+				prefetch.Of(&e.bal[y.Dst])
+			}
+			if pre, landed := e.lanes[e.part.ShardOf(x.Dst)].deliver(x); landed {
+				e.engine.Income(&e.host, x.Dst, pre, x.Amount)
+			}
 		}
-		xev := &e.mergeAll[i]
-		if pre, landed := e.lanes[e.part.ShardOf(xev.Dst)].deliver(xev); landed {
-			e.engine.Income(h, xev.Dst, pre, xev.Amount)
+		return
+	}
+	var w des.Pair
+	switch len(runs) {
+	case 1:
+		w.Init(runs[0], nil)
+	case 2:
+		w.Init(runs[0], runs[1])
+	}
+	for x := w.Next(); x != nil; x = w.Next() {
+		if y := w.Ahead(applyAhead); y != nil {
+			prefetch.Of(&e.flags[y.Dst])
+			prefetch.Of(&e.bal[y.Dst])
+		}
+		if pre, landed := e.lanes[e.part.ShardOf(x.Dst)].deliver(x); landed {
+			e.engine.Income(&e.host, x.Dst, pre, x.Amount)
 		}
 	}
 }
@@ -967,13 +978,16 @@ func (e *Engine) applyMerged() {
 // the epoch bitmap (with policy join/depart hooks), due policy epochs
 // fire, and due samples record.
 func (e *Engine) barrier(tB float64) {
+	tM := time.Now()
 	e.runScratch = e.runScratch[:0]
 	for _, ln := range e.lanes {
 		if evs := ln.life.Events(); len(evs) > 0 {
 			e.runScratch = append(e.runScratch, evs)
 		}
 	}
-	e.lifeScratch = e.mergeRuns(e.lifeScratch, e.runScratch, &e.lifeHW)
+	e.lifeScratch = e.merger.Merge(e.lifeScratch[:0], e.runScratch)
+	e.lifeHW = max(e.lifeHW, len(e.lifeScratch))
+	e.timings.Merge += time.Since(tM)
 	var h *engineHost
 	if e.engine != nil {
 		h = &e.host

@@ -104,7 +104,9 @@ func requireSameResult(t *testing.T, label string, base, got *shard.Result) {
 // TestShardCountInvarianceMarket pins the engine's central contract:
 // the same seed produces byte-identical results at every shard count,
 // on the market workload with churn and free riders, both without and
-// with an economic policy pipeline.
+// with an economic policy pipeline. With policies, P=1 and P=2 merge by
+// the two-run walk and P=3, 4 and 8 by the loser tree, P=3 with a padded
+// leaf.
 func TestShardCountInvarianceMarket(t *testing.T) {
 	for _, withPolicies := range []bool{false, true} {
 		var pol []policy.Policy
@@ -126,7 +128,7 @@ func TestShardCountInvarianceMarket(t *testing.T) {
 		if withPolicies && base.TaxCollected == 0 {
 			t.Fatalf("policies not exercised: %+v", base)
 		}
-		for _, p := range []int{2, 4, 8} {
+		for _, p := range []int{2, 3, 4, 8} {
 			var freshPol []policy.Policy
 			if withPolicies {
 				freshPol = taxPipeline(t)
@@ -151,7 +153,7 @@ func TestShardCountInvarianceStreaming(t *testing.T) {
 	if base.Counters["chunks_traded"] == 0 || base.Counters["chunks_seeded"] == 0 {
 		t.Fatalf("degenerate baseline: %+v", base.Counters)
 	}
-	for _, p := range []int{2, 4, 8} {
+	for _, p := range []int{2, 3, 4, 8} {
 		got, err := shard.Run(streamingConfig(t, p, taxPipeline(t)))
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)

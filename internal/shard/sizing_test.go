@@ -188,3 +188,48 @@ func TestRestoreChainAllocations(t *testing.T) {
 		t.Fatalf("RestoreChain allocated %d bytes, %d more than New, against a %d-byte base", restored, extra, len(base))
 	}
 }
+
+// laneWriterBufs returns the address, length and capacity of each lane
+// fragment writer's buffer in a checkpointer's encoder.
+func laneWriterBufs(ck *shard.Checkpointer) [][3]int {
+	laneW := reflect.ValueOf(ck).Elem().FieldByName("enc").Elem().FieldByName("laneW")
+	bufs := make([][3]int, laneW.Len())
+	for i := range bufs {
+		buf := laneW.Index(i).Elem().FieldByName("Writer").FieldByName("buf")
+		bufs[i] = [3]int{int(buf.Pointer()), buf.Len(), buf.Cap()}
+	}
+	return bufs
+}
+
+// TestFirstCheckpointGrowsNoLaneWriter starts the four benchmark
+// workloads at 2,000 peers, steps 8 windows (the streaming workload's
+// checkpoint cadence) and takes one checkpoint: every lane fragment writer
+// must hold its whole section in the buffer the checkpointer sized at
+// construction, without regrowing it.
+func TestFirstCheckpointGrowsNoLaneWriter(t *testing.T) {
+	g := benchrunGraph(t, 2000)
+	for _, bc := range benchrunConfigs {
+		t.Run(bc.name, func(t *testing.T) {
+			sim, err := shard.NewSim(bc.cfg(t, g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Start(); err != nil {
+				t.Fatal(err)
+			}
+			ck := shard.NewCheckpointer(sim.Engine(), &lenSink{}, shard.CheckpointOptions{})
+			sized := laneWriterBufs(ck)
+			stepWindows(t, sim, 8)
+			checkpointSync(t, ck)
+			for i, got := range laneWriterBufs(ck) {
+				if got[1] == 0 {
+					t.Fatalf("lane %d wrote no section", i)
+				}
+				if got[0] != sized[i][0] || got[2] != sized[i][2] {
+					t.Errorf("lane %d writer regrew: sized %d bytes, wrote %d into %d", i, sized[i][2], got[1], got[2])
+				}
+				t.Logf("lane %d: wrote %d of %d sized bytes", i, got[1], sized[i][2])
+			}
+		})
+	}
+}

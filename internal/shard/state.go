@@ -95,14 +95,17 @@ type laneWriter struct {
 	_ [pad.Block - unsafe.Sizeof(snapshot.Writer{})]byte
 }
 
-func newEncoder(p int) *encoder {
+// newEncoder builds the recycled fragments, each lane's writer sized once
+// from its content (Lane.sectionBound), so a checkpoint does not regrow it
+// step by step.
+func newEncoder(e *Engine) *encoder {
 	c := &encoder{
 		coord: snapshot.NewWriter(1 << 16),
-		laneW: make([]*laneWriter, p),
-		parts: make([][]byte, 0, p+1),
+		laneW: make([]*laneWriter, e.p),
+		parts: make([][]byte, 0, e.p+1),
 	}
-	for s := range c.laneW {
-		c.laneW[s] = &laneWriter{Writer: *snapshot.NewRawWriter(1 << 12)}
+	for s, ln := range e.lanes {
+		c.laneW[s] = &laneWriter{Writer: *snapshot.NewRawWriter(ln.sectionBound())}
 	}
 	return c
 }
@@ -186,6 +189,34 @@ func (ln *Lane) encode(w *snapshot.Writer) {
 		w.U64s(e.pend[lo:hi])
 		ln.saveRoutingSeg(w, lo, hi)
 	}
+}
+
+// sectionBound bounds the bytes encode writes for this lane, counting
+// every field it emits: the scheduler (des.Scheduler.SavedLenBound), the
+// accumulators and counters, the histogram at twice its current length
+// (room for one doubling as balances grow) and every peer segment with its
+// routing slices.
+func (ln *Lane) sectionBound() int {
+	e := ln.e
+	rt := &e.rt
+	const prefix = 8 // a slice's length prefix
+	peers := int(ln.hi - ln.lo)
+	segs := ln.segments()
+	n := 1 + len("lane") + ln.sched.SavedLenBound() + 8*8 +
+		prefix + 8*len(e.counterNames) + prefix + 2*8*len(ln.hist) + 8
+	// Per segment: its id and the bal, rng, flags and pend slices.
+	n += segs*(4+4*prefix) + peers*(8+8+1+8)
+	if rt.mode != RouteUniform {
+		n += segs*prefix + peers*4
+	}
+	if rt.mode == RouteAvailability {
+		n += segs*2*prefix + peers*2*8
+	}
+	if rt.fenSlab != nil {
+		s0, s1 := e.fenSpan(ln.lo, ln.hi)
+		n += segs*prefix + 4*int(s1-s0)
+	}
+	return n
 }
 
 // saveRoutingSeg emits the routing slices of one peer segment: the weight
@@ -545,7 +576,7 @@ func (s *Sim) Engine() *Engine { return s.e }
 // Snapshot serializes the run at the current window boundary as a base:
 // the serial form of the Checkpointer's encode, byte for byte.
 func (s *Sim) Snapshot() []byte {
-	return snapshot.Seal(nil, newEncoder(s.e.p).encode(s.e))
+	return snapshot.Seal(nil, newEncoder(s.e).encode(s.e))
 }
 
 // Finish completes the run and returns the result.

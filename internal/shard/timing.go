@@ -16,12 +16,16 @@ import (
 //
 //	Dispatch — parallel lane event loops over [t, t+W); DispatchCPU is
 //	         the same span in process CPU time
-//	Merge    — k-way merge of the outboxes into canonical order
-//	         (policy path only; zero on the commutative no-policy path)
-//	Apply    — delivering buffered effects (parallel per-lane inbound
-//	         without policies, one canonical coordinator pass with them);
-//	         ApplyCPU is Merge plus Apply in process CPU time
-//	Churn    — lifecycle merge into the epoch bitmap, policy epoch hooks,
+//	Apply    — delivering buffered effects: parallel per-lane inbound
+//	         without policies; with them, one coordinator pass that merges
+//	         the lanes' canonical runs and lands each effect, income hooks
+//	         included, as the merge surfaces it. ApplyCPU is the same span
+//	         in process CPU time
+//	Merge    — the barrier's merge of the lanes' lifecycle deltas into
+//	         canonical order (it runs inside the coordinator's barrier
+//	         step and is reported apart from Churn)
+//	Churn    — the rest of that step: lifecycle deltas into the epoch
+//	         bitmap with policy join/depart hooks, policy epoch hooks,
 //	         metric samples
 //	Publish  — weight-mirror publish: availability EWMA fold and Fenwick
 //	         refresh (availability routing only; zero otherwise)
@@ -29,7 +33,8 @@ type Timings struct {
 	// Windows counts completed conservative-sync windows.
 	Windows uint64
 	// MergedEvents counts effects that went through the canonical merge
-	// (policy path); the per-event merge cost is Merge/MergedEvents.
+	// (policy path); the fused merge-and-apply costs Apply/MergedEvents
+	// per effect.
 	MergedEvents uint64
 	// Events counts the events dispatched in the timed windows.
 	Events uint64
@@ -46,10 +51,9 @@ type Timings struct {
 	// lanes contending for shared cache lines. Zero on platforms without
 	// getrusage.
 	DispatchCPU time.Duration
-	// ApplyCPU is the process CPU time spent across the merge and apply
-	// phases, measured the same way. With policies it is the serial
-	// canonical pass, so ApplyCPU/MergedEvents is its cost per merged
-	// event.
+	// ApplyCPU is the process CPU time spent across the apply phases,
+	// measured the same way. With policies it is the serial canonical
+	// pass, so ApplyCPU/MergedEvents is its cost per merged event.
 	ApplyCPU time.Duration
 
 	// Checkpoint sub-spans (populated when a Checkpointer is attached).
@@ -144,8 +148,8 @@ func (t Timings) Write(w io.Writer) error {
 }
 
 // writeCPU prints the dispatch phase's CPU time, its ratio to the phase's
-// wall time and the CPU time per dispatched event, then the merge+apply
-// CPU time and its cost per merged event.
+// wall time and the CPU time per dispatched event, then the apply CPU time
+// and its cost per merged event.
 func (t Timings) writeCPU(w io.Writer) error {
 	if t.DispatchCPU == 0 {
 		_, err := fmt.Fprintf(w, "dispatch and apply cpu: not measured on this platform\n")
