@@ -52,11 +52,11 @@ func (a *XEvent) Before(b *XEvent) bool {
 // MergeBuffer accumulates the cross-lane effects of one epoch window and
 // hands them back in canonical order at the barrier. Each lane appends to
 // its own buffer during the window (no sharing, no locks); the coordinator
-// then merges all lanes' buffers — through a Merger for lifecycle deltas,
-// a Pair or a Merger on the policy path, or bucket-at-a-time on the
-// commutative no-policy path. Buffers keep their capacity across epochs
-// (grow-once slabs), so steady-state operation allocates nothing; Trim
-// releases the slack after a traffic spike.
+// then merges all lanes' buffers — through a Merger for lifecycle deltas
+// and on the policy path, or bucket-at-a-time on the commutative no-policy
+// path. Buffers keep their capacity across epochs (grow-once slabs), so
+// steady-state operation allocates nothing; Trim releases the slack after
+// a traffic spike.
 type MergeBuffer struct {
 	ev []XEvent
 	// hw is the high-water occupancy since the last Trim.
@@ -130,54 +130,15 @@ func (b *MergeBuffer) Events() []XEvent { return b.ev }
 // infinite time, and no peer has that index).
 var exhausted = XEvent{Time: math.Inf(1), Src: math.MaxInt32}
 
-// Pair merges at most two canonically ordered runs by a two-index walk:
-// each Next compares the two run heads in place and returns a pointer to
-// the smaller one, so no event is copied. It is the barrier merge at P <= 2
-// lanes, where a tournament tree would only add bookkeeping.
-type Pair struct {
-	// a and b are the unconsumed rests of the two runs; Next keeps the run
-	// it took its last event from in a.
-	a, b []XEvent
-}
-
-// Init points the walk at runs a and b, either of which may be empty.
-// Both are read, never modified, and must stay unchanged until the walk
-// completes.
-func (p *Pair) Init(a, b []XEvent) { p.a, p.b = a, b }
-
-// Next returns the next event in canonical order, nil once both runs are
-// exhausted. The pointer aliases the run.
-func (p *Pair) Next() *XEvent {
-	a, b := p.a, p.b
-	if len(b) > 0 && (len(a) == 0 || b[0].Before(&a[0])) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return nil
-	}
-	p.a, p.b = a[1:], b
-	return &a[0]
-}
-
-// Ahead returns the event d >= 1 places after the one Next last returned,
-// in that event's run, or nil past the run's end: the read-ahead target of
-// a caller that prefetches what each run's later events touch.
-func (p *Pair) Ahead(d int) *XEvent {
-	if d <= len(p.a) {
-		return &p.a[d-1]
-	}
-	return nil
-}
-
-// Merger is a loser-tree k-way merge over canonically ordered runs: the
-// lifecycle merge, and the policy path's merge over three runs or more
-// (Pair walks two). Each lane's buffer is already in (Time, Src, Seq)
-// order (MergeBuffer.Add maintains it), so merging K such runs costs one
-// tournament replay of ceil(log2 K) inline comparisons per event:
-// O(M log K) total, against the O(M log M) of re-sorting M events that are
-// already K sorted runs. All internal state is recycled across Init calls;
-// a Merger held for a run's lifetime allocates only until the largest K
-// has been seen.
+// Merger is a loser-tree k-way merge over canonically ordered runs — the
+// sharded kernel's one barrier merge, for lifecycle deltas and for the
+// policy path's credit effects. Each lane's buffer is already in (Time,
+// Src, Seq) order (MergeBuffer.Add maintains it), so merging K such runs
+// costs one tournament replay of ceil(log2 K) inline comparisons per
+// event: O(M log K) total, against the O(M log M) of re-sorting M events
+// that are already K sorted runs. All internal state is recycled across
+// Init calls; a Merger held for a run's lifetime allocates only until the
+// largest K has been seen.
 //
 // The tree layout is the classic tournament: k padded leaves (one per
 // run), internal nodes 1..k-1 each holding the index of the run that lost
@@ -279,8 +240,9 @@ func (m *Merger) Next() *XEvent {
 	return x
 }
 
-// Ahead returns the event d places after the one Next last returned, in
-// that event's run, or nil past the run's end (see Pair.Ahead).
+// Ahead returns the event d >= 1 places after the one Next last returned,
+// in that event's run, or nil past the run's end: the read-ahead target of
+// a caller that prefetches what each run's later events touch.
 func (m *Merger) Ahead(d int) *XEvent {
 	if r := m.rest[m.last]; d <= len(r) {
 		return &r[d-1]

@@ -45,7 +45,7 @@ func runsOf(lanes []*MergeBuffer) [][]XEvent {
 	return runs
 }
 
-// checkCursor drains a pointer cursor (Pair or Merger) over runs and
+// checkCursor drains a pointer cursor over runs and
 // requires the sort-based reference's sequence, every returned pointer to
 // alias its event in place inside a run, and Ahead(d) to name the event d
 // places further down the same run, or nil past its end.
@@ -86,9 +86,8 @@ func checkCursor(t *testing.T, label string, next func() *XEvent, ahead func(int
 	}
 }
 
-// checkMergeParity checks every merge path over the lanes against the
-// sort-based reference: Merge, the loser tree's in-place cursor, and —
-// over the first two lanes — the two-run walk.
+// checkMergeParity checks both merge paths over the lanes against the
+// sort-based reference: Merge and the loser tree's in-place cursor.
 func checkMergeParity(t *testing.T, label string, m *Merger, lanes []*MergeBuffer) {
 	t.Helper()
 	runs := runsOf(lanes)
@@ -106,25 +105,15 @@ func checkMergeParity(t *testing.T, label string, m *Merger, lanes []*MergeBuffe
 	if m.Len() != len(want) {
 		t.Fatalf("%s: Len = %d after Init, want %d", label, m.Len(), len(want))
 	}
-	checkCursor(t, label+" tree", m.Next, m.Ahead, runs, want)
-
-	two := lanes[:min(2, len(lanes))]
-	twoRuns := runsOf(two)
-	var p Pair
-	if len(twoRuns) == 1 {
-		p.Init(twoRuns[0], nil)
-	} else {
-		p.Init(twoRuns[0], twoRuns[1])
-	}
-	checkCursor(t, label+" pair", p.Next, p.Ahead, twoRuns, Collect(nil, two))
+	checkCursor(t, label+" cursor", m.Next, m.Ahead, runs, want)
 }
 
 // TestMergerMatchesCollect is the k-way/sort parity property: over many
 // randomized lane fillings — exact time ties across and within peers,
 // empty lanes, K in {1, 2, 3, 5, 8} runs (crossing the power-of-two
-// padding boundaries) — Merge, the loser tree's in-place cursor and the
-// two-run walk must produce byte-for-byte the sequence of the sort-based
-// reference, each cursor handing out pointers into the runs.
+// padding boundaries) — Merge and the loser tree's in-place cursor must
+// produce byte-for-byte the sequence of the sort-based reference, the
+// cursor handing out pointers into the runs.
 func TestMergerMatchesCollect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var m Merger
@@ -248,8 +237,8 @@ func TestMergeBufferTrim(t *testing.T) {
 
 // FuzzMergeParity fuzzes the k-way/sort parity over generated lane
 // fillings: the fuzzer picks the lane count, event count and draw seed,
-// and any divergence between Merge, the loser tree's cursor or the
-// two-run walk and the sort-based reference fails.
+// and any divergence between Merge or the loser tree's cursor and the
+// sort-based reference fails.
 func FuzzMergeParity(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint16(50))
 	f.Add(int64(99), uint8(1), uint16(0))

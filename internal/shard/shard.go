@@ -883,24 +883,10 @@ func (ln *Lane) applyInbound() {
 	for _, src := range e.lanes {
 		evs := src.out[ln.S].Events()
 		for i := range evs {
-			if j := i + applyAhead; j < len(evs) {
-				g := evs[j].Dst
-				prefetch.Of(&e.flags[g])
-				prefetch.Of(&e.bal[g])
-			}
 			ln.deliver(&evs[i])
 		}
 	}
 }
-
-// applyAhead is the apply passes' read-ahead distance along each run:
-// destination flags and balances are random-access at effect granularity,
-// so at large populations each delivery starts with a cache miss, and
-// prefetching the destination of the effect this many places further
-// down the same run overlaps those misses with the deliveries in between.
-// The prefetches are written out at each site: prefetch.Of is an
-// assembly call, which keeps a wrapper from inlining.
-const applyAhead = 8
 
 // deliver lands one merged effect: credit the destination if it is still
 // online, otherwise burn the in-flight amount. It reports whether the
@@ -921,49 +907,35 @@ func (ln *Lane) deliver(xev *des.XEvent) (pre int64, landed bool) {
 	return pre, true
 }
 
+// applyAhead is applyMerged's read-ahead distance along each run:
+// destination flags and balances are random-access at effect granularity,
+// so at large populations each delivery starts with a cache miss, and
+// prefetching the destination of the effect this many places further
+// down the same run overlaps those misses with the deliveries in between.
+const applyAhead = 8
+
 // applyMerged is the policy path's fused merge and apply: it merges the
 // lanes' outbox runs in canonical (time, src, seq) order and lands each
 // effect, income hooks included, as the merge surfaces it, so the hooks
 // (which may touch the pot and any peer) observe the same sequence at
 // every shard count. Each run is already canonical (des.MergeBuffer.Add
-// keeps it so), and the merge reads the effects where the lanes wrote
-// them: a two-index walk over at most two runs, the loser tree over more.
-// Along each run the destination of the effect applyAhead places on is
-// prefetched.
+// keeps it so), and the loser tree compares and hands out the effects
+// where the lanes wrote them. Along each run the destination of the
+// effect applyAhead places on is prefetched.
 func (e *Engine) applyMerged() {
 	runs := e.runScratch[:0]
 	n := 0
 	for _, ln := range e.lanes {
-		if evs := ln.out[0].Events(); len(evs) > 0 {
-			runs = append(runs, evs)
-			n += len(evs)
-		}
+		evs := ln.out[0].Events()
+		runs = append(runs, evs)
+		n += len(evs)
 	}
 	e.runScratch = runs
 	e.timings.MergedEvents += uint64(n)
-	if len(runs) > 2 {
-		m := &e.merger
-		m.Init(runs)
-		for x := m.Next(); x != nil; x = m.Next() {
-			if y := m.Ahead(applyAhead); y != nil {
-				prefetch.Of(&e.flags[y.Dst])
-				prefetch.Of(&e.bal[y.Dst])
-			}
-			if pre, landed := e.lanes[e.part.ShardOf(x.Dst)].deliver(x); landed {
-				e.engine.Income(&e.host, x.Dst, pre, x.Amount)
-			}
-		}
-		return
-	}
-	var w des.Pair
-	switch len(runs) {
-	case 1:
-		w.Init(runs[0], nil)
-	case 2:
-		w.Init(runs[0], runs[1])
-	}
-	for x := w.Next(); x != nil; x = w.Next() {
-		if y := w.Ahead(applyAhead); y != nil {
+	m := &e.merger
+	m.Init(runs)
+	for x := m.Next(); x != nil; x = m.Next() {
+		if y := m.Ahead(applyAhead); y != nil {
 			prefetch.Of(&e.flags[y.Dst])
 			prefetch.Of(&e.bal[y.Dst])
 		}

@@ -104,9 +104,8 @@ func requireSameResult(t *testing.T, label string, base, got *shard.Result) {
 // TestShardCountInvarianceMarket pins the engine's central contract:
 // the same seed produces byte-identical results at every shard count,
 // on the market workload with churn and free riders, both without and
-// with an economic policy pipeline. With policies, P=1 and P=2 merge by
-// the two-run walk and P=3, 4 and 8 by the loser tree, P=3 with a padded
-// leaf.
+// with an economic policy pipeline. With policies, P=3 runs the loser
+// tree with a padded leaf.
 func TestShardCountInvarianceMarket(t *testing.T) {
 	for _, withPolicies := range []bool{false, true} {
 		var pol []policy.Policy
