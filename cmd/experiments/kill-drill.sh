@@ -19,6 +19,13 @@
 # mid-write can leave a torn .tmp next to the base; it is reported, and
 # the restore must ignore it.
 #
+# The restore must also load the newest complete base. The run prints
+# "checkpoint ID: writing" and "checkpoint ID: committed" on standard
+# error around each base's commit, and the restore prints "restore ID:
+# loaded"; the restored ID must be the last one reported as committed, or
+# the one being written when the kill landed (the rename may have
+# completed before the process died).
+#
 # With -seed, the script draws COUNT delays uniformly from [MIN_MS, MAX_MS]
 # milliseconds with a 31-bit linear congruential generator seeded by SEED
 # (a non-negative integer) and prints the seed and the delays first, so
@@ -53,7 +60,7 @@ trap 'rm -rf "$dir"' EXIT
 "$bin" "${run[@]}" >"$dir/plain.txt"
 for delay in "$@"; do
 	rm -f "$dir"/run.snap*
-	"$bin" "${run[@]}" "${ckpt[@]}" -checkpoint "$dir/run.snap" >/dev/null &
+	"$bin" "${run[@]}" "${ckpt[@]}" -checkpoint "$dir/run.snap" >/dev/null 2>"$dir/run.err" &
 	pid=$!
 	while [ ! -f "$dir/run.snap" ] && kill -0 "$pid" 2>/dev/null; do
 		sleep 0.01
@@ -66,6 +73,7 @@ for delay in "$@"; do
 	fi
 	wait "$pid" 2>/dev/null || true
 	if [ ! -f "$dir/run.snap" ]; then
+		cat "$dir/run.err" >&2
 		echo "delay ${delay}s: the run ended without writing a base" >&2
 		exit 1
 	fi
@@ -75,7 +83,29 @@ for delay in "$@"; do
 		exit 1
 	fi
 	torn=$(find "$dir" -name '*.tmp' | wc -l)
-	"$bin" "${run[@]}" -restore "$dir/run.snap" >"$dir/resumed.txt"
+	if ! "$bin" "${run[@]}" -restore "$dir/run.snap" >"$dir/resumed.txt" 2>"$dir/restore.err"; then
+		cat "$dir/restore.err" >&2
+		exit 1
+	fi
 	diff -u "$dir/plain.txt" "$dir/resumed.txt"
-	echo "delay ${delay}s: $how; restored the one base ($torn torn .tmp ignored), report matches"
+	committed=$(sed -n 's/^checkpoint \([0-9a-f]*\): committed$/\1/p' "$dir/run.err" | tail -n 1)
+	writing=$(sed -n 's/^checkpoint \([0-9a-f]*\): writing$/\1/p' "$dir/run.err" | tail -n 1)
+	restored=$(sed -n 's/^restore \([0-9a-f]*\): loaded$/\1/p' "$dir/restore.err")
+	if [ -z "$restored" ]; then
+		echo "delay ${delay}s: the restore reported no base id" >&2
+		exit 1
+	fi
+	interrupted=
+	if [ "$writing" != "$committed" ]; then
+		interrupted=$writing
+	fi
+	if [ "$restored" = "$committed" ]; then
+		which="the last committed base $restored"
+	elif [ "$restored" = "$interrupted" ]; then
+		which="base $restored, whose commit the kill interrupted"
+	else
+		echo "delay ${delay}s: restored base $restored, want the last committed ${committed:-(none)} or the interrupted ${interrupted:-(none)}" >&2
+		exit 1
+	fi
+	echo "delay ${delay}s: $how; restored $which ($torn torn .tmp ignored), report matches"
 done

@@ -43,6 +43,11 @@
 // -restore reads only the file at its path: PATH.dNNN delta files an older
 // build left beside it are ignored and can be deleted. The single-threaded
 // engines (-shards 1) do not checkpoint; their runs take seconds.
+// Standard error names every base by its capture id (the link header's
+// ID) as "checkpoint ID: writing" before the file is replaced and
+// "checkpoint ID: committed" once it is durable, and -restore prints
+// "restore ID: loaded" for the base it resumes from, so a crash drill can
+// tell which base a restore picked up.
 //
 // -timing prints the sharded kernel's phase-level barrier-pipeline
 // breakdown (dispatch / merge / apply / churn / publish) after the report,
@@ -217,7 +222,7 @@ func resumeChainSpec(every int, ckPath, restorePath string) (scenario.Resume, er
 	var rs scenario.Resume
 	if every > 0 {
 		rs.CheckpointEvery = every
-		rs.ChainSink = &snapshot.ChainStore{Path: ckPath}
+		rs.ChainSink = &loggedStore{snapshot.ChainStore{Path: ckPath}}
 	}
 	if restorePath != "" {
 		st := snapshot.ChainStore{Path: restorePath}
@@ -225,9 +230,44 @@ func resumeChainSpec(every int, ckPath, restorePath string) (scenario.Resume, er
 		if err != nil {
 			return rs, fmt.Errorf("restore: %w", err)
 		}
+		id, err := baseID(chain[0])
+		if err != nil {
+			return rs, fmt.Errorf("restore: %w", err)
+		}
+		fmt.Fprintf(os.Stderr, "restore %016x: loaded\n", id)
 		rs.Chain = chain
 	}
 	return rs, nil
+}
+
+// loggedStore is a ChainStore that reports on standard error each base's
+// capture id before the write replaces the stored file and again once the
+// write is durable. A process killed between the two lines may have
+// committed that base or kept the previous one.
+type loggedStore struct{ snapshot.ChainStore }
+
+// WriteBase persists data as the new base, logging around the commit.
+func (st *loggedStore) WriteBase(data []byte) error {
+	id, err := baseID(data)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "checkpoint %016x: writing\n", id)
+	if err := st.ChainStore.WriteBase(data); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "checkpoint %016x: committed\n", id)
+	return nil
+}
+
+// baseID returns the capture id in a sealed base's link header.
+func baseID(base []byte) (uint64, error) {
+	r, err := snapshot.Open(base)
+	if err != nil {
+		return 0, err
+	}
+	h := r.LinkHeader()
+	return h.ID, r.Err()
 }
 
 // parseRates parses the -taxrates grid.

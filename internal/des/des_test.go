@@ -412,3 +412,113 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	}
 	s.Drain(nop)
 }
+
+// TestUpcomingActor checks the read-ahead view of the drain batch. After
+// every pop, UpcomingActor(k) must name the k-th entry after the new head
+// in (time, seq) order, cancelled entries included, for every k the batch
+// holds, and report false from the batch's end on, which must fall on a
+// day boundary. Calls at the read-ahead distances 4 and 8 before every pop
+// must leave the fired sequence unchanged, with events scheduled into the
+// batch being drained as well.
+func TestUpcomingActor(t *testing.T) {
+	const n = 400
+	build := func() (*Scheduler, []bool) {
+		r := xrand.New(7)
+		s := NewScheduler()
+		cancelled := make([]bool, n)
+		for i := range n {
+			at := math.Floor(r.Float64()*400) / 100 // coarse grid forces ties
+			h, err := s.ScheduleAt(at, 0, int32(i), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Intn(5) == 0 {
+				s.Cancel(h)
+				cancelled[i] = true
+			}
+		}
+		return s, cancelled
+	}
+
+	// The reference order: the actors by (time, scheduling order), which
+	// is the scheduler's (time, seq) order.
+	s, cancelled := build()
+	times := make([]float64, n)
+	for i := range n {
+		times[i] = s.slab[i].time
+	}
+	ref := make([]int32, n)
+	for i := range ref {
+		ref[i] = int32(i)
+	}
+	sort.SliceStable(ref, func(a, b int) bool { return times[ref[a]] < times[ref[b]] })
+	pos := make([]int, n)
+	for i, a := range ref {
+		pos[a] = i
+	}
+
+	var sawCancelled, sawBatchEnd, sawFar bool
+	for s.Step(func(ev Event) {
+		head := pos[ev.Actor] + 1
+		left := len(s.cal.drain) - s.cal.pos
+		if left > 0 && head+left < n {
+			last, next := ref[head+left-1], ref[head+left]
+			if s.cal.dayOf(times[last]) == s.cal.dayOf(times[next]) {
+				t.Fatalf("the drain batch ends inside a day, between t=%v and t=%v", times[last], times[next])
+			}
+		}
+		for k := 0; k < left+3; k++ {
+			g, ok := s.UpcomingActor(k)
+			if k >= left {
+				if ok {
+					t.Fatalf("UpcomingActor(%d) = %d with %d entries left in the batch, want false", k, g, left)
+				}
+				sawBatchEnd = sawBatchEnd || head+k < n
+				continue
+			}
+			if !ok || g != ref[head+k] {
+				t.Fatalf("UpcomingActor(%d) after actor %d = (%d, %v), want (%d, true)", k, ev.Actor, g, ok, ref[head+k])
+			}
+			sawCancelled = sawCancelled || cancelled[g]
+			sawFar = sawFar || k >= 8
+		}
+	}) {
+	}
+	if !sawCancelled || !sawBatchEnd || !sawFar {
+		t.Fatalf("cases not exercised: cancelled %v, batch end with events pending %v, k >= 8 %v", sawCancelled, sawBatchEnd, sawFar)
+	}
+
+	// Pop order with and without the read-ahead calls, each handler
+	// rescheduling its actor a little later (some into the day being
+	// drained) until t = 20.
+	run := func(peek bool) []Event {
+		s, _ := build()
+		r := xrand.New(11)
+		var fired []Event
+		for {
+			if peek {
+				s.UpcomingActor(4)
+				s.UpcomingActor(8)
+			}
+			if !s.Step(func(ev Event) {
+				fired = append(fired, ev)
+				if at := ev.Time + r.Float64()*0.5; at < 20 {
+					if _, err := s.ScheduleAt(at, 0, ev.Actor, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}) {
+				return fired
+			}
+		}
+	}
+	plain, peeked := run(false), run(true)
+	if len(plain) != len(peeked) {
+		t.Fatalf("fired %d events with read-ahead calls, %d without", len(peeked), len(plain))
+	}
+	for i := range plain {
+		if plain[i] != peeked[i] {
+			t.Fatalf("event %d: %+v with read-ahead calls, %+v without", i, peeked[i], plain[i])
+		}
+	}
+}

@@ -12,5 +12,6 @@
 //
 // Of compiles to PREFETCHT0 on amd64 and PRFM PLDL1KEEP on arm64, each in
 // a one-instruction assembly stub, and to nothing on every other
-// architecture. It never changes program state, only timing.
+// architecture; Ends issues two of them from one stub, one for each end
+// of a slice. Neither ever changes program state, only timing.
 package prefetch

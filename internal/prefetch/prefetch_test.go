@@ -8,15 +8,18 @@ type rec struct {
 	w    float32
 }
 
-// allocFree checks that hinting the first and last element of s allocates
-// nothing.
+// allocFree checks that hinting the first and last element of s, one by
+// one and through Ends, allocates nothing.
 func allocFree[T any](t *testing.T, name string, s []T) {
 	t.Helper()
 	if n := testing.AllocsPerRun(100, func() {
 		Of(&s[0])
 		Of(&s[len(s)-1])
+		Ends(s)
+		Ends(s[:1])
+		Ends(s[:0])
 	}); n != 0 {
-		t.Errorf("Of on []%s allocates %v per call pair, want 0", name, n)
+		t.Errorf("Of and Ends on []%s allocate %v per call set, want 0", name, n)
 	}
 }
 

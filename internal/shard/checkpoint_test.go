@@ -183,39 +183,59 @@ func TestRoutingDeltaChainParity(t *testing.T) {
 }
 
 // TestResumedCheckpointsMatchStraight checks that a resumed run keeps
-// checkpointing the bytes the uninterrupted run would: every base carries
-// the Fenwick slab and its built/stale flags, so no tree may be rebuilt at
-// a point that depends on how the calendar cuts its day batches. A restore
+// checkpointing the bytes the uninterrupted run would. A restore
 // re-estimates the calendar's day width, so the resumed run's batches —
 // and the dispatch read-ahead's view of upcoming actors — differ from the
-// straight run's. The run is a 3,000-peer availability-routed market with
-// churn, compared every 4 windows for 40 windows after the restore.
+// straight run's; no state may change at a point that depends on them.
+// The availability-routed run guards the Fenwick slab and its built/stale
+// flags (no read-ahead may rebuild a tree); the uniform market and the
+// taxed streaming run guard every other field of the base. The configs are
+// TestBaseFormatPinned's, on the same 3,000-peer graph, compared every 4
+// windows for 40 windows after the restore.
 func TestResumedCheckpointsMatchStraight(t *testing.T) {
-	for _, p := range []int{1, 2, 3} {
-		cfg := func() shard.Config {
-			c := routedMarket(t, p, shard.RoutingConfig{Mode: shard.RouteAvailability})
-			c.Graph = testGraph(t, 3000, 45)
-			return c
-		}
-		straight, err := shard.NewSim(cfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := straight.Start(); err != nil {
-			t.Fatal(err)
-		}
-		stepWindows(t, straight, 20)
-		resumed, err := shard.RestoreChain(cfg(), [][]byte{straight.Snapshot()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for w := 4; w <= 40; w += 4 {
-			stepWindows(t, straight, 4)
-			stepWindows(t, resumed, 4)
-			if !bytes.Equal(straight.Snapshot(), resumed.Snapshot()) {
-				t.Fatalf("P=%d: the resumed run's snapshot differs from the straight run's %d windows after the restore", p, w)
+	cases := []struct {
+		name string
+		cfg  func(t *testing.T, p int) shard.Config
+	}{
+		{"market/uniform", func(t *testing.T, p int) shard.Config {
+			return marketConfig(t, p, nil)
+		}},
+		{"market/availability+churn", func(t *testing.T, p int) shard.Config {
+			return routedMarket(t, p, shard.RoutingConfig{Mode: shard.RouteAvailability})
+		}},
+		{"streaming/tax+redistribute+inject", func(t *testing.T, p int) shard.Config {
+			return streamingConfig(t, p, taxPipeline(t))
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, p := range []int{1, 2, 3} {
+				cfg := func() shard.Config {
+					cfg := c.cfg(t, p)
+					cfg.Graph = testGraph(t, 3000, 45)
+					return cfg
+				}
+				straight, err := shard.NewSim(cfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := straight.Start(); err != nil {
+					t.Fatal(err)
+				}
+				stepWindows(t, straight, 20)
+				resumed, err := shard.RestoreChain(cfg(), [][]byte{straight.Snapshot()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for w := 4; w <= 40; w += 4 {
+					stepWindows(t, straight, 4)
+					stepWindows(t, resumed, 4)
+					if !bytes.Equal(straight.Snapshot(), resumed.Snapshot()) {
+						t.Fatalf("P=%d: the resumed run's snapshot differs from the straight run's %d windows after the restore", p, w)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

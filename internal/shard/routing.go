@@ -346,11 +346,15 @@ func (ln *Lane) PickNeighbor(t float64, g int32, nbrs []int32, r *xrand.SplitMix
 	return nbrs[xrand.FenFind(tr, u)]
 }
 
-// warmSampler is the routing half of the dispatch prefetch: when the
-// kernel knows peer g fires shortly, prefetch its tree's hot total. It
-// never rebuilds a stale tree: the built bit and the slab are saved in
-// every checkpoint, and which peers the read-ahead visits depends on how
-// the calendar cuts its day batches, which a restore re-estimates.
+// warmSampler is the routing half of dispatch's near-stage prefetch: when
+// the kernel knows peer g fires shortly, prefetch its tree's hot total.
+// Locating the tree reads g's row bounds, which the far stage has hinted.
+// The tree's last line is not hinted: on the availability-routed benchmark
+// that hint bought nothing measurable (DESIGN.md, "Barrier-lean
+// pipeline"). It never rebuilds a stale tree: the built bit and the slab
+// are saved in every checkpoint, and which peers the read-ahead visits
+// depends on how the calendar cuts its day batches, which a restore
+// re-estimates.
 func (e *Engine) warmSampler(g int32) {
 	if e.rt.fenSlab == nil {
 		return

@@ -689,27 +689,33 @@ func (e *Engine) parallel(fn func(ln *Lane)) {
 // warmAhead is dispatch's software-pipelining distance: while handling
 // one event, the hot per-peer state of the actor this many events ahead
 // is prefetched so its cache misses overlap with the current event's work.
+// The actor twice as far ahead gets its CSR row bounds hinted first, so
+// that the near stage can read them (to find the row and the sampler
+// tree) without stalling.
 const warmAhead = 4
 
 // dispatch routes one event: lifecycle kinds to the engine, the rest to
 // the workload.
 func (ln *Lane) dispatch(ev des.Event) {
-	// The calendar's drain batch exposes upcoming actors; prefetch the
-	// warmAhead-th one's random-access state (RNG stream, balance, flags,
-	// pending handle, neighbor row, routing sampler) now. A hint that never
-	// affects delivery order or simulation state: prefetches change no
-	// memory. It must not rebuild a stale sampler either, because which
-	// actors it sees depends on the calendar's batches, and checkpoints
-	// save whether each tree is built.
+	// The calendar's drain batch exposes upcoming actors. The read-ahead
+	// runs in two stages: the far stage hints the row bounds of the actor
+	// 2*warmAhead events on; the near stage reads the bounds of the actor
+	// warmAhead events on, cached by then, and hints its RNG stream,
+	// balance, pending handle, the two ends of its neighbor row and its
+	// routing sampler's total. These are hints that never affect delivery
+	// order or simulation state: prefetches change no memory. They must
+	// not rebuild a stale sampler either, because which actors they see
+	// depends on the calendar's batches, and checkpoints save whether each
+	// tree is built.
+	e := ln.e
+	if g, ok := ln.sched.UpcomingActor(2 * warmAhead); ok {
+		e.part.WarmBounds(g)
+	}
 	if g, ok := ln.sched.UpcomingActor(warmAhead); ok {
-		e := ln.e
 		prefetch.Of(&e.rng[g])
 		prefetch.Of(&e.bal[g])
-		prefetch.Of(&e.flags[g])
 		prefetch.Of(&e.pend[g])
-		if nbrs := e.part.Neighbors(g); len(nbrs) > 0 {
-			prefetch.Of(&nbrs[0])
-		}
+		prefetch.Ends(e.part.Neighbors(g))
 		e.warmSampler(g)
 	}
 	switch ev.Kind {
@@ -719,8 +725,8 @@ func (ln *Lane) dispatch(ev des.Event) {
 		ln.rejoin(ev)
 	default:
 		// The pending event just fired; OnEvent may schedule the next.
-		ln.e.pend[ev.Actor] = 0
-		ln.e.cfg.Workload.OnEvent(ln, ev)
+		e.pend[ev.Actor] = 0
+		e.cfg.Workload.OnEvent(ln, ev)
 	}
 }
 
@@ -883,6 +889,9 @@ func (ln *Lane) applyInbound() {
 	for _, src := range e.lanes {
 		evs := src.out[ln.S].Events()
 		for i := range evs {
+			if i+applyAhead < len(evs) {
+				prefetch.Of(&e.bal[evs[i+applyAhead].Dst])
+			}
 			ln.deliver(&evs[i])
 		}
 	}
@@ -907,11 +916,15 @@ func (ln *Lane) deliver(xev *des.XEvent) (pre int64, landed bool) {
 	return pre, true
 }
 
-// applyAhead is applyMerged's read-ahead distance along each run:
-// destination flags and balances are random-access at effect granularity,
-// so at large populations each delivery starts with a cache miss, and
-// prefetching the destination of the effect this many places further
-// down the same run overlaps those misses with the deliveries in between.
+// applyAhead is the apply passes' read-ahead distance along each run:
+// destination balances are random-access at effect granularity, so at
+// large populations each delivery starts with a cache miss, and
+// prefetching the balance of the effect this many places further down the
+// same run overlaps those misses with the deliveries in between. Both
+// applyInbound (along each source bucket) and applyMerged (along each
+// lane run, through the merger's Ahead) use it. The one-byte flags the
+// dead-destination check reads are not hinted: the flag array is a
+// sixteenth of the balances' size and stays cached.
 const applyAhead = 8
 
 // applyMerged is the policy path's fused merge and apply: it merges the
@@ -920,8 +933,8 @@ const applyAhead = 8
 // (which may touch the pot and any peer) observe the same sequence at
 // every shard count. Each run is already canonical (des.MergeBuffer.Add
 // keeps it so), and the loser tree compares and hands out the effects
-// where the lanes wrote them. Along each run the destination of the
-// effect applyAhead places on is prefetched.
+// where the lanes wrote them. Along each run the destination balance of
+// the effect applyAhead places on is prefetched.
 func (e *Engine) applyMerged() {
 	runs := e.runScratch[:0]
 	n := 0
@@ -936,7 +949,6 @@ func (e *Engine) applyMerged() {
 	m.Init(runs)
 	for x := m.Next(); x != nil; x = m.Next() {
 		if y := m.Ahead(applyAhead); y != nil {
-			prefetch.Of(&e.flags[y.Dst])
 			prefetch.Of(&e.bal[y.Dst])
 		}
 		if pre, landed := e.lanes[e.part.ShardOf(x.Dst)].deliver(x); landed {

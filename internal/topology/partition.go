@@ -3,6 +3,8 @@ package topology
 import (
 	"fmt"
 	"math/bits"
+
+	"creditp2p/internal/prefetch"
 )
 
 // Partition is a read-only CSR snapshot of a dense overlay, split into P
@@ -124,6 +126,11 @@ func (pt *Partition) Range(s int) (lo, hi int32) {
 func (pt *Partition) Neighbors(i int32) []int32 {
 	return pt.nbrs[pt.offs[i]:pt.offs[i+1]]
 }
+
+// WarmBounds hints that peer i's row bounds (offs[i] and offs[i+1]) will
+// be read soon, so that a Neighbors, Degree or RowStart call a few events
+// later finds them cached. It is a prefetch hint and changes nothing.
+func (pt *Partition) WarmBounds(i int32) { prefetch.Ends(pt.offs[i : i+2]) }
 
 // Degree returns peer i's degree.
 func (pt *Partition) Degree(i int32) int {
