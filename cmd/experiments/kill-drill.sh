@@ -30,19 +30,40 @@
 # milliseconds with a 31-bit linear congruential generator seeded by SEED
 # (a non-negative integer) and prints the seed and the delays first, so
 # rerunning with the same seed replays the same kill points.
+#
+# Every delay must be a non-negative decimal number of seconds, and the
+# -seed arguments non-negative integers with MIN_MS <= MAX_MS; anything
+# else exits 2 before the reference run starts. On any exit the drill
+# kills and reaps a run it still has in the background before it removes
+# its temporary directory.
 set -euo pipefail
+
+usage() {
+	echo "usage: kill-drill.sh BIN RUN CKPT DELAY..." >&2
+	echo "       kill-drill.sh BIN RUN CKPT -seed SEED COUNT MIN_MS MAX_MS" >&2
+	exit 2
+}
+
+[ $# -ge 4 ] || usage
 
 bin=$1
 read -r -a run <<<"$2"
 read -r -a ckpt <<<"$3"
 shift 3
 
-if [ "${1:-}" = "-seed" ]; then
-	if [ $# -ne 5 ]; then
-		echo "usage: kill-drill.sh BIN RUN CKPT -seed SEED COUNT MIN_MS MAX_MS" >&2
+if [ "$1" = "-seed" ]; then
+	[ $# -eq 5 ] || usage
+	for v in "$2" "$3" "$4" "$5"; do
+		if ! [[ $v =~ ^[0-9]+$ ]]; then
+			echo "kill-drill: -seed arguments must be non-negative integers, got '$v'" >&2
+			exit 2
+		fi
+	done
+	seed=$((10#$2)) count=$((10#$3)) lo=$((10#$4)) hi=$((10#$5))
+	if [ "$lo" -gt "$hi" ]; then
+		echo "kill-drill: MIN_MS $lo exceeds MAX_MS $hi" >&2
 		exit 2
 	fi
-	seed=$2 count=$3 lo=$4 hi=$5
 	x=$((seed % 2147483648))
 	delays=()
 	for ((i = 0; i < count; i++)); do
@@ -54,8 +75,23 @@ if [ "${1:-}" = "-seed" ]; then
 	set -- "${delays[@]}"
 fi
 
+for delay in "$@"; do
+	if ! [[ $delay =~ ^([0-9]+\.?[0-9]*|\.[0-9]+)$ ]]; then
+		echo "kill-drill: delay '$delay' is not a non-negative decimal number of seconds" >&2
+		exit 2
+	fi
+done
+
+pid=
 dir=$(mktemp -d)
-trap 'rm -rf "$dir"' EXIT
+cleanup() {
+	if [ -n "$pid" ]; then
+		kill -9 "$pid" 2>/dev/null || true
+		wait "$pid" 2>/dev/null || true
+	fi
+	rm -rf "$dir"
+}
+trap cleanup EXIT
 
 "$bin" "${run[@]}" >"$dir/plain.txt"
 for delay in "$@"; do
@@ -72,6 +108,7 @@ for delay in "$@"; do
 		how="finished before the ${delay}s kill"
 	fi
 	wait "$pid" 2>/dev/null || true
+	pid=
 	if [ ! -f "$dir/run.snap" ]; then
 		cat "$dir/run.err" >&2
 		echo "delay ${delay}s: the run ended without writing a base" >&2

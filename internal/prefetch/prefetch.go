@@ -13,5 +13,6 @@
 // Of compiles to PREFETCHT0 on amd64 and PRFM PLDL1KEEP on arm64, each in
 // a one-instruction assembly stub, and to nothing on every other
 // architecture; Ends issues two of them from one stub, one for each end
-// of a slice. Neither ever changes program state, only timing.
+// of a slice, and Indexed one for each index of a batch, in a loop inside
+// its stub. None of them ever changes program state, only timing.
 package prefetch

@@ -19,6 +19,16 @@ func Ends[T any](s []T) {
 	}
 }
 
+// Indexed hints that s[j] will be read soon for every j in idx, all from
+// one call: a batch of scattered targets costs one stub call, not one
+// each. Every j must be a valid index into s; a prefetch never faults, so
+// a bad one only wastes a fetch, but it is not checked.
+func Indexed(s, idx []int32) {
+	if len(s) > 0 && len(idx) > 0 {
+		hintIndexed(unsafe.Pointer(&s[0]), &idx[0], len(idx))
+	}
+}
+
 // hint issues the architecture's prefetch-to-L1 instruction for the line
 // holding p (prefetch_amd64.s, prefetch_arm64.s).
 //
@@ -29,3 +39,8 @@ func hint(p unsafe.Pointer)
 //
 //go:noescape
 func hint2(p, q unsafe.Pointer)
+
+// hintIndexed issues it for the lines holding the n int32s at base+4·idx[k].
+//
+//go:noescape
+func hintIndexed(base unsafe.Pointer, idx *int32, n int)

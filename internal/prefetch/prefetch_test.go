@@ -30,6 +30,19 @@ func TestOfAllocatesNothing(t *testing.T) {
 	allocFree(t, "rec", make([]rec, 1000))
 }
 
+func TestIndexedAllocatesNothing(t *testing.T) {
+	s := make([]int32, 1000)
+	idx := []int32{0, 999, 500, 3, 998}
+	if n := testing.AllocsPerRun(100, func() {
+		Indexed(s, idx)
+		Indexed(s, idx[:1])
+		Indexed(s, idx[:0])
+		Indexed(nil, idx[:0])
+	}); n != 0 {
+		t.Errorf("Indexed allocates %v per call set, want 0", n)
+	}
+}
+
 // BenchmarkOf measures one hint two ways: on a line already in L1 (the
 // call's own cost) and streaming over a working set larger than the last
 // cache level, a new line per hint (bounded by memory bandwidth once the

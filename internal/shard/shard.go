@@ -164,8 +164,9 @@ const MaxCounters = 8
 // Config parameterizes a sharded run.
 type Config struct {
 	// Graph is the overlay; node ids must be dense 0..N-1. The engine
-	// snapshots it into a topology.Partition during New and drops its
-	// reference, so callers can release the graph to the collector.
+	// partitions it during New, reading its adjacency arena in place, and
+	// drops its reference, so callers can release the graph to the
+	// collector. Later mutations of the graph do not reach the engine.
 	Graph *topology.Graph
 	// Shards is the lane count P (>= 1).
 	Shards int
@@ -424,8 +425,8 @@ func New(cfg Config) (*Engine, error) {
 		window:  cfg.Window,
 		horizon: cfg.Horizon,
 	}
-	// The partition snapshot replaces the graph; drop the engine's
-	// reference so a caller-released graph is collectable.
+	// The partition holds the adjacency the engine reads; drop the
+	// engine's reference so a caller-released graph is collectable.
 	e.cfg.Graph = nil
 	if e.window == 0 {
 		e.window = e.horizon / DefaultWindows

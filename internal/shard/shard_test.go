@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"creditp2p/internal/market"
@@ -373,4 +374,58 @@ func (tooManyCounters) CounterNames() []string { return make([]string, shard.Max
 
 func itoa(v int) string {
 	return string(rune('0' + v))
+}
+
+// TestEnginesShareOneGraph builds two engines from one graph at once and
+// runs them side by side. Both read the graph's adjacency arena in
+// place: a generated graph's from the start, and an edge-built graph's
+// from the compaction its first partition makes, which the other engine
+// waits for. Under -race this checks that neither construction nor either
+// run writes what the other reads; each result must equal a run on a
+// graph of its own.
+func TestEnginesShareOneGraph(t *testing.T) {
+	builds := []struct {
+		name  string
+		graph func() *topology.Graph
+	}{
+		{"generated", func() *topology.Graph { return testGraph(t, 600, 42) }},
+		{"edge-built", func() *topology.Graph {
+			g, err := topology.Ring(600, 3, xrand.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}},
+	}
+	for _, b := range builds {
+		cfg := marketConfig(t, 1, nil)
+		cfg.Graph = b.graph()
+		want, err := shard.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := b.graph()
+		var cfgs [2]shard.Config
+		for k := range cfgs {
+			cfgs[k] = marketConfig(t, 2+k, nil)
+			cfgs[k].Graph = shared
+		}
+		var got [2]*shard.Result
+		var errs [2]error
+		var wg sync.WaitGroup
+		for k := range cfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[k], errs[k] = shard.Run(cfgs[k])
+			}()
+		}
+		wg.Wait()
+		for k := range got {
+			if errs[k] != nil {
+				t.Fatalf("%s: engine %d: %v", b.name, k, errs[k])
+			}
+			requireSameResult(t, b.name+" shared graph P="+itoa(2+k), want, got[k])
+		}
+	}
 }

@@ -87,7 +87,12 @@ func RandomRegular(n, d int, r *xrand.RNG) (*Graph, error) {
 // shorter of the two rows, so it answers exactly as HasEdge would and the
 // retries and RNG draws are those of matching through the Graph API. A
 // final transpose into the by-then-free stub buffer walks sources in
-// ascending order, so every row comes out sorted without a sort.
+// ascending order, so every row comes out sorted without a sort, and it
+// places row v at the sum of the final degrees below v, so the rows sit
+// back to back: that buffer is the graph's arena, which every Partition
+// of the graph then reads in place. Connectivity is a breadth-first walk
+// over the arena with a bitset for the visited set and the dead unsorted
+// rows for its queue.
 //
 // The shuffle and the duplicate check wait on memory, not arithmetic.
 // ShuffleInt32s makes r.Shuffle's exact draws and swaps but hints each
@@ -98,16 +103,17 @@ func RandomRegular(n, d int, r *xrand.RNG) (*Graph, error) {
 // answers exactly as HasEdge would.
 func configModel(n, retries int, degree func() int, r *xrand.RNG) (*Graph, error) {
 	// off[i+1] holds node i's stub count until the prefix sum below turns
-	// off into row offsets: row i spans off[i]..off[i+1].
-	off := make([]int, n+1)
+	// off into stub offsets: node i's stubs span off[i]..off[i+1].
+	off := make([]int64, n+1)
 	total := 0
 	for i := 1; i <= n; i++ {
-		off[i] = degree()
-		total += off[i]
+		d := degree()
+		off[i] = int64(d)
+		total += d
 	}
 	stubs := make([]int32, 0, total+1)
 	for i := 0; i < n; i++ {
-		for k := 0; k < off[i+1]; k++ {
+		for k := int64(0); k < off[i+1]; k++ {
 			stubs = append(stubs, int32(i))
 		}
 	}
@@ -131,7 +137,7 @@ func configModel(n, retries int, degree func() int, r *xrand.RNG) (*Graph, error
 		if sig[a]&(1<<(b&63)) == 0 {
 			return false
 		}
-		for _, v := range adj[off[a] : off[a]+int(deg[a])] {
+		for _, v := range adj[off[a] : off[a]+int64(deg[a])] {
 			if v == b {
 				return true
 			}
@@ -149,10 +155,10 @@ func configModel(n, retries int, degree func() int, r *xrand.RNG) (*Graph, error
 			ok = a != b && !linked(a, b)
 		}
 		if ok {
-			adj[off[a]+int(deg[a])] = b
+			adj[off[a]+int64(deg[a])] = b
 			deg[a]++
 			sig[a] |= 1 << (b & 63)
-			adj[off[b]+int(deg[b])] = a
+			adj[off[b]+int64(deg[b])] = a
 			deg[b]++
 			sig[b] |= 1 << (a & 63)
 			edges++
@@ -162,32 +168,66 @@ func configModel(n, retries int, degree func() int, r *xrand.RNG) (*Graph, error
 	// Transpose into stubs: u lands in row v once per v in row u, and u
 	// ascends, so each row fills in ascending order. The graph is simple
 	// and symmetric, so the transpose has the same rows, now sorted. The
-	// signatures are done with, so their words count each row's fill.
-	rows, fill := stubs, sig
-	clear(fill)
+	// signatures are done with, so their words hold each row's write
+	// cursor, which starts at the degrees summed below the row and ends at
+	// the next row's start.
+	cur := sig
+	var at uint64
+	for v, d := range deg {
+		cur[v] = at
+		at += uint64(d)
+	}
+	rows := stubs[:at:at]
 	for u := 0; u < n; u++ {
-		for _, v := range adj[off[u] : off[u]+int(deg[u])] {
-			rows[off[v]+int(fill[v])] = int32(u)
-			fill[v]++
+		for _, v := range adj[off[u] : off[u]+int64(deg[u])] {
+			rows[cur[v]] = int32(u)
+			cur[v]++
 		}
 	}
+	// The stub offsets are done with too: off becomes the row offsets.
+	for v, end := range cur {
+		off[v+1] = int64(end)
+	}
+	connected := reachesAll(off, rows, adj[:0])
 	g := &Graph{
 		idSlot: make([]int32, n),
 		nodes:  make([]nodeSlot, n),
 		n:      n,
 		edges:  edges,
 		nextID: n,
+		arena:  &arena{offs: off, nbrs: rows},
 	}
 	for i := range g.nodes {
 		g.idSlot[i] = int32(i + 1)
-		g.nodes[i] = nodeSlot{id: int32(i), nbrs: rows[off[i] : off[i]+int(deg[i]) : off[i+1]]}
+		g.nodes[i] = nodeSlot{id: int32(i), nbrs: rows[off[i]:off[i+1]:off[i+1]]}
 	}
-	if !g.IsConnected() {
+	if !connected {
 		if err := EnsureConnected(g, r); err != nil {
 			return nil, err
 		}
 	}
 	return g, nil
+}
+
+// reachesAll reports whether a breadth-first walk from node 0 over the
+// CSR (offs, nbrs) of n >= 1 nodes reaches every node. The visited set is
+// a bitset, and the queue is appended to q, a dead buffer the caller
+// lends.
+func reachesAll(offs []int64, nbrs []int32, q []int32) bool {
+	n := len(offs) - 1
+	seen := make([]uint64, (n+63)/64)
+	seen[0] = 1
+	q = append(q[:0], 0)
+	for h := 0; h < len(q); h++ {
+		u := q[h]
+		for _, v := range nbrs[offs[u]:offs[u+1]] {
+			if w, b := v>>6, uint64(1)<<(v&63); seen[w]&b == 0 {
+				seen[w] |= b
+				q = append(q, v)
+			}
+		}
+	}
+	return len(q) == n
 }
 
 // ErdosRenyi generates a connected G(n, p) random graph with

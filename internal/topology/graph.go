@@ -17,6 +17,11 @@
 // the one deliberately unreclaimed residue of a long open-network run.
 // Node ids must be non-negative (they index the dense table) and fit in
 // 31 bits.
+//
+// A generated graph keeps its rows back to back in one CSR arena (row
+// offsets plus neighbour ids), and a Partition of the graph reads that
+// arena instead of copying it. Mutators give the rows storage of their
+// own before they write, so a partition never sees a change.
 package topology
 
 import (
@@ -25,6 +30,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"creditp2p/internal/xrand"
 )
@@ -41,7 +47,10 @@ var ErrNoNode = errors.New("topology: no such node")
 var ErrBadID = errors.New("topology: node id out of range")
 
 // Graph is an undirected simple graph over integer node ids. The zero value
-// is not usable; call NewGraph. Graph is not safe for concurrent use.
+// is not usable; call NewGraph. Graph is not safe for concurrent use,
+// except that several goroutines may call NewPartition on one graph at
+// once: the first call on a graph without an arena builds it and repoints
+// the rows, so no other reader may run beside that call.
 //
 // Memory is O(maxID + edges): keep ids compact (NewNodeID hands out the
 // smallest unused id) rather than sparse.
@@ -57,6 +66,24 @@ type Graph struct {
 	// nextID is the smallest id never issued by NewNodeID nor used by
 	// AddNode.
 	nextID int
+	// arena, when set, holds every row back to back in id order, and each
+	// live node's nbrs is a capacity-clipped view of its row; the ids are
+	// then exactly 0..n-1. configModel builds it, NewPartition builds it
+	// on first use, and own drops it before any mutation.
+	arena *arena
+	// shared records that a Partition reads the arena, so own must copy
+	// the rows out before a mutation writes.
+	shared bool
+	// arenaMu serialises NewPartition's arena build and hand-over, so
+	// engines may be built from one graph concurrently.
+	arenaMu sync.Mutex
+}
+
+// arena is a CSR over dense ids: the ascending neighbours of node i are
+// nbrs[offs[i]:offs[i+1]].
+type arena struct {
+	offs []int64
+	nbrs []int32
 }
 
 // nodeSlot is one slab entry: the node's id and its neighbor ids in
@@ -106,6 +133,7 @@ func (g *Graph) AddNode(id int) error {
 	if g.HasNode(id) {
 		return fmt.Errorf("%w: %d", ErrNodeExists, id)
 	}
+	g.own()
 	if id >= len(g.idSlot) {
 		grown := len(g.idSlot) * 2
 		if grown <= id {
@@ -141,6 +169,7 @@ func (g *Graph) RemoveNode(id int) error {
 	if slot < 0 {
 		return fmt.Errorf("%w: %d", ErrNoNode, id)
 	}
+	g.own()
 	nd := &g.nodes[slot]
 	for _, nb := range nd.nbrs {
 		ns := g.idSlot[nb] - 1
@@ -174,6 +203,7 @@ func (g *Graph) AddEdge(a, b int) error {
 	if dup {
 		return fmt.Errorf("topology: duplicate edge {%d,%d}", a, b)
 	}
+	g.own()
 	na.nbrs = slices.Insert(na.nbrs, i, int32(b))
 	nb := &g.nodes[sb]
 	j, _ := slices.BinarySearch(nb.nbrs, int32(a))
@@ -187,6 +217,7 @@ func (g *Graph) RemoveEdge(a, b int) error {
 	if !g.HasEdge(a, b) {
 		return fmt.Errorf("%w: edge {%d,%d}", ErrNoNode, a, b)
 	}
+	g.own()
 	sa, sb := g.idSlot[a]-1, g.idSlot[b]-1
 	g.nodes[sa].nbrs = removeSorted(g.nodes[sa].nbrs, int32(b))
 	g.nodes[sb].nbrs = removeSorted(g.nodes[sb].nbrs, int32(a))
@@ -382,6 +413,58 @@ func (g *Graph) Clone() *Graph {
 		c.nodes[i] = nodeSlot{id: g.nodes[i].id, nbrs: slab[start:len(slab):len(slab)]}
 	}
 	return c
+}
+
+// own gives the rows storage of their own and drops the arena; every
+// mutator calls it before its first write. An arena no partition reads is
+// dropped without a copy, since the rows are then the graph's alone.
+func (g *Graph) own() {
+	a := g.arena
+	if a == nil {
+		return
+	}
+	g.arena = nil
+	if !g.shared {
+		return
+	}
+	g.shared = false
+	slab := slices.Clone(a.nbrs)
+	for i := range g.nodes {
+		if id := g.nodes[i].id; id >= 0 {
+			lo, hi := a.offs[id], a.offs[id+1]
+			g.nodes[i].nbrs = slab[lo:hi:hi]
+		}
+	}
+}
+
+// shareArena returns the graph's arena for a Partition to read and marks
+// it shared. A graph without one (built by AddEdge, or mutated since) is
+// compacted once: its rows are copied back to back in id order and then
+// point into the new arena, so later partitions share it too. The ids
+// must be exactly 0..NumNodes()-1.
+func (g *Graph) shareArena() (*arena, error) {
+	g.arenaMu.Lock()
+	defer g.arenaMu.Unlock()
+	if g.arena == nil {
+		offs := make([]int64, g.n+1)
+		for i := 0; i < g.n; i++ {
+			s := g.slotOf(i)
+			if s < 0 {
+				return nil, fmt.Errorf("topology: partition needs dense ids 0..%d, id %d is absent", g.n-1, i)
+			}
+			offs[i+1] = offs[i] + int64(len(g.nodes[s].nbrs))
+		}
+		nbrs := make([]int32, offs[g.n])
+		for i := 0; i < g.n; i++ {
+			nd := &g.nodes[g.idSlot[i]-1]
+			lo, hi := offs[i], offs[i+1]
+			copy(nbrs[lo:hi], nd.nbrs)
+			nd.nbrs = nbrs[lo:hi:hi]
+		}
+		g.arena = &arena{offs: offs, nbrs: nbrs}
+	}
+	g.shared = true
+	return g.arena, nil
 }
 
 // removeSorted deletes v from the ascending slice s (no-op when absent).

@@ -18,7 +18,11 @@ import (
 // endpoint lives on another shard; the counts drive the experiments
 // report's cross-traffic column.
 //
-// A Partition copies the adjacency out of the source Graph, so the graph
+// A Partition reads the source Graph's CSR arena in place rather than
+// copying it: the generators build each overlay's rows back to back in
+// one arena, and a graph built edge by edge is compacted into one the
+// first time it is partitioned. The graph never writes into an arena a
+// partition reads (its mutators copy the rows out first), and the graph
 // itself can be released after construction — at ten-million-peer scale
 // the graph's id tables and slab bookkeeping are a significant slice of
 // the memory budget that a running shard engine does not need.
@@ -40,48 +44,44 @@ type Partition struct {
 	cross []int64
 }
 
-// NewPartition snapshots g into p contiguous shard segments. The graph's
-// node ids must be exactly 0..NumNodes()-1 (the dense form every
-// generator produces and the shard engine requires); gaps or holes are
-// rejected.
+// NewPartition splits g into p contiguous shard segments over g's arena.
+// The graph's node ids must be exactly 0..NumNodes()-1 (the dense form
+// every generator produces and the shard engine requires); gaps or holes
+// are rejected. It allocates O(P) once the graph has an arena.
 func NewPartition(g *Graph, p int) (*Partition, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("topology: partition into %d shards", p)
 	}
-	n := g.NumNodes()
+	a, err := g.shareArena()
+	if err != nil {
+		return nil, err
+	}
+	n := len(a.offs) - 1
 	pt := &Partition{
 		n:     n,
 		p:     p,
 		block: (n + p - 1) / p,
-		offs:  make([]int64, n+1),
+		offs:  a.offs,
+		nbrs:  a.nbrs,
 		cross: make([]int64, p),
 	}
 	if pt.block == 0 { // p > n, or an empty graph
 		pt.block = 1
 	}
 	pt.blockMul, pt.blockShift = blockMagic(pt.block)
-	if n == 0 {
-		return pt, nil
-	}
-	total := 0
-	for i := 0; i < n; i++ {
-		row := g.NeighborsView(i)
-		if row == nil && !g.HasNode(i) {
-			return nil, fmt.Errorf("topology: partition needs dense ids 0..%d, id %d is absent", n-1, i)
-		}
-		total += len(row)
-		pt.offs[i+1] = int64(total)
-	}
-	pt.nbrs = make([]int32, total)
-	for i := 0; i < n; i++ {
-		row := g.NeighborsView(i)
-		copy(pt.nbrs[pt.offs[i]:pt.offs[i+1]], row)
-		s := pt.ShardOf(int32(i))
-		for _, nb := range row {
-			if pt.ShardOf(nb) != s {
-				pt.cross[s]++
+	// A shard's rows are one contiguous run of the arena, and a neighbour
+	// v stays inside shard [lo, hi) exactly when v-lo, taken unsigned, is
+	// below hi-lo.
+	for s := range pt.cross {
+		lo, hi := pt.Range(s)
+		span := uint32(hi - lo)
+		var c int64
+		for _, v := range pt.nbrs[pt.offs[lo]:pt.offs[hi]] {
+			if uint32(v-lo) >= span {
+				c++
 			}
 		}
+		pt.cross[s] = c
 	}
 	return pt, nil
 }

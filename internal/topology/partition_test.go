@@ -135,7 +135,9 @@ func TestPartitionCrossMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestPartitionRejectsSparseIDs checks the dense-id requirement.
+// TestPartitionRejectsSparseIDs checks the dense-id requirement, on an
+// edge-built graph and on a generated one that lost a node after it was
+// built (and so its arena).
 func TestPartitionRejectsSparseIDs(t *testing.T) {
 	g := NewGraph()
 	if err := g.AddNode(0); err != nil {
@@ -146,6 +148,16 @@ func TestPartitionRejectsSparseIDs(t *testing.T) {
 	}
 	if _, err := NewPartition(g, 2); err == nil {
 		t.Fatal("sparse ids accepted")
+	}
+	sf, err := ScaleFree(ScaleFreeConfig{N: 300, Alpha: 2.5, MeanDegree: 8}, xrand.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sf.RemoveNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPartition(sf, 2); err == nil {
+		t.Fatal("a generated graph with id 0 removed was accepted")
 	}
 }
 

@@ -3,7 +3,7 @@ package xrand
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 )
 
 // PowerLaw samples integers D in [Min, Max] with P(D) proportional to
@@ -11,18 +11,35 @@ import (
 // bounded power law with shape Alpha = 2.5 and a Min chosen so that the mean
 // degree is 20 (Sec. VI).
 //
-// Sampling inverts a precomputed CDF table with binary search, so draws cost
-// O(log(Max-Min)).
+// Sampling inverts a precomputed CDF table from a guide table (the
+// cutpoint method): a draw u starts at the entry guide[floor(u·m)] and
+// scans upward, which is O(1) expected steps since there are at least as
+// many guide entries m as CDF entries.
 type PowerLaw struct {
 	min, max int
 	alpha    float64
 	cdf      []float64 // cdf[i] = P(D <= min+i)
-	mean     float64
+	// guide[k] is the smallest i with cdf[i] >= k/m, for m = len(guide), a
+	// power of two: u·m and k/m are then exact, so every u in
+	// [k/m, (k+1)/m) has its answer at or above guide[k].
+	guide []int32
+	mean  float64
 }
 
 // NewPowerLaw builds a bounded discrete power-law sampler. It returns an
 // error when the support is empty or alpha is not a finite positive number.
 func NewPowerLaw(min, max int, alpha float64) (*PowerLaw, error) {
+	p, err := newPowerLaw(min, max, alpha)
+	if err != nil {
+		return nil, err
+	}
+	p.buildGuide()
+	return p, nil
+}
+
+// newPowerLaw builds the CDF table and the mean but not the guide table,
+// so PowerLawForMean's sweep pays for one guide only.
+func newPowerLaw(min, max int, alpha float64) (*PowerLaw, error) {
 	if min < 1 || max < min {
 		return nil, fmt.Errorf("xrand: invalid power-law support [%d, %d]", min, max)
 	}
@@ -64,14 +81,33 @@ func (p *PowerLaw) Max() int { return p.max }
 // Alpha returns the shape parameter.
 func (p *PowerLaw) Alpha() float64 { return p.alpha }
 
-// Sample draws one value.
-func (p *PowerLaw) Sample(r *RNG) int {
-	u := r.Float64()
-	i := sort.SearchFloat64s(p.cdf, u)
-	if i >= len(p.cdf) {
-		i = len(p.cdf) - 1
+// buildGuide fills the guide table, with the smallest power of two no
+// smaller than the support as its length.
+func (p *PowerLaw) buildGuide() {
+	m := 1 << bits.Len(uint(len(p.cdf)-1))
+	p.guide = make([]int32, m)
+	i := 0
+	for k := range p.guide {
+		u := float64(k) / float64(m)
+		for p.cdf[i] < u {
+			i++
+		}
+		p.guide[k] = int32(i)
 	}
-	return p.min + i
+}
+
+// Sample draws one value.
+func (p *PowerLaw) Sample(r *RNG) int { return p.min + p.index(r.Float64()) }
+
+// index returns the smallest i with cdf[i] >= u for u in [0, 1): the
+// index sort.SearchFloat64s(p.cdf, u) returns. cdf[len-1] is 1, so the
+// scan stops inside the table.
+func (p *PowerLaw) index(u float64) int {
+	i := int(p.guide[int(u*float64(len(p.guide)))])
+	for p.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // PowerLawForMean searches for the bounded power law D^-alpha on
@@ -85,7 +121,7 @@ func PowerLawForMean(max int, alpha, targetMean float64) (*PowerLaw, error) {
 	}
 	best, bestGap := (*PowerLaw)(nil), math.Inf(1)
 	for min := 1; min <= max; min++ {
-		pl, err := NewPowerLaw(min, max, alpha)
+		pl, err := newPowerLaw(min, max, alpha)
 		if err != nil {
 			return nil, err
 		}
@@ -102,5 +138,6 @@ func PowerLawForMean(max int, alpha, targetMean float64) (*PowerLaw, error) {
 	if best == nil {
 		return nil, fmt.Errorf("xrand: no power law on [1, %d] reaches mean %v", max, targetMean)
 	}
+	best.buildGuide()
 	return best, nil
 }

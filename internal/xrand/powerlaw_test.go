@@ -1,7 +1,9 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -144,4 +146,101 @@ func TestPowerLawCDFProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// edgeSampler returns a sampler over [1, n] whose CDF entries sit one ulp
+// below the bucket edges k/n of an n-bucket guide: cdf[i] is the float
+// just below fl((i+1)/n). For some k that float times n still rounds to
+// k, so a guide of n buckets that starts bucket k at fl(k/n) would start
+// past the answer for u = cdf[k-1].
+func edgeSampler(t *testing.T, n int) *PowerLaw {
+	t.Helper()
+	cdf := make([]float64, n)
+	for i := range cdf {
+		cdf[i] = math.Nextafter(float64(i+1)/float64(n), 0)
+	}
+	cdf[n-1] = 1
+	p := &PowerLaw{min: 1, max: n, alpha: 1, cdf: cdf}
+	p.buildGuide()
+	return p
+}
+
+// TestPowerLawSampleMatchesSearch checks that the guide-table draw returns
+// exactly the index sort.SearchFloat64s does, clamped to the table, at
+// the boundaries where rounding could make the two differ and on random
+// draws, and that Sample spends one Float64 per value.
+func TestPowerLawSampleMatchesSearch(t *testing.T) {
+	bench, err := PowerLawForMean(2000, 2.5, 20) // cmd/benchrun's degree law
+	if err != nil {
+		t.Fatal(err)
+	}
+	samplers := map[string]*PowerLaw{"benchmark": bench, "edges-3000": edgeSampler(t, 3000), "edges-7": edgeSampler(t, 7)}
+	for _, sup := range [][2]int{{1, 1}, {1, 2}, {1, 3}, {4, 8}, {2, 100}, {1, 1000}} {
+		for _, alpha := range []float64{0.5, 2.5} {
+			p, err := NewPowerLaw(sup[0], sup[1], alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samplers[fmt.Sprintf("[%d,%d]^-%v", sup[0], sup[1], alpha)] = p
+		}
+	}
+	for name, p := range samplers {
+		n := len(p.cdf)
+		search := func(u float64) int {
+			return min(sort.SearchFloat64s(p.cdf, u), n-1)
+		}
+		fails := 0
+		check := func(what string, u float64) {
+			if u < 0 || u >= 1 || fails > 5 {
+				return
+			}
+			if got, want := p.index(u), search(u); got != want {
+				fails++
+				t.Errorf("%s: %s u=%v (%#x): guide index %d, SearchFloat64s %d",
+					name, what, u, math.Float64bits(u), got, want)
+			}
+		}
+		around := func(what string, x float64) {
+			check(what, math.Nextafter(x, 0))
+			check(what, x)
+			check(what, math.Nextafter(x, 2))
+		}
+		check("u=0", 0)
+		check("u=1-2^-53", math.Nextafter(1, 0))
+		for _, c := range p.cdf {
+			around("cdf entry", c)
+		}
+		// k/n for the support's size and for the guide's bucket count.
+		for _, m := range []int{n, len(p.guide)} {
+			for k := 0; k <= m; k++ {
+				around(fmt.Sprintf("k/n, n=%d", m), float64(k)/float64(m))
+			}
+		}
+		draws := 100_000
+		if name == "benchmark" || n <= 3 {
+			draws = 1_000_000
+		}
+		r, ref := New(int64(n)), New(int64(n))
+		for i := 0; i < draws && fails <= 5; i++ {
+			if got, want := p.Sample(r), p.min+search(ref.Float64()); got != want {
+				fails++
+				t.Errorf("%s: draw %d: Sample %d, SearchFloat64s %d", name, i, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkPowerLawSample draws from cmd/benchrun's degree law (alpha 2.5,
+// mean 20, support capped at 2000), one draw per op.
+func BenchmarkPowerLawSample(b *testing.B) {
+	pl, err := PowerLawForMean(2000, 2.5, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := New(1)
+	sink := 0
+	for b.Loop() {
+		sink += pl.Sample(r)
+	}
+	_ = sink
 }

@@ -15,8 +15,9 @@ const shuffleBatch = 64
 // r.Shuffle draws a target j and swaps at once, so over a slice larger
 // than the cache every swap waits on its own miss at s[j]. The targets
 // depend only on the stream and the loop index, never on the contents of
-// s, so this draws a batch of them ahead, hints each one's line, and only
-// then swaps: the batch's misses overlap instead of queueing.
+// s, so this draws a batch of them ahead, hints all their lines with one
+// prefetch.Indexed call, and only then swaps: the batch's misses overlap
+// instead of queueing.
 func (r *RNG) ShuffleInt32s(s []int32) {
 	if len(s) > 1<<31-1 {
 		// math/rand draws the leading targets with Int63n here.
@@ -27,10 +28,9 @@ func (r *RNG) ShuffleInt32s(s []int32) {
 	for i := len(s) - 1; i > 0; {
 		k := min(i, shuffleBatch)
 		for b := range k {
-			j := r.int31n(int32(i + 1 - b))
-			js[b] = j
-			prefetch.Of(&s[j])
+			js[b] = r.int31n(int32(i + 1 - b))
 		}
+		prefetch.Indexed(s, js[:k])
 		for b, j := range js[:k] {
 			s[i-b], s[j] = s[j], s[i-b]
 		}

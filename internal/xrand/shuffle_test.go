@@ -87,3 +87,16 @@ func TestInt31nMatchesMathRand(t *testing.T) {
 }
 
 var errStop = errors.New("stop")
+
+// BenchmarkShuffleInt32s shuffles 2M stubs, the size of the 100k-peer
+// overlay's stub array, one shuffle per op.
+func BenchmarkShuffleInt32s(b *testing.B) {
+	s := make([]int32, 2_000_000)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	r := New(1)
+	for b.Loop() {
+		r.ShuffleInt32s(s)
+	}
+}
