@@ -10,17 +10,18 @@ import (
 )
 
 // calendarQueue is a bucketed timing wheel (a calendar queue in the sense
-// of Brown, CACM 1988) over the scheduler's (time, seq, slot) entries. For
-// the roughly stationary event-time distributions both simulators produce —
+// of Brown, CACM 1988) over the scheduler's pending slab slots. For the
+// roughly stationary event-time distributions both simulators produce —
 // exponential inter-event gaps at an aggregate rate that changes slowly —
 // enqueue and dequeue are O(1) amortized.
 //
-// Storage is allocation-free in steady state: entries live in per-slot
-// parallel arrays that grow in lockstep with the scheduler's slab, and each
-// bucket is a singly-linked chain threaded through the next array, so a
-// push is three array writes and never allocates. (The previous
-// slice-of-slices layout re-allocated every bucket after each retune —
-// ~0.2 allocations per event at 100k peers.)
+// The wheel keeps no per-slot storage of its own: each bucket is a
+// singly-linked chain threaded through the slab nodes' next links, and an
+// entry's key is its node's (time, seq). A push is two writes and never
+// allocates. An entry's day is derived from its time by dayOf whenever it
+// is needed; every day number flows through that one function under the
+// width of the current layout, so bucket membership and window
+// qualification cannot drift across laps.
 //
 // Dequeue drains whole calendar days at a time: the first non-empty day's
 // entries are unlinked into a reusable buffer, sorted once by (time, seq),
@@ -28,34 +29,26 @@ import (
 // day's whole batch. A rare push landing inside the day being drained is
 // spliced into the buffer at its sorted position, so the delivered order is
 // exactly (time, seq) order (tests replay scripts against a sorting
-// oracle). A spliced entry's key lives only in the buffer until a retune
-// re-chains it, which is why retune writes keys as well as links. Bucket
-// membership is computed once per entry as an integer day number, never
-// re-derived from float arithmetic, so window qualification cannot drift
-// across laps.
+// oracle).
 //
-// When the queue's density leaves the sweet spot the wheel is rebuilt:
-// capacity doubles (or halves) and the width is re-estimated from the
-// pending span. A full empty lap (possible when a few events sit far in the
-// future) falls back to a direct scan for the earliest day and jumps the
-// calendar to it.
+// The entry set is exactly the scheduler's non-free slots, live and
+// cancelled alike: the scheduler frees a served slot before it removes the
+// head. So when the queue's density leaves the sweet spot, rechain lays the
+// wheel out afresh from the slab alone — capacity doubles (or halves) and
+// the width is re-estimated from the pending span — and a state restore
+// rebuilds the wheel the same way. A full empty lap (possible when a few
+// events sit far in the future) falls back to a direct scan for the
+// earliest day and jumps the calendar to it.
 type calendarQueue struct {
-	// Per-slot entry storage, parallel to the scheduler slab (index is
-	// slot-1). One struct per slot rather than parallel arrays: a push or
-	// drain touches a single cache line per entry instead of four, which
-	// is what the million-peer working set notices. next threads each
-	// bucket's chain; 0 terminates.
-	slots []calSlot
-
 	// heads holds each bucket's chain head slot (0 marks an empty bucket;
-	// slots are 1-based).
+	// slots are 1-based), and each chained node's next link names the
+	// following one.
 	heads []int32
 	mask  int64
 	width float64
 	// invWidth caches 1/width for the day computation: multiplication is
-	// monotone in t just like division, and every day number (push and
-	// rebuild alike) flows through the same dayOf, so bucket membership
-	// and window qualification stay mutually consistent.
+	// monotone in t just like division, and every day number flows through
+	// the same dayOf.
 	invWidth float64
 	count    int
 	// curDay is the absolute day number (floor(time/width), unmasked) the
@@ -66,12 +59,11 @@ type calendarQueue struct {
 	// drain is the batched front: every pending entry with day <= drainDay,
 	// ascending by (time, seq); pos is the serve cursor. While the drain is
 	// active (pos < len(drain)), curDay == drainDay and every chained entry
-	// has day > drainDay.
+	// has day > drainDay. The drain grows to the largest day batch.
 	drain    []calEntry
 	pos      int
 	drainDay int64
-	// scratch is the reusable retune gather buffer, and sortDrain's
-	// scatter target.
+	// scratch is sortDrain's scatter target, grown like drain.
 	scratch []calEntry
 	// bins is sortDrain's recycled per-bin count and offset array.
 	bins []int32
@@ -92,14 +84,6 @@ type calEntry struct {
 	seq  uint64 // FIFO tie-break for simultaneous events
 	slot int32
 	bin  uint32 // sortDrain's sub-day bin; fills the struct's padding
-}
-
-// calSlot is one chained pending event, indexed by scheduler slot-1.
-type calSlot struct {
-	time float64
-	seq  uint64
-	day  int64
-	next int32
 }
 
 func (a calEntry) beforeEntry(bTime float64, bSeq uint64) bool {
@@ -131,7 +115,6 @@ const (
 // with another lane's data (append growth keeps whole blocks; see pad).
 func newCalendarQueue() calendarQueue {
 	return calendarQueue{
-		slots:    pad.Make[calSlot](0),
 		heads:    make([]int32, calMinBuckets, pad.Cap[int32](calMinBuckets)),
 		drain:    pad.Make[calEntry](0),
 		scratch:  pad.Make[calEntry](0),
@@ -154,15 +137,10 @@ func (q *calendarQueue) dayOf(t float64) int64 {
 // draining reports whether the day batch still holds unserved entries.
 func (q *calendarQueue) draining() bool { return q.pos < len(q.drain) }
 
-// push inserts an entry.
-func (q *calendarQueue) push(t float64, seq uint64, slot int32) {
-	i := int(slot) - 1
-	if i >= len(q.slots) {
-		// Slots are handed out by the scheduler slab in order, so this
-		// appends in lockstep (amortized, no per-push allocation).
-		q.slots = append(q.slots, calSlot{})
-	}
-	day := q.dayOf(t)
+// push inserts the non-free slab slot slot, keyed by its node's (time, seq).
+func (q *calendarQueue) push(slab []node, slot int32) {
+	nd := &slab[slot-1]
+	day := q.dayOf(nd.time)
 	if q.draining() && day <= q.drainDay {
 		// The entry belongs to the day currently being served: splice it
 		// into the batch at its sorted position. Rare — a day is a sliver
@@ -170,7 +148,7 @@ func (q *calendarQueue) push(t float64, seq uint64, slot int32) {
 		lo, hi := q.pos, len(q.drain)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if q.drain[mid].beforeEntry(t, seq) {
+			if q.drain[mid].beforeEntry(nd.time, nd.seq) {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -178,12 +156,12 @@ func (q *calendarQueue) push(t float64, seq uint64, slot int32) {
 		}
 		q.drain = append(q.drain, calEntry{})
 		copy(q.drain[lo+1:], q.drain[lo:])
-		q.drain[lo] = calEntry{time: t, seq: seq, slot: slot}
+		q.drain[lo] = calEntry{time: nd.time, seq: nd.seq, slot: slot}
 		q.count++
 		return
 	}
 	b := day & q.mask
-	q.slots[i] = calSlot{time: t, seq: seq, day: day, next: q.heads[b]}
+	nd.next = q.heads[b]
 	q.heads[b] = slot
 	q.count++
 	if day < q.curDay {
@@ -192,7 +170,7 @@ func (q *calendarQueue) push(t float64, seq uint64, slot int32) {
 		q.curDay = day
 	}
 	if q.count > calGrowOccupancy*len(q.heads) {
-		q.retune()
+		q.rechain(slab)
 	}
 }
 
@@ -200,7 +178,7 @@ func (q *calendarQueue) push(t float64, seq uint64, slot int32) {
 // q.drain[q.pos], without removing it — batching its whole calendar day
 // into the drain buffer when the buffer is spent. It reports false when the
 // queue is empty.
-func (q *calendarQueue) peek() bool {
+func (q *calendarQueue) peek(slab []node) bool {
 	if q.draining() {
 		return true
 	}
@@ -213,7 +191,7 @@ func (q *calendarQueue) peek() bool {
 	nb := int64(len(q.heads))
 	for i := int64(0); i < nb; i++ {
 		day := q.curDay + i
-		if q.drainDayInto(day) {
+		if q.drainDayInto(slab, day) {
 			return true
 		}
 	}
@@ -222,32 +200,30 @@ func (q *calendarQueue) peek() bool {
 	minDay := int64(calMaxDay)
 	for _, s := range q.heads {
 		for s != 0 {
-			sl := &q.slots[s-1]
-			if sl.day < minDay {
-				minDay = sl.day
-			}
-			s = sl.next
+			nd := &slab[s-1]
+			minDay = min(minDay, q.dayOf(nd.time))
+			s = nd.next
 		}
 	}
-	return q.drainDayInto(minDay) // always true while count > 0
+	return q.drainDayInto(slab, minDay) // always true while count > 0
 }
 
 // drainDayInto unlinks every entry of the given absolute day into the drain
 // buffer, sorted by (time, seq), and reports whether any were found.
-func (q *calendarQueue) drainDayInto(day int64) bool {
+func (q *calendarQueue) drainDayInto(slab []node, day int64) bool {
 	q.drain = q.drain[:0]
 	q.pos = 0
 	prev := int32(0) // 0 means "the bucket head"
 	b := day & q.mask
 	for s := q.heads[b]; s != 0; {
-		sl := &q.slots[s-1]
-		nxt := sl.next
-		if sl.day == day {
-			q.drain = append(q.drain, calEntry{time: sl.time, seq: sl.seq, slot: s})
+		nd := &slab[s-1]
+		nxt := nd.next
+		if q.dayOf(nd.time) == day {
+			q.drain = append(q.drain, calEntry{time: nd.time, seq: nd.seq, slot: s})
 			if prev == 0 {
 				q.heads[b] = nxt
 			} else {
-				q.slots[prev-1].next = nxt
+				slab[prev-1].next = nxt
 			}
 		} else {
 			prev = s
@@ -262,18 +238,18 @@ func (q *calendarQueue) drainDayInto(day int64) bool {
 	q.drainDay = day
 	q.nwSlot = q.heads[(day+1)&q.mask]
 	if s := q.nwSlot; s != 0 {
-		prefetch.Of(&q.slots[s-1])
+		prefetch.Of(&slab[s-1])
 	}
 	return true
 }
 
 // prewalkStep advances the next-day chain pre-walk by one link: it reads
 // the link prefetched on the previous pop and prefetches the one it names.
-func (q *calendarQueue) prewalkStep() {
+func (q *calendarQueue) prewalkStep(slab []node) {
 	if s := q.nwSlot; s != 0 {
-		nxt := q.slots[s-1].next
+		nxt := slab[s-1].next
 		if nxt != 0 {
-			prefetch.Of(&q.slots[nxt-1])
+			prefetch.Of(&slab[nxt-1])
 		}
 		q.nwSlot = nxt
 	}
@@ -376,62 +352,52 @@ func cmpEntry(a, b calEntry) int {
 }
 
 // removeHead deletes the entry located by the immediately preceding peek.
-func (q *calendarQueue) removeHead() {
-	if !q.draining() {
-		if !q.peek() {
-			return
-		}
-	}
+// The scheduler frees the served slot first: a shrink rechains from the
+// slab, and a served slot still marked pending would be chained again.
+func (q *calendarQueue) removeHead(slab []node) {
 	q.pos++
 	q.count--
 	if 4*q.count < len(q.heads) && len(q.heads) > calMinBuckets {
-		q.retune()
+		q.rechain(slab)
 	}
 }
 
-// retune rebuilds the wheel at the target occupancy with a width
-// re-estimated from the pending events' span (one lap of the wheel covers
-// roughly the full pending window), redistributing every entry — the drain
-// remainder included, since the new width redraws day boundaries.
-// Amortized over the pushes/pops that triggered it, this is O(1).
-func (q *calendarQueue) retune() {
-	all := q.scratch[:0]
-	for _, s := range q.heads {
-		for s != 0 {
-			sl := &q.slots[s-1]
-			all = append(all, calEntry{time: sl.time, seq: sl.seq, slot: s})
-			s = sl.next
-		}
-	}
-	q.rechain(append(all, q.drain[q.pos:]...))
-}
-
-// rechain lays out the wheel afresh over exactly the entries in all: it
-// sizes the buckets for them, re-estimates the width from their span, and
-// chains every entry by its day. The drain batch is emptied, so all must
-// already hold its unserved remainder. all is gathered in the scratch
-// buffer, and its backing array stays the scratch afterwards.
-func (q *calendarQueue) rechain(all []calEntry) {
+// rechain lays out the wheel afresh over the pending entries, which are
+// exactly the slab's non-free slots: one pass over the slab counts them
+// and finds their time span, which sizes the buckets at the target
+// occupancy and re-estimates the width (one lap of the wheel covers
+// roughly the full pending window); a second pass chains every entry by
+// its day. The drain batch is emptied, since the new width redraws day
+// boundaries and its unserved remainder is chained like the rest.
+// Amortized over the pushes and pops that trigger it, a retune is O(1).
+func (q *calendarQueue) rechain(slab []node) {
 	q.drain = q.drain[:0]
 	q.pos = 0
 
+	n := 0
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := range slab {
+		nd := &slab[i]
+		if nd.state == slotFree {
+			continue
+		}
+		n++
+		if nd.time < lo {
+			lo = nd.time
+		}
+		if nd.time > hi && !math.IsInf(nd.time, 1) {
+			hi = nd.time
+		}
+	}
+	q.count = n
 	buckets := calMinBuckets
-	for calTargetOccupancy*buckets < len(all) {
+	for calTargetOccupancy*buckets < n {
 		buckets *= 2
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, e := range all {
-		if e.time < lo {
-			lo = e.time
-		}
-		if e.time > hi && !math.IsInf(e.time, 1) {
-			hi = e.time
-		}
-	}
-	if len(all) > 1 && hi > lo {
+	if n > 1 && hi > lo {
 		// Day width such that one lap (buckets * width) spans the pending
 		// window at the target occupancy.
-		q.width = (hi - lo) * float64(calTargetOccupancy) / float64(len(all))
+		q.width = (hi - lo) * float64(calTargetOccupancy) / float64(n)
 	}
 	if !(q.width > 0) || math.IsInf(q.width, 1) {
 		q.width = 1
@@ -451,23 +417,19 @@ func (q *calendarQueue) rechain(all []calEntry) {
 	}
 	q.mask = int64(buckets - 1)
 	minDay := int64(calMaxDay)
-	for _, e := range all {
-		sl := &q.slots[e.slot-1]
-		day := q.dayOf(e.time)
-		// The key is rewritten, not just the link: an entry spliced into
-		// the drain batch never had it stored in its slot, which may still
-		// hold a previous occupant's (time, seq).
-		sl.time, sl.seq, sl.day = e.time, e.seq, day
-		if day < minDay {
-			minDay = day
+	for i := range slab {
+		nd := &slab[i]
+		if nd.state == slotFree {
+			continue
 		}
+		day := q.dayOf(nd.time)
+		minDay = min(minDay, day)
 		b := day & q.mask
-		sl.next = q.heads[b]
-		q.heads[b] = e.slot
+		nd.next = q.heads[b]
+		q.heads[b] = int32(i + 1)
 	}
-	if len(all) == 0 {
+	if n == 0 {
 		minDay = 0
 	}
 	q.curDay = minDay
-	q.scratch = all[:0]
 }

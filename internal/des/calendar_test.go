@@ -3,6 +3,7 @@ package des
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -416,6 +417,87 @@ func TestCalendarShrinksAfterDrain(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Errorf("Pending() = %d after drain", s.Pending())
+	}
+}
+
+// TestCheckIntegrityCatchesQueueFaults corrupts a scheduler mid-drain in
+// each way the calendar's invariant can break — the invariant a retune and
+// a restore rebuild the wheel from — and requires CheckIntegrity to name
+// it: every non-free slot chained in its day's bucket or in the unserved
+// drain batch exactly once, no free slot queued, count equal to their
+// number, and drain entries keyed like their nodes.
+func TestCheckIntegrityCatchesQueueFaults(t *testing.T) {
+	setup := func(t *testing.T) (*Scheduler, int32) {
+		s := NewScheduler()
+		r := xrand.New(11)
+		var hs []Handle
+		for i := 0; i < 400; i++ {
+			h, err := s.Schedule(r.Exponential(1), 0, int32(i), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs = append(hs, h)
+		}
+		for i := 0; i < 40; i++ {
+			s.Cancel(hs[r.Intn(len(hs))])
+		}
+		for i := 0; i < 50; i++ {
+			s.Step(func(Event) {})
+		}
+		if !s.cal.draining() {
+			t.Fatal("setup left no drain batch in flight")
+		}
+		if err := s.CheckIntegrity(); err != nil {
+			t.Fatalf("before the fault: %v", err)
+		}
+		for _, h := range s.cal.heads {
+			if h != 0 {
+				return s, h
+			}
+		}
+		t.Fatal("setup left nothing chained")
+		return nil, 0
+	}
+	cases := []struct {
+		name, want string
+		fault      func(s *Scheduler, chained int32)
+	}{
+		{"recycled slot left chained", "holds free slot", func(s *Scheduler, chained int32) {
+			if s.slab[chained-1].state == slotLive {
+				s.live--
+			}
+			s.recycle(chained)
+		}},
+		{"pending slot unlinked", "neither chained nor in the drain batch", func(s *Scheduler, chained int32) {
+			q := &s.cal
+			b := q.dayOf(s.slab[chained-1].time) & q.mask
+			q.heads[b] = s.slab[chained-1].next
+			q.count--
+		}},
+		{"count drift", "calendar counts", func(s *Scheduler, _ int32) { s.cal.count++ }},
+		{"stale drain key", "drain entry", func(s *Scheduler, _ int32) {
+			s.slab[s.cal.drain[s.cal.pos].slot-1].seq += 1 << 40
+		}},
+		{"drained slot also chained", "queued twice", func(s *Scheduler, _ int32) {
+			q := &s.cal
+			d := q.drain[len(q.drain)-1].slot
+			b := q.dayOf(s.slab[d-1].time) & q.mask
+			s.slab[d-1].next = q.heads[b]
+			q.heads[b] = d
+		}},
+		{"chained in the wrong bucket", "its time falls in bucket", func(s *Scheduler, chained int32) {
+			s.slab[chained-1].time += s.cal.width
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, chained := setup(t)
+			c.fault(s, chained)
+			err := s.CheckIntegrity()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("CheckIntegrity = %v, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }
 

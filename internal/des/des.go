@@ -5,8 +5,10 @@
 //
 // The kernel is built for throughput: events are plain values (a kind tag,
 // an actor index, and one payload word) held in a slab that is recycled
-// through a free list, and ordered by a bucketed calendar queue: O(1)
-// amortized per operation, delivering events in exact (time, seq) order.
+// through a free list, and ordered by a bucketed calendar queue whose
+// chains run through the slab nodes themselves: one 40-byte record per
+// pending event, O(1) amortized per operation, delivering events in exact
+// (time, seq) order.
 // In steady state — events scheduled and fired at a matched rate — the
 // scheduler performs zero heap allocations per event.
 // Cancellation is O(1) through generation-counted handles; cancelled
@@ -65,12 +67,16 @@ const (
 	slotDead // cancelled but still buried in the queue
 )
 
-// node is one slab entry: the event value plus queue bookkeeping.
+// node is one slab entry: the event value plus queue bookkeeping. It is
+// the event's only record: seq is its FIFO tie-break, and next links it
+// into its calendar bucket's chain while it is chained.
 type node struct {
 	time    float64
 	payload int64
+	seq     uint64
 	actor   int32
 	gen     uint32
+	next    int32
 	kind    uint16
 	state   uint8
 }
@@ -100,7 +106,6 @@ type Scheduler struct {
 	now     float64
 	seq     uint64
 	slab    []node
-	seqOf   []uint64      // per-slot seq of the occupying entry (slab-parallel)
 	free    []int32       // recycled slab slots
 	cal     calendarQueue // pending events, ordered by (time, seq)
 	live    int           // scheduled and not cancelled
@@ -128,24 +133,20 @@ func NewScheduler() *Scheduler {
 // a cache line with whatever the allocator placed next to it.
 func (s *Scheduler) Init() {
 	*s = Scheduler{
-		slab:  pad.Make[node](0),
-		seqOf: pad.Make[uint64](0),
-		free:  pad.Make[int32](0),
-		cal:   newCalendarQueue(),
+		slab: pad.Make[node](0),
+		free: pad.Make[int32](0),
+		cal:  newCalendarQueue(),
 	}
 }
 
-// Reserve sizes the slab and the calendar's per-slot storage for n slots
-// in all: a scheduler that never holds more than n events at once, live
-// and cancelled-but-unsurfaced together, then schedules, retunes and
-// restores without growing them. Each buffer grows at most once, in one
-// whole-block step (pad.Grow); slot numbering is unchanged, since slots
-// are still handed out in slab order.
+// Reserve sizes the slab for n slots in all: a scheduler that never holds
+// more than n events at once, live and cancelled-but-unsurfaced together,
+// then schedules, retunes and restores without growing it. The slab is
+// the only per-slot storage (the calendar chains through it), and it
+// grows at most once, in one whole-block step (pad.Grow); slot numbering
+// is unchanged, since slots are still handed out in slab order.
 func (s *Scheduler) Reserve(n int) {
 	s.slab = pad.Grow(s.slab, n-len(s.slab))
-	s.seqOf = pad.Grow(s.seqOf, n-len(s.seqOf))
-	s.cal.slots = pad.Grow(s.cal.slots, n-len(s.cal.slots))
-	s.cal.scratch = pad.Grow(s.cal.scratch, n-len(s.cal.scratch))
 }
 
 // NewSchedulerKind returns NewScheduler().
@@ -176,7 +177,6 @@ func (s *Scheduler) ScheduleAt(t float64, kind uint16, actor int32, payload int6
 		s.free = s.free[:n-1]
 	} else {
 		s.slab = append(s.slab, node{})
-		s.seqOf = append(s.seqOf, 0)
 		slot = int32(len(s.slab)) // 1-based
 	}
 	nd := &s.slab[slot-1]
@@ -184,9 +184,9 @@ func (s *Scheduler) ScheduleAt(t float64, kind uint16, actor int32, payload int6
 	nd.payload = payload
 	nd.actor = actor
 	nd.kind = kind
+	nd.seq = s.seq
 	nd.state = slotLive
-	s.seqOf[slot-1] = s.seq
-	s.cal.push(t, s.seq, slot)
+	s.cal.push(s.slab, slot)
 	s.seq++
 	s.live++
 	return Handle{slot: slot, gen: nd.gen}, nil
@@ -263,12 +263,14 @@ func (s *Scheduler) Drain(deliver func(Event)) uint64 {
 
 // pop removes and returns the earliest live event with time <= horizon,
 // advancing virtual time to it. Dead (cancelled) slots encountered at the
-// head are freed and skipped.
+// head are freed and skipped. A served slot is freed before the head is
+// removed, since the removal may rechain the wheel from the slab's non-free
+// slots.
 func (s *Scheduler) pop(horizon float64) (Event, bool) {
 	q := &s.cal
 	for {
 		if !q.draining() {
-			if !q.peek() {
+			if !q.peek(s.slab) {
 				return Event{}, false
 			}
 			s.warmPos = 0
@@ -294,11 +296,11 @@ func (s *Scheduler) pop(horizon float64) (Event, bool) {
 			}
 			s.warmPos = lim
 		}
-		q.prewalkStep()
+		q.prewalkStep(s.slab)
 		nd := &s.slab[head.slot-1]
 		if nd.state == slotDead {
-			q.removeHead()
 			s.recycle(head.slot)
+			q.removeHead(s.slab)
 			s.dropped++
 			continue
 		}
@@ -306,8 +308,8 @@ func (s *Scheduler) pop(horizon float64) (Event, bool) {
 			return Event{}, false
 		}
 		ev := Event{Time: head.time, Kind: nd.kind, Actor: nd.actor, Payload: nd.payload}
-		q.removeHead()
 		s.recycle(head.slot)
+		q.removeHead(s.slab)
 		s.live--
 		s.now = ev.Time
 		return ev, true

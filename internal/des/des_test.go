@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"creditp2p/internal/xrand"
 )
@@ -393,6 +394,15 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state allocs per drain cycle = %v, want 0", avg)
+	}
+}
+
+// TestNodeSize pins the slab node, every pending event's one record, at
+// 40 bytes: the calendar chains through it, so a field added to it is
+// paid once per event slot at every population.
+func TestNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(node{}); n != 40 {
+		t.Fatalf("node is %d bytes, want 40", n)
 	}
 }
 

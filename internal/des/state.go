@@ -31,6 +31,7 @@ type encScratch struct {
 	gens     []uint32
 	kinds    []uint16
 	states   []uint8
+	seqs     []uint64
 }
 
 // slotBytes is the payload one carried slot takes: time, payload, actor,
@@ -49,6 +50,7 @@ func (s *Scheduler) fieldBuffers(n int) *encScratch {
 			gens:     make([]uint32, slabSegSize),
 			kinds:    make([]uint16, slabSegSize),
 			states:   make([]uint8, slabSegSize),
+			seqs:     make([]uint64, slabSegSize),
 		}
 	}
 	e.times = e.times[:n]
@@ -57,6 +59,7 @@ func (s *Scheduler) fieldBuffers(n int) *encScratch {
 	e.gens = e.gens[:n]
 	e.kinds = e.kinds[:n]
 	e.states = e.states[:n]
+	e.seqs = e.seqs[:n]
 	return e
 }
 
@@ -72,6 +75,7 @@ func (s *Scheduler) transpose(lo, hi int) *encScratch {
 		e.gens[j] = nd.gen
 		e.kinds[j] = nd.kind
 		e.states[j] = nd.state
+		e.seqs[j] = nd.seq
 	}
 	return e
 }
@@ -105,7 +109,7 @@ func (s *Scheduler) SaveState(w *snapshot.Writer) {
 		w.U32s(e.gens)
 		w.U16s(e.kinds)
 		w.U8s(e.states)
-		w.U64s(s.seqOf[lo:hi])
+		w.U64s(e.seqs)
 	}
 }
 
@@ -125,7 +129,7 @@ func (s *Scheduler) SavedLenBound() int {
 // slab never grows past the bytes actually read. Queued slots must hold a
 // valid state and a time no earlier than the capture's.
 func (s *Scheduler) LoadState(r *snapshot.Reader) error {
-	s.slab, s.seqOf = s.slab[:0], s.seqOf[:0]
+	s.slab = s.slab[:0]
 	r.Section("dsched")
 	now := r.F64()
 	seq := r.U64()
@@ -160,7 +164,6 @@ func (s *Scheduler) LoadState(r *snapshot.Reader) error {
 		return fmt.Errorf("des: snapshot sizes the slab at %d slots but holds %d payload bytes", slabLen, r.Remaining())
 	}
 	s.slab = pad.Grow(s.slab, slabLen)
-	s.seqOf = pad.Grow(s.seqOf, slabLen)
 	prev := -1
 	for k := 0; k < segs; k++ {
 		seg := int(r.U32())
@@ -176,18 +179,16 @@ func (s *Scheduler) LoadState(r *snapshot.Reader) error {
 		if lo > len(s.slab) {
 			return fmt.Errorf("des: snapshot sizes the slab at %d slots but leaves slots [%d,%d) uncovered", slabLen, len(s.slab), lo)
 		}
-		// The per-field spans decode into the recycled transpose buffers,
-		// and the seqs straight into the slab's parallel array.
+		// The per-field spans decode into the recycled transpose buffers.
 		n := hi - lo
 		e := s.fieldBuffers(n)
-		s.seqOf = s.seqOf[:hi]
 		snapshot.Fill(r, "slot times", e.times)
 		snapshot.Fill(r, "slot payloads", e.payloads)
 		snapshot.Fill(r, "slot actors", e.actors)
 		snapshot.Fill(r, "slot generations", e.gens)
 		snapshot.Fill(r, "slot kinds", e.kinds)
 		snapshot.Fill(r, "slot states", e.states)
-		snapshot.Fill(r, "slot seqs", s.seqOf[lo:hi])
+		snapshot.Fill(r, "slot seqs", e.seqs)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("des: snapshot segment %d: %w", seg, err)
 		}
@@ -201,6 +202,7 @@ func (s *Scheduler) LoadState(r *snapshot.Reader) error {
 			s.slab[lo+i] = node{
 				time:    e.times[i],
 				payload: e.payloads[i],
+				seq:     e.seqs[i],
 				actor:   e.actors[i],
 				gen:     e.gens[i],
 				kind:    e.kinds[i],
@@ -223,24 +225,14 @@ func (s *Scheduler) LoadState(r *snapshot.Reader) error {
 
 // rebuildQueue reconstructs the calendar's pending set — every non-free
 // slot, live and cancelled alike — from the slab: the epilogue of a state
-// restore. The entries are gathered in the calendar's scratch and chained
-// in one layout pass, and every buffer keeps its capacity, so a scheduler
-// sized by Reserve restores without allocating. Gathering in slab order
-// rather than seq order changes no delivery: the calendar serves exactly
-// (time, seq) order whatever its layout.
+// restore. It is the retune's layout from the width a fresh scheduler
+// starts at, and it chains through the slab without allocating. Laying
+// out in slab order rather than seq order changes no delivery: the
+// calendar serves exactly (time, seq) order whatever its layout.
 func (s *Scheduler) rebuildQueue() {
 	q := &s.cal
-	all := q.scratch[:0]
-	for i := range s.slab {
-		if nd := &s.slab[i]; nd.state != slotFree {
-			all = append(all, calEntry{time: nd.time, seq: s.seqOf[i], slot: int32(i + 1)})
-		}
-	}
-	// push assumes slots are handed out in slab order, which does not hold
-	// for a restored free list: the per-slot storage covers the whole slab.
-	q.slots = pad.Grow(q.slots[:0], len(s.slab))[:len(s.slab)]
-	q.count, q.width, q.invWidth, q.nwSlot = len(all), 1, 1, 0
-	q.rechain(all)
+	q.width, q.invWidth, q.nwSlot = 1, 1, 0
+	q.rechain(s.slab)
 	s.warmPos = 0
 }
 
@@ -264,9 +256,9 @@ func (s *Scheduler) EachQueued(fn func(ev Event, h Handle, live bool) error) err
 
 // CheckIntegrity audits the slab bookkeeping: the live counter must match
 // the number of live slots, the free list must hold exactly the free slots
-// with no duplicates, and every queued entry must reference a non-free
-// slot whose recorded seq matches the queue's. It is the scheduler's
-// contribution to the kernel's periodic invariant audit.
+// with no duplicates, and the calendar must hold exactly the non-free
+// slots (checkQueue). It is the scheduler's contribution to the kernel's
+// periodic invariant audit.
 func (s *Scheduler) CheckIntegrity() error {
 	var liveCount, freeCount int
 	for i := range s.slab {
@@ -283,51 +275,71 @@ func (s *Scheduler) CheckIntegrity() error {
 	if len(s.free) != freeCount {
 		return fmt.Errorf("des: free list holds %d slots but %d slab slots are free", len(s.free), freeCount)
 	}
-	seen := make(map[int32]bool, len(s.free))
+	seen := make([]bool, len(s.slab))
 	for _, sl := range s.free {
 		if sl < 1 || int(sl) > len(s.slab) {
 			return fmt.Errorf("des: free list references slot %d outside the %d-slot slab", sl, len(s.slab))
 		}
-		if seen[sl] {
+		if seen[sl-1] {
 			return fmt.Errorf("des: slot %d appears twice in the free list", sl)
 		}
-		seen[sl] = true
+		seen[sl-1] = true
 		if st := s.slab[sl-1].state; st != slotFree {
 			return fmt.Errorf("des: free-listed slot %d has state %d, want free", sl, st)
 		}
 	}
-	return s.checkQueueSeqs()
+	return s.checkQueue()
 }
 
-// checkQueueSeqs verifies every queued entry's (time, seq) key against the
-// slab's per-slot record — the invariant the derived-pending restore path
-// relies on, and the one a stale calendar re-chain breaks (an entry keyed
-// by its slot's previous occupant is delivered at the wrong time).
-func (s *Scheduler) checkQueueSeqs() error {
-	check := func(t float64, seq uint64, slot int32) error {
+// checkQueue verifies the invariant a retune and a restore rebuild the
+// wheel from: every non-free slot is chained in its day's bucket, or sits
+// in the unserved drain batch, exactly once, no free slot is queued, and
+// count is their number. Drain entries must still carry their nodes'
+// (time, seq), or the batch serves them out of order.
+func (s *Scheduler) checkQueue() error {
+	q := &s.cal
+	queued := make([]bool, len(s.slab))
+	n := 0
+	enter := func(slot int32, where string) error {
 		if slot < 1 || int(slot) > len(s.slab) {
-			return fmt.Errorf("des: queued entry references slot %d outside the %d-slot slab", slot, len(s.slab))
+			return fmt.Errorf("des: %s references slot %d outside the %d-slot slab", where, slot, len(s.slab))
 		}
-		if got := s.seqOf[slot-1]; got != seq {
-			return fmt.Errorf("des: queued entry for slot %d carries seq %d but the slab records %d", slot, seq, got)
+		if s.slab[slot-1].state == slotFree {
+			return fmt.Errorf("des: %s holds free slot %d", where, slot)
 		}
-		if got := s.slab[slot-1].time; got != t {
-			return fmt.Errorf("des: queued entry for slot %d carries time %v but the slab records %v", slot, t, got)
+		if queued[slot-1] {
+			return fmt.Errorf("des: slot %d is queued twice (%s)", slot, where)
 		}
+		queued[slot-1] = true
+		n++
 		return nil
 	}
-	q := &s.cal
-	for _, head := range q.heads {
-		for sl := head; sl != 0; sl = q.slots[sl-1].next {
-			if err := check(q.slots[sl-1].time, q.slots[sl-1].seq, sl); err != nil {
+	for b, head := range q.heads {
+		for sl := head; sl != 0; sl = s.slab[sl-1].next {
+			if err := enter(sl, "a calendar chain"); err != nil {
 				return err
+			}
+			if got := q.dayOf(s.slab[sl-1].time) & q.mask; got != int64(b) {
+				return fmt.Errorf("des: slot %d is chained in bucket %d but its time falls in bucket %d", sl, b, got)
 			}
 		}
 	}
 	for _, e := range q.drain[q.pos:] {
-		if err := check(e.time, e.seq, e.slot); err != nil {
+		if err := enter(e.slot, "the drain batch"); err != nil {
 			return err
 		}
+		if nd := &s.slab[e.slot-1]; nd.time != e.time || nd.seq != e.seq {
+			return fmt.Errorf("des: drain entry for slot %d carries (%v, seq %d) but the slab records (%v, seq %d)",
+				e.slot, e.time, e.seq, nd.time, nd.seq)
+		}
+	}
+	for i := range s.slab {
+		if s.slab[i].state != slotFree && !queued[i] {
+			return fmt.Errorf("des: pending slot %d is neither chained nor in the drain batch", i+1)
+		}
+	}
+	if q.count != n {
+		return fmt.Errorf("des: calendar counts %d entries but holds %d", q.count, n)
 	}
 	return nil
 }

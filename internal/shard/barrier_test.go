@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -54,6 +55,9 @@ func TestBarrierSteadyStateZeroAlloc(t *testing.T) {
 // Allocations are counted over the whole span (windows 41–80, trim at 64)
 // with runtime.MemStats: testing.AllocsPerRun divides by the run count
 // and truncates, which hides a few allocations spread over many windows.
+// MemStats counts the whole process, so the span runs with the collector
+// off after one forced collection: the runtime's own allocations around a
+// collection that lands inside the span would otherwise be counted too.
 func TestChurnedSteadyStateZeroAlloc(t *testing.T) {
 	w, err := market.NewShard(market.ShardConfig{Mu: 2.0, Amount: 1, FreeRiderFrac: 0.1})
 	if err != nil {
@@ -80,6 +84,8 @@ func TestChurnedSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatalf("horizon exhausted during warmup at window %d", i)
 		}
 	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for e.StepWindow() {

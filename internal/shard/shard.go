@@ -259,7 +259,7 @@ type Lane struct {
 }
 
 // lanePad is the tail padding that makes Lane a whole number of blocks.
-const lanePad = 88
+const lanePad = 112
 
 // Engine coordinates P lanes through lockstep windows.
 type Engine struct {

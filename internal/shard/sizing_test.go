@@ -80,27 +80,43 @@ func benchrunGraph(t testing.TB, n int) *topology.Graph {
 	return g
 }
 
-// storage is the backing array of a lane's scheduler slab and of its
-// calendar's per-slot entries: address and capacity of each.
-type storage [2]struct {
+// storage is the backing array of a lane's scheduler slab, the one array
+// that holds a record per event slot: address, length and capacity.
+type storage struct {
 	ptr      uintptr
 	len, cap int
 }
 
 func eventStorage(ln *shard.Lane) storage {
+	slab := reflect.ValueOf(ln).Elem().FieldByName("sched").FieldByName("slab")
+	return storage{slab.Pointer(), slab.Len(), slab.Cap()}
+}
+
+// slotArrays names each slice a lane's scheduler or its calendar holds,
+// other than the slab and the free list, that is as long as the slab: a
+// second per-slot array. The calendar chains through the slab, and its
+// buffers grow only to the largest day batch and to a quarter of the
+// pending entries in buckets, far short of one entry per slot.
+func slotArrays(ln *shard.Lane) []string {
 	sched := reflect.ValueOf(ln).Elem().FieldByName("sched")
-	var st storage
-	for i, f := range []reflect.Value{sched.FieldByName("slab"), sched.FieldByName("cal").FieldByName("slots")} {
-		st[i].ptr, st[i].len, st[i].cap = f.Pointer(), f.Len(), f.Cap()
+	slots := sched.FieldByName("slab").Len()
+	var found []string
+	for _, v := range []reflect.Value{sched, sched.FieldByName("cal")} {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), v.Type().Field(i).Name
+			if f.Kind() == reflect.Slice && name != "slab" && name != "free" && f.Cap() >= slots {
+				found = append(found, name)
+			}
+		}
 	}
-	return st
+	return found
 }
 
 // TestLaneEventStorageReserved starts the four benchmark workloads at
 // 2,000 peers and runs them to the horizon, then again from a base taken
-// halfway: no lane's scheduler slab or calendar slots may regrow, at
-// Start, in the run or in the restored one, so New's reservation covers
-// every event a lane holds and restore reuses it.
+// halfway: no lane's scheduler slab may regrow, at Start, in the run or in
+// the restored one, so New's reservation covers every event a lane holds
+// and restore reuses it. The slab must also stay the only per-slot array.
 func TestLaneEventStorageReserved(t *testing.T) {
 	g := benchrunGraph(t, 2000)
 	for _, bc := range benchrunConfigs {
@@ -138,17 +154,19 @@ func TestLaneEventStorageReserved(t *testing.T) {
 	}
 }
 
-// checkReserved fails unless every lane of sim still holds the storage it
-// held at start, and with the capacity a fresh engine reserves.
+// checkReserved fails unless every lane of sim still holds the slab it
+// held at start, with the capacity a fresh engine reserves, and no other
+// per-slot array.
 func checkReserved(t *testing.T, label string, sim *shard.Sim, fresh, start []storage) {
 	t.Helper()
 	for i, ln := range sim.Engine().Lanes() {
 		st := eventStorage(ln)
-		for k, what := range []string{"slab", "calendar slots"} {
-			if st[k].ptr != start[i][k].ptr || st[k].cap != fresh[i][k].cap {
-				t.Errorf("%s: lane %d %s regrew: %d of %d reserved slots, now %d used of %d",
-					label, i, what, start[i][k].len, fresh[i][k].cap, st[k].len, st[k].cap)
-			}
+		if st.ptr != start[i].ptr || st.cap != fresh[i].cap {
+			t.Errorf("%s: lane %d slab regrew: %d of %d reserved slots, now %d used of %d",
+				label, i, start[i].len, fresh[i].cap, st.len, st.cap)
+		}
+		if extra := slotArrays(ln); len(extra) > 0 {
+			t.Errorf("%s: lane %d holds per-slot arrays besides the slab: %v", label, i, extra)
 		}
 	}
 }

@@ -37,36 +37,64 @@ func NewPowerLaw(min, max int, alpha float64) (*PowerLaw, error) {
 	return p, nil
 }
 
-// newPowerLaw builds the CDF table and the mean but not the guide table,
-// so PowerLawForMean's sweep pays for one guide only.
+// newPowerLaw builds the CDF table and the mean but not the guide table.
 func newPowerLaw(min, max int, alpha float64) (*PowerLaw, error) {
+	if err := checkPowerLaw(min, max, alpha); err != nil {
+		return nil, err
+	}
+	return fromWeights(min, alpha, powerWeights(min, max, alpha)), nil
+}
+
+// checkPowerLaw rejects an empty support and a shape that is not a finite
+// positive number.
+func checkPowerLaw(min, max int, alpha float64) error {
 	if min < 1 || max < min {
-		return nil, fmt.Errorf("xrand: invalid power-law support [%d, %d]", min, max)
+		return fmt.Errorf("xrand: invalid power-law support [%d, %d]", min, max)
 	}
 	if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
-		return nil, fmt.Errorf("xrand: invalid power-law shape %v", alpha)
+		return fmt.Errorf("xrand: invalid power-law shape %v", alpha)
 	}
-	n := max - min + 1
-	cdf := make([]float64, n)
-	var total, weightedTotal float64
-	for i := 0; i < n; i++ {
-		d := float64(min + i)
-		w := math.Pow(d, -alpha)
-		total += w
-		weightedTotal += d * w
-		cdf[i] = total
+	return nil
+}
+
+// powerWeights returns the unnormalised weights w[i] = (min+i)^-alpha of
+// the support [min, max].
+func powerWeights(min, max int, alpha float64) []float64 {
+	w := make([]float64, max-min+1)
+	for i := range w {
+		w[i] = math.Pow(float64(min+i), -alpha)
 	}
-	for i := range cdf {
-		cdf[i] /= total
+	return w
+}
+
+// weightSums returns the total of the weights w of min, min+1, ... and
+// their value-weighted total, summed in ascending value order: the
+// normalisation and mean of every law built from them.
+func weightSums(min int, w []float64) (total, weighted float64) {
+	for i, x := range w {
+		total += x
+		weighted += float64(min+i) * x
 	}
-	cdf[n-1] = 1 // guard against rounding
+	return total, weighted
+}
+
+// fromWeights builds the law on [min, min+len(w)) from its weights,
+// turning w into the CDF in place.
+func fromWeights(min int, alpha float64, w []float64) *PowerLaw {
+	total, weighted := weightSums(min, w)
+	run := 0.0
+	for i, x := range w {
+		run += x
+		w[i] = run / total
+	}
+	w[len(w)-1] = 1 // guard against rounding
 	return &PowerLaw{
 		min:   min,
-		max:   max,
+		max:   min + len(w) - 1,
 		alpha: alpha,
-		cdf:   cdf,
-		mean:  weightedTotal / total,
-	}, nil
+		cdf:   w,
+		mean:  weighted / total,
+	}
 }
 
 // Mean returns the exact mean of the bounded distribution.
@@ -119,25 +147,31 @@ func PowerLawForMean(max int, alpha, targetMean float64) (*PowerLaw, error) {
 	if targetMean < 1 || float64(max) < targetMean {
 		return nil, fmt.Errorf("xrand: target mean %v outside [1, %d]", targetMean, max)
 	}
-	best, bestGap := (*PowerLaw)(nil), math.Inf(1)
+	if err := checkPowerLaw(1, max, alpha); err != nil {
+		return nil, err
+	}
+	// One weight table serves every candidate cutoff: a candidate's mean
+	// sums its suffix of the table in the order newPowerLaw sums it, so
+	// it is the mean that law would report, and only the winner's CDF is
+	// built.
+	w := powerWeights(1, max, alpha)
+	best, bestGap := 0, math.Inf(1)
 	for min := 1; min <= max; min++ {
-		pl, err := newPowerLaw(min, max, alpha)
-		if err != nil {
-			return nil, err
-		}
-		gap := math.Abs(pl.Mean() - targetMean)
-		if gap < bestGap {
-			best, bestGap = pl, gap
+		total, weighted := weightSums(min, w[min-1:])
+		mean := weighted / total
+		if gap := math.Abs(mean - targetMean); gap < bestGap {
+			best, bestGap = min, gap
 		}
 		// Mean is monotone increasing in the lower cutoff; once we have
 		// passed the target the gap only grows.
-		if pl.Mean() > targetMean {
+		if mean > targetMean {
 			break
 		}
 	}
-	if best == nil {
+	if best == 0 {
 		return nil, fmt.Errorf("xrand: no power law on [1, %d] reaches mean %v", max, targetMean)
 	}
-	best.buildGuide()
-	return best, nil
+	pl := fromWeights(best, alpha, w[best-1:])
+	pl.buildGuide()
+	return pl, nil
 }

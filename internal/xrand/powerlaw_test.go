@@ -230,6 +230,86 @@ func TestPowerLawSampleMatchesSearch(t *testing.T) {
 	}
 }
 
+// referencePowerLaw is the law as built with one CDF per law: weights
+// summed in ascending value order into a running total, the CDF divided
+// by the total afterwards.
+func referencePowerLaw(min, max int, alpha float64) (cdf []float64, mean float64) {
+	cdf = make([]float64, max-min+1)
+	var total, weightedTotal float64
+	for i := range cdf {
+		d := float64(min + i)
+		w := math.Pow(d, -alpha)
+		total += w
+		weightedTotal += d * w
+		cdf[i] = total
+	}
+	for i := range cdf {
+		cdf[i] /= total
+	}
+	cdf[len(cdf)-1] = 1
+	return cdf, weightedTotal / total
+}
+
+// TestPowerLawForMeanMatchesReference checks that the one-table sweep
+// picks the cutoff a sweep building every candidate law picks, and that
+// the winner's cutoff, every CDF entry and the mean are bit-equal to that
+// law's, on the benchmark's capped support, the uncapped 100k support
+// (goldenhash, the scenario presets), and small supports.
+func TestPowerLawForMeanMatchesReference(t *testing.T) {
+	cases := []struct {
+		max         int
+		alpha, mean float64
+	}{
+		{2000, 2.5, 20}, {99_999, 2.5, 20},
+		{1, 2.5, 1}, {2, 2.5, 1.2}, {3, 2.5, 2.9}, {10, 2.5, 3}, {10, 2.5, 10},
+		{40, 1.5, 7}, {50, 0.5, 30}, {500, 2.5, 20}, {7, 3.5, 1},
+	}
+	for _, c := range cases {
+		wantMin, wantGap := 0, math.Inf(1)
+		var wantCDF []float64
+		var wantMean float64
+		for min := 1; min <= c.max; min++ {
+			cdf, mean := referencePowerLaw(min, c.max, c.alpha)
+			if gap := math.Abs(mean - c.mean); gap < wantGap {
+				wantMin, wantGap, wantCDF, wantMean = min, gap, cdf, mean
+			}
+			if mean > c.mean {
+				break
+			}
+		}
+		name := fmt.Sprintf("max %d alpha %v mean %v", c.max, c.alpha, c.mean)
+		pl, err := PowerLawForMean(c.max, c.alpha, c.mean)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if pl.Min() != wantMin || pl.Max() != c.max || len(pl.cdf) != len(wantCDF) {
+			t.Fatalf("%s: support [%d, %d] with %d CDF entries, want [%d, %d] with %d",
+				name, pl.Min(), pl.Max(), len(pl.cdf), wantMin, c.max, len(wantCDF))
+		}
+		if math.Float64bits(pl.Mean()) != math.Float64bits(wantMean) {
+			t.Errorf("%s: mean %v, want %v", name, pl.Mean(), wantMean)
+		}
+		for i, x := range pl.cdf {
+			if math.Float64bits(x) != math.Float64bits(wantCDF[i]) {
+				t.Fatalf("%s: cdf[%d] = %v, want %v", name, i, x, wantCDF[i])
+			}
+		}
+	}
+}
+
+// benchPowerLawForMean fits cmd/benchrun's degree law (alpha 2.5, mean
+// 20) on the support [1, max].
+func benchPowerLawForMean(b *testing.B, max int) {
+	for i := 0; i < b.N; i++ {
+		if _, err := PowerLawForMean(max, 2.5, 20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPowerLawForMeanCapped(b *testing.B)   { benchPowerLawForMean(b, 2000) }
+func BenchmarkPowerLawForMeanUncapped(b *testing.B) { benchPowerLawForMean(b, 99_999) }
+
 // BenchmarkPowerLawSample draws from cmd/benchrun's degree law (alpha 2.5,
 // mean 20, support capped at 2000), one draw per op.
 func BenchmarkPowerLawSample(b *testing.B) {
